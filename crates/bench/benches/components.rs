@@ -49,8 +49,12 @@ fn bench_l07_transfers(c: &mut Criterion) {
                 b.iter(|| {
                     let mut sim = L07Sim::new(Cluster::bayreuth());
                     for i in 0..flows {
-                        sim.submit(PTaskSpec::p2p(HostId(i % 32), HostId((i + 7) % 32), 32.0e6))
-                            .unwrap();
+                        sim.submit(&PTaskSpec::p2p(
+                            HostId(i % 32),
+                            HostId((i + 7) % 32),
+                            32.0e6,
+                        ))
+                        .unwrap();
                     }
                     sim.run_to_idle().unwrap()
                 });

@@ -12,7 +12,9 @@
 //! * an **activity-oriented engine** ([`engine`]) with a fluid progress
 //!   model: activities consume resources at fair-shared rates, and the clock
 //!   jumps from completion to completion;
-//! * **trace recording** ([`trace`]) for Gantt-style inspection.
+//! * **trace recording** ([`trace`]) for Gantt-style inspection;
+//! * a **dense index bitset** ([`bitset`]) that hands touched resources
+//!   back in ascending order without sorting.
 //!
 //! ## Example
 //!
@@ -33,11 +35,13 @@
 
 #![warn(missing_docs)]
 
+pub mod bitset;
 pub mod engine;
 pub mod solver;
 pub mod trace;
 pub mod usage;
 
+pub use bitset::IndexBitset;
 pub use engine::{
     ActivityId, ActivitySpec, Completion, Engine, EngineError, MemoryFootprint, ResourceId,
     StepResult, TimerId, Watchdog,

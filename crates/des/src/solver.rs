@@ -27,6 +27,8 @@
 //!   reverse resource→activity incidence index, and a sorted finite-bound
 //!   cursor. [`max_min_fair_rates`] is a thin convenience wrapper over it.
 
+use crate::bitset::IndexBitset;
+
 /// Index of a resource inside a [`SharingProblem`].
 pub type ResourceIndex = usize;
 
@@ -346,16 +348,17 @@ pub struct SolverWorkspace {
     // Unfrozen activities with a finite bound, sorted by (bound, index);
     // a cursor sweeps it monotonically across the whole solve.
     bound_order: Vec<u32>,
-    // Per-resource state, valid only for the current `epoch` (so no O(all
-    // resources) clearing between solves).
+    // Per-resource state, valid only for resources touched by the current
+    // solve (so no O(all resources) clearing between solves).
     rem_cap: Vec<f64>,
     total_weight: Vec<f64>,
     active_count: Vec<u32>,
-    res_epoch: Vec<u64>,
     res_start: Vec<u32>,
     res_cursor: Vec<u32>,
+    // First touches of the current solve; drained into `touched` in
+    // ascending resource order.
+    touched_bits: IndexBitset,
     touched: Vec<u32>,
-    epoch: u64,
     // Reverse incidence: activities per resource, ascending activity order,
     // resource `r` owning `res_entries[res_start[r]..res_cursor[r]]`.
     res_entries: Vec<u32>,
@@ -461,15 +464,14 @@ impl SolverWorkspace {
         self.active.resize(n, false);
 
         let n_res = capacities.len();
-        if self.res_epoch.len() < n_res {
+        if self.rem_cap.len() < n_res {
             self.rem_cap.resize(n_res, 0.0);
             self.total_weight.resize(n_res, 0.0);
             self.active_count.resize(n_res, 0);
             self.res_start.resize(n_res, 0);
             self.res_cursor.resize(n_res, 0);
-            self.res_epoch.resize(n_res, 0);
+            self.touched_bits.grow(n_res);
         }
-        self.epoch += 1;
         self.touched.clear();
 
         // Single-activity fast path: with one staged activity max-min
@@ -486,15 +488,13 @@ impl SolverWorkspace {
             }
             for k in s..e {
                 let r = self.act_res[k] as usize;
-                if self.res_epoch[r] != self.epoch {
-                    self.res_epoch[r] = self.epoch;
-                    self.touched.push(r as u32);
+                if self.touched_bits.insert(r) {
                     self.rem_cap[r] = capacities[r];
                     self.total_weight[r] = 0.0;
                 }
                 self.total_weight[r] += self.act_w[k];
             }
-            self.touched.sort_unstable();
+            self.drain_touched();
             let mut bn_rem = 0.0_f64;
             let mut bn_tw = 0.0_f64;
             let mut bottleneck_res = usize::MAX;
@@ -558,9 +558,7 @@ impl SolverWorkspace {
             n_active += 1;
             for k in s..e {
                 let r = self.act_res[k] as usize;
-                if self.res_epoch[r] != self.epoch {
-                    self.res_epoch[r] = self.epoch;
-                    self.touched.push(r as u32);
+                if self.touched_bits.insert(r) {
                     self.rem_cap[r] = capacities[r];
                     self.total_weight[r] = 0.0;
                     self.active_count[r] = 0;
@@ -569,12 +567,12 @@ impl SolverWorkspace {
                 self.active_count[r] += 1;
             }
         }
+        // Ascending resource order keeps bottleneck tie-breaking identical
+        // to the reference (first minimum wins).
+        self.drain_touched();
         if n_active == 0 {
             return &self.rates;
         }
-        // Ascending resource order keeps bottleneck tie-breaking identical
-        // to the reference (first minimum wins).
-        self.touched.sort_unstable();
 
         // Pass 2: counting-sorted reverse incidence. `active_count[r]` is
         // exactly resource r's entry count right now, which gives the slice
@@ -747,6 +745,14 @@ impl SolverWorkspace {
         }
 
         &self.rates
+    }
+
+    /// Moves this solve's touched resources from the bitset into `touched`,
+    /// ascending — the order a sort of the first-touch list would give.
+    fn drain_touched(&mut self) {
+        let touched = &mut self.touched;
+        self.touched_bits
+            .drain_ascending(|r| touched.push(r as u32));
     }
 
     /// Freezes activity `i` at `rate`, subtracting its consumption from every

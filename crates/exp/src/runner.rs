@@ -905,24 +905,34 @@ impl Harness {
         let next = std::sync::atomic::AtomicUsize::new(0);
 
         crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= corpus.len() {
-                        break;
-                    }
-                    let g = &corpus[i];
-                    let mut slot = i * CELLS_PER_DAG;
-                    for variant in SimVariant::ALL {
-                        for algo in [&Hcpa as &dyn Scheduler, &Mcpa] {
-                            let cell = self.run_one_caught(g, variant, algo, repeats);
-                            slots[slot]
-                                .set(cell)
-                                .unwrap_or_else(|_| unreachable!("cell slot written twice"));
-                            slot += 1;
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|_| loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if i >= corpus.len() {
+                            break;
                         }
-                    }
-                });
+                        let g = &corpus[i];
+                        let mut slot = i * CELLS_PER_DAG;
+                        for variant in SimVariant::ALL {
+                            for algo in [&Hcpa as &dyn Scheduler, &Mcpa] {
+                                let cell = self.run_one_caught(g, variant, algo, repeats);
+                                slots[slot]
+                                    .set(cell)
+                                    .unwrap_or_else(|_| unreachable!("cell slot written twice"));
+                                slot += 1;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // Join each thread explicitly: the scope's own wait returns
+            // before a worker has dropped its thread-local slab, so the
+            // next grid's workers could start while the old ones still
+            // free theirs, and the allocator would then hand them fresh
+            // arenas (≈ 2 MiB more peak memory) instead of reusing one.
+            for h in handles {
+                h.join().expect("worker panicked");
             }
         })
         .expect("worker panicked");

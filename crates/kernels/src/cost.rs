@@ -79,19 +79,30 @@ impl Kernel {
     /// sends its `n²/p`-element block to rank `(i+1) mod p` each step.
     /// Addition communicates nothing.
     pub fn comm_matrix(&self, p: usize) -> Vec<Vec<f64>> {
-        assert!(p >= 1);
-        let n = self.n() as f64;
+        let edge = self.ring_edge_bytes(p);
         let mut m = vec![vec![0.0; p]; p];
-        if let Kernel::MatMul { .. } = self {
-            if p > 1 {
-                let per_step = (n * n / p as f64) * ELEMENT_BYTES;
-                let steps = (p - 1) as f64;
-                for (i, row) in m.iter_mut().enumerate() {
-                    row[(i + 1) % p] = per_step * steps;
-                }
+        if edge != 0.0 {
+            for (i, row) in m.iter_mut().enumerate() {
+                row[(i + 1) % p] = edge;
             }
         }
         m
+    }
+
+    /// Bytes rank `i` sends to rank `(i+1) mod p` over the whole kernel:
+    /// the single non-zero value of every row of
+    /// [`Kernel::comm_matrix`]. Zero for additions and for `p = 1`.
+    pub fn ring_edge_bytes(&self, p: usize) -> f64 {
+        assert!(p >= 1);
+        match self {
+            Kernel::MatMul { .. } if p > 1 => {
+                let n = self.n() as f64;
+                let per_step = (n * n / p as f64) * ELEMENT_BYTES;
+                let steps = (p - 1) as f64;
+                per_step * steps
+            }
+            _ => 0.0,
+        }
     }
 
     /// Total bytes moved by the kernel's internal communication.
@@ -184,6 +195,21 @@ mod tests {
         assert!((m[3][0] - 24.0e6).abs() < 1.0);
         assert_eq!(m[0][2], 0.0);
         assert_eq!(m[0][0], 0.0);
+    }
+
+    #[test]
+    fn ring_edge_bytes_is_every_rows_only_entry() {
+        for k in [Kernel::MatMul { n: 3000 }, Kernel::MatAdd { n: 2000 }] {
+            for p in 1..=32 {
+                let edge = k.ring_edge_bytes(p);
+                for (i, row) in k.comm_matrix(p).iter().enumerate() {
+                    for (j, &bytes) in row.iter().enumerate() {
+                        let want = if p > 1 && j == (i + 1) % p { edge } else { 0.0 };
+                        assert_eq!(bytes.to_bits(), want.to_bits(), "{k} p={p} [{i}][{j}]");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

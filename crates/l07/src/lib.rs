@@ -85,7 +85,7 @@ mod proptests {
             let bytes = 125.0e6;
             let mut sim = L07Sim::new(Cluster::bayreuth());
             for i in 0..k {
-                sim.submit(PTaskSpec::p2p(HostId(2 * i), HostId(2 * i + 1), bytes))
+                sim.submit(&PTaskSpec::p2p(HostId(2 * i), HostId(2 * i + 1), bytes))
                     .unwrap();
             }
             let t = sim.run_to_idle().unwrap();

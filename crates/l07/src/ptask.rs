@@ -36,6 +36,16 @@ impl PTaskSpec {
         }
     }
 
+    /// Empties the spec back to [`PTaskSpec::new`], keeping the capacity
+    /// of its vectors so one spec can be refilled for every submission.
+    pub fn clear(&mut self) {
+        self.comp.clear();
+        self.flows.clear();
+        self.extra_latency = 0.0;
+        self.rate_bound = f64::INFINITY;
+        self.label = None;
+    }
+
     /// A pure computation task: `flops[i]` on `hosts[i]`.
     pub fn compute(hosts: &[HostId], flops: &[f64]) -> Self {
         assert_eq!(hosts.len(), flops.len(), "hosts/flops length mismatch");

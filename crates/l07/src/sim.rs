@@ -14,7 +14,7 @@
 //! * network latency is charged once, as the maximum route latency over the
 //!   task's flows (plus any caller-provided extra latency).
 
-use mps_des::{ActivityId, ActivitySpec, Completion, Engine, EngineError, ResourceId};
+use mps_des::{ActivityId, ActivitySpec, Completion, Engine, EngineError, IndexBitset, ResourceId};
 use mps_platform::{Cluster, HostId, LinkId};
 
 use crate::ptask::PTaskSpec;
@@ -89,9 +89,9 @@ pub struct L07Sim {
     /// Dense per-resource weight accumulator reused across submissions.
     /// Always all-zero between calls to [`L07Sim::submit`].
     weight_acc: Vec<f64>,
-    /// Raw indices of the resources touched by the current submission, in
-    /// first-touch order.
-    touched: Vec<usize>,
+    /// Raw indices of the resources touched by the current submission;
+    /// empty between calls.
+    touched: IndexBitset,
     /// Reused by [`L07Sim::next_completions_into`] so steady-state stepping
     /// does not allocate.
     step_scratch: Vec<Completion>,
@@ -120,6 +120,8 @@ impl L07Sim {
             .chain(std::iter::once(backbone))
             .collect();
         let weight_acc = vec![0.0; resources.len()];
+        let mut touched = IndexBitset::new();
+        touched.grow(resources.len());
         L07Sim {
             engine,
             cluster,
@@ -129,7 +131,7 @@ impl L07Sim {
             backbone,
             resources,
             weight_acc,
-            touched: Vec::new(),
+            touched,
             step_scratch: Vec::new(),
         }
     }
@@ -220,17 +222,16 @@ impl L07Sim {
     }
 
     /// Adds `w` (> 0) to the dense weight scratch for `r`, recording the
-    /// first touch so the scratch can be drained and re-zeroed cheaply.
+    /// touch so the scratch can be drained and re-zeroed cheaply.
     fn accumulate_weight(&mut self, r: ResourceId, w: f64) {
         let i = r.index();
-        if self.weight_acc[i] == 0.0 {
-            self.touched.push(i);
-        }
+        self.touched.insert(i);
         self.weight_acc[i] += w;
     }
 
     /// Submits a parallel task; it starts consuming resources immediately.
-    pub fn submit(&mut self, spec: PTaskSpec) -> Result<PTaskId, L07Error> {
+    /// The spec is only read, so callers can refill one spec per task.
+    pub fn submit(&mut self, spec: &PTaskSpec) -> Result<PTaskId, L07Error> {
         let n = self.cluster.node_count();
         for &(h, f) in &spec.comp {
             if h.index() >= n {
@@ -261,14 +262,28 @@ impl L07Sim {
             });
         }
 
-        // Accumulate per-resource weights: the task progresses from 0 to 1,
-        // so weights are the full amounts. The dense `weight_acc` scratch
-        // keyed by resource index applies the exact same sequence of `+=`
-        // per resource as a map keyed by `ResourceId` would, so the sums
-        // are bit-identical — only the container changed. Every contribution
-        // is strictly positive (zero amounts are skipped), so a zero slot
-        // means "untouched".
-        debug_assert!(self.touched.is_empty());
+        let (weights, max_route_latency) = self.stage_weights(spec);
+        let mut act = ActivitySpec::new(1.0)
+            .with_latency(max_route_latency + spec.extra_latency)
+            .with_rate_bound(spec.rate_bound);
+        act.weights = weights;
+        act.label = spec.label.clone();
+        let id = self.engine.start(act)?;
+        Ok(PTaskId(id))
+    }
+
+    /// The engine weights of a validated spec, in ascending resource order,
+    /// and the maximum route latency over its network flows.
+    ///
+    /// The task progresses from 0 to 1, so weights are the full amounts.
+    /// The dense `weight_acc` scratch keyed by resource index applies the
+    /// exact same sequence of `+=` per resource as a map keyed by
+    /// `ResourceId` would, so the sums are bit-identical — only the
+    /// container changed. The touched bitset drains in ascending index
+    /// order, which is the order a sort of the touched list gives. The only
+    /// allocation is the returned vector, and none for a task without
+    /// positive amounts.
+    fn stage_weights(&mut self, spec: &PTaskSpec) -> (Vec<(ResourceId, f64)>, f64) {
         for &(h, f) in &spec.comp {
             if f > 0.0 {
                 self.accumulate_weight(self.cpu[h.index()], f);
@@ -285,23 +300,13 @@ impl L07Sim {
             max_route_latency = max_route_latency.max(self.cluster.route_latency(s, d));
         }
 
-        self.touched.sort_unstable();
-        let mut sorted: Vec<(ResourceId, f64)> = Vec::with_capacity(self.touched.len());
-        for &i in &self.touched {
-            sorted.push((self.resources[i], self.weight_acc[i]));
-            self.weight_acc[i] = 0.0;
-        }
-        self.touched.clear();
-
-        let mut act = ActivitySpec::new(1.0)
-            .with_latency(max_route_latency + spec.extra_latency)
-            .with_rate_bound(spec.rate_bound);
-        act.weights = sorted;
-        if let Some(label) = spec.label {
-            act = act.with_label(label);
-        }
-        let id = self.engine.start(act)?;
-        Ok(PTaskId(id))
+        let mut weights = Vec::with_capacity(self.touched.count());
+        let (acc, resources) = (&mut self.weight_acc, &self.resources);
+        self.touched.drain_ascending(|i| {
+            weights.push((resources[i], acc[i]));
+            acc[i] = 0.0;
+        });
+        (weights, max_route_latency)
     }
 
     /// Advances to the next completion(s). `None` when idle.
@@ -415,7 +420,7 @@ impl L07Sim {
     /// returns its duration. Convenience for model validation.
     pub fn run_single(&mut self, spec: PTaskSpec) -> Result<f64, L07Error> {
         let start = self.now();
-        let id = self.submit(spec)?;
+        let id = self.submit(&spec)?;
         loop {
             match self.next_completions()? {
                 None => return Err(L07Error::Engine(EngineError::Stalled { time: self.now() })),
@@ -441,6 +446,7 @@ mod tests {
     use super::*;
     use mps_platform::units::GBPS;
     use mps_platform::ClusterSpec;
+    use proptest::prelude::*;
 
     fn sim() -> L07Sim {
         L07Sim::new(Cluster::bayreuth())
@@ -496,9 +502,9 @@ mod tests {
         // Different host pairs, so only the backbone is shared: each flow
         // gets half the backbone bandwidth.
         let mut s = sim();
-        s.submit(PTaskSpec::p2p(HostId(0), HostId(1), 125.0e6))
+        s.submit(&PTaskSpec::p2p(HostId(0), HostId(1), 125.0e6))
             .unwrap();
-        s.submit(PTaskSpec::p2p(HostId(2), HostId(3), 125.0e6))
+        s.submit(&PTaskSpec::p2p(HostId(2), HostId(3), 125.0e6))
             .unwrap();
         let t = s.run_to_idle().unwrap();
         assert!((t - (3.0e-4 + 2.0)).abs() < 1e-6, "t = {t}");
@@ -509,9 +515,9 @@ mod tests {
         let mut spec = ClusterSpec::bayreuth();
         spec.backbone_bandwidth = 10.0 * GBPS;
         let mut s = L07Sim::new(spec.build().unwrap());
-        s.submit(PTaskSpec::p2p(HostId(0), HostId(1), 125.0e6))
+        s.submit(&PTaskSpec::p2p(HostId(0), HostId(1), 125.0e6))
             .unwrap();
-        s.submit(PTaskSpec::p2p(HostId(2), HostId(3), 125.0e6))
+        s.submit(&PTaskSpec::p2p(HostId(2), HostId(3), 125.0e6))
             .unwrap();
         let t = s.run_to_idle().unwrap();
         assert!((t - (3.0e-4 + 1.0)).abs() < 1e-6, "t = {t}");
@@ -562,7 +568,7 @@ mod tests {
     fn unknown_host_is_rejected() {
         let mut s = sim();
         let err = s
-            .submit(PTaskSpec::compute_uniform(&hosts(&[40]), 1.0))
+            .submit(&PTaskSpec::compute_uniform(&hosts(&[40]), 1.0))
             .unwrap_err();
         assert_eq!(err, L07Error::UnknownHost(HostId(40)));
     }
@@ -571,7 +577,7 @@ mod tests {
     fn negative_flow_is_rejected() {
         let mut s = sim();
         let err = s
-            .submit(PTaskSpec::p2p(HostId(0), HostId(1), -5.0))
+            .submit(&PTaskSpec::p2p(HostId(0), HostId(1), -5.0))
             .unwrap_err();
         assert!(matches!(err, L07Error::InvalidNumber { .. }));
     }
@@ -579,9 +585,9 @@ mod tests {
     #[test]
     fn compute_tasks_on_same_host_share_the_cpu() {
         let mut s = sim();
-        s.submit(PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
+        s.submit(&PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
             .unwrap();
-        s.submit(PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
+        s.submit(&PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
             .unwrap();
         let t = s.run_to_idle().unwrap();
         assert!((t - 2.0).abs() < 1e-9);
@@ -590,9 +596,9 @@ mod tests {
     #[test]
     fn compute_tasks_on_distinct_hosts_run_concurrently() {
         let mut s = sim();
-        s.submit(PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
+        s.submit(&PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
             .unwrap();
-        s.submit(PTaskSpec::compute_uniform(&hosts(&[1]), 250.0e6))
+        s.submit(&PTaskSpec::compute_uniform(&hosts(&[1]), 250.0e6))
             .unwrap();
         let t = s.run_to_idle().unwrap();
         assert!((t - 1.0).abs() < 1e-9);
@@ -626,7 +632,7 @@ mod tests {
         let mut s = sim();
         s.enable_usage_metering();
         // Saturate host 0 for the whole run; host 1 stays idle.
-        s.submit(PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
+        s.submit(&PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
             .unwrap();
         s.run_to_idle().unwrap();
         let cpu = s.cpu_utilization().unwrap();
@@ -639,7 +645,7 @@ mod tests {
     fn backbone_utilization_tracks_transfers() {
         let mut s = sim();
         s.enable_usage_metering();
-        s.submit(PTaskSpec::p2p(HostId(0), HostId(1), 125.0e6))
+        s.submit(&PTaskSpec::p2p(HostId(0), HostId(1), 125.0e6))
             .unwrap();
         s.run_to_idle().unwrap();
         // The transfer saturates the backbone for essentially the whole
@@ -659,10 +665,10 @@ mod tests {
             for i in 0..4usize {
                 spec.flows.push((HostId(i), HostId((i + 1) % 4), 7.0e7));
             }
-            s.submit(spec).unwrap();
-            s.submit(PTaskSpec::p2p(HostId(5), HostId(6), 1.25e8))
+            s.submit(&spec).unwrap();
+            s.submit(&PTaskSpec::p2p(HostId(5), HostId(6), 1.25e8))
                 .unwrap();
-            s.submit(PTaskSpec::compute_uniform(&hosts(&[1]), 2.5e8))
+            s.submit(&PTaskSpec::compute_uniform(&hosts(&[1]), 2.5e8))
                 .unwrap();
             let mut out = Vec::new();
             while let Some(batch) = s.next_completions().unwrap() {
@@ -689,7 +695,7 @@ mod tests {
         // 250 Mflop at 250 MFlop/s → 1 s; halfway through, slow the host
         // 2×: the remaining 125 Mflop take 1 s more → finishes at 1.5 s.
         let mut s = sim();
-        s.submit(PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
+        s.submit(&PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
             .unwrap();
         s.schedule_timer(0.5).unwrap();
         let mut out = Vec::new();
@@ -700,7 +706,7 @@ mod tests {
         assert!((t - 1.5).abs() < 1e-9, "t = {t}");
         // Factor 1.0 restores the exact base capacity.
         s.set_host_factor(HostId(0), 1.0).unwrap();
-        s.submit(PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
+        s.submit(&PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
             .unwrap();
         let t2 = s.run_to_idle().unwrap();
         assert!((t2 - t - 1.0).abs() < 1e-9);
@@ -723,9 +729,9 @@ mod tests {
     fn crashing_a_host_stalls_its_tasks_typed_and_cancel_recovers() {
         let mut s = sim();
         let victim = s
-            .submit(PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
+            .submit(&PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
             .unwrap();
-        s.submit(PTaskSpec::compute_uniform(&hosts(&[1]), 125.0e6))
+        s.submit(&PTaskSpec::compute_uniform(&hosts(&[1]), 125.0e6))
             .unwrap();
         s.schedule_timer(0.1).unwrap();
         let mut out = Vec::new();
@@ -761,11 +767,68 @@ mod tests {
         assert!((t - 1.0).abs() < 1e-9);
     }
 
+    /// The weights `submit` hands the engine, built the way the submit
+    /// path built them before the bitset: per-resource sums in first-touch
+    /// order, then a sort by resource index.
+    fn sorted_reference(s: &L07Sim, spec: &PTaskSpec) -> Vec<(ResourceId, f64)> {
+        let mut acc: Vec<(usize, f64)> = Vec::new();
+        let mut add = |r: ResourceId, w: f64| match acc.iter_mut().find(|(i, _)| *i == r.index()) {
+            Some(entry) => entry.1 += w,
+            None => acc.push((r.index(), w)),
+        };
+        for &(h, f) in &spec.comp {
+            if f > 0.0 {
+                add(s.cpu[h.index()], f);
+            }
+        }
+        for &(src, dst, b) in &spec.flows {
+            if src != dst && b > 0.0 {
+                for link in s.cluster.route_links(src, dst) {
+                    add(s.resource_of_link(link), b);
+                }
+            }
+        }
+        acc.sort_unstable_by_key(|&(i, _)| i);
+        acc.into_iter().map(|(i, w)| (s.resources[i], w)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The bitset-drained weights equal the sort-based reference in
+        /// order and to the bit, and the scratch is left clean.
+        #[test]
+        fn staged_weights_match_a_sorted_reference(
+            comp in prop::collection::vec((0usize..32, 0.0f64..4.0e9, 0u8..4), 0..10),
+            flows in prop::collection::vec((0usize..32, 0usize..32, 0.0f64..2.0e8, 0u8..4), 0..40),
+        ) {
+            // A quarter of the amounts are zero: those must be skipped.
+            let amount = |x: f64, zero: u8| if zero == 0 { 0.0 } else { x };
+            let mut spec = PTaskSpec::new();
+            spec.comp = comp.iter().map(|&(h, f, z)| (HostId(h), amount(f, z))).collect();
+            spec.flows = flows
+                .iter()
+                .map(|&(a, b, bytes, z)| (HostId(a), HostId(b), amount(bytes, z)))
+                .collect();
+            let mut s = sim();
+            let want = sorted_reference(&s, &spec);
+            for _ in 0..2 {
+                let (got, _) = s.stage_weights(&spec);
+                prop_assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert_eq!(g.0, w.0);
+                    prop_assert_eq!(g.1.to_bits(), w.1.to_bits());
+                }
+                prop_assert!(s.weight_acc.iter().all(|&w| w == 0.0));
+            }
+        }
+    }
+
     #[test]
     fn live_task_count() {
         let mut s = sim();
         assert!(s.is_idle());
-        s.submit(PTaskSpec::compute_uniform(&hosts(&[0]), 1.0))
+        s.submit(&PTaskSpec::compute_uniform(&hosts(&[0]), 1.0))
             .unwrap();
         assert_eq!(s.live_tasks(), 1);
         s.run_to_idle().unwrap();

@@ -90,6 +90,12 @@ pub enum ServeError {
         /// The read deadline that expired, in milliseconds.
         timeout_ms: u64,
     },
+    /// Another daemon still accepts connections on the socket path, so
+    /// binding would take its address over.
+    SocketInUse {
+        /// The socket path.
+        path: String,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -112,6 +118,9 @@ impl std::fmt::Display for ServeError {
             ServeError::Backend { reason } => write!(f, "backend error: {reason}"),
             ServeError::ClientStalled { timeout_ms } => {
                 write!(f, "client stalled: no frame within {timeout_ms}ms")
+            }
+            ServeError::SocketInUse { path } => {
+                write!(f, "socket {path} is in use by a live daemon")
             }
         }
     }

@@ -442,15 +442,22 @@ impl Server {
 
     /// Serves connections on a Unix-domain socket until a drain trigger
     /// fires, then drains and returns. A stale socket file (from a
-    /// crashed daemon) is replaced; the socket is removed on exit.
+    /// crashed daemon) is replaced; a socket a live daemon still accepts
+    /// on fails typed with [`ServeError::SocketInUse`], before recovery
+    /// touches any state. The socket is removed on exit.
     #[cfg(unix)]
     pub fn run_unix(self: &Arc<Self>, socket: &std::path::Path) -> Result<ServerExit, ServeError> {
-        use std::os::unix::net::UnixListener;
+        use std::os::unix::net::{UnixListener, UnixStream};
 
-        self.recover_startup()?;
         if socket.exists() {
+            if UnixStream::connect(socket).is_ok() {
+                return Err(ServeError::SocketInUse {
+                    path: socket.display().to_string(),
+                });
+            }
             std::fs::remove_file(socket).map_err(|e| ServeError::io("unlink-socket", e))?;
         }
+        self.recover_startup()?;
         let listener = UnixListener::bind(socket).map_err(|e| ServeError::io("bind", e))?;
         listener
             .set_nonblocking(true)

@@ -137,6 +137,52 @@ fn handshake_submit_stream_and_drain() {
 }
 
 #[test]
+fn a_second_daemon_on_a_live_socket_fails_typed() {
+    let socket = socket_path("live");
+    let first = Server::new(
+        Arc::new(ToyBackend::new(Duration::ZERO)),
+        ServerConfig::default(),
+    );
+    let handle = start(&first, socket.clone());
+    let (mut client, _) = connect_unix(&socket, "first", Duration::from_secs(5)).unwrap();
+
+    let second = Server::new(
+        Arc::new(ToyBackend::new(Duration::ZERO)),
+        ServerConfig::default(),
+    );
+    match second.run_unix(&socket) {
+        Err(ServeError::SocketInUse { path }) => assert_eq!(path, socket.display().to_string()),
+        other => panic!("expected SocketInUse, got {other:?}"),
+    }
+
+    // The first daemon kept its address: old and new connections reach it.
+    assert!(!client.health(1).unwrap().draining);
+    let (mut fresh, _) = connect_unix(&socket, "after", Duration::from_secs(5)).unwrap();
+    assert!(!fresh.health(2).unwrap().draining);
+    fresh.drain(3).unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_stale_socket_file_is_replaced() {
+    let socket = socket_path("stale");
+    let _ = std::fs::remove_file(&socket);
+    // A listener that is gone leaves a socket file nobody accepts on.
+    drop(std::os::unix::net::UnixListener::bind(&socket).unwrap());
+    assert!(socket.exists());
+
+    let server = Server::new(
+        Arc::new(ToyBackend::new(Duration::ZERO)),
+        ServerConfig::default(),
+    );
+    let handle = start(&server, socket.clone());
+    let (mut c, _) = connect_unix(&socket, "stale", Duration::from_secs(5)).unwrap();
+    c.drain(1).unwrap();
+    handle.join().unwrap().unwrap();
+    assert!(!socket.exists(), "socket removed on exit");
+}
+
+#[test]
 fn version_skew_gets_a_typed_mismatch() {
     let socket = socket_path("skew");
     let backend = Arc::new(ToyBackend::new(Duration::ZERO));

@@ -16,15 +16,15 @@
 //! overhead (subnet-manager registration) are charged as fixed latencies;
 //! data transfers flow through the L07 network model and contend on links.
 
-use std::collections::HashMap;
-
 use mps_dag::{Dag, TaskId};
 use mps_des::{EngineError, Watchdog};
 use mps_faults::{FaultModel, TaskDisposition};
-use mps_kernels::{BlockDist1D, RedistPlan};
+use mps_kernels::Kernel;
 use mps_l07::{L07Error, L07Sim, PTaskId, PTaskSpec};
 use mps_platform::{Cluster, HostId};
 use mps_sched::Schedule;
+
+use crate::flows::RedistFlows;
 
 /// How one task's execution is simulated.
 #[derive(Debug, Clone, PartialEq)]
@@ -259,9 +259,10 @@ enum Meaning {
 /// Building a fresh [`L07Sim`] (cluster clone + ~100 DES resources) and
 /// re-allocating queue/state vectors per execution dominates short runs.
 /// A slab amortizes all of it: the simulator is [`L07Sim::reset`] between
-/// runs (bit-identical to a fresh build), buffers keep their capacity, and
-/// redistribution plans — a pure function of `(n, p_src, p_dst)` for the
-/// vanilla block distributions the executor uses — are memoized.
+/// runs (bit-identical to a fresh build), buffers keep their capacity, one
+/// task spec is refilled for every submission, and redistribution plans —
+/// a pure function of `(n, p_src, p_dst)` for the vanilla block
+/// distributions the executor uses — are memoized.
 ///
 /// Results are byte-identical to the slab-free path for any sequence of
 /// executions; a slab is plain reusable scratch, not a semantic cache.
@@ -278,9 +279,9 @@ pub struct ExecSlab {
     /// Dense activity-id → meaning map: ids restart at zero every run.
     in_flight: Vec<Option<Meaning>>,
     completions: Vec<mps_l07::PTaskCompletion>,
-    src_idx: Vec<usize>,
-    dst_idx: Vec<usize>,
-    plan_cache: HashMap<(usize, usize, usize), RedistPlan>,
+    /// Refilled before every [`L07Sim::submit`].
+    spec: PTaskSpec,
+    flows: RedistFlows,
 }
 
 impl ExecSlab {
@@ -296,6 +297,60 @@ fn reset_nested<T>(v: &mut Vec<Vec<T>>, len: usize) {
         inner.clear();
     }
     v.resize_with(len, Vec::new);
+}
+
+/// Refills `spec` as a task that only waits `latency` seconds.
+fn fill_delay(spec: &mut PTaskSpec, latency: f64) {
+    spec.clear();
+    spec.extra_latency = latency;
+}
+
+/// Refills `spec` as an analytic launch of `kernel` on `hosts`: `flops` on
+/// every host plus the kernel's ring flows. This is the spec
+/// `PTaskSpec::compute(hosts, &vec![flops; p])` with
+/// `.with_comm_matrix(hosts, &kernel.comm_matrix(p))` builds — the same
+/// entries in the same order — without the temporary vector and matrix.
+fn fill_analytic(spec: &mut PTaskSpec, kernel: Kernel, hosts: &[HostId], flops: f64, startup: f64) {
+    spec.clear();
+    spec.comp.extend(hosts.iter().map(|&h| (h, flops)));
+    let p = hosts.len();
+    let edge = kernel.ring_edge_bytes(p);
+    if edge > 0.0 {
+        spec.flows
+            .extend((0..p).map(|i| (hosts[i], hosts[(i + 1) % p], edge)));
+    }
+    spec.extra_latency = startup;
+}
+
+/// Refills `spec` as the redistribution of an `n × n` output from
+/// `src_hosts` (each mapped through `map_src`) to `dst_hosts`, behind the
+/// protocol `overhead`. Degraded links carry more effective bytes, and the
+/// overhead stretches with the worst link factor at `now`.
+#[allow(clippy::too_many_arguments)]
+fn fill_redist(
+    spec: &mut PTaskSpec,
+    flows: &mut RedistFlows,
+    model: &mut dyn ExecutionModel,
+    n: usize,
+    src_hosts: &[HostId],
+    map_src: impl Fn(HostId) -> HostId,
+    dst_hosts: &[HostId],
+    n_hosts: usize,
+    mut overhead: f64,
+    now: f64,
+) {
+    spec.clear();
+    flows.build(n, src_hosts, map_src, dst_hosts, n_hosts, &mut spec.flows);
+    if let Some(fm) = model.fault_model() {
+        let mut worst = 1.0_f64;
+        for (s, d, b) in &mut spec.flows {
+            let factor = fm.link_factor(*s, *d, now).max(1.0);
+            *b *= factor;
+            worst = worst.max(factor);
+        }
+        overhead *= worst;
+    }
+    spec.extra_latency = overhead;
 }
 
 /// Executes `schedule` for `dag` on `cluster` under `model` with the
@@ -377,9 +432,8 @@ pub fn execute_with_slab_prevalidated(
         launched,
         in_flight,
         completions,
-        src_idx,
-        dst_idx,
-        plan_cache,
+        spec,
+        flows,
     } = slab;
 
     let rebuild = match sim_slot {
@@ -438,6 +492,7 @@ pub fn execute_with_slab_prevalidated(
 
     // Tries to start every eligible waiting task. Returns how many started.
     let try_start = |sim: &mut L07Sim,
+                     spec: &mut PTaskSpec,
                      in_flight: &mut Vec<Option<Meaning>>,
                      state: &mut Vec<TaskState>,
                      spans: &mut Vec<(f64, f64)>,
@@ -492,11 +547,10 @@ pub fn execute_with_slab_prevalidated(
                     // The task's hosts stay claimed throughout.
                     let backoff = (policy.backoff_base * 2.0_f64.powi(attempt as i32))
                         .min(policy.backoff_cap);
-                    let mut spec =
-                        PTaskSpec::new().with_extra_latency(startup + backoff.max(retry_after));
-                    if sim.tracing_enabled() {
-                        spec = spec.with_label(format!("backoff-{}-{}", t.index(), attempt));
-                    }
+                    fill_delay(spec, startup + backoff.max(retry_after));
+                    spec.label = sim
+                        .tracing_enabled()
+                        .then(|| format!("backoff-{}-{}", t.index(), attempt));
                     let id = sim.submit(spec)?;
                     insert_in_flight(in_flight, id, Meaning::Backoff(t));
                     state[t.index()] = TaskState::Backoff;
@@ -504,21 +558,16 @@ pub fn execute_with_slab_prevalidated(
                 }
                 TaskDisposition::Run { slowdown } => slowdown.max(1.0),
             };
-            let mut spec = match model.task_execution(t, kernel, &st.hosts) {
+            match model.task_execution(t, kernel, &st.hosts) {
                 TaskExecution::Analytic => {
                     let flops = kernel.flops_per_proc(p) * slowdown;
-                    let comm = kernel.comm_matrix(p);
-                    PTaskSpec::compute(&st.hosts, &vec![flops; p])
-                        .with_comm_matrix(&st.hosts, &comm)
-                        .with_extra_latency(startup)
+                    fill_analytic(spec, kernel, &st.hosts, flops, startup);
                 }
                 TaskExecution::Fixed(duration) => {
-                    PTaskSpec::new().with_extra_latency(startup + duration.max(0.0) * slowdown)
+                    fill_delay(spec, startup + duration.max(0.0) * slowdown);
                 }
-            };
-            if sim.tracing_enabled() {
-                spec = spec.with_label(format!("task-{}", t.index()));
             }
+            spec.label = sim.tracing_enabled().then(|| format!("task-{}", t.index()));
             let id = sim.submit(spec)?;
             insert_in_flight(in_flight, id, Meaning::TaskRun(t));
             state[t.index()] = TaskState::Running;
@@ -529,6 +578,7 @@ pub fn execute_with_slab_prevalidated(
 
     try_start(
         sim,
+        spec,
         in_flight,
         state,
         &mut spans,
@@ -561,49 +611,27 @@ pub fn execute_with_slab_prevalidated(
                         );
                         queue_head[h.index()] += 1;
                     }
-                    // Start redistributions to every successor. The plans
-                    // are pure functions of (n, p_src, p_dst) — both sides
-                    // always use vanilla block distributions — so they are
-                    // memoized in the slab.
+                    // Start redistributions to every successor.
                     let src_hosts = &hosts_of[t.index()];
                     let n = dag.task(t).kernel.n();
                     for &succ in dag.successors(t) {
                         let dst_hosts = &hosts_of[succ.index()];
-                        let plan = plan_cache
-                            .entry((n, src_hosts.len(), dst_hosts.len()))
-                            .or_insert_with(|| {
-                                RedistPlan::compute(
-                                    &BlockDist1D::vanilla(n, src_hosts.len()),
-                                    &BlockDist1D::vanilla(n, dst_hosts.len()),
-                                )
-                            });
-                        src_idx.clear();
-                        src_idx.extend(src_hosts.iter().map(|h| h.index()));
-                        dst_idx.clear();
-                        dst_idx.extend(dst_hosts.iter().map(|h| h.index()));
-                        let mut flows: Vec<(HostId, HostId, f64)> = plan
-                            .network_transfers(src_idx, dst_idx)
-                            .into_iter()
-                            .map(|(s, d, b)| (HostId(s), HostId(d), b))
-                            .collect();
-                        let mut overhead = model.redist_overhead(src_hosts.len(), dst_hosts.len());
-                        // Degraded links carry more effective bytes; the
-                        // protocol overhead stretches with the worst link.
-                        if let Some(fm) = model.fault_model() {
-                            let now = c.time;
-                            let mut worst = 1.0_f64;
-                            for (s, d, b) in &mut flows {
-                                let factor = fm.link_factor(*s, *d, now).max(1.0);
-                                *b *= factor;
-                                worst = worst.max(factor);
-                            }
-                            overhead *= worst;
-                        }
-                        let mut spec = PTaskSpec::transfers(flows).with_extra_latency(overhead);
-                        if sim.tracing_enabled() {
-                            spec =
-                                spec.with_label(format!("redist-{}-{}", t.index(), succ.index()));
-                        }
+                        let overhead = model.redist_overhead(src_hosts.len(), dst_hosts.len());
+                        fill_redist(
+                            spec,
+                            flows,
+                            model,
+                            n,
+                            src_hosts,
+                            |h| h,
+                            dst_hosts,
+                            n_hosts,
+                            overhead,
+                            c.time,
+                        );
+                        spec.label = sim
+                            .tracing_enabled()
+                            .then(|| format!("redist-{}-{}", t.index(), succ.index()));
                         let id = sim.submit(spec)?;
                         insert_in_flight(in_flight, id, Meaning::Redist { src: t, succ });
                     }
@@ -622,6 +650,7 @@ pub fn execute_with_slab_prevalidated(
         }
         try_start(
             sim,
+            spec,
             in_flight,
             state,
             &mut spans,
@@ -685,7 +714,8 @@ fn touches_crashed(hosts: &[HostId], crashed: &[bool]) -> bool {
 fn issue_redist(
     sim: &mut L07Sim,
     model: &mut dyn ExecutionModel,
-    plan_cache: &mut HashMap<(usize, usize, usize), RedistPlan>,
+    spec: &mut PTaskSpec,
+    flows: &mut RedistFlows,
     dag: &Dag,
     placements: &[Vec<HostId>],
     crashed: &[bool],
@@ -697,54 +727,26 @@ fn issue_redist(
     let src_hosts = &placements[src.index()];
     let dst_hosts = &placements[succ.index()];
     let n = dag.task(src).kernel.n();
-    let mut overhead = model.redist_overhead(src_hosts.len(), dst_hosts.len());
-    let replacement = src_hosts.iter().find(|h| !crashed[h.index()]).copied();
-    let mut spec = match replacement {
-        None if touches_crashed(src_hosts, crashed) => {
-            // Every source rank is gone: instantaneous re-materialization.
-            PTaskSpec::new().with_extra_latency(overhead)
-        }
-        _ => {
-            let plan = plan_cache
-                .entry((n, src_hosts.len(), dst_hosts.len()))
-                .or_insert_with(|| {
-                    RedistPlan::compute(
-                        &BlockDist1D::vanilla(n, src_hosts.len()),
-                        &BlockDist1D::vanilla(n, dst_hosts.len()),
-                    )
-                });
-            let src_idx: Vec<usize> = src_hosts
-                .iter()
-                .map(|h| {
-                    if crashed[h.index()] {
-                        replacement.expect("some source survives").index()
-                    } else {
-                        h.index()
-                    }
-                })
-                .collect();
-            let dst_idx: Vec<usize> = dst_hosts.iter().map(|h| h.index()).collect();
-            let mut flows: Vec<(HostId, HostId, f64)> = plan
-                .network_transfers(&src_idx, &dst_idx)
-                .into_iter()
-                .map(|(s, d, b)| (HostId(s), HostId(d), b))
-                .collect();
-            if let Some(fm) = model.fault_model() {
-                let now = sim.now();
-                let mut worst = 1.0_f64;
-                for (s, d, b) in &mut flows {
-                    let factor = fm.link_factor(*s, *d, now).max(1.0);
-                    *b *= factor;
-                    worst = worst.max(factor);
-                }
-                overhead *= worst;
-            }
-            PTaskSpec::transfers(flows).with_extra_latency(overhead)
-        }
-    };
-    if sim.tracing_enabled() {
-        spec = spec.with_label(format!("redist-{}-{}", src.index(), succ.index()));
+    let overhead = model.redist_overhead(src_hosts.len(), dst_hosts.len());
+    match src_hosts.iter().find(|h| !crashed[h.index()]).copied() {
+        // Every source rank is gone: instantaneous re-materialization.
+        None => fill_delay(spec, overhead),
+        Some(replacement) => fill_redist(
+            spec,
+            flows,
+            model,
+            n,
+            src_hosts,
+            |h| if crashed[h.index()] { replacement } else { h },
+            dst_hosts,
+            crashed.len(),
+            overhead,
+            sim.now(),
+        ),
     }
+    spec.label = sim
+        .tracing_enabled()
+        .then(|| format!("redist-{}-{}", src.index(), succ.index()));
     let id = sim.submit(spec)?;
     insert_live(in_flight, live_ids, id, Meaning::Redist { src, succ });
     Ok(())
@@ -776,6 +778,7 @@ fn insert_live(
 #[allow(clippy::too_many_arguments)]
 fn try_start_disturbed(
     sim: &mut L07Sim,
+    spec: &mut PTaskSpec,
     model: &mut dyn ExecutionModel,
     policy: &ExecPolicy,
     dag: &Dag,
@@ -833,11 +836,10 @@ fn try_start_disturbed(
                 attempts[t.index()] = attempt + 1;
                 let backoff =
                     (policy.backoff_base * 2.0_f64.powi(attempt as i32)).min(policy.backoff_cap);
-                let mut spec =
-                    PTaskSpec::new().with_extra_latency(startup + backoff.max(retry_after));
-                if sim.tracing_enabled() {
-                    spec = spec.with_label(format!("backoff-{}-{}", t.index(), attempt));
-                }
+                fill_delay(spec, startup + backoff.max(retry_after));
+                spec.label = sim
+                    .tracing_enabled()
+                    .then(|| format!("backoff-{}-{}", t.index(), attempt));
                 let id = sim.submit(spec)?;
                 insert_live(in_flight, live_ids, id, Meaning::Backoff(t));
                 state[t.index()] = TaskState::Backoff;
@@ -845,28 +847,25 @@ fn try_start_disturbed(
             }
             TaskDisposition::Run { slowdown } => slowdown.max(1.0),
         };
-        let mut spec = match model.task_execution(t, kernel, hosts) {
+        match model.task_execution(t, kernel, hosts) {
             TaskExecution::Analytic => {
                 // Host slowdowns reach analytic tasks through the engine's
                 // scaled capacities — no launch-time factor here.
                 let flops = kernel.flops_per_proc(p) * slowdown;
-                let comm = kernel.comm_matrix(p);
-                PTaskSpec::compute(hosts, &vec![flops; p])
-                    .with_comm_matrix(hosts, &comm)
-                    .with_extra_latency(startup)
+                fill_analytic(spec, kernel, hosts, flops, startup);
             }
             TaskExecution::Fixed(duration) => {
                 let disturb_factor = hosts
                     .iter()
                     .map(|h| plan.slow_factor(h.index(), now))
                     .fold(1.0, f64::max);
-                PTaskSpec::new()
-                    .with_extra_latency(startup + duration.max(0.0) * slowdown * disturb_factor)
+                fill_delay(
+                    spec,
+                    startup + duration.max(0.0) * slowdown * disturb_factor,
+                );
             }
-        };
-        if sim.tracing_enabled() {
-            spec = spec.with_label(format!("task-{}", t.index()));
         }
+        spec.label = sim.tracing_enabled().then(|| format!("task-{}", t.index()));
         let id = sim.submit(spec)?;
         insert_live(in_flight, live_ids, id, Meaning::TaskRun(t));
         state[t.index()] = TaskState::Running;
@@ -959,7 +958,7 @@ pub fn execute_disturbed_with_slab_prevalidated(
     }
     let sim = slab.sim.as_mut().expect("just ensured");
     sim.set_watchdog(policy.watchdog);
-    let plan_cache = &mut slab.plan_cache;
+    let (spec, flows) = (&mut slab.spec, &mut slab.flows);
 
     let n_hosts = cluster.node_count();
     let mut placements: Vec<Vec<HostId>> = vec![Vec::new(); n_tasks];
@@ -1050,7 +1049,8 @@ pub fn execute_disturbed_with_slab_prevalidated(
                             issue_redist(
                                 sim,
                                 model,
-                                plan_cache,
+                                spec,
+                                flows,
                                 dag,
                                 &placements,
                                 &crashed,
@@ -1289,7 +1289,8 @@ pub fn execute_disturbed_with_slab_prevalidated(
                                 issue_redist(
                                     sim,
                                     model,
-                                    plan_cache,
+                                    spec,
+                                    flows,
                                     dag,
                                     &placements,
                                     &crashed,
@@ -1306,7 +1307,8 @@ pub fn execute_disturbed_with_slab_prevalidated(
                             issue_redist(
                                 sim,
                                 model,
-                                plan_cache,
+                                spec,
+                                flows,
                                 dag,
                                 &placements,
                                 &crashed,
@@ -1323,6 +1325,7 @@ pub fn execute_disturbed_with_slab_prevalidated(
 
         try_start_disturbed(
             sim,
+            spec,
             model,
             policy,
             dag,

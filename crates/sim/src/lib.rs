@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod executor;
+mod flows;
 pub mod gantt;
 pub mod simulator;
 
