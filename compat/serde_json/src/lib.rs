@@ -8,6 +8,8 @@
 //! serialized as `null`. The parser accepts the full JSON grammar
 //! including exponent notation and `\uXXXX` escapes.
 
+use std::fmt::Write as _;
+
 use serde::{Deserialize, Serialize, Value};
 
 /// Serialization/deserialization error.
@@ -75,6 +77,7 @@ pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(
 /// Deserializes a value from a JSON string.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -93,8 +96,13 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Int(i) => {
+            if *i < 0 {
+                out.push('-');
+            }
+            write_u64(out, i.unsigned_abs());
+        }
+        Value::UInt(u) => write_u64(out, *u),
         Value::Float(f) => write_f64(out, *f),
         Value::Str(s) => write_string(out, s),
         Value::Seq(items) => write_seq(out, items, indent, depth),
@@ -108,23 +116,54 @@ fn write_f64(out: &mut String, f: f64) {
         out.push_str("null");
     } else {
         // Rust's Debug formatting is shortest-roundtrip, like upstream's ryu.
-        out.push_str(&format!("{f:?}"));
+        write!(out, "{f:?}").expect("writing to a String cannot fail");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Decimal digits of `u`, as `u.to_string()` prints them.
+fn write_u64(out: &mut String, mut u: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Writes `s` as a JSON string literal. Only `"`, `\` and control
+/// characters are escaped (control characters other than `\n`, `\r`
+/// and `\t` as `\u00xx`); the runs between them are copied whole.
+fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Escaped bytes are ASCII, so `run..i` lies on char boundaries.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -183,6 +222,7 @@ fn write_map(out: &mut String, entries: &[(String, Value)], indent: Option<usize
 // ---------------------------------------------------------------- parsing
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -302,17 +342,13 @@ impl<'a> Parser<'a> {
         let mut out = String::new();
         loop {
             let start = self.pos;
-            // Fast path over plain UTF-8 runs.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::new("invalid UTF-8 in string"))?,
-            );
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            // The input is a `str` and a run ends at an ASCII byte or the
+            // end, so the run is whole UTF-8 and copies without a check.
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -519,5 +555,52 @@ mod tests {
         assert!(from_str::<Vec<f64>>("[1,").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
         assert!(from_str::<bool>("truth").is_err());
+    }
+
+    /// The printer as it was written char by char with `format!`, kept as
+    /// the oracle for the run-copying one.
+    fn reference_string(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn printer_matches_the_reference_bytes() {
+        let mut every_ascii: String = (0u8..0x80).map(char::from).collect();
+        every_ascii.push_str("é€𝄞\u{2028}");
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "\\\\\"",
+            "ends with escape\n",
+            "\u{0}lead",
+            every_ascii.as_str(),
+        ] {
+            let printed = to_string(s).unwrap();
+            assert_eq!(printed, reference_string(s), "{s:?}");
+            assert_eq!(from_str::<String>(&printed).unwrap(), s);
+        }
+        for i in [0i64, 7, -1, -10, i64::MIN, i64::MAX] {
+            assert_eq!(to_string(&i).unwrap(), i.to_string());
+        }
+        for u in [0u64, 9, 10, 1_000_000, u64::MAX] {
+            assert_eq!(to_string(&u).unwrap(), u.to_string());
+        }
+        for f in [0.1f64, -0.0, 5e-324, 1e300, 1e21, 1.5e-7, f64::MAX] {
+            assert_eq!(to_string(&f).unwrap(), format!("{f:?}"));
+        }
     }
 }

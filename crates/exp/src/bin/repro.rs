@@ -712,8 +712,11 @@ fn main() {
         eprintln!("# building harness (seed {seed}): profiling the emulated testbed…");
     }
     let mut harness = Harness::new(seed);
+    // Plans name hosts by index, so they are checked against the cluster
+    // the harness runs on.
+    let hosts = harness.nominal_cluster().node_count();
     if let Some(desc) = &faults {
-        let plan = FaultPlan::parse(desc, 32, FAULT_HORIZON)
+        let plan = FaultPlan::parse(desc, hosts, FAULT_HORIZON)
             .unwrap_or_else(|e| die(&format!("bad --faults plan: {e}")));
         if !cell_worker {
             eprintln!(
@@ -735,7 +738,7 @@ fn main() {
         harness = harness.with_poison(rules);
     }
     if let Some(desc) = &disturb {
-        let plan = DisturbancePlan::parse(desc, 32, FAULT_HORIZON)
+        let plan = DisturbancePlan::parse(desc, hosts, FAULT_HORIZON)
             .unwrap_or_else(|e| die(&format!("bad --disturb plan: {e}")));
         if !cell_worker {
             eprintln!(

@@ -38,20 +38,6 @@ use crate::supervised::{SuperviseOpts, WorkerCommand};
 /// with grid work, so one request must not pin an executor indefinitely.
 const MAX_SERVED_HORIZON: u64 = 20_000_000;
 
-/// Parses a work request's optional disturbance-plan field. Requests
-/// carry the plan as the CLI grammar string; crashes get the rescue
-/// reaction (the daemon's contract is "serve a measurement if the
-/// surviving platform permits one"). An empty plan is `None`, keeping
-/// the byte-identical undisturbed path.
-fn parse_disturb(desc: Option<&String>) -> Result<Option<DisturbConfig>, ServeError> {
-    let Some(desc) = desc else { return Ok(None) };
-    let plan =
-        DisturbancePlan::parse(desc, 32, DISTURB_HORIZON).map_err(|e| ServeError::Backend {
-            reason: format!("bad disturbance plan: {e}"),
-        })?;
-    Ok((!plan.is_empty()).then(|| DisturbConfig::new(plan, RecoveryPolicy::Rescue)))
-}
-
 /// Folds one cell's disturbance outcome into a request summary.
 fn tally_disturb(summary: &mut WorkSummary, cell: &CellResult) {
     if let CellOutcome::Disturbed { report, .. } = &cell.outcome {
@@ -100,6 +86,22 @@ impl ServeBackend {
     fn journal_path(&self, dir: &std::path::Path, work_json: &str) -> PathBuf {
         let id = fnv64(format!("{}|{}", work_json, self.harness.config_digest()).as_bytes());
         dir.join(format!("req-{id:016x}.jl"))
+    }
+
+    /// Parses a work request's optional disturbance-plan field against
+    /// the harness's cluster. Requests carry the plan as the CLI grammar
+    /// string; crashes get the rescue reaction (the daemon's contract is
+    /// "serve a measurement if the surviving platform permits one"). An
+    /// empty plan is `None`, keeping the byte-identical undisturbed path.
+    fn parse_disturb(&self, desc: Option<&String>) -> Result<Option<DisturbConfig>, ServeError> {
+        let Some(desc) = desc else { return Ok(None) };
+        let hosts = self.harness.nominal_cluster().node_count();
+        let plan = DisturbancePlan::parse(desc, hosts, DISTURB_HORIZON).map_err(|e| {
+            ServeError::Backend {
+                reason: format!("bad disturbance plan: {e}"),
+            }
+        })?;
+        Ok((!plan.is_empty()).then(|| DisturbConfig::new(plan, RecoveryPolicy::Rescue)))
     }
 
     fn resolve(&self, dag: usize, variant: &str, algo: &str) -> Result<Resolved<'_>, ServeError> {
@@ -162,7 +164,7 @@ impl ServeBackend {
                 disturb,
             } => {
                 let r = self.resolve(*dag, variant, algo)?;
-                let cfg = parse_disturb(disturb.as_ref())?;
+                let cfg = self.parse_disturb(disturb.as_ref())?;
                 let cell = self.harness.run_one_caught_disturb(
                     r.g,
                     r.variant,
@@ -450,7 +452,7 @@ impl Backend for ServeBackend {
                 disturb,
             } => {
                 let work_json = encode(work)?;
-                let cfg = parse_disturb(disturb.as_ref())?;
+                let cfg = self.parse_disturb(disturb.as_ref())?;
                 let eff = cfg.as_ref().or(self.harness.disturb.as_ref());
                 match &self.state_dir {
                     None => self.run_grid_ephemeral(*take, *repeats, eff, ctrl, emit),

@@ -11,17 +11,21 @@
 //!    pipe (same binary on both ends), a socket outlives deploys — two
 //!    builds *will* eventually talk across a restart.
 //! 2. **Checksummed envelope.** Each frame body is wrapped as
-//!    `{"sum":"<16-hex fnv64>","body":"<message JSON>"}` (the journal's
-//!    checksum discipline, [`mps_journal::fnv64`]): any single corrupted
-//!    byte — in the length prefix, the envelope, or the body — is a typed
-//!    frame error, never a silently misparsed message.
+//!    `{"sum":"<16-hex fnv64>","body":<message JSON as a JSON string>}`
+//!    (the journal's checksum discipline, [`mps_journal::fnv64`], over
+//!    the exact bytes of the message JSON): any single corrupted byte —
+//!    in the length prefix, the envelope, or the body — is a typed frame
+//!    error, never a silently misparsed message. Like a journal line, the
+//!    envelope has one fixed layout, written only by [`send_msg`];
+//!    [`decode_envelope`] checks it by prefix and suffix and rejects any
+//!    other layout.
 
 use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize};
 
 use mps_journal::fnv64;
-use mps_supervise::proto::{read_frame_bytes, write_frame};
+use mps_supervise::proto::{read_frame_bytes, write_frame_bytes};
 
 use crate::ServeError;
 
@@ -274,23 +278,36 @@ pub enum ServerFrame {
     },
 }
 
-/// The checksummed envelope every `mps-proto/v1` frame travels in.
-#[derive(Debug, Serialize, Deserialize)]
-struct Envelope {
-    /// 16 hex digits: FNV-1a 64 over the exact bytes of `body`.
-    sum: String,
-    /// The message JSON, verbatim.
-    body: String,
+/// The envelope layout around the checksum and the escaped body:
+/// `{"sum":"<16 hex>","body":<body as a JSON string>}`.
+const SUM_PREFIX: &str = "{\"sum\":\"";
+const BODY_SEP: &str = "\",\"body\":";
+const SUFFIX: &str = "}";
+
+fn frame_err(reason: impl Into<String>) -> ServeError {
+    ServeError::Frame {
+        reason: reason.into(),
+    }
 }
 
 /// Serializes `msg`, wraps it in a checksummed envelope, and writes it as
-/// one length-prefixed frame.
+/// one length-prefixed frame with one write call.
 pub fn send_msg<W: Write + ?Sized, T: Serialize>(w: &mut W, msg: &T) -> Result<(), ServeError> {
-    let body = serde_json::to_string(msg).map_err(|e| ServeError::Frame {
-        reason: format!("encode: {e}"),
-    })?;
+    let body = serde_json::to_string(msg).map_err(|e| frame_err(format!("encode: {e}")))?;
+    let escaped =
+        serde_json::to_string::<str>(&body).map_err(|e| frame_err(format!("encode: {e}")))?;
     let sum = format!("{:016x}", fnv64(body.as_bytes()));
-    write_frame(&mut { w }, &Envelope { sum, body }).map_err(ServeError::from)
+    write_frame_bytes(
+        w,
+        &[
+            SUM_PREFIX.as_bytes(),
+            sum.as_bytes(),
+            BODY_SEP.as_bytes(),
+            escaped.as_bytes(),
+            SUFFIX.as_bytes(),
+        ],
+    )
+    .map_err(ServeError::from)
 }
 
 /// Reads one frame and unwraps + verifies its envelope. `Ok(None)` on a
@@ -302,31 +319,33 @@ pub fn recv_msg<R: Read + ?Sized, T: Deserialize>(r: &mut R) -> Result<Option<T>
     decode_envelope(&bytes).map(Some)
 }
 
-/// Decodes raw frame bytes: parses the envelope, verifies the checksum,
-/// then parses the body. Any single corrupted byte yields a typed error.
+/// Decodes raw frame bytes: checks the envelope layout, unescapes the
+/// body, verifies the checksum over the body's exact bytes, then parses
+/// the body. Any single corrupted byte yields a typed error.
 pub fn decode_envelope<T: Deserialize>(bytes: &[u8]) -> Result<T, ServeError> {
-    let text = std::str::from_utf8(bytes).map_err(|e| ServeError::Frame {
-        reason: format!("frame is not UTF-8: {e}"),
-    })?;
-    let env: Envelope = serde_json::from_str(text).map_err(|e| ServeError::Frame {
-        reason: format!("frame is not an envelope: {e}"),
-    })?;
-    if env.sum.len() != 16 || !env.sum.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(ServeError::Frame {
-            reason: "malformed envelope checksum".to_string(),
-        });
+    let text =
+        std::str::from_utf8(bytes).map_err(|e| frame_err(format!("frame is not UTF-8: {e}")))?;
+    let rest = text
+        .strip_prefix(SUM_PREFIX)
+        .ok_or_else(|| frame_err("frame is not an envelope: missing checksum prefix"))?;
+    let sum = rest
+        .get(..16)
+        .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+        .ok_or_else(|| frame_err("malformed envelope checksum"))?;
+    let declared = u64::from_str_radix(sum, 16)
+        .map_err(|e| frame_err(format!("malformed envelope checksum: {e}")))?;
+    let quoted = rest[16..]
+        .strip_prefix(BODY_SEP)
+        .and_then(|b| b.strip_suffix(SUFFIX))
+        .filter(|q| q.starts_with('"') && q.ends_with('"'))
+        .ok_or_else(|| frame_err("frame is not an envelope: malformed body field"))?;
+    let body: String = serde_json::from_str(quoted)
+        .map_err(|e| frame_err(format!("envelope body is not a JSON string: {e}")))?;
+    if fnv64(body.as_bytes()) != declared {
+        return Err(frame_err("envelope checksum mismatch"));
     }
-    let declared = u64::from_str_radix(&env.sum, 16).map_err(|e| ServeError::Frame {
-        reason: format!("malformed envelope checksum: {e}"),
-    })?;
-    if fnv64(env.body.as_bytes()) != declared {
-        return Err(ServeError::Frame {
-            reason: "envelope checksum mismatch".to_string(),
-        });
-    }
-    serde_json::from_str(&env.body).map_err(|e| ServeError::Frame {
-        reason: format!("envelope body is not a valid message: {e}"),
-    })
+    serde_json::from_str(&body)
+        .map_err(|e| frame_err(format!("envelope body is not a valid message: {e}")))
 }
 
 #[cfg(test)]
@@ -367,6 +386,68 @@ mod tests {
             recv_msg::<_, ServerFrame>(&mut r),
             Err(ServeError::Frame { .. })
         ));
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        struct CountingWriter(usize);
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter(0);
+        send_msg(&mut w, &ClientFrame::Bye).unwrap();
+        send_msg(
+            &mut w,
+            &ServerFrame::Cell {
+                id: 1,
+                key: "k".to_string(),
+                payload: "{\"x\":[1.5,\"q\\\"\"]}".to_string(),
+            },
+        )
+        .unwrap();
+        assert_eq!(w.0, 2);
+    }
+
+    #[test]
+    fn any_other_envelope_layout_is_rejected() {
+        let body = serde_json::to_string(&ServerFrame::Accepted { id: 1 }).unwrap();
+        let escaped = serde_json::to_string::<str>(&body).unwrap();
+        let sum = format!("{:016x}", fnv64(body.as_bytes()));
+        let frame = |env: String| {
+            let mut buf = (env.len() as u32).to_le_bytes().to_vec();
+            buf.extend_from_slice(env.as_bytes());
+            buf
+        };
+        let canonical = frame(format!("{{\"sum\":\"{sum}\",\"body\":{escaped}}}"));
+        let mut r = &canonical[..];
+        assert_eq!(
+            recv_msg::<_, ServerFrame>(&mut r).unwrap(),
+            Some(ServerFrame::Accepted { id: 1 })
+        );
+        for env in [
+            format!("{{\"body\":{escaped},\"sum\":\"{sum}\"}}"),
+            format!("{{\"sum\":\"{sum}\", \"body\":{escaped}}}"),
+            format!("{{\"sum\":\"{sum}\",\"body\": {escaped}}}"),
+            format!("{{\"sum\":\"{sum}\",\"body\":{escaped} }}"),
+            format!("{{\"sum\":\"{sum}\",\"body\":{escaped},\"x\":1}}"),
+            format!("{{\"sum\":\"{sum}\",\"body\":{body}}}"),
+        ] {
+            let buf = frame(env.clone());
+            let mut r = &buf[..];
+            assert!(
+                matches!(
+                    recv_msg::<_, ServerFrame>(&mut r),
+                    Err(ServeError::Frame { .. })
+                ),
+                "{env}"
+            );
+        }
     }
 
     #[test]

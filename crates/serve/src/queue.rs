@@ -11,6 +11,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 use mps_stats::QuantileSketch;
 
@@ -134,12 +135,15 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// Records a finished job and its service time.
-    pub fn finish(&self, service_ms: u64) {
+    /// Records a finished job and its service time. The time is kept in
+    /// fractional milliseconds: a whole-millisecond count would record a
+    /// sub-millisecond job as 0 and leave the retry hint at its cold-start
+    /// guess.
+    pub fn finish(&self, service: Duration) {
         let mut g = self.inner.lock().unwrap();
         g.inflight = g.inflight.saturating_sub(1);
         g.served += 1;
-        let x = service_ms as f64;
+        let x = service.as_secs_f64() * 1e3;
         g.ema_ms = if g.served == 1 {
             x
         } else {
@@ -218,7 +222,7 @@ mod tests {
         assert_eq!(q.try_admit(1), Admission::Admitted);
         // One served job at 1 s establishes the EMA.
         assert_eq!(q.next(), Some(1));
-        q.finish(1000);
+        q.finish(Duration::from_secs(1));
         assert_eq!(q.try_admit(2), Admission::Admitted);
         match q.try_admit(3) {
             Admission::Shed { retry_after_ms } => {
@@ -233,6 +237,34 @@ mod tests {
     }
 
     #[test]
+    fn sub_millisecond_service_times_give_the_minimum_retry_hint() {
+        // The default daemon: 16 queue slots, 2 executors.
+        let q = AdmissionQueue::new(16);
+        for job in 0..20 {
+            assert_eq!(q.try_admit(job), Admission::Admitted);
+            assert_eq!(q.next(), Some(job));
+            q.finish(Duration::from_micros(50));
+        }
+        let s = q.stats();
+        assert!((s.ema_service_ms - 0.05).abs() < 1e-9, "{s:?}");
+        assert!(s.p50_service_ms > 0.0, "{s:?}");
+        // Two jobs executing, 16 waiting.
+        for job in 0..18 {
+            assert_eq!(q.try_admit(job), Admission::Admitted);
+            if job < 2 {
+                assert_eq!(q.next(), Some(job));
+            }
+        }
+        // 19 jobs ahead at 0.05 ms each: the floor, not 19 × 100 ms.
+        assert_eq!(
+            q.try_admit(99),
+            Admission::Shed {
+                retry_after_ms: MIN_RETRY_MS
+            }
+        );
+    }
+
+    #[test]
     fn drain_refuses_new_work_and_empties() {
         let q = AdmissionQueue::new(4);
         q.try_admit(1);
@@ -241,7 +273,7 @@ mod tests {
         assert!(!q.drained(), "job 1 still queued");
         assert_eq!(q.next(), Some(1));
         assert!(!q.drained(), "job 1 in flight");
-        q.finish(10);
+        q.finish(Duration::from_millis(10));
         assert!(q.drained());
         assert_eq!(q.next(), None, "executors see the drain");
     }

@@ -22,7 +22,7 @@
 //! queue's counters, so `run_unix`/`run_stdio` return exactly when the
 //! drain completes.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -266,7 +266,7 @@ impl Server {
                 },
             };
             let _ = send(&reply, &frame);
-            self.queue.finish(started.elapsed().as_millis() as u64);
+            self.queue.finish(started.elapsed());
         }
     }
 
@@ -304,10 +304,12 @@ impl Server {
         reader: &mut dyn Read,
         reply: &Reply,
     ) -> Result<(), ServeError> {
-        let mut guard = StallGuard {
+        // Buffered, so frames a client pipelines cost one read call; the
+        // guard sits under the buffer to see the transport's errors.
+        let mut guard = BufReader::new(StallGuard {
             inner: reader,
             stalled: false,
-        };
+        });
         // Handshake first; anything else is a violation and closes the
         // connection.
         match recv_msg::<_, ClientFrame>(&mut guard) {
@@ -340,7 +342,7 @@ impl Server {
                 })
             }
             Ok(None) => return Ok(()),
-            Err(e) => return self.classify_recv(guard.stalled, Some(e)),
+            Err(e) => return self.classify_recv(guard.get_ref().stalled, Some(e)),
         }
         loop {
             match recv_msg::<_, ClientFrame>(&mut guard) {
@@ -393,7 +395,7 @@ impl Server {
                     })
                 }
                 Ok(Some(ClientFrame::Bye)) | Ok(None) => return Ok(()),
-                Err(e) => return self.classify_recv(guard.stalled, Some(e)),
+                Err(e) => return self.classify_recv(guard.get_ref().stalled, Some(e)),
             }
         }
     }

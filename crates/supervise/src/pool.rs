@@ -91,12 +91,19 @@ impl TailBuf {
     }
 }
 
+/// How long a reap waits for the stderr drain to reach EOF after the
+/// child died. The pipe closes with the child, so this only runs out when
+/// a grandchild still holds the pipe open.
+const STDERR_DRAIN_GRACE: Duration = Duration::from_millis(500);
+
 /// A live (or dying) child worker process.
 pub struct WorkerProcess {
     child: Child,
     stdin: Option<ChildStdin>,
     frames: Receiver<Vec<u8>>,
     stderr_tail: Arc<Mutex<TailBuf>>,
+    /// Disconnects when the stderr drain thread has read to EOF.
+    stderr_drained: Receiver<()>,
     pid: u32,
 }
 
@@ -132,7 +139,9 @@ impl WorkerProcess {
             buf: Vec::new(),
         }));
         let tail = Arc::clone(&stderr_tail);
+        let (drained_tx, stderr_drained) = std::sync::mpsc::channel::<()>();
         std::thread::spawn(move || {
+            let _drained = drained_tx;
             let mut chunk = [0u8; 1024];
             while let Ok(n) = stderr.read(&mut chunk) {
                 if n == 0 {
@@ -149,6 +158,7 @@ impl WorkerProcess {
             stdin: Some(stdin),
             frames,
             stderr_tail,
+            stderr_drained,
             pid,
         })
     }
@@ -224,18 +234,15 @@ impl WorkerProcess {
         // Dropping stdin first unblocks a worker stuck reading it.
         self.stdin = None;
         let status = self.child.wait().ok();
-        // Give the stderr drain thread a beat to flush the final chunk
-        // (the pipe closes when the process dies; reads race the reap).
-        let mut tail = String::new();
-        for _ in 0..20 {
-            if let Ok(t) = self.stderr_tail.lock() {
-                tail = String::from_utf8_lossy(&t.buf).into_owned();
-            }
-            if !tail.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // The drain thread may not have pushed the final chunk yet: wait
+        // until it has read to EOF, so the tail ends with the child's last
+        // output.
+        let _ = self.stderr_drained.recv_timeout(STDERR_DRAIN_GRACE);
+        let tail = self
+            .stderr_tail
+            .lock()
+            .map(|t| String::from_utf8_lossy(&t.buf).into_owned())
+            .unwrap_or_default();
         let exit_code = status.and_then(|s| s.code());
         #[cfg(unix)]
         let signal = status.and_then(|s| std::os::unix::process::ExitStatusExt::signal(&s));

@@ -67,16 +67,29 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), Sup
     let json = serde_json::to_string(msg).map_err(|e| SuperviseError::Frame {
         reason: format!("encode: {e}"),
     })?;
-    let bytes = json.as_bytes();
-    if bytes.len() as u64 > u64::from(MAX_FRAME_BYTES) {
-        return Err(SuperviseError::Frame {
-            reason: format!("frame of {} bytes exceeds the cap", bytes.len()),
-        });
+    write_frame_bytes(w, &[json.as_bytes()])
+}
+
+/// Writes one frame whose payload is `parts` concatenated, and flushes.
+/// The length prefix and the payload are built in one buffer and handed
+/// to one `write_all`, so a frame costs one write call, not two.
+pub fn write_frame_bytes<W: Write + ?Sized>(
+    w: &mut W,
+    parts: &[&[u8]],
+) -> Result<(), SuperviseError> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let n = u32::try_from(len)
+        .ok()
+        .filter(|&n| n <= MAX_FRAME_BYTES)
+        .ok_or_else(|| SuperviseError::Frame {
+            reason: format!("frame of {len} bytes exceeds the cap"),
+        })?;
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&n.to_le_bytes());
+    for p in parts {
+        frame.extend_from_slice(p);
     }
-    let len = (bytes.len() as u32).to_le_bytes();
-    w.write_all(&len)
-        .map_err(|e| SuperviseError::io("write", e))?;
-    w.write_all(bytes)
+    w.write_all(&frame)
         .map_err(|e| SuperviseError::io("write", e))?;
     w.flush().map_err(|e| SuperviseError::io("flush", e))?;
     Ok(())
@@ -158,6 +171,43 @@ mod tests {
         assert_eq!(read_frame::<_, Msg>(&mut r).unwrap(), Some(a));
         assert_eq!(read_frame::<_, Msg>(&mut r).unwrap(), Some(b));
         assert_eq!(read_frame::<_, Msg>(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    /// Counts `write` calls; `write_all` on a `Vec` sink makes exactly
+    /// one per buffer it is handed.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        for id in 0..3 {
+            write_frame(
+                &mut w,
+                &Msg {
+                    id,
+                    note: "one write".to_string(),
+                },
+            )
+            .unwrap();
+            assert_eq!(w.writes, id as usize + 1, "frame {id}");
+        }
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame::<_, Msg>(&mut r).unwrap().map(|m| m.id), Some(0));
     }
 
     #[test]
