@@ -349,9 +349,15 @@ impl Harness {
                         let spec = &pending[i];
                         let g = &corpus[spec.dag];
                         let algo = algo_of(spec.algo);
-                        // `run_one_caught`: a panicking cell becomes a
+                        // `run_cell_caught`: a panicking cell becomes a
                         // journaled Crashed record, not a dead campaign.
-                        let cell = self.run_one_caught(g, spec.variant, algo, opts.repeats);
+                        let cell = self.run_cell_caught(
+                            g,
+                            spec.variant,
+                            algo,
+                            opts.repeats,
+                            self.disturb.as_ref(),
+                        );
                         let key = cell_key(
                             &g.name(),
                             g.params.matrix_size,

@@ -320,7 +320,7 @@ pub struct Harness {
     /// windows) applied to every testbed execution, with the recovery
     /// reaction. Composes with `fault_plan`.
     pub disturb: Option<DisturbConfig>,
-    /// Retry/backoff/watchdog policy for testbed executions under faults.
+    /// Retry/backoff/watchdog policy for testbed executions.
     pub policy: ExecPolicy,
     /// Poison rules: cells whose key matches misbehave on purpose (test
     /// instrumentation for the supervision layer).
@@ -410,8 +410,8 @@ impl Harness {
     }
 
     /// Injects timed platform disturbances into every subsequent testbed
-    /// execution. An empty plan is dropped entirely, so zero-intensity
-    /// runs take the exact pre-disturbance code path (bit-identity).
+    /// execution. An empty plan is dropped entirely, so a zero-intensity
+    /// config leaves the config digest and every cell unchanged.
     pub fn with_disturbance(mut self, cfg: DisturbConfig) -> Self {
         self.disturb = if cfg.plan.is_empty() { None } else { Some(cfg) };
         self
@@ -476,37 +476,39 @@ impl Harness {
         }
     }
 
-    /// Runs the testbed repeats of one cell under the active disturbance
-    /// config. The rescue re-planner schedules the whole DAG onto an
-    /// m-node sub-cluster with the cell's own model and algorithm (using
-    /// the caller's warm allocation engine), then maps host `j` back to
-    /// survivor `j` — the rescue schedule is in original host-id space,
-    /// placed only on survivors. Returns
-    /// `(runs, failed_runs, retries, report, first_error)`.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn run_repeats_disturbed(
+    /// Runs the testbed repeats of one cell and folds them into its
+    /// outcome. Every run goes through the disturbed entry point; without
+    /// a disturbance config the plan is empty. The rescue re-planner
+    /// schedules the whole DAG onto an m-node sub-cluster with the cell's
+    /// own model and algorithm (using the caller's warm allocation engine),
+    /// then maps host `j` back to survivor `j` — the rescue schedule is in
+    /// original host-id space, placed only on survivors.
+    #[allow(clippy::too_many_arguments)]
+    fn run_repeats(
         &self,
         testbed_slab: &mut ExecSlab,
         engine: &mut AllocationEngine,
+        cell: &mut CellResult,
         g: &GeneratedDag,
-        variant: SimVariant,
         algo: &dyn Scheduler,
         schedule: &Schedule,
         repeats: u64,
-        cfg: &DisturbConfig,
-    ) -> (Vec<f64>, usize, u32, DisturbReport, Option<String>) {
-        let model = self.model_of(variant);
-        let mut runs = Vec::new();
+        disturb: Option<&DisturbConfig>,
+    ) {
+        let undisturbed = DisturbConfig::new(DisturbancePlan::none(), RecoveryPolicy::FailFast);
+        let cfg = disturb.unwrap_or(&undisturbed);
         let mut failed_runs = 0usize;
         let mut retries = 0u32;
         let mut report = DisturbReport::default();
         let mut first_error: Option<String> = None;
+        let variant = cell.variant;
         for r in 0..repeats.max(1) {
             let run_seed = g.seed.wrapping_add(r);
             let mut replan = |survivors: &[HostId]| -> Option<Schedule> {
                 let mut spec = ClusterSpec::bayreuth();
                 spec.nodes = survivors.len();
                 let sub = spec.build().ok()?;
+                let model = self.model_of(variant);
                 let mut s = algo.schedule_with_engine(&g.dag, &sub, model.as_ref(), engine);
                 for st in &mut s.tasks {
                     for h in &mut st.hosts {
@@ -515,7 +517,6 @@ impl Harness {
                 }
                 Some(s)
             };
-            let mut run_report = DisturbReport::default();
             let run = self.testbed.execute_disturbed_prevalidated_with_slab(
                 testbed_slab,
                 &g.dag,
@@ -529,13 +530,12 @@ impl Harness {
                     rescue_overhead: cfg.rescue_overhead,
                     replan: Some(&mut replan),
                 },
-                &mut run_report,
+                &mut report,
             );
-            report.absorb(&run_report);
             match run {
                 Ok(res) => {
                     retries += res.total_retries();
-                    runs.push(res.makespan);
+                    cell.real_runs.push(res.makespan);
                 }
                 Err(e) => {
                     failed_runs += 1;
@@ -543,7 +543,7 @@ impl Harness {
                 }
             }
         }
-        (runs, failed_runs, retries, report, first_error)
+        Self::fold_outcome(cell, failed_runs, retries, report, first_error);
     }
 
     /// Folds the testbed-side tallies of one cell into its outcome:
@@ -579,37 +579,15 @@ impl Harness {
         }
     }
 
-    pub(crate) fn run_one(
+    /// Computes one grid cell on this thread's warm [`WorkerSlab`] — the
+    /// batched hot path, bit-identical to [`Harness::run_one_reference`]
+    /// for any slab history (every reused component resets per run).
+    /// `disturb` is the cell's disturbance config: the harness-level one
+    /// for grids, a request's own for the daemon; `None` runs undisturbed.
+    /// A panicking cell unwinds out of here, which the process-isolated
+    /// worker relies on to record the crash.
+    pub(crate) fn run_cell(
         &self,
-        g: &GeneratedDag,
-        variant: SimVariant,
-        algo: &dyn Scheduler,
-        repeats: u64,
-    ) -> CellResult {
-        Self::with_worker_slab(|slab| self.run_one_with_slab(slab, g, variant, algo, repeats))
-    }
-
-    /// Computes one grid cell with caller-owned warm state — the batched
-    /// hot path. Bit-identical to [`Harness::run_one_reference`] for any
-    /// slab history (every reused component resets per run).
-    pub(crate) fn run_one_with_slab(
-        &self,
-        slab: &mut WorkerSlab,
-        g: &GeneratedDag,
-        variant: SimVariant,
-        algo: &dyn Scheduler,
-        repeats: u64,
-    ) -> CellResult {
-        self.run_one_with_slab_disturb(slab, g, variant, algo, repeats, self.disturb.as_ref())
-    }
-
-    /// [`Harness::run_one_with_slab`] with an explicit disturbance
-    /// configuration — the daemon substrate, where each work request may
-    /// carry its own plan. `None` runs undisturbed regardless of the
-    /// harness-level setting.
-    pub(crate) fn run_one_with_slab_disturb(
-        &self,
-        slab: &mut WorkerSlab,
         g: &GeneratedDag,
         variant: SimVariant,
         algo: &dyn Scheduler,
@@ -633,103 +611,57 @@ impl Harness {
                 }
             }
         }
-        let mut cell = CellResult {
-            dag: g.name(),
-            n: g.params.matrix_size,
-            variant,
-            algo: algo.name().to_string(),
-            sim_makespan: 0.0,
-            real_makespan: 0.0,
-            real_runs: Vec::new(),
-            outcome: CellOutcome::Full,
-        };
-        // Schedule + simulate under the cell's model, reusing the warm
-        // engine (keyed: HCPA pre-pays MCPA's τ-table on the same DAG and
-        // model) and the simulator-side executor slab. A simulator
-        // construction per cell clones the nominal cluster spec, not the
-        // profile tables / fitted curves (the `&M` blanket `PerfModel`
-        // impl makes borrowed models free to "clone").
-        let alloc_key = self.alloc_key(g, variant);
-        let engine = &mut slab.engine;
-        let sim_slab = &mut slab.sim_slab;
-        let sim_out = match variant {
-            SimVariant::Analytic => Simulator::new(
-                self.nominal.clone(),
-                mps_core::model::AnalyticModel::paper_jvm(),
-            )
-            .schedule_and_simulate_keyed(&g.dag, algo, alloc_key, engine, sim_slab),
-            SimVariant::Profile => Simulator::new(self.nominal.clone(), &self.profile_model)
+        let mut cell = blank_cell(g, variant, algo);
+        Self::with_worker_slab(|slab| {
+            // Schedule + simulate under the cell's model, reusing the warm
+            // engine (keyed: HCPA pre-pays MCPA's τ-table on the same DAG
+            // and model) and the simulator-side executor slab. A simulator
+            // construction per cell clones the nominal cluster spec, not
+            // the profile tables / fitted curves (the `&M` blanket
+            // `PerfModel` impl makes borrowed models free to "clone").
+            let alloc_key = self.alloc_key(g, variant);
+            let engine = &mut slab.engine;
+            let sim_slab = &mut slab.sim_slab;
+            let sim_out = match variant {
+                SimVariant::Analytic => Simulator::new(
+                    self.nominal.clone(),
+                    mps_core::model::AnalyticModel::paper_jvm(),
+                )
                 .schedule_and_simulate_keyed(&g.dag, algo, alloc_key, engine, sim_slab),
-            SimVariant::Empirical => Simulator::new(self.nominal.clone(), &self.empirical_model)
-                .schedule_and_simulate_keyed(&g.dag, algo, alloc_key, engine, sim_slab),
-        };
-        let (sim_makespan, schedule) = match sim_out {
-            Ok(out) => (out.result.makespan, out.schedule),
-            Err(e) => {
-                cell.outcome = CellOutcome::Failed {
-                    error: format!("simulation: {e}"),
-                };
-                return cell;
-            }
-        };
-        cell.sim_makespan = sim_makespan;
-
-        let mut failed_runs = 0usize;
-        let mut retries = 0u32;
-        let mut first_error = None;
-        let mut dreport = DisturbReport::default();
-        if let Some(cfg) = disturb {
-            let (runs, f, rt, rep, err) = self.run_repeats_disturbed(
+                SimVariant::Profile => Simulator::new(self.nominal.clone(), &self.profile_model)
+                    .schedule_and_simulate_keyed(&g.dag, algo, alloc_key, engine, sim_slab),
+                SimVariant::Empirical => {
+                    Simulator::new(self.nominal.clone(), &self.empirical_model)
+                        .schedule_and_simulate_keyed(&g.dag, algo, alloc_key, engine, sim_slab)
+                }
+            };
+            let schedule = match sim_out {
+                Ok(out) => {
+                    cell.sim_makespan = out.result.makespan;
+                    out.schedule
+                }
+                Err(e) => {
+                    cell.outcome = CellOutcome::Failed {
+                        error: format!("simulation: {e}"),
+                    };
+                    return;
+                }
+            };
+            // The simulate step above already validated the schedule
+            // against the nominal cluster, and `Schedule::validate` only
+            // consults the node count — which the derated testbed cluster
+            // shares — so the testbed runs skip re-validation.
+            self.run_repeats(
                 &mut slab.testbed_slab,
                 &mut slab.engine,
+                &mut cell,
                 g,
-                variant,
                 algo,
                 &schedule,
                 repeats,
-                cfg,
+                disturb,
             );
-            cell.real_runs = runs;
-            failed_runs = f;
-            retries = rt;
-            dreport = rep;
-            first_error = err;
-        } else {
-            for r in 0..repeats.max(1) {
-                let run_seed = g.seed.wrapping_add(r);
-                // The simulate step above already validated the schedule
-                // against the nominal cluster, and `Schedule::validate` only
-                // consults the node count — which the derated testbed cluster
-                // shares — so the testbed runs skip re-validation.
-                let run = match &self.fault_plan {
-                    Some(plan) => self.testbed.execute_with_faults_prevalidated_with_slab(
-                        &mut slab.testbed_slab,
-                        &g.dag,
-                        &schedule,
-                        run_seed,
-                        plan,
-                        &self.policy,
-                    ),
-                    None => self.testbed.execute_prevalidated_with_slab(
-                        &mut slab.testbed_slab,
-                        &g.dag,
-                        &schedule,
-                        run_seed,
-                    ),
-                };
-                match run {
-                    Ok(res) => {
-                        retries += res.total_retries();
-                        cell.real_runs.push(res.makespan);
-                    }
-                    Err(e) => {
-                        failed_runs += 1;
-                        first_error.get_or_insert_with(|| e.to_string());
-                    }
-                }
-            }
-        }
-        Self::fold_outcome(&mut cell, failed_runs, retries, dreport, first_error);
+        });
         cell
     }
 
@@ -737,7 +669,7 @@ impl Harness {
     /// fresh simulator and executor state, full schedule validation on
     /// both the simulator and testbed sides. Kept (and exercised by the
     /// determinism regression tests) as the semantic baseline the batched
-    /// [`Harness::run_one_with_slab`] path must match bit for bit; the
+    /// [`Harness::run_cell`] path must match bit for bit; the
     /// grid drivers never call it.
     pub fn run_one_reference(
         &self,
@@ -747,16 +679,7 @@ impl Harness {
         repeats: u64,
     ) -> CellResult {
         let cluster = self.nominal.clone();
-        let mut cell = CellResult {
-            dag: g.name(),
-            n: g.params.matrix_size,
-            variant,
-            algo: algo.name().to_string(),
-            sim_makespan: 0.0,
-            real_makespan: 0.0,
-            real_runs: Vec::new(),
-            outcome: CellOutcome::Full,
-        };
+        let mut cell = blank_cell(g, variant, algo);
         let sim_out = match variant {
             SimVariant::Analytic => {
                 Simulator::new(cluster, mps_core::model::AnalyticModel::paper_jvm())
@@ -780,78 +703,59 @@ impl Harness {
         };
         cell.sim_makespan = sim_makespan;
 
-        let mut failed_runs = 0usize;
-        let mut retries = 0u32;
-        let mut first_error = None;
-        let mut dreport = DisturbReport::default();
         if let Some(cfg) = &self.disturb {
             // Fresh executor slab and allocation engine — the reference
             // semantics — which the warm-slab path must match bit for bit.
-            let mut fresh_slab = ExecSlab::new();
-            let mut fresh_engine = AllocationEngine::default();
-            let (runs, f, rt, rep, err) = self.run_repeats_disturbed(
-                &mut fresh_slab,
-                &mut fresh_engine,
+            self.run_repeats(
+                &mut ExecSlab::new(),
+                &mut AllocationEngine::default(),
+                &mut cell,
                 g,
-                variant,
                 algo,
                 &schedule,
                 repeats,
-                cfg,
+                Some(cfg),
             );
-            cell.real_runs = runs;
-            failed_runs = f;
-            retries = rt;
-            dreport = rep;
-            first_error = err;
-        } else {
-            for r in 0..repeats.max(1) {
-                let run_seed = g.seed.wrapping_add(r);
-                let run = match &self.fault_plan {
-                    Some(plan) => self.testbed.execute_with_faults(
-                        &g.dag,
-                        &schedule,
-                        run_seed,
-                        plan,
-                        &self.policy,
-                    ),
-                    None => self.testbed.execute(&g.dag, &schedule, run_seed),
-                };
-                match run {
-                    Ok(res) => {
-                        retries += res.total_retries();
-                        cell.real_runs.push(res.makespan);
-                    }
-                    Err(e) => {
-                        failed_runs += 1;
-                        first_error.get_or_insert_with(|| e.to_string());
-                    }
+            return cell;
+        }
+        let mut failed_runs = 0usize;
+        let mut retries = 0u32;
+        let mut first_error = None;
+        for r in 0..repeats.max(1) {
+            let run_seed = g.seed.wrapping_add(r);
+            let run = match &self.fault_plan {
+                Some(plan) => self.testbed.execute_with_faults(
+                    &g.dag,
+                    &schedule,
+                    run_seed,
+                    plan,
+                    &self.policy,
+                ),
+                None => self.testbed.execute(&g.dag, &schedule, run_seed),
+            };
+            match run {
+                Ok(res) => {
+                    retries += res.total_retries();
+                    cell.real_runs.push(res.makespan);
+                }
+                Err(e) => {
+                    failed_runs += 1;
+                    first_error.get_or_insert_with(|| e.to_string());
                 }
             }
         }
-        Self::fold_outcome(&mut cell, failed_runs, retries, dreport, first_error);
+        let report = DisturbReport::default();
+        Self::fold_outcome(&mut cell, failed_runs, retries, report, first_error);
         cell
     }
 
-    /// [`Harness::run_one`] under a `catch_unwind` safety net: a
+    /// [`Harness::run_cell`] under a `catch_unwind` safety net: a
     /// panicking cell becomes a [`CellOutcome::Crashed`] record instead of
     /// tearing down the whole in-process worker pool. This is the in-proc
     /// counterpart of process isolation — it cannot contain hangs or
     /// aborts (use `--isolation process` for those), but it turns the
     /// most common poison, a deterministic panic, into a journaled cell.
-    pub(crate) fn run_one_caught(
-        &self,
-        g: &GeneratedDag,
-        variant: SimVariant,
-        algo: &dyn Scheduler,
-        repeats: u64,
-    ) -> CellResult {
-        self.run_one_caught_disturb(g, variant, algo, repeats, self.disturb.as_ref())
-    }
-
-    /// [`Harness::run_one_caught`] with an explicit disturbance
-    /// configuration (see [`Harness::run_one_with_slab_disturb`]).
-    pub(crate) fn run_one_caught_disturb(
+    pub(crate) fn run_cell_caught(
         &self,
         g: &GeneratedDag,
         variant: SimVariant,
@@ -861,19 +765,10 @@ impl Harness {
     ) -> CellResult {
         let start = std::time::Instant::now();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Self::with_worker_slab(|slab| {
-                self.run_one_with_slab_disturb(slab, g, variant, algo, repeats, disturb)
-            })
+            self.run_cell(g, variant, algo, repeats, disturb)
         })) {
             Ok(cell) => cell,
             Err(payload) => CellResult {
-                dag: g.name(),
-                n: g.params.matrix_size,
-                variant,
-                algo: algo.name().to_string(),
-                sim_makespan: 0.0,
-                real_makespan: 0.0,
-                real_runs: Vec::new(),
                 outcome: CellOutcome::Crashed {
                     report: CrashReport::single(
                         AttemptOutcome::Panicked {
@@ -882,6 +777,7 @@ impl Harness {
                         start.elapsed().as_millis() as u64,
                     ),
                 },
+                ..blank_cell(g, variant, algo)
             },
         }
     }
@@ -916,7 +812,13 @@ impl Harness {
                         let mut slot = i * CELLS_PER_DAG;
                         for variant in SimVariant::ALL {
                             for algo in [&Hcpa as &dyn Scheduler, &Mcpa] {
-                                let cell = self.run_one_caught(g, variant, algo, repeats);
+                                let cell = self.run_cell_caught(
+                                    g,
+                                    variant,
+                                    algo,
+                                    repeats,
+                                    self.disturb.as_ref(),
+                                );
                                 slots[slot]
                                     .set(cell)
                                     .unwrap_or_else(|_| unreachable!("cell slot written twice"));
@@ -1025,6 +927,20 @@ impl Harness {
             SimVariant::Profile => Box::new(&self.profile_model),
             SimVariant::Empirical => Box::new(&self.empirical_model),
         }
+    }
+}
+
+/// A cell of `g` under `variant` and `algo` with no measurement yet.
+fn blank_cell(g: &GeneratedDag, variant: SimVariant, algo: &dyn Scheduler) -> CellResult {
+    CellResult {
+        dag: g.name(),
+        n: g.params.matrix_size,
+        variant,
+        algo: algo.name().to_string(),
+        sim_makespan: 0.0,
+        real_makespan: 0.0,
+        real_runs: Vec::new(),
+        outcome: CellOutcome::Full,
     }
 }
 
@@ -1327,7 +1243,7 @@ mod tests {
         let corpus = h.corpus();
         let g = &corpus[0];
         let reference = h.run_one_reference(g, SimVariant::Analytic, &Hcpa, 1);
-        let slabbed = h.run_one(g, SimVariant::Analytic, &Hcpa, 1);
+        let slabbed = h.run_cell(g, SimVariant::Analytic, &Hcpa, 1, h.disturb.as_ref());
         assert_eq!(reference, slabbed);
         // An empty plan is dropped entirely: the digest and results match
         // a disturbance-free harness.

@@ -165,7 +165,7 @@ impl ServeBackend {
             } => {
                 let r = self.resolve(*dag, variant, algo)?;
                 let cfg = self.parse_disturb(disturb.as_ref())?;
-                let cell = self.harness.run_one_caught_disturb(
+                let cell = self.harness.run_cell_caught(
                     r.g,
                     r.variant,
                     r.algo,
@@ -254,7 +254,7 @@ impl ServeBackend {
             let algo = algo_of(cs.algo);
             let cell = self
                 .harness
-                .run_one_caught_disturb(g, cs.variant, algo, repeats, disturb);
+                .run_cell_caught(g, cs.variant, algo, repeats, disturb);
             let key = cell_key(
                 &g.name(),
                 g.params.matrix_size,
@@ -320,7 +320,7 @@ impl ServeBackend {
             let algo = algo_of(cs.algo);
             let cell = self
                 .harness
-                .run_one_caught_disturb(g, cs.variant, algo, repeats, disturb);
+                .run_cell_caught(g, cs.variant, algo, repeats, disturb);
             let key = cell_key(
                 &g.name(),
                 g.params.matrix_size,

@@ -145,7 +145,8 @@ pub fn serve_cells(harness: &Harness, repeats: u64) -> i32 {
                 };
                 let algo = algo_of(req.algo);
                 let repeats = req.repeats.unwrap_or(repeats);
-                let cell = harness.run_one(g, req.variant, algo, repeats);
+                let cell =
+                    harness.run_cell(g, req.variant, algo, repeats, harness.disturb.as_ref());
                 let key = cell_key(
                     &g.name(),
                     g.params.matrix_size,

@@ -368,7 +368,8 @@ pub enum RecoveryPolicy {
     FailFast,
     /// Patch each stranded task's placement in place: dead hosts are
     /// replaced by the lowest-index surviving hosts, everything else —
-    /// allocation sizes, execution order — stays as scheduled.
+    /// allocation sizes, execution order — stays as scheduled, behind the
+    /// tasks already running on those hosts.
     RetryElsewhere,
     /// Re-invoke the scheduler over the surviving platform for every
     /// unfinished task (moldable re-allocation under contention) and

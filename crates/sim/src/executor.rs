@@ -18,7 +18,9 @@
 
 use mps_dag::{Dag, TaskId};
 use mps_des::{EngineError, Watchdog};
-use mps_faults::{FaultModel, TaskDisposition};
+use mps_faults::{
+    DisturbReport, Disturbance, DisturbancePlan, FaultModel, RecoveryPolicy, TaskDisposition,
+};
 use mps_kernels::Kernel;
 use mps_l07::{L07Error, L07Sim, PTaskId, PTaskSpec};
 use mps_platform::{Cluster, HostId};
@@ -59,11 +61,11 @@ pub trait ExecutionModel {
 
     /// The fault environment this model executes under, if any.
     ///
-    /// `None` (the default) means a healthy machine: the executor takes
-    /// exactly the pre-fault code path, consulting the model once per task
-    /// and per edge. Implementations that emulate an unreliable
-    /// environment (see `mps-testbed`) return a [`FaultModel`], and the
-    /// executor consults it at every launch attempt and redistribution.
+    /// `None` (the default) means a healthy machine: the executor consults
+    /// the model once per task and per edge. Implementations that emulate
+    /// an unreliable environment (see `mps-testbed`) return a
+    /// [`FaultModel`], and the executor consults it at every launch
+    /// attempt and redistribution.
     fn fault_model(&mut self) -> Option<&mut dyn FaultModel> {
         None
     }
@@ -257,28 +259,41 @@ enum Meaning {
 /// kept warm across executions.
 ///
 /// Building a fresh [`L07Sim`] (cluster clone + ~100 DES resources) and
-/// re-allocating queue/state vectors per execution dominates short runs.
+/// re-allocating the run's bookkeeping per execution dominates short runs.
 /// A slab amortizes all of it: the simulator is [`L07Sim::reset`] between
-/// runs (bit-identical to a fresh build), buffers keep their capacity, one
-/// task spec is refilled for every submission, and redistribution plans —
-/// a pure function of `(n, p_src, p_dst)` for the vanilla block
-/// distributions the executor uses — are memoized.
+/// runs (bit-identical to a fresh build), every buffer is cleared in place
+/// and keeps its capacity, one task spec is refilled for every submission,
+/// and redistribution plans — a pure function of `(n, p_src, p_dst)` for
+/// the vanilla block distributions the executor uses — are memoized. Only
+/// crash repair allocates.
 ///
-/// Results are byte-identical to the slab-free path for any sequence of
+/// Results are byte-identical to a fresh slab for any sequence of
 /// executions; a slab is plain reusable scratch, not a semantic cache.
 #[derive(Debug, Default)]
 pub struct ExecSlab {
     /// Rebuilt only when the cluster changes between runs.
     sim: Option<L07Sim>,
-    hosts_of: Vec<Vec<HostId>>,
+    /// Each task's current host set; crash repair rewrites entries.
+    placements: Vec<Vec<HostId>>,
+    /// Dispatch order; a rescue re-plan replaces it.
+    order: Vec<TaskId>,
+    /// Per-host task queues, consumed from `queue_head`.
     queue: Vec<Vec<TaskId>>,
     queue_head: Vec<usize>,
-    pending_redists: Vec<usize>,
+    /// Incoming redistributions still pending per task.
+    pending: Vec<usize>,
     state: Vec<TaskState>,
     launched: Vec<bool>,
+    /// Earliest launch of a re-planned task (the rescue overhead).
+    gate: Vec<f64>,
     /// Dense activity-id → meaning map: ids restart at zero every run.
     in_flight: Vec<Option<Meaning>>,
+    /// Engine handle of each activity, for cancellation.
+    live_ids: Vec<PTaskId>,
+    crashed: Vec<bool>,
     completions: Vec<mps_l07::PTaskCompletion>,
+    /// The disturbance plan's instants, in application order.
+    boundaries: Vec<Boundary>,
     /// Refilled before every [`L07Sim::submit`].
     spec: PTaskSpec,
     flows: RedistFlows,
@@ -320,37 +335,6 @@ fn fill_analytic(spec: &mut PTaskSpec, kernel: Kernel, hosts: &[HostId], flops: 
             .extend((0..p).map(|i| (hosts[i], hosts[(i + 1) % p], edge)));
     }
     spec.extra_latency = startup;
-}
-
-/// Refills `spec` as the redistribution of an `n × n` output from
-/// `src_hosts` (each mapped through `map_src`) to `dst_hosts`, behind the
-/// protocol `overhead`. Degraded links carry more effective bytes, and the
-/// overhead stretches with the worst link factor at `now`.
-#[allow(clippy::too_many_arguments)]
-fn fill_redist(
-    spec: &mut PTaskSpec,
-    flows: &mut RedistFlows,
-    model: &mut dyn ExecutionModel,
-    n: usize,
-    src_hosts: &[HostId],
-    map_src: impl Fn(HostId) -> HostId,
-    dst_hosts: &[HostId],
-    n_hosts: usize,
-    mut overhead: f64,
-    now: f64,
-) {
-    spec.clear();
-    flows.build(n, src_hosts, map_src, dst_hosts, n_hosts, &mut spec.flows);
-    if let Some(fm) = model.fault_model() {
-        let mut worst = 1.0_f64;
-        for (s, d, b) in &mut spec.flows {
-            let factor = fm.link_factor(*s, *d, now).max(1.0);
-            *b *= factor;
-            worst = worst.max(factor);
-        }
-        overhead *= worst;
-    }
-    spec.extra_latency = overhead;
 }
 
 /// Executes `schedule` for `dag` on `cluster` under `model` with the
@@ -405,6 +389,9 @@ pub fn execute_with_slab(
 /// schedule came straight from a scheduler, or one validation covers many
 /// executions of the same schedule (the harness runs each schedule once in
 /// the simulator and three times on the testbed).
+///
+/// This is [`execute_disturbed_with_slab_prevalidated`] under an empty
+/// disturbance plan.
 pub fn execute_with_slab_prevalidated(
     slab: &mut ExecSlab,
     dag: &Dag,
@@ -413,266 +400,30 @@ pub fn execute_with_slab_prevalidated(
     model: &mut dyn ExecutionModel,
     policy: &ExecPolicy,
 ) -> Result<ExecutionResult, ExecError> {
-    let n_tasks = dag.len();
-    if n_tasks == 0 {
-        return Ok(ExecutionResult {
-            makespan: 0.0,
-            task_spans: Vec::new(),
-            task_retries: Vec::new(),
-        });
-    }
-
-    let ExecSlab {
-        sim: sim_slot,
-        hosts_of,
-        queue,
-        queue_head,
-        pending_redists,
-        state,
-        launched,
-        in_flight,
-        completions,
-        spec,
-        flows,
-    } = slab;
-
-    let rebuild = match sim_slot {
-        Some(s) => s.cluster() != cluster,
-        None => true,
+    static UNDISTURBED: DisturbancePlan = DisturbancePlan {
+        seed: 0,
+        events: Vec::new(),
     };
-    if rebuild {
-        *sim_slot = Some(L07Sim::new(cluster.clone()));
-    } else {
-        sim_slot.as_mut().expect("checked above").reset();
-    }
-    let sim = sim_slot.as_mut().expect("just ensured");
-    sim.set_watchdog(policy.watchdog);
-
-    // Placement lookup.
-    reset_nested(hosts_of, n_tasks);
-    for st in &schedule.tasks {
-        hosts_of[st.task.index()].extend_from_slice(&st.hosts);
-    }
-
-    // Per-host task queues in schedule order.
-    let n_hosts = cluster.node_count();
-    reset_nested(queue, n_hosts);
-    for st in &schedule.tasks {
-        for h in &st.hosts {
-            queue[h.index()].push(st.task);
-        }
-    }
-    queue_head.clear();
-    queue_head.resize(n_hosts, 0);
-
-    // Incoming redistributions still pending per task.
-    pending_redists.clear();
-    pending_redists.extend(dag.task_ids().map(|t| dag.predecessors(t).len()));
-
-    state.clear();
-    state.resize(n_tasks, TaskState::Waiting);
-    let mut spans = vec![(0.0_f64, 0.0_f64); n_tasks];
-    let mut attempts = vec![0u32; n_tasks];
-    launched.clear();
-    launched.resize(n_tasks, false);
-    let mut done_count = 0usize;
-
-    // Maps in-flight simulator activities to what they mean. Activity ids
-    // count up densely from zero within a run, so a Vec indexed by
-    // [`PTaskId::index`] replaces a hash map.
-    in_flight.clear();
-    fn insert_in_flight(in_flight: &mut Vec<Option<Meaning>>, id: PTaskId, m: Meaning) {
-        let idx = id.index();
-        debug_assert_eq!(idx, in_flight.len(), "activity ids must be dense");
-        if idx >= in_flight.len() {
-            in_flight.resize(idx + 1, None);
-        }
-        in_flight[idx] = Some(m);
-    }
-
-    // Tries to start every eligible waiting task. Returns how many started.
-    let try_start = |sim: &mut L07Sim,
-                     spec: &mut PTaskSpec,
-                     in_flight: &mut Vec<Option<Meaning>>,
-                     state: &mut Vec<TaskState>,
-                     spans: &mut Vec<(f64, f64)>,
-                     attempts: &mut Vec<u32>,
-                     launched: &mut Vec<bool>,
-                     queue_head: &[usize],
-                     pending_redists: &[usize],
-                     model: &mut dyn ExecutionModel|
-     -> Result<usize, ExecError> {
-        let mut started = 0;
-        for st in &schedule.tasks {
-            let t = st.task;
-            if state[t.index()] != TaskState::Waiting {
-                continue;
-            }
-            if pending_redists[t.index()] > 0 {
-                continue;
-            }
-            let at_head = st
-                .hosts
-                .iter()
-                .all(|h| queue[h.index()].get(queue_head[h.index()]) == Some(&t));
-            if !at_head {
-                continue;
-            }
-            // Launch: startup latency + execution. Every attempt —
-            // successful or not — pays the startup overhead.
-            let kernel = dag.task(t).kernel;
-            let p = st.hosts.len();
-            let startup = model.startup_overhead(t, p);
-            if !launched[t.index()] {
-                launched[t.index()] = true;
-                spans[t.index()].0 = sim.now();
-            }
-            let disposition = match model.fault_model() {
-                Some(fm) => fm.task_disposition(t, &st.hosts, attempts[t.index()], sim.now()),
-                None => TaskDisposition::Run { slowdown: 1.0 },
-            };
-            let slowdown = match disposition {
-                TaskDisposition::Fail { retry_after } => {
-                    let attempt = attempts[t.index()];
-                    if attempt >= policy.max_retries {
-                        return Err(ExecError::TaskFailed {
-                            task: t,
-                            attempts: attempt + 1,
-                        });
-                    }
-                    attempts[t.index()] = attempt + 1;
-                    // The failed attempt is charged as simulated time: its
-                    // startup overhead plus the backoff wait (or the time
-                    // until a crashed host recovers, whichever is longer).
-                    // The task's hosts stay claimed throughout.
-                    let backoff = (policy.backoff_base * 2.0_f64.powi(attempt as i32))
-                        .min(policy.backoff_cap);
-                    fill_delay(spec, startup + backoff.max(retry_after));
-                    spec.label = sim
-                        .tracing_enabled()
-                        .then(|| format!("backoff-{}-{}", t.index(), attempt));
-                    let id = sim.submit(spec)?;
-                    insert_in_flight(in_flight, id, Meaning::Backoff(t));
-                    state[t.index()] = TaskState::Backoff;
-                    continue;
-                }
-                TaskDisposition::Run { slowdown } => slowdown.max(1.0),
-            };
-            match model.task_execution(t, kernel, &st.hosts) {
-                TaskExecution::Analytic => {
-                    let flops = kernel.flops_per_proc(p) * slowdown;
-                    fill_analytic(spec, kernel, &st.hosts, flops, startup);
-                }
-                TaskExecution::Fixed(duration) => {
-                    fill_delay(spec, startup + duration.max(0.0) * slowdown);
-                }
-            }
-            spec.label = sim.tracing_enabled().then(|| format!("task-{}", t.index()));
-            let id = sim.submit(spec)?;
-            insert_in_flight(in_flight, id, Meaning::TaskRun(t));
-            state[t.index()] = TaskState::Running;
-            started += 1;
-        }
-        Ok(started)
+    let setup = DisturbSetup {
+        plan: &UNDISTURBED,
+        recovery: RecoveryPolicy::FailFast,
+        rescue_overhead: 0.0,
+        replan: None,
     };
-
-    try_start(
-        sim,
-        spec,
-        in_flight,
-        state,
-        &mut spans,
-        &mut attempts,
-        launched,
-        queue_head,
-        pending_redists,
+    let mut report = DisturbReport::default();
+    execute_disturbed_with_slab_prevalidated(
+        slab,
+        dag,
+        cluster,
+        schedule,
         model,
-    )?;
-
-    completions.clear();
-    while done_count < n_tasks {
-        if !sim.next_completions_into(completions)? {
-            return Err(ExecError::Stalled {
-                unstarted: state.iter().filter(|&&s| s != TaskState::Done).count(),
-            });
-        }
-        for &c in completions.iter() {
-            match in_flight.get_mut(c.task.index()).and_then(Option::take) {
-                Some(Meaning::TaskRun(t)) => {
-                    state[t.index()] = TaskState::Done;
-                    spans[t.index()].1 = c.time;
-                    done_count += 1;
-                    // Release host queues.
-                    for h in &hosts_of[t.index()] {
-                        debug_assert_eq!(
-                            queue[h.index()][queue_head[h.index()]],
-                            t,
-                            "queue discipline violated"
-                        );
-                        queue_head[h.index()] += 1;
-                    }
-                    // Start redistributions to every successor.
-                    let src_hosts = &hosts_of[t.index()];
-                    let n = dag.task(t).kernel.n();
-                    for &succ in dag.successors(t) {
-                        let dst_hosts = &hosts_of[succ.index()];
-                        let overhead = model.redist_overhead(src_hosts.len(), dst_hosts.len());
-                        fill_redist(
-                            spec,
-                            flows,
-                            model,
-                            n,
-                            src_hosts,
-                            |h| h,
-                            dst_hosts,
-                            n_hosts,
-                            overhead,
-                            c.time,
-                        );
-                        spec.label = sim
-                            .tracing_enabled()
-                            .then(|| format!("redist-{}-{}", t.index(), succ.index()));
-                        let id = sim.submit(spec)?;
-                        insert_in_flight(in_flight, id, Meaning::Redist { src: t, succ });
-                    }
-                }
-                Some(Meaning::Backoff(t)) => {
-                    // Backoff elapsed: the task becomes eligible again and
-                    // re-attempts on the next dispatch pass (its hosts were
-                    // never released).
-                    state[t.index()] = TaskState::Waiting;
-                }
-                Some(Meaning::Redist { succ, .. }) => {
-                    pending_redists[succ.index()] -= 1;
-                }
-                None => unreachable!("unknown completion"),
-            }
-        }
-        try_start(
-            sim,
-            spec,
-            in_flight,
-            state,
-            &mut spans,
-            &mut attempts,
-            launched,
-            queue_head,
-            pending_redists,
-            model,
-        )?;
-    }
-
-    let makespan = spans.iter().map(|&(_, f)| f).fold(0.0_f64, f64::max);
-    Ok(ExecutionResult {
-        makespan,
-        task_spans: spans,
-        task_retries: attempts,
-    })
+        policy,
+        setup,
+        &mut report,
+    )
 }
 
 // ---- timed platform disturbances + reactive repair ---------------------
-
-use mps_faults::{DisturbReport, Disturbance, DisturbancePlan, RecoveryPolicy};
 
 /// Configuration of one disturbed execution.
 pub struct DisturbSetup<'a> {
@@ -710,6 +461,8 @@ fn touches_crashed(hosts: &[HostId], crashed: &[bool]) -> bool {
 /// finished task's output can be re-served from any surviving rank); when
 /// no source host survives at all, the data re-materializes at the
 /// destination instantly and only the protocol overhead is charged.
+/// Degraded links carry more effective bytes, and the overhead stretches
+/// with the worst link factor at the current instant.
 #[allow(clippy::too_many_arguments)]
 fn issue_redist(
     sim: &mut L07Sim,
@@ -726,24 +479,31 @@ fn issue_redist(
 ) -> Result<(), ExecError> {
     let src_hosts = &placements[src.index()];
     let dst_hosts = &placements[succ.index()];
-    let n = dag.task(src).kernel.n();
-    let overhead = model.redist_overhead(src_hosts.len(), dst_hosts.len());
-    match src_hosts.iter().find(|h| !crashed[h.index()]).copied() {
-        // Every source rank is gone: instantaneous re-materialization.
-        None => fill_delay(spec, overhead),
-        Some(replacement) => fill_redist(
-            spec,
-            flows,
-            model,
+    let mut overhead = model.redist_overhead(src_hosts.len(), dst_hosts.len());
+    let now = sim.now();
+    spec.clear();
+    if let Some(replacement) = src_hosts.iter().find(|h| !crashed[h.index()]).copied() {
+        let map_src = |h: HostId| if crashed[h.index()] { replacement } else { h };
+        let n = dag.task(src).kernel.n();
+        flows.build(
             n,
             src_hosts,
-            |h| if crashed[h.index()] { replacement } else { h },
+            map_src,
             dst_hosts,
             crashed.len(),
-            overhead,
-            sim.now(),
-        ),
+            &mut spec.flows,
+        );
+        if let Some(fm) = model.fault_model() {
+            let mut worst = 1.0_f64;
+            for (s, d, b) in &mut spec.flows {
+                let factor = fm.link_factor(*s, *d, now).max(1.0);
+                *b *= factor;
+                worst = worst.max(factor);
+            }
+            overhead *= worst;
+        }
     }
+    spec.extra_latency = overhead;
     spec.label = sim
         .tracing_enabled()
         .then(|| format!("redist-{}-{}", src.index(), succ.index()));
@@ -768,15 +528,16 @@ fn insert_live(
     live_ids[idx] = id;
 }
 
-/// Launch pass for the disturbed executor. Mirrors the undisturbed
-/// `try_start` with three additions: placements and dispatch order live
-/// in mutable side tables (repair rewrites them), fixed-duration tasks
-/// sample the plan's compound slowdown of their hosts at launch (the same
-/// launch-sampled semantics `FaultPlan` node slowdowns use), and a
+/// The launch pass: starts every waiting task that heads the queue of
+/// each of its hosts and has all its inputs. Placements and dispatch order
+/// live in mutable side tables (repair rewrites them); fixed-duration
+/// tasks sample the plan's compound slowdown of their hosts at launch (the
+/// same launch-sampled semantics `FaultPlan` node slowdowns use), and a
 /// re-planned task waits out its `gate` (the rescue overhead, as virtual
-/// time) before its attempt starts.
+/// time) before its attempt starts. Every attempt — successful or not —
+/// pays the startup overhead.
 #[allow(clippy::too_many_arguments)]
-fn try_start_disturbed(
+fn try_start(
     sim: &mut L07Sim,
     spec: &mut PTaskSpec,
     model: &mut dyn ExecutionModel,
@@ -813,8 +574,6 @@ fn try_start_disturbed(
         }
         let kernel = dag.task(t).kernel;
         let p = hosts.len();
-        // A re-planned task first waits out its gate; every attempt also
-        // pays the startup overhead.
         let startup = model.startup_overhead(t, p) + (gate[t.index()] - now).max(0.0);
         if !launched[t.index()] {
             launched[t.index()] = true;
@@ -834,6 +593,10 @@ fn try_start_disturbed(
                     });
                 }
                 attempts[t.index()] = attempt + 1;
+                // The failed attempt is charged as simulated time: its
+                // startup overhead plus the backoff wait (or the time
+                // until a crashed host recovers, whichever is longer).
+                // The task's hosts stay claimed throughout.
                 let backoff =
                     (policy.backoff_base * 2.0_f64.powi(attempt as i32)).min(policy.backoff_cap);
                 fill_delay(spec, startup + backoff.max(retry_after));
@@ -873,29 +636,10 @@ fn try_start_disturbed(
     Ok(())
 }
 
-/// Executes `schedule` under a timed [`DisturbancePlan`], validating it
-/// first. See [`execute_disturbed_with_slab_prevalidated`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_disturbed_with_slab(
-    slab: &mut ExecSlab,
-    dag: &Dag,
-    cluster: &Cluster,
-    schedule: &Schedule,
-    model: &mut dyn ExecutionModel,
-    policy: &ExecPolicy,
-    setup: DisturbSetup<'_>,
-    report: &mut DisturbReport,
-) -> Result<ExecutionResult, ExecError> {
-    schedule
-        .validate(dag, cluster)
-        .map_err(|e| ExecError::InvalidSchedule(e.to_string()))?;
-    execute_disturbed_with_slab_prevalidated(
-        slab, dag, cluster, schedule, model, policy, setup, report,
-    )
-}
-
 /// Executes `schedule` while the platform is disturbed per `setup.plan`,
-/// reacting to crashes with `setup.recovery`.
+/// reacting to crashes with `setup.recovery`. The caller promises
+/// `schedule.validate(dag, cluster)` holds. Every execution runs through
+/// here; an undisturbed one is simply an empty plan.
 ///
 /// Mechanics:
 ///
@@ -914,16 +658,13 @@ pub fn execute_disturbed_with_slab(
 ///   `setup.replan` for a fresh schedule of the surviving platform and
 ///   adopts its placements and order for every unfinished, not-currently-
 ///   running task. Repaired tasks pay `setup.rescue_overhead` as extra
-///   (virtual) launch latency, and redistributions from finished
-///   predecessors are re-issued toward the new placements.
+///   (virtual) launch latency, redistributions from finished
+///   predecessors are re-issued toward the new placements, and tasks
+///   still running (or backing off) keep the heads of their hosts' queues.
 ///
 /// `report` accrues fired-event and recovery counters even when the
 /// execution fails, so callers can assert "failed typed *because* a
 /// disturbance fired".
-///
-/// With an empty plan this path is step-for-step identical to
-/// [`execute_with_slab_prevalidated`]; callers preserving the repo's
-/// bit-identity contract route empty plans to that function anyway.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_disturbed_with_slab_prevalidated(
     slab: &mut ExecSlab,
@@ -945,50 +686,71 @@ pub fn execute_disturbed_with_slab_prevalidated(
     }
     let plan = setup.plan;
 
-    // The slab contributes its warm simulator and the redist-plan memo;
-    // the bookkeeping below is owned, since repair rewrites it wholesale.
-    let rebuild = match &slab.sim {
+    let ExecSlab {
+        sim: sim_slot,
+        placements,
+        order,
+        queue,
+        queue_head,
+        pending,
+        state,
+        launched,
+        gate,
+        in_flight,
+        live_ids,
+        crashed,
+        completions,
+        boundaries,
+        spec,
+        flows,
+    } = slab;
+
+    let rebuild = match sim_slot {
         Some(s) => s.cluster() != cluster,
         None => true,
     };
     if rebuild {
-        slab.sim = Some(L07Sim::new(cluster.clone()));
+        *sim_slot = Some(L07Sim::new(cluster.clone()));
     } else {
-        slab.sim.as_mut().expect("checked above").reset();
+        sim_slot.as_mut().expect("checked above").reset();
     }
-    let sim = slab.sim.as_mut().expect("just ensured");
+    let sim = sim_slot.as_mut().expect("just ensured");
     sim.set_watchdog(policy.watchdog);
-    let (spec, flows) = (&mut slab.spec, &mut slab.flows);
 
     let n_hosts = cluster.node_count();
-    let mut placements: Vec<Vec<HostId>> = vec![Vec::new(); n_tasks];
+    reset_nested(placements, n_tasks);
+    order.clear();
     for st in &schedule.tasks {
-        placements[st.task.index()] = st.hosts.clone();
+        placements[st.task.index()].extend_from_slice(&st.hosts);
+        order.push(st.task);
     }
-    let mut order: Vec<TaskId> = schedule.tasks.iter().map(|st| st.task).collect();
-    let mut queue: Vec<Vec<TaskId>> = vec![Vec::new(); n_hosts];
-    for &t in &order {
+    reset_nested(queue, n_hosts);
+    for &t in order.iter() {
         for h in &placements[t.index()] {
             queue[h.index()].push(t);
         }
     }
-    let mut queue_head = vec![0usize; n_hosts];
-    let mut pending: Vec<usize> = dag.task_ids().map(|t| dag.predecessors(t).len()).collect();
-    let mut arrived = vec![0usize; n_tasks];
-    let mut state = vec![TaskState::Waiting; n_tasks];
+    queue_head.clear();
+    queue_head.resize(n_hosts, 0);
+    pending.clear();
+    pending.extend(dag.task_ids().map(|t| dag.predecessors(t).len()));
+    state.clear();
+    state.resize(n_tasks, TaskState::Waiting);
+    launched.clear();
+    launched.resize(n_tasks, false);
+    gate.clear();
+    gate.resize(n_tasks, 0.0);
+    in_flight.clear();
+    live_ids.clear();
+    crashed.clear();
+    crashed.resize(n_hosts, false);
     let mut spans = vec![(0.0_f64, 0.0_f64); n_tasks];
     let mut attempts = vec![0u32; n_tasks];
-    let mut launched = vec![false; n_tasks];
-    let mut gate = vec![0.0_f64; n_tasks];
-    let mut in_flight: Vec<Option<Meaning>> = Vec::new();
-    let mut live_ids: Vec<PTaskId> = Vec::new();
-    let mut crashed = vec![false; n_hosts];
     let mut done_count = 0usize;
-    let mut completions: Vec<mps_l07::PTaskCompletion> = Vec::new();
 
     // Expand the plan into time-ordered boundaries and pin an engine
     // timer at each, so steps land exactly on disturbance instants.
-    let mut boundaries: Vec<Boundary> = Vec::new();
+    boundaries.clear();
     for (i, e) in plan.events.iter().enumerate() {
         match *e {
             Disturbance::Crash { at, .. } => boundaries.push(Boundary {
@@ -1010,73 +772,22 @@ pub fn execute_disturbed_with_slab_prevalidated(
             }
         }
     }
-    boundaries.sort_by(|a, b| {
+    // Keys are unique per boundary, so the in-place unstable sort yields
+    // the one total order.
+    boundaries.sort_unstable_by(|a, b| {
         a.time
             .total_cmp(&b.time)
             .then(a.opening.cmp(&b.opening))
             .then(a.event.cmp(&b.event))
     });
-    for b in &boundaries {
+    for b in boundaries.iter() {
         if b.time > 0.0 {
             sim.schedule_timer(b.time)?;
         }
     }
     let mut next_boundary = 0usize;
 
-    let mut first = true;
-    while done_count < n_tasks {
-        if !first {
-            if !sim.next_completions_into(&mut completions)? {
-                return Err(ExecError::Stalled {
-                    unstarted: state.iter().filter(|&&s| s != TaskState::Done).count(),
-                });
-            }
-            for &c in completions.iter() {
-                match in_flight.get_mut(c.task.index()).and_then(Option::take) {
-                    Some(Meaning::TaskRun(t)) => {
-                        state[t.index()] = TaskState::Done;
-                        spans[t.index()].1 = c.time;
-                        done_count += 1;
-                        for h in &placements[t.index()] {
-                            debug_assert_eq!(
-                                queue[h.index()][queue_head[h.index()]],
-                                t,
-                                "queue discipline violated"
-                            );
-                            queue_head[h.index()] += 1;
-                        }
-                        for &succ in dag.successors(t) {
-                            issue_redist(
-                                sim,
-                                model,
-                                spec,
-                                flows,
-                                dag,
-                                &placements,
-                                &crashed,
-                                t,
-                                succ,
-                                &mut in_flight,
-                                &mut live_ids,
-                            )?;
-                        }
-                    }
-                    Some(Meaning::Backoff(t)) => {
-                        state[t.index()] = TaskState::Waiting;
-                    }
-                    Some(Meaning::Redist { succ, .. }) => {
-                        pending[succ.index()] -= 1;
-                        arrived[succ.index()] += 1;
-                    }
-                    None => unreachable!("unknown completion"),
-                }
-            }
-            if done_count == n_tasks {
-                break;
-            }
-        }
-        first = false;
-
+    loop {
         // Apply every boundary due at (or before) the current instant.
         let now = sim.now();
         while next_boundary < boundaries.len() && boundaries[next_boundary].time <= now + 1e-9 {
@@ -1115,21 +826,21 @@ pub fn execute_disturbed_with_slab_prevalidated(
                         .copied()
                         .filter(|t| {
                             state[t.index()] != TaskState::Done
-                                && touches_crashed(&placements[t.index()], &crashed)
+                                && touches_crashed(&placements[t.index()], crashed)
                         })
                         .collect();
                     let mut cancelled_redists: Vec<(TaskId, TaskId)> = Vec::new();
                     for idx in 0..in_flight.len() {
                         let cancel = match in_flight[idx] {
                             Some(Meaning::TaskRun(t)) | Some(Meaning::Backoff(t)) => {
-                                touches_crashed(&placements[t.index()], &crashed).then(|| {
+                                touches_crashed(&placements[t.index()], crashed).then(|| {
                                     state[t.index()] = TaskState::Waiting;
                                     attempts[t.index()] += 1;
                                 })
                             }
                             Some(Meaning::Redist { src, succ }) => {
-                                (touches_crashed(&placements[src.index()], &crashed)
-                                    || touches_crashed(&placements[succ.index()], &crashed))
+                                (touches_crashed(&placements[src.index()], crashed)
+                                    || touches_crashed(&placements[succ.index()], crashed))
                                 .then(|| {
                                     cancelled_redists.push((src, succ));
                                 })
@@ -1210,29 +921,29 @@ pub fn execute_disturbed_with_slab_prevalidated(
                                 if state[t.index()] != TaskState::Waiting {
                                     continue;
                                 }
-                                if st.hosts.is_empty() || touches_crashed(&st.hosts, &crashed) {
+                                if st.hosts.is_empty() || touches_crashed(&st.hosts, crashed) {
                                     return Err(failed());
                                 }
                                 if placements[t.index()] != st.hosts {
                                     changed[t.index()] = true;
                                 }
-                                placements[t.index()] = st.hosts.clone();
+                                placements[t.index()].clone_from(&st.hosts);
                                 new_order.push(t);
                                 adopted += 1;
                             }
                             // Defensive: a waiting task the rescue schedule
                             // somehow omitted keeps its old placement (it
                             // must still be off the dead hosts).
-                            for &t in &order {
+                            for &t in order.iter() {
                                 if state[t.index()] == TaskState::Waiting && !new_order.contains(&t)
                                 {
-                                    if touches_crashed(&placements[t.index()], &crashed) {
+                                    if touches_crashed(&placements[t.index()], crashed) {
                                         return Err(failed());
                                     }
                                     new_order.push(t);
                                 }
                             }
-                            order = new_order;
+                            *order = new_order;
                             report.rescues += 1;
                             report.rescued_tasks += adopted;
                         }
@@ -1248,17 +959,23 @@ pub fn execute_disturbed_with_slab_prevalidated(
                         }
                     }
 
-                    // Rebuild the host queues over the unfinished tasks in
-                    // the (possibly new) dispatch order. Running tasks come
-                    // first in `order`, so they sit at their hosts' heads.
-                    for q in &mut queue {
+                    // Rebuild the host queues over the unfinished tasks.
+                    // Running and backoff tasks hold their hosts, so they
+                    // go first and keep their hosts' heads; waiting tasks
+                    // follow in the (possibly new) dispatch order.
+                    for q in queue.iter_mut() {
                         q.clear();
                     }
-                    queue_head.iter_mut().for_each(|h| *h = 0);
-                    for &t in &order {
-                        if state[t.index()] != TaskState::Done {
-                            for h in &placements[t.index()] {
-                                queue[h.index()].push(t);
+                    queue_head.fill(0);
+                    for holding in [true, false] {
+                        for &t in order.iter() {
+                            let s = state[t.index()];
+                            if s != TaskState::Done
+                                && matches!(s, TaskState::Running | TaskState::Backoff) == holding
+                            {
+                                for h in &placements[t.index()] {
+                                    queue[h.index()].push(t);
+                                }
                             }
                         }
                     }
@@ -1283,21 +1000,11 @@ pub fn execute_disturbed_with_slab_prevalidated(
                             }
                         }
                         pending[t.index()] = dag.predecessors(t).len();
-                        arrived[t.index()] = 0;
                         for &pred in dag.predecessors(t) {
                             if state[pred.index()] == TaskState::Done {
                                 issue_redist(
-                                    sim,
-                                    model,
-                                    spec,
-                                    flows,
-                                    dag,
-                                    &placements,
-                                    &crashed,
-                                    pred,
-                                    t,
-                                    &mut in_flight,
-                                    &mut live_ids,
+                                    sim, model, spec, flows, dag, placements, crashed, pred, t,
+                                    in_flight, live_ids,
                                 )?;
                             }
                         }
@@ -1305,17 +1012,8 @@ pub fn execute_disturbed_with_slab_prevalidated(
                     for &(src, succ) in &cancelled_redists {
                         if !changed[succ.index()] && state[succ.index()] != TaskState::Done {
                             issue_redist(
-                                sim,
-                                model,
-                                spec,
-                                flows,
-                                dag,
-                                &placements,
-                                &crashed,
-                                src,
-                                succ,
-                                &mut in_flight,
-                                &mut live_ids,
+                                sim, model, spec, flows, dag, placements, crashed, src, succ,
+                                in_flight, live_ids,
                             )?;
                         }
                     }
@@ -1323,26 +1021,70 @@ pub fn execute_disturbed_with_slab_prevalidated(
             }
         }
 
-        try_start_disturbed(
+        try_start(
             sim,
             spec,
             model,
             policy,
             dag,
             plan,
-            &order,
-            &placements,
-            &queue,
-            &queue_head,
-            &pending,
-            &mut state,
+            order,
+            placements,
+            queue,
+            queue_head,
+            pending,
+            state,
             &mut spans,
             &mut attempts,
-            &mut launched,
-            &gate,
-            &mut in_flight,
-            &mut live_ids,
+            launched,
+            gate,
+            in_flight,
+            live_ids,
         )?;
+
+        if !sim.next_completions_into(completions)? {
+            return Err(ExecError::Stalled {
+                unstarted: state.iter().filter(|&&s| s != TaskState::Done).count(),
+            });
+        }
+        for &c in completions.iter() {
+            match in_flight.get_mut(c.task.index()).and_then(Option::take) {
+                Some(Meaning::TaskRun(t)) => {
+                    state[t.index()] = TaskState::Done;
+                    spans[t.index()].1 = c.time;
+                    done_count += 1;
+                    // Release host queues.
+                    for h in &placements[t.index()] {
+                        debug_assert_eq!(
+                            queue[h.index()][queue_head[h.index()]],
+                            t,
+                            "queue discipline violated"
+                        );
+                        queue_head[h.index()] += 1;
+                    }
+                    // Start redistributions to every successor.
+                    for &succ in dag.successors(t) {
+                        issue_redist(
+                            sim, model, spec, flows, dag, placements, crashed, t, succ, in_flight,
+                            live_ids,
+                        )?;
+                    }
+                }
+                Some(Meaning::Backoff(t)) => {
+                    // Backoff elapsed: the task becomes eligible again and
+                    // re-attempts on the next launch pass (its hosts were
+                    // never released).
+                    state[t.index()] = TaskState::Waiting;
+                }
+                Some(Meaning::Redist { succ, .. }) => {
+                    pending[succ.index()] -= 1;
+                }
+                None => unreachable!("unknown completion"),
+            }
+        }
+        if done_count == n_tasks {
+            break;
+        }
     }
 
     let makespan = spans.iter().map(|&(_, f)| f).fold(0.0_f64, f64::max);
@@ -1788,7 +1530,8 @@ mod tests {
             rescue_overhead,
             replan,
         };
-        let r = execute_disturbed_with_slab(
+        schedule.validate(dag, cluster).unwrap();
+        let r = execute_disturbed_with_slab_prevalidated(
             &mut slab,
             dag,
             cluster,
@@ -2221,7 +1964,8 @@ mod repro_review {
         let mut slab = ExecSlab::new();
         let mut report = DisturbReport::default();
         let mut model = PerTask;
-        let r = execute_disturbed_with_slab(
+        schedule.validate(&dag, &cluster).unwrap();
+        let r = execute_disturbed_with_slab_prevalidated(
             &mut slab,
             &dag,
             &cluster,
@@ -2238,5 +1982,52 @@ mod repro_review {
         );
         eprintln!("result: {r:?} report: {report:?}");
         r.unwrap();
+    }
+
+    #[test]
+    fn retry_elsewhere_queues_a_moved_task_behind_the_running_one() {
+        // A(0) -> S(1); T(2) independent and long (10 s) on host 1.
+        let dag = Dag::new(
+            vec![Kernel::MatAdd { n: 2000 }; 3],
+            &[(TaskId(0), TaskId(1))],
+        )
+        .unwrap();
+        let cluster = Cluster::bayreuth();
+        let mk = |t: usize, h: usize| ScheduledTask {
+            task: TaskId(t),
+            hosts: vec![HostId(h)],
+            est_start: t as f64 * 10.0,
+            est_finish: (t + 1) as f64 * 10.0,
+        };
+        let schedule = Schedule {
+            algorithm: "manual".into(),
+            tasks: vec![mk(0, 2), mk(1, 0), mk(2, 1)],
+            est_makespan: 1.0,
+        };
+        schedule.validate(&dag, &cluster).unwrap();
+        // The crash at t=1 strands S, which moves to host 1 — where T,
+        // later in dispatch order, is already running.
+        let plan = DisturbancePlan::builder(1).crash(HostId(0), 1.0).build();
+        let mut slab = ExecSlab::new();
+        let mut report = DisturbReport::default();
+        let r = execute_disturbed_with_slab_prevalidated(
+            &mut slab,
+            &dag,
+            &cluster,
+            &schedule,
+            &mut PerTask,
+            &ExecPolicy::default(),
+            DisturbSetup {
+                plan: &plan,
+                recovery: RecoveryPolicy::RetryElsewhere,
+                rescue_overhead: 0.0,
+                replan: None,
+            },
+            &mut report,
+        )
+        .unwrap();
+        assert_eq!(report.retried_tasks, 1);
+        let (s, t) = (r.task_spans[1], r.task_spans[2]);
+        assert!(s.0 >= t.1 - 1e-9, "S {s:?} overlaps T {t:?} on host 1");
     }
 }

@@ -24,10 +24,9 @@ pub mod gantt;
 pub mod simulator;
 
 pub use executor::{
-    execute, execute_disturbed_with_slab, execute_disturbed_with_slab_prevalidated,
-    execute_with_policy, execute_with_slab, execute_with_slab_prevalidated, DisturbSetup,
-    ExecError, ExecPolicy, ExecSlab, ExecutionModel, ExecutionResult, FaultyExecution,
-    TaskExecution,
+    execute, execute_disturbed_with_slab_prevalidated, execute_with_policy, execute_with_slab,
+    execute_with_slab_prevalidated, DisturbSetup, ExecError, ExecPolicy, ExecSlab, ExecutionModel,
+    ExecutionResult, FaultyExecution, TaskExecution,
 };
 pub use gantt::render_gantt;
 pub use simulator::{ModelExecution, SimOutcome, Simulator};

@@ -145,30 +145,14 @@ impl Testbed {
         execute_with_policy(dag, &self.cluster, schedule, &mut model, policy)
     }
 
-    /// [`Testbed::execute_with_faults`] reusing a caller-owned [`ExecSlab`]
-    /// and skipping schedule validation (same caller contract as
-    /// [`Testbed::execute_prevalidated_with_slab`]).
-    pub fn execute_with_faults_prevalidated_with_slab(
-        &self,
-        slab: &mut ExecSlab,
-        dag: &Dag,
-        schedule: &Schedule,
-        run_seed: u64,
-        plan: &FaultPlan,
-        policy: &ExecPolicy,
-    ) -> Result<ExecutionResult, ExecError> {
-        let inner = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
-        let mut model = FaultyExecution::new(inner, ScriptedFaults::new(plan.clone()));
-        execute_with_slab_prevalidated(slab, dag, &self.cluster, schedule, &mut model, policy)
-    }
-
     /// [`Testbed::execute`] under timed platform disturbances: hosts
     /// crash, slow down, and links degrade mid-run as `setup.plan`
     /// scripts, and crashes trigger `setup.recovery` (see
     /// [`DisturbSetup`]). When `faults` is given, launch-failure /
-    /// straggler injection composes with the disturbances — the same
-    /// stacking the fault-injection path uses. Skips schedule validation
-    /// (same caller contract as
+    /// straggler injection composes with the disturbances, so an empty
+    /// `setup.plan` is [`Testbed::execute_with_faults`] on a warm slab
+    /// (and, without `faults`, [`Testbed::execute`]). Skips schedule
+    /// validation (same caller contract as
     /// [`Testbed::execute_prevalidated_with_slab`]). Deterministic in
     /// `(self.base_seed, run_seed, plans)`; `report` accrues fired and
     /// recovery counters even when the run fails typed.
@@ -184,35 +168,25 @@ impl Testbed {
         setup: DisturbSetup<'_>,
         report: &mut DisturbReport,
     ) -> Result<ExecutionResult, ExecError> {
-        let inner = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
-        match faults {
+        let mut inner = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
+        let mut faulty;
+        let model: &mut dyn ExecutionModel = match faults {
             Some(plan) => {
-                let mut model = FaultyExecution::new(inner, ScriptedFaults::new(plan.clone()));
-                execute_disturbed_with_slab_prevalidated(
-                    slab,
-                    dag,
-                    &self.cluster,
-                    schedule,
-                    &mut model,
-                    policy,
-                    setup,
-                    report,
-                )
+                faulty = FaultyExecution::new(inner, ScriptedFaults::new(plan.clone()));
+                &mut faulty
             }
-            None => {
-                let mut model = inner;
-                execute_disturbed_with_slab_prevalidated(
-                    slab,
-                    dag,
-                    &self.cluster,
-                    schedule,
-                    &mut model,
-                    policy,
-                    setup,
-                    report,
-                )
-            }
-        }
+            None => &mut inner,
+        };
+        execute_disturbed_with_slab_prevalidated(
+            slab,
+            dag,
+            &self.cluster,
+            schedule,
+            model,
+            policy,
+            setup,
+            report,
+        )
     }
 
     /// One timed run of a single kernel at allocation `p` (the §VI

@@ -6,7 +6,8 @@
 //! result vectors (`task_spans`, `task_retries`) plus one weight vector per
 //! engine activity. Testbed tasks have fixed durations, so their activities
 //! carry no weights; only redistributions that cross the network do — at
-//! most one per DAG edge.
+//! most one per DAG edge. The disturbed entry point, given an empty plan,
+//! is held to the same bound.
 //!
 //! Single test on purpose: the allocation counter is process-global.
 
@@ -14,9 +15,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mps_dag::{paper_corpus, PAPER_CORPUS_SEED};
+use mps_faults::{DisturbReport, DisturbancePlan, RecoveryPolicy};
 use mps_model::AnalyticModel;
 use mps_sched::{Hcpa, Mcpa, Scheduler};
-use mps_sim::ExecSlab;
+use mps_sim::{DisturbSetup, ExecPolicy, ExecSlab};
 use mps_testbed::Testbed;
 
 struct CountingAlloc;
@@ -76,7 +78,45 @@ fn a_warm_run_allocates_only_its_results_and_redistribution_weights() {
                 g.seed
             );
             measured += 1;
+
+            let empty = DisturbancePlan::none();
+            let policy = ExecPolicy::default();
+            let disturbed = |slab: &mut ExecSlab| {
+                let mut report = DisturbReport::default();
+                let setup = DisturbSetup {
+                    plan: &empty,
+                    recovery: RecoveryPolicy::Rescue,
+                    rescue_overhead: 0.0,
+                    replan: None,
+                };
+                testbed.execute_disturbed_prevalidated_with_slab(
+                    slab,
+                    &g.dag,
+                    &schedule,
+                    3,
+                    None,
+                    &policy,
+                    setup,
+                    &mut report,
+                )
+            };
+            disturbed(&mut slab).expect("disturbed warm-up run");
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let run = disturbed(&mut slab);
+            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+            assert_eq!(
+                run.expect("measured disturbed run"),
+                warm,
+                "an empty plan changes nothing"
+            );
+            assert!(
+                allocs <= bound,
+                "{} on DAG {} (disturbed entry, empty plan): {allocs} allocations, bound {bound}",
+                algo.name(),
+                g.seed
+            );
+            measured += 1;
         }
     }
-    assert_eq!(measured, 12);
+    assert_eq!(measured, 24);
 }
