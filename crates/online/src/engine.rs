@@ -725,4 +725,37 @@ mod tests {
             out.high_water.des_high_water
         );
     }
+
+    #[test]
+    fn memory_plateaus_as_the_horizon_doubles() {
+        let corpus: Vec<_> = paper_corpus(PAPER_CORPUS_SEED)
+            .into_iter()
+            .map(|g| g.dag)
+            .collect();
+        let mut engine = OnlineEngine::new(&corpus).unwrap();
+        // The busy load level of the repro sweep: ~60% utilization, no
+        // steady-state shedding, so claim/release and completion ticks
+        // dominate. One warm engine runs half the horizon, then all of it.
+        let mut cfg = OnlineConfig::new(ArrivalSpec::Poisson { rate: 0.04 }, OnlineAlgo::Hcpa);
+        cfg.seed = 2011;
+        cfg.max_width = 8;
+        cfg.horizon_events = 250_000;
+        let half = engine.run(&cfg).unwrap().high_water;
+        cfg.horizon_events *= 2;
+        let full = engine.run(&cfg).unwrap().high_water;
+        // Growth with the horizon would mean per-event leakage: the
+        // steady-state mark must already be reached at half the horizon.
+        assert!(
+            full.des_high_water <= half.des_high_water.max(64),
+            "DES high water grew with the horizon: {} at half vs {} at full",
+            half.des_high_water,
+            full.des_high_water
+        );
+        assert!(
+            full.job_slots <= half.job_slots,
+            "job slab grew with the horizon: {} at half vs {} at full",
+            half.job_slots,
+            full.job_slots
+        );
+    }
 }
