@@ -1,19 +1,35 @@
 //! Offline drop-in subset of the `serde` 1.x API.
 //!
-//! The real serde is a streaming framework; this workspace only ever
-//! round-trips data structures through `serde_json`, so the vendored stub
-//! collapses serialization to a single self-describing [`Value`] tree.
+//! This workspace only ever moves data structures through JSON, so the
+//! vendored stub fixes the data format instead of abstracting over it:
+//! [`Serialize`] streams JSON text straight into a [`Writer`], and
+//! [`Deserialize`] pulls tokens from a [`Reader`] that borrows strings
+//! and keys from the input, so neither side builds an intermediate tree.
+//! `serde_json` is a thin wrapper around the two.
+//!
 //! `#[derive(Serialize, Deserialize)]` is provided by the companion
 //! `serde_derive` stub (enabled via the `derive` feature) and follows the
 //! upstream data model: newtype structs are transparent, named structs map
 //! to objects in declaration order, unit enum variants to strings, and
-//! data-carrying variants to single-key objects. `#[serde(default)]` on a
-//! field falls back to `Default::default()` when the key is absent.
+//! data-carrying variants to single-key objects. Reading a struct skips
+//! unknown keys, keeps the first of duplicate keys, and rejects a missing
+//! field unless it is marked `#[serde(default)]`, which falls back to
+//! `Default::default()`.
+//!
+//! [`Value`] is an ordinary type implementing both traits, for reading
+//! JSON whose shape is not known in advance.
+
+mod read;
+mod write;
+
+use read::Number;
+pub use read::{Reader, MAX_DEPTH};
+pub use write::Writer;
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// Self-describing intermediate representation (the JSON data model).
+/// A self-describing JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -30,13 +46,12 @@ pub enum Value {
     Str(String),
     /// Array.
     Seq(Vec<Value>),
-    /// Object; insertion order is preserved (serde's streaming output
-    /// emits struct fields in declaration order, and we match that).
+    /// Object; insertion order is preserved.
     Map(Vec<(String, Value)>),
 }
 
 impl Value {
-    /// Looks up a key in a [`Value::Map`].
+    /// Looks up a key in a [`Value::Map`] (the first, if it repeats).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -68,50 +83,50 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// A type that can convert itself into the [`Value`] data model.
+/// A type that can write itself as JSON.
 pub trait Serialize {
-    /// Converts `self` to a [`Value`] tree.
-    fn to_value(&self) -> Value;
+    /// Writes `self` as one JSON value.
+    fn serialize(&self, w: &mut Writer);
 }
 
-/// A type constructible from the [`Value`] data model.
+/// A type that can read itself from JSON.
 pub trait Deserialize: Sized {
-    /// Builds `Self` from a [`Value`] tree.
-    fn deserialize_value(v: &Value) -> Result<Self, Error>;
+    /// Reads one JSON value as `Self`.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w)
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w)
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        Ok(Box::new(T::deserialize_value(v)?))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::deserialize(r).map(Box::new)
     }
 }
 
 macro_rules! impl_uint {
     ($($t:ty),+) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
+            fn serialize(&self, w: &mut Writer) {
+                w.u64(*self as u64)
             }
         }
         impl Deserialize for $t {
-            fn deserialize_value(v: &Value) -> Result<Self, Error> {
-                let raw: u64 = match v {
-                    Value::UInt(u) => *u,
-                    Value::Int(i) if *i >= 0 => *i as u64,
-                    Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 && *f <= u64::MAX as f64 => {
-                        *f as u64
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let raw: u64 = match r.number()? {
+                    Number::UInt(u) => u,
+                    Number::Int(i) if i >= 0 => i as u64,
+                    Number::Float(f) if f.fract() == 0.0 && f >= 0.0 && f <= u64::MAX as f64 => {
+                        f as u64
                     }
                     other => {
                         return Err(Error::custom(format!(
@@ -131,24 +146,19 @@ impl_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_int {
     ($($t:ty),+) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let x = *self as i64;
-                if x >= 0 {
-                    Value::UInt(x as u64)
-                } else {
-                    Value::Int(x)
-                }
+            fn serialize(&self, w: &mut Writer) {
+                w.i64(*self as i64)
             }
         }
         impl Deserialize for $t {
-            fn deserialize_value(v: &Value) -> Result<Self, Error> {
-                let raw: i64 = match v {
-                    Value::Int(i) => *i,
-                    Value::UInt(u) if *u <= i64::MAX as u64 => *u as i64,
-                    Value::Float(f)
-                        if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 =>
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let raw: i64 = match r.number()? {
+                    Number::Int(i) => i,
+                    Number::UInt(u) if u <= i64::MAX as u64 => u as i64,
+                    Number::Float(f)
+                        if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 =>
                     {
-                        *f as i64
+                        f as i64
                     }
                     other => {
                         return Err(Error::custom(format!("expected integer, got {other:?}")))
@@ -164,99 +174,100 @@ macro_rules! impl_int {
 impl_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.f64(*self)
     }
 }
 
 impl Deserialize for f64 {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Float(f) => Ok(*f),
-            Value::Int(i) => Ok(*i as f64),
-            Value::UInt(u) => Ok(*u as f64),
-            other => Err(Error::custom(format!("expected number, got {other:?}"))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(match r.number()? {
+            Number::Float(f) => f,
+            Number::Int(i) => i as f64,
+            Number::UInt(u) => u as f64,
+        })
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
+    fn serialize(&self, w: &mut Writer) {
+        w.f64(f64::from(*self))
     }
 }
 
 impl Deserialize for f32 {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        f64::deserialize_value(v).map(|f| f as f32)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        f64::deserialize(r).map(|f| f as f32)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.bool(*self)
     }
 }
 
 impl Deserialize for bool {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!("expected bool, got {other:?}"))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.bool()
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self)
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self)
     }
 }
 
 impl Deserialize for String {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!("expected string, got {other:?}"))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.str().map(|s| s.into_owned())
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_array();
+        for item in self {
+            w.element();
+            item.serialize(w);
+        }
+        w.end_array();
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Seq(items) => items.iter().map(T::deserialize_value).collect(),
-            other => Err(Error::custom(format!("expected array, got {other:?}"))),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.begin_array()?;
+        let mut items = Vec::new();
+        while r.next_element()? {
+            items.push(T::deserialize(r)?);
         }
+        Ok(items)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
+            Some(x) => x.serialize(w),
+            None => w.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::deserialize_value(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.take_null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
@@ -264,21 +275,26 @@ impl<T: Deserialize> Deserialize for Option<T> {
 macro_rules! impl_tuple {
     ($len:expr => $($t:ident . $idx:tt),+) => {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, w: &mut Writer) {
+                w.begin_array();
+                $(
+                    w.element();
+                    self.$idx.serialize(w);
+                )+
+                w.end_array();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn deserialize_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Seq(items) if items.len() == $len => {
-                        Ok(($($t::deserialize_value(&items[$idx])?,)+))
-                    }
-                    other => Err(Error::custom(format!(
-                        concat!("expected array of length ", $len, ", got {:?}"),
-                        other
-                    ))),
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let short = || Error::custom(concat!("expected array of length ", $len));
+                r.begin_array()?;
+                let tuple = ($(
+                    if r.next_element()? { $t::deserialize(r)? } else { return Err(short()) },
+                )+);
+                if r.next_element()? {
+                    return Err(short());
                 }
+                Ok(tuple)
             }
         }
     };
@@ -290,13 +306,29 @@ impl_tuple!(3 => A.0, B.1, C.2);
 impl_tuple!(4 => A.0, B.1, C.2, D.3);
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(i) => w.i64(*i),
+            Value::UInt(u) => w.u64(*u),
+            Value::Float(f) => w.f64(*f),
+            Value::Str(s) => w.str(s),
+            Value::Seq(items) => items.serialize(w),
+            Value::Map(entries) => {
+                w.begin_object();
+                for (k, v) in entries {
+                    w.key(k);
+                    v.serialize(w);
+                }
+                w.end_object();
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.value()
     }
 }

@@ -7,12 +7,18 @@
 //! The only recognised field attribute is `#[serde(default)]`; anything
 //! else inside `#[serde(...)]` is a hard error so silent misbehaviour is
 //! impossible.
+//!
+//! The generated `serialize` writes straight into a `serde::Writer`
+//! (a named struct as `w.key("field")` then the field, in declaration
+//! order), and the generated `deserialize` reads from a `serde::Reader`,
+//! matching each key as a borrowed `&str`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// One named field.
 struct Field {
     name: String,
+    ty: String,
     default: bool,
 }
 
@@ -155,20 +161,27 @@ fn skip_visibility(tokens: &[TokenTree], i: &mut usize) {
     }
 }
 
-/// Advances past one type, stopping at a `,` outside all angle brackets.
-fn skip_type(tokens: &[TokenTree], i: &mut usize) {
+/// Advances past one type, stopping at a `,` outside all angle brackets,
+/// and returns the type's source text.
+fn skip_type(tokens: &[TokenTree], i: &mut usize) -> String {
+    let start = *i;
     let mut angle_depth = 0i32;
     while let Some(tok) = tokens.get(*i) {
         if let TokenTree::Punct(p) = tok {
             match p.as_char() {
                 '<' => angle_depth += 1,
                 '>' => angle_depth -= 1,
-                ',' if angle_depth == 0 => return,
+                ',' if angle_depth == 0 => break,
                 _ => {}
             }
         }
         *i += 1;
     }
+    tokens[start..*i]
+        .iter()
+        .cloned()
+        .collect::<TokenStream>()
+        .to_string()
 }
 
 fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
@@ -187,9 +200,9 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
             other => panic!("serde_derive stub: expected `:` after field `{name}`, got {other:?}"),
         }
-        skip_type(&tokens, &mut i);
+        let ty = skip_type(&tokens, &mut i);
         i += 1; // the `,` (or past the end)
-        fields.push(Field { name, default });
+        fields.push(Field { name, ty, default });
     }
     fields
 }
@@ -244,240 +257,208 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, VariantKind)> {
 
 // --------------------------------------------------------------- codegen
 
-fn field_lookup(map_var: &str, owner: &str, field: &Field) -> String {
-    let missing = if field.default {
-        "::std::default::Default::default()".to_string()
-    } else {
-        format!(
-            "return ::std::result::Result::Err(::serde::Error::custom(\
-             \"missing field `{}` in `{}`\"))",
-            field.name, owner
-        )
-    };
-    format!(
-        "{name}: match {map}.iter().find(|__e| __e.0 == \"{name}\") {{\
-           ::std::option::Option::Some(__e) => ::serde::Deserialize::deserialize_value(&__e.1)?,\
-           ::std::option::Option::None => {missing},\
-         }},",
-        name = field.name,
-        map = map_var,
-        missing = missing
-    )
+const OK: &str = "::std::result::Result::Ok";
+const SOME: &str = "::std::option::Option::Some";
+
+/// `return Err(custom(msg))`.
+fn fail(msg: &str) -> String {
+    format!("return ::std::result::Result::Err(::serde::Error::custom({msg:?}))")
 }
 
-fn map_of_fields(prefix: &str, fields: &[Field]) -> String {
-    let mut s = String::from("{ let mut __m = ::std::vec::Vec::new();");
+/// Statements writing `fields`, bound as `{prefix}{name}` references, as
+/// an object in declaration order.
+fn write_object(prefix: &str, fields: &[Field]) -> String {
+    let mut s = String::from("__w.begin_object();");
     for f in fields {
         s.push_str(&format!(
-            "__m.push((::std::string::String::from(\"{name}\"), \
-             ::serde::Serialize::to_value({prefix}{name})));",
-            name = f.name,
-            prefix = prefix
+            "__w.key({name:?}); ::serde::Serialize::serialize({prefix}{name}, __w);",
+            name = f.name
         ));
     }
-    s.push_str("::serde::Value::Map(__m) }");
+    s.push_str("__w.end_object();");
     s
 }
 
+/// Statements writing the references `items` as an array.
+fn write_array(items: &[String]) -> String {
+    let mut s = String::from("__w.begin_array();");
+    for item in items {
+        s.push_str(&format!(
+            "__w.element(); ::serde::Serialize::serialize({item}, __w);"
+        ));
+    }
+    s.push_str("__w.end_array();");
+    s
+}
+
+/// Statements writing `{"variant": <payload>}`.
+fn write_variant(vname: &str, payload: &str) -> String {
+    format!("{{ __w.begin_object(); __w.key({vname:?}); {payload} __w.end_object(); }}")
+}
+
 fn gen_serialize(input: &Input) -> String {
-    match input {
-        Input::NamedStruct { name, fields } => {
-            let body = map_of_fields("&self.", fields);
-            format!(
-                "impl ::serde::Serialize for {name} {{\
-                   fn to_value(&self) -> ::serde::Value {{ {body} }}\
-                 }}"
-            )
-        }
-        Input::TupleStruct { name, arity: 1 } => format!(
-            "impl ::serde::Serialize for {name} {{\
-               fn to_value(&self) -> ::serde::Value {{\
-                 ::serde::Serialize::to_value(&self.0)\
-               }}\
-             }}"
+    let (name, body) = match input {
+        Input::NamedStruct { name, fields } => (name, write_object("&self.", fields)),
+        Input::TupleStruct { name, arity: 1 } => (
+            name,
+            "::serde::Serialize::serialize(&self.0, __w);".to_string(),
         ),
         Input::TupleStruct { name, arity } => {
-            let mut pushes = String::new();
-            for idx in 0..*arity {
-                pushes.push_str(&format!(
-                    "__s.push(::serde::Serialize::to_value(&self.{idx}));"
-                ));
-            }
-            format!(
-                "impl ::serde::Serialize for {name} {{\
-                   fn to_value(&self) -> ::serde::Value {{\
-                     let mut __s = ::std::vec::Vec::new(); {pushes} ::serde::Value::Seq(__s)\
-                   }}\
-                 }}"
-            )
+            let items: Vec<String> = (0..*arity).map(|k| format!("&self.{k}")).collect();
+            (name, write_array(&items))
         }
         Input::Enum { name, variants } => {
             let mut arms = String::new();
             for (vname, kind) in variants {
-                let arm = match kind {
-                    VariantKind::Unit => format!(
-                        "{name}::{vname} => \
-                         ::serde::Value::Str(::std::string::String::from(\"{vname}\")),"
-                    ),
+                arms.push_str(&match kind {
+                    VariantKind::Unit => format!("{name}::{vname} => __w.str({vname:?}),"),
                     VariantKind::Tuple(1) => format!(
-                        "{name}::{vname}(__f0) => {{\
-                           let mut __m = ::std::vec::Vec::new();\
-                           __m.push((::std::string::String::from(\"{vname}\"), \
-                                     ::serde::Serialize::to_value(__f0)));\
-                           ::serde::Value::Map(__m)\
-                         }},"
+                        "{name}::{vname}(__f0) => {},",
+                        write_variant(vname, "::serde::Serialize::serialize(__f0, __w);")
                     ),
                     VariantKind::Tuple(arity) => {
                         let binds: Vec<String> = (0..*arity).map(|k| format!("__f{k}")).collect();
-                        let mut pushes = String::new();
-                        for b in &binds {
-                            pushes
-                                .push_str(&format!("__s.push(::serde::Serialize::to_value({b}));"));
-                        }
                         format!(
-                            "{name}::{vname}({binds}) => {{\
-                               let mut __s = ::std::vec::Vec::new(); {pushes}\
-                               let mut __m = ::std::vec::Vec::new();\
-                               __m.push((::std::string::String::from(\"{vname}\"), \
-                                         ::serde::Value::Seq(__s)));\
-                               ::serde::Value::Map(__m)\
-                             }},",
-                            binds = binds.join(", ")
+                            "{name}::{vname}({}) => {},",
+                            binds.join(", "),
+                            write_variant(vname, &write_array(&binds))
                         )
                     }
                     VariantKind::Named(fields) => {
-                        let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-                        let inner = map_of_fields("", fields);
+                        let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                         format!(
-                            "{name}::{vname} {{ {binds} }} => {{\
-                               let __inner = {inner};\
-                               let mut __m = ::std::vec::Vec::new();\
-                               __m.push((::std::string::String::from(\"{vname}\"), __inner));\
-                               ::serde::Value::Map(__m)\
-                             }},",
-                            binds = binds.join(", ")
+                            "{name}::{vname} {{ {} }} => {},",
+                            binds.join(", "),
+                            write_variant(vname, &write_object("", fields))
                         )
                     }
-                };
-                arms.push_str(&arm);
+                });
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\
-                   fn to_value(&self) -> ::serde::Value {{\
-                     match self {{ {arms} }}\
-                   }}\
-                 }}"
-            )
+            (name, format!("match self {{ {arms} }}"))
         }
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\
+           fn serialize(&self, __w: &mut ::serde::Writer) {{ {body} }}\
+         }}"
+    )
+}
+
+/// An expression reading an object into `ctor { fields }`: the first
+/// occurrence of each key wins, unknown keys are skipped, and a missing
+/// field is an error unless it is `#[serde(default)]`.
+fn read_object(ctor: &str, fields: &[Field]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (k, f) in fields.iter().enumerate() {
+        let (name, ty) = (&f.name, &f.ty);
+        slots.push_str(&format!(
+            "let mut __f{k}: ::std::option::Option<{ty}> = ::std::option::Option::None;"
+        ));
+        arms.push_str(&format!(
+            "{name:?} if __f{k}.is_none() => \
+               __f{k} = {SOME}(::serde::Deserialize::deserialize(__r)?),"
+        ));
+        let missing = if f.default {
+            "::std::default::Default::default()".to_string()
+        } else {
+            fail(&format!("missing field `{name}` in `{ctor}`"))
+        };
+        inits.push_str(&format!(
+            "{name}: match __f{k} {{ {SOME}(__v) => __v, ::std::option::Option::None => {missing} }},"
+        ));
     }
+    format!(
+        "{{ {slots}\
+           __r.begin_object()?;\
+           while let {SOME}(__k) = __r.next_key()? {{\
+             match &*__k {{ {arms} _ => __r.skip_value()?, }}\
+           }}\
+           {ctor} {{ {inits} }} }}"
+    )
+}
+
+/// An expression reading an array of exactly `arity` items into
+/// `ctor(..)`.
+fn read_array(ctor: &str, arity: usize) -> String {
+    let wrong = fail(&format!("expected array of length {arity} for `{ctor}`"));
+    let item = format!(
+        "if __r.next_element()? {{ ::serde::Deserialize::deserialize(__r)? }} else {{ {wrong} }},"
+    );
+    format!(
+        "{{ __r.begin_array()?;\
+           let __v = {ctor}({});\
+           if __r.next_element()? {{ {wrong} }}\
+           __v }}",
+        item.repeat(arity)
+    )
 }
 
 fn gen_deserialize(input: &Input) -> String {
-    let body = match input {
+    let (name, body) = match input {
         Input::NamedStruct { name, fields } => {
-            let lookups: String = fields
-                .iter()
-                .map(|f| field_lookup("__m", name, f))
-                .collect();
-            format!(
-                "match __v {{\
-                   ::serde::Value::Map(__m) => ::std::result::Result::Ok({name} {{ {lookups} }}),\
-                   __other => ::std::result::Result::Err(::serde::Error::custom(\
-                     \"expected object for struct `{name}`\")),\
-                 }}"
-            )
+            (name, format!("{OK}({})", read_object(name, fields)))
         }
-        Input::TupleStruct { name, arity: 1 } => format!(
-            "::std::result::Result::Ok({name}(::serde::Deserialize::deserialize_value(__v)?))"
+        Input::TupleStruct { name, arity: 1 } => (
+            name,
+            format!("{OK}({name}(::serde::Deserialize::deserialize(__r)?))"),
         ),
-        Input::TupleStruct { name, arity } => {
-            let elems: Vec<String> = (0..*arity)
-                .map(|k| format!("::serde::Deserialize::deserialize_value(&__items[{k}])?"))
-                .collect();
-            format!(
-                "match __v {{\
-                   ::serde::Value::Seq(__items) if __items.len() == {arity} => \
-                     ::std::result::Result::Ok({name}({elems})),\
-                   __other => ::std::result::Result::Err(::serde::Error::custom(\
-                     \"expected array of length {arity} for `{name}`\")),\
-                 }}",
-                elems = elems.join(", ")
-            )
-        }
+        Input::TupleStruct { name, arity } => (name, format!("{OK}({})", read_array(name, *arity))),
         Input::Enum { name, variants } => {
             let mut unit_arms = String::new();
             let mut data_arms = String::new();
             for (vname, kind) in variants {
+                let ctor = format!("{name}::{vname}");
                 match kind {
-                    VariantKind::Unit => unit_arms.push_str(&format!(
-                        "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}),"
-                    )),
+                    VariantKind::Unit => {
+                        unit_arms.push_str(&format!("{vname:?} => {OK}({ctor}),"));
+                    }
                     VariantKind::Tuple(1) => data_arms.push_str(&format!(
-                        "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}(\
-                           ::serde::Deserialize::deserialize_value(__inner)?)),"
+                        "{vname:?} => {ctor}(::serde::Deserialize::deserialize(__r)?),"
                     )),
                     VariantKind::Tuple(arity) => {
-                        let elems: Vec<String> = (0..*arity)
-                            .map(|k| {
-                                format!("::serde::Deserialize::deserialize_value(&__items[{k}])?")
-                            })
-                            .collect();
-                        data_arms.push_str(&format!(
-                            "\"{vname}\" => match __inner {{\
-                               ::serde::Value::Seq(__items) if __items.len() == {arity} => \
-                                 ::std::result::Result::Ok({name}::{vname}({elems})),\
-                               __other => ::std::result::Result::Err(::serde::Error::custom(\
-                                 \"expected array payload for variant `{vname}`\")),\
-                             }},",
-                            elems = elems.join(", ")
-                        ));
+                        data_arms.push_str(&format!("{vname:?} => {},", read_array(&ctor, *arity)))
                     }
                     VariantKind::Named(fields) => {
-                        let owner = format!("{name}::{vname}");
-                        let lookups: String = fields
-                            .iter()
-                            .map(|f| field_lookup("__fm", &owner, f))
-                            .collect();
-                        data_arms.push_str(&format!(
-                            "\"{vname}\" => match __inner {{\
-                               ::serde::Value::Map(__fm) => \
-                                 ::std::result::Result::Ok({name}::{vname} {{ {lookups} }}),\
-                               __other => ::std::result::Result::Err(::serde::Error::custom(\
-                                 \"expected object payload for variant `{vname}`\")),\
-                             }},"
-                        ));
+                        data_arms.push_str(&format!("{vname:?} => {},", read_object(&ctor, fields)))
                     }
                 }
             }
-            format!(
-                "match __v {{\
-                   ::serde::Value::Str(__s) => match __s.as_str() {{\
-                     {unit_arms}\
-                     __other => ::std::result::Result::Err(::serde::Error::custom(\
-                       \"unknown variant of `{name}`\")),\
-                   }},\
-                   ::serde::Value::Map(__m) if __m.len() == 1 => {{\
-                     let (__k, __inner) = (&__m[0].0, &__m[0].1);\
-                     match __k.as_str() {{\
-                       {data_arms}\
-                       __other => ::std::result::Result::Err(::serde::Error::custom(\
-                         \"unknown variant of `{name}`\")),\
-                     }}\
-                   }}\
-                   __other => ::std::result::Result::Err(::serde::Error::custom(\
-                     \"expected enum representation for `{name}`\")),\
-                 }}"
+            let unknown = fail(&format!("unknown variant of `{name}`"));
+            let shape = fail(&format!("expected enum representation for `{name}`"));
+            let mut arms = String::new();
+            if !unit_arms.is_empty() {
+                arms.push_str(&format!(
+                    "{SOME}(b'\"') => {{\
+                       let __s = __r.str()?;\
+                       match &*__s {{ {unit_arms} _ => {{ {unknown} }} }}\
+                     }}"
+                ));
+            }
+            if !data_arms.is_empty() {
+                arms.push_str(&format!(
+                    "{SOME}(b'{{') => {{\
+                       __r.begin_object()?;\
+                       let __k = match __r.next_key()? {{\
+                         {SOME}(__k) => __k, ::std::option::Option::None => {{ {shape} }}\
+                       }};\
+                       let __v = match &*__k {{ {data_arms} _ => {{ {unknown} }} }};\
+                       match __r.next_key()? {{\
+                         ::std::option::Option::None => {OK}(__v), {SOME}(_) => {{ {shape} }}\
+                       }}\
+                     }}"
+                ));
+            }
+            (
+                name,
+                format!("match __r.peek() {{ {arms} _ => {{ {shape} }} }}"),
             )
         }
     };
-    let name = match input {
-        Input::NamedStruct { name, .. }
-        | Input::TupleStruct { name, .. }
-        | Input::Enum { name, .. } => name,
-    };
     format!(
         "impl ::serde::Deserialize for {name} {{\
-           fn deserialize_value(__v: &::serde::Value) \
+           fn deserialize(__r: &mut ::serde::Reader<'_>) \
              -> ::std::result::Result<Self, ::serde::Error> {{ {body} }}\
          }}"
     )

@@ -1,16 +1,16 @@
 //! Offline drop-in subset of the `serde_json` 1.x API.
 //!
-//! Serializes via the stub `serde::Value` data model. Output conventions
-//! match upstream where the workspace can observe them: compact
-//! `to_string`, two-space-indented `to_writer_pretty`, struct fields in
-//! declaration order, shortest-roundtrip float formatting (every `f64`
-//! survives a print/parse round trip bit-for-bit), and non-finite floats
-//! serialized as `null`. The parser accepts the full JSON grammar
-//! including exponent notation and `\uXXXX` escapes.
+//! Thin wrappers around the stub `serde`'s streaming [`serde::Writer`]
+//! and [`serde::Reader`]. Output conventions match upstream where the
+//! workspace can observe them: compact `to_string`, two-space-indented
+//! `to_string_pretty`, struct fields in declaration order, shortest
+//! round-trip float formatting (every `f64` survives a print/parse round
+//! trip bit-for-bit), and non-finite floats serialized as `null`. The
+//! parser accepts the full JSON grammar including exponent notation and
+//! `\uXXXX` escapes, and rejects nesting deeper than
+//! [`serde::MAX_DEPTH`].
 
-use std::fmt::Write as _;
-
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize, Writer};
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,16 +40,16 @@ impl From<serde::Error> for Error {
 
 /// Serializes to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    let mut w = Writer::new();
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Serializes to a two-space-indented JSON string.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    let mut w = Writer::pretty();
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Serializes pretty JSON into an `io::Write`.
@@ -74,379 +74,12 @@ pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(
         .map_err(|e| Error::new(format!("io error: {e}")))
 }
 
-/// Deserializes a value from a JSON string.
+/// Deserializes a value from a JSON string; only whitespace may follow it.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        src: s,
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
-    }
-    Ok(T::deserialize_value(&v)?)
-}
-
-// --------------------------------------------------------------- printing
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            if *i < 0 {
-                out.push('-');
-            }
-            write_u64(out, i.unsigned_abs());
-        }
-        Value::UInt(u) => write_u64(out, *u),
-        Value::Float(f) => write_f64(out, *f),
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => write_seq(out, items, indent, depth),
-        Value::Map(entries) => write_map(out, entries, indent, depth),
-    }
-}
-
-fn write_f64(out: &mut String, f: f64) {
-    if !f.is_finite() {
-        // Upstream serde_json emits null for non-finite floats.
-        out.push_str("null");
-    } else {
-        // Rust's Debug formatting is shortest-roundtrip, like upstream's ryu.
-        write!(out, "{f:?}").expect("writing to a String cannot fail");
-    }
-}
-
-/// Decimal digits of `u`, as `u.to_string()` prints them.
-fn write_u64(out: &mut String, mut u: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (u % 10) as u8;
-        u /= 10;
-        if u == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
-}
-
-/// Writes `s` as a JSON string literal. Only `"`, `\` and control
-/// characters are escaped (control characters other than `\n`, `\r`
-/// and `\t` as `\u00xx`); the runs between them are copied whole.
-fn write_string(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.reserve(s.len() + 2);
-    out.push('"');
-    let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        // Escaped bytes are ASCII, so `run..i` lies on char boundaries.
-        out.push_str(&s[run..i]);
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                out.push_str("\\u00");
-                out.push(char::from(HEX[usize::from(b >> 4)]));
-                out.push(char::from(HEX[usize::from(b & 0xf)]));
-            }
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
-}
-
-fn newline_indent(out: &mut String, indent: usize, depth: usize) {
-    out.push('\n');
-    out.push_str(&" ".repeat(indent * depth));
-}
-
-fn write_seq(out: &mut String, items: &[Value], indent: Option<usize>, depth: usize) {
-    if items.is_empty() {
-        out.push_str("[]");
-        return;
-    }
-    out.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(ind) = indent {
-            newline_indent(out, ind, depth + 1);
-        }
-        write_value(out, item, indent, depth + 1);
-    }
-    if let Some(ind) = indent {
-        newline_indent(out, ind, depth);
-    }
-    out.push(']');
-}
-
-fn write_map(out: &mut String, entries: &[(String, Value)], indent: Option<usize>, depth: usize) {
-    if entries.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push('{');
-    for (i, (k, v)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(ind) = indent {
-            newline_indent(out, ind, depth + 1);
-        }
-        write_string(out, k);
-        out.push(':');
-        if indent.is_some() {
-            out.push(' ');
-        }
-        write_value(out, v, indent, depth + 1);
-    }
-    if let Some(ind) = indent {
-        newline_indent(out, ind, depth);
-    }
-    out.push('}');
-}
-
-// ---------------------------------------------------------------- parsing
-
-struct Parser<'a> {
-    src: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::new(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(Error::new(format!("invalid literal at byte {}", self.pos)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(Error::new(format!("unexpected input at byte {}", self.pos))),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            self.pos += self.bytes[start..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .unwrap_or(self.bytes.len() - start);
-            // The input is a `str` and a run ends at an ASCII byte or the
-            // end, so the run is whole UTF-8 and copies without a check.
-            out.push_str(&self.src[start..self.pos]);
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid \\u escape"))?,
-                            );
-                        }
-                        _ => return Err(Error::new("invalid escape character")),
-                    }
-                }
-                _ => return Err(Error::new("unterminated string")),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        let slice = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| Error::new("truncated \\u escape"))?;
-        let s = std::str::from_utf8(slice).map_err(|_| Error::new("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| Error::new("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
-        if !is_float {
-            if let Some(stripped) = text.strip_prefix('-') {
-                if stripped.parse::<u64>().is_ok() {
-                    if let Ok(i) = text.parse::<i64>() {
-                        return Ok(Value::Int(i));
-                    }
-                }
-            } else if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
-    }
+    let mut r = Reader::new(s);
+    let v = T::deserialize(&mut r)?;
+    r.finish()?;
+    Ok(v)
 }
 
 #[cfg(test)]
@@ -555,6 +188,34 @@ mod tests {
         assert!(from_str::<Vec<f64>>("[1,").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
         assert!(from_str::<bool>("truth").is_err());
+    }
+
+    #[test]
+    fn a_leading_surrogate_needs_a_trailing_one() {
+        assert_eq!(from_str::<String>(r#""\ud834\udd1e""#).unwrap(), "𝄞");
+        for bad in [
+            r#""\ud834""#,
+            r#""\ud834\u0041""#,
+            r#""\ud834\ud834""#,
+            r#""\ud834\n""#,
+            r#""\udd1e""#,
+        ] {
+            assert!(from_str::<String>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<serde::Value>(&nested(serde::MAX_DEPTH)).is_ok());
+        for depth in [serde::MAX_DEPTH + 1, 100_000] {
+            let err = from_str::<serde::Value>(&nested(depth)).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+        }
+        // Skipped unknown fields count too.
+        let unknown = format!("{{\"id\":1,\"x\":{}}}", nested(100_000));
+        let err = from_str::<Outer>(&unknown).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
     }
 
     /// The printer as it was written char by char with `format!`, kept as

@@ -3,8 +3,9 @@
 //!
 //! `Harness::run_one_reference` keeps the original cold semantics: fresh
 //! allocation engine, fresh simulator/executor state per cell. The grid
-//! drivers instead run `run_one_with_slab` over per-worker warm slabs
-//! (memoized τ-tables, reused solver arenas, parked cross-cell caches).
+//! drivers instead run `Harness::run_cell` on the thread's warm
+//! `WorkerSlab` (memoized τ-tables, reused solver arenas, parked
+//! cross-cell caches).
 //! These tests pin the batching contract: for any worker count, with or
 //! without a fault plan, the batched grid's `Debug` rendering — which
 //! round-trips every f64 bit — equals the reference rendering, and poison

@@ -37,12 +37,17 @@ const REC_SEP: &str = "\",\"rec\":";
 /// Not cryptographic: it guards against torn writes and bit rot, not
 /// adversaries, and keeps the journal dependency-free.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    bytes.iter().fold(FNV64_OFFSET, |h, &b| fnv64_step(h, b))
+}
+
+/// The FNV-1a 64-bit state before any byte: [`fnv64`] of a byte string
+/// is its bytes folded in order by [`fnv64_step`], starting here. Lets a
+/// caller checksum bytes in a loop that is walking them anyway.
+pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one byte into an FNV-1a 64-bit state.
+pub fn fnv64_step(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 /// True when `key` can embed verbatim in a journal line.

@@ -46,7 +46,9 @@ pub mod store;
 pub use cancel::{
     install_signal_handlers, signal_count, signal_received, CancelToken, RunControl, StopReason,
 };
-pub use format::{decode_line, encode_line, fnv64, JournalHeader, FORMAT_V1, HEADER_KEY};
+pub use format::{
+    decode_line, encode_line, fnv64, fnv64_step, JournalHeader, FNV64_OFFSET, FORMAT_V1, HEADER_KEY,
+};
 pub use store::{
     manifest_path, open_resume, open_resume_in, read_manifest, read_manifest_in, recover,
     recover_in, write_manifest, write_manifest_in, JournalWriter, Manifest, RecoveredJournal,

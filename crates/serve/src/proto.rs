@@ -24,8 +24,8 @@ use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize};
 
-use mps_journal::fnv64;
-use mps_supervise::proto::{read_frame_bytes, write_frame_bytes};
+use mps_journal::{fnv64_step, FNV64_OFFSET};
+use mps_supervise::proto::{read_frame_bytes, write_framed, LEN_PLACEHOLDER};
 
 use crate::ServeError;
 
@@ -283,6 +283,10 @@ pub enum ServerFrame {
 const SUM_PREFIX: &str = "{\"sum\":\"";
 const BODY_SEP: &str = "\",\"body\":";
 const SUFFIX: &str = "}";
+/// Frame bytes outside the escaped body: the length prefix, the envelope
+/// punctuation, the checksum and the body's quotes.
+const ENVELOPE_BYTES: usize =
+    LEN_PLACEHOLDER.len() + SUM_PREFIX.len() + 16 + BODY_SEP.len() + 2 + SUFFIX.len();
 
 fn frame_err(reason: impl Into<String>) -> ServeError {
     ServeError::Frame {
@@ -291,23 +295,28 @@ fn frame_err(reason: impl Into<String>) -> ServeError {
 }
 
 /// Serializes `msg`, wraps it in a checksummed envelope, and writes it as
-/// one length-prefixed frame with one write call.
+/// one length-prefixed frame with one write call. The body is serialized
+/// once into its own buffer, then escaped straight into the frame while
+/// its checksum is folded up; the checksum's digits are filled in last.
 pub fn send_msg<W: Write + ?Sized, T: Serialize>(w: &mut W, msg: &T) -> Result<(), ServeError> {
-    let body = serde_json::to_string(msg).map_err(|e| frame_err(format!("encode: {e}")))?;
-    let escaped =
-        serde_json::to_string::<str>(&body).map_err(|e| frame_err(format!("encode: {e}")))?;
-    let sum = format!("{:016x}", fnv64(body.as_bytes()));
-    write_frame_bytes(
-        w,
-        &[
-            SUM_PREFIX.as_bytes(),
-            sum.as_bytes(),
-            BODY_SEP.as_bytes(),
-            escaped.as_bytes(),
-            SUFFIX.as_bytes(),
-        ],
-    )
-    .map_err(ServeError::from)
+    let mut body = serde::Writer::new();
+    msg.serialize(&mut body);
+    let body = body.into_string();
+    // Escaping grows a message body by well under half (its own quotes
+    // and backslashes), so the frame is sized once.
+    let mut frame = String::with_capacity(ENVELOPE_BYTES + body.len() + body.len() / 2);
+    frame.push_str(LEN_PLACEHOLDER);
+    frame.push_str(SUM_PREFIX);
+    let sum_at = frame.len();
+    frame.push_str("0000000000000000");
+    frame.push_str(BODY_SEP);
+    let mut frame = serde::Writer::from_string(frame);
+    let mut sum = FNV64_OFFSET;
+    frame.str_observed(&body, |b| sum = fnv64_step(sum, b));
+    let mut frame = frame.into_string().into_bytes();
+    frame.extend_from_slice(SUFFIX.as_bytes());
+    frame[sum_at..sum_at + 16].copy_from_slice(format!("{sum:016x}").as_bytes());
+    write_framed(w, frame).map_err(ServeError::from)
 }
 
 /// Reads one frame and unwraps + verifies its envelope. `Ok(None)` on a
@@ -320,8 +329,9 @@ pub fn recv_msg<R: Read + ?Sized, T: Deserialize>(r: &mut R) -> Result<Option<T>
 }
 
 /// Decodes raw frame bytes: checks the envelope layout, unescapes the
-/// body, verifies the checksum over the body's exact bytes, then parses
-/// the body. Any single corrupted byte yields a typed error.
+/// body once while folding up its checksum, verifies the checksum over
+/// the body's exact bytes, then parses the body. Any single corrupted
+/// byte yields a typed error.
 pub fn decode_envelope<T: Deserialize>(bytes: &[u8]) -> Result<T, ServeError> {
     let text =
         std::str::from_utf8(bytes).map_err(|e| frame_err(format!("frame is not UTF-8: {e}")))?;
@@ -339,9 +349,13 @@ pub fn decode_envelope<T: Deserialize>(bytes: &[u8]) -> Result<T, ServeError> {
         .and_then(|b| b.strip_suffix(SUFFIX))
         .filter(|q| q.starts_with('"') && q.ends_with('"'))
         .ok_or_else(|| frame_err("frame is not an envelope: malformed body field"))?;
-    let body: String = serde_json::from_str(quoted)
+    let mut field = serde::Reader::new(quoted);
+    let mut sum = FNV64_OFFSET;
+    let body = field
+        .str_observed(|b| sum = fnv64_step(sum, b))
+        .and_then(|body| field.finish().map(|()| body))
         .map_err(|e| frame_err(format!("envelope body is not a JSON string: {e}")))?;
-    if fnv64(body.as_bytes()) != declared {
+    if sum != declared {
         return Err(frame_err("envelope checksum mismatch"));
     }
     serde_json::from_str(&body)
@@ -351,6 +365,7 @@ pub fn decode_envelope<T: Deserialize>(bytes: &[u8]) -> Result<T, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mps_journal::fnv64;
 
     #[test]
     fn envelope_round_trips() {
@@ -448,6 +463,41 @@ mod tests {
                 "{env}"
             );
         }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_a_frame_error() {
+        let envelope = |body: &str| {
+            let escaped = serde_json::to_string::<str>(body).unwrap();
+            format!(
+                "{{\"sum\":\"{:016x}\",\"body\":{escaped}}}",
+                fnv64(body.as_bytes())
+            )
+        };
+        let deep = "[".repeat(100_000);
+        assert!(matches!(
+            decode_envelope::<ClientFrame>(envelope(&deep).as_bytes()),
+            Err(ServeError::Frame { .. })
+        ));
+        // Reading a `Value`, or skipping an unknown field, recurses into
+        // the brackets and stops at the cap.
+        fn depth_err<T>(r: Result<T, ServeError>) -> bool {
+            matches!(r, Err(ServeError::Frame { reason }) if reason.contains("recursion limit"))
+        }
+        assert!(depth_err(decode_envelope::<serde::Value>(
+            envelope(&deep).as_bytes()
+        )));
+        let in_unknown_field = format!("{{\"Hello\":{{\"proto\":\"p\",\"x\":{deep}");
+        assert!(depth_err(decode_envelope::<ClientFrame>(
+            envelope(&in_unknown_field).as_bytes()
+        )));
+        // Nesting up to the cap still parses.
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(serde::MAX_DEPTH),
+            "]".repeat(serde::MAX_DEPTH)
+        );
+        assert!(decode_envelope::<serde::Value>(envelope(&at_cap).as_bytes()).is_ok());
     }
 
     #[test]

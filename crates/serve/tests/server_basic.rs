@@ -4,13 +4,14 @@
 //! client-initiated drain.
 #![cfg(unix)]
 
+use std::io::Write;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mps_journal::{RunControl, StopReason};
+use mps_journal::{fnv64, RunControl, StopReason};
 use mps_serve::client::connect_unix;
 use mps_serve::proto::{
     recv_msg, send_msg, ClientFrame, ServerFrame, WorkRequest, WorkSummary, PROTO_VERSION,
@@ -78,6 +79,20 @@ fn start(
 ) -> std::thread::JoinHandle<Result<ServerExit, ServeError>> {
     let server = Arc::clone(server);
     std::thread::spawn(move || server.run_unix(&socket))
+}
+
+/// Connects without a handshake, waiting up to 5 s for the socket.
+fn connect_raw(socket: &Path) -> UnixStream {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        match UnixStream::connect(socket) {
+            Ok(s) => return s,
+            Err(_) if std::time::Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("connect: {e}"),
+        }
+    }
 }
 
 #[test]
@@ -190,17 +205,7 @@ fn version_skew_gets_a_typed_mismatch() {
     let handle = start(&server, socket.clone());
 
     // Wait for the socket, then speak a future protocol version.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let mut stream = loop {
-        match UnixStream::connect(&socket) {
-            Ok(s) => break s,
-            Err(e) if std::time::Instant::now() < deadline => {
-                let _ = e;
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => panic!("connect: {e}"),
-        }
-    };
+    let mut stream = connect_raw(&socket);
     send_msg(
         &mut stream,
         &ClientFrame::Hello {
@@ -372,4 +377,37 @@ fn draining_refuses_new_submissions() {
     // completes.
     assert_eq!(exit.served, 1);
     assert!(!exit.interrupted);
+}
+
+#[test]
+fn a_deeply_nested_frame_is_rejected_and_the_daemon_keeps_serving() {
+    let socket = socket_path("nested");
+    let backend = Arc::new(ToyBackend::new(Duration::ZERO));
+    let server = Server::new(backend, ServerConfig::default());
+    let handle = start(&server, socket.clone());
+
+    // A checksum-valid envelope whose body is 100 000 `[`: about 100 KB,
+    // far below the frame cap. Parsing it must fail with a typed error
+    // instead of overflowing the connection thread's stack, which would
+    // abort the whole daemon.
+    let body = "[".repeat(100_000);
+    let envelope = format!(
+        "{{\"sum\":\"{:016x}\",\"body\":\"{body}\"}}",
+        fnv64(body.as_bytes())
+    );
+    let mut frame = (envelope.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(envelope.as_bytes());
+    let mut stream = connect_raw(&socket);
+    stream.write_all(&frame).unwrap();
+    // The daemon drops the connection that sent it.
+    assert!(!matches!(
+        recv_msg::<_, ServerFrame>(&mut stream),
+        Ok(Some(_))
+    ));
+
+    // A fresh client still gets its `Hello` answered.
+    let (mut c, cap) = connect_unix(&socket, "after", Duration::from_secs(5)).unwrap();
+    assert_eq!(cap, ServerConfig::default().queue_capacity as u64);
+    c.drain(1).unwrap();
+    handle.join().unwrap().unwrap();
 }

@@ -62,33 +62,36 @@ impl WorkerHello {
     }
 }
 
-/// Writes one frame and flushes, so the peer sees it immediately.
+/// Writes one frame and flushes, so the peer sees it immediately. The
+/// message is serialized straight into the frame buffer.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), SuperviseError> {
-    let json = serde_json::to_string(msg).map_err(|e| SuperviseError::Frame {
-        reason: format!("encode: {e}"),
-    })?;
-    write_frame_bytes(w, &[json.as_bytes()])
+    let mut frame = serde::Writer::from_string(LEN_PLACEHOLDER.to_string());
+    msg.serialize(&mut frame);
+    write_framed(w, frame.into_string().into_bytes())
 }
 
-/// Writes one frame whose payload is `parts` concatenated, and flushes.
-/// The length prefix and the payload are built in one buffer and handed
-/// to one `write_all`, so a frame costs one write call, not two.
-pub fn write_frame_bytes<W: Write + ?Sized>(
+/// What a frame buffer handed to [`write_framed`] starts with: room for
+/// the 4-byte length prefix, as a `str` so the frame can be built as a
+/// `String`.
+pub const LEN_PLACEHOLDER: &str = "\0\0\0\0";
+
+/// Writes one frame and flushes. `frame` is [`LEN_PLACEHOLDER`] followed
+/// by the payload; the placeholder is overwritten with the payload's
+/// length and the whole buffer goes to one `write_all`, so a frame costs
+/// one write call.
+pub fn write_framed<W: Write + ?Sized>(
     w: &mut W,
-    parts: &[&[u8]],
+    mut frame: Vec<u8>,
 ) -> Result<(), SuperviseError> {
-    let len: usize = parts.iter().map(|p| p.len()).sum();
+    debug_assert!(frame.starts_with(LEN_PLACEHOLDER.as_bytes()));
+    let len = frame.len() - LEN_PLACEHOLDER.len();
     let n = u32::try_from(len)
         .ok()
         .filter(|&n| n <= MAX_FRAME_BYTES)
         .ok_or_else(|| SuperviseError::Frame {
             reason: format!("frame of {len} bytes exceeds the cap"),
         })?;
-    let mut frame = Vec::with_capacity(4 + len);
-    frame.extend_from_slice(&n.to_le_bytes());
-    for p in parts {
-        frame.extend_from_slice(p);
-    }
+    frame[..LEN_PLACEHOLDER.len()].copy_from_slice(&n.to_le_bytes());
     w.write_all(&frame)
         .map_err(|e| SuperviseError::io("write", e))?;
     w.flush().map_err(|e| SuperviseError::io("flush", e))?;
