@@ -1,75 +1,22 @@
-//! `repro` — regenerate the paper's tables and figures.
-//!
-//! Usage:
-//!
-//! ```text
-//! repro [--seed S] [--repeats R] [--json DIR] \
-//!       [--faults PLAN] [--max-retries N] \
-//!       [--disturb PLAN] [--recovery failfast|retry|rescue] \
-//!       [--journal PATH] [--resume] [--max-wall-secs S] \
-//!       [--subset N] [--workers N] [--throttle-ms N] \
-//!       [--isolation inproc|process] [--cell-timeout-secs S] \
-//!       [--max-cell-attempts N] [--poison SPEC] <target>...
-//! targets: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table2
-//!          gantt ablations faultsweep disturb grid all
-//! ```
-//!
-//! `--faults` takes a fault-plan description (see `mps_faults::FaultPlan::
-//! parse`): semicolon-separated clauses such as `seed=7; crash@0:0+30;
-//! slow@1:0*1.5; fail=0.02`, or a preset (`light`, `moderate`, `heavy`).
-//! Affected grid cells are reported as degraded or failed — with typed
-//! errors — while the rest of the grid completes normally.
-//!
-//! `--disturb` injects *timed platform disturbances* into every testbed
-//! run (see `mps_faults::DisturbancePlan::parse`): `crash@T:HOST`
-//! permanently kills a host mid-execution, `slow@T1-T2:HOST:F` multiplies
-//! its compute time by `F` inside the window, `degrade@T1-T2:HOST:F` does
-//! the same to its network links; presets `light`/`moderate`/`heavy` are
-//! seeded plans at intensity 0.25/0.5/1. `--recovery` picks the reaction
-//! when a crash strands scheduled work: `failfast` (typed error),
-//! `retry` (move stranded tasks to surviving hosts, keep the order), or
-//! `rescue` (default — re-invoke the scheduler over the surviving
-//! platform and adopt the repaired schedule, charging the re-planning
-//! time to the makespan). The `disturb` target sweeps intensity 0..1 and
-//! reports degradation, rescue success, and verdict stability.
-//!
-//! `--journal PATH` makes the grid campaign crash-safe: every completed
-//! cell is appended durably to a write-ahead journal before the next one
-//! is dispatched. A run killed at any point — crash, OOM, Ctrl-C — is
-//! continued with `--resume`, recomputing only the missing cells; the
-//! resumed grid is identical to an uninterrupted run. SIGINT/SIGTERM
-//! trigger a graceful drain (in-flight cells finish, the journal syncs, a
-//! partial summary prints), and `--max-wall-secs` converts an exhausted
-//! wall-clock budget into the same clean checkpoint.
-//!
-//! `--isolation process` additionally runs every cell in a supervised
-//! child worker process (the binary re-executes itself in a hidden
-//! `--cell-worker` mode): a cell that panics, aborts, or hangs kills only
-//! its worker. The worker is respawned with exponential backoff, the cell
-//! retried, and after `--max-cell-attempts` strikes (default 2) the cell
-//! is **quarantined** — journaled as a typed crash report that `--resume`
-//! skips. `--cell-timeout-secs` (default 120) bounds each attempt's wall
-//! clock. `--poison SPEC` (`needle=panic,needle=hang`, matched against
-//! cell keys) deliberately poisons matching cells — test instrumentation
-//! for the supervision machinery itself.
-//!
-//! Exit codes: 0 on success (including a clean wall-clock checkpoint),
-//! 2 on usage or runtime errors, 3 when the campaign completed but
-//! quarantined at least one poison cell, 130 when interrupted.
+//! `repro` — regenerate the paper's tables and figures, or run and query
+//! the scheduling daemon. `repro --help` lists the targets, the flags and
+//! the exit codes; [`FLAGS`] is the one place a flag is declared.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use mps_core::faults::{DisturbancePlan, FaultPlan, RecoveryPolicy};
 use mps_core::journal::{install_signal_handlers, CancelToken, RunControl};
 use mps_core::sim::ExecPolicy;
-use mps_core::supervise::SupervisorConfig;
 use mps_exp::supervised::{serve_cells, SuperviseOpts, WorkerCommand};
 use mps_exp::{
-    ablation, figures, grid_health, parse_poison_spec, DisturbConfig, GridStatus, Harness,
-    JournaledGrid, ServeBackend,
+    ablation, figures, parse_poison_spec, CellResult, DisturbConfig, GridStatus, Harness,
+    ServeBackend,
 };
+
+use Kind::{Int, Mode, Policy, Switch, Tag, Text};
+use Requires::{Journal, Nothing, Process};
+use Scope::{Any, Not, OnlineRequest, Only};
 
 /// Exit code for a campaign that completed but quarantined poison cells:
 /// the journal is whole (every cell has a durable record), yet some
@@ -80,900 +27,562 @@ const EXIT_QUARANTINED: i32 = 3;
 /// preset intensities; generous enough to cover every grid makespan.
 const FAULT_HORIZON: f64 = 120.0;
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 2011u64;
-    let mut repeats = 3u64;
-    let mut json_dir: Option<String> = None;
-    let mut faults: Option<String> = None;
-    let mut disturb: Option<String> = None;
-    let mut recovery: Option<String> = None;
-    let mut max_retries = ExecPolicy::default().max_retries;
-    let mut journal_path: Option<String> = None;
-    let mut resume = false;
-    let mut max_wall_secs: Option<u64> = None;
-    let mut subset: Option<usize> = None;
-    let mut workers: Option<usize> = None;
-    let mut throttle_ms: Option<u64> = None;
-    let mut isolation = String::from("inproc");
-    let mut cell_timeout_secs: Option<u64> = None;
-    let mut max_cell_attempts: Option<u32> = None;
-    let mut poison_spec: Option<String> = None;
-    let mut cell_worker = false;
-    let mut stderr_tail_bytes: Option<usize> = None;
-    let mut spawn_timeout_secs: Option<u64> = None;
-    let mut socket: Option<String> = None;
-    let mut state_dir: Option<String> = None;
-    let mut queue_cap: Option<usize> = None;
-    let mut serve_workers: Option<usize> = None;
-    let mut stdio = false;
-    let mut cli_schedule: Option<String> = None;
-    let mut cli_simulate: Option<String> = None;
-    let mut cli_subset_grid: Option<usize> = None;
-    let mut cli_online: Option<String> = None;
-    let mut cli_health = false;
-    let mut cli_drain = false;
-    let mut deadline_ms: Option<u64> = None;
-    let mut campaign_dir: Option<String> = None;
-    let mut points: Option<usize> = None;
-    let mut episodes: Option<usize> = None;
-    let mut chaos_dir: Option<String> = None;
-    let mut arrival_rates: Option<String> = None;
-    let mut horizon_events: Option<u64> = None;
-    let mut admission: Option<usize> = None;
-    let mut max_width: Option<usize> = None;
-    let mut batch: Option<usize> = None;
-    let mut trace_out: Option<String> = None;
+/// Every target, with its `--help` description; the paper's figures and
+/// tables are listed without one.
+#[rustfmt::skip]
+const TARGETS: &[(&str, &str)] = &[
+    ("table1", ""), ("fig1", ""), ("fig2", ""), ("fig3", ""), ("fig4", ""), ("fig5", ""),
+    ("fig6", ""), ("fig7", ""), ("fig8", ""), ("table2", ""), ("gantt", ""), ("ablations", ""),
+    ("faultsweep", ""), ("grid", ""), ("all", ""),
+    ("disturb", "sweep platform-disturbance intensity 0..1: per point, a seeded plan of host \
+        crashes / slow windows / link degradations hits every testbed run; reports makespan \
+        degradation, rescue success rate, and HCPA-vs-MCPA verdict stability"),
+    ("serve", "run the mps-serve scheduling daemon (mps-proto/v1)"),
+    ("client", "submit work to a running daemon"),
+    ("campaign", "fault-sweep campaign: many grid points, one journal each"),
+    ("chaos", "seeded I/O + wire fault-injection soak over every durability path (journal, \
+        campaign, daemon), with invariant checks"),
+    ("online", "streaming workload: a seeded arrival process (Poisson or bursty MMPP) feeds \
+        DAG jobs from the corpus through admission control into moldable HCPA/MCPA \
+        allocation on the incremental DES; reports throughput, utilization, P2-sketched \
+        latency quantiles, and verdict stability across load levels"),
+];
 
-    let mut targets = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
+/// How a flag's value is read.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// No value.
+    Switch,
+    /// Any string.
+    Text,
+    /// An unsigned integer in `lo..=hi`.
+    Int(u64, u64),
+    /// One of the words, else `--flag "x" is not a|b`. The first word is
+    /// the default: only another word puts the flag in force, and scope
+    /// errors then name it `--flag word`.
+    Mode(&'static [&'static str]),
+    /// A [`RecoveryPolicy`], else `--flag needs failfast, retry, or rescue`.
+    Policy,
+    /// Consumes its value, if any, and ignores it.
+    Tag,
+}
+
+/// Which targets accept a flag.
+#[derive(Clone, Copy)]
+enum Scope {
+    Any,
+    /// Every target but these.
+    Not(&'static [&'static str]),
+    /// Only these targets.
+    Only(&'static [&'static str]),
+    /// The online target, or the client target with `--online`.
+    OnlineRequest,
+}
+
+/// A flag that only takes effect next to another one.
+#[derive(Clone, Copy, PartialEq)]
+enum Requires {
+    Nothing,
+    /// `--journal`, unless serve, campaign or a cell worker owns journals.
+    Journal,
+    /// `--isolation process` (a cell worker is supervised by definition).
+    Process,
+}
+
+/// One `repro` flag: how it parses, where it is accepted, how `--help`
+/// shows it and which [`Cli`] field it fills.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder in `--help`.
+    arg: &'static str,
+    kind: Kind,
+    /// What a missing or malformed value should be: `--seed needs <this>`.
+    needs: &'static str,
+    scope: Scope,
+    requires: Requires,
+    /// `--help` section heading and the note printed after its flags; an
+    /// empty heading hides the flag.
+    section: (&'static str, &'static str),
+    help: &'static str,
+    set: fn(&mut Cli, Val),
+}
+
+/// Row defaults per `--help` section: a switch with no value, no
+/// companion flag, and the targets the section is for.
+#[rustfmt::skip]
+mod row {
+    use super::*;
+    pub const GRID: Flag = Flag { name: "", arg: "", kind: Switch, needs: "", scope: Any,
+        requires: Nothing, section: ("grid flags:", ""), help: "", set: |_, _| {} };
+    pub const SUPERVISION: Flag = Flag { requires: Process,
+        section: ("supervision flags (require --isolation process):", ""), ..GRID };
+    pub const CAMPAIGN: Flag = Flag { scope: Only(&["campaign"]),
+        section: ("campaign flags (target: campaign):",
+            "resume = re-invoke with the same arguments; complete points are no-ops, the first \
+             incomplete point resumes mid-grid. --subset, --repeats, --workers, \
+             --max-wall-secs, --throttle-ms apply."), ..GRID };
+    pub const CHAOS: Flag = Flag { scope: Only(&["chaos"]),
+        section: ("chaos flags (target: chaos):",
+            "--seed seeds the whole soak; a fixed seed reproduces the exact fault sequence. \
+             Exit 0 = every injected fault was absorbed or surfaced typed AND every fault class \
+             actually fired; exit 2 otherwise."), ..GRID };
+    pub const ONLINE: Flag = Flag { scope: Only(&["online"]),
+        section: ("online flags (target: online):",
+            "--seed seeds the arrival stream; --workers parallelizes across the level x \
+             algorithm run matrix; --json writes online.json"), ..GRID };
+    pub const SERVE: Flag = Flag { scope: Only(&["serve", "client"]),
+        section: ("serve flags (targets: serve, client):", ""), ..GRID };
+    pub const CLIENT: Flag = Flag {
+        section: ("client flags (target: client):",
+            "VAR: analytic|profile|empirical; ALGO: HCPA|MCPA; cells stream to stdout as \
+             <key><TAB><payload-json> lines"), ..SERVE };
+    pub const HIDDEN: Flag = Flag { section: ("", ""), ..GRID };
+}
+
+const U64: u64 = u64::MAX;
+const U32: u64 = u32::MAX as u64;
+const USIZE: u64 = usize::MAX as u64;
+/// Targets that build their own workloads, so grid knobs would be inert.
+const NOT_GRID: &[&str] = &["online", "chaos"];
+/// Targets that own their fault plans and journals as well.
+const NOT_JOURNALED: &[&str] = &["online", "chaos", "campaign"];
+
+/// Every flag. A flag is declared here and nowhere else: parsing, scope
+/// checks and `--help` all read this table.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--seed", arg: "S", kind: Int(0, U64), needs: "an integer",
+        set: |c, v| c.seed = v.int, help: "harness seed (default 2011)", ..row::GRID },
+    Flag { name: "--repeats", arg: "R", kind: Int(1, U64), needs: "an integer >= 1",
+        set: |c, v| c.repeats = v.int, help: "testbed runs per cell (default 3)", ..row::GRID },
+    Flag { name: "--json", arg: "DIR", kind: Text, needs: "a directory",
+        scope: Not(&["chaos", "campaign"]), set: |c, v| c.json = Some(v.text),
+        help: "also write grid.json / grid.csv (disturb.json, online.json for those targets)",
+        ..row::GRID },
+    Flag { name: "--faults", arg: "PLAN", kind: Text, needs: "a plan description",
+        scope: Not(NOT_JOURNALED), set: |c, v| c.faults = Some(v.text),
+        help: "inject a fault plan: `seed=7; crash@0:0+30; slow@1:0*1.5; fail=0.02` or a \
+               preset light|moderate|heavy", ..row::GRID },
+    Flag { name: "--max-retries", arg: "N", kind: Int(0, U32), needs: "an integer",
+        set: |c, v| c.max_retries = v.int as u32, help: "per-task retry budget under faults",
+        ..row::GRID },
+    Flag { name: "--disturb", arg: "PLAN", kind: Text, needs: "a plan description",
+        scope: Not(NOT_GRID), set: |c, v| c.disturb = Some(v.text),
+        help: "inject timed platform damage into every testbed run: `crash@T:HOST`, \
+               `slow@T1-T2:HOST:F`, `degrade@T1-T2:HOST:F` clauses (`;`-separated, optional \
+               `seed=S`), or a preset light|moderate|heavy (intensity .25/.5/1)", ..row::GRID },
+    Flag { name: "--recovery", arg: "MODE", kind: Policy, needs: "a mode (failfast|retry|rescue)",
+        scope: Not(NOT_GRID), set: |c, v| c.recovery = v.text.parse().ok(),
+        help: "reaction to a host crash under --disturb: failfast | retry | rescue (default; \
+               re-plans the unfinished suffix on the surviving hosts)", ..row::GRID },
+    Flag { name: "--subset", arg: "N", kind: Int(0, USIZE), needs: "an integer",
+        scope: Not(NOT_GRID), set: |c, v| c.subset = Some(v.int as usize),
+        help: "only the first N corpus DAGs", ..row::GRID },
+    Flag { name: "--workers", arg: "N", kind: Int(0, USIZE), needs: "an integer",
+        scope: Not(&["chaos"]), set: |c, v| c.workers = Some(v.int as usize),
+        help: "worker threads / processes", ..row::GRID },
+    Flag { name: "--journal", arg: "PATH", kind: Text, needs: "a path", scope: Not(NOT_JOURNALED),
+        set: |c, v| c.journal = Some(v.text), help: "crash-safe write-ahead journal for the grid",
+        ..row::GRID },
+    Flag { name: "--resume", scope: Not(NOT_JOURNALED), requires: Journal,
+        set: |c, _| c.resume = true, help: "continue the journal, computing only missing cells",
+        ..row::GRID },
+    Flag { name: "--max-wall-secs", arg: "S", kind: Int(0, U64), needs: "an integer",
+        scope: Not(NOT_GRID), requires: Journal, set: |c, v| c.max_wall_secs = Some(v.int),
+        help: "graceful checkpoint after S seconds (serve: drain and exit)", ..row::GRID },
+    Flag { name: "--throttle-ms", arg: "N", kind: Int(0, U64), needs: "an integer",
+        scope: Not(NOT_GRID), requires: Journal, set: |c, v| c.throttle_ms = Some(v.int),
+        help: "sleep N ms between cells (test kill windows)", ..row::GRID },
+    Flag { name: "--isolation", arg: "MODE", kind: Mode(&["inproc", "process"]),
+        needs: "a mode (inproc|process)", scope: Not(NOT_JOURNALED), requires: Journal,
+        set: |c, v| c.isolation = v.text,
+        help: "inproc (default) or process: run cells in supervised child workers that \
+               quarantine poison cells (serve: needs --state)", ..row::GRID },
+
+    Flag { name: "--cell-timeout-secs", arg: "S", kind: Int(1, U64), needs: "an integer >= 1",
+        set: |c, v| c.cell_timeout_secs = Some(v.int),
+        help: "per-attempt wall budget, >= 1 (default 120)", ..row::SUPERVISION },
+    Flag { name: "--max-cell-attempts", arg: "N", kind: Int(1, U32), needs: "an integer >= 1",
+        set: |c, v| c.max_cell_attempts = Some(v.int as u32),
+        help: "strikes before quarantine, >= 1 (default 2)", ..row::SUPERVISION },
+    Flag { name: "--spawn-timeout-secs", arg: "S", kind: Int(1, 600),
+        needs: "an integer in 1..=600", set: |c, v| c.spawn_timeout_secs = Some(v.int),
+        help: "worker spawn->handshake budget, 1..=600 (default 30)", ..row::SUPERVISION },
+    Flag { name: "--stderr-tail-bytes", arg: "N", kind: Int(0, 1024 * 1024),
+        needs: "an integer in 0..=1048576", set: |c, v| c.stderr_tail_bytes = Some(v.int as usize),
+        help: "worker stderr kept per crash report, 0..=1048576 (default 8192)",
+        ..row::SUPERVISION },
+    Flag { name: "--poison", arg: "SPEC", kind: Text, needs: "a spec (needle=panic|hang,...)",
+        requires: Nothing, set: |c, v| c.poison = Some(v.text),
+        help: "poison matching cells (needle=panic|hang,...)", ..row::SUPERVISION },
+
+    Flag { name: "--campaign-dir", arg: "DIR", kind: Text, needs: "a directory",
+        set: |c, v| c.campaign_dir = Some(v.text),
+        help: "campaign directory: point-NNNN.jl journals plus a campaign.json manifest",
+        ..row::CAMPAIGN },
+    Flag { name: "--points", arg: "N", kind: Int(1, USIZE), needs: "an integer >= 1",
+        set: |c, v| c.points = Some(v.int as usize),
+        help: "sweep points, fault intensity 0..1 (default 309: 309 x 324 cells crosses 100k \
+               on the full grid)", ..row::CAMPAIGN },
+
+    Flag { name: "--episodes", arg: "N", kind: Int(1, USIZE), needs: "an integer >= 1",
+        set: |c, v| c.episodes = Some(v.int as usize),
+        help: "seeded episodes per soak (default 50); each cycles journal/campaign/daemon under \
+               escalating fault intensity, then targeted single-class episodes", ..row::CHAOS },
+    Flag { name: "--chaos-dir", arg: "DIR", kind: Text, needs: "a directory",
+        set: |c, v| c.chaos_dir = Some(v.text),
+        help: "scratch directory for episode journals (default: per-pid, under the temp dir)",
+        ..row::CHAOS },
+
+    Flag { name: "--arrival-rate", arg: "LIST", kind: Text, needs: "a comma-separated list",
+        set: |c, v| c.arrival_rate = Some(v.text),
+        help: "comma-separated load levels: bare Poisson rates (jobs/sim-second) or arrival \
+               grammar strings `poisson@R` / `mmpp@R0:R1:S0:S1` (default 0.01,0.04,0.16: \
+               light, busy, overload)", ..row::ONLINE },
+    Flag { name: "--horizon-events", arg: "N", kind: Int(1, U64), needs: "an integer >= 1",
+        scope: OnlineRequest, set: |c, v| c.horizon_events = Some(v.int),
+        help: "DES events per run before draining (default 1000000); also shapes a client \
+               --online request", ..row::ONLINE },
+    Flag { name: "--admission", arg: "N", kind: Int(0, USIZE),
+        needs: "an integer (0 sheds everything)", scope: OnlineRequest,
+        set: |c, v| c.admission = Some(v.int as usize),
+        help: "backlog+inflight cap; beyond it arrivals are shed with EMA retry hints \
+               (default 64; 0 sheds all); also shapes a client --online request", ..row::ONLINE },
+    Flag { name: "--max-width", arg: "N", kind: Int(1, USIZE), needs: "an integer >= 1",
+        set: |c, v| c.max_width = Some(v.int as usize),
+        help: "widest host subset one job may claim (default 8)", ..row::ONLINE },
+    Flag { name: "--batch", arg: "N", kind: Int(1, USIZE), needs: "an integer >= 1",
+        set: |c, v| c.batch = Some(v.int as usize),
+        help: "steps between memory samples (the event trace is invariant to it)", ..row::ONLINE },
+    Flag { name: "--trace-out", arg: "PATH", kind: Text, needs: "a path",
+        set: |c, v| c.trace_out = Some(v.text),
+        help: "write the deterministic event/SLO trace (byte-identical across repeats, batch \
+               sizes, --workers)", ..row::ONLINE },
+
+    Flag { name: "--socket", arg: "PATH", kind: Text, needs: "a path",
+        set: |c, v| c.socket = Some(v.text),
+        help: "Unix socket the daemon listens on, or the client connects to", ..row::SERVE },
+    Flag { name: "--stdio", set: |c, _| c.stdio = true,
+        help: "serve one connection over stdin/stdout instead", ..row::SERVE },
+    Flag { name: "--state", arg: "DIR", kind: Text, needs: "a directory",
+        set: |c, v| c.state = Some(v.text),
+        help: "journal every grid request under DIR: resubmissions replay byte-identically, a \
+               restarted daemon finishes interrupted requests", ..row::SERVE },
+    Flag { name: "--queue-cap", arg: "N", kind: Int(1, 4096), needs: "an integer in 1..=4096",
+        set: |c, v| c.queue_cap = Some(v.int as usize),
+        help: "admission queue capacity, 1..=4096 (default 16)", ..row::SERVE },
+    Flag { name: "--serve-workers", arg: "N", kind: Int(1, 64), needs: "an integer in 1..=64",
+        set: |c, v| c.serve_workers = Some(v.int as usize),
+        help: "concurrent request executors, 1..=64 (default 2)", ..row::SERVE },
+
+    Flag { name: "--schedule", arg: "DAG:VAR:ALGO", kind: Text, needs: "DAG:VARIANT:ALGO",
+        set: |c, v| c.schedule = Some(v.text), help: "one schedule (no testbed runs)",
+        ..row::CLIENT },
+    Flag { name: "--simulate", arg: "DAG:VAR:ALGO", kind: Text, needs: "DAG:VARIANT:ALGO",
+        set: |c, v| c.simulate = Some(v.text), help: "one full cell (--repeats testbed runs)",
+        ..row::CLIENT },
+    Flag { name: "--subset-grid", arg: "N", kind: Int(1, USIZE), needs: "an integer >= 1",
+        set: |c, v| c.subset_grid = Some(v.int as usize),
+        help: "first N DAGs x 3 variants x 2 algorithms", ..row::CLIENT },
+    Flag { name: "--online", arg: "ALGO:ARRIVAL", kind: Text, needs: "ALGO:ARRIVAL",
+        set: |c, v| c.online = Some(v.text),
+        help: "one streaming run (e.g. HCPA:0.05 or MCPA:mmpp@8:0.5:10:40), shaped by \
+               --horizon-events, --admission and --seed; the daemon caps the horizon at 20M \
+               events", ..row::CLIENT },
+    Flag { name: "--deadline-ms", arg: "N", kind: Int(0, U64), needs: "an integer",
+        set: |c, v| c.deadline_ms = Some(v.int), help: "per-request deadline", ..row::CLIENT },
+    Flag { name: "--health", set: |c, _| c.health = true, help: "print server statistics",
+        ..row::CLIENT },
+    Flag { name: "--drain", set: |c, _| c.drain = true, help: "ask the daemon to drain and exit",
+        ..row::CLIENT },
+
+    // Run as a supervised cell worker over stdin/stdout.
+    Flag { name: "--cell-worker", set: |c, _| c.cell_worker = true, ..row::HIDDEN },
+    // Inert marker so tests and humans can attribute worker processes.
+    Flag { name: "--worker-tag", kind: Tag, ..row::HIDDEN },
+];
+
+/// A flag's value, as handed to its setter: the text after the flag, and
+/// the number it holds for an [`Int`] flag.
+struct Val {
+    text: String,
+    int: u64,
+}
+
+/// One checked `repro` invocation.
+#[derive(Debug, Default)]
+struct Cli {
+    targets: Vec<String>,
+    help: bool,
+    seed: u64,
+    repeats: u64,
+    json: Option<String>,
+    faults: Option<String>,
+    max_retries: u32,
+    disturb: Option<String>,
+    recovery: Option<RecoveryPolicy>,
+    subset: Option<usize>,
+    workers: Option<usize>,
+    journal: Option<String>,
+    resume: bool,
+    max_wall_secs: Option<u64>,
+    throttle_ms: Option<u64>,
+    isolation: String,
+    cell_timeout_secs: Option<u64>,
+    max_cell_attempts: Option<u32>,
+    spawn_timeout_secs: Option<u64>,
+    stderr_tail_bytes: Option<usize>,
+    poison: Option<String>,
+    campaign_dir: Option<String>,
+    points: Option<usize>,
+    episodes: Option<usize>,
+    chaos_dir: Option<String>,
+    arrival_rate: Option<String>,
+    horizon_events: Option<u64>,
+    admission: Option<usize>,
+    max_width: Option<usize>,
+    batch: Option<usize>,
+    trace_out: Option<String>,
+    socket: Option<String>,
+    stdio: bool,
+    state: Option<String>,
+    queue_cap: Option<usize>,
+    serve_workers: Option<usize>,
+    schedule: Option<String>,
+    simulate: Option<String>,
+    subset_grid: Option<usize>,
+    online: Option<String>,
+    deadline_ms: Option<u64>,
+    health: bool,
+    drain: bool,
+    cell_worker: bool,
+}
+
+impl Cli {
+    /// Parses and checks `args` (without the program name). `Err` is the
+    /// one-line reason for exit 2. `--help` stops parsing.
+    fn parse(args: &[String]) -> Result<Cli, String> {
+        let mut c = Cli {
+            seed: 2011,
+            repeats: 3,
+            max_retries: ExecPolicy::default().max_retries,
+            isolation: "inproc".to_string(),
+            ..Cli::default()
+        };
+        // Per row: how a flag in force is named in errors.
+        let mut in_force: Vec<Option<String>> = vec![None; FLAGS.len()];
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                c.help = true;
+                return Ok(c);
             }
-            "--repeats" => {
-                i += 1;
-                repeats = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--repeats needs an integer"));
-            }
-            "--json" => {
-                i += 1;
-                json_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--json needs a directory")),
-                );
-            }
-            "--faults" => {
-                i += 1;
-                faults = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--faults needs a plan description")),
-                );
-            }
-            "--disturb" => {
-                i += 1;
-                disturb = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--disturb needs a plan description")),
-                );
-            }
-            "--recovery" => {
-                i += 1;
-                recovery = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--recovery needs a mode (failfast|retry|rescue)")),
-                );
-            }
-            "--max-retries" => {
-                i += 1;
-                max_retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--max-retries needs an integer"));
-            }
-            "--journal" => {
-                i += 1;
-                journal_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--journal needs a path")),
-                );
-            }
-            "--resume" => resume = true,
-            "--max-wall-secs" => {
-                i += 1;
-                max_wall_secs = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--max-wall-secs needs an integer")),
-                );
-            }
-            "--subset" => {
-                i += 1;
-                subset = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--subset needs an integer")),
-                );
-            }
-            "--workers" => {
-                i += 1;
-                workers = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--workers needs an integer")),
-                );
-            }
-            "--throttle-ms" => {
-                i += 1;
-                throttle_ms = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--throttle-ms needs an integer")),
-                );
-            }
-            "--isolation" => {
-                i += 1;
-                isolation = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| die("--isolation needs a mode (inproc|process)"));
-                if isolation != "inproc" && isolation != "process" {
-                    die(&format!("--isolation {isolation:?} is not inproc|process"));
+            let Some(row) = FLAGS.iter().position(|f| f.name == arg) else {
+                if arg.starts_with('-') {
+                    return Err(format!("unknown flag `{arg}`"));
                 }
+                c.targets.push(arg.clone());
+                continue;
+            };
+            let f = &FLAGS[row];
+            let needs = || format!("{} needs {}", f.name, f.needs);
+            let mut label = Some(f.name.to_string());
+            let text = match f.kind {
+                Switch => "",
+                Tag => {
+                    args.next();
+                    continue;
+                }
+                _ => args.next().ok_or_else(needs)?,
+            };
+            let mut int = 0;
+            match f.kind {
+                Int(lo, hi) => {
+                    int = text
+                        .parse()
+                        .ok()
+                        .filter(|n| (lo..=hi).contains(n))
+                        .ok_or_else(needs)?;
+                }
+                Mode(words) if !words.contains(&text) => {
+                    return Err(format!("{} {text:?} is not {}", f.name, words.join("|")));
+                }
+                Mode(words) => label = (text != words[0]).then(|| format!("{} {text}", f.name)),
+                Policy if text.parse::<RecoveryPolicy>().is_err() => {
+                    return Err(format!("{} needs failfast, retry, or rescue", f.name));
+                }
+                _ => {}
             }
-            "--cell-timeout-secs" => {
-                i += 1;
-                cell_timeout_secs = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--cell-timeout-secs needs an integer >= 1")),
-                );
-            }
-            "--max-cell-attempts" => {
-                i += 1;
-                max_cell_attempts = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u32>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--max-cell-attempts needs an integer >= 1")),
-                );
-            }
-            "--poison" => {
-                i += 1;
-                poison_spec = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--poison needs a spec (needle=panic|hang,...)")),
-                );
-            }
-            "--stderr-tail-bytes" => {
-                i += 1;
-                stderr_tail_bytes = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n <= 1024 * 1024)
-                        .unwrap_or_else(|| {
-                            die("--stderr-tail-bytes needs an integer in 0..=1048576")
-                        }),
-                );
-            }
-            "--spawn-timeout-secs" => {
-                i += 1;
-                spawn_timeout_secs = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .filter(|&n| (1..=600).contains(&n))
-                        .unwrap_or_else(|| die("--spawn-timeout-secs needs an integer in 1..=600")),
-                );
-            }
-            "--socket" => {
-                i += 1;
-                socket = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--socket needs a path")),
-                );
-            }
-            "--state" => {
-                i += 1;
-                state_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--state needs a directory")),
-                );
-            }
-            "--queue-cap" => {
-                i += 1;
-                queue_cap = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| (1..=4096).contains(&n))
-                        .unwrap_or_else(|| die("--queue-cap needs an integer in 1..=4096")),
-                );
-            }
-            "--serve-workers" => {
-                i += 1;
-                serve_workers = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| (1..=64).contains(&n))
-                        .unwrap_or_else(|| die("--serve-workers needs an integer in 1..=64")),
-                );
-            }
-            "--stdio" => stdio = true,
-            "--schedule" => {
-                i += 1;
-                cli_schedule = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--schedule needs DAG:VARIANT:ALGO")),
-                );
-            }
-            "--simulate" => {
-                i += 1;
-                cli_simulate = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--simulate needs DAG:VARIANT:ALGO")),
-                );
-            }
-            "--subset-grid" => {
-                i += 1;
-                cli_subset_grid = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--subset-grid needs an integer >= 1")),
-                );
-            }
-            "--online" => {
-                i += 1;
-                cli_online = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--online needs ALGO:ARRIVAL")),
-                );
-            }
-            "--health" => cli_health = true,
-            "--drain" => cli_drain = true,
-            "--deadline-ms" => {
-                i += 1;
-                deadline_ms = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or_else(|| die("--deadline-ms needs an integer")),
-                );
-            }
-            "--campaign-dir" => {
-                i += 1;
-                campaign_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--campaign-dir needs a directory")),
-                );
-            }
-            "--points" => {
-                i += 1;
-                points = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--points needs an integer >= 1")),
-                );
-            }
-            "--episodes" => {
-                i += 1;
-                episodes = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--episodes needs an integer >= 1")),
-                );
-            }
-            "--chaos-dir" => {
-                i += 1;
-                chaos_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--chaos-dir needs a directory")),
-                );
-            }
-            "--arrival-rate" => {
-                i += 1;
-                arrival_rates = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--arrival-rate needs a comma-separated list")),
-                );
-            }
-            "--horizon-events" => {
-                i += 1;
-                horizon_events = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--horizon-events needs an integer >= 1")),
-                );
-            }
-            "--admission" => {
-                i += 1;
-                admission = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .unwrap_or_else(|| {
-                            die("--admission needs an integer (0 sheds everything)")
-                        }),
-                );
-            }
-            "--max-width" => {
-                i += 1;
-                max_width = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--max-width needs an integer >= 1")),
-                );
-            }
-            "--batch" => {
-                i += 1;
-                batch = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--batch needs an integer >= 1")),
-                );
-            }
-            "--trace-out" => {
-                i += 1;
-                trace_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--trace-out needs a path")),
-                );
-            }
-            "--help" | "-h" => {
-                print!("{}", help_text());
-                std::process::exit(0);
-            }
-            // Hidden: run as a supervised cell worker over stdin/stdout.
-            "--cell-worker" => cell_worker = true,
-            // Hidden: inert marker so tests can find worker processes by
-            // scanning /proc/*/cmdline.
-            "--worker-tag" => i += 1,
-            t => targets.push(t.to_string()),
+            (f.set)(
+                &mut c,
+                Val {
+                    text: text.to_string(),
+                    int,
+                },
+            );
+            in_force[row] = label;
         }
-        i += 1;
+        if c.targets.is_empty() {
+            c.targets.push("all".to_string());
+        }
+        if let Some(t) = c
+            .targets
+            .iter()
+            .find(|t| TARGETS.iter().all(|(name, _)| name != t))
+        {
+            return Err(format!("unknown target `{t}`"));
+        }
+
+        let journaled = c.journal.is_some() || c.cell_worker || c.is("serve") || c.is("campaign");
+        let supervised = c.isolation == "process" || c.cell_worker;
+        for (f, label) in FLAGS.iter().zip(&in_force) {
+            let Some(label) = label else { continue };
+            f.scope.check(label, &c)?;
+            rule(
+                f.requires == Journal && !journaled,
+                format!("{label} requires --journal PATH"),
+            )?;
+            rule(
+                f.requires == Process && !supervised,
+                format!("{label} requires --isolation process"),
+            )?;
+        }
+
+        for (broken, msg) in c.cross_rules() {
+            rule(broken, msg)?;
+        }
+        Ok(c)
     }
-    if targets.is_empty() {
-        targets.push("all".to_string());
+
+    /// The rules that tie flags and targets to each other, in the order
+    /// they are checked; a broken rule is a usage error.
+    #[rustfmt::skip]
+    fn cross_rules(&self) -> [(bool, &'static str); 12] {
+        let c = self;
+        let alone = |t| c.is(t) && c.targets.len() > 1;
+        let (serve, client) = (c.is("serve"), c.is("client"));
+        [
+            (alone("online"), "online cannot be combined with other targets"),
+            (alone("chaos"), "chaos cannot be combined with other targets"),
+            (alone("campaign"), "campaign cannot be combined with other targets"),
+            (serve && client, "serve and client are mutually exclusive targets"),
+            (alone("serve") || alone("client"), "serve/client cannot be combined with other targets"),
+            (c.is("disturb") && c.disturb.is_some(),
+                "--disturb cannot be used with the disturb target (it sweeps its own seeded plans)"),
+            (c.recovery.is_some() && c.disturb.is_none() && !c.is("disturb"),
+                "--recovery requires --disturb or the disturb target"),
+            (c.is("campaign") && c.campaign_dir.is_none(), "campaign needs --campaign-dir DIR"),
+            (serve && c.socket.is_none() && !c.stdio, "serve needs --socket PATH (or --stdio)"),
+            (serve && c.isolation == "process" && c.state.is_none(),
+                "serve --isolation process requires --state DIR (the supervisor owns journals)"),
+            (serve && c.resume,
+                "--resume is implicit for serve (journals under --state resume themselves)"),
+            (client && c.socket.is_none(), "client needs --socket PATH"),
+        ]
     }
-    args.clear();
-    let serving = targets.iter().any(|t| t == "serve");
-    let clienting = targets.iter().any(|t| t == "client");
-    let campaigning = targets.iter().any(|t| t == "campaign");
-    let chaosing = targets.iter().any(|t| t == "chaos");
-    let disturbing = targets.iter().any(|t| t == "disturb");
-    let onlining = targets.iter().any(|t| t == "online");
-    if onlining {
-        if targets.len() > 1 {
-            die("online cannot be combined with other targets");
-        }
-        // The streaming sweep builds no testbed harness; grid knobs
-        // would be inert lies.
-        for (set, flag) in [
-            (faults.is_some(), "--faults"),
-            (disturb.is_some(), "--disturb"),
-            (recovery.is_some(), "--recovery"),
-            (journal_path.is_some(), "--journal"),
-            (resume, "--resume"),
-            (subset.is_some(), "--subset"),
-            (isolation == "process", "--isolation process"),
-            (max_wall_secs.is_some(), "--max-wall-secs"),
-            (throttle_ms.is_some(), "--throttle-ms"),
-        ] {
-            if set {
-                die(&format!("{flag} cannot be used with the online target"));
-            }
-        }
+
+    fn is(&self, target: &str) -> bool {
+        self.targets.iter().any(|t| t == target)
+    }
+
+    /// `--recovery`, defaulting to rescue (the library default is failfast).
+    fn recovery_policy(&self) -> RecoveryPolicy {
+        self.recovery.unwrap_or(RecoveryPolicy::Rescue)
+    }
+}
+
+/// `Err(msg)` when the rule is `broken`.
+fn rule(broken: bool, msg: impl Into<String>) -> Result<(), String> {
+    if broken {
+        Err(msg.into())
     } else {
-        for (set, flag) in [
-            (arrival_rates.is_some(), "--arrival-rate"),
-            (max_width.is_some(), "--max-width"),
-            (batch.is_some(), "--batch"),
-            (trace_out.is_some(), "--trace-out"),
-        ] {
-            if set {
-                die(&format!("{flag} requires the online target"));
-            }
-        }
-        // These two also parameterize a client `--online` request.
-        if !(clienting && cli_online.is_some()) {
-            for (set, flag) in [
-                (horizon_events.is_some(), "--horizon-events"),
-                (admission.is_some(), "--admission"),
-            ] {
-                if set {
-                    die(&format!(
-                        "{flag} requires the online target or a client --online request"
-                    ));
-                }
-            }
+        Ok(())
+    }
+}
+
+impl Scope {
+    fn allows(self, target: &str) -> bool {
+        match self {
+            Any => true,
+            Not(ts) => !ts.contains(&target),
+            Only(ts) => ts.contains(&target),
+            OnlineRequest => target == "online" || target == "client",
         }
     }
-    if onlining {
-        let defaults = mps_exp::OnlineOpts::default();
-        let opts = mps_exp::OnlineOpts {
-            arrivals: match &arrival_rates {
-                Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
-                None => defaults.arrivals,
+
+    /// Checks the flag named `label` against `c`'s targets.
+    fn check(self, label: &str, c: &Cli) -> Result<(), String> {
+        match self {
+            Any => Ok(()),
+            Not(_) => match c.targets.iter().find(|t| !self.allows(t)) {
+                Some(t) => Err(format!("{label} cannot be used with the {t} target")),
+                None => Ok(()),
             },
-            horizon_events: horizon_events.unwrap_or(defaults.horizon_events),
-            seed,
-            admission_cap: admission.unwrap_or(defaults.admission_cap),
-            max_width: max_width.unwrap_or(defaults.max_width),
-            batch: batch.unwrap_or(defaults.batch),
-            workers: workers.unwrap_or_else(Harness::default_workers),
-        };
-        std::process::exit(run_online(&opts, trace_out.as_deref(), json_dir.as_deref()));
-    }
-    if disturbing && disturb.is_some() {
-        die("--disturb cannot be used with the disturb target (it sweeps its own seeded plans)");
-    }
-    if recovery.is_some() && disturb.is_none() && !disturbing {
-        die("--recovery requires --disturb or the disturb target");
-    }
-    let recovery_policy: RecoveryPolicy = match &recovery {
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| die("--recovery needs failfast, retry, or rescue")),
-        None => RecoveryPolicy::Rescue,
-    };
-    if serving && clienting {
-        die("serve and client are mutually exclusive targets");
-    }
-    if chaosing {
-        if targets.len() > 1 {
-            die("chaos cannot be combined with other targets");
-        }
-        // Chaos episodes build their own harnesses, fault plans, and
-        // scratch journals; the grid/campaign knobs would be inert lies.
-        for (set, flag) in [
-            (faults.is_some(), "--faults"),
-            (disturb.is_some(), "--disturb"),
-            (recovery.is_some(), "--recovery"),
-            (journal_path.is_some(), "--journal"),
-            (resume, "--resume"),
-            (json_dir.is_some(), "--json"),
-            (subset.is_some(), "--subset"),
-            (workers.is_some(), "--workers"),
-            (isolation == "process", "--isolation process"),
-            (max_wall_secs.is_some(), "--max-wall-secs"),
-            (throttle_ms.is_some(), "--throttle-ms"),
-        ] {
-            if set {
-                die(&format!("{flag} cannot be used with the chaos target"));
-            }
-        }
-    } else {
-        for (set, flag) in [
-            (episodes.is_some(), "--episodes"),
-            (chaos_dir.is_some(), "--chaos-dir"),
-        ] {
-            if set {
-                die(&format!("{flag} requires the chaos target"));
-            }
+            Only(ts) => rule(
+                !c.targets.iter().any(|t| self.allows(t)),
+                format!("{label} requires the {} target", ts.join(" or ")),
+            ),
+            OnlineRequest => rule(
+                !(c.is("online") || c.is("client") && c.online.is_some()),
+                format!("{label} requires the online target or a client --online request"),
+            ),
         }
     }
-    if campaigning {
-        if targets.len() > 1 {
-            die("campaign cannot be combined with other targets");
-        }
-        if campaign_dir.is_none() {
-            die("campaign needs --campaign-dir DIR");
-        }
-        // Campaign points build their own fault-sweep plans, own one
-        // journal each, and resume by re-invocation.
-        for (set, flag) in [
-            (faults.is_some(), "--faults"),
-            (journal_path.is_some(), "--journal"),
-            (resume, "--resume"),
-            (json_dir.is_some(), "--json"),
-            (isolation == "process", "--isolation process"),
-        ] {
-            if set {
-                die(&format!("{flag} cannot be used with the campaign target"));
-            }
-        }
-    } else {
-        for (set, flag) in [
-            (campaign_dir.is_some(), "--campaign-dir"),
-            (points.is_some(), "--points"),
-        ] {
-            if set {
-                die(&format!("{flag} requires the campaign target"));
-            }
-        }
-    }
-    if (serving || clienting) && targets.len() > 1 {
-        die("serve/client cannot be combined with other targets");
-    }
-    if serving {
-        if socket.is_none() && !stdio {
-            die("serve needs --socket PATH (or --stdio)");
-        }
-        if isolation == "process" && state_dir.is_none() {
-            die("serve --isolation process requires --state DIR (the supervisor owns journals)");
-        }
-        if resume {
-            die("--resume is implicit for serve (journals under --state resume themselves)");
-        }
-    }
-    if clienting && socket.is_none() {
-        die("client needs --socket PATH");
-    }
-    if !serving && !clienting {
-        for (set, flag) in [
-            (socket.is_some(), "--socket"),
-            (state_dir.is_some(), "--state"),
-            (queue_cap.is_some(), "--queue-cap"),
-            (serve_workers.is_some(), "--serve-workers"),
-            (stdio, "--stdio"),
-            (cli_schedule.is_some(), "--schedule"),
-            (cli_simulate.is_some(), "--simulate"),
-            (cli_subset_grid.is_some(), "--subset-grid"),
-            (cli_online.is_some(), "--online"),
-            (cli_health, "--health"),
-            (cli_drain, "--drain"),
-            (deadline_ms.is_some(), "--deadline-ms"),
-        ] {
-            if set {
-                die(&format!("{flag} requires the serve or client target"));
-            }
-        }
-    }
-    if chaosing {
-        let dir = chaos_dir.map(PathBuf::from).unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("mps-chaos-{}", std::process::id()))
-        });
-        let opts = mps_exp::ChaosOpts {
-            episodes: episodes.unwrap_or(50),
-            seed,
-            dir,
-        };
-        std::process::exit(run_chaos(&opts));
-    }
-    if clienting {
-        std::process::exit(run_client(
-            socket.as_deref().unwrap(),
-            repeats,
-            deadline_ms,
-            cli_health,
-            cli_schedule.as_deref(),
-            cli_simulate.as_deref(),
-            cli_subset_grid,
-            cli_online.as_deref(),
-            horizon_events,
-            admission,
-            seed,
-            disturb.clone(),
-            cli_drain,
-        ));
-    }
-    if journal_path.is_none() && !cell_worker && !serving && !campaigning {
-        // These flags only make sense for a journaled campaign; silently
-        // ignoring them would mislead (e.g. `--resume` quietly recomputing
-        // a full grid from scratch).
-        for (set, flag) in [
-            (resume, "--resume"),
-            (max_wall_secs.is_some(), "--max-wall-secs"),
-            (throttle_ms.is_some(), "--throttle-ms"),
-            (isolation == "process", "--isolation process"),
-        ] {
-            if set {
-                die(&format!("{flag} requires --journal PATH"));
-            }
-        }
-    }
-    if isolation != "process" && !cell_worker {
-        // Supervision knobs without supervision would be silently inert.
-        for (set, flag) in [
-            (cell_timeout_secs.is_some(), "--cell-timeout-secs"),
-            (max_cell_attempts.is_some(), "--max-cell-attempts"),
-            (stderr_tail_bytes.is_some(), "--stderr-tail-bytes"),
-            (spawn_timeout_secs.is_some(), "--spawn-timeout-secs"),
-        ] {
-            if set {
-                die(&format!("{flag} requires --isolation process"));
-            }
-        }
-    }
+}
 
-    let needs_grid = targets.iter().any(|t| {
-        matches!(
-            t.as_str(),
-            "all" | "fig1" | "fig5" | "fig7" | "fig8" | "grid"
-        )
-    });
-
-    if !cell_worker {
-        eprintln!("# building harness (seed {seed}): profiling the emulated testbed…");
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::parse(&args).unwrap_or_else(|e| die(&e));
+    if cli.help {
+        print!("{}", help_text());
+        return;
     }
-    let mut harness = Harness::new(seed);
-    // Plans name hosts by index, so they are checked against the cluster
-    // the harness runs on.
-    let hosts = harness.nominal_cluster().node_count();
-    if let Some(desc) = &faults {
-        let plan = FaultPlan::parse(desc, hosts, FAULT_HORIZON)
-            .unwrap_or_else(|e| die(&format!("bad --faults plan: {e}")));
-        if !cell_worker {
-            eprintln!(
-                "# injecting fault plan (seed {}, {} event(s), max {} retries/task)",
-                plan.seed,
-                plan.events.len(),
-                max_retries
-            );
-        }
-        harness = harness.with_fault_plan(plan);
+    if cli.is("online") {
+        std::process::exit(run_online(&cli));
     }
-    harness = harness.with_exec_policy(ExecPolicy {
-        max_retries,
-        ..ExecPolicy::default()
-    });
-    if let Some(spec) = &poison_spec {
-        let rules =
-            parse_poison_spec(spec).unwrap_or_else(|e| die(&format!("bad --poison spec: {e}")));
-        harness = harness.with_poison(rules);
+    if cli.is("chaos") {
+        std::process::exit(run_chaos(&cli));
     }
-    if let Some(desc) = &disturb {
-        let plan = DisturbancePlan::parse(desc, hosts, FAULT_HORIZON)
-            .unwrap_or_else(|e| die(&format!("bad --disturb plan: {e}")));
-        if !cell_worker {
-            eprintln!(
-                "# injecting disturbance plan (seed {}, {} event(s), recovery {})",
-                plan.seed,
-                plan.events.len(),
-                recovery_policy
-            );
-        }
-        harness = harness.with_disturbance(DisturbConfig::new(plan, recovery_policy));
+    if cli.is("client") {
+        std::process::exit(run_client(&cli));
     }
-
-    if cell_worker {
+    if !cli.cell_worker {
+        eprintln!(
+            "# building harness (seed {}): profiling the emulated testbed…",
+            cli.seed
+        );
+    }
+    let mut harness = build_harness(&cli);
+    if cli.cell_worker {
         // Supervised worker mode: serve cells over stdin/stdout until the
         // supervisor closes the pipe. No catch_unwind — a poisoned cell
         // kills this process and that death is the crash report.
-        std::process::exit(serve_cells(&harness, repeats));
+        std::process::exit(serve_cells(&harness, cli.repeats));
     }
-    if serving {
-        let opts = ServeCliOpts {
-            socket,
-            state_dir,
-            queue_cap,
-            serve_workers,
-            stdio,
-            max_wall_secs,
-            throttle_ms,
-            isolation: isolation.clone(),
-            seed,
-            repeats,
-            max_retries,
-            faults: faults.clone(),
-            poison_spec: poison_spec.clone(),
-            disturb: disturb.clone(),
-            recovery: recovery_policy,
-            workers,
-            cell_timeout_secs,
-            max_cell_attempts,
-            spawn_timeout_secs,
-            stderr_tail_bytes,
-        };
-        std::process::exit(run_serve(harness, opts));
+    if cli.is("serve") {
+        std::process::exit(run_serve(harness, &cli));
     }
-    if campaigning {
-        let opts = mps_exp::CampaignOpts {
-            dir: PathBuf::from(campaign_dir.unwrap()),
-            points: points.unwrap_or(mps_exp::campaign::DEFAULT_POINTS),
-            repeats,
-            workers: workers.unwrap_or_else(Harness::default_workers),
-            subset,
-        };
-        std::process::exit(run_campaign(&mut harness, opts, max_wall_secs, throttle_ms));
+    if cli.is("campaign") {
+        std::process::exit(run_campaign(&mut harness, &cli));
     }
-    let mut grid_status = GridStatus::Complete;
-    let cells = if needs_grid {
-        let scope = match subset {
-            Some(take) => format!("{take}-DAG subset"),
-            None => "54-DAG".to_string(),
-        };
-        eprintln!("# running the {scope} × 3-simulator × 2-algorithm grid ({repeats} testbed runs per cell)…");
-        let cells = match &journal_path {
-            Some(jpath) => {
-                // Journaled campaign: SIGINT/SIGTERM become a graceful
-                // drain, a wall-clock budget becomes a clean checkpoint.
-                install_signal_handlers();
-                let mut ctrl =
-                    RunControl::unlimited().with_cancel(CancelToken::following_signals());
-                if let Some(secs) = max_wall_secs {
-                    ctrl = ctrl.with_deadline_in(Duration::from_secs(secs));
-                }
-                if let Some(ms) = throttle_ms {
-                    ctrl = ctrl.with_throttle(Duration::from_millis(ms));
-                }
-                let workers = workers.unwrap_or_else(Harness::default_workers);
-                let path = Path::new(jpath);
-                let report: JournaledGrid = if isolation == "process" {
-                    // Process-isolated campaign: cells run in supervised
-                    // child workers (this binary, re-executed in hidden
-                    // `--cell-worker` mode); poison cells are quarantined.
-                    let program: PathBuf = std::env::current_exe()
-                        .unwrap_or_else(|e| die(&format!("cannot locate own binary: {e}")));
-                    let mut wargs = vec![
-                        "--cell-worker".to_string(),
-                        "--seed".to_string(),
-                        seed.to_string(),
-                        "--repeats".to_string(),
-                        repeats.to_string(),
-                        "--max-retries".to_string(),
-                        max_retries.to_string(),
-                    ];
-                    if let Some(desc) = &faults {
-                        wargs.push("--faults".to_string());
-                        wargs.push(desc.clone());
-                    }
-                    if let Some(spec) = &poison_spec {
-                        wargs.push("--poison".to_string());
-                        wargs.push(spec.clone());
-                    }
-                    if let Some(desc) = &disturb {
-                        wargs.push("--disturb".to_string());
-                        wargs.push(desc.clone());
-                        wargs.push("--recovery".to_string());
-                        wargs.push(recovery_policy.to_string());
-                    }
-                    // Inert marker so tests (and humans) can attribute
-                    // workers to their campaign in `ps`/procfs output.
-                    wargs.push("--worker-tag".to_string());
-                    wargs.push(jpath.clone());
-                    let worker_cmd = WorkerCommand {
-                        program,
-                        args: wargs,
-                    };
-                    let opts = SuperviseOpts {
-                        repeats,
-                        workers,
-                        resume,
-                        cell_timeout: Duration::from_secs(cell_timeout_secs.unwrap_or(120)),
-                        spawn_timeout: Duration::from_secs(spawn_timeout_secs.unwrap_or(30)),
-                        stderr_tail_bytes: stderr_tail_bytes.unwrap_or(8 * 1024),
-                        config: SupervisorConfig {
-                            max_cell_attempts: max_cell_attempts.unwrap_or(2),
-                            ..SupervisorConfig::default()
-                        },
-                    };
-                    match subset {
-                        Some(take) => {
-                            harness.run_subset_supervised(take, path, &worker_cmd, &opts, &ctrl)
-                        }
-                        None => harness.run_grid_supervised(path, &worker_cmd, &opts, &ctrl),
-                    }
-                    .unwrap_or_else(|e| die(&format!("supervised campaign: {e}")))
-                } else {
-                    match subset {
-                        Some(take) => harness
-                            .run_subset_journaled(take, path, repeats, workers, resume, &ctrl),
-                        None => harness.run_grid_journaled(path, repeats, workers, resume, &ctrl),
-                    }
-                    .unwrap_or_else(|e| die(&format!("journal: {e}")))
-                };
-                if report.salvage_dropped_bytes > 0 {
-                    eprintln!(
-                        "# journal recovery: dropped a torn tail of {} byte(s)",
-                        report.salvage_dropped_bytes
-                    );
-                }
-                eprintln!(
-                    "# journal {}: {} cell(s) resumed, {} computed, {} pending, {} quarantined — {}",
-                    jpath,
-                    report.resumed,
-                    report.computed,
-                    report.pending,
-                    report.quarantined,
-                    report.status.label()
-                );
-                grid_status = report.status;
-                report.cells
-            }
-            None => match subset {
-                Some(take) => harness.run_subset(take, repeats),
-                None => harness.run_grid(repeats),
-            },
-        };
-        let health = grid_health(&cells);
-        if disturb.is_some() || health.disturbed > 0 {
-            eprintln!(
-                "# disturbances: {} disturbed cell(s), {} crash(es), {} rescue(s), {} task(s) rescued",
-                health.disturbed, health.crashes, health.rescues, health.rescued_tasks
-            );
-        }
-        if health.degraded + health.failed + health.quarantined > 0 || faults.is_some() {
-            eprintln!(
-                "# grid health: {} full, {} degraded ({} retries, {} lost runs), {} failed, {} quarantined cells",
-                health.full,
-                health.degraded,
-                health.retries,
-                health.lost_runs,
-                health.failed,
-                health.quarantined
-            );
-            for c in cells.iter().filter(|c| !c.succeeded()) {
-                if let mps_exp::CellOutcome::Failed { error } = &c.outcome {
-                    eprintln!(
-                        "#   failed: {}/{}/{}: {error}",
-                        c.dag,
-                        c.variant.name(),
-                        c.algo
-                    );
-                } else if let Some(report) = c.outcome.crash_report() {
-                    eprintln!(
-                        "#   {}: {}/{}/{}: {}",
-                        c.outcome.label(),
-                        c.dag,
-                        c.variant.name(),
-                        c.algo,
-                        report.summary()
-                    );
-                }
-            }
-        }
-        cells
+    let grid_figures = ["all", "fig1", "fig5", "fig7", "fig8", "grid"];
+    let needs_grid = cli
+        .targets
+        .iter()
+        .any(|t| grid_figures.contains(&t.as_str()));
+    let (cells, grid_status) = if needs_grid {
+        run_grid(&harness, &cli)
     } else {
-        Vec::new()
+        (Vec::new(), GridStatus::Complete)
     };
-
-    if let Some(dir) = &json_dir {
+    if let Some(dir) = &cli.json {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| die(&format!("cannot create --json dir {dir}: {e}")));
-        let path = format!("{dir}/grid.json");
-        let mut f = std::fs::File::create(&path)
-            .unwrap_or_else(|e| die(&format!("cannot create {path}: {e}")));
-        serde_json::to_writer_pretty(&mut f, &cells)
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        f.flush()
-            .unwrap_or_else(|e| die(&format!("cannot flush {path}: {e}")));
-        eprintln!("# wrote {path}");
-        // CSV companion for spreadsheet/R users.
-        let csv_path = format!("{dir}/grid.csv");
-        let mut csv =
-            String::from("dag,n,variant,algo,sim_makespan,real_makespan,error_pct,outcome\n");
-        for c in &cells {
-            csv.push_str(&format!(
-                "{},{},{},{},{:.6},{:.6},{:.3},{}\n",
-                c.dag,
-                c.n,
-                c.variant.name(),
-                c.algo,
-                c.sim_makespan,
-                c.real_makespan,
-                c.error_pct(),
-                c.outcome.label()
-            ));
-        }
-        std::fs::write(&csv_path, csv)
-            .unwrap_or_else(|e| die(&format!("cannot write {csv_path}: {e}")));
-        eprintln!("# wrote {csv_path}");
+        write_file(
+            &format!("{dir}/grid.json"),
+            serde_json::to_string_pretty(&cells),
+        );
+        write_file(&format!("{dir}/grid.csv"), Ok(mps_exp::grid_csv(&cells)));
     }
 
     if grid_status != GridStatus::Complete {
@@ -983,7 +592,7 @@ fn main() {
         // *successful* checkpoint and exits 0.
         println!(
             "{}",
-            grid_report(&cells, grid_status, journal_path.as_deref())
+            figures::grid_summary(&cells, grid_status, cli.journal.as_deref())
         );
         let code = match grid_status {
             GridStatus::Interrupted => 130,
@@ -992,102 +601,8 @@ fn main() {
         std::process::exit(code);
     }
 
-    for t in &targets {
-        let report = match t.as_str() {
-            "table1" => figures::table1(),
-            "fig1" => {
-                let mut s = figures::fig1(&cells);
-                s.push('\n');
-                s.push_str(&figures::fig1_n3000(&cells));
-                s
-            }
-            "fig2" => figures::fig2(&harness.testbed),
-            "fig3" => figures::fig3(&harness.testbed),
-            "fig4" => figures::fig4(&harness.testbed),
-            "fig5" => figures::fig5(&cells),
-            "fig6" => figures::fig6(&harness.testbed),
-            "fig7" => figures::fig7(&cells),
-            "fig8" => figures::fig8(&cells),
-            "table2" => figures::table2(&harness),
-            "grid" => grid_report(&cells, grid_status, journal_path.as_deref()),
-            "gantt" => gantt_report(&harness),
-            "faultsweep" => figures::fault_sweep(
-                &mut harness,
-                &[0.0, 0.25, 0.5, 1.0],
-                &[11, 12, 13],
-                10,
-                repeats,
-            ),
-            "disturb" => {
-                let opts = mps_exp::DisturbSweepOpts {
-                    subset: subset.unwrap_or(6),
-                    repeats,
-                    recovery: recovery_policy,
-                    workers: workers.unwrap_or_else(Harness::default_workers),
-                    ..mps_exp::DisturbSweepOpts::default()
-                };
-                eprintln!(
-                    "# disturbance sweep: {} intensity point(s), {} DAG(s)/point, recovery {}",
-                    opts.intensities.len(),
-                    opts.subset,
-                    opts.recovery
-                );
-                let report = mps_exp::run_disturb_sweep(&mut harness, seed, &opts, |line| {
-                    eprintln!("# {line}")
-                });
-                if let Some(dir) = &json_dir {
-                    let path = format!("{dir}/disturb.json");
-                    let payload = serde_json::to_string_pretty(&report)
-                        .unwrap_or_else(|e| die(&format!("cannot encode {path}: {e}")));
-                    std::fs::write(&path, payload)
-                        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-                    eprintln!("# wrote {path}");
-                }
-                report.render()
-            }
-            "ablations" => {
-                let mut s = String::new();
-                s.push_str(&ablation::root_cause_ablation(seed, 12, repeats));
-                s.push('\n');
-                s.push_str(&ablation::machine_robustness(&[0, 1, 2, 3, 4], 10, repeats));
-                s.push('\n');
-                s.push_str(&ablation::wiggle_sensitivity(
-                    &[0.0, 0.06, 0.12, 0.24],
-                    10,
-                    repeats,
-                ));
-                s.push('\n');
-                s.push_str(&ablation::algorithm_quality(seed, 12));
-                s
-            }
-            "all" => {
-                let mut s = String::new();
-                s.push_str(&figures::table1());
-                s.push('\n');
-                s.push_str(&figures::fig1(&cells));
-                s.push('\n');
-                s.push_str(&figures::fig1_n3000(&cells));
-                s.push('\n');
-                s.push_str(&figures::fig2(&harness.testbed));
-                s.push('\n');
-                s.push_str(&figures::fig3(&harness.testbed));
-                s.push('\n');
-                s.push_str(&figures::fig4(&harness.testbed));
-                s.push('\n');
-                s.push_str(&figures::fig5(&cells));
-                s.push('\n');
-                s.push_str(&figures::fig6(&harness.testbed));
-                s.push('\n');
-                s.push_str(&figures::fig7(&cells));
-                s.push('\n');
-                s.push_str(&figures::fig8(&cells));
-                s.push('\n');
-                s.push_str(&figures::table2(&harness));
-                s
-            }
-            other => die(&format!("unknown target `{other}`")),
-        };
-        println!("{report}");
+    for t in &cli.targets {
+        println!("{}", render(t, &cells, grid_status, &mut harness, &cli));
         println!("{}", "=".repeat(78));
     }
 
@@ -1104,140 +619,278 @@ fn main() {
     }
 }
 
-/// Campaign summary for the `grid` target and for partial checkpoints.
-fn grid_report(cells: &[mps_exp::CellResult], status: GridStatus, journal: Option<&str>) -> String {
-    use std::fmt::Write as _;
-    let health = grid_health(cells);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Grid campaign — {} cell(s) durable, status: {}",
-        cells.len(),
-        status.label()
-    );
-    let _ = writeln!(
-        out,
-        "health: {} full, {} disturbed, {} degraded ({} retries, {} lost runs), {} failed, {} quarantined",
-        health.full,
-        health.disturbed,
-        health.degraded,
-        health.retries,
-        health.lost_runs,
-        health.failed,
-        health.quarantined
-    );
-    for c in cells {
-        if let Some(report) = c.outcome.crash_report() {
-            let _ = writeln!(
-                out,
-                "  {}: {}/{}/{} — {}",
-                c.outcome.label(),
-                c.dag,
-                c.variant.name(),
-                c.algo,
-                report.summary()
+/// The report of one figure or table target (`all` is every paper figure
+/// and table in order).
+fn render(
+    target: &str,
+    cells: &[CellResult],
+    status: GridStatus,
+    harness: &mut Harness,
+    cli: &Cli,
+) -> String {
+    let (seed, repeats) = (cli.seed, cli.repeats);
+    match target {
+        "table1" => figures::table1(),
+        "fig1" => format!("{}\n{}", figures::fig1(cells), figures::fig1_n3000(cells)),
+        "fig2" => figures::fig2(&harness.testbed),
+        "fig3" => figures::fig3(&harness.testbed),
+        "fig4" => figures::fig4(&harness.testbed),
+        "fig5" => figures::fig5(cells),
+        "fig6" => figures::fig6(&harness.testbed),
+        "fig7" => figures::fig7(cells),
+        "fig8" => figures::fig8(cells),
+        "table2" => figures::table2(harness),
+        "grid" => figures::grid_summary(cells, status, cli.journal.as_deref()),
+        "gantt" => figures::gantt(harness),
+        "faultsweep" => {
+            figures::fault_sweep(harness, &[0.0, 0.25, 0.5, 1.0], &[11, 12, 13], 10, repeats)
+        }
+        "disturb" => run_disturb(harness, cli),
+        "ablations" => [
+            ablation::root_cause_ablation(seed, 12, repeats),
+            ablation::machine_robustness(&[0, 1, 2, 3, 4], 10, repeats),
+            ablation::wiggle_sensitivity(&[0.0, 0.06, 0.12, 0.24], 10, repeats),
+            ablation::algorithm_quality(seed, 12),
+        ]
+        .join("\n"),
+        "all" => [
+            "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2",
+        ]
+        .iter()
+        .map(|t| render(t, cells, status, harness, cli))
+        .collect::<Vec<_>>()
+        .join("\n"),
+        other => unreachable!("target `{other}` passed Cli::parse"),
+    }
+}
+
+/// The testbed harness with the `--faults`, `--max-retries`, `--poison`
+/// and `--disturb` injections applied.
+fn build_harness(cli: &Cli) -> Harness {
+    let mut harness = Harness::new(cli.seed);
+    // Plans name hosts by index, so they are checked against the cluster
+    // the harness runs on.
+    let hosts = harness.nominal_cluster().node_count();
+    if let Some(desc) = &cli.faults {
+        let plan = FaultPlan::parse(desc, hosts, FAULT_HORIZON)
+            .unwrap_or_else(|e| die(&format!("bad --faults plan: {e}")));
+        if !cli.cell_worker {
+            eprintln!(
+                "# injecting fault plan (seed {}, {} event(s), max {} retries/task)",
+                plan.seed,
+                plan.events.len(),
+                cli.max_retries
             );
         }
+        harness = harness.with_fault_plan(plan);
     }
-    let errs: Vec<f64> = cells
-        .iter()
-        .filter_map(mps_exp::CellResult::error_pct_checked)
-        .collect();
-    if let Some(med) = mps_core::stats::median(&errs) {
-        let _ = writeln!(
-            out,
-            "median simulation error over {} measured cell(s): {med:.2}%",
-            errs.len()
-        );
+    harness = harness.with_exec_policy(ExecPolicy {
+        max_retries: cli.max_retries,
+        ..ExecPolicy::default()
+    });
+    if let Some(spec) = &cli.poison {
+        let rules =
+            parse_poison_spec(spec).unwrap_or_else(|e| die(&format!("bad --poison spec: {e}")));
+        harness = harness.with_poison(rules);
     }
-    if let Some(j) = journal {
-        match status {
-            GridStatus::Complete => {
-                let _ = writeln!(out, "journal {j} is complete");
-            }
-            _ => {
-                let _ = writeln!(
-                    out,
-                    "checkpoint saved — continue with: repro --journal {j} --resume"
-                );
-            }
+    if let Some(desc) = &cli.disturb {
+        let plan = DisturbancePlan::parse(desc, hosts, FAULT_HORIZON)
+            .unwrap_or_else(|e| die(&format!("bad --disturb plan: {e}")));
+        if !cli.cell_worker {
+            eprintln!(
+                "# injecting disturbance plan (seed {}, {} event(s), recovery {})",
+                plan.seed,
+                plan.events.len(),
+                cli.recovery_policy()
+            );
         }
+        harness = harness.with_disturbance(DisturbConfig::new(plan, cli.recovery_policy()));
     }
-    out
+    harness
 }
 
-/// Renders one DAG's execution timeline under each simulator's schedule.
-fn gantt_report(harness: &Harness) -> String {
-    use mps_exp::SimVariant;
-    let corpus = harness.corpus();
-    let g = corpus
-        .iter()
-        .find(|g| g.params.matrix_size == 2000)
-        .expect("corpus has n = 2000 DAGs");
-    let mut out = format!("Gantt charts for {} on the emulated testbed\n\n", g.name());
-    for variant in SimVariant::ALL {
-        let cluster = harness.nominal_cluster();
-        let schedule = match variant {
-            SimVariant::Analytic => mps_core::sched::Scheduler::schedule(
-                &mps_core::sched::Hcpa,
-                &g.dag,
-                cluster,
-                &mps_core::model::AnalyticModel::paper_jvm(),
-            ),
-            SimVariant::Profile => mps_core::sched::Scheduler::schedule(
-                &mps_core::sched::Hcpa,
-                &g.dag,
-                cluster,
-                &harness.profile_model,
-            ),
-            SimVariant::Empirical => mps_core::sched::Scheduler::schedule(
-                &mps_core::sched::Hcpa,
-                &g.dag,
-                cluster,
-                &harness.empirical_model,
-            ),
-        };
-        out.push_str(&format!(
-            "--- HCPA schedule under the {} model ---\n",
-            variant.name()
-        ));
-        match harness.testbed.execute(&g.dag, &schedule, 0) {
-            Ok(real) => out.push_str(&mps_core::sim::render_gantt(&schedule, &real, 70)),
-            Err(e) => out.push_str(&format!("(testbed execution failed: {e})\n")),
-        }
-        out.push('\n');
-    }
-    out
+/// Writes `contents` to `path` and says so, or dies on either error.
+fn write_file(path: &str, contents: Result<String, serde_json::Error>) {
+    let contents = contents.unwrap_or_else(|e| die(&format!("cannot encode {path}: {e}")));
+    std::fs::write(path, contents).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+    eprintln!("# wrote {path}");
 }
 
-/// Everything `repro serve` needs from the flag soup.
-/// The `campaign` target: a fault-sweep campaign of `opts.points` grid
-/// points under `opts.dir`, one write-ahead journal per point. Resume is
-/// re-invocation with the same arguments — complete points load back
-/// without recomputing a cell. Exit codes mirror the journaled grid: 0
-/// for a complete campaign *or* a clean wall-clock checkpoint, 130 for
-/// an interrupt, [`EXIT_QUARANTINED`] when complete with crash-family
-/// cells in some journal.
-fn run_campaign(
-    harness: &mut Harness,
-    opts: mps_exp::CampaignOpts,
-    max_wall_secs: Option<u64>,
-    throttle_ms: Option<u64>,
-) -> i32 {
+/// Run control for a durable run: SIGINT/SIGTERM become a graceful drain,
+/// `--max-wall-secs` a clean checkpoint, `--throttle-ms` a pause per cell.
+fn run_control(cli: &Cli) -> RunControl {
     install_signal_handlers();
     let mut ctrl = RunControl::unlimited().with_cancel(CancelToken::following_signals());
-    if let Some(secs) = max_wall_secs {
+    if let Some(secs) = cli.max_wall_secs {
         ctrl = ctrl.with_deadline_in(Duration::from_secs(secs));
     }
-    if let Some(ms) = throttle_ms {
+    if let Some(ms) = cli.throttle_ms {
         ctrl = ctrl.with_throttle(Duration::from_millis(ms));
     }
-    let cells_per_point = opts.subset.unwrap_or(54) * 6;
+    ctrl
+}
+
+/// A supervised cell worker: this binary, re-executed in hidden
+/// `--cell-worker` mode with the flags that shape a cell. `tag` is an
+/// inert marker that attributes the worker in `ps`/procfs output.
+fn worker_command(cli: &Cli, tag: &str) -> WorkerCommand {
+    let program =
+        std::env::current_exe().unwrap_or_else(|e| die(&format!("cannot locate own binary: {e}")));
+    let mut args = vec![
+        "--cell-worker".to_string(),
+        "--seed".to_string(),
+        cli.seed.to_string(),
+        "--repeats".to_string(),
+        cli.repeats.to_string(),
+        "--max-retries".to_string(),
+        cli.max_retries.to_string(),
+    ];
+    if let Some(desc) = &cli.faults {
+        args.extend(["--faults".to_string(), desc.clone()]);
+    }
+    if let Some(spec) = &cli.poison {
+        args.extend(["--poison".to_string(), spec.clone()]);
+    }
+    if let Some(desc) = &cli.disturb {
+        args.extend(["--disturb".to_string(), desc.clone()]);
+        args.extend(["--recovery".to_string(), cli.recovery_policy().to_string()]);
+    }
+    args.extend(["--worker-tag".to_string(), tag.to_string()]);
+    WorkerCommand { program, args }
+}
+
+/// Supervision settings: the flags over [`SuperviseOpts::default`];
+/// `workers` falls back to the default too when `None`.
+fn supervise_opts(cli: &Cli, workers: Option<usize>) -> SuperviseOpts {
+    let d = SuperviseOpts::default();
+    SuperviseOpts {
+        repeats: cli.repeats,
+        workers: workers.unwrap_or(d.workers),
+        resume: cli.resume,
+        cell_timeout: cli
+            .cell_timeout_secs
+            .map_or(d.cell_timeout, Duration::from_secs),
+        spawn_timeout: cli
+            .spawn_timeout_secs
+            .map_or(d.spawn_timeout, Duration::from_secs),
+        stderr_tail_bytes: cli.stderr_tail_bytes.unwrap_or(d.stderr_tail_bytes),
+        config: mps_core::supervise::SupervisorConfig {
+            max_cell_attempts: cli.max_cell_attempts.unwrap_or(d.config.max_cell_attempts),
+            ..d.config
+        },
+    }
+}
+
+/// Runs the grid (or its `--subset`), journaled and supervised when asked,
+/// and reports its health on stderr.
+fn run_grid(harness: &Harness, cli: &Cli) -> (Vec<CellResult>, GridStatus) {
+    let scope = match cli.subset {
+        Some(take) => format!("{take}-DAG subset"),
+        None => "54-DAG".to_string(),
+    };
+    eprintln!(
+        "# running the {scope} × 3-simulator × 2-algorithm grid ({} testbed runs per cell)…",
+        cli.repeats
+    );
+    let (cells, status) = match (&cli.journal, cli.subset) {
+        (Some(jpath), _) => run_journaled(harness, cli, jpath),
+        (None, Some(take)) => (harness.run_subset(take, cli.repeats), GridStatus::Complete),
+        (None, None) => (harness.run_grid(cli.repeats), GridStatus::Complete),
+    };
+    eprint!(
+        "{}",
+        mps_exp::health_notes(&cells, cli.faults.is_some(), cli.disturb.is_some())
+    );
+    (cells, status)
+}
+
+/// The journaled grid: every completed cell is durable before the next
+/// is dispatched, and `--isolation process` runs cells in supervised
+/// child workers that quarantine poison cells.
+fn run_journaled(harness: &Harness, cli: &Cli, jpath: &str) -> (Vec<CellResult>, GridStatus) {
+    let ctrl = run_control(cli);
+    let workers = cli.workers.unwrap_or_else(Harness::default_workers);
+    let path = Path::new(jpath);
+    let report = if cli.isolation == "process" {
+        let worker = worker_command(cli, jpath);
+        let opts = supervise_opts(cli, Some(workers));
+        match cli.subset {
+            Some(take) => harness.run_subset_supervised(take, path, &worker, &opts, &ctrl),
+            None => harness.run_grid_supervised(path, &worker, &opts, &ctrl),
+        }
+        .unwrap_or_else(|e| die(&format!("supervised campaign: {e}")))
+    } else {
+        let (repeats, resume) = (cli.repeats, cli.resume);
+        match cli.subset {
+            Some(take) => harness.run_subset_journaled(take, path, repeats, workers, resume, &ctrl),
+            None => harness.run_grid_journaled(path, repeats, workers, resume, &ctrl),
+        }
+        .unwrap_or_else(|e| die(&format!("journal: {e}")))
+    };
+    if report.salvage_dropped_bytes > 0 {
+        eprintln!(
+            "# journal recovery: dropped a torn tail of {} byte(s)",
+            report.salvage_dropped_bytes
+        );
+    }
+    eprintln!(
+        "# journal {}: {} cell(s) resumed, {} computed, {} pending, {} quarantined — {}",
+        jpath,
+        report.resumed,
+        report.computed,
+        report.pending,
+        report.quarantined,
+        report.status.label()
+    );
+    (report.cells, report.status)
+}
+
+/// The `disturb` target: sweep disturbance intensity 0..1.
+fn run_disturb(harness: &mut Harness, cli: &Cli) -> String {
+    let d = mps_exp::DisturbSweepOpts::default();
+    let opts = mps_exp::DisturbSweepOpts {
+        subset: cli.subset.unwrap_or(d.subset),
+        repeats: cli.repeats,
+        recovery: cli.recovery_policy(),
+        workers: cli.workers.unwrap_or(d.workers),
+        ..d
+    };
+    eprintln!(
+        "# disturbance sweep: {} intensity point(s), {} DAG(s)/point, recovery {}",
+        opts.intensities.len(),
+        opts.subset,
+        opts.recovery
+    );
+    let report = mps_exp::run_disturb_sweep(harness, cli.seed, &opts, |line| eprintln!("# {line}"));
+    if let Some(dir) = &cli.json {
+        write_file(
+            &format!("{dir}/disturb.json"),
+            serde_json::to_string_pretty(&report),
+        );
+    }
+    report.render()
+}
+/// The `campaign` target: a fault-sweep campaign of `--points` grid
+/// points under `--campaign-dir`, one write-ahead journal per point.
+/// Resume is re-invocation with the same arguments — complete points load
+/// back without recomputing a cell. Exit codes mirror the journaled grid:
+/// 0 for a complete campaign *or* a clean wall-clock checkpoint, 130 for
+/// an interrupt, [`EXIT_QUARANTINED`] when complete with crash-family
+/// cells in some journal.
+fn run_campaign(harness: &mut Harness, cli: &Cli) -> i32 {
+    let opts = mps_exp::CampaignOpts {
+        dir: PathBuf::from(cli.campaign_dir.as_deref().expect("checked by Cli::parse")),
+        points: cli.points.unwrap_or(mps_exp::campaign::DEFAULT_POINTS),
+        repeats: cli.repeats,
+        workers: cli.workers.unwrap_or_else(Harness::default_workers),
+        subset: cli.subset,
+    };
+    let ctrl = run_control(cli);
     eprintln!(
         "# campaign {}: {} point(s) x {} cell(s), fault intensity 0..1",
         opts.dir.display(),
         opts.points,
-        cells_per_point,
+        opts.subset.unwrap_or(54) * 6,
     );
     let t = std::time::Instant::now();
     let report = harness
@@ -1275,7 +928,17 @@ fn run_campaign(
     }
 }
 
-fn run_chaos(opts: &mps_exp::ChaosOpts) -> i32 {
+fn run_chaos(cli: &Cli) -> i32 {
+    let dir = cli
+        .chaos_dir
+        .as_ref()
+        .map(PathBuf::from)
+        .unwrap_or_else(|| std::env::temp_dir().join(format!("mps-chaos-{}", std::process::id())));
+    let opts = &mps_exp::ChaosOpts {
+        episodes: cli.episodes.unwrap_or(50),
+        seed: cli.seed,
+        dir,
+    };
     eprintln!(
         "# chaos soak: {} episode(s), seed {}, scratch {}",
         opts.episodes,
@@ -1285,49 +948,10 @@ fn run_chaos(opts: &mps_exp::ChaosOpts) -> i32 {
     let t = std::time::Instant::now();
     let report = mps_exp::chaos::run_chaos(opts, |line| eprintln!("# {line}"))
         .unwrap_or_else(|e| die(&format!("chaos: {e}")));
-    println!(
-        "chaos soak (seed {}): {} episode(s), {} typed failure(s) in {:.1} s",
-        opts.seed,
-        report.episodes,
-        report.failed_typed,
-        t.elapsed().as_secs_f64()
-    );
-    println!(
-        "  io faults injected  : {} (enospc {}, eio {}, short-write {}, fsync {}, torn-rename {})",
-        report.io.total(),
-        report.io.enospc,
-        report.io.eio,
-        report.io.short_write,
-        report.io.fsync_fail,
-        report.io.torn_rename
-    );
-    println!(
-        "  wire faults injected: {} (corrupt {}, stall {}, close {})",
-        report.wire.total(),
-        report.wire.corrupt,
-        report.wire.stall,
-        report.wire.close
-    );
-    println!(
-        "  disturbances fired  : {} (crash {}, slow {}, degrade {}; {} rescue(s), {} task(s) rescued)",
-        report.disturb.fired(),
-        report.disturb.crashes,
-        report.disturb.slows,
-        report.disturb.degrades,
-        report.disturb.rescues,
-        report.disturb.rescued_tasks
-    );
+    print!("{}", report.render(opts.seed, t.elapsed().as_secs_f64()));
     if report.passed() {
-        println!("  verdict: PASS — every fault absorbed or typed, every class exercised");
         0
     } else {
-        println!(
-            "  verdict: FAIL — {} invariant violation(s):",
-            report.violations.len()
-        );
-        for v in &report.violations {
-            println!("    - {v}");
-        }
         2
     }
 }
@@ -1336,7 +960,20 @@ fn run_chaos(opts: &mps_exp::ChaosOpts) -> i32 {
 /// `--trace-out` writes the deterministic event/SLO trace (byte-identical
 /// across repeats, batch sizes, and worker counts); `--json` additionally
 /// dumps the full report as `online.json`.
-fn run_online(opts: &mps_exp::OnlineOpts, trace_out: Option<&str>, json_dir: Option<&str>) -> i32 {
+fn run_online(cli: &Cli) -> i32 {
+    let d = mps_exp::OnlineOpts::default();
+    let opts = &mps_exp::OnlineOpts {
+        arrivals: match &cli.arrival_rate {
+            Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
+            None => d.arrivals,
+        },
+        horizon_events: cli.horizon_events.unwrap_or(d.horizon_events),
+        seed: cli.seed,
+        admission_cap: cli.admission.unwrap_or(d.admission_cap),
+        max_width: cli.max_width.unwrap_or(d.max_width),
+        batch: cli.batch.unwrap_or(d.batch),
+        workers: cli.workers.unwrap_or_else(Harness::default_workers),
+    };
     eprintln!(
         "# streaming sweep: {} load level(s) x {{HCPA, MCPA}}, {} events/run, seed {}, {} worker(s)",
         opts.arrivals.len(),
@@ -1353,145 +990,68 @@ fn run_online(opts: &mps_exp::OnlineOpts, trace_out: Option<&str>, json_dir: Opt
         }
     };
     eprintln!("# sweep finished in {:.1} s", t.elapsed().as_secs_f64());
-    if let Some(path) = trace_out {
-        if let Err(e) = std::fs::write(path, report.trace()) {
-            eprintln!("repro: online: cannot write {path}: {e}");
-            return 2;
+    let write = || -> Result<(), String> {
+        if let Some(path) = &cli.trace_out {
+            std::fs::write(path, report.trace())
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("# wrote {path}");
         }
-        eprintln!("# wrote {path}");
-    }
-    if let Some(dir) = json_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("repro: online: cannot create --json dir {dir}: {e}");
-            return 2;
+        if let Some(dir) = &cli.json {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create --json dir {dir}: {e}"))?;
+            let path = format!("{dir}/online.json");
+            let payload = serde_json::to_string_pretty(&report)
+                .map_err(|e| format!("cannot encode {path}: {e}"))?;
+            std::fs::write(&path, payload).map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("# wrote {path}");
         }
-        let path = format!("{dir}/online.json");
-        let payload = match serde_json::to_string_pretty(&report) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("repro: online: cannot encode {path}: {e}");
-                return 2;
-            }
-        };
-        if let Err(e) = std::fs::write(&path, payload) {
-            eprintln!("repro: online: cannot write {path}: {e}");
-            return 2;
-        }
-        eprintln!("# wrote {path}");
+        Ok(())
+    };
+    if let Err(e) = write() {
+        eprintln!("repro: online: {e}");
+        return 2;
     }
     println!("{}", report.render());
     0
 }
 
-struct ServeCliOpts {
-    socket: Option<String>,
-    state_dir: Option<String>,
-    queue_cap: Option<usize>,
-    serve_workers: Option<usize>,
-    stdio: bool,
-    max_wall_secs: Option<u64>,
-    throttle_ms: Option<u64>,
-    isolation: String,
-    seed: u64,
-    repeats: u64,
-    max_retries: u32,
-    faults: Option<String>,
-    poison_spec: Option<String>,
-    disturb: Option<String>,
-    recovery: RecoveryPolicy,
-    workers: Option<usize>,
-    cell_timeout_secs: Option<u64>,
-    max_cell_attempts: Option<u32>,
-    spawn_timeout_secs: Option<u64>,
-    stderr_tail_bytes: Option<usize>,
-}
-
 /// The `serve` target: run the scheduling daemon until it drains.
 /// Exit codes: 0 clean drain, 3 drained with quarantined cells,
 /// 130 aborted drain (second signal), 2 startup error.
-fn run_serve(harness: Harness, o: ServeCliOpts) -> i32 {
-    install_signal_handlers();
-    let mut ctrl = RunControl::unlimited().with_cancel(CancelToken::following_signals());
-    if let Some(secs) = o.max_wall_secs {
-        ctrl = ctrl.with_deadline_in(Duration::from_secs(secs));
-    }
-    if let Some(ms) = o.throttle_ms {
-        ctrl = ctrl.with_throttle(Duration::from_millis(ms));
-    }
+fn run_serve(harness: Harness, cli: &Cli) -> i32 {
+    let ctrl = run_control(cli);
     let mut backend = ServeBackend::new(harness);
-    if let Some(dir) = &o.state_dir {
+    if let Some(dir) = &cli.state {
         backend = backend.with_state_dir(PathBuf::from(dir));
     }
-    if o.isolation == "process" {
-        let program: PathBuf = std::env::current_exe()
-            .unwrap_or_else(|e| die(&format!("cannot locate own binary: {e}")));
-        let mut wargs = vec![
-            "--cell-worker".to_string(),
-            "--seed".to_string(),
-            o.seed.to_string(),
-            "--repeats".to_string(),
-            o.repeats.to_string(),
-            "--max-retries".to_string(),
-            o.max_retries.to_string(),
-        ];
-        if let Some(desc) = &o.faults {
-            wargs.push("--faults".to_string());
-            wargs.push(desc.clone());
-        }
-        if let Some(spec) = &o.poison_spec {
-            wargs.push("--poison".to_string());
-            wargs.push(spec.clone());
-        }
-        if let Some(desc) = &o.disturb {
-            wargs.push("--disturb".to_string());
-            wargs.push(desc.clone());
-            wargs.push("--recovery".to_string());
-            wargs.push(o.recovery.to_string());
-        }
-        wargs.push("--worker-tag".to_string());
-        wargs.push("serve".to_string());
-        let opts = SuperviseOpts {
-            repeats: o.repeats,
-            workers: o.workers.unwrap_or(2),
-            resume: false,
-            cell_timeout: Duration::from_secs(o.cell_timeout_secs.unwrap_or(120)),
-            spawn_timeout: Duration::from_secs(o.spawn_timeout_secs.unwrap_or(30)),
-            stderr_tail_bytes: o.stderr_tail_bytes.unwrap_or(8 * 1024),
-            config: SupervisorConfig {
-                max_cell_attempts: o.max_cell_attempts.unwrap_or(2),
-                ..SupervisorConfig::default()
-            },
-        };
+    if cli.isolation == "process" {
         backend = backend.with_worker(
-            WorkerCommand {
-                program,
-                args: wargs,
-            },
-            opts,
+            worker_command(cli, "serve"),
+            supervise_opts(cli, cli.workers),
         );
     }
+    let d = mps_core::serve::ServerConfig::default();
     let cfg = mps_core::serve::ServerConfig {
-        server: "mps-serve".to_string(),
-        queue_capacity: o.queue_cap.unwrap_or(16),
-        executors: o.serve_workers.unwrap_or(2),
+        queue_capacity: cli.queue_cap.unwrap_or(d.queue_capacity),
+        executors: cli.serve_workers.unwrap_or(d.executors),
         ctrl,
-        ..mps_core::serve::ServerConfig::default()
+        ..d
     };
+    let queue = cfg.queue_capacity;
     let server = mps_core::serve::Server::new(std::sync::Arc::new(backend), cfg);
-    let result = if o.stdio {
+    let result = if cli.stdio {
         eprintln!(
             "# serving mps-proto/v1 on stdio ({} isolation)",
-            o.isolation
+            cli.isolation
         );
         server.run_stdio()
     } else {
         #[cfg(unix)]
         {
-            let path = o.socket.as_deref().expect("validated: --socket or --stdio");
+            let path = cli.socket.as_deref().expect("checked by Cli::parse");
             eprintln!(
-                "# serving mps-proto/v1 on {path} ({} isolation, queue {})",
-                o.isolation,
-                o.queue_cap.unwrap_or(16)
+                "# serving mps-proto/v1 on {path} ({} isolation, queue {queue})",
+                cli.isolation
             );
             server.run_unix(Path::new(path))
         }
@@ -1500,32 +1060,23 @@ fn run_serve(harness: Harness, o: ServeCliOpts) -> i32 {
             die("serve over a socket requires a Unix platform (use --stdio)")
         }
     };
-    match result {
-        Err(e) => {
-            eprintln!("repro: serve: {e}");
-            2
-        }
-        Ok(x) => {
-            eprintln!(
-                "# serve exit: {} served, {} shed, {} quarantined, {} recovered — {}",
-                x.served,
-                x.shed,
-                x.quarantined,
-                x.recovered,
-                if x.interrupted {
-                    "drain aborted"
-                } else {
-                    "drained clean"
-                }
-            );
-            if x.interrupted {
-                130
-            } else if x.quarantined > 0 {
-                EXIT_QUARANTINED
-            } else {
-                0
-            }
-        }
+    let x = result.unwrap_or_else(|e| {
+        eprintln!("repro: serve: {e}");
+        std::process::exit(2)
+    });
+    let ending = if x.interrupted {
+        "drain aborted"
+    } else {
+        "drained clean"
+    };
+    eprintln!(
+        "# serve exit: {} served, {} shed, {} quarantined, {} recovered — {ending}",
+        x.served, x.shed, x.quarantined, x.recovered
+    );
+    match (x.interrupted, x.quarantined) {
+        (true, _) => 130,
+        (false, 0) => 0,
+        _ => EXIT_QUARANTINED,
     }
 }
 
@@ -1544,26 +1095,12 @@ fn parse_cell_spec(spec: &str) -> (usize, String, String) {
 /// The `client` target: submit work to a running daemon, stream cells
 /// to stdout as `<key>\t<payload>` lines. Exit codes: 0 done, 2
 /// connect/protocol error, 4 request failed, 5 overloaded, 6 draining.
-#[allow(clippy::too_many_arguments)]
 #[cfg(unix)]
-fn run_client(
-    socket: &str,
-    repeats: u64,
-    deadline_ms: Option<u64>,
-    health: bool,
-    schedule: Option<&str>,
-    simulate: Option<&str>,
-    subset_grid: Option<usize>,
-    online: Option<&str>,
-    horizon_events: Option<u64>,
-    admission: Option<usize>,
-    seed: u64,
-    disturb: Option<String>,
-    drain: bool,
-) -> i32 {
+fn run_client(cli: &Cli) -> i32 {
     use mps_core::serve::client::connect_unix;
     use mps_core::serve::{RequestOutcome, WorkRequest};
 
+    let socket = cli.socket.as_deref().expect("checked by Cli::parse");
     let (mut client, _cap) =
         match connect_unix(Path::new(socket), "repro-client", Duration::from_secs(10)) {
             Ok(v) => v,
@@ -1575,7 +1112,7 @@ fn run_client(
     let mut id = 0u64;
     let mut code = 0i32;
 
-    if health {
+    if cli.health {
         id += 1;
         match client.health(id) {
             Ok(stats) => match serde_json::to_string_pretty(&stats) {
@@ -1592,43 +1129,45 @@ fn run_client(
         }
     }
 
+    let repeats = cli.repeats;
     let mut work_items: Vec<WorkRequest> = Vec::new();
-    if let Some(spec) = schedule {
+    if let Some(spec) = &cli.schedule {
         let (dag, variant, algo) = parse_cell_spec(spec);
         work_items.push(WorkRequest::Schedule { dag, variant, algo });
     }
-    if let Some(spec) = simulate {
+    if let Some(spec) = &cli.simulate {
         let (dag, variant, algo) = parse_cell_spec(spec);
         work_items.push(WorkRequest::Simulate {
             dag,
             variant,
             algo,
             repeats,
-            disturb: disturb.clone(),
+            disturb: cli.disturb.clone(),
         });
     }
-    if let Some(take) = subset_grid {
+    if let Some(take) = cli.subset_grid {
         work_items.push(WorkRequest::SubsetGrid {
             take,
             repeats,
-            disturb: disturb.clone(),
+            disturb: cli.disturb.clone(),
         });
     }
-    if let Some(spec) = online {
+    if let Some(spec) = &cli.online {
         let (algo, arrival) = spec
             .split_once(':')
             .unwrap_or_else(|| die("bad --online spec (want ALGO:ARRIVAL, e.g. HCPA:0.05)"));
+        let d = mps_exp::OnlineOpts::default();
         work_items.push(WorkRequest::Online {
             arrival: arrival.to_string(),
-            horizon_events: horizon_events.unwrap_or(1_000_000),
-            seed,
-            admission: admission.unwrap_or(64) as u64,
+            horizon_events: cli.horizon_events.unwrap_or(d.horizon_events),
+            seed: cli.seed,
+            admission: cli.admission.unwrap_or(d.admission_cap) as u64,
             algo: algo.to_string(),
         });
     }
     for work in &work_items {
         id += 1;
-        let outcome = client.request(id, work, deadline_ms, &mut |key, payload| {
+        let outcome = client.request(id, work, cli.deadline_ms, &mut |key, payload| {
             println!("{key}\t{payload}");
         });
         match outcome {
@@ -1660,7 +1199,7 @@ fn run_client(
             }
         }
     }
-    if drain {
+    if cli.drain {
         id += 1;
         if let Err(e) = client.drain(id) {
             eprintln!("repro: client: drain: {e}");
@@ -1672,174 +1211,188 @@ fn run_client(
 }
 
 #[cfg(not(unix))]
-#[allow(clippy::too_many_arguments)]
-fn run_client(
-    _socket: &str,
-    _repeats: u64,
-    _deadline_ms: Option<u64>,
-    _health: bool,
-    _schedule: Option<&str>,
-    _simulate: Option<&str>,
-    _subset_grid: Option<usize>,
-    _online: Option<&str>,
-    _horizon_events: Option<u64>,
-    _admission: Option<usize>,
-    _seed: u64,
-    _disturb: Option<String>,
-    _drain: bool,
-) -> i32 {
+fn run_client(_cli: &Cli) -> i32 {
     die("the client target requires a Unix platform")
 }
 
-/// `--help` text, to stdout (exit 0) — `die`'s short usage goes to
-/// stderr with exit 2.
+/// Appends `text` to `out` word-wrapped at 79 columns, continuing at
+/// column `indent`, and ends the line.
+fn wrap(out: &mut String, text: &str, indent: usize) {
+    let mut col = out.len() - out.rfind('\n').map_or(0, |i| i + 1);
+    for (i, word) in text.split_whitespace().enumerate() {
+        let width = word.chars().count();
+        if i > 0 && col + 1 + width > 79 {
+            out.push('\n');
+            out.push_str(&" ".repeat(indent));
+            col = indent;
+        } else if i > 0 {
+            out.push(' ');
+            col += 1;
+        }
+        out.push_str(word);
+        col += width;
+    }
+    out.push('\n');
+}
+
+/// `--help` text, to stdout (exit 0); usage errors go to stderr (exit 2).
 fn help_text() -> String {
-    "repro — regenerate the paper's tables and figures, or run/query the
+    let mut out = String::from(
+        "repro — regenerate the paper's tables and figures, or run/query the
 scheduling daemon.
 
 usage: repro [FLAGS] [TARGET]...
 
 targets:
-  table1 fig1..fig8 table2 gantt ablations faultsweep grid all
-  disturb  sweep platform-disturbance intensity 0..1: per point, a seeded
-           plan of host crashes / slow windows / link degradations hits
-           every testbed run; reports makespan degradation, rescue
-           success rate, and HCPA-vs-MCPA verdict stability
-  serve    run the mps-serve scheduling daemon (mps-proto/v1)
-  client   submit work to a running daemon
-  campaign fault-sweep campaign: many grid points, one journal each
-  chaos    seeded I/O + wire fault-injection soak over every durability
-           path (journal, campaign, daemon), with invariant checks
-  online   streaming workload: a seeded arrival process (Poisson or
-           bursty MMPP) feeds DAG jobs from the corpus through admission
-           control into moldable HCPA/MCPA allocation on the incremental
-           DES; reports throughput, utilization, P2-sketched latency
-           quantiles, and verdict stability across load levels
-
-grid flags:
-  --seed S             harness seed (default 2011)
-  --repeats R          testbed runs per cell (default 3)
-  --json DIR           also write grid.json / grid.csv
-  --faults PLAN        inject a fault plan (preset or clause list)
-  --max-retries N      per-task retry budget under faults
-  --disturb PLAN       inject a timed platform-disturbance plan into every
-                       testbed run: `crash@T:HOST`, `slow@T1-T2:HOST:F`,
-                       `degrade@T1-T2:HOST:F` clauses (`;`-separated, with
-                       an optional `seed=S`), or a preset light|moderate|
-                       heavy (a seeded plan at intensity .25/.5/1)
-  --recovery MODE      reaction to a host crash stranding scheduled work:
-                       failfast | retry | rescue (default; re-plans the
-                       unfinished suffix on the surviving hosts)
-  --subset N           only the first N corpus DAGs
-  --workers N          worker threads / processes
-  --journal PATH       crash-safe write-ahead journal for the grid
-  --resume             continue an existing journal
-  --max-wall-secs S    graceful checkpoint after S seconds
-  --throttle-ms N      sleep N ms between cells (test kill windows)
-  --isolation MODE     inproc (default) or process
-
-supervision flags (require --isolation process):
-  --cell-timeout-secs S    per-attempt wall budget, >= 1 (default 120)
-  --max-cell-attempts N    strikes before quarantine, >= 1 (default 2)
-  --spawn-timeout-secs S   worker spawn->handshake budget, 1..=600
-                           (default 30)
-  --stderr-tail-bytes N    worker stderr retained per crash report,
-                           0..=1048576 (default 8192)
-  --poison SPEC            poison matching cells (needle=panic|hang,...)
-
-campaign flags (target: campaign):
-  --campaign-dir DIR   campaign directory: point-NNNN.jl journals plus
-                       a campaign.json progress manifest
-  --points N           sweep points, fault intensity 0..1 (default 309:
-                       309 x 324 cells crosses 100k on the full grid)
-  (resume = re-invoke with the same arguments; complete points are
-   no-ops, the first incomplete point resumes mid-grid. --subset,
-   --repeats, --workers, --max-wall-secs, --throttle-ms apply.)
-
-chaos flags (target: chaos):
-  --episodes N         seeded episodes per soak (default 50); each cycles
-                       journal/campaign/daemon under escalating fault
-                       intensity, then targeted single-class episodes
-  --chaos-dir DIR      scratch directory for episode journals (default:
-                       a per-pid directory under the system temp dir)
-  (--seed seeds the whole soak; a fixed seed reproduces the exact fault
-   sequence. Exit 0 = every injected fault was absorbed or surfaced
-   typed AND every fault class actually fired; exit 2 otherwise.)
-
-online flags (target: online):
-  --arrival-rate LIST  comma-separated load levels; each entry is a bare
-                       Poisson rate (jobs/sim-second) or a full arrival
-                       grammar string `poisson@R` / `mmpp@R0:R1:S0:S1`
-                       (default 0.01,0.04,0.16: light, busy, overload)
-  --horizon-events N   DES events per run before draining (default 1000000)
-  --admission N        backlog+inflight cap; beyond it arrivals are shed
-                       with EMA retry hints (default 64; 0 sheds all)
-  --max-width N        widest host subset one job may claim (default 8)
-  --batch N            steps between memory samples; flush granularity
-                       only, the event trace is invariant to it
-  --trace-out PATH     write the deterministic event/SLO trace (byte-
-                       identical across repeats, batch sizes, --workers)
-  (--seed seeds the arrival stream; --workers parallelizes across the
-   level x algorithm run matrix; --json writes online.json)
-
-serve flags (target: serve):
-  --socket PATH        Unix socket to listen on
-  --stdio              serve one connection over stdin/stdout instead
-  --state DIR          journal every grid request under DIR: identical
-                       resubmissions replay byte-identically, and a
-                       restarted daemon finishes interrupted requests
-  --queue-cap N        admission queue capacity, 1..=4096 (default 16)
-  --serve-workers N    concurrent request executors, 1..=64 (default 2)
-  --isolation process  run cells in supervised workers (needs --state);
-                       poison requests are quarantined, not fatal
-  --max-wall-secs S    drain and exit after S seconds
-
-client flags (target: client):
-  --socket PATH              daemon socket
-  --schedule DAG:VAR:ALGO    one schedule (no testbed runs)
-  --simulate DAG:VAR:ALGO    one full cell (--repeats testbed runs)
-  --subset-grid N            first N DAGs x 3 variants x 2 algorithms
-  --online ALGO:ARRIVAL      one streaming run (e.g. HCPA:0.05 or
-                             MCPA:mmpp@8:0.5:10:40); --horizon-events
-                             and --admission parameterize it, --seed
-                             seeds the arrival stream; the daemon caps
-                             the horizon at 20M events
-  --deadline-ms N            per-request deadline
-  --health                   print server statistics
-  --drain                    ask the daemon to drain and exit
-  (VAR: analytic|profile|empirical; ALGO: HCPA|MCPA; cells stream to
-   stdout as <key><TAB><payload-json> lines)
-
+",
+    );
+    let figures: Vec<&str> = TARGETS
+        .iter()
+        .filter(|t| t.1.is_empty())
+        .map(|t| t.0)
+        .collect();
+    out.push_str("  ");
+    wrap(&mut out, &figures.join(" "), 2);
+    for (name, help) in TARGETS.iter().filter(|t| !t.1.is_empty()) {
+        out.push_str(&format!("  {name:<9}"));
+        wrap(&mut out, help, 11);
+    }
+    // FLAGS lists each section's rows together.
+    let mut sections: Vec<_> = FLAGS.iter().map(|f| f.section).collect();
+    sections.dedup();
+    for (heading, note) in sections.into_iter().filter(|s| !s.0.is_empty()) {
+        out.push('\n');
+        wrap(&mut out, heading, 2);
+        for f in FLAGS.iter().filter(|f| f.section.0 == heading) {
+            let head = format!("{} {}", f.name, f.arg);
+            out.push_str(&format!("  {:<23}  ", head.trim_end()));
+            wrap(&mut out, f.help, 27);
+        }
+        if !note.is_empty() {
+            out.push_str("  (");
+            wrap(&mut out, &format!("{note})"), 3);
+        }
+    }
+    out.push_str(
+        "
 exit codes:
   0 success / clean drain      2 usage or runtime error
   3 completed with quarantined cells
   4 client request failed      5 overloaded (retry hinted)
   6 server draining            130 interrupted
-"
-    .to_string()
+",
+    );
+    out
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
-    eprintln!("usage: repro [--seed S] [--repeats R] [--json DIR] \\");
-    eprintln!("             [--faults PLAN] [--max-retries N] \\");
-    eprintln!("             [--disturb PLAN] [--recovery failfast|retry|rescue] \\");
-    eprintln!("             [--journal PATH] [--resume] [--max-wall-secs S] \\");
-    eprintln!("             [--subset N] [--workers N] [--throttle-ms N] \\");
-    eprintln!("             [--isolation inproc|process] [--cell-timeout-secs S] \\");
-    eprintln!("             [--max-cell-attempts N] [--poison SPEC] \\");
-    eprintln!("             [table1 fig1 … fig8 table2 gantt ablations faultsweep");
-    eprintln!("              disturb grid all]");
-    eprintln!("  --faults PLAN: `seed=7; crash@0:0+30; slow@1:0*1.5; fail=0.02` or a");
-    eprintln!("        preset: light | moderate | heavy");
-    eprintln!("  --disturb PLAN: `crash@4:3; slow@2-10:5:1.5; degrade@0-8:1:2` or a");
-    eprintln!("        preset: light | moderate | heavy (timed platform damage;");
-    eprintln!("        --recovery picks the crash reaction, default rescue)");
-    eprintln!("  --journal makes the grid crash-safe (write-ahead journal);");
-    eprintln!("  --resume continues it, recomputing only missing cells.");
-    eprintln!("  --isolation process runs cells in supervised child workers;");
-    eprintln!("  poison cells are quarantined after --max-cell-attempts strikes.");
-    eprintln!("  `repro serve|client` runs/queries the scheduling daemon —");
-    eprintln!("  see `repro --help` for the full flag reference.");
+    eprintln!("usage: repro [FLAGS] [TARGET]...  (`repro --help` lists them)");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Cli, String> {
+        Cli::parse(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn every_listed_flag_is_in_help_once() {
+        let help = help_text();
+        for (i, f) in FLAGS.iter().enumerate() {
+            assert!(
+                FLAGS[i + 1..].iter().all(|g| g.name != f.name),
+                "{} twice",
+                f.name
+            );
+            let head = format!("\n  {} {}", f.name, f.arg);
+            assert_eq!(
+                help.contains(head.trim_end()),
+                !f.section.0.is_empty(),
+                "{}",
+                f.name
+            );
+        }
+        assert!(help.lines().all(|l| l.chars().count() <= 79));
+    }
+
+    /// Each row parses with each target its scope allows, in the context
+    /// the cross-flag rules ask for.
+    #[test]
+    fn every_flag_parses_with_every_target_it_allows() {
+        for f in FLAGS {
+            for &(target, _) in TARGETS.iter().filter(|t| f.scope.allows(t.0)) {
+                // Cross-flag rules, not the table, forbid these two.
+                if [("--disturb", "disturb"), ("--resume", "serve")].contains(&(f.name, target)) {
+                    continue;
+                }
+                let context = match target {
+                    "serve" => "--socket s --state d",
+                    "client" => "--socket s --online HCPA:0.05",
+                    "campaign" => "--campaign-dir d",
+                    _ => "",
+                };
+                let disturb = if f.name == "--recovery" && target != "disturb" {
+                    "--disturb light"
+                } else {
+                    ""
+                };
+                let value = match f.kind {
+                    Switch => String::new(),
+                    Int(lo, _) => lo.to_string(),
+                    Mode(words) => words[1].to_string(),
+                    Policy => "retry".to_string(),
+                    Text | Tag => "x".to_string(),
+                };
+                // A cell worker needs neither --journal nor --isolation.
+                let line = format!(
+                    "{target} {context} --cell-worker {disturb} {} {value}",
+                    f.name
+                );
+                if let Err(e) = parse(&line) {
+                    panic!("`{line}` rejected: {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parse_fills_the_fields_and_checks_every_rule() {
+        let c = parse("--seed 7 --isolation process --journal j grid").unwrap();
+        assert_eq!((c.seed, c.repeats, c.isolation.as_str()), (7, 3, "process"));
+        assert_eq!(
+            (c.journal.as_deref(), c.targets.as_slice()),
+            (Some("j"), &["grid".into()][..])
+        );
+        assert_eq!(parse("").unwrap().targets, ["all"]);
+        assert!(parse("--help --bogus").unwrap().help);
+        let policy = parse("disturb").unwrap().recovery_policy();
+        assert_eq!(policy, RecoveryPolicy::Rescue);
+        // Chaos rejects --disturb, so --recovery with chaos always breaks
+        // two rules; the scope rule is the one reported.
+        let e = parse("chaos --recovery rescue").unwrap_err();
+        assert_eq!(e, "--recovery cannot be used with the chaos target");
+    }
+
+    #[test]
+    fn worker_argv_round_trips_through_the_parser() {
+        let c = parse(
+            "--seed 7 --repeats 2 --faults light --poison a=panic --disturb heavy \
+             --recovery retry --journal j --isolation process grid",
+        )
+        .unwrap();
+        let w = Cli::parse(&worker_command(&c, "j").args).unwrap();
+        assert!(w.cell_worker);
+        assert_eq!((w.seed, w.repeats, w.max_retries), (7, 2, c.max_retries));
+        assert_eq!((w.faults, w.poison), (c.faults, c.poison));
+        assert_eq!((w.disturb, w.recovery), (c.disturb, c.recovery));
+    }
 }

@@ -88,6 +88,60 @@ impl ChaosReport {
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
     }
+
+    /// The soak summary `repro chaos` prints: per-class fault counts and
+    /// the verdict, for a soak seeded with `seed` that took `secs`.
+    pub fn render(&self, seed: u64, secs: f64) -> String {
+        use std::fmt::Write as _;
+        let (io, wire, d) = (&self.io, &self.wire, &self.disturb);
+        let mut out = format!(
+            "chaos soak (seed {seed}): {} episode(s), {} typed failure(s) in {secs:.1} s\n",
+            self.episodes, self.failed_typed
+        );
+        let _ = writeln!(
+            out,
+            "  io faults injected  : {} (enospc {}, eio {}, short-write {}, fsync {}, torn-rename {})",
+            io.total(),
+            io.enospc,
+            io.eio,
+            io.short_write,
+            io.fsync_fail,
+            io.torn_rename
+        );
+        let _ = writeln!(
+            out,
+            "  wire faults injected: {} (corrupt {}, stall {}, close {})",
+            wire.total(),
+            wire.corrupt,
+            wire.stall,
+            wire.close
+        );
+        let _ = writeln!(
+            out,
+            "  disturbances fired  : {} (crash {}, slow {}, degrade {}; {} rescue(s), {} task(s) rescued)",
+            d.fired(),
+            d.crashes,
+            d.slows,
+            d.degrades,
+            d.rescues,
+            d.rescued_tasks
+        );
+        if self.passed() {
+            out.push_str(
+                "  verdict: PASS — every fault absorbed or typed, every class exercised\n",
+            );
+        } else {
+            let _ = writeln!(
+                out,
+                "  verdict: FAIL — {} invariant violation(s):",
+                self.violations.len()
+            );
+            for v in &self.violations {
+                let _ = writeln!(out, "    - {v}");
+            }
+        }
+        out
+    }
 }
 
 /// The grid every journal episode is measured against: the subset grid

@@ -13,7 +13,8 @@ use mps_core::regress::{fit_affine, Basis};
 use mps_core::stats;
 use mps_core::testbed::{CrayPdgemmEnv, Testbed};
 
-use crate::runner::{paired_relative_makespans, CellResult, Harness, SimVariant};
+use crate::journaled::GridStatus;
+use crate::runner::{grid_health, paired_relative_makespans, CellResult, Harness, SimVariant};
 
 /// Table I: the DAG-generator parameter grid.
 pub fn table1() -> String {
@@ -503,6 +504,113 @@ pub fn fault_sweep(
         "\nreading: verdicts from surviving cells stay aligned with the\n\
          fault-free baseline at low intensity and erode as faults dominate."
     );
+    out
+}
+
+/// Campaign summary of a (possibly journaled) grid: health, crash reports,
+/// median simulation error, and how to continue a partial run. The `grid`
+/// target and partial checkpoints print it.
+pub fn grid_summary(cells: &[CellResult], status: GridStatus, journal: Option<&str>) -> String {
+    let health = grid_health(cells);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Grid campaign — {} cell(s) durable, status: {}",
+        cells.len(),
+        status.label()
+    );
+    let _ = writeln!(
+        out,
+        "health: {} full, {} disturbed, {} degraded ({} retries, {} lost runs), {} failed, {} quarantined",
+        health.full,
+        health.disturbed,
+        health.degraded,
+        health.retries,
+        health.lost_runs,
+        health.failed,
+        health.quarantined
+    );
+    for c in cells {
+        if let Some(report) = c.outcome.crash_report() {
+            let _ = writeln!(
+                out,
+                "  {}: {}/{}/{} — {}",
+                c.outcome.label(),
+                c.dag,
+                c.variant.name(),
+                c.algo,
+                report.summary()
+            );
+        }
+    }
+    let errs: Vec<f64> = cells
+        .iter()
+        .filter_map(CellResult::error_pct_checked)
+        .collect();
+    if let Some(med) = stats::median(&errs) {
+        let _ = writeln!(
+            out,
+            "median simulation error over {} measured cell(s): {med:.2}%",
+            errs.len()
+        );
+    }
+    if let Some(j) = journal {
+        match status {
+            GridStatus::Complete => {
+                let _ = writeln!(out, "journal {j} is complete");
+            }
+            _ => {
+                let _ = writeln!(
+                    out,
+                    "checkpoint saved — continue with: repro --journal {j} --resume"
+                );
+            }
+        }
+    }
+    out
+}
+
+/// Gantt charts: one n = 2000 DAG's testbed timeline under the HCPA
+/// schedule of each simulator.
+pub fn gantt(harness: &Harness) -> String {
+    let corpus = harness.corpus();
+    let g = corpus
+        .iter()
+        .find(|g| g.params.matrix_size == 2000)
+        .expect("corpus has n = 2000 DAGs");
+    let mut out = format!("Gantt charts for {} on the emulated testbed\n\n", g.name());
+    for variant in SimVariant::ALL {
+        let cluster = harness.nominal_cluster();
+        let schedule = match variant {
+            SimVariant::Analytic => mps_core::sched::Scheduler::schedule(
+                &mps_core::sched::Hcpa,
+                &g.dag,
+                cluster,
+                &AnalyticModel::paper_jvm(),
+            ),
+            SimVariant::Profile => mps_core::sched::Scheduler::schedule(
+                &mps_core::sched::Hcpa,
+                &g.dag,
+                cluster,
+                &harness.profile_model,
+            ),
+            SimVariant::Empirical => mps_core::sched::Scheduler::schedule(
+                &mps_core::sched::Hcpa,
+                &g.dag,
+                cluster,
+                &harness.empirical_model,
+            ),
+        };
+        out.push_str(&format!(
+            "--- HCPA schedule under the {} model ---\n",
+            variant.name()
+        ));
+        match harness.testbed.execute(&g.dag, &schedule, 0) {
+            Ok(real) => out.push_str(&mps_core::sim::render_gantt(&schedule, &real, 70)),
+            Err(e) => out.push_str(&format!("(testbed execution failed: {e})\n")),
+        }
+        out.push('\n');
+    }
     out
 }
 

@@ -29,8 +29,9 @@ pub use disturb::{run_disturb_sweep, DisturbPoint, DisturbSweepOpts, DisturbSwee
 pub use journaled::{GridStatus, JournaledGrid};
 pub use online::{run_online_sweep, OnlineLevel, OnlineOpts, OnlineSweepReport, OnlineWall};
 pub use runner::{
-    cell_key, grid_health, paired_relative_makespans, parse_poison_spec, CellOutcome, CellResult,
-    DisturbConfig, GridHealth, Harness, PoisonAction, PoisonRule, SimVariant, ERROR_PCT_SENTINEL,
+    cell_key, grid_csv, grid_health, health_notes, paired_relative_makespans, parse_poison_spec,
+    CellOutcome, CellResult, DisturbConfig, GridHealth, Harness, PoisonAction, PoisonRule,
+    SimVariant, ERROR_PCT_SENTINEL,
 };
 pub use serve_backend::ServeBackend;
 pub use supervised::{SuperviseOpts, WorkerCommand};

@@ -1040,6 +1040,65 @@ pub struct GridHealth {
     pub lost_runs: usize,
 }
 
+/// The grid as CSV, one row per cell with its outcome label, for
+/// spreadsheet and R users.
+pub fn grid_csv(cells: &[CellResult]) -> String {
+    let mut csv = String::from("dag,n,variant,algo,sim_makespan,real_makespan,error_pct,outcome\n");
+    for c in cells {
+        csv.push_str(&format!(
+            "{},{},{},{},{:.6},{:.6},{:.3},{}\n",
+            c.dag,
+            c.n,
+            c.variant.name(),
+            c.algo,
+            c.sim_makespan,
+            c.real_makespan,
+            c.error_pct(),
+            c.outcome.label()
+        ));
+    }
+    csv
+}
+
+/// The `# `-prefixed stderr notes on a finished grid: a disturbance tally
+/// when `disturb_injected` or any cell was disturbed, and a health tally
+/// plus one line per failed or crashed cell when `faults_injected` or any
+/// cell degraded, failed or was quarantined. Empty for a clean grid.
+pub fn health_notes(cells: &[CellResult], faults_injected: bool, disturb_injected: bool) -> String {
+    use std::fmt::Write as _;
+    let h = grid_health(cells);
+    let mut out = String::new();
+    if disturb_injected || h.disturbed > 0 {
+        let _ = writeln!(
+            out,
+            "# disturbances: {} disturbed cell(s), {} crash(es), {} rescue(s), {} task(s) rescued",
+            h.disturbed, h.crashes, h.rescues, h.rescued_tasks
+        );
+    }
+    if h.degraded + h.failed + h.quarantined == 0 && !faults_injected {
+        return out;
+    }
+    let _ = writeln!(
+        out,
+        "# grid health: {} full, {} degraded ({} retries, {} lost runs), {} failed, {} quarantined cells",
+        h.full, h.degraded, h.retries, h.lost_runs, h.failed, h.quarantined
+    );
+    for c in cells.iter().filter(|c| !c.succeeded()) {
+        let cell = format!("{}/{}/{}", c.dag, c.variant.name(), c.algo);
+        if let CellOutcome::Failed { error } = &c.outcome {
+            let _ = writeln!(out, "#   failed: {cell}: {error}");
+        } else if let Some(report) = c.outcome.crash_report() {
+            let _ = writeln!(
+                out,
+                "#   {}: {cell}: {}",
+                c.outcome.label(),
+                report.summary()
+            );
+        }
+    }
+    out
+}
+
 /// Tallies cell outcomes over a finished grid.
 pub fn grid_health(cells: &[CellResult]) -> GridHealth {
     let mut h = GridHealth::default();

@@ -24,6 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use mps_platform::HostId;
 
+use crate::clause::{self, Clause, ClausePlan};
 use crate::plan::PlanParseError;
 
 /// Default event horizon (seconds) used by [`DisturbancePlan::with_intensity`];
@@ -190,106 +191,69 @@ impl DisturbancePlan {
     ///
     /// Example: `seed=7;crash@4:3;slow@2-10:5:1.5;degrade@0-8:1:2`.
     pub fn parse(input: &str, hosts: usize, horizon: f64) -> Result<Self, PlanParseError> {
-        let mut plan = DisturbancePlan::none();
-        for clause in input.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            plan.parse_clause(clause, hosts, horizon)?;
-        }
-        Ok(plan)
+        clause::parse(DisturbancePlan::none(), input, hosts, horizon)
+    }
+}
+
+impl ClausePlan for DisturbancePlan {
+    fn seed(&mut self) -> &mut u64 {
+        &mut self.seed
     }
 
-    fn parse_clause(
-        &mut self,
-        clause: &str,
-        hosts: usize,
-        horizon: f64,
-    ) -> Result<(), PlanParseError> {
-        let err = |what: &str| PlanParseError {
-            clause: clause.to_string(),
-            reason: what.to_string(),
-        };
-        let num = |s: &str, what: &str| -> Result<f64, PlanParseError> {
-            s.parse::<f64>()
-                .ok()
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .ok_or_else(|| err(&format!("{what} `{s}` is not a non-negative number")))
-        };
-        let idx = |s: &str, what: &str| -> Result<usize, PlanParseError> {
-            s.parse::<usize>()
-                .map_err(|_| err(&format!("{what} `{s}` is not an index")))
-        };
+    fn add_preset(&mut self, intensity: f64, hosts: usize, horizon: f64) {
+        let preset = DisturbancePlan::random(self.seed, intensity, hosts, horizon);
+        self.events.extend(preset.events);
+    }
+
+    fn add_clause(&mut self, c: Clause<'_>) -> Result<(), PlanParseError> {
         let factor = |s: &str| -> Result<f64, PlanParseError> {
-            let f = num(s, "factor")?;
+            let f = c.num(s, "factor")?;
             if f < 1.0 {
-                return Err(err("factor is below 1"));
+                return Err(c.err("factor is below 1"));
             }
             Ok(f)
         };
         // `T1-T2`: both ends non-negative, so `-` only ever separates.
         let window = |s: &str| -> Result<(f64, f64), PlanParseError> {
-            let (a, b) = s.split_once('-').ok_or_else(|| err("expected `T1-T2`"))?;
-            let from = num(a, "window start")?;
-            let to = num(b, "window end")?;
+            let (a, b) = c.split(s, '-', "T1-T2")?;
+            let from = c.num(a, "window start")?;
+            let to = c.num(b, "window end")?;
             if to < from {
-                return Err(err("window ends before it starts"));
+                return Err(c.err("window ends before it starts"));
             }
             Ok((from, to))
         };
 
-        if let Some(intensity) = match clause {
-            "light" => Some(0.25),
-            "moderate" => Some(0.5),
-            "heavy" => Some(1.0),
-            _ => None,
-        } {
-            let preset = DisturbancePlan::random(self.seed, intensity, hosts, horizon);
-            self.events.extend(preset.events);
-            return Ok(());
-        }
-        if let Some(v) = clause.strip_prefix("seed=") {
-            self.seed = v.parse().map_err(|_| err("seed is not an integer"))?;
-            return Ok(());
-        }
-        if let Some(rest) = clause.strip_prefix("crash@") {
-            let (t, h) = rest.split_once(':').ok_or_else(|| err("expected `T:H`"))?;
+        if let Some(rest) = c.0.strip_prefix("crash@") {
+            let (t, h) = c.split(rest, ':', "T:H")?;
             self.events.push(Disturbance::Crash {
-                host: idx(h, "host")?,
-                at: num(t, "time")?,
+                host: c.idx(h, "host")?,
+                at: c.num(t, "time")?,
             });
-            return Ok(());
-        }
-        if let Some(rest) = clause.strip_prefix("slow@") {
-            let (w, spec) = rest
-                .split_once(':')
-                .ok_or_else(|| err("expected `T1-T2:H:F`"))?;
-            let (h, f) = spec.split_once(':').ok_or_else(|| err("expected `H:F`"))?;
+        } else if let Some(rest) = c.0.strip_prefix("slow@") {
+            let (w, spec) = c.split(rest, ':', "T1-T2:H:F")?;
+            let (h, f) = c.split(spec, ':', "H:F")?;
             let (from, to) = window(w)?;
             self.events.push(Disturbance::Slow {
-                host: idx(h, "host")?,
+                host: c.idx(h, "host")?,
                 from,
                 to,
                 factor: factor(f)?,
             });
-            return Ok(());
-        }
-        if let Some(rest) = clause.strip_prefix("degrade@") {
-            let (w, spec) = rest
-                .split_once(':')
-                .ok_or_else(|| err("expected `T1-T2:L:F`"))?;
-            let (l, f) = spec.split_once(':').ok_or_else(|| err("expected `L:F`"))?;
+        } else if let Some(rest) = c.0.strip_prefix("degrade@") {
+            let (w, spec) = c.split(rest, ':', "T1-T2:L:F")?;
+            let (l, f) = c.split(spec, ':', "L:F")?;
             let (from, to) = window(w)?;
             self.events.push(Disturbance::Degrade {
-                link: idx(l, "link")?,
+                link: c.idx(l, "link")?,
                 from,
                 to,
                 factor: factor(f)?,
             });
-            return Ok(());
+        } else {
+            return Err(c.err("unknown clause"));
         }
-        Err(err("unknown clause"))
+        Ok(())
     }
 }
 

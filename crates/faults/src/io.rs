@@ -174,12 +174,7 @@ impl IoFaultPlan {
             if part.is_empty() {
                 continue;
             }
-            if let Some(intensity) = match part {
-                "light" => Some(0.25),
-                "moderate" => Some(0.5),
-                "heavy" => Some(1.0),
-                _ => None,
-            } {
+            if let Some(intensity) = crate::clause::preset(part) {
                 let preset = IoFaultPlan::with_intensity(intensity);
                 plan.enospc = plan.enospc.max(preset.enospc);
                 plan.eio = plan.eio.max(preset.eio);

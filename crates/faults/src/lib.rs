@@ -40,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+mod clause;
 pub mod disturb;
 pub mod io;
 pub mod model;

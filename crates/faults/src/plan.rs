@@ -7,6 +7,8 @@ use serde::{Deserialize, Serialize};
 use mps_dag::TaskId;
 use mps_platform::HostId;
 
+use crate::clause::{self, Clause, ClausePlan};
+
 /// One scripted hazard.
 ///
 /// Times are simulated seconds from the start of the execution the plan is
@@ -171,117 +173,65 @@ impl FaultPlan {
     ///
     /// Example: `seed=7;crash@3:10+5;fail=0.05;io:enospc@0.01,shortwrite@0.05`.
     pub fn parse(input: &str, hosts: usize, horizon: f64) -> Result<Self, PlanParseError> {
-        let mut plan = FaultPlan::none();
-        for clause in input.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            plan.parse_clause(clause, hosts, horizon)?;
-        }
-        Ok(plan)
+        clause::parse(FaultPlan::none(), input, hosts, horizon)
+    }
+}
+
+impl ClausePlan for FaultPlan {
+    fn seed(&mut self) -> &mut u64 {
+        &mut self.seed
     }
 
-    fn parse_clause(
-        &mut self,
-        clause: &str,
-        hosts: usize,
-        horizon: f64,
-    ) -> Result<(), PlanParseError> {
-        let err = |what: &str| PlanParseError {
-            clause: clause.to_string(),
-            reason: what.to_string(),
-        };
-        let num = |s: &str, what: &str| -> Result<f64, PlanParseError> {
-            s.parse::<f64>()
-                .ok()
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .ok_or_else(|| err(&format!("{what} `{s}` is not a non-negative number")))
-        };
-        let idx = |s: &str, what: &str| -> Result<usize, PlanParseError> {
-            s.parse::<usize>()
-                .map_err(|_| err(&format!("{what} `{s}` is not an index")))
-        };
+    fn add_preset(&mut self, intensity: f64, hosts: usize, horizon: f64) {
+        let preset = FaultPlan::random(self.seed, intensity, hosts, horizon);
+        self.events.extend(preset.events);
+    }
 
-        if let Some(intensity) = match clause {
-            "light" => Some(0.25),
-            "moderate" => Some(0.5),
-            "heavy" => Some(1.0),
-            _ => None,
-        } {
-            let preset = FaultPlan::random(self.seed, intensity, hosts, horizon);
-            self.events.extend(preset.events);
-            return Ok(());
-        }
-        if let Some(v) = clause.strip_prefix("seed=") {
-            self.seed = v.parse().map_err(|_| err("seed is not an integer"))?;
-            return Ok(());
-        }
-        if let Some(v) = clause.strip_prefix("fail=") {
-            let prob = num(v, "probability")?;
+    fn add_clause(&mut self, c: Clause<'_>) -> Result<(), PlanParseError> {
+        if let Some(v) = c.0.strip_prefix("fail=") {
+            let prob = c.num(v, "probability")?;
             if prob > 1.0 {
-                return Err(err("probability exceeds 1"));
+                return Err(c.err("probability exceeds 1"));
             }
             self.events.push(FaultEvent::TaskFailure { prob });
-            return Ok(());
-        }
-        if let Some(rest) = clause.strip_prefix("crash@") {
-            let (h, times) = rest
-                .split_once(':')
-                .ok_or_else(|| err("expected `H:T+D`"))?;
-            let (t, d) = times.split_once('+').ok_or_else(|| err("expected `T+D`"))?;
+        } else if let Some(rest) = c.0.strip_prefix("crash@") {
+            let (h, times) = c.split(rest, ':', "H:T+D")?;
+            let (t, d) = c.split(times, '+', "T+D")?;
             self.events.push(FaultEvent::NodeCrash {
-                host: idx(h, "host")?,
-                from: num(t, "start")?,
-                duration: num(d, "duration")?,
+                host: c.idx(h, "host")?,
+                from: c.num(t, "start")?,
+                duration: c.num(d, "duration")?,
             });
-            return Ok(());
-        }
-        if let Some(rest) = clause.strip_prefix("slow@") {
-            let (h, spec) = rest
-                .split_once(':')
-                .ok_or_else(|| err("expected `H:T*F`"))?;
-            let (t, f) = spec.split_once('*').ok_or_else(|| err("expected `T*F`"))?;
+        } else if let Some(rest) = c.0.strip_prefix("slow@") {
+            let (h, spec) = c.split(rest, ':', "H:T*F")?;
+            let (t, f) = c.split(spec, '*', "T*F")?;
             self.events.push(FaultEvent::NodeSlowdown {
-                host: idx(h, "host")?,
-                from: num(t, "start")?,
-                factor: num(f, "factor")?,
+                host: c.idx(h, "host")?,
+                from: c.num(t, "start")?,
+                factor: c.num(f, "factor")?,
             });
-            return Ok(());
-        }
-        if let Some(rest) = clause.strip_prefix("link@") {
-            let (h, spec) = rest
-                .split_once(':')
-                .ok_or_else(|| err("expected `H:T+D*F`"))?;
-            let (t, rest2) = spec
-                .split_once('+')
-                .ok_or_else(|| err("expected `T+D*F`"))?;
-            let (d, f) = rest2.split_once('*').ok_or_else(|| err("expected `D*F`"))?;
+        } else if let Some(rest) = c.0.strip_prefix("link@") {
+            let (h, spec) = c.split(rest, ':', "H:T+D*F")?;
+            let (t, rest2) = c.split(spec, '+', "T+D*F")?;
+            let (d, f) = c.split(rest2, '*', "D*F")?;
             self.events.push(FaultEvent::LinkDegrade {
-                host: idx(h, "host")?,
-                from: num(t, "start")?,
-                duration: num(d, "duration")?,
-                factor: num(f, "factor")?,
+                host: c.idx(h, "host")?,
+                from: c.num(t, "start")?,
+                duration: c.num(d, "duration")?,
+                factor: c.num(f, "factor")?,
             });
-            return Ok(());
-        }
-        if let Some(rest) = clause.strip_prefix("io:") {
-            let parsed = crate::io::IoFaultPlan::parse(rest).map_err(|reason| PlanParseError {
-                clause: clause.to_string(),
-                reason,
-            })?;
-            self.io = parsed;
-            return Ok(());
-        }
-        if let Some(rest) = clause.strip_prefix("straggle@") {
-            let (t, f) = rest.split_once('*').ok_or_else(|| err("expected `T*F`"))?;
+        } else if let Some(rest) = c.0.strip_prefix("io:") {
+            self.io = crate::io::IoFaultPlan::parse(rest).map_err(|reason| c.err(&reason))?;
+        } else if let Some(rest) = c.0.strip_prefix("straggle@") {
+            let (t, f) = c.split(rest, '*', "T*F")?;
             self.events.push(FaultEvent::Straggler {
-                task: idx(t, "task")?,
-                factor: num(f, "factor")?,
+                task: c.idx(t, "task")?,
+                factor: c.num(f, "factor")?,
             });
-            return Ok(());
+        } else {
+            return Err(c.err("unknown clause"));
         }
-        Err(err("unknown clause"))
+        Ok(())
     }
 }
 
