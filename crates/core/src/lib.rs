@@ -187,7 +187,7 @@ mod facade_tests {
         // DES layer.
         let mut e = Engine::new();
         let r = e.add_resource(1.0);
-        e.start(ActivitySpec::new(1.0).on(r, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(1.0).on(r, 1.0)).unwrap();
         assert!((e.run_to_idle().unwrap()[0].time - 1.0).abs() < 1e-12);
     }
 

@@ -19,12 +19,24 @@
 //!
 //! * activities live in a dense **slab** of reusable slots (the public
 //!   [`ActivityId`]s stay unique forever; slots are recycled);
-//! * a **resource→activity incidence index** plus a **dirty resource set**
-//!   restrict each re-solve to the connected component(s) actually touched
-//!   by an event — timer-only and latency-phase steps skip the solver
-//!   entirely;
+//! * every live activity's positive weights sit in one engine-owned
+//!   **weight arena** (an offset and a length per slot), compacted when
+//!   garbage outgrows the live entries and emptied whenever the engine
+//!   goes idle, so [`Engine::start`] copies a borrowed [`ActivitySpec`]
+//!   instead of taking ownership of a vector per activity;
+//! * a **resource→activity incidence index** with a per-resource count of
+//!   live entries restricts each re-solve to the connected component(s) an
+//!   event touched. The closure search starts from the activities that
+//!   just entered their work phase and from the resources a finish,
+//!   cancel or capacity change left **dirty**, walks only resources that
+//!   carry at least two live entries (a resource used by one activity
+//!   leads nowhere else), and stops once the closure holds every activity
+//!   that uses a resource. Timer-only and latency-phase steps skip the
+//!   solver entirely;
 //! * the sharing problem is solved in a reusable
-//!   [`SolverWorkspace`](crate::solver::SolverWorkspace);
+//!   [`SolverWorkspace`](crate::solver::SolverWorkspace), which returns
+//!   after the first bottleneck round when that round freezes every staged
+//!   activity;
 //! * upcoming completions sit in **min-heaps of predicted event times**,
 //!   invalidated lazily: every rate change bumps a per-slot stamp, and
 //!   entries whose stamp no longer matches are discarded when they surface.
@@ -145,7 +157,9 @@ enum ActState {
 struct Slot {
     /// External id (monotone, never reused).
     id: u64,
-    weights: Vec<(ResourceId, f64)>,
+    /// The activity's positive weights: `arena[w_off..w_off + w_len]`.
+    w_off: u32,
+    w_len: u32,
     rate_bound: f64,
     /// Rate this activity gets when it shares no resource with any other
     /// live activity, i.e. a re-solve over a closure containing only this
@@ -253,6 +267,9 @@ pub struct MemoryFootprint {
     pub timer_heap: usize,
     /// Total resource→activity incidence entries (live + stale).
     pub incidence_entries: usize,
+    /// Weight-arena entries (live activities' weights + garbage not yet
+    /// compacted away).
+    pub weight_arena: usize,
 }
 
 impl MemoryFootprint {
@@ -264,6 +281,7 @@ impl MemoryFootprint {
             .max(self.latency_heap)
             .max(self.timer_heap)
             .max(self.incidence_entries)
+            .max(self.weight_arena)
     }
 }
 
@@ -424,10 +442,25 @@ pub struct Engine {
     slot_stamp: Vec<u32>,
     next_activity: u64,
     next_timer: u64,
-    // Resource → working activities, compacted lazily while refreshing.
+    // Positive `(resource, weight)` entries of every live activity; slot
+    // ranges are appended by `start`, and `arena_garbage` counts the
+    // entries of released slots. `arena_spare` is the compaction target.
+    arena: Vec<(u32, f64)>,
+    arena_spare: Vec<(u32, f64)>,
+    arena_garbage: usize,
+    // Resource → working activities as `(slot, incarnation)`, with stale
+    // entries left behind until an attach compacts the list;
+    // `res_live[r]` counts the live entries of `res_acts[r]`.
     res_acts: Vec<Vec<(u32, u32)>>,
+    res_live: Vec<u32>,
+    // Working activities with at least one weight: everything a closure
+    // can hold.
+    n_attached: usize,
     res_dirty: Vec<bool>,
     dirty_res: Vec<u32>,
+    // Working activities attached since the last refresh, as
+    // `(slot, incarnation)`: the other seeds of the closure search.
+    fresh: Vec<(u32, u32)>,
     // Predicted events.
     finish_heap: BinaryHeap<Reverse<FinishEntry>>,
     latency_heap: BinaryHeap<Reverse<LatencyEntry>>,
@@ -435,8 +468,10 @@ pub struct Engine {
     // Solver state.
     ws: SolverWorkspace,
     solves: u64,
+    refreshes: u64,
+    resources_visited: u64,
+    single_round_solves: u64,
     // Reused scratch.
-    bfs_res: Vec<u32>,
     closure_slots: Vec<u32>,
     act_mark: Vec<u64>,
     res_mark: Vec<u64>,
@@ -487,6 +522,26 @@ impl Engine {
         self.solves
     }
 
+    /// Number of incremental refreshes that had something to re-solve (a
+    /// newly working activity or a dirty resource). Timer-only steps leave
+    /// it unchanged.
+    pub fn refreshes(&self) -> u64 {
+        self.refreshes
+    }
+
+    /// Number of resources whose incidence list the closure search walked.
+    /// Only dirty resources and resources shared by at least two live
+    /// incidence entries are walked.
+    pub fn resources_visited(&self) -> u64 {
+        self.resources_visited
+    }
+
+    /// Number of staged solves that ended after their first bottleneck
+    /// round, without building the solver's reverse index.
+    pub fn single_round_solves(&self) -> u64 {
+        self.single_round_solves
+    }
+
     /// Enables resource-utilization metering. Call after all resources
     /// have been added; resources added later are not tracked.
     pub fn enable_usage_metering(&mut self) {
@@ -519,6 +574,7 @@ impl Engine {
         self.base_capacities.push(capacity);
         self.retired.push(false);
         self.res_acts.push(Vec::new());
+        self.res_live.push(0);
         self.res_dirty.push(false);
         self.res_mark.push(0);
         ResourceId(self.capacities.len() - 1)
@@ -605,8 +661,9 @@ impl Engine {
     /// without reporting a completion. Returns `false` when the id is not
     /// live (already finished or cancelled) — cancellation is idempotent.
     ///
-    /// The touched resources are marked dirty so the surviving sharers
-    /// re-solve to their new (higher) rates on the next step.
+    /// A working activity's shared resources are marked dirty so the
+    /// surviving sharers re-solve to their new (higher) rates on the next
+    /// step; a latency-phase activity holds no resource yet.
     pub fn cancel(&mut self, id: ActivityId) -> bool {
         let Some(slot) = self
             .slots
@@ -615,16 +672,7 @@ impl Engine {
         else {
             return false;
         };
-        let a = self.slots[slot].take().expect("live slot");
-        self.slot_inc[slot] += 1;
-        self.slot_stamp[slot] += 1;
-        self.free_slots.push(slot as u32);
-        self.n_live -= 1;
-        for &(r, w) in &a.weights {
-            if w > 0.0 {
-                self.mark_dirty(r.0);
-            }
-        }
+        self.release(slot as u32);
         true
     }
 
@@ -657,17 +705,20 @@ impl Engine {
         self.slot_stamp.clear();
         self.next_activity = 0;
         self.next_timer = 0;
+        self.arena.clear();
+        self.arena_spare.clear();
+        self.arena_garbage = 0;
         for acts in &mut self.res_acts {
             acts.clear();
         }
-        for d in &mut self.res_dirty {
-            *d = false;
-        }
+        self.res_live.fill(0);
+        self.n_attached = 0;
+        self.res_dirty.fill(false);
         self.dirty_res.clear();
+        self.fresh.clear();
         self.finish_heap.clear();
         self.latency_heap.clear();
         self.timer_heap.clear();
-        self.bfs_res.clear();
         self.closure_slots.clear();
         self.act_mark.clear();
         // res_mark entries stay valid: marks are epoch-compared, and the
@@ -681,6 +732,9 @@ impl Engine {
         self.watchdog = None;
         self.steps_taken = 0;
         self.solves = 0;
+        self.refreshes = 0;
+        self.resources_visited = 0;
+        self.single_round_solves = 0;
     }
 
     /// Number of live (unfinished) activities.
@@ -702,6 +756,7 @@ impl Engine {
             latency_heap: self.latency_heap.len(),
             timer_heap: self.timer_heap.len(),
             incidence_entries: self.res_acts.iter().map(Vec::len).sum(),
+            weight_arena: self.arena.len(),
         }
     }
 
@@ -717,7 +772,10 @@ impl Engine {
 
     /// Starts an activity; it becomes visible to the sharing solver at the
     /// current simulated time.
-    pub fn start(&mut self, spec: ActivitySpec) -> Result<ActivityId, EngineError> {
+    ///
+    /// The spec is only read: its positive weights are copied into the
+    /// engine's weight arena, so callers can refill one spec per activity.
+    pub fn start(&mut self, spec: &ActivitySpec) -> Result<ActivityId, EngineError> {
         if spec.amount.is_nan() || spec.amount < 0.0 {
             return Err(EngineError::InvalidSpec { context: "amount" });
         }
@@ -774,12 +832,24 @@ impl Engine {
                 (self.slots.len() - 1) as u32
             }
         };
+        // Compact before appending once released entries outnumber live
+        // ones, so the arena stays within twice the live weights.
+        if 2 * self.arena_garbage > self.arena.len() {
+            self.compact_arena();
+        }
+        let w_off = self.arena.len();
+        for &(r, w) in &spec.weights {
+            if w > 0.0 {
+                self.arena.push((r.0 as u32, w));
+            }
+        }
         self.slots[slot as usize] = Some(Slot {
             id: id.0,
-            weights: spec.weights,
+            w_off: w_off as u32,
+            w_len: (self.arena.len() - w_off) as u32,
             rate_bound: spec.rate_bound,
             solo_rate: f64::NAN,
-            label: spec.label,
+            label: spec.label.clone(),
             state,
         });
         self.n_live += 1;
@@ -828,7 +898,10 @@ impl Engine {
         let demands: Vec<Demand> = working
             .iter()
             .map(|a| Demand {
-                weights: a.weights.iter().map(|&(r, w)| (r.0, w)).collect(),
+                weights: self.arena[a.w_off as usize..(a.w_off + a.w_len) as usize]
+                    .iter()
+                    .map(|&(r, w)| (r as usize, w))
+                    .collect(),
                 bound: a.rate_bound,
             })
             .collect();
@@ -966,56 +1039,116 @@ impl Engine {
         Ok(out)
     }
 
+    /// Moves every live slot's weights to the front of the arena (in slot
+    /// order) and forgets the garbage. The live entries go through
+    /// `arena_spare` and back, so each buffer keeps its role and a repeated
+    /// run grows neither.
+    fn compact_arena(&mut self) {
+        let spare = &mut self.arena_spare;
+        spare.clear();
+        for a in self.slots.iter_mut().flatten() {
+            let off = a.w_off as usize;
+            a.w_off = spare.len() as u32;
+            spare.extend_from_slice(&self.arena[off..off + a.w_len as usize]);
+        }
+        self.arena.clear();
+        self.arena.extend_from_slice(spare);
+        self.arena_garbage = 0;
+    }
+
+    /// Frees a live slot (finished or cancelled). A working activity
+    /// leaves the incidence counts, and each resource it still shares
+    /// with another entry turns dirty; its arena entries become garbage,
+    /// and the arena empties once nothing is live.
+    fn release(&mut self, slot: u32) -> Slot {
+        let su = slot as usize;
+        let a = self.slots[su].take().expect("live slot");
+        self.slot_inc[su] += 1;
+        self.slot_stamp[su] += 1;
+        self.free_slots.push(slot);
+        self.n_live -= 1;
+        if matches!(a.state, ActState::Working { .. }) && a.w_len > 0 {
+            self.n_attached -= 1;
+            let off = a.w_off as usize;
+            let range = off..off + a.w_len as usize;
+            // Count every entry out first: a resource listed twice by this
+            // activity must not look shared with itself.
+            for k in range.clone() {
+                self.res_live[self.arena[k].0 as usize] -= 1;
+            }
+            for k in range {
+                let r = self.arena[k].0 as usize;
+                if self.res_live[r] > 0 {
+                    self.mark_dirty(r);
+                }
+            }
+        }
+        if self.n_live == 0 {
+            self.arena.clear();
+            self.arena_garbage = 0;
+        } else {
+            self.arena_garbage += a.w_len as usize;
+        }
+        a
+    }
+
     /// Registers a freshly-working activity with the incidence index and
-    /// dirty set, and seeds its finish prediction where the solver will
-    /// never see it (empty demand, or nothing left to do).
+    /// the closure search's seeds, and seeds its finish prediction where
+    /// the solver will never see it (empty demand, or nothing left to do).
     fn attach_working(&mut self, slot: u32, now: f64) {
         let s = slot as usize;
         let inc = self.slot_inc[s];
         let a = self.slots[s].as_ref().expect("live slot");
-        let mut constrained = false;
+        let (off, len) = (a.w_off as usize, a.w_len as usize);
+        // The arena holds positive weights only.
+        let constrained = len > 0;
         // While wiring up the incidence index, also precompute the rate
         // this activity would get from a re-solve it does not share with
         // anyone (`Slot::solo_rate`): the ascending-resource bottleneck
         // scan below replays the solver's cross-multiplied comparison and
         // final division exactly, so `refresh` can skip staging whole
-        // singleton closures. Only valid when the positive-weight entries
-        // are strictly ascending by resource — then the entry order equals
-        // the solver's sorted scan order and no aggregation happens.
+        // singleton closures. Only valid when the entries are strictly
+        // ascending by resource — then the entry order equals the solver's
+        // sorted scan order and no aggregation happens.
         let mut sorted_strict = true;
-        let mut prev_r: isize = -1;
+        let mut prev_r: i64 = -1;
         let mut bn_rem = 0.0_f64;
         let mut bn_tw = 0.0_f64;
-        for &(r, w) in &a.weights {
-            if w > 0.0 {
-                constrained = true;
-                self.res_acts[r.0].push((slot, inc));
-                if !self.res_dirty[r.0] {
-                    self.res_dirty[r.0] = true;
-                    self.dirty_res.push(r.0 as u32);
-                }
-                if r.0 as isize <= prev_r {
-                    sorted_strict = false;
-                }
-                prev_r = r.0 as isize;
-                let crem = self.capacities[r.0].max(0.0);
-                let smaller = if bn_tw == 0.0 {
-                    true
+        for k in off..off + len {
+            let (r, w) = self.arena[k];
+            let ru = r as usize;
+            let acts = &mut self.res_acts[ru];
+            acts.push((slot, inc));
+            self.res_live[ru] += 1;
+            // Compact here rather than on every visit: the closure search
+            // skips single-user lists, and this keeps every list within
+            // about twice its live entries.
+            if acts.len() >= 2 * self.res_live[ru] as usize + 2 {
+                let slot_inc = &self.slot_inc;
+                acts.retain(|&(s, ic)| slot_inc[s as usize] == ic);
+            }
+            if i64::from(r) <= prev_r {
+                sorted_strict = false;
+            }
+            prev_r = i64::from(r);
+            let crem = self.capacities[ru].max(0.0);
+            let smaller = if bn_tw == 0.0 {
+                true
+            } else {
+                let lhs = crem * bn_tw;
+                let rhs = bn_rem * w;
+                if lhs.is_finite() && rhs.is_finite() {
+                    lhs < rhs
                 } else {
-                    let lhs = crem * bn_tw;
-                    let rhs = bn_rem * w;
-                    if lhs.is_finite() && rhs.is_finite() {
-                        lhs < rhs
-                    } else {
-                        crem / w < bn_rem / bn_tw
-                    }
-                };
-                if smaller {
-                    bn_rem = crem;
-                    bn_tw = w;
+                    crem / w < bn_rem / bn_tw
                 }
+            };
+            if smaller {
+                bn_rem = crem;
+                bn_tw = w;
             }
         }
+        let a = self.slots[s].as_mut().expect("live slot");
         let (rem, bound) = match a.state {
             ActState::Working { rem, .. } => (rem, a.rate_bound),
             ActState::Latency { .. } => unreachable!("attach_working on latency activity"),
@@ -1023,27 +1156,26 @@ impl Engine {
         if !constrained {
             // Never enters the solver: the rate is just the bound (matching
             // the solver's empty-demand rule).
-            if let Some(a) = self.slots[s].as_mut() {
-                if let ActState::Working { ref mut rate, .. } = a.state {
-                    *rate = bound;
-                }
+            if let ActState::Working { ref mut rate, .. } = a.state {
+                *rate = bound;
             }
-        } else if sorted_strict {
-            let bottleneck_rate = bn_rem / bn_tw;
-            let tightest = if bound.is_finite() {
-                bound
-            } else {
-                f64::INFINITY
-            };
-            let solo = if tightest < bottleneck_rate {
-                tightest
-            } else if !bottleneck_rate.is_finite() {
-                bound
-            } else {
-                bottleneck_rate
-            };
-            if let Some(a) = self.slots[s].as_mut() {
-                a.solo_rate = solo;
+        } else {
+            self.n_attached += 1;
+            self.fresh.push((slot, inc));
+            if sorted_strict {
+                let bottleneck_rate = bn_rem / bn_tw;
+                let tightest = if bound.is_finite() {
+                    bound
+                } else {
+                    f64::INFINITY
+                };
+                a.solo_rate = if tightest < bottleneck_rate {
+                    tightest
+                } else if !bottleneck_rate.is_finite() {
+                    bound
+                } else {
+                    bottleneck_rate
+                };
             }
         }
         let stamp = self.slot_stamp[s];
@@ -1073,61 +1205,72 @@ impl Engine {
         }
     }
 
-    /// Incremental re-solve: BFS the resource-connectivity closure of the
-    /// dirty set, re-solve just those activities in the shared workspace,
-    /// and re-predict finish times for the ones whose rate actually changed.
+    /// Adds every not-yet-seen live activity on resource `r` to `closure`.
+    fn walk(&mut self, r: usize, epoch: u64, closure: &mut Vec<u32>) {
+        self.res_mark[r] = epoch;
+        self.resources_visited += 1;
+        for &(s, ic) in &self.res_acts[r] {
+            let su = s as usize;
+            if self.slot_inc[su] == ic && self.act_mark[su] != epoch {
+                self.act_mark[su] = epoch;
+                closure.push(s);
+            }
+        }
+    }
+
+    /// Incremental re-solve: collect the resource-connectivity closure of
+    /// the newly working activities and the dirty resources, re-solve just
+    /// those activities in the shared workspace, and re-predict finish
+    /// times for the ones whose rate actually changed.
     ///
     /// Exact because max-min fair allocations decompose over resource
     /// connectivity components: rates outside the closure cannot change.
+    /// The search walks a dirty resource while any live entry remains on
+    /// it, and otherwise only resources with at least two live entries: an
+    /// activity's other resources connect it to nobody. It stops as soon
+    /// as the closure holds every attached activity; on a cluster whose
+    /// routes all cross one backbone, that is the usual case.
     fn refresh(&mut self) {
-        if self.dirty_res.is_empty() {
+        if self.dirty_res.is_empty() && self.fresh.is_empty() {
             return;
         }
+        self.refreshes += 1;
         self.mark_epoch += 1;
         let epoch = self.mark_epoch;
-        let mut stack = std::mem::take(&mut self.bfs_res);
         let mut closure = std::mem::take(&mut self.closure_slots);
-        stack.clear();
         closure.clear();
+        for &(s, ic) in &self.fresh {
+            let su = s as usize;
+            if self.slot_inc[su] == ic && self.act_mark[su] != epoch {
+                self.act_mark[su] = epoch;
+                closure.push(s);
+            }
+        }
+        self.fresh.clear();
         for k in 0..self.dirty_res.len() {
             let r = self.dirty_res[k] as usize;
             self.res_dirty[r] = false;
-            if self.res_mark[r] != epoch {
-                self.res_mark[r] = epoch;
-                stack.push(r as u32);
+            if closure.len() < self.n_attached && self.res_live[r] > 0 && self.res_mark[r] != epoch
+            {
+                self.walk(r, epoch, &mut closure);
             }
         }
         self.dirty_res.clear();
-
-        while let Some(r) = stack.pop() {
-            let ru = r as usize;
-            // Compact stale incidence entries (freed or recycled slots).
-            {
-                let acts = &mut self.res_acts[ru];
-                let inc = &self.slot_inc;
-                let mut k = 0;
-                while k < acts.len() {
-                    let (s, ic) = acts[k];
-                    if inc[s as usize] != ic {
-                        acts.swap_remove(k);
-                    } else {
-                        k += 1;
-                    }
-                }
-            }
-            for k in 0..self.res_acts[ru].len() {
-                let (s, _) = self.res_acts[ru][k];
-                let su = s as usize;
-                if self.act_mark[su] == epoch {
-                    continue;
-                }
-                self.act_mark[su] = epoch;
-                closure.push(s);
-                let a = self.slots[su].as_ref().expect("indexed slot");
-                for &(rr, w) in &a.weights {
-                    if w > 0.0 && self.res_mark[rr.0] != epoch {
-                        self.res_mark[rr.0] = epoch;
-                        stack.push(rr.0 as u32);
+        // `closure` doubles as the work list: each member's shared
+        // resources pull in their activities, which are expanded in turn,
+        // until it holds every attached activity and nothing is left to
+        // find.
+        let mut next = 0;
+        while next < closure.len() && closure.len() < self.n_attached {
+            let a = self.slots[closure[next] as usize].as_ref().expect("slot");
+            next += 1;
+            let (off, len) = (a.w_off as usize, a.w_len as usize);
+            for k in off..off + len {
+                let r = self.arena[k].0 as usize;
+                if self.res_live[r] >= 2 && self.res_mark[r] != epoch {
+                    self.walk(r, epoch, &mut closure);
+                    if closure.len() == self.n_attached {
+                        break;
                     }
                 }
             }
@@ -1156,14 +1299,15 @@ impl Engine {
                 self.ws.clear_stage();
                 for &s in &closure {
                     let a = self.slots[s as usize].as_ref().expect("slot");
-                    for &(r, w) in &a.weights {
-                        if w > 0.0 {
-                            self.ws.push_weight(r.0, w);
-                        }
+                    let off = a.w_off as usize;
+                    for &(r, w) in &self.arena[off..off + a.w_len as usize] {
+                        self.ws.push_weight(r as usize, w);
                     }
                     self.ws.push_activity(a.rate_bound);
                 }
-                self.ws.solve_staged(&self.capacities);
+                if self.ws.solve_staged(&self.capacities) {
+                    self.single_round_solves += 1;
+                }
             }
             self.solves += 1;
 
@@ -1215,7 +1359,6 @@ impl Engine {
             }
         }
 
-        self.bfs_res = stack;
         self.closure_slots = closure;
     }
 
@@ -1254,9 +1397,11 @@ impl Engine {
         for a in self.slots.iter().flatten() {
             if let ActState::Working { rate, .. } = a.state {
                 if rate > 0.0 && rate.is_finite() {
-                    for &(r, w) in &a.weights {
-                        if r.0 < meter.len() {
-                            meter.accumulate(r.0, w * rate, new_now);
+                    let off = a.w_off as usize;
+                    for &(r, w) in &self.arena[off..off + a.w_len as usize] {
+                        let r = r as usize;
+                        if r < meter.len() {
+                            meter.accumulate(r, w * rate, new_now);
                         }
                     }
                 }
@@ -1289,17 +1434,7 @@ impl Engine {
         }
         scratch.sort_unstable();
         for &(id, slot) in &scratch {
-            let su = slot as usize;
-            let mut a = self.slots[su].take().expect("completed activity");
-            self.slot_inc[su] += 1;
-            self.slot_stamp[su] += 1;
-            self.free_slots.push(slot);
-            self.n_live -= 1;
-            for &(r, w) in &a.weights {
-                if w > 0.0 {
-                    self.mark_dirty(r.0);
-                }
-            }
+            let mut a = self.release(slot);
             if self.tracing {
                 self.trace
                     .record(new_now, TraceEventKind::ActivityFinish, id, a.label.take());

@@ -26,8 +26,8 @@
 //!
 //! let mut engine = Engine::new();
 //! let cpu = engine.add_resource(100.0);
-//! engine.start(ActivitySpec::new(100.0).on(cpu, 1.0)).unwrap();
-//! engine.start(ActivitySpec::new(100.0).on(cpu, 1.0)).unwrap();
+//! engine.start(&ActivitySpec::new(100.0).on(cpu, 1.0)).unwrap();
+//! engine.start(&ActivitySpec::new(100.0).on(cpu, 1.0)).unwrap();
 //! let steps = engine.run_to_idle().unwrap();
 //! assert_eq!(steps.len(), 1);
 //! assert!((steps[0].time - 2.0).abs() < 1e-9);
@@ -61,7 +61,7 @@ mod tests {
     fn single_activity_finishes_at_amount_over_capacity() {
         let mut e = Engine::new();
         let cpu = e.add_resource(250.0e6);
-        e.start(ActivitySpec::new(2.0 * 250.0e6).on(cpu, 1.0))
+        e.start(&ActivitySpec::new(2.0 * 250.0e6).on(cpu, 1.0))
             .unwrap();
         let steps = e.run_to_idle().unwrap();
         assert_eq!(steps.len(), 1);
@@ -75,7 +75,7 @@ mod tests {
         let link = e.add_resource(125.0e6);
         // 125 MB over a 125 MB/s link with 100 µs latency: 1.0001 s.
         e.start(
-            ActivitySpec::new(125.0e6)
+            &ActivitySpec::new(125.0e6)
                 .on(link, 1.0)
                 .with_latency(100.0e-6),
         )
@@ -88,7 +88,7 @@ mod tests {
     fn zero_amount_activity_completes_after_latency_only() {
         let mut e = Engine::new();
         let link = e.add_resource(1.0);
-        e.start(ActivitySpec::new(0.0).on(link, 1.0).with_latency(0.5))
+        e.start(&ActivitySpec::new(0.0).on(link, 1.0).with_latency(0.5))
             .unwrap();
         let steps = e.run_to_idle().unwrap();
         assert_eq!(steps.len(), 1);
@@ -99,7 +99,7 @@ mod tests {
     fn zero_amount_zero_latency_completes_immediately() {
         let mut e = Engine::new();
         let r = e.add_resource(1.0);
-        e.start(ActivitySpec::new(0.0).on(r, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(0.0).on(r, 1.0)).unwrap();
         let steps = e.run_to_idle().unwrap();
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].time, 0.0);
@@ -114,8 +114,8 @@ mod tests {
         // Phase 2: long alone at 10/s; done at t=4.
         let mut e = Engine::new();
         let r = e.add_resource(10.0);
-        let short = e.start(ActivitySpec::new(10.0).on(r, 1.0)).unwrap();
-        let long = e.start(ActivitySpec::new(30.0).on(r, 1.0)).unwrap();
+        let short = e.start(&ActivitySpec::new(10.0).on(r, 1.0)).unwrap();
+        let long = e.start(&ActivitySpec::new(30.0).on(r, 1.0)).unwrap();
         let steps = e.run_to_idle().unwrap();
         assert_eq!(steps.len(), 2);
         assert!((steps[0].time - 2.0).abs() < 1e-9);
@@ -128,12 +128,12 @@ mod tests {
     fn activities_started_mid_simulation_share_from_then_on() {
         let mut e = Engine::new();
         let r = e.add_resource(10.0);
-        e.start(ActivitySpec::new(40.0).on(r, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(40.0).on(r, 1.0)).unwrap();
         e.schedule_timer(1.0).unwrap();
         // At t=1 the first activity has 30 left; start a second of 30.
         let s1 = e.step().unwrap().unwrap();
         assert!((s1.time - 1.0).abs() < 1e-9);
-        e.start(ActivitySpec::new(30.0).on(r, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(30.0).on(r, 1.0)).unwrap();
         // Both share 5/s until both finish at t = 1 + 6 = 7.
         let steps = e.run_to_idle().unwrap();
         let last = steps.last().unwrap();
@@ -145,8 +145,8 @@ mod tests {
         let mut e = Engine::new();
         let r0 = e.add_resource(10.0);
         let r1 = e.add_resource(10.0);
-        e.start(ActivitySpec::new(10.0).on(r0, 1.0)).unwrap();
-        e.start(ActivitySpec::new(10.0).on(r1, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(10.0).on(r0, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(10.0).on(r1, 1.0)).unwrap();
         let steps = e.run_to_idle().unwrap();
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].completed.len(), 2);
@@ -168,7 +168,7 @@ mod tests {
     fn stalled_simulation_is_detected() {
         let mut e = Engine::new();
         let dead = e.add_resource(0.0);
-        e.start(ActivitySpec::new(1.0).on(dead, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(1.0).on(dead, 1.0)).unwrap();
         let err = e.step().unwrap_err();
         assert!(matches!(err, EngineError::Stalled { .. }));
     }
@@ -177,7 +177,7 @@ mod tests {
     fn rate_bound_limits_progress() {
         let mut e = Engine::new();
         let r = e.add_resource(100.0);
-        e.start(ActivitySpec::new(10.0).on(r, 1.0).with_rate_bound(2.0))
+        e.start(&ActivitySpec::new(10.0).on(r, 1.0).with_rate_bound(2.0))
             .unwrap();
         let steps = e.run_to_idle().unwrap();
         assert!((steps[0].time - 5.0).abs() < 1e-9);
@@ -187,11 +187,11 @@ mod tests {
     fn invalid_specs_are_rejected() {
         let mut e = Engine::new();
         let r = e.add_resource(1.0);
-        assert!(e.start(ActivitySpec::new(-1.0).on(r, 1.0)).is_err());
+        assert!(e.start(&ActivitySpec::new(-1.0).on(r, 1.0)).is_err());
         assert!(e
-            .start(ActivitySpec::new(1.0).on(r, 1.0).with_latency(-0.5))
+            .start(&ActivitySpec::new(1.0).on(r, 1.0).with_latency(-0.5))
             .is_err());
-        assert!(e.start(ActivitySpec::new(1.0).on(r, f64::NAN)).is_err());
+        assert!(e.start(&ActivitySpec::new(1.0).on(r, f64::NAN)).is_err());
         assert!(e.schedule_timer(f64::NAN).is_err());
         // Unknown resource: construct an id from another engine.
         let mut other = Engine::new();
@@ -208,7 +208,7 @@ mod tests {
             }
             last.unwrap()
         };
-        assert!(e.start(ActivitySpec::new(1.0).on(foreign, 1.0)).is_err());
+        assert!(e.start(&ActivitySpec::new(1.0).on(foreign, 1.0)).is_err());
     }
 
     #[test]
@@ -216,7 +216,7 @@ mod tests {
         let mut e = Engine::new();
         e.enable_tracing();
         let r = e.add_resource(10.0);
-        e.start(ActivitySpec::new(10.0).on(r, 1.0).with_label("t0"))
+        e.start(&ActivitySpec::new(10.0).on(r, 1.0).with_label("t0"))
             .unwrap();
         e.run_to_idle().unwrap();
         let spans = e.trace().spans();
@@ -231,7 +231,7 @@ mod tests {
         let cpu = e.add_resource(100.0);
         let link = e.add_resource(10.0);
         // Needs 1 cpu-unit and 1 link-unit per progress unit: link-bound.
-        e.start(ActivitySpec::new(20.0).on(cpu, 1.0).on(link, 1.0))
+        e.start(&ActivitySpec::new(20.0).on(cpu, 1.0).on(link, 1.0))
             .unwrap();
         let steps = e.run_to_idle().unwrap();
         assert!((steps[0].time - 2.0).abs() < 1e-9);
@@ -241,8 +241,8 @@ mod tests {
     fn current_rates_reports_working_activities() {
         let mut e = Engine::new();
         let r = e.add_resource(10.0);
-        let a = e.start(ActivitySpec::new(10.0).on(r, 1.0)).unwrap();
-        let b = e.start(ActivitySpec::new(10.0).on(r, 1.0)).unwrap();
+        let a = e.start(&ActivitySpec::new(10.0).on(r, 1.0)).unwrap();
+        let b = e.start(&ActivitySpec::new(10.0).on(r, 1.0)).unwrap();
         let rates = e.current_rates().unwrap();
         assert_eq!(rates.len(), 2);
         for (id, rate) in rates {
@@ -268,7 +268,7 @@ mod tests {
         let mut e = Engine::new();
         let r = e.add_resource(1.0);
         assert!(e.is_idle());
-        e.start(ActivitySpec::new(1.0).on(r, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(1.0).on(r, 1.0)).unwrap();
         e.schedule_timer(10.0).unwrap();
         assert_eq!(e.live_activities(), 1);
         assert_eq!(e.pending_timers(), 1);
@@ -283,7 +283,7 @@ mod tests {
         let r = e.add_resource(1.0);
         e.set_watchdog(Some(Watchdog::horizon(5.0)));
         // Finishes at t = 10 — past the horizon.
-        e.start(ActivitySpec::new(10.0).on(r, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(10.0).on(r, 1.0)).unwrap();
         match e.step() {
             Err(EngineError::Timeout { time, steps }) => {
                 assert!((time - 10.0).abs() < 1e-9);
@@ -300,7 +300,7 @@ mod tests {
         e.set_watchdog(Some(Watchdog::steps(3)));
         // Distinct amounts → one completion per step, ten steps total.
         for i in 1..=10 {
-            e.start(ActivitySpec::new(i as f64).on(r, 1.0)).unwrap();
+            e.start(&ActivitySpec::new(i as f64).on(r, 1.0)).unwrap();
         }
         let err = e.run_to_idle().unwrap_err();
         assert!(
@@ -337,7 +337,7 @@ mod tests {
         e.set_watchdog(Some(
             Watchdog::steps(1_000_000).with_wall_deadline(deadline),
         ));
-        e.start(ActivitySpec::new(1.0).on(r, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(1.0).on(r, 1.0)).unwrap();
         assert!(e.run_to_idle().is_ok());
     }
 
@@ -346,12 +346,12 @@ mod tests {
         let mut e = Engine::new();
         let r = e.add_resource(1.0);
         e.set_watchdog(Some(Watchdog::default()));
-        e.start(ActivitySpec::new(1.0e9).on(r, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(1.0e9).on(r, 1.0)).unwrap();
         assert!(e.run_to_idle().is_ok());
         assert_eq!(e.steps_taken(), 1);
         // Uninstalling restores the unguarded behaviour.
         e.set_watchdog(None);
-        e.start(ActivitySpec::new(1.0).on(r, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(1.0).on(r, 1.0)).unwrap();
         assert!(e.run_to_idle().is_ok());
     }
 }
@@ -429,7 +429,7 @@ mod proptests {
         ) {
             let mut e = Engine::new();
             let r = e.add_resource(cap);
-            e.start(ActivitySpec::new(amount).on(r, 1.0).with_latency(latency)).unwrap();
+            e.start(&ActivitySpec::new(amount).on(r, 1.0).with_latency(latency)).unwrap();
             let steps = e.run_to_idle().unwrap();
             let expected = latency + amount / cap;
             prop_assert!((steps[0].time - expected).abs() <= expected * 1e-9 + 1e-12);
@@ -446,7 +446,7 @@ mod proptests {
             let mut e = Engine::new();
             let r = e.add_resource(cap);
             for _ in 0..n {
-                e.start(ActivitySpec::new(amount).on(r, 1.0)).unwrap();
+                e.start(&ActivitySpec::new(amount).on(r, 1.0)).unwrap();
             }
             let steps = e.run_to_idle().unwrap();
             prop_assert_eq!(steps.len(), 1);
@@ -466,7 +466,7 @@ mod usage_integration_tests {
         let cpu = e.add_resource(10.0);
         let idle = e.add_resource(10.0);
         e.enable_usage_metering();
-        e.start(ActivitySpec::new(20.0).on(cpu, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(20.0).on(cpu, 1.0)).unwrap();
         e.run_to_idle().unwrap();
         let usage = e.resource_usage().unwrap();
         assert!((usage[cpu.index()].utilization() - 1.0).abs() < 1e-9);
@@ -480,8 +480,8 @@ mod usage_integration_tests {
         let mut e = Engine::new();
         let r = e.add_resource(10.0);
         e.enable_usage_metering();
-        e.start(ActivitySpec::new(10.0).on(r, 1.0)).unwrap();
-        e.start(ActivitySpec::new(30.0).on(r, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(10.0).on(r, 1.0)).unwrap();
+        e.start(&ActivitySpec::new(30.0).on(r, 1.0)).unwrap();
         e.run_to_idle().unwrap();
         let usage = e.resource_usage().unwrap();
         assert!((usage[0].utilization() - 1.0).abs() < 1e-9);

@@ -329,8 +329,11 @@ pub fn max_min_fair_rates_ref(
 /// exact recompute fallback if cancellation drives a maintained weight
 /// non-positive), a counting-sorted reverse incidence index maps each
 /// resource to the activities on it, and finite rate bounds are visited
-/// through a sorted cursor instead of a per-iteration scan. Resource
-/// tie-breaking (lowest index first) matches [`max_min_fair_rates_ref`].
+/// through a sorted cursor instead of a per-iteration scan. A solve whose
+/// first bottleneck carries every unfrozen activity (and is not undercut by
+/// a bound) freezes them all at once and returns before the reverse index
+/// and the bound order are built. Resource tie-breaking (lowest index
+/// first) matches [`max_min_fair_rates_ref`].
 ///
 /// [`Engine`]: crate::Engine
 #[derive(Debug, Default)]
@@ -424,7 +427,8 @@ impl SolverWorkspace {
             }
             self.push_activity(d.bound);
         }
-        Ok(self.solve_staged(capacities))
+        self.solve_staged(capacities);
+        Ok(&self.rates)
     }
 
     /// Drops any staged problem. Callers then stage activities one at a time
@@ -455,8 +459,10 @@ impl SolverWorkspace {
 
     /// Solves the staged problem against `capacities` without validation —
     /// staging callers guarantee in-range resources, positive weights, and
-    /// non-NaN, non-negative capacities and bounds.
-    pub(crate) fn solve_staged(&mut self, capacities: &[f64]) -> &[f64] {
+    /// non-NaN, non-negative capacities and bounds. The rates land in
+    /// [`Self::rates`]; returns `false` when the solve needed a second
+    /// round, and so built the reverse incidence index.
+    pub(crate) fn solve_staged(&mut self, capacities: &[f64]) -> bool {
         let n = self.bounds.len();
         self.rates.clear();
         self.rates.resize(n, f64::INFINITY);
@@ -474,79 +480,12 @@ impl SolverWorkspace {
         }
         self.touched.clear();
 
-        // Single-activity fast path: with one staged activity max-min
-        // reduces to one freeze, so the reverse-incidence index and the
-        // bound ordering are dead weight. The accumulation pass, the
-        // ascending-resource bottleneck scan (cross-multiplied comparison
-        // included), and the final division replicate the general loop's
-        // floating-point operations exactly, so the rate is bit-identical.
-        if n == 1 {
-            let (s, e) = (self.act_off[0] as usize, self.act_off[1] as usize);
-            if s == e {
-                self.rates[0] = self.bounds[0];
-                return &self.rates;
-            }
-            for k in s..e {
-                let r = self.act_res[k] as usize;
-                if self.touched_bits.insert(r) {
-                    self.rem_cap[r] = capacities[r];
-                    self.total_weight[r] = 0.0;
-                }
-                self.total_weight[r] += self.act_w[k];
-            }
-            self.drain_touched();
-            let mut bn_rem = 0.0_f64;
-            let mut bn_tw = 0.0_f64;
-            let mut bottleneck_res = usize::MAX;
-            for t in 0..self.touched.len() {
-                let r = self.touched[t] as usize;
-                if self.total_weight[r] <= 0.0 {
-                    continue;
-                }
-                let rem = self.rem_cap[r].max(0.0);
-                let tw = self.total_weight[r];
-                let smaller = if bottleneck_res == usize::MAX {
-                    true
-                } else {
-                    let lhs = rem * bn_tw;
-                    let rhs = bn_rem * tw;
-                    if lhs.is_finite() && rhs.is_finite() {
-                        lhs < rhs
-                    } else {
-                        rem / tw < bn_rem / bn_tw
-                    }
-                };
-                if smaller {
-                    bn_rem = rem;
-                    bn_tw = tw;
-                    bottleneck_res = r;
-                }
-            }
-            let bottleneck_rate = if bottleneck_res == usize::MAX {
-                f64::INFINITY
-            } else {
-                bn_rem / bn_tw
-            };
-            let bound = self.bounds[0];
-            let tightest = if bound.is_finite() {
-                bound
-            } else {
-                f64::INFINITY
-            };
-            self.rates[0] = if tightest < bottleneck_rate {
-                tightest
-            } else if !bottleneck_rate.is_finite() {
-                bound
-            } else {
-                bottleneck_rate
-            };
-            return &self.rates;
-        }
-
         // Pass 1: classify activities, initialise touched resources, and
         // accumulate per-resource load of the (initially all-unfrozen)
-        // activity set.
+        // activity set. Also note the tightest finite bound, which is what
+        // the sorted bound cursor below would report in the first round.
         let mut n_active = 0usize;
+        let mut tightest_bound = f64::INFINITY;
         for i in 0..n {
             let (s, e) = (self.act_off[i] as usize, self.act_off[i + 1] as usize);
             if s == e {
@@ -556,6 +495,9 @@ impl SolverWorkspace {
             }
             self.active[i] = true;
             n_active += 1;
+            if self.bounds[i] < tightest_bound {
+                tightest_bound = self.bounds[i];
+            }
             for k in s..e {
                 let r = self.act_res[k] as usize;
                 if self.touched_bits.insert(r) {
@@ -571,7 +513,33 @@ impl SolverWorkspace {
         // to the reference (first minimum wins).
         self.drain_touched();
         if n_active == 0 {
-            return &self.rates;
+            return true;
+        }
+
+        // First round. When the bottleneck is not undercut by a bound and
+        // carries every unfrozen activity, the round freezes them all at
+        // its rate and the solve is over — exactly what the loop below
+        // would do, minus building the reverse index. `active_count`
+        // counts entries, and a demand may list a resource twice, so a
+        // large enough count is only the cheap filter before an exact
+        // per-activity check.
+        let first = self.scan_bottleneck();
+        let (bottleneck_res, bottleneck_rate) = first;
+        if bottleneck_rate.is_finite()
+            && tightest_bound >= bottleneck_rate
+            && self.active_count[bottleneck_res] as usize >= n_active
+            && (0..n).all(|i| {
+                !self.active[i]
+                    || self.act_res[self.act_off[i] as usize..self.act_off[i + 1] as usize]
+                        .contains(&(bottleneck_res as u32))
+            })
+        {
+            for i in 0..n {
+                if self.active[i] {
+                    self.rates[i] = bottleneck_rate;
+                }
+            }
+            return true;
         }
 
         // Pass 2: counting-sorted reverse incidence. `active_count[r]` is
@@ -616,62 +584,12 @@ impl SolverWorkspace {
         });
         let mut bound_cursor = 0usize;
 
+        // The first round's scan already ran above.
+        let mut scanned = Some(first);
         while n_active > 0 {
-            // Bottleneck: smallest remaining-capacity/weight ratio, lowest
-            // resource index on ties. The scan compares candidate `rem/tw`
-            // ratios by cross-multiplication (`rem_a*tw_b < rem_b*tw_a`),
-            // which costs two pipelined multiplies instead of a division per
-            // resource; the single division happens once, for the winner.
-            // Exactly tied ratios multiply to the same real value on both
-            // sides, so the strict `<` keeps the first (lowest-index)
-            // resource just like the reference's divided comparison does.
-            let mut bn_rem = 0.0_f64;
-            let mut bn_tw = 0.0_f64;
-            let mut bottleneck_res = usize::MAX;
-            // Stable in-place compaction: resources whose activities all
-            // froze leave the list for good, so later rounds scan less.
-            let mut keep = 0usize;
-            for t in 0..self.touched.len() {
-                let r = self.touched[t] as usize;
-                if self.active_count[r] == 0 {
-                    continue;
-                }
-                self.touched[keep] = r as u32;
-                keep += 1;
-                if self.total_weight[r] <= 0.0 {
-                    // Incremental subtraction cancelled to <= 0 with unfrozen
-                    // activities still on the resource: recompute exactly.
-                    self.recompute_weight(r);
-                    if self.total_weight[r] <= 0.0 {
-                        continue;
-                    }
-                }
-                let rem = self.rem_cap[r].max(0.0);
-                let tw = self.total_weight[r];
-                let smaller = if bottleneck_res == usize::MAX {
-                    true
-                } else {
-                    let lhs = rem * bn_tw;
-                    let rhs = bn_rem * tw;
-                    if lhs.is_finite() && rhs.is_finite() {
-                        lhs < rhs
-                    } else {
-                        // Product overflow (astronomical capacities): fall
-                        // back to the divided comparison.
-                        rem / tw < bn_rem / bn_tw
-                    }
-                };
-                if smaller {
-                    bn_rem = rem;
-                    bn_tw = tw;
-                    bottleneck_res = r;
-                }
-            }
-            self.touched.truncate(keep);
-            let bottleneck_rate = if bottleneck_res == usize::MAX {
-                f64::INFINITY
-            } else {
-                bn_rem / bn_tw
+            let (bottleneck_res, bottleneck_rate) = match scanned.take() {
+                Some(first) => first,
+                None => self.scan_bottleneck(),
             };
 
             // Tightest bound among unfrozen activities.
@@ -744,7 +662,72 @@ impl SolverWorkspace {
             }
         }
 
-        &self.rates
+        false
+    }
+
+    /// One round's bottleneck: the smallest remaining-capacity/weight
+    /// ratio, lowest resource index on ties, as `(resource, rate)` —
+    /// `(usize::MAX, ∞)` when no resource constrains anything.
+    ///
+    /// The scan compares candidate `rem/tw` ratios by cross-multiplication
+    /// (`rem_a*tw_b < rem_b*tw_a`), which costs two pipelined multiplies
+    /// instead of a division per resource; the single division happens
+    /// once, for the winner. Exactly tied ratios multiply to the same real
+    /// value on both sides, so the strict `<` keeps the first
+    /// (lowest-index) resource just like the reference's divided
+    /// comparison does.
+    fn scan_bottleneck(&mut self) -> (usize, f64) {
+        let mut bn_rem = 0.0_f64;
+        let mut bn_tw = 0.0_f64;
+        let mut bottleneck_res = usize::MAX;
+        // Stable in-place compaction: resources whose activities all froze
+        // leave the list for good, so later rounds scan less.
+        let mut keep = 0usize;
+        for t in 0..self.touched.len() {
+            let r = self.touched[t] as usize;
+            if self.active_count[r] == 0 {
+                continue;
+            }
+            self.touched[keep] = r as u32;
+            keep += 1;
+            if self.total_weight[r] <= 0.0 {
+                // Incremental subtraction cancelled to <= 0 with unfrozen
+                // activities still on the resource: recompute exactly. Never
+                // in the first round, whose loads are sums of positive
+                // weights — so the reverse index it reads always exists.
+                self.recompute_weight(r);
+                if self.total_weight[r] <= 0.0 {
+                    continue;
+                }
+            }
+            let rem = self.rem_cap[r].max(0.0);
+            let tw = self.total_weight[r];
+            let smaller = if bottleneck_res == usize::MAX {
+                true
+            } else {
+                let lhs = rem * bn_tw;
+                let rhs = bn_rem * tw;
+                if lhs.is_finite() && rhs.is_finite() {
+                    lhs < rhs
+                } else {
+                    // Product overflow (astronomical capacities): fall back
+                    // to the divided comparison.
+                    rem / tw < bn_rem / bn_tw
+                }
+            };
+            if smaller {
+                bn_rem = rem;
+                bn_tw = tw;
+                bottleneck_res = r;
+            }
+        }
+        self.touched.truncate(keep);
+        let rate = if bottleneck_res == usize::MAX {
+            f64::INFINITY
+        } else {
+            bn_rem / bn_tw
+        };
+        (bottleneck_res, rate)
     }
 
     /// Moves this solve's touched resources from the bitset into `touched`,

@@ -3,9 +3,9 @@
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! cycle that sizes every internal buffer (solver workspace, event heaps,
 //! scratch vectors), an identical workload of completion steps and
-//! timer-only steps must not allocate at all. Deallocation is allowed —
-//! finished activities drop their weight vectors — but any `alloc` or
-//! `realloc` during `step_into` is a regression.
+//! timer-only steps must not allocate at all. Deallocation is allowed — a
+//! finished activity drops its trace label, if it has one — but any
+//! `alloc` or `realloc` during `step_into` is a regression.
 //!
 //! Single test on purpose: the allocation counter is process-global.
 
@@ -47,7 +47,7 @@ const TIMERS: usize = 32;
 fn submit_cycle(e: &mut Engine, res: &[mps_des::ResourceId]) {
     for i in 0..ACTIVITIES {
         e.start(
-            ActivitySpec::new(1.0e6 * (i + 1) as f64)
+            &ActivitySpec::new(1.0e6 * (i + 1) as f64)
                 .on(res[i % RESOURCES], 1.0e4)
                 .on(res[(i * 7 + 3) % RESOURCES], 2.0e4),
         )

@@ -9,7 +9,9 @@ fn set_capacity_rescales_an_in_flight_activity() {
     let mut engine = Engine::new();
     let cpu = engine.add_resource(10.0);
     // 100 units at 10/s → would finish at t=10.
-    engine.start(ActivitySpec::new(100.0).on(cpu, 1.0)).unwrap();
+    engine
+        .start(&ActivitySpec::new(100.0).on(cpu, 1.0))
+        .unwrap();
     // Let it run to t=4 via a timer, then halve the capacity.
     engine.schedule_timer(4.0).unwrap();
     let step = engine.step().unwrap().expect("timer fires");
@@ -30,7 +32,7 @@ fn set_capacity_invalidates_the_solo_rate_cache() {
     // bump mid-flight must not replay the cached rate.
     let mut engine = Engine::new();
     let cpu = engine.add_resource(1.0);
-    engine.start(ActivitySpec::new(10.0).on(cpu, 1.0)).unwrap();
+    engine.start(&ActivitySpec::new(10.0).on(cpu, 1.0)).unwrap();
     engine.schedule_timer(2.0).unwrap();
     engine.step().unwrap();
     engine.set_capacity(cpu, 4.0).unwrap();
@@ -74,7 +76,7 @@ fn set_capacity_rejects_invalid_values() {
 fn an_activity_on_a_retired_resource_stalls_typed() {
     let mut engine = Engine::new();
     let cpu = engine.add_resource(2.0);
-    engine.start(ActivitySpec::new(50.0).on(cpu, 1.0)).unwrap();
+    engine.start(&ActivitySpec::new(50.0).on(cpu, 1.0)).unwrap();
     engine.schedule_timer(1.0).unwrap();
     engine.step().unwrap();
     engine.retire_resource(cpu);
@@ -92,7 +94,7 @@ fn the_watchdog_trips_typed_when_every_host_is_gone() {
     let mut engine = Engine::new();
     engine.set_watchdog(Some(Watchdog::horizon(10.0)));
     let cpu = engine.add_resource(2.0);
-    engine.start(ActivitySpec::new(50.0).on(cpu, 1.0)).unwrap();
+    engine.start(&ActivitySpec::new(50.0).on(cpu, 1.0)).unwrap();
     engine.retire_resource(cpu);
     // A stream of timers keeps events flowing past the horizon.
     for k in 1..64 {
@@ -119,8 +121,12 @@ fn the_watchdog_trips_typed_when_every_host_is_gone() {
 fn cancel_drops_an_activity_and_reflows_its_sharers() {
     let mut engine = Engine::new();
     let cpu = engine.add_resource(10.0);
-    let a = engine.start(ActivitySpec::new(100.0).on(cpu, 1.0)).unwrap();
-    let _b = engine.start(ActivitySpec::new(100.0).on(cpu, 1.0)).unwrap();
+    let a = engine
+        .start(&ActivitySpec::new(100.0).on(cpu, 1.0))
+        .unwrap();
+    let _b = engine
+        .start(&ActivitySpec::new(100.0).on(cpu, 1.0))
+        .unwrap();
     // Shared fairly: 5/s each. At t=2 cancel `a`; `b` has 90 left at
     // 10/s → finishes at t=11.
     engine.schedule_timer(2.0).unwrap();
@@ -139,7 +145,7 @@ fn cancel_of_a_latency_phase_activity_works() {
     let mut engine = Engine::new();
     let cpu = engine.add_resource(1.0);
     let a = engine
-        .start(ActivitySpec::new(5.0).on(cpu, 1.0).with_latency(3.0))
+        .start(&ActivitySpec::new(5.0).on(cpu, 1.0).with_latency(3.0))
         .unwrap();
     assert!(engine.cancel(a));
     assert!(engine.is_idle());
@@ -158,7 +164,7 @@ fn reset_restores_base_capacities_and_revives_retired_resources() {
     assert_eq!(engine.capacity(b), Some(8.0));
     assert!(!engine.is_retired(b));
     // And the revived platform actually runs work again.
-    engine.start(ActivitySpec::new(8.0).on(b, 1.0)).unwrap();
+    engine.start(&ActivitySpec::new(8.0).on(b, 1.0)).unwrap();
     let step = engine.step().unwrap().expect("finish");
     assert!((step.time - 1.0).abs() < 1e-12);
 }
@@ -169,9 +175,11 @@ fn disturbed_then_reset_engine_matches_a_cold_engine() {
     // a previous cell must behave bit-identically to a cold build.
     let run =
         |engine: &mut Engine, cpu0: mps_des::ResourceId, cpu1: mps_des::ResourceId| -> Vec<f64> {
-            engine.start(ActivitySpec::new(12.0).on(cpu0, 1.0)).unwrap();
             engine
-                .start(ActivitySpec::new(12.0).on(cpu0, 1.0).on(cpu1, 0.5))
+                .start(&ActivitySpec::new(12.0).on(cpu0, 1.0))
+                .unwrap();
+            engine
+                .start(&ActivitySpec::new(12.0).on(cpu0, 1.0).on(cpu1, 0.5))
                 .unwrap();
             let mut times = Vec::new();
             while let Some(step) = engine.step().unwrap() {
@@ -188,7 +196,7 @@ fn disturbed_then_reset_engine_matches_a_cold_engine() {
     let mut warm = Engine::new();
     let a = warm.add_resource(3.0);
     let b = warm.add_resource(5.0);
-    warm.start(ActivitySpec::new(9.0).on(a, 1.0)).unwrap();
+    warm.start(&ActivitySpec::new(9.0).on(a, 1.0)).unwrap();
     warm.set_capacity(a, 0.5).unwrap();
     warm.retire_resource(b);
     warm.schedule_timer(1.0).unwrap();

@@ -96,7 +96,7 @@ proptest! {
                     mirror_weights.push((r, w));
                 }
             }
-            let id = engine.start(spec).expect("start");
+            let id = engine.start(&spec).expect("start");
             mirror.live.push((id, mirror_weights, bound));
             check_against_reference(&mut engine, &mirror);
 
@@ -122,7 +122,8 @@ fn timer_only_steps_skip_the_solver() {
     let mut e = Engine::new();
     let r = e.add_resource(10.0);
     for _ in 0..4 {
-        e.start(ActivitySpec::new(1.0e9).on(r, 1.0)).expect("start");
+        e.start(&ActivitySpec::new(1.0e9).on(r, 1.0))
+            .expect("start");
     }
     for i in 0..20 {
         e.schedule_timer(0.01 * (i + 1) as f64).expect("timer");
@@ -145,8 +146,88 @@ fn timer_only_steps_skip_the_solver() {
     );
 
     // A genuine completion does require a re-solve.
-    let quick = e.start(ActivitySpec::new(0.5).on(r, 1.0)).expect("start");
+    let quick = e.start(&ActivitySpec::new(0.5).on(r, 1.0)).expect("start");
     let step = e.step().expect("step").expect("not idle");
     assert!(step.completed.contains(&Completion::Activity(quick)));
     assert!(e.solves() > after_first);
+}
+
+/// Four two-host activities that share only a backbone, beside one that
+/// shares nothing: the closure search walks the backbone alone (each host
+/// CPU carries one live entry and leads nowhere) and stops once it holds
+/// every attached activity, one-round solves skip the solver's reverse
+/// index, timer-only steps skip the refresh, and `reset` clears every
+/// counter.
+#[test]
+fn closure_search_visits_only_shared_resources() {
+    let mut e = Engine::new();
+    let cpus: Vec<ResourceId> = (0..9).map(|_| e.add_resource(100.0)).collect();
+    let backbone = e.add_resource(10.0);
+    let acts: Vec<ActivityId> = (0..4)
+        .map(|i| {
+            let spec = ActivitySpec::new((i + 1) as f64)
+                .on(cpus[2 * i], 1.0)
+                .on(cpus[2 * i + 1], 1.0)
+                .on(backbone, 1.0);
+            e.start(&spec).expect("start")
+        })
+        .collect();
+    e.start(&ActivitySpec::new(1.0e3).on(cpus[8], 1.0))
+        .expect("start");
+    for i in 0..3 {
+        e.schedule_timer(0.1 * (i + 1) as f64).expect("timer");
+    }
+    let counters = |e: &Engine| {
+        (
+            e.refreshes(),
+            e.resources_visited(),
+            e.solves(),
+            e.single_round_solves(),
+        )
+    };
+
+    // One refresh seeded with all five new activities: the closure holds
+    // every attached activity before any resource is walked. The backbone
+    // freezes its four at 10 / 4, and the lone activity needs a second
+    // round.
+    let rates = e.solved_rates().expect("rates");
+    assert_eq!(rates.len(), 5);
+    assert!(rates[..4].iter().all(|&(_, r)| r == 2.5), "rates {rates:?}");
+    assert_eq!(counters(&e), (1, 0, 1, 0));
+
+    for _ in 0..3 {
+        let step = e.step().expect("step").expect("not idle");
+        assert!(step
+            .completed
+            .iter()
+            .all(|c| matches!(c, Completion::Timer(_))));
+    }
+    assert_eq!(counters(&e), (1, 0, 1, 0), "timer-only steps refreshed");
+
+    // The first activity finishes: its CPUs are left empty, so only the
+    // backbone turns dirty. Walking it finds the three survivors, whose
+    // CPUs lead nowhere; they re-solve alone, in one round.
+    let step = e.step().expect("step").expect("not idle");
+    assert_eq!(step.completed, vec![Completion::Activity(acts[0])]);
+    let rates = e.solved_rates().expect("rates");
+    assert!(
+        rates[..3].iter().all(|&(_, r)| r == 10.0 / 3.0),
+        "rates {rates:?}"
+    );
+    assert_eq!(counters(&e), (2, 1, 2, 1));
+
+    // A rate-bounded newcomer on the backbone pulls in the three others
+    // through the backbone alone, and undercuts the bottleneck: the solve
+    // needs a second round.
+    e.start(
+        &ActivitySpec::new(1.0)
+            .on(backbone, 1.0)
+            .with_rate_bound(0.1),
+    )
+    .expect("start");
+    e.solved_rates().expect("rates");
+    assert_eq!(counters(&e), (3, 2, 3, 1));
+
+    e.reset();
+    assert_eq!(counters(&e), (0, 0, 0, 0));
 }

@@ -1,7 +1,7 @@
 //! Long-horizon memory audit: a bounded-concurrency workload churned
 //! through one million events must leave every growable engine structure
-//! — the activity slab, its free-list, the three lazy heaps, and the
-//! resource→activity incidence index — at a plateau. Monotone growth in
+//! — the activity slab, its free-list, the three lazy heaps, the
+//! resource→activity incidence index, and the weight arena — at a plateau. Monotone growth in
 //! any of them is a leak (e.g. stale heap stamps never reclaimed), which
 //! a streaming workload would only notice as an OOM hours in.
 
@@ -55,7 +55,7 @@ fn spawn_one(engine: &mut Engine, rng: &mut Rng, resources: &[mps_des::ResourceI
             if rng.next().is_multiple_of(4) {
                 spec = spec.with_latency(0.001 + rng.unit() * 0.01);
             }
-            engine.start(spec).unwrap();
+            engine.start(&spec).unwrap();
         }
     }
 }
@@ -68,6 +68,7 @@ fn max_footprint(a: MemoryFootprint, b: MemoryFootprint) -> MemoryFootprint {
         latency_heap: a.latency_heap.max(b.latency_heap),
         timer_heap: a.timer_heap.max(b.timer_heap),
         incidence_entries: a.incidence_entries.max(b.incidence_entries),
+        weight_arena: a.weight_arena.max(b.weight_arena),
     }
 }
 
@@ -118,6 +119,7 @@ fn million_event_churn_plateaus() {
             warm_hw.incidence_entries,
             late_hw.incidence_entries,
         ),
+        ("weight_arena", warm_hw.weight_arena, late_hw.weight_arena),
     ] {
         assert!(
             late <= warm.max(8) * 2,

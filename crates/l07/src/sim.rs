@@ -92,6 +92,9 @@ pub struct L07Sim {
     /// Raw indices of the resources touched by the current submission;
     /// empty between calls.
     touched: IndexBitset,
+    /// The engine spec every submission refills; the engine copies its
+    /// weights into its own arena.
+    act: ActivitySpec,
     /// Reused by [`L07Sim::next_completions_into`] so steady-state stepping
     /// does not allocate.
     step_scratch: Vec<Completion>,
@@ -132,6 +135,7 @@ impl L07Sim {
             resources,
             weight_acc,
             touched,
+            act: ActivitySpec::new(1.0),
             step_scratch: Vec::new(),
         }
     }
@@ -262,28 +266,27 @@ impl L07Sim {
             });
         }
 
-        let (weights, max_route_latency) = self.stage_weights(spec);
-        let mut act = ActivitySpec::new(1.0)
-            .with_latency(max_route_latency + spec.extra_latency)
-            .with_rate_bound(spec.rate_bound);
-        act.weights = weights;
-        act.label = spec.label.clone();
-        let id = self.engine.start(act)?;
+        let max_route_latency = self.stage_weights(spec);
+        // The task progresses from 0 to 1, so weights are the full amounts.
+        self.act.latency = max_route_latency + spec.extra_latency;
+        self.act.rate_bound = spec.rate_bound;
+        self.act.label.clone_from(&spec.label);
+        let id = self.engine.start(&self.act)?;
         Ok(PTaskId(id))
     }
 
-    /// The engine weights of a validated spec, in ascending resource order,
-    /// and the maximum route latency over its network flows.
+    /// Refills the reused engine spec's weights from a validated task spec,
+    /// in ascending resource order, and returns the maximum route latency
+    /// over its network flows.
     ///
-    /// The task progresses from 0 to 1, so weights are the full amounts.
     /// The dense `weight_acc` scratch keyed by resource index applies the
     /// exact same sequence of `+=` per resource as a map keyed by
     /// `ResourceId` would, so the sums are bit-identical — only the
     /// container changed. The touched bitset drains in ascending index
-    /// order, which is the order a sort of the touched list gives. The only
-    /// allocation is the returned vector, and none for a task without
-    /// positive amounts.
-    fn stage_weights(&mut self, spec: &PTaskSpec) -> (Vec<(ResourceId, f64)>, f64) {
+    /// order, which is the order a sort of the touched list gives. Nothing
+    /// is allocated once the spec's weight vector has grown to the widest
+    /// task.
+    fn stage_weights(&mut self, spec: &PTaskSpec) -> f64 {
         for &(h, f) in &spec.comp {
             if f > 0.0 {
                 self.accumulate_weight(self.cpu[h.index()], f);
@@ -300,13 +303,14 @@ impl L07Sim {
             max_route_latency = max_route_latency.max(self.cluster.route_latency(s, d));
         }
 
-        let mut weights = Vec::with_capacity(self.touched.count());
-        let (acc, resources) = (&mut self.weight_acc, &self.resources);
+        let (acc, resources, weights) =
+            (&mut self.weight_acc, &self.resources, &mut self.act.weights);
+        weights.clear();
         self.touched.drain_ascending(|i| {
             weights.push((resources[i], acc[i]));
             acc[i] = 0.0;
         });
-        (weights, max_route_latency)
+        max_route_latency
     }
 
     /// Advances to the next completion(s). `None` when idle.
@@ -813,7 +817,8 @@ mod tests {
             let mut s = sim();
             let want = sorted_reference(&s, &spec);
             for _ in 0..2 {
-                let (got, _) = s.stage_weights(&spec);
+                s.stage_weights(&spec);
+                let got = &s.act.weights;
                 prop_assert_eq!(got.len(), want.len());
                 for (g, w) in got.iter().zip(&want) {
                     prop_assert_eq!(g.0, w.0);

@@ -268,6 +268,8 @@ pub struct OnlineEngine<'c> {
     backlog: VecDeque<Pending>,
     host_free: Vec<bool>,
     act2job: HashMap<u64, u32>,
+    /// The DES spec every dispatch refills.
+    job_spec: ActivitySpec,
 }
 
 impl<'c> OnlineEngine<'c> {
@@ -312,6 +314,7 @@ impl<'c> OnlineEngine<'c> {
             backlog: VecDeque::new(),
             host_free: vec![true; nodes],
             act2job: HashMap::new(),
+            job_spec: ActivitySpec::new(0.0),
         })
     }
 
@@ -511,7 +514,9 @@ impl<'c> OnlineEngine<'c> {
                 job.hosts.clear();
                 // Claim ascending host indices: resource ids were created
                 // in host order, so the spec hits the solo-rate fast path.
-                let mut spec = ActivitySpec::new(makespan);
+                let spec = &mut self.job_spec;
+                spec.amount = makespan;
+                spec.weights.clear();
                 for (h, free) in self.host_free.iter_mut().enumerate() {
                     if job.hosts.len() as u32 == width {
                         break;
@@ -519,12 +524,15 @@ impl<'c> OnlineEngine<'c> {
                     if *free {
                         *free = false;
                         job.hosts.push(h as u32);
-                        spec = spec.on(self.resources[h], 1.0);
+                        spec.weights.push((self.resources[h], 1.0));
                     }
                 }
                 debug_assert_eq!(job.hosts.len() as u32, width);
                 free_hosts -= width as usize;
-                let act = self.des.start(spec).map_err(OnlineError::Engine)?;
+                let act = self
+                    .des
+                    .start(&self.job_spec)
+                    .map_err(OnlineError::Engine)?;
                 self.act2job.insert(act.raw(), slot);
                 // Per-task completion ticks at plan-relative finishes.
                 for i in 0..n_ticks {
