@@ -764,9 +764,7 @@ fn worker_command(cli: &Cli, tag: &str) -> WorkerCommand {
 fn supervise_opts(cli: &Cli, workers: Option<usize>) -> SuperviseOpts {
     let d = SuperviseOpts::default();
     SuperviseOpts {
-        repeats: cli.repeats,
         workers: workers.unwrap_or(d.workers),
-        resume: cli.resume,
         cell_timeout: cli
             .cell_timeout_secs
             .map_or(d.cell_timeout, Duration::from_secs),
@@ -781,21 +779,29 @@ fn supervise_opts(cli: &Cli, workers: Option<usize>) -> SuperviseOpts {
     }
 }
 
-/// Runs the grid (or its `--subset`), journaled and supervised when asked,
-/// and reports its health on stderr.
+/// Runs the grid (or its `--subset`) on `--workers` threads or processes,
+/// journaled and supervised when asked, and reports its health on stderr.
 fn run_grid(harness: &Harness, cli: &Cli) -> (Vec<CellResult>, GridStatus) {
     let scope = match cli.subset {
         Some(take) => format!("{take}-DAG subset"),
         None => "54-DAG".to_string(),
     };
+    let workers = cli.workers.unwrap_or_else(Harness::default_workers).max(1);
     eprintln!(
-        "# running the {scope} × 3-simulator × 2-algorithm grid ({} testbed runs per cell)…",
+        "# running the {scope} × 3-simulator × 2-algorithm grid ({} testbed runs per cell, \
+         {workers} worker(s))…",
         cli.repeats
     );
     let (cells, status) = match (&cli.journal, cli.subset) {
-        (Some(jpath), _) => run_journaled(harness, cli, jpath),
-        (None, Some(take)) => (harness.run_subset(take, cli.repeats), GridStatus::Complete),
-        (None, None) => (harness.run_grid(cli.repeats), GridStatus::Complete),
+        (Some(jpath), _) => run_journaled(harness, cli, jpath, workers),
+        (None, Some(take)) => (
+            harness.run_subset_with_workers(take, cli.repeats, workers),
+            GridStatus::Complete,
+        ),
+        (None, None) => (
+            harness.run_grid_with_workers(cli.repeats, workers),
+            GridStatus::Complete,
+        ),
     };
     eprint!(
         "{}",
@@ -807,20 +813,26 @@ fn run_grid(harness: &Harness, cli: &Cli) -> (Vec<CellResult>, GridStatus) {
 /// The journaled grid: every completed cell is durable before the next
 /// is dispatched, and `--isolation process` runs cells in supervised
 /// child workers that quarantine poison cells.
-fn run_journaled(harness: &Harness, cli: &Cli, jpath: &str) -> (Vec<CellResult>, GridStatus) {
+fn run_journaled(
+    harness: &Harness,
+    cli: &Cli,
+    jpath: &str,
+    workers: usize,
+) -> (Vec<CellResult>, GridStatus) {
     let ctrl = run_control(cli);
-    let workers = cli.workers.unwrap_or_else(Harness::default_workers);
     let path = Path::new(jpath);
+    let (repeats, resume) = (cli.repeats, cli.resume);
     let report = if cli.isolation == "process" {
         let worker = worker_command(cli, jpath);
         let opts = supervise_opts(cli, Some(workers));
         match cli.subset {
-            Some(take) => harness.run_subset_supervised(take, path, &worker, &opts, &ctrl),
-            None => harness.run_grid_supervised(path, &worker, &opts, &ctrl),
+            Some(take) => {
+                harness.run_subset_supervised(take, path, repeats, resume, &worker, &opts, &ctrl)
+            }
+            None => harness.run_grid_supervised(path, repeats, resume, &worker, &opts, &ctrl),
         }
         .unwrap_or_else(|e| die(&format!("supervised campaign: {e}")))
     } else {
-        let (repeats, resume) = (cli.repeats, cli.resume);
         match cli.subset {
             Some(take) => harness.run_subset_journaled(take, path, repeats, workers, resume, &ctrl),
             None => harness.run_grid_journaled(path, repeats, workers, resume, &ctrl),

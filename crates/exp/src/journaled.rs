@@ -1,29 +1,23 @@
 //! Crash-safe, resumable grid campaigns.
 //!
-//! [`Harness::run_grid_journaled`] streams every completed [`CellResult`]
-//! through a dedicated writer thread into a write-ahead journal
-//! (`mps-journal`): one checksummed JSON line per cell, keyed by
-//! [`cell_key`](crate::runner::cell_key). Re-running against an existing
-//! journal skips the cells already on disk, so a campaign killed by a
-//! crash, an OOM, a Ctrl-C, or a wall-clock budget resumes from its last
-//! durable cell — and, because cell computation is deterministic and the
-//! merged grid is canonically sorted, the resumed grid is identical to an
-//! uninterrupted run with the same configuration.
+//! [`Harness::run_grid_journaled`] runs the grid through the one cell
+//! driver (`driver.rs`) with a write-ahead journal (`mps-journal`) as its
+//! sink: the calling thread appends one checksummed JSON line per
+//! finished cell, keyed by [`cell_key`](crate::runner::cell_key), while
+//! worker threads compute. Re-running against an existing journal skips
+//! the cells already on disk, so a campaign killed by a crash, an OOM, a
+//! Ctrl-C, or a wall-clock budget resumes from its last durable cell —
+//! and, because cell computation is deterministic and the merged grid is
+//! canonically sorted, the resumed grid is identical to an uninterrupted
+//! run with the same configuration.
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
-use mps_core::dag::gen::GeneratedDag;
-use mps_core::faults::io::IoEnv;
-use mps_core::journal::{
-    self as journal, JournalError, JournalHeader, JournalWriter, Manifest, RunControl, StopReason,
-    FORMAT_V1, MANIFEST_FORMAT_V1,
-};
-use mps_core::sched::{Hcpa, Mcpa, Scheduler};
+use mps_core::journal::{JournalError, RunControl};
+use mps_core::MpsError;
 
-use crate::runner::{cell_key, sort_cells_canonical, CellResult, Harness, SimVariant};
+use crate::driver::{Grid, JournalTarget, Runner};
+use crate::runner::{CellResult, Harness};
 
 /// How a journaled campaign run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,158 +67,6 @@ pub struct JournaledGrid {
     pub journal: PathBuf,
 }
 
-pub(crate) struct CellSpec {
-    pub(crate) dag: usize,
-    pub(crate) variant: SimVariant,
-    pub(crate) algo: usize,
-}
-
-pub(crate) fn algo_of(i: usize) -> &'static dyn Scheduler {
-    match i {
-        0 => &Hcpa,
-        _ => &Mcpa,
-    }
-}
-
-/// What [`open_grid_journal`] recovers: the salvaged `(key, cell)`
-/// records, the writer positioned for appends, and how many torn-tail
-/// bytes were dropped.
-pub(crate) type OpenedJournal = (Vec<(String, CellResult)>, JournalWriter, u64);
-
-/// Recovers an existing journal (salvaging every intact cell and
-/// truncating any torn tail) or starts a fresh one. Shared between the
-/// in-process and process-isolated grid drivers.
-pub(crate) fn open_grid_journal(
-    env: &dyn IoEnv,
-    path: &Path,
-    header: &JournalHeader,
-    resume: bool,
-) -> Result<OpenedJournal, JournalError> {
-    if resume && path.exists() {
-        let (rec, w) = journal::open_resume_in(env, path)?;
-        match &rec.header {
-            Some(h) => {
-                h.check_matches(header)?;
-                let mut cells = Vec::with_capacity(rec.records.len());
-                for (i, (key, payload)) in rec.records.iter().enumerate() {
-                    let cell: CellResult =
-                        serde_json::from_str(payload).map_err(|e| JournalError::Corrupt {
-                            line: i + 2,
-                            reason: format!("record {key}: {e}"),
-                        })?;
-                    cells.push((key.clone(), cell));
-                }
-                Ok((cells, w, rec.dropped_bytes))
-            }
-            // Even the header was torn: the journal is equivalent to
-            // empty — start over in place.
-            None => {
-                drop(w);
-                let w = JournalWriter::create_overwrite_in(env, path, header)?;
-                Ok((Vec::new(), w, rec.dropped_bytes))
-            }
-        }
-    } else {
-        // `create` refuses to clobber an existing journal.
-        Ok((Vec::new(), JournalWriter::create_in(env, path, header)?, 0))
-    }
-}
-
-/// The (dag, variant, algo) triples whose keys are not yet in `done`.
-pub(crate) fn pending_specs(
-    corpus: &[GeneratedDag],
-    done: &HashSet<&str>,
-    repeats: u64,
-) -> Vec<CellSpec> {
-    let mut pending = Vec::new();
-    for (di, g) in corpus.iter().enumerate() {
-        for variant in SimVariant::ALL {
-            for ai in 0..2 {
-                let key = cell_key(
-                    &g.name(),
-                    g.params.matrix_size,
-                    variant,
-                    algo_of(ai).name(),
-                    repeats,
-                );
-                if !done.contains(key.as_str()) {
-                    pending.push(CellSpec {
-                        dag: di,
-                        variant,
-                        algo: ai,
-                    });
-                }
-            }
-        }
-    }
-    pending
-}
-
-/// Writes the manifest and assembles the merged, canonically sorted grid.
-/// Shared final step of both grid drivers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finalize_grid(
-    env: &dyn IoEnv,
-    path: &Path,
-    campaign: &str,
-    expected: u64,
-    resumed_cells: Vec<(String, CellResult)>,
-    new_cells: Vec<(String, CellResult)>,
-    salvage_dropped_bytes: u64,
-    ctrl: &RunControl,
-) -> Result<JournaledGrid, JournalError> {
-    let resumed = resumed_cells.len();
-    let computed = new_cells.len();
-    let total_done = resumed + computed;
-    let status = if total_done as u64 == expected {
-        GridStatus::Complete
-    } else {
-        match ctrl.should_stop() {
-            Some(StopReason::DeadlineExpired) => GridStatus::DeadlineExpired,
-            _ => GridStatus::Interrupted,
-        }
-    };
-    let mut cells: Vec<CellResult> = resumed_cells
-        .into_iter()
-        .chain(new_cells)
-        .map(|(_, c)| c)
-        .collect();
-    sort_cells_canonical(&mut cells);
-    let quarantined = cells
-        .iter()
-        .filter(|c| c.outcome.crash_report().is_some())
-        .count();
-    journal::write_manifest_in(
-        env,
-        path,
-        &Manifest {
-            format: MANIFEST_FORMAT_V1.to_string(),
-            campaign: campaign.to_string(),
-            records: total_done as u64,
-            expected,
-            status: status.label().to_string(),
-            quarantined: quarantined as u64,
-        },
-    )?;
-    Ok(JournaledGrid {
-        cells,
-        status,
-        resumed,
-        computed,
-        pending: expected as usize - total_done,
-        quarantined,
-        salvage_dropped_bytes,
-        journal: path.to_path_buf(),
-    })
-}
-
-struct JournalOpts<'a> {
-    path: &'a Path,
-    repeats: u64,
-    workers: usize,
-    resume: bool,
-}
-
 impl Harness {
     /// Runs the full paper grid with write-ahead journaling: every
     /// completed cell is durable before the next one is dispatched, cells
@@ -242,18 +84,7 @@ impl Harness {
         resume: bool,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, JournalError> {
-        let corpus = self.corpus();
-        self.run_cells_journaled(
-            &corpus,
-            "paper-grid",
-            &JournalOpts {
-                path,
-                repeats,
-                workers,
-                resume,
-            },
-            ctrl,
-        )
+        self.run_journaled(None, path, repeats, workers, resume, ctrl)
     }
 
     /// [`Harness::run_grid_journaled`] over the first `take` corpus DAGs
@@ -267,139 +98,42 @@ impl Harness {
         resume: bool,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, JournalError> {
-        let corpus: Vec<GeneratedDag> = self.corpus().iter().take(take).cloned().collect();
-        let campaign = format!("paper-grid[..{}]", corpus.len());
-        self.run_cells_journaled(
-            &corpus,
-            &campaign,
-            &JournalOpts {
-                path,
-                repeats,
-                workers,
-                resume,
-            },
-            ctrl,
-        )
+        self.run_journaled(Some(take), path, repeats, workers, resume, ctrl)
     }
 
-    fn run_cells_journaled(
+    /// The journaled grid over the first `take` corpus DAGs (`None`: all).
+    pub(crate) fn run_journaled(
         &self,
-        corpus: &[GeneratedDag],
-        campaign: &str,
-        opts: &JournalOpts<'_>,
+        take: Option<usize>,
+        path: &Path,
+        repeats: u64,
+        workers: usize,
+        resume: bool,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, JournalError> {
-        let expected = (corpus.len() * SimVariant::ALL.len() * 2) as u64;
-        let header = JournalHeader {
-            format: FORMAT_V1.to_string(),
-            campaign: campaign.to_string(),
-            seed: self.testbed.base_seed,
-            repeats: opts.repeats,
-            cells_expected: expected,
-            config_digest: self.config_digest(),
-            isolation: "inproc".to_string(),
-            request: String::new(),
-        };
-
-        let env = self.io_env().clone();
-        let (resumed_cells, mut writer, salvage_dropped_bytes) =
-            open_grid_journal(&*env, opts.path, &header, opts.resume)?;
-
-        let done: HashSet<&str> = resumed_cells.iter().map(|(k, _)| k.as_str()).collect();
-        let pending = pending_specs(corpus, &done, opts.repeats);
-
-        // Workers pull cells from a shared cursor and stream completions
-        // to the dedicated writer thread; the journal is the only place
-        // results accumulate, so a kill at any instant loses at most the
-        // cells in flight.
-        let workers = opts.workers.max(1).min(pending.len().max(1));
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(String, CellResult)>();
-
-        let written: Result<Vec<(String, CellResult)>, JournalError> =
-            crossbeam::thread::scope(|scope| {
-                let writer = &mut writer;
-                let writer_handle = scope.spawn(move |_| -> Result<_, JournalError> {
-                    let mut new_cells = Vec::new();
-                    for (key, cell) in rx.iter() {
-                        let payload =
-                            serde_json::to_string(&cell).map_err(|e| JournalError::Serde {
-                                what: "cell result",
-                                err: e.to_string(),
-                            })?;
-                        writer.append_record(&key, &payload)?;
-                        new_cells.push((key, cell));
-                    }
-                    Ok(new_cells)
-                });
-
-                let next = &next;
-                let pending = &pending[..];
-                let mut worker_handles = Vec::with_capacity(workers);
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    worker_handles.push(scope.spawn(move |_| loop {
-                        if ctrl.should_stop().is_some() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= pending.len() {
-                            break;
-                        }
-                        let spec = &pending[i];
-                        let g = &corpus[spec.dag];
-                        let algo = algo_of(spec.algo);
-                        // `run_cell_caught`: a panicking cell becomes a
-                        // journaled Crashed record, not a dead campaign.
-                        let cell = self.run_cell_caught(
-                            g,
-                            spec.variant,
-                            algo,
-                            opts.repeats,
-                            self.disturb.as_ref(),
-                        );
-                        let key = cell_key(
-                            &g.name(),
-                            g.params.matrix_size,
-                            spec.variant,
-                            algo.name(),
-                            opts.repeats,
-                        );
-                        // The writer only disappears on a journal error;
-                        // stop producing in that case.
-                        if tx.send((key, cell)).is_err() {
-                            break;
-                        }
-                        ctrl.pace();
-                    }));
-                }
-                drop(tx);
-                for h in worker_handles {
-                    h.join().expect("grid worker panicked");
-                }
-                writer_handle.join().expect("journal writer panicked")
-            })
-            .expect("worker scope panicked");
-
-        let new_cells = written?;
-        writer.sync()?;
-
-        finalize_grid(
-            &*env,
-            opts.path,
-            campaign,
-            expected,
-            resumed_cells,
-            new_cells,
-            salvage_dropped_bytes,
+        let grid = Grid {
+            take,
+            repeats,
+            disturb: self.disturb.as_ref(),
+            runner: Runner::Threads(workers),
+            journal: Some(JournalTarget {
+                path,
+                resume,
+                request: None,
+            }),
             ctrl,
-        )
+        };
+        self.drive(grid, None).map_err(|e| match e {
+            MpsError::Journal(e) => e,
+            other => unreachable!("an in-process grid fails only in its journal: {other}"),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mps_core::journal;
     use std::time::Duration;
 
     fn scratch(name: &str) -> PathBuf {
@@ -409,33 +143,108 @@ mod tests {
         dir.join("grid.jl")
     }
 
+    /// Every sink of the driver — none, a fresh journal, a resumed
+    /// journal, a daemon client with and without a state dir — yields the
+    /// same cells, byte for byte, at any worker count.
     #[test]
     fn journaled_grid_equals_in_memory_grid_and_resumes_to_noop() {
+        use crate::ServeBackend;
+        use mps_core::serve::{Backend, WorkRequest};
+
         let h = Harness::new(7);
-        let path = scratch("equal");
         let plain = h.run_subset(2, 1);
+        let json = |cells: &Vec<CellResult>| serde_json::to_string(cells).unwrap();
+        let want = json(&plain);
+        for workers in [1, 3] {
+            let in_memory = h.run_subset_with_workers(2, 1, workers);
+            assert_eq!(
+                json(&in_memory),
+                want,
+                "in-memory grid, {workers} worker(s)"
+            );
 
-        let first = h
-            .run_subset_journaled(2, &path, 1, 3, false, &RunControl::unlimited())
-            .unwrap();
-        assert_eq!(first.status, GridStatus::Complete);
-        assert_eq!(first.resumed, 0);
-        assert_eq!(first.computed, plain.len());
-        assert_eq!(first.pending, 0);
-        assert_eq!(first.cells, plain, "journaled grid must match run_subset");
+            let path = scratch(&format!("equal-{workers}"));
+            let first = h
+                .run_subset_journaled(2, &path, 1, workers, false, &RunControl::unlimited())
+                .unwrap();
+            assert_eq!(first.status, GridStatus::Complete);
+            assert_eq!(first.resumed, 0);
+            assert_eq!(first.computed, plain.len());
+            assert_eq!(first.pending, 0);
+            assert_eq!(
+                json(&first.cells),
+                want,
+                "journaled grid, {workers} worker(s)"
+            );
 
-        // Resuming a complete journal recomputes nothing.
-        let again = h
-            .run_subset_journaled(2, &path, 1, 3, true, &RunControl::unlimited())
-            .unwrap();
-        assert_eq!(again.status, GridStatus::Complete);
-        assert_eq!(again.computed, 0);
-        assert_eq!(again.resumed, plain.len());
-        assert_eq!(again.cells, plain, "resume round-trips bitwise");
+            // Resuming a complete journal recomputes nothing.
+            let again = h
+                .run_subset_journaled(2, &path, 1, workers, true, &RunControl::unlimited())
+                .unwrap();
+            assert_eq!(again.status, GridStatus::Complete);
+            assert_eq!(again.computed, 0);
+            assert_eq!(again.resumed, plain.len());
+            assert_eq!(json(&again.cells), want, "resume round-trips bitwise");
 
-        let m = journal::read_manifest(&path).unwrap().unwrap();
-        assert!(m.is_complete());
-        assert_eq!(m.records, plain.len() as u64);
+            let m = journal::read_manifest(&path).unwrap().unwrap();
+            assert!(m.is_complete());
+            assert_eq!(m.records, plain.len() as u64);
+
+            // A journal cut after its header and 5 records resumes to the
+            // same grid, computing only the rest.
+            let cut = path.with_file_name("cut.jl");
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::write(&cut, text.split_inclusive('\n').take(6).collect::<String>()).unwrap();
+            let resumed = h
+                .run_subset_journaled(2, &cut, 1, workers, true, &RunControl::unlimited())
+                .unwrap();
+            assert_eq!((resumed.resumed, resumed.computed), (5, plain.len() - 5));
+            assert_eq!(
+                json(&resumed.cells),
+                want,
+                "cut journal, {workers} worker(s)"
+            );
+        }
+
+        // The daemon emits exactly the in-memory grid's payloads, fresh
+        // or replayed from its state dir.
+        let mut want_payloads: Vec<(String, String)> = plain
+            .iter()
+            .map(|c| (c.key(1), serde_json::to_string(c).unwrap()))
+            .collect();
+        want_payloads.sort();
+        let work = WorkRequest::SubsetGrid {
+            take: 2,
+            repeats: 1,
+            disturb: None,
+        };
+        let emitted = |backend: &ServeBackend| {
+            let mut got = Vec::new();
+            let summary = backend
+                .execute(&work, &RunControl::unlimited(), &mut |k, p| {
+                    got.push((k.to_string(), p.to_string()));
+                    true
+                })
+                .unwrap();
+            got.sort();
+            (summary, got)
+        };
+        let (summary, got) = emitted(&ServeBackend::new(Harness::new(7)));
+        assert_eq!(
+            (summary.computed, summary.status.as_str()),
+            (12, "complete")
+        );
+        assert_eq!(got, want_payloads, "daemon grid without a state dir");
+        let state = scratch("serve").with_file_name("state");
+        let journaled = ServeBackend::new(Harness::new(7)).with_state_dir(state);
+        for resumed in [0, 12] {
+            let (summary, got) = emitted(&journaled);
+            assert_eq!((summary.resumed, summary.cells), (resumed, 12));
+            assert_eq!(
+                got, want_payloads,
+                "daemon grid, {resumed} cell(s) replayed"
+            );
+        }
     }
 
     #[test]
@@ -530,6 +339,41 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A journal that fails mid-grid under three worker threads: the
+    /// sink's error stops the workers and comes back typed (no hang), and
+    /// a real-disk resume finishes the grid byte-identically.
+    #[test]
+    fn a_journal_failing_mid_grid_stops_the_workers_and_resumes() {
+        use mps_core::faults::io::{ChaosIo, IoFaultPlan, RealIo, SwitchIo};
+        use std::sync::Arc;
+
+        let disk = Arc::new(SwitchIo::default());
+        let h = Harness::new(7).with_io_env(disk.clone());
+        let plain = h.run_subset(2, 1);
+        let plan = IoFaultPlan {
+            enospc: 0.2,
+            ..IoFaultPlan::default()
+        };
+        let mut mid_grid = 0;
+        for seed in 0..16 {
+            let path = scratch(&format!("fail-{seed}"));
+            disk.set(Arc::new(ChaosIo::new(seed, plan.clone())));
+            let run = h.run_subset_journaled(2, &path, 1, 3, false, &RunControl::unlimited());
+            let lines =
+                std::fs::read(&path).map_or(0, |b| b.iter().filter(|&&c| c == b'\n').count());
+            if run.is_err() && (2..=plain.len()).contains(&lines) {
+                mid_grid += 1;
+            }
+            disk.set(Arc::new(RealIo));
+            let resumed = h
+                .run_subset_journaled(2, &path, 1, 3, path.exists(), &RunControl::unlimited())
+                .unwrap();
+            assert_eq!(resumed.status, GridStatus::Complete);
+            assert_eq!(resumed.cells, plain, "seed {seed}: resume must be bitwise");
+        }
+        assert!(mid_grid > 0, "no seed failed the journal mid-grid");
     }
 
     #[test]

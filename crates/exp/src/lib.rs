@@ -16,6 +16,7 @@ pub mod ablation;
 pub mod campaign;
 pub mod chaos;
 pub mod disturb;
+mod driver;
 pub mod figures;
 pub mod journaled;
 pub mod online;

@@ -18,14 +18,17 @@ use serde::{Deserialize, Serialize};
 use mps_core::dag::gen::{paper_corpus, GeneratedDag, PAPER_CORPUS_SEED};
 use mps_core::faults::io::IoEnv;
 use mps_core::faults::{DisturbReport, DisturbancePlan, FaultPlan, RecoveryPolicy};
+use mps_core::journal::RunControl;
 use mps_core::model::{EmpiricalModel, PerfModel, ProfileModel};
 use mps_core::platform::{Cluster, ClusterSpec, HostId};
-use mps_core::sched::{AllocKey, AllocationEngine, Hcpa, Mcpa, Schedule, Scheduler};
+use mps_core::sched::{AllocKey, AllocationEngine, Schedule, Scheduler};
 use mps_core::sim::{DisturbSetup, ExecPolicy, ExecSlab, Simulator};
 use mps_core::supervise::{AttemptOutcome, CrashReport};
 use mps_core::testbed::{
     build_profile_model, fit_empirical_model, paper_kernels, ProfilingConfig, Testbed,
 };
+
+use crate::driver::{Grid, Runner};
 
 /// The three simulator versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -782,71 +785,6 @@ impl Harness {
         }
     }
 
-    /// Shared worker pool: runs every (DAG, variant, algo) cell for
-    /// `corpus`, DAGs dispatched work-stealing-style over `workers`
-    /// threads. Per-cell work is independent (the harness is only read),
-    /// so the result set — canonically ordered by (dag, variant, algo) —
-    /// is identical for any worker count.
-    ///
-    /// Results land in pre-sized write-once slots (one per cell, indexed
-    /// by dispatch position) instead of a shared locked vector, and the
-    /// canonical output order falls out of a precomputed permutation
-    /// rather than a post-sort of the arrival order.
-    fn run_cells(&self, corpus: &[GeneratedDag], repeats: u64, workers: usize) -> Vec<CellResult> {
-        let workers = workers.max(1).min(corpus.len().max(1));
-        let n_cells = corpus.len() * CELLS_PER_DAG;
-        let slots: Vec<OnceLock<CellResult>> = std::iter::repeat_with(OnceLock::new)
-            .take(n_cells)
-            .collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= corpus.len() {
-                            break;
-                        }
-                        let g = &corpus[i];
-                        let mut slot = i * CELLS_PER_DAG;
-                        for variant in SimVariant::ALL {
-                            for algo in [&Hcpa as &dyn Scheduler, &Mcpa] {
-                                let cell = self.run_cell_caught(
-                                    g,
-                                    variant,
-                                    algo,
-                                    repeats,
-                                    self.disturb.as_ref(),
-                                );
-                                slots[slot]
-                                    .set(cell)
-                                    .unwrap_or_else(|_| unreachable!("cell slot written twice"));
-                                slot += 1;
-                            }
-                        }
-                    })
-                })
-                .collect();
-            // Join each thread explicitly: the scope's own wait returns
-            // before a worker has dropped its thread-local slab, so the
-            // next grid's workers could start while the old ones still
-            // free theirs, and the allocator would then hand them fresh
-            // arenas (≈ 2 MiB more peak memory) instead of reusing one.
-            for h in handles {
-                h.join().expect("worker panicked");
-            }
-        })
-        .expect("worker panicked");
-
-        let mut cells: Vec<Option<CellResult>> =
-            slots.into_iter().map(OnceLock::into_inner).collect();
-        canonical_order(corpus)
-            .into_iter()
-            .map(|j| cells[j].take().expect("worker pool completed every cell"))
-            .collect()
-    }
-
     /// Worker-pool size used when the caller does not pin one.
     pub fn default_workers() -> usize {
         std::thread::available_parallelism()
@@ -880,9 +818,9 @@ impl Harness {
     }
 
     /// [`Harness::run_grid`] with an explicit worker count (determinism
-    /// tests, CI throttling).
+    /// tests, CI throttling). One worker runs on the calling thread.
     pub fn run_grid_with_workers(&self, repeats: u64, workers: usize) -> Vec<CellResult> {
-        self.run_cells(&self.corpus(), repeats, workers)
+        self.run_in_memory(None, repeats, workers)
     }
 
     /// Runs the grid for a subset of the corpus (for tests and quick
@@ -898,8 +836,23 @@ impl Harness {
         repeats: u64,
         workers: usize,
     ) -> Vec<CellResult> {
-        let corpus: Vec<GeneratedDag> = self.corpus().iter().take(take).cloned().collect();
-        self.run_cells(&corpus, repeats, workers)
+        self.run_in_memory(Some(take), repeats, workers)
+    }
+
+    /// The grid with no journal and no client: the driver's cells, in
+    /// canonical (dag, variant, algo) order for any worker count.
+    fn run_in_memory(&self, take: Option<usize>, repeats: u64, workers: usize) -> Vec<CellResult> {
+        let grid = Grid {
+            take,
+            repeats,
+            disturb: self.disturb.as_ref(),
+            runner: Runner::Threads(workers),
+            journal: None,
+            ctrl: &RunControl::unlimited(),
+        };
+        self.drive(grid, None)
+            .expect("a grid with no journal and no child processes cannot fail")
+            .cells
     }
 
     /// Computes one schedule (no simulation, no testbed execution) with
@@ -931,7 +884,11 @@ impl Harness {
 }
 
 /// A cell of `g` under `variant` and `algo` with no measurement yet.
-fn blank_cell(g: &GeneratedDag, variant: SimVariant, algo: &dyn Scheduler) -> CellResult {
+pub(crate) fn blank_cell(
+    g: &GeneratedDag,
+    variant: SimVariant,
+    algo: &dyn Scheduler,
+) -> CellResult {
     CellResult {
         dag: g.name(),
         n: g.params.matrix_size,
@@ -957,23 +914,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Cells per DAG in the grid: 3 variants × {HCPA, MCPA}.
 pub(crate) const CELLS_PER_DAG: usize = SimVariant::ALL.len() * 2;
-
-/// The permutation taking dispatch-order cell slots (corpus order ×
-/// [`SimVariant::ALL`] × {HCPA, MCPA}) to the canonical (dag, variant,
-/// algo) output order — the exact order [`sort_cells_canonical`]
-/// produces, computed once up front instead of sorting results.
-fn canonical_order(corpus: &[GeneratedDag]) -> Vec<usize> {
-    let names: Vec<String> = corpus.iter().map(|g| g.name()).collect();
-    let key = |j: usize| {
-        let (dag, rest) = (j / CELLS_PER_DAG, j % CELLS_PER_DAG);
-        let variant = SimVariant::ALL[rest / 2];
-        let algo = if rest % 2 == 0 { "HCPA" } else { "MCPA" };
-        (names[dag].as_str(), variant.name(), algo)
-    };
-    let mut order: Vec<usize> = (0..corpus.len() * CELLS_PER_DAG).collect();
-    order.sort_by(|&a, &b| key(a).cmp(&key(b)));
-    order
-}
 
 /// Canonical grid order: by dag name, then variant, then algo — the
 /// order every grid API returns regardless of worker count or resume
@@ -1137,6 +1077,7 @@ pub fn grid_health(cells: &[CellResult]) -> GridHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mps_core::sched::Hcpa;
 
     #[test]
     fn harness_builds_and_runs_a_subset() {

@@ -19,18 +19,18 @@
 //! Cell payloads are exactly the bytes the journal stores, so a client
 //! cannot tell a replayed cell from a freshly computed one.
 
-use std::collections::HashSet;
 use std::path::PathBuf;
 
 use mps_core::dag::gen::GeneratedDag;
 use mps_core::faults::{DisturbancePlan, RecoveryPolicy, DISTURB_HORIZON};
-use mps_core::journal::{self, fnv64, JournalHeader, RunControl, StopReason, FORMAT_V1};
+use mps_core::journal::{self, fnv64, RunControl};
 use mps_core::online::{OnlineAlgo, OnlineConfig, OnlineEngine};
 use mps_core::sched::Scheduler;
 use mps_core::serve::{Backend, ServeError, WorkRequest, WorkSummary};
 
-use crate::journaled::{algo_of, finalize_grid, open_grid_journal, pending_specs, JournaledGrid};
-use crate::runner::{cell_key, CellOutcome, CellResult, DisturbConfig, Harness, SimVariant};
+use crate::driver::{algo_of, Grid, JournalTarget, Runner};
+use crate::journaled::JournaledGrid;
+use crate::runner::{CellOutcome, CellResult, DisturbConfig, Harness, SimVariant};
 use crate::supervised::{SuperviseOpts, WorkerCommand};
 
 /// Hard cap on the event horizon a client can request from the daemon
@@ -172,13 +172,7 @@ impl ServeBackend {
                     *repeats,
                     cfg.as_ref().or(self.harness.disturb.as_ref()),
                 );
-                let key = cell_key(
-                    &r.g.name(),
-                    r.g.params.matrix_size,
-                    r.variant,
-                    r.algo.name(),
-                    *repeats,
-                );
+                let key = cell.key(*repeats);
                 if cell.outcome.crash_report().is_some() {
                     summary.quarantined = 1;
                 }
@@ -228,184 +222,12 @@ impl ServeBackend {
         summary.computed = 1;
         Ok(summary)
     }
-
-    /// Ephemeral grid: compute and stream, nothing durable.
-    fn run_grid_ephemeral(
-        &self,
-        take: usize,
-        repeats: u64,
-        disturb: Option<&DisturbConfig>,
-        ctrl: &RunControl,
-        emit: &mut dyn FnMut(&str, &str) -> bool,
-    ) -> Result<WorkSummary, ServeError> {
-        let corpus: Vec<GeneratedDag> = self.corpus.iter().take(take).cloned().collect();
-        let pending = pending_specs(&corpus, &HashSet::new(), repeats);
-        let mut summary = WorkSummary {
-            status: "complete".to_string(),
-            ..WorkSummary::default()
-        };
-        for cs in &pending {
-            if let Some(reason) = ctrl.should_stop() {
-                summary.status = status_of(reason).to_string();
-                break;
-            }
-            ctrl.pace();
-            let g = &corpus[cs.dag];
-            let algo = algo_of(cs.algo);
-            let cell = self
-                .harness
-                .run_cell_caught(g, cs.variant, algo, repeats, disturb);
-            let key = cell_key(
-                &g.name(),
-                g.params.matrix_size,
-                cs.variant,
-                algo.name(),
-                repeats,
-            );
-            if cell.outcome.crash_report().is_some() {
-                summary.quarantined += 1;
-            }
-            tally_disturb(&mut summary, &cell);
-            let payload = encode(&cell)?;
-            emit(&key, &payload);
-            summary.cells += 1;
-            summary.computed += 1;
-        }
-        Ok(summary)
-    }
-
-    /// Journaled in-process grid: replay the journal's prefix verbatim,
-    /// compute and journal the remainder, write the manifest.
-    #[allow(clippy::too_many_arguments)]
-    fn run_grid_journaled(
-        &self,
-        take: usize,
-        repeats: u64,
-        disturb: Option<&DisturbConfig>,
-        work_json: &str,
-        path: &std::path::Path,
-        ctrl: &RunControl,
-        emit: &mut dyn FnMut(&str, &str) -> bool,
-    ) -> Result<WorkSummary, ServeError> {
-        let corpus: Vec<GeneratedDag> = self.corpus.iter().take(take).cloned().collect();
-        let expected = (corpus.len() * SimVariant::ALL.len() * 2) as u64;
-        let header = JournalHeader {
-            format: FORMAT_V1.to_string(),
-            campaign: format!("serve[..{}]", corpus.len()),
-            seed: self.harness.testbed.base_seed,
-            repeats,
-            cells_expected: expected,
-            config_digest: self.harness.config_digest(),
-            isolation: "serve".to_string(),
-            request: work_json.to_string(),
-        };
-        let env = self.harness.io_env().clone();
-        let (resumed_cells, mut writer, dropped) =
-            open_grid_journal(&*env, path, &header, path.exists()).map_err(backend_err)?;
-        // Replay: re-serializing a parsed `CellResult` reproduces the
-        // journaled bytes exactly (same serializer, same field order),
-        // so a resumed stream is byte-identical to the original.
-        for (key, cell) in &resumed_cells {
-            emit(key, &encode(cell)?);
-        }
-        let done: HashSet<&str> = resumed_cells.iter().map(|(k, _)| k.as_str()).collect();
-        let pending = pending_specs(&corpus, &done, repeats);
-        let mut new_cells = Vec::new();
-        for cs in &pending {
-            if ctrl.should_stop().is_some() {
-                break;
-            }
-            ctrl.pace();
-            let g = &corpus[cs.dag];
-            let algo = algo_of(cs.algo);
-            let cell = self
-                .harness
-                .run_cell_caught(g, cs.variant, algo, repeats, disturb);
-            let key = cell_key(
-                &g.name(),
-                g.params.matrix_size,
-                cs.variant,
-                algo.name(),
-                repeats,
-            );
-            let payload = encode(&cell)?;
-            writer.append_record(&key, &payload).map_err(backend_err)?;
-            emit(&key, &payload);
-            new_cells.push((key, cell));
-        }
-        writer.sync().map_err(backend_err)?;
-        let campaign = format!("serve[..{}]", corpus.len());
-        let grid = finalize_grid(
-            &*env,
-            path,
-            &campaign,
-            expected,
-            resumed_cells,
-            new_cells,
-            dropped,
-            ctrl,
-        )
-        .map_err(backend_err)?;
-        Ok(summarize(&grid))
-    }
-
-    /// Process-isolated grid: replay the journal, then hand the
-    /// remainder to the supervised driver, streaming as cells land.
-    #[allow(clippy::too_many_arguments)]
-    fn run_grid_supervised(
-        &self,
-        take: usize,
-        repeats: u64,
-        work_json: &str,
-        path: &std::path::Path,
-        cmd: &WorkerCommand,
-        opts: &SuperviseOpts,
-        ctrl: &RunControl,
-        emit: &mut dyn FnMut(&str, &str) -> bool,
-    ) -> Result<WorkSummary, ServeError> {
-        let resume = path.exists();
-        if resume {
-            // Replay the raw journaled records (verbatim bytes) before
-            // the supervised run re-opens the journal for appends.
-            let rec = journal::recover_in(&**self.harness.io_env(), path).map_err(backend_err)?;
-            for (key, payload) in &rec.records {
-                emit(key, payload);
-            }
-        }
-        let mut opts = *opts;
-        opts.repeats = repeats;
-        opts.resume = resume;
-        let grid = self
-            .harness
-            .run_subset_supervised_streaming(
-                take,
-                work_json,
-                path,
-                cmd,
-                &opts,
-                ctrl,
-                &mut |k, p| {
-                    emit(k, p);
-                },
-            )
-            .map_err(|e| ServeError::Backend {
-                reason: e.to_string(),
-            })?;
-        Ok(summarize(&grid))
-    }
 }
 
 struct Resolved<'a> {
     g: &'a GeneratedDag,
     variant: SimVariant,
     algo: &'a dyn Scheduler,
-}
-
-fn status_of(reason: StopReason) -> &'static str {
-    match reason {
-        StopReason::Cancelled => "interrupted",
-        StopReason::DeadlineExpired => "deadline",
-    }
 }
 
 fn encode<T: serde::Serialize>(value: &T) -> Result<String, ServeError> {
@@ -453,36 +275,45 @@ impl Backend for ServeBackend {
             } => {
                 let work_json = encode(work)?;
                 let cfg = self.parse_disturb(disturb.as_ref())?;
-                let eff = cfg.as_ref().or(self.harness.disturb.as_ref());
-                match &self.state_dir {
-                    None => self.run_grid_ephemeral(*take, *repeats, eff, ctrl, emit),
+                let path = match &self.state_dir {
                     Some(dir) => {
                         std::fs::create_dir_all(dir).map_err(backend_err)?;
-                        let path = self.journal_path(dir, &work_json);
-                        match &self.worker {
-                            Some((cmd, opts)) => {
-                                if cfg.is_some() {
-                                    // Worker processes get their plan via
-                                    // startup flags; a per-request plan
-                                    // cannot reach them.
-                                    return Err(ServeError::Backend {
-                                        reason: "per-request disturbance plans require \
-                                                 in-process cell execution (this daemon \
-                                                 runs --isolation process; pass --disturb \
-                                                 at daemon startup instead)"
-                                            .to_string(),
-                                    });
-                                }
-                                self.run_grid_supervised(
-                                    *take, *repeats, &work_json, &path, cmd, opts, ctrl, emit,
-                                )
-                            }
-                            None => self.run_grid_journaled(
-                                *take, *repeats, eff, &work_json, &path, ctrl, emit,
-                            ),
-                        }
+                        Some(self.journal_path(dir, &work_json))
                     }
-                }
+                    None => None,
+                };
+                let runner = match (&self.worker, &path) {
+                    (Some(_), Some(_)) if cfg.is_some() => {
+                        // Worker processes get their plan via startup
+                        // flags; a per-request plan cannot reach them.
+                        return Err(ServeError::Backend {
+                            reason: "per-request disturbance plans require in-process cell \
+                                     execution (this daemon runs --isolation process; pass \
+                                     --disturb at daemon startup instead)"
+                                .to_string(),
+                        });
+                    }
+                    (Some((cmd, opts)), Some(_)) => Runner::Processes(cmd, opts),
+                    // A request runs on its executor thread, whose slab
+                    // stays warm across requests.
+                    _ => Runner::Threads(1),
+                };
+                let grid = Grid {
+                    take: Some(*take),
+                    repeats: *repeats,
+                    disturb: cfg.as_ref().or(self.harness.disturb.as_ref()),
+                    runner,
+                    // A resubmitted request resumes its own journal,
+                    // replaying the journaled prefix byte for byte.
+                    journal: path.as_deref().map(|path| JournalTarget {
+                        path,
+                        resume: path.exists(),
+                        request: Some(&work_json),
+                    }),
+                    ctrl,
+                };
+                let grid = self.harness.drive(grid, Some(emit)).map_err(backend_err)?;
+                Ok(summarize(&grid))
             }
         }
     }
@@ -525,5 +356,64 @@ impl Backend for ServeBackend {
             finished += 1;
         }
         Ok(finished)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn payloads(backend: &ServeBackend, work: &WorkRequest) -> Vec<(String, String)> {
+        let mut got = Vec::new();
+        backend
+            .execute(work, &RunControl::unlimited(), &mut |k, p| {
+                got.push((k.to_string(), p.to_string()));
+                true
+            })
+            .unwrap();
+        got
+    }
+
+    /// A grid request stopped mid-grid checkpoints its journal; the
+    /// resubmission replays the checkpointed cells verbatim, computes only
+    /// the rest, and streams what an uninterrupted request streams.
+    #[test]
+    fn a_stopped_request_resumes_from_its_journal() {
+        let state = std::env::temp_dir().join(format!("mps-serve-backend-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state);
+        let backend = ServeBackend::new(Harness::new(7)).with_state_dir(state.clone());
+        let work = WorkRequest::SubsetGrid {
+            take: 2,
+            repeats: 1,
+            disturb: None,
+        };
+        let token = journal::CancelToken::new();
+        let ctrl = RunControl::unlimited().with_cancel(token.clone());
+        let mut first = Vec::new();
+        let stopped = backend
+            .execute(&work, &ctrl, &mut |k, p| {
+                first.push((k.to_string(), p.to_string()));
+                if first.len() == 3 {
+                    token.cancel();
+                }
+                true
+            })
+            .unwrap();
+        assert_eq!(
+            (stopped.status.as_str(), stopped.computed),
+            ("interrupted", 3)
+        );
+
+        let mut again = payloads(&backend, &work);
+        assert_eq!(again.len(), 12);
+        assert_eq!(again[..3], first[..], "the checkpoint replays verbatim");
+        again.sort();
+        let mut clean = payloads(&ServeBackend::new(Harness::new(7)), &work);
+        clean.sort();
+        assert_eq!(
+            again, clean,
+            "a resumed request streams the uninterrupted cells"
+        );
+        let _ = std::fs::remove_dir_all(&state);
     }
 }

@@ -24,14 +24,13 @@
 //!   have written, so healthy results are indistinguishable across
 //!   isolation modes and a campaign can switch modes between resumes.
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
 use mps_core::dag::gen::GeneratedDag;
-use mps_core::journal::{JournalHeader, JournalWriter, RunControl, FORMAT_V1};
+use mps_core::journal::RunControl;
 use mps_core::supervise::{
     read_frame, write_frame, Action, Attempt, AttemptOutcome, CrashReport, Disposition,
     SuperviseError, Supervisor, SupervisorConfig, WorkerDeath, WorkerHello, WorkerProcess,
@@ -39,10 +38,9 @@ use mps_core::supervise::{
 };
 use mps_core::MpsError;
 
-use crate::journaled::{
-    algo_of, finalize_grid, open_grid_journal, pending_specs, CellSpec, JournaledGrid,
-};
-use crate::runner::{cell_key, CellOutcome, CellResult, Harness, SimVariant};
+use crate::driver::{algo_of, CellSpec, Grid, JournalTarget, Runner, Sink};
+use crate::journaled::JournaledGrid;
+use crate::runner::{blank_cell, CellOutcome, CellResult, Harness, SimVariant};
 
 /// Supervisor → worker: run this cell. Indices refer to the deterministic
 /// paper corpus and the fixed `{HCPA, MCPA}` algorithm order, which both
@@ -82,15 +80,11 @@ pub struct WorkerCommand {
     pub args: Vec<String>,
 }
 
-/// Policy knobs of a supervised run.
+/// Process policy of a supervised run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperviseOpts {
-    /// Testbed repeats per cell.
-    pub repeats: u64,
     /// Worker processes.
     pub workers: usize,
-    /// Resume an existing journal instead of creating a fresh one.
-    pub resume: bool,
     /// Wall-clock budget per cell attempt; a worker exceeding it is
     /// SIGKILLed and the attempt counts as a timeout.
     pub cell_timeout: Duration,
@@ -105,9 +99,7 @@ pub struct SuperviseOpts {
 impl Default for SuperviseOpts {
     fn default() -> Self {
         SuperviseOpts {
-            repeats: 1,
             workers: 2,
-            resume: false,
             cell_timeout: Duration::from_secs(120),
             spawn_timeout: Duration::from_secs(30),
             stderr_tail_bytes: 8 * 1024,
@@ -147,13 +139,7 @@ pub fn serve_cells(harness: &Harness, repeats: u64) -> i32 {
                 let repeats = req.repeats.unwrap_or(repeats);
                 let cell =
                     harness.run_cell(g, req.variant, algo, repeats, harness.disturb.as_ref());
-                let key = cell_key(
-                    &g.name(),
-                    g.params.matrix_size,
-                    req.variant,
-                    algo.name(),
-                    repeats,
-                );
+                let key = cell.key(repeats);
                 if write_frame(&mut output, &CellResponse { key, cell }).is_err() {
                     return 1;
                 }
@@ -211,49 +197,26 @@ impl Slot {
 }
 
 /// Everything the event loop threads through its helpers: the immutable
-/// run description plus the mutable journal/result accumulators.
+/// run description plus the crash reports and the driver's sink.
 struct Run<'a> {
     corpus: &'a [GeneratedDag],
     pending: &'a [CellSpec],
+    repeats: u64,
     opts: &'a SuperviseOpts,
     reports: Vec<CrashReport>,
-    writer: &'a mut JournalWriter,
-    new_cells: Vec<(String, CellResult)>,
-    /// Streaming observer: called with `(key, payload_json)` right after
-    /// each cell (measurement or quarantine record) becomes durable. The
-    /// serve backend forwards these to the requesting client.
-    on_cell: &'a mut dyn FnMut(&str, &str),
+    /// Takes each cell (measurement or quarantine record) as it lands.
+    sink: &'a mut Sink<'a>,
 }
 
 impl Run<'_> {
-    fn key_of(&self, cell_idx: usize) -> String {
+    /// Pending cell `cell_idx` with no measurement yet.
+    fn blank_of(&self, cell_idx: usize) -> CellResult {
         let cs = &self.pending[cell_idx];
-        let g = &self.corpus[cs.dag];
-        cell_key(
-            &g.name(),
-            g.params.matrix_size,
-            cs.variant,
-            algo_of(cs.algo).name(),
-            self.opts.repeats,
-        )
-    }
-
-    fn journal_cell(&mut self, key: String, cell: CellResult) -> Result<(), MpsError> {
-        let payload = serde_json::to_string(&cell).map_err(|e| {
-            MpsError::Supervise(SuperviseError::Frame {
-                reason: format!("encode cell record: {e}"),
-            })
-        })?;
-        self.writer
-            .append_record(&key, &payload)
-            .map_err(MpsError::Journal)?;
-        (self.on_cell)(&key, &payload);
-        self.new_cells.push((key, cell));
-        Ok(())
+        blank_cell(&self.corpus[cs.dag], cs.variant, algo_of(cs.algo))
     }
 
     /// Records a failed attempt against worker `w`'s cell; when the
-    /// machine quarantines the cell, journals its poison record.
+    /// machine quarantines the cell, sinks its poison record.
     fn note_failure(
         &mut self,
         machine: &mut Supervisor,
@@ -263,21 +226,12 @@ impl Run<'_> {
         let (cell_idx, disposition) = machine.cell_failed(w);
         self.reports[cell_idx].attempts.push(attempt);
         if disposition == Disposition::Quarantined {
-            let cs = &self.pending[cell_idx];
-            let g = &self.corpus[cs.dag];
             let report = std::mem::take(&mut self.reports[cell_idx]);
             let cell = CellResult {
-                dag: g.name(),
-                n: g.params.matrix_size,
-                variant: cs.variant,
-                algo: algo_of(cs.algo).name().to_string(),
-                sim_makespan: 0.0,
-                real_makespan: 0.0,
-                real_runs: Vec::new(),
                 outcome: CellOutcome::from_report(report),
+                ..self.blank_of(cell_idx)
             };
-            let key = self.key_of(cell_idx);
-            self.journal_cell(key, cell)?;
+            (self.sink)(cell)?;
         }
         Ok(())
     }
@@ -310,142 +264,97 @@ impl Harness {
     pub fn run_grid_supervised(
         &self,
         path: &Path,
+        repeats: u64,
+        resume: bool,
         worker: &WorkerCommand,
         opts: &SuperviseOpts,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, MpsError> {
-        let corpus = self.corpus();
-        self.run_cells_supervised(
-            &corpus,
-            "paper-grid",
-            "",
-            path,
-            worker,
-            opts,
-            ctrl,
-            &mut |_, _| {},
+        self.drive(
+            supervised_grid(None, path, repeats, resume, worker, opts, ctrl),
+            None,
         )
     }
 
     /// [`Harness::run_grid_supervised`] over the first `take` corpus DAGs.
     /// Campaign names match the in-process runner's, so a journal started
     /// under one isolation mode resumes under the other.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_subset_supervised(
         &self,
         take: usize,
         path: &Path,
+        repeats: u64,
+        resume: bool,
         worker: &WorkerCommand,
         opts: &SuperviseOpts,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, MpsError> {
-        let corpus: Vec<GeneratedDag> = self.corpus().iter().take(take).cloned().collect();
-        let campaign = format!("paper-grid[..{}]", corpus.len());
-        self.run_cells_supervised(
-            &corpus,
-            &campaign,
-            "",
+        self.drive(
+            supervised_grid(Some(take), path, repeats, resume, worker, opts, ctrl),
+            None,
+        )
+    }
+}
+
+/// The supervised journaled grid over `take` DAGs.
+fn supervised_grid<'a>(
+    take: Option<usize>,
+    path: &'a Path,
+    repeats: u64,
+    resume: bool,
+    worker: &'a WorkerCommand,
+    opts: &'a SuperviseOpts,
+    ctrl: &'a RunControl,
+) -> Grid<'a> {
+    Grid {
+        take,
+        repeats,
+        disturb: None,
+        runner: Runner::Processes(worker, opts),
+        journal: Some(JournalTarget {
             path,
-            worker,
-            opts,
-            ctrl,
-            &mut |_, _| {},
-        )
+            resume,
+            request: None,
+        }),
+        ctrl,
     }
+}
 
-    /// [`Harness::run_subset_supervised`] with a streaming observer:
-    /// `on_cell(key, payload_json)` fires as each newly computed cell
-    /// becomes durable in the journal. The serve backend's process-
-    /// isolation path.
-    /// `request` is the verbatim work-request JSON stored in the journal
-    /// header so a restarted daemon can reconstruct the work from the
-    /// journal alone (empty for plain grid campaigns).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_subset_supervised_streaming(
-        &self,
-        take: usize,
-        request: &str,
-        path: &Path,
-        worker: &WorkerCommand,
-        opts: &SuperviseOpts,
-        ctrl: &RunControl,
-        on_cell: &mut dyn FnMut(&str, &str),
-    ) -> Result<JournaledGrid, MpsError> {
-        let corpus: Vec<GeneratedDag> = self.corpus().iter().take(take).cloned().collect();
-        let campaign = format!("serve[..{}]", corpus.len());
-        self.run_cells_supervised(
-            &corpus, &campaign, request, path, worker, opts, ctrl, on_cell,
-        )
-    }
+/// The process runner: computes `pending` in supervised child workers,
+/// handing each cell to `sink` as it lands. No child outlives the call.
+pub(crate) fn run_processes(
+    corpus: &[GeneratedDag],
+    pending: &[CellSpec],
+    repeats: u64,
+    worker: &WorkerCommand,
+    opts: &SuperviseOpts,
+    ctrl: &RunControl,
+    sink: &mut Sink<'_>,
+) -> Result<(), MpsError> {
+    let n_workers = opts.workers.max(1).min(pending.len().max(1));
+    let mut machine = Supervisor::new(opts.config, n_workers, pending.len());
+    let mut slots: Vec<Slot> = (0..n_workers).map(|_| Slot::new()).collect();
+    let mut run = Run {
+        corpus,
+        pending,
+        repeats,
+        opts,
+        reports: vec![CrashReport::default(); pending.len()],
+        sink,
+    };
+    let mut spec = WorkerSpec::new(worker.program.clone(), worker.args.clone());
+    spec.stderr_tail_bytes = opts.stderr_tail_bytes;
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_cells_supervised(
-        &self,
-        corpus: &[GeneratedDag],
-        campaign: &str,
-        request: &str,
-        path: &Path,
-        worker: &WorkerCommand,
-        opts: &SuperviseOpts,
-        ctrl: &RunControl,
-        on_cell: &mut dyn FnMut(&str, &str),
-    ) -> Result<JournaledGrid, MpsError> {
-        let expected = (corpus.len() * SimVariant::ALL.len() * 2) as u64;
-        let header = JournalHeader {
-            format: FORMAT_V1.to_string(),
-            campaign: campaign.to_string(),
-            seed: self.testbed.base_seed,
-            repeats: opts.repeats,
-            cells_expected: expected,
-            config_digest: self.config_digest(),
-            isolation: "process".to_string(),
-            request: request.to_string(),
-        };
-        let env = self.io_env().clone();
-        let (resumed_cells, mut writer, salvage_dropped_bytes) =
-            open_grid_journal(&*env, path, &header, opts.resume)?;
-        let done: HashSet<&str> = resumed_cells.iter().map(|(k, _)| k.as_str()).collect();
-        let pending = pending_specs(corpus, &done, opts.repeats);
-
-        let n_workers = opts.workers.max(1).min(pending.len().max(1));
-        let mut machine = Supervisor::new(opts.config, n_workers, pending.len());
-        let mut slots: Vec<Slot> = (0..n_workers).map(|_| Slot::new()).collect();
-        let mut run = Run {
-            corpus,
-            pending: &pending,
-            opts,
-            reports: vec![CrashReport::default(); pending.len()],
-            writer: &mut writer,
-            new_cells: Vec::new(),
-            on_cell,
-        };
-        let mut spec = WorkerSpec::new(worker.program.clone(), worker.args.clone());
-        spec.stderr_tail_bytes = opts.stderr_tail_bytes;
-
-        let outcome = supervise_loop(&mut run, &mut machine, &mut slots, &spec, ctrl);
-        let new_cells = std::mem::take(&mut run.new_cells);
-
-        // Whatever happened, no child outlives this function: close every
-        // worker down (cleanly where possible) and reap it.
-        for slot in &mut slots {
-            if let Some(p) = slot.proc.take() {
-                p.shutdown(Duration::from_secs(2));
-            }
+    let outcome = supervise_loop(&mut run, &mut machine, &mut slots, &spec, ctrl);
+    // Whatever happened, close every worker down (cleanly where
+    // possible) and reap it.
+    for slot in &mut slots {
+        if let Some(p) = slot.proc.take() {
+            p.shutdown(Duration::from_secs(2));
         }
-        writer.sync().map_err(MpsError::Journal)?;
-        outcome?;
-
-        finalize_grid(
-            &*env,
-            path,
-            campaign,
-            expected,
-            resumed_cells,
-            new_cells,
-            salvage_dropped_bytes,
-            ctrl,
-        )
-        .map_err(MpsError::Journal)
     }
+    outcome
 }
 
 /// The supervision event loop. Single-threaded: executes the state
@@ -487,7 +396,7 @@ fn supervise_loop(
                         dag: cs.dag,
                         variant: cs.variant,
                         algo: cs.algo,
-                        repeats: Some(run.opts.repeats),
+                        repeats: Some(run.repeats),
                     };
                     let now = Instant::now();
                     let sent = slots[worker]
@@ -638,10 +547,10 @@ fn on_frame(
             slots[w].clear_cell();
             debug_assert_eq!(
                 resp.key,
-                run.key_of(cell_idx),
+                run.blank_of(cell_idx).key(run.repeats),
                 "worker answered a different cell than dispatched"
             );
-            run.journal_cell(resp.key, resp.cell)
+            (run.sink)(resp.cell)
         }
         Err(_) => {
             let wall = slots[w].cell_wall_ms();

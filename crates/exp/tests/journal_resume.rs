@@ -57,9 +57,20 @@ fn killed_mid_flight_then_resumed_grid_is_byte_identical_to_clean_run() {
     let resumed_out = dir.join("resumed");
     let journal = dir.join("grid.jsonl");
 
-    // Reference: one uninterrupted, unjournaled run.
-    let clean = run_repro(&["--json", clean_out.to_str().unwrap(), "grid"]);
+    // Reference: one uninterrupted, unjournaled run, on its own worker
+    // count (the grid is the same for any).
+    let clean = run_repro(&[
+        "--workers",
+        "3",
+        "--json",
+        clean_out.to_str().unwrap(),
+        "grid",
+    ]);
     assert!(clean.status.success(), "clean run failed: {clean:?}");
+    assert!(
+        String::from_utf8_lossy(&clean.stderr).contains("3 worker(s)"),
+        "the in-memory grid must run on --workers: {clean:?}"
+    );
 
     // Victim: journaled run, throttled so the kill lands mid-grid, then
     // SIGKILLed — the hardest crash, no drain, no manifest update.

@@ -83,7 +83,7 @@ pub struct KernelRunStats {
 /// complete. The per-step traffic is rank `r`'s current `A` block —
 /// `n · n/p` elements, matching the analytic model's `n²/p` per step.
 ///
-/// Ranks execute each step concurrently on scoped threads (crossbeam), so
+/// Ranks execute each step concurrently on scoped threads, so
 /// the kernel really is parallel, data-race-free by construction.
 pub fn parallel_matmul(a: &Distributed, b: &Distributed) -> (Distributed, KernelRunStats) {
     let dist = a.dist();
@@ -101,14 +101,14 @@ pub fn parallel_matmul(a: &Distributed, b: &Distributed) -> (Distributed, Kernel
     for step in 0..p {
         // Compute concurrently: each rank multiplies its held A block into
         // its C block.
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (r, c_block) in c_blocks.iter_mut().enumerate() {
                 let a_block = &rotating[r];
                 let owner = held_owner[r];
                 let b_block = b.block(r);
                 let my_cols = dist.columns(r);
                 let owner_cols = dist.columns(owner);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // C(:, j) += A(:, owner_cols) · B(owner_cols, j)
                     for (jj, _col) in my_cols.clone().enumerate() {
                         for (kk, k) in owner_cols.clone().enumerate() {
@@ -123,8 +123,7 @@ pub fn parallel_matmul(a: &Distributed, b: &Distributed) -> (Distributed, Kernel
                     }
                 });
             }
-        })
-        .expect("kernel worker panicked");
+        });
 
         // Rotate A blocks: rank r sends to (r+1) mod p.
         if step + 1 < p && p > 1 {
@@ -152,11 +151,11 @@ pub fn parallel_matadd(a: &Distributed, b: &Distributed, reps: usize) -> Distrib
     assert_eq!(dist, b.dist(), "operands must share a distribution");
     let p = dist.p();
     let mut c_blocks: Vec<Vec<f64>> = (0..p).map(|r| vec![0.0; a.block(r).len()]).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (r, c_block) in c_blocks.iter_mut().enumerate() {
             let a_block = a.block(r);
             let b_block = b.block(r);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..reps.max(1) {
                     for (c, (&x, &y)) in c_block.iter_mut().zip(a_block.iter().zip(b_block)) {
                         *c = x + y;
@@ -164,8 +163,7 @@ pub fn parallel_matadd(a: &Distributed, b: &Distributed, reps: usize) -> Distrib
                 }
             });
         }
-    })
-    .expect("kernel worker panicked");
+    });
     Distributed {
         dist,
         blocks: c_blocks,
