@@ -257,7 +257,7 @@ pub mod collection {
 
     use super::*;
 
-    /// Length specification for [`vec`].
+    /// Length specification for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,

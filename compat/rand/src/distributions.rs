@@ -45,7 +45,7 @@ impl Distribution<u32> for Standard {
 }
 
 pub mod uniform {
-    //! Range sampling used by [`Rng::gen_range`](crate::Rng::gen_range).
+    //! Range sampling used by [`Rng::gen_range`].
 
     use super::*;
     use std::ops::{Range, RangeInclusive};

@@ -33,10 +33,9 @@
 //!   leads nowhere else), and stops once the closure holds every activity
 //!   that uses a resource. Timer-only and latency-phase steps skip the
 //!   solver entirely;
-//! * the sharing problem is solved in a reusable
-//!   [`SolverWorkspace`](crate::solver::SolverWorkspace), which returns
-//!   after the first bottleneck round when that round freezes every staged
-//!   activity;
+//! * the sharing problem is solved in a reusable [`SolverWorkspace`],
+//!   which returns after the first bottleneck round when that round
+//!   freezes every staged activity;
 //! * upcoming completions sit in **min-heaps of predicted event times**,
 //!   invalidated lazily: every rate change bumps a per-slot stamp, and
 //!   entries whose stamp no longer matches are discarded when they surface.
@@ -45,9 +44,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::solver::{max_min_fair_rates, Demand, SolverError, SolverWorkspace};
-
-use crate::trace::{Trace, TraceEventKind};
-use crate::usage::{ResourceUsage, UsageMeter};
 
 /// Identifier of a resource within one [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -97,8 +93,6 @@ pub struct ActivitySpec {
     pub latency: f64,
     /// Optional rate cap (progress units per second).
     pub rate_bound: f64,
-    /// Optional label recorded in the trace.
-    pub label: Option<String>,
 }
 
 impl ActivitySpec {
@@ -109,7 +103,6 @@ impl ActivitySpec {
             amount,
             latency: 0.0,
             rate_bound: f64::INFINITY,
-            label: None,
         }
     }
 
@@ -131,13 +124,6 @@ impl ActivitySpec {
     #[must_use]
     pub fn with_rate_bound(mut self, bound: f64) -> Self {
         self.rate_bound = bound;
-        self
-    }
-
-    /// Sets a trace label.
-    #[must_use]
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
         self
     }
 }
@@ -169,7 +155,6 @@ struct Slot {
     /// solver's arithmetic, NaN when the weights are not strictly
     /// ascending by resource (then the staged solver runs instead).
     solo_rate: f64,
-    label: Option<String>,
     state: ActState,
 }
 
@@ -479,9 +464,6 @@ pub struct Engine {
     finished_scratch: Vec<(u64, u32)>,
     latency_scratch: Vec<(u64, u32)>,
     timer_scratch: Vec<u64>,
-    trace: Trace,
-    tracing: bool,
-    meter: Option<UsageMeter>,
     watchdog: Option<Watchdog>,
     steps_taken: u64,
 }
@@ -490,17 +472,6 @@ impl Engine {
     /// Creates an empty engine at simulated time zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enables trace recording (start/finish events with labels).
-    pub fn enable_tracing(&mut self) {
-        self.tracing = true;
-    }
-
-    /// True when trace recording is enabled. Callers can skip materializing
-    /// labels entirely when it is not.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracing
     }
 
     /// Installs a divergence [`Watchdog`]; `None` disables it.
@@ -540,23 +511,6 @@ impl Engine {
     /// round, without building the solver's reverse index.
     pub fn single_round_solves(&self) -> u64 {
         self.single_round_solves
-    }
-
-    /// Enables resource-utilization metering. Call after all resources
-    /// have been added; resources added later are not tracked.
-    pub fn enable_usage_metering(&mut self) {
-        self.meter = Some(UsageMeter::new(self.capacities.clone()));
-    }
-
-    /// Per-resource utilization accumulated so far (`None` unless metering
-    /// was enabled).
-    pub fn resource_usage(&self) -> Option<Vec<ResourceUsage>> {
-        self.meter.as_ref().map(UsageMeter::finish)
-    }
-
-    /// The recorded trace (empty unless tracing was enabled).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Current simulated time in seconds.
@@ -688,8 +642,7 @@ impl Engine {
     /// which keeps the slab, heaps, incidence index, and solver workspace
     /// warm.
     ///
-    /// Tracing is turned off and the recorded trace cleared; the usage
-    /// meter and watchdog are removed (re-enable any of them per run).
+    /// The watchdog is removed (re-install it per run).
     pub fn reset(&mut self) {
         self.now = 0.0;
         // Undo any mid-run disturbance: capacities return to their
@@ -726,9 +679,6 @@ impl Engine {
         self.finished_scratch.clear();
         self.latency_scratch.clear();
         self.timer_scratch.clear();
-        self.trace.clear();
-        self.tracing = false;
-        self.meter = None;
         self.watchdog = None;
         self.steps_taken = 0;
         self.solves = 0;
@@ -800,14 +750,6 @@ impl Engine {
         }
         let id = ActivityId(self.next_activity);
         self.next_activity += 1;
-        if self.tracing {
-            self.trace.record(
-                self.now,
-                TraceEventKind::ActivityStart,
-                id.0,
-                spec.label.clone(),
-            );
-        }
         let latency = spec.latency > 0.0;
         let state = if latency {
             ActState::Latency {
@@ -849,7 +791,6 @@ impl Engine {
             w_len: (self.arena.len() - w_off) as u32,
             rate_bound: spec.rate_bound,
             solo_rate: f64::NAN,
-            label: spec.label.clone(),
             state,
         });
         self.n_live += 1;
@@ -964,8 +905,8 @@ impl Engine {
     /// returning the simulated time they occurred at, or `None` when
     /// nothing is pending.
     ///
-    /// In steady state (warmed buffers, tracing off) this performs no heap
-    /// allocation at all.
+    /// In steady state (warmed buffers) this performs no heap allocation
+    /// at all.
     pub fn step_into(
         &mut self,
         completed: &mut Vec<Completion>,
@@ -1015,7 +956,6 @@ impl Engine {
             }
             let tol = next_dt * REL_EPS + 1e-15;
 
-            self.meter_interval(new_now);
             self.pop_finished(new_now, tol, completed);
             self.pop_latency(new_now, tol);
             self.pop_timers(new_now, tol, completed);
@@ -1060,7 +1000,7 @@ impl Engine {
     /// leaves the incidence counts, and each resource it still shares
     /// with another entry turns dirty; its arena entries become garbage,
     /// and the arena empties once nothing is live.
-    fn release(&mut self, slot: u32) -> Slot {
+    fn release(&mut self, slot: u32) {
         let su = slot as usize;
         let a = self.slots[su].take().expect("live slot");
         self.slot_inc[su] += 1;
@@ -1089,7 +1029,6 @@ impl Engine {
         } else {
             self.arena_garbage += a.w_len as usize;
         }
-        a
     }
 
     /// Registers a freshly-working activity with the incidence index and
@@ -1388,28 +1327,6 @@ impl Engine {
         next
     }
 
-    /// Utilization accounting: every working activity consumed at its
-    /// fair-shared rate over the elapsed interval.
-    fn meter_interval(&mut self, new_now: f64) {
-        let Some(meter) = self.meter.as_mut() else {
-            return;
-        };
-        for a in self.slots.iter().flatten() {
-            if let ActState::Working { rate, .. } = a.state {
-                if rate > 0.0 && rate.is_finite() {
-                    let off = a.w_off as usize;
-                    for &(r, w) in &self.arena[off..off + a.w_len as usize] {
-                        let r = r as usize;
-                        if r < meter.len() {
-                            meter.accumulate(r, w * rate, new_now);
-                        }
-                    }
-                }
-            }
-        }
-        meter.advance(new_now);
-    }
-
     /// Pops every work-phase completion predicted at or before
     /// `new_now + tol`, frees the slots, and reports them in ascending
     /// activity-id order.
@@ -1434,11 +1351,7 @@ impl Engine {
         }
         scratch.sort_unstable();
         for &(id, slot) in &scratch {
-            let mut a = self.release(slot);
-            if self.tracing {
-                self.trace
-                    .record(new_now, TraceEventKind::ActivityFinish, id, a.label.take());
-            }
+            self.release(slot);
             completed.push(Completion::Activity(ActivityId(id)));
         }
         self.finished_scratch = scratch;

@@ -12,7 +12,6 @@
 //! * an **activity-oriented engine** ([`engine`]) with a fluid progress
 //!   model: activities consume resources at fair-shared rates, and the clock
 //!   jumps from completion to completion;
-//! * **trace recording** ([`trace`]) for Gantt-style inspection;
 //! * a **dense index bitset** ([`bitset`]) that hands touched resources
 //!   back in ascending order without sorting.
 //!
@@ -38,8 +37,6 @@
 pub mod bitset;
 pub mod engine;
 pub mod solver;
-pub mod trace;
-pub mod usage;
 
 pub use bitset::IndexBitset;
 pub use engine::{
@@ -47,11 +44,8 @@ pub use engine::{
     StepResult, TimerId, Watchdog,
 };
 pub use solver::{
-    max_min_fair_rates, max_min_fair_rates_ref, Demand, ResourceIndex, SharingProblem, SolverError,
-    SolverWorkspace,
+    max_min_fair_rates, Demand, ResourceIndex, SharingProblem, SolverError, SolverWorkspace,
 };
-pub use trace::{Trace, TraceEvent, TraceEventKind};
-pub use usage::{ResourceUsage, UsageMeter};
 
 #[cfg(test)]
 mod tests {
@@ -209,20 +203,6 @@ mod tests {
             last.unwrap()
         };
         assert!(e.start(&ActivitySpec::new(1.0).on(foreign, 1.0)).is_err());
-    }
-
-    #[test]
-    fn trace_records_spans() {
-        let mut e = Engine::new();
-        e.enable_tracing();
-        let r = e.add_resource(10.0);
-        e.start(&ActivitySpec::new(10.0).on(r, 1.0).with_label("t0"))
-            .unwrap();
-        e.run_to_idle().unwrap();
-        let spans = e.trace().spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].0, "t0");
-        assert!((spans[0].2 - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -453,44 +433,5 @@ mod proptests {
             let expected = n as f64 * amount / cap;
             prop_assert!((steps[0].time - expected).abs() <= expected * 1e-6);
         }
-    }
-}
-
-#[cfg(test)]
-mod usage_integration_tests {
-    use super::*;
-
-    #[test]
-    fn metering_tracks_full_and_partial_utilization() {
-        let mut e = Engine::new();
-        let cpu = e.add_resource(10.0);
-        let idle = e.add_resource(10.0);
-        e.enable_usage_metering();
-        e.start(&ActivitySpec::new(20.0).on(cpu, 1.0)).unwrap();
-        e.run_to_idle().unwrap();
-        let usage = e.resource_usage().unwrap();
-        assert!((usage[cpu.index()].utilization() - 1.0).abs() < 1e-9);
-        assert_eq!(usage[idle.index()].utilization(), 0.0);
-    }
-
-    #[test]
-    fn metering_handles_contention_phases() {
-        // Two activities share the resource then one finishes: the
-        // resource is saturated the whole time either is running.
-        let mut e = Engine::new();
-        let r = e.add_resource(10.0);
-        e.enable_usage_metering();
-        e.start(&ActivitySpec::new(10.0).on(r, 1.0)).unwrap();
-        e.start(&ActivitySpec::new(30.0).on(r, 1.0)).unwrap();
-        e.run_to_idle().unwrap();
-        let usage = e.resource_usage().unwrap();
-        assert!((usage[0].utilization() - 1.0).abs() < 1e-9);
-        assert!((usage[0].consumed - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn metering_disabled_returns_none() {
-        let e = Engine::new();
-        assert!(e.resource_usage().is_none());
     }
 }

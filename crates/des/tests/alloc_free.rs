@@ -3,11 +3,10 @@
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! cycle that sizes every internal buffer (solver workspace, event heaps,
 //! scratch vectors), an identical workload of completion steps and
-//! timer-only steps must not allocate at all. Deallocation is allowed — a
-//! finished activity drops its trace label, if it has one — but any
-//! `alloc` or `realloc` during `step_into` is a regression.
+//! timer-only steps must neither allocate nor free: any `alloc`, `realloc`
+//! or `dealloc` during `step_into` is a regression.
 //!
-//! Single test on purpose: the allocation counter is process-global.
+//! Single test on purpose: the allocation counters are process-global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,6 +16,7 @@ use mps_des::{ActivitySpec, Completion, Engine};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -25,6 +25,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        DEALLOCS.fetch_add(1, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
@@ -88,12 +89,18 @@ fn steady_state_stepping_does_not_allocate() {
     // snapshot, so only `step_into` runs inside the counted region.
     submit_cycle(&mut e, &res);
     let before = ALLOCS.load(Ordering::Relaxed);
+    let frees_before = DEALLOCS.load(Ordering::Relaxed);
     let (acts, timers) = drain(&mut e, &mut completed);
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let frees = DEALLOCS.load(Ordering::Relaxed) - frees_before;
 
     assert_eq!((acts, timers), (ACTIVITIES, TIMERS));
     assert_eq!(
         delta, 0,
         "warmed step_into allocated {delta} times over a full cycle"
+    );
+    assert_eq!(
+        frees, 0,
+        "warmed step_into freed {frees} times over a full cycle"
     );
 }

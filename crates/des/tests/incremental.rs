@@ -5,9 +5,8 @@
 //! of an arbitrary start/step sequence, and the timer-only fast path must
 //! demonstrably skip solves.
 
-use mps_des::{
-    max_min_fair_rates_ref, ActivityId, ActivitySpec, Completion, Demand, Engine, ResourceId,
-};
+use mps_des::{ActivityId, ActivitySpec, Completion, Demand, Engine, ResourceId};
+use mps_oracle::max_min_fair_rates_ref;
 use proptest::prelude::*;
 
 /// Rates agree when both are infinite or within 1e-9 relative.

@@ -41,7 +41,7 @@ const MAX_INTENSITY: f64 = 1.0;
 const CAMPAIGN_HORIZON: f64 = 120.0;
 
 /// The fault plan of sweep point `point` of `points`: intensity ramps
-/// linearly from 0 (pristine grid) to [`MAX_INTENSITY`], and the plan
+/// linearly from 0 (pristine grid) to `MAX_INTENSITY`, and the plan
 /// seed folds the point index into `base_seed` so equal-intensity points
 /// still draw distinct event schedules. Deterministic — resuming a
 /// campaign rebuilds bit-identical plans, which the per-journal config

@@ -6,7 +6,7 @@
 //! finished cell, keyed by [`cell_key`](crate::runner::cell_key), while
 //! worker threads compute. Re-running against an existing journal skips
 //! the cells already on disk, so a campaign killed by a crash, an OOM, a
-//! Ctrl-C, or a wall-clock budget resumes from its last durable cell —
+//! Ctrl-C, or a wall-clock budget resumes from its last journaled cell —
 //! and, because cell computation is deterministic and the merged grid is
 //! canonically sorted, the resumed grid is identical to an uninterrupted
 //! run with the same configuration.
@@ -69,10 +69,12 @@ pub struct JournaledGrid {
 
 impl Harness {
     /// Runs the full paper grid with write-ahead journaling: every
-    /// completed cell is durable before the next one is dispatched, cells
-    /// already present in the journal are skipped, and `ctrl` converts
-    /// signals/deadlines into a graceful drain (in-flight cells finish,
-    /// the journal syncs, the manifest records the checkpoint).
+    /// completed cell is flushed to the OS as it arrives (it survives a
+    /// process kill; a power loss only after the one `fdatasync` that
+    /// follows the last cell), cells already in the journal are skipped,
+    /// and `ctrl` converts signals/deadlines into a graceful drain
+    /// (in-flight cells finish, the journal syncs, the manifest records
+    /// the checkpoint).
     ///
     /// Pass `resume = true` to continue an existing journal; creating a
     /// fresh journal over an existing file is a typed error.

@@ -583,8 +583,9 @@ impl Harness {
     }
 
     /// Computes one grid cell on this thread's warm [`WorkerSlab`] — the
-    /// batched hot path, bit-identical to [`Harness::run_one_reference`]
-    /// for any slab history (every reused component resets per run).
+    /// batched hot path, bit-identical to the cold per-cell reference path
+    /// (`mps_oracle::reference_cell`) for any slab history (every reused
+    /// component resets per run).
     /// `disturb` is the cell's disturbance config: the harness-level one
     /// for grids, a request's own for the daemon; `None` runs undisturbed.
     /// A panicking cell unwinds out of here, which the process-isolated
@@ -665,90 +666,6 @@ impl Harness {
                 disturb,
             );
         });
-        cell
-    }
-
-    /// The pre-batch per-cell reference path: fresh allocation engine,
-    /// fresh simulator and executor state, full schedule validation on
-    /// both the simulator and testbed sides. Kept (and exercised by the
-    /// determinism regression tests) as the semantic baseline the batched
-    /// [`Harness::run_cell`] path must match bit for bit; the
-    /// grid drivers never call it.
-    pub fn run_one_reference(
-        &self,
-        g: &GeneratedDag,
-        variant: SimVariant,
-        algo: &dyn Scheduler,
-        repeats: u64,
-    ) -> CellResult {
-        let cluster = self.nominal.clone();
-        let mut cell = blank_cell(g, variant, algo);
-        let sim_out = match variant {
-            SimVariant::Analytic => {
-                Simulator::new(cluster, mps_core::model::AnalyticModel::paper_jvm())
-                    .schedule_and_simulate(&g.dag, algo)
-            }
-            SimVariant::Profile => {
-                Simulator::new(cluster, &self.profile_model).schedule_and_simulate(&g.dag, algo)
-            }
-            SimVariant::Empirical => {
-                Simulator::new(cluster, &self.empirical_model).schedule_and_simulate(&g.dag, algo)
-            }
-        };
-        let (sim_makespan, schedule) = match sim_out {
-            Ok(out) => (out.result.makespan, out.schedule),
-            Err(e) => {
-                cell.outcome = CellOutcome::Failed {
-                    error: format!("simulation: {e}"),
-                };
-                return cell;
-            }
-        };
-        cell.sim_makespan = sim_makespan;
-
-        if let Some(cfg) = &self.disturb {
-            // Fresh executor slab and allocation engine — the reference
-            // semantics — which the warm-slab path must match bit for bit.
-            self.run_repeats(
-                &mut ExecSlab::new(),
-                &mut AllocationEngine::default(),
-                &mut cell,
-                g,
-                algo,
-                &schedule,
-                repeats,
-                Some(cfg),
-            );
-            return cell;
-        }
-        let mut failed_runs = 0usize;
-        let mut retries = 0u32;
-        let mut first_error = None;
-        for r in 0..repeats.max(1) {
-            let run_seed = g.seed.wrapping_add(r);
-            let run = match &self.fault_plan {
-                Some(plan) => self.testbed.execute_with_faults(
-                    &g.dag,
-                    &schedule,
-                    run_seed,
-                    plan,
-                    &self.policy,
-                ),
-                None => self.testbed.execute(&g.dag, &schedule, run_seed),
-            };
-            match run {
-                Ok(res) => {
-                    retries += res.total_retries();
-                    cell.real_runs.push(res.makespan);
-                }
-                Err(e) => {
-                    failed_runs += 1;
-                    first_error.get_or_insert_with(|| e.to_string());
-                }
-            }
-        }
-        let report = DisturbReport::default();
-        Self::fold_outcome(&mut cell, failed_runs, retries, report, first_error);
         cell
     }
 
@@ -1077,7 +994,6 @@ pub fn grid_health(cells: &[CellResult]) -> GridHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mps_core::sched::Hcpa;
 
     #[test]
     fn harness_builds_and_runs_a_subset() {
@@ -1198,64 +1114,6 @@ mod tests {
                 ..ExecPolicy::default()
             });
         assert_eq!(cells, h2.run_subset(3, 1));
-    }
-
-    #[test]
-    fn disturbed_grid_rescues_and_stays_deterministic() {
-        let cfg = || {
-            DisturbConfig::new(
-                DisturbancePlan::builder(5)
-                    .crash(HostId(0), 2.0)
-                    .slow(HostId(1), 0.0, 60.0, 2.0)
-                    .build(),
-                RecoveryPolicy::Rescue,
-            )
-        };
-        let h = Harness::new(7).with_disturbance(cfg());
-        let cells = h.run_subset(2, 1);
-        assert_eq!(cells.len(), 2 * 3 * 2);
-        let disturbed: Vec<_> = cells
-            .iter()
-            .filter(|c| matches!(c.outcome, CellOutcome::Disturbed { .. }))
-            .collect();
-        assert!(
-            !disturbed.is_empty(),
-            "a crash at t=2 must perturb some cells: {:?}",
-            cells.iter().map(|c| c.outcome.label()).collect::<Vec<_>>()
-        );
-        for c in &cells {
-            assert!(c.succeeded(), "rescue must keep cells measurable: {c:?}");
-            assert!(c.real_makespan > 0.0);
-        }
-        let health = grid_health(&cells);
-        assert!(health.disturbed > 0);
-        assert!(health.crashes > 0);
-        assert!(
-            health.rescues > 0 && health.rescued_tasks > 0,
-            "rescue counters must surface in grid health: {health:?}"
-        );
-        // Deterministic: a second harness with the same config reproduces
-        // the grid bit for bit, at any worker count.
-        let h2 = Harness::new(7).with_disturbance(cfg());
-        assert_eq!(cells, h2.run_subset(2, 1));
-        assert_eq!(cells, h2.run_subset_with_workers(2, 1, 4));
-        // And the warm-slab path matches the fresh-state reference path.
-        let corpus = h.corpus();
-        let g = &corpus[0];
-        let reference = h.run_one_reference(g, SimVariant::Analytic, &Hcpa, 1);
-        let slabbed = h.run_cell(g, SimVariant::Analytic, &Hcpa, 1, h.disturb.as_ref());
-        assert_eq!(reference, slabbed);
-        // An empty plan is dropped entirely: the digest and results match
-        // a disturbance-free harness.
-        let plain = Harness::new(7);
-        let zero = Harness::new(7).with_disturbance(DisturbConfig::new(
-            DisturbancePlan::none(),
-            RecoveryPolicy::Rescue,
-        ));
-        assert!(zero.disturb.is_none());
-        assert_eq!(plain.config_digest(), zero.config_digest());
-        // A present config changes the digest (journal mixing guard).
-        assert_ne!(plain.config_digest(), h.config_digest());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 
 use mps_core::dag::TaskId;
 use mps_core::model::PerfModel;
-use mps_core::sched::{allocate_ref, AllocationEngine, Cpa, Hcpa, Mcpa, Scheduler};
+use mps_core::sched::{AllocationEngine, Cpa, Hcpa, Mcpa, Scheduler};
 use mps_exp::Harness;
+use mps_oracle::allocate_ref;
 
 #[test]
 fn corpus_allocations_bit_identical_across_models_and_algorithms() {

@@ -1,7 +1,7 @@
 //! Determinism regression: the batched slab-reusing grid path must stay
 //! byte-identical to the pre-batch per-cell reference path.
 //!
-//! `Harness::run_one_reference` keeps the original cold semantics: fresh
+//! `mps_oracle::reference_cell` keeps the original cold semantics: fresh
 //! allocation engine, fresh simulator/executor state per cell. The grid
 //! drivers instead run `Harness::run_cell` on the thread's warm
 //! `WorkerSlab` (memoized τ-tables, reused solver arenas, parked
@@ -16,6 +16,7 @@ use mps_core::platform::HostId;
 use mps_core::sched::{Hcpa, Mcpa, Scheduler};
 use mps_core::sim::ExecPolicy;
 use mps_exp::{parse_poison_spec, CellResult, DisturbConfig, Harness, SimVariant};
+use mps_oracle::reference_cell;
 
 const TAKE: usize = 10;
 const REPEATS: u64 = 2;
@@ -29,7 +30,7 @@ fn reference_cells(h: &Harness, take: usize, repeats: u64) -> Vec<CellResult> {
     for g in corpus.iter().take(take) {
         for variant in SimVariant::ALL {
             for algo in [&Hcpa as &dyn Scheduler, &Mcpa] {
-                cells.push(h.run_one_reference(g, variant, algo, repeats));
+                cells.push(reference_cell(h, g, variant, algo, repeats));
             }
         }
     }

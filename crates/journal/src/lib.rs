@@ -7,7 +7,7 @@
 //!
 //! * **Append-only JSON-lines journal** — one line per completed result,
 //!   each carrying a deterministic string key and an FNV-1a checksum over
-//!   the record body ([`format`]). A reader can verify every line in
+//!   the record body ([`format`](mod@format)). A reader can verify every line in
 //!   isolation.
 //! * **Truncated-tail recovery** — [`recover`] salvages every intact
 //!   record from a journal whose final write was torn by a crash;
@@ -23,10 +23,11 @@
 //!
 //! ## Crash-recovery invariants
 //!
-//! 1. A record is *durable* once its line (terminated by `\n`) has been
-//!    handed to the OS: [`JournalWriter::append_record`] issues a single
-//!    `write(2)` per line followed by an explicit flush, so a killed
-//!    process loses at most the line being written.
+//! 1. [`JournalWriter::append_record`] hands each line to the OS in one
+//!    `write(2)` plus a flush, so a killed process loses at most the line
+//!    being written. A power loss can drop every record not yet covered
+//!    by [`JournalWriter::sync`] (`fdatasync`), which a grid issues once,
+//!    after its last cell and before its manifest.
 //! 2. Recovery accepts a prefix of intact lines and stops at the first
 //!    undecodable one; everything before the torn tail is salvaged, and
 //!    nothing after it is trusted (a torn write never corrupts earlier

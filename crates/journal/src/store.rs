@@ -100,7 +100,9 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Appends one record (key + single-line JSON payload) durably.
+    /// Appends one record (key + single-line JSON payload) and flushes it
+    /// to the OS: it survives a process kill, a power loss only after a
+    /// later [`JournalWriter::sync`].
     pub fn append_record(&mut self, key: &str, payload_json: &str) -> Result<(), JournalError> {
         self.append_line(key, payload_json)
     }

@@ -5,16 +5,17 @@
 //! distributed `n × n` matrices, plus the data-redistribution planning that
 //! connects tasks with different allocations.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`dist`] — the column-block distribution math, including the *vanilla*
 //!   split whose remainder pile-up causes the paper's `p = 16` outlier;
 //! * [`cost`] + [`redist`] — the **analytic cost models** (flop counts,
 //!   ring-communication matrices, redistribution overlap plans) that
-//!   instantiate the `Ptask_L07` simulation model in §IV;
-//! * [`matrix`] + [`reference`](mod@reference) — real, executing Rust implementations of
-//!   the same kernels, used to validate that the cost models charge exactly
-//!   the work/traffic the algorithms perform.
+//!   instantiate the `Ptask_L07` simulation model in §IV.
+//!
+//! Real, executing implementations of the same kernels, which check that
+//! the cost models charge exactly the work and traffic the algorithms
+//! perform, live in the dev-only `mps-oracle` crate.
 //!
 //! ```
 //! use mps_kernels::{Kernel, vanilla_plan};
@@ -31,15 +32,11 @@
 
 pub mod cost;
 pub mod dist;
-pub mod matrix;
 pub mod redist;
-pub mod reference;
 
 pub use cost::{Kernel, ELEMENT_BYTES};
 pub use dist::{BlockDist1D, SplitRule};
-pub use matrix::{matadd_seq, matmul_seq, Matrix};
 pub use redist::{vanilla_plan, RedistPlan, Transfer};
-pub use reference::{execute_redistribution, parallel_matadd, parallel_matmul, Distributed};
 
 #[cfg(test)]
 mod proptests {
@@ -103,27 +100,6 @@ mod proptests {
             let k = Kernel::MatMul { n };
             let expect = (p - 1) as f64 * (n * n) as f64 * 8.0;
             prop_assert!((k.total_comm_bytes(p) - expect).abs() < expect * 1e-12);
-        }
-
-        /// Redistribution execution preserves matrix content for arbitrary
-        /// sizes and allocations (scaled down for test speed).
-        #[test]
-        fn redistribution_roundtrip(
-            n in 2usize..48,
-            p_src in 1usize..9,
-            p_dst in 1usize..9,
-            seed in 0u64..1000,
-        ) {
-            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            let m = Matrix::from_fn(n, |_, _| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 40) as f64
-            });
-            let src = Distributed::scatter(&m, BlockDist1D::vanilla(n, p_src));
-            let (dst, _) = execute_redistribution(&src, BlockDist1D::vanilla(n, p_dst));
-            prop_assert_eq!(dst.gather().max_abs_diff(&m), 0.0);
         }
     }
 }

@@ -23,8 +23,6 @@ pub struct PTaskSpec {
     /// Optional rate cap on the whole task's progress (1/s of task
     /// fraction).
     pub rate_bound: f64,
-    /// Trace label.
-    pub label: Option<String>,
 }
 
 impl PTaskSpec {
@@ -43,7 +41,6 @@ impl PTaskSpec {
         self.flows.clear();
         self.extra_latency = 0.0;
         self.rate_bound = f64::INFINITY;
-        self.label = None;
     }
 
     /// A pure computation task: `flops[i]` on `hosts[i]`.
@@ -120,13 +117,6 @@ impl PTaskSpec {
     #[must_use]
     pub fn with_rate_bound(mut self, bound: f64) -> Self {
         self.rate_bound = bound;
-        self
-    }
-
-    /// Builder: trace label.
-    #[must_use]
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
         self
     }
 

@@ -150,51 +150,10 @@ impl L07Sim {
         self.step_scratch.clear();
     }
 
-    /// Enables DES trace recording.
-    pub fn enable_tracing(&mut self) {
-        self.engine.enable_tracing();
-    }
-
-    /// True when DES trace recording is enabled. Callers can skip building
-    /// task labels entirely when it is not.
-    pub fn tracing_enabled(&self) -> bool {
-        self.engine.tracing_enabled()
-    }
-
     /// Installs a divergence [`Watchdog`](mps_des::Watchdog) on the
     /// underlying engine; `None` disables it.
     pub fn set_watchdog(&mut self, watchdog: Option<mps_des::Watchdog>) {
         self.engine.set_watchdog(watchdog);
-    }
-
-    /// Enables resource-utilization metering (CPUs and links). Call before
-    /// submitting tasks.
-    pub fn enable_usage_metering(&mut self) {
-        self.engine.enable_usage_metering();
-    }
-
-    /// Mean utilization of every host CPU over the simulated horizon
-    /// (`None` unless metering was enabled).
-    pub fn cpu_utilization(&self) -> Option<Vec<f64>> {
-        let usage = self.engine.resource_usage()?;
-        Some(
-            self.cpu
-                .iter()
-                .map(|r| usage[r.index()].utilization())
-                .collect(),
-        )
-    }
-
-    /// Mean utilization of the backbone link (`None` unless metering was
-    /// enabled).
-    pub fn backbone_utilization(&self) -> Option<f64> {
-        let usage = self.engine.resource_usage()?;
-        Some(usage[self.backbone.index()].utilization())
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &mps_des::Trace {
-        self.engine.trace()
     }
 
     /// The platform.
@@ -270,7 +229,6 @@ impl L07Sim {
         // The task progresses from 0 to 1, so weights are the full amounts.
         self.act.latency = max_route_latency + spec.extra_latency;
         self.act.rate_bound = spec.rate_bound;
-        self.act.label.clone_from(&spec.label);
         let id = self.engine.start(&self.act)?;
         Ok(PTaskId(id))
     }
@@ -629,33 +587,6 @@ mod tests {
         }
         let t = s.run_single(spec).unwrap();
         assert!((t - (8.0 + 3.0e-4)).abs() < 1e-6, "t = {t}");
-    }
-
-    #[test]
-    fn utilization_metering_reports_busy_cpus() {
-        let mut s = sim();
-        s.enable_usage_metering();
-        // Saturate host 0 for the whole run; host 1 stays idle.
-        s.submit(&PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
-            .unwrap();
-        s.run_to_idle().unwrap();
-        let cpu = s.cpu_utilization().unwrap();
-        assert!((cpu[0] - 1.0).abs() < 1e-9, "host 0 busy: {}", cpu[0]);
-        assert_eq!(cpu[1], 0.0);
-        assert_eq!(s.backbone_utilization().unwrap(), 0.0);
-    }
-
-    #[test]
-    fn backbone_utilization_tracks_transfers() {
-        let mut s = sim();
-        s.enable_usage_metering();
-        s.submit(&PTaskSpec::p2p(HostId(0), HostId(1), 125.0e6))
-            .unwrap();
-        s.run_to_idle().unwrap();
-        // The transfer saturates the backbone for essentially the whole
-        // horizon (minus the latency phase).
-        let bb = s.backbone_utilization().unwrap();
-        assert!(bb > 0.99, "backbone {bb}");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The timed executor (`mps-sim`) moves *time*; this module moves *data*:
 //! it executes a scheduled mixed-parallel application with real matrices,
-//! using the reference kernels and the real redistribution engine from
-//! `mps-kernels` — the Rust analogue of actually running the application
+//! using the reference kernels and the real redistribution engine of
+//! [`crate::reference`] — the Rust analogue of actually running the application
 //! under TGrid. Its purpose is end-to-end validation: if the schedule, the
 //! per-allocation block distributions and the redistribution plans are
 //! consistent, the distributed computation must produce exactly the same
@@ -16,10 +16,10 @@
 //! here (repetition only scales time, not values).
 
 use mps_dag::{Dag, TaskId};
-use mps_kernels::{
-    execute_redistribution, matadd_seq, matmul_seq, parallel_matadd, parallel_matmul, BlockDist1D,
-    Distributed, Kernel, Matrix,
-};
+use mps_kernels::{BlockDist1D, Kernel};
+
+use crate::matrix::{matadd_seq, matmul_seq, Matrix};
+use crate::reference::{execute_redistribution, parallel_matadd, parallel_matmul, Distributed};
 use mps_sched::Schedule;
 
 /// Squashes exact-integer-valued entries back into `[-15, 15]` after each

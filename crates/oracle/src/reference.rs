@@ -3,7 +3,7 @@
 //! These are the Rust equivalents of the paper's MPIJava kernels: 1-D
 //! column-block matrix multiplication with ring rotation, repeated matrix
 //! addition, and a real redistribution executor driven by a
-//! [`crate::redist::RedistPlan`].
+//! [`mps_kernels::RedistPlan`].
 //!
 //! They exist to *validate the cost models*: the ring algorithm here moves
 //! exactly the `n²/p` elements per step that the analytic model charges, and
@@ -11,9 +11,9 @@
 //! predicts. Unit and property tests pin the numerical results against the
 //! sequential references.
 
-use crate::dist::BlockDist1D;
+use mps_kernels::{BlockDist1D, RedistPlan};
+
 use crate::matrix::Matrix;
-use crate::redist::RedistPlan;
 
 /// A matrix distributed by column blocks: one owned block per rank.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,8 +208,8 @@ pub fn execute_redistribution(src: &Distributed, dst_dist: BlockDist1D) -> (Dist
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::Kernel;
     use crate::matrix::{matadd_seq, matmul_seq};
+    use mps_kernels::Kernel;
 
     fn test_matrix(n: usize, seed: u64) -> Matrix {
         // Deterministic pseudo-random entries without pulling in rand.

@@ -30,8 +30,8 @@ pub mod schedule;
 
 pub use algorithms::{paper_algorithms, Cpa, Hcpa, Mcpa, Scheduler};
 pub use allocation::{
-    allocate, allocate_ref, AllocKey, AllocationConfig, AllocationEngine, LevelBudget,
-    SelectionRule, StopRule, TauTable,
+    allocate, AllocKey, AllocationConfig, AllocationEngine, LevelBudget, SelectionRule, StopRule,
+    TauTable,
 };
 pub use mapping::{default_redist_estimate, map_tasks, MappingCosts};
 pub use schedule::{Schedule, ScheduleError, ScheduledTask};

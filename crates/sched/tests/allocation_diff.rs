@@ -1,5 +1,5 @@
 //! Differential tests: the incremental [`mps_sched::AllocationEngine`]
-//! against the frozen pre-rework [`mps_sched::allocate_ref`], over random
+//! against the frozen pre-rework [`mps_oracle::allocate_ref`], over random
 //! DAGs × all three `AllocationConfig`s × several τ families.
 //!
 //! The engine's contract is *bit-identical allocations* — not "close":
@@ -9,9 +9,8 @@ use proptest::prelude::*;
 
 use mps_dag::{generate, DagGenParams, TaskId};
 use mps_model::{AnalyticModel, EmpiricalModel, PerfModel};
-use mps_sched::{
-    allocate_ref, AllocationConfig, AllocationEngine, LevelBudget, SelectionRule, StopRule,
-};
+use mps_oracle::allocate_ref;
+use mps_sched::{AllocationConfig, AllocationEngine, LevelBudget, SelectionRule, StopRule};
 
 /// The three paper configuration shapes (CPA, HCPA, MCPA) at `max_procs`.
 fn all_configs(max_procs: usize) -> [AllocationConfig; 3] {

@@ -504,9 +504,6 @@ fn issue_redist(
         }
     }
     spec.extra_latency = overhead;
-    spec.label = sim
-        .tracing_enabled()
-        .then(|| format!("redist-{}-{}", src.index(), succ.index()));
     let id = sim.submit(spec)?;
     insert_live(in_flight, live_ids, id, Meaning::Redist { src, succ });
     Ok(())
@@ -600,9 +597,6 @@ fn try_start(
                 let backoff =
                     (policy.backoff_base * 2.0_f64.powi(attempt as i32)).min(policy.backoff_cap);
                 fill_delay(spec, startup + backoff.max(retry_after));
-                spec.label = sim
-                    .tracing_enabled()
-                    .then(|| format!("backoff-{}-{}", t.index(), attempt));
                 let id = sim.submit(spec)?;
                 insert_live(in_flight, live_ids, id, Meaning::Backoff(t));
                 state[t.index()] = TaskState::Backoff;
@@ -628,7 +622,6 @@ fn try_start(
                 );
             }
         }
-        spec.label = sim.tracing_enabled().then(|| format!("task-{}", t.index()));
         let id = sim.submit(spec)?;
         insert_live(in_flight, live_ids, id, Meaning::TaskRun(t));
         state[t.index()] = TaskState::Running;

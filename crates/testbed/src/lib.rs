@@ -30,13 +30,11 @@
 
 #![warn(missing_docs)]
 
-pub mod functional;
 pub mod ground_truth;
 pub mod measure;
 #[allow(clippy::module_inception)]
 pub mod testbed;
 
-pub use functional::{evaluate_distributed, evaluate_sequential, validate_schedule_semantics};
 pub use ground_truth::{hash_noise, GroundTruth};
 pub use measure::{
     build_profile_model, fit_empirical_model, measure_redist_surface, measure_startup_curve,
