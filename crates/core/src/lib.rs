@@ -243,7 +243,7 @@ mod facade_tests {
     #[test]
     fn module_paths_are_reachable() {
         // The per-subsystem module re-exports.
-        let _ = crate::des::SharingProblem::new();
+        let _ = crate::des::Engine::new();
         let _ = crate::platform::ClusterSpec::bayreuth();
         let _ = crate::kernels::vanilla_plan(10, 2, 2);
         let _ = crate::stats::median(&[1.0, 2.0]);

@@ -43,7 +43,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::solver::{max_min_fair_rates, Demand, SolverError, SolverWorkspace};
+use crate::solver::{SolverError, SolverWorkspace};
 
 /// Identifier of a resource within one [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -822,45 +822,13 @@ impl Engine {
         Ok(id)
     }
 
-    /// Solves current rates; exposed for white-box tests and diagnostics.
-    /// Returns `(activity, rate)` pairs for working-phase activities.
-    ///
-    /// This re-solves the full problem from scratch (it cannot use the
-    /// incremental state through `&self`); see [`Engine::solved_rates`] for
-    /// the incremental path's view.
-    pub fn current_rates(&self) -> Result<Vec<(ActivityId, f64)>, EngineError> {
-        let mut working: Vec<&Slot> = self
-            .slots
-            .iter()
-            .flatten()
-            .filter(|a| matches!(a.state, ActState::Working { .. }))
-            .collect();
-        working.sort_unstable_by_key(|a| a.id);
-        let demands: Vec<Demand> = working
-            .iter()
-            .map(|a| Demand {
-                weights: self.arena[a.w_off as usize..(a.w_off + a.w_len) as usize]
-                    .iter()
-                    .map(|&(r, w)| (r as usize, w))
-                    .collect(),
-                bound: a.rate_bound,
-            })
-            .collect();
-        let rates = max_min_fair_rates(&self.capacities, &demands)?;
-        Ok(working
-            .into_iter()
-            .map(|a| ActivityId(a.id))
-            .zip(rates)
-            .collect())
-    }
-
     /// Flushes any pending incremental re-solve and returns the engine's
     /// *cached* `(activity, rate)` pairs for working activities, sorted by
     /// activity id.
     ///
-    /// Unlike [`Engine::current_rates`] this reports exactly what the
-    /// incremental pipeline believes, which makes it the right probe for
-    /// differential tests against a reference solver.
+    /// This reports exactly what the incremental pipeline believes, which
+    /// makes it the right probe for differential tests against a
+    /// reference solver.
     ///
     /// # Errors
     ///

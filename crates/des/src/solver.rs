@@ -27,7 +27,7 @@
 
 use crate::bitset::IndexBitset;
 
-/// Index of a resource inside a [`SharingProblem`].
+/// Index of a resource in the capacity slice a solve is given.
 pub type ResourceIndex = usize;
 
 /// One activity's demand: which resources it uses and with what weight.
@@ -68,7 +68,7 @@ impl Demand {
     }
 }
 
-/// Errors produced by [`SharingProblem::solve`].
+/// Errors produced by [`max_min_fair_rates`] and [`SolverWorkspace::solve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolverError {
     /// A demand referenced a resource index outside the capacity vector.
@@ -100,47 +100,6 @@ impl std::fmt::Display for SolverError {
 }
 
 impl std::error::Error for SolverError {}
-
-/// A max-min fair sharing problem: capacities plus per-activity demands.
-#[derive(Debug, Clone, Default)]
-pub struct SharingProblem {
-    capacities: Vec<f64>,
-    demands: Vec<Demand>,
-}
-
-impl SharingProblem {
-    /// Empty problem.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a resource, returning its index.
-    pub fn add_resource(&mut self, capacity: f64) -> ResourceIndex {
-        self.capacities.push(capacity);
-        self.capacities.len() - 1
-    }
-
-    /// Adds an activity demand, returning its index in the rate vector.
-    pub fn add_demand(&mut self, demand: Demand) -> usize {
-        self.demands.push(demand);
-        self.demands.len() - 1
-    }
-
-    /// Number of resources.
-    pub fn resource_count(&self) -> usize {
-        self.capacities.len()
-    }
-
-    /// Number of activities.
-    pub fn activity_count(&self) -> usize {
-        self.demands.len()
-    }
-
-    /// Solves the problem, returning one max-min fair rate per activity.
-    pub fn solve(&self) -> Result<Vec<f64>, SolverError> {
-        max_min_fair_rates(&self.capacities, &self.demands)
-    }
-}
 
 /// Computes max-min fair rates for `demands` over resources with the given
 /// `capacities`.
@@ -772,19 +731,6 @@ mod tests {
         };
         let r = rates(&[0.0, 7.0], &[d]);
         assert_eq!(r, vec![7.0]);
-    }
-
-    #[test]
-    fn sharing_problem_builder_roundtrip() {
-        let mut p = SharingProblem::new();
-        let r0 = p.add_resource(8.0);
-        let a = p.add_demand(Demand::single(r0, 1.0));
-        let b = p.add_demand(Demand::single(r0, 1.0));
-        assert_eq!(p.resource_count(), 1);
-        assert_eq!(p.activity_count(), 2);
-        let rates = p.solve().unwrap();
-        assert!((rates[a] - 4.0).abs() < 1e-9);
-        assert!((rates[b] - 4.0).abs() < 1e-9);
     }
 
     #[test]

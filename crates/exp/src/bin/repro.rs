@@ -5,13 +5,15 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use mps_core::faults::{DisturbancePlan, FaultPlan, RecoveryPolicy};
+use mps_core::faults::{DisturbancePlan, FaultPlan, PlanParseError, RecoveryPolicy};
 use mps_core::journal::{install_signal_handlers, CancelToken, RunControl};
+use mps_core::online::ArrivalSpec;
+use mps_core::platform::ClusterSpec;
 use mps_core::sim::ExecPolicy;
 use mps_exp::supervised::{serve_cells, SuperviseOpts, WorkerCommand};
 use mps_exp::{
     ablation, figures, parse_poison_spec, CellResult, DisturbConfig, GridStatus, Harness,
-    ServeBackend,
+    PoisonRule, ServeBackend,
 };
 
 use Kind::{Int, Mode, Policy, Switch, Tag, Text};
@@ -23,8 +25,9 @@ use Scope::{Any, Not, OnlineRequest, Only};
 /// records are crash reports rather than measurements.
 const EXIT_QUARANTINED: i32 = 3;
 
-/// Event horizon (seconds) used when parsing `--faults` clauses with
-/// preset intensities; generous enough to cover every grid makespan.
+/// Event horizon (seconds) used when parsing `--faults` and `--disturb`
+/// clauses with preset intensities; generous enough to cover every grid
+/// makespan.
 const FAULT_HORIZON: f64 = 120.0;
 
 /// Every target, with its `--help` description; the paper's figures and
@@ -320,6 +323,11 @@ struct Cli {
     faults: Option<String>,
     max_retries: u32,
     disturb: Option<String>,
+    /// The plan flags, parsed by [`Cli::parse_plans`].
+    fault_plan: Option<FaultPlan>,
+    disturb_plan: Option<DisturbancePlan>,
+    poison_rules: Vec<PoisonRule>,
+    arrivals: Option<Vec<ArrivalSpec>>,
     recovery: Option<RecoveryPolicy>,
     subset: Option<usize>,
     workers: Option<usize>,
@@ -451,7 +459,37 @@ impl Cli {
         for (broken, msg) in c.cross_rules() {
             rule(broken, msg)?;
         }
+        c.parse_plans()?;
         Ok(c)
+    }
+
+    /// Parses the plan flags, so a bad plan is a usage error like any
+    /// other bad value. Plans name hosts of the paper cluster.
+    fn parse_plans(&mut self) -> Result<(), String> {
+        let hosts = ClusterSpec::bayreuth().nodes;
+        let bad = |what: &'static str| move |e: PlanParseError| format!("bad {what}: {e}");
+        if let Some(desc) = &self.faults {
+            let plan =
+                FaultPlan::parse(desc, hosts, FAULT_HORIZON).map_err(bad("--faults plan"))?;
+            self.fault_plan = Some(plan);
+        }
+        if let Some(desc) = &self.disturb {
+            let plan = DisturbancePlan::parse(desc, hosts, FAULT_HORIZON)
+                .map_err(bad("--disturb plan"))?;
+            self.disturb_plan = Some(plan);
+        }
+        if let Some(spec) = &self.poison {
+            self.poison_rules = parse_poison_spec(spec).map_err(bad("--poison spec"))?;
+        }
+        if let Some(list) = &self.arrival_rate {
+            let arrivals = ArrivalSpec::parse_list(list).map_err(bad("--arrival-rate entry"))?;
+            rule(
+                arrivals.is_empty(),
+                "--arrival-rate needs a comma-separated list",
+            )?;
+            self.arrivals = Some(arrivals);
+        }
+        Ok(())
     }
 
     /// The rules that tie flags and targets to each other, in the order
@@ -668,12 +706,7 @@ fn render(
 /// and `--disturb` injections applied.
 fn build_harness(cli: &Cli) -> Harness {
     let mut harness = Harness::new(cli.seed);
-    // Plans name hosts by index, so they are checked against the cluster
-    // the harness runs on.
-    let hosts = harness.nominal_cluster().node_count();
-    if let Some(desc) = &cli.faults {
-        let plan = FaultPlan::parse(desc, hosts, FAULT_HORIZON)
-            .unwrap_or_else(|e| die(&format!("bad --faults plan: {e}")));
+    if let Some(plan) = &cli.fault_plan {
         if !cli.cell_worker {
             eprintln!(
                 "# injecting fault plan (seed {}, {} event(s), max {} retries/task)",
@@ -682,20 +715,15 @@ fn build_harness(cli: &Cli) -> Harness {
                 cli.max_retries
             );
         }
-        harness = harness.with_fault_plan(plan);
+        harness = harness.with_fault_plan(plan.clone());
     }
-    harness = harness.with_exec_policy(ExecPolicy {
-        max_retries: cli.max_retries,
-        ..ExecPolicy::default()
-    });
-    if let Some(spec) = &cli.poison {
-        let rules =
-            parse_poison_spec(spec).unwrap_or_else(|e| die(&format!("bad --poison spec: {e}")));
-        harness = harness.with_poison(rules);
-    }
-    if let Some(desc) = &cli.disturb {
-        let plan = DisturbancePlan::parse(desc, hosts, FAULT_HORIZON)
-            .unwrap_or_else(|e| die(&format!("bad --disturb plan: {e}")));
+    harness = harness
+        .with_exec_policy(ExecPolicy {
+            max_retries: cli.max_retries,
+            ..ExecPolicy::default()
+        })
+        .with_poison(cli.poison_rules.clone());
+    if let Some(plan) = &cli.disturb_plan {
         if !cli.cell_worker {
             eprintln!(
                 "# injecting disturbance plan (seed {}, {} event(s), recovery {})",
@@ -704,7 +732,8 @@ fn build_harness(cli: &Cli) -> Harness {
                 cli.recovery_policy()
             );
         }
-        harness = harness.with_disturbance(DisturbConfig::new(plan, cli.recovery_policy()));
+        let disturb = DisturbConfig::new(plan.clone(), cli.recovery_policy());
+        harness = harness.with_disturbance(disturb);
     }
     harness
 }
@@ -975,10 +1004,7 @@ fn run_chaos(cli: &Cli) -> i32 {
 fn run_online(cli: &Cli) -> i32 {
     let d = mps_exp::OnlineOpts::default();
     let opts = &mps_exp::OnlineOpts {
-        arrivals: match &cli.arrival_rate {
-            Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
-            None => d.arrivals,
-        },
+        arrivals: cli.arrivals.clone().unwrap_or(d.arrivals),
         horizon_events: cli.horizon_events.unwrap_or(d.horizon_events),
         seed: cli.seed,
         admission_cap: cli.admission.unwrap_or(d.admission_cap),
@@ -1362,7 +1388,13 @@ mod tests {
                     Int(lo, _) => lo.to_string(),
                     Mode(words) => words[1].to_string(),
                     Policy => "retry".to_string(),
-                    Text | Tag => "x".to_string(),
+                    Text | Tag => match f.name {
+                        "--faults" | "--disturb" => "light",
+                        "--poison" => "x=panic",
+                        "--arrival-rate" => "0.1",
+                        _ => "x",
+                    }
+                    .to_string(),
                 };
                 // A cell worker needs neither --journal nor --isolation.
                 let line = format!(

@@ -17,7 +17,6 @@
 //! batched grid path (DESIGN.md §5.13) pushes it through the journals
 //! in well under a minute on one core.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use mps_core::faults::io::IoEnv;
@@ -26,7 +25,7 @@ use mps_core::journal::RunControl;
 
 use crate::journaled::GridStatus;
 use crate::runner::Harness;
-use mps_core::journal::JournalError;
+use mps_core::journal::{publish_line_in, read_if_present_in, JournalError};
 
 /// Default number of sweep points: the smallest count that pushes the
 /// full 54-DAG grid (324 cells/point) past 100 000 cells.
@@ -97,34 +96,15 @@ pub struct CampaignManifest {
     pub status: String,
 }
 
-/// Atomically publishes `campaign.json` in `dir` through `env`:
-/// tmp-file write + fdatasync + rename + directory sync, every step a
-/// typed [`JournalError`] on failure.
+/// Atomically publishes `campaign.json` in `dir` through `env`
+/// ([`publish_line_in`]).
 pub fn write_campaign_manifest_in(
     env: &dyn IoEnv,
     dir: &Path,
     m: &CampaignManifest,
 ) -> Result<(), JournalError> {
-    let json = serde_json::to_string(m).map_err(|e| JournalError::Serde {
-        what: "campaign manifest",
-        err: e.to_string(),
-    })?;
-    let path = dir.join("campaign.json");
-    let tmp = dir.join("campaign.json.tmp");
-    let io_err = |op: &'static str, p: &Path, e: std::io::Error| JournalError::Io {
-        op,
-        path: p.display().to_string(),
-        err: e.to_string(),
-    };
-    let mut f = env.create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-    f.write_all(json.as_bytes())
-        .and_then(|()| f.write_all(b"\n"))
-        .map_err(|e| io_err("append", &tmp, e))?;
-    f.sync_data().map_err(|e| io_err("sync", &tmp, e))?;
-    drop(f);
-    env.rename(&tmp, &path)
-        .map_err(|e| io_err("rename", &path, e))?;
-    env.sync_dir(dir).map_err(|e| io_err("sync-dir", dir, e))
+    let json = serde_json::to_string(m).map_err(|e| manifest_err(e.to_string()))?;
+    publish_line_in(env, &dir.join("campaign.json"), json.as_bytes())
 }
 
 /// Reads `campaign.json` from `dir`. `Ok(None)` if absent; a manifest
@@ -140,33 +120,23 @@ pub fn read_campaign_manifest_in(
     env: &dyn IoEnv,
     dir: &Path,
 ) -> Result<Option<CampaignManifest>, JournalError> {
-    let path = dir.join("campaign.json");
-    let bytes = match env.read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => {
-            return Err(JournalError::Io {
-                op: "read",
-                path: path.display().to_string(),
-                err: e.to_string(),
-            })
-        }
+    let Some(bytes) = read_if_present_in(env, &dir.join("campaign.json"))? else {
+        return Ok(None);
     };
-    let text = String::from_utf8(bytes).map_err(|e| JournalError::Serde {
-        what: "campaign manifest",
-        err: e.to_string(),
-    })?;
-    let m: CampaignManifest = serde_json::from_str(&text).map_err(|e| JournalError::Serde {
-        what: "campaign manifest",
-        err: e.to_string(),
-    })?;
+    let text = String::from_utf8(bytes).map_err(|e| manifest_err(e.to_string()))?;
+    let m: CampaignManifest =
+        serde_json::from_str(&text).map_err(|e| manifest_err(e.to_string()))?;
     if m.schema != CAMPAIGN_MANIFEST_V1 {
-        return Err(JournalError::Serde {
-            what: "campaign manifest",
-            err: format!("unknown schema {:?}", m.schema),
-        });
+        return Err(manifest_err(format!("unknown schema {:?}", m.schema)));
     }
     Ok(Some(m))
+}
+
+fn manifest_err(err: String) -> JournalError {
+    JournalError::Serde {
+        what: "campaign manifest",
+        err,
+    }
 }
 
 /// Campaign shape and pacing.

@@ -47,9 +47,9 @@ use crate::journaled::GridStatus;
 use crate::runner::{CellOutcome, DisturbConfig, Harness};
 use crate::serve_backend::ServeBackend;
 
-/// Fold an episode index into the base seed (golden-ratio multiply, the
-/// same fold the campaign sweep uses).
-fn fold(seed: u64, i: u64) -> u64 {
+/// Folds an episode or sweep-point index into the base seed with a
+/// golden-ratio multiply, decorrelating them without a shared stream.
+pub(crate) fn fold(seed: u64, i: u64) -> u64 {
     seed ^ (i.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 

@@ -24,6 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use mps_core::faults::{DisturbancePlan, RecoveryPolicy};
 
+use crate::chaos::fold;
 use crate::runner::{grid_health, CellResult, DisturbConfig, Harness, SimVariant};
 
 /// Options for one disturbance sweep.
@@ -98,12 +99,6 @@ pub struct DisturbSweepReport {
     pub repeats: u64,
     /// One entry per intensity, in sweep order.
     pub points: Vec<DisturbPoint>,
-}
-
-/// Per-point plan seed: decorrelates the sweep points without consuming
-/// a shared stream (the chaos driver's fold, same constant).
-fn fold(seed: u64, i: u64) -> u64 {
-    seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// The testbed HCPA-vs-MCPA winner per (DAG, variant): `true` when HCPA's

@@ -19,9 +19,8 @@ use mps_core::online::{ArrivalSpec, OnlineAlgo, OnlineConfig, OnlineEngine, Onli
 /// Shape of an online sweep.
 #[derive(Debug, Clone)]
 pub struct OnlineOpts {
-    /// One arrival process per load level: bare numbers are Poisson
-    /// rates, anything else must parse as the full arrival grammar.
-    pub arrivals: Vec<String>,
+    /// One arrival process per load level.
+    pub arrivals: Vec<ArrivalSpec>,
     /// Per-run event horizon.
     pub horizon_events: u64,
     /// Seed shared by every run: both algorithms draw the same arrival
@@ -40,7 +39,9 @@ pub struct OnlineOpts {
 impl Default for OnlineOpts {
     fn default() -> Self {
         OnlineOpts {
-            arrivals: vec!["0.01".into(), "0.04".into(), "0.16".into()],
+            arrivals: [0.01, 0.04, 0.16]
+                .map(|rate| ArrivalSpec::Poisson { rate })
+                .to_vec(),
             horizon_events: 1_000_000,
             seed: 2011,
             admission_cap: 64,
@@ -130,18 +131,6 @@ pub fn winner(hcpa: &OnlineOutcome, mcpa: &OnlineOutcome) -> &'static str {
     }
 }
 
-/// Parses one `--arrival-rate` entry: a bare number is a Poisson rate,
-/// anything else must be the full arrival grammar.
-pub fn parse_arrival(s: &str) -> Result<ArrivalSpec, String> {
-    if let Ok(rate) = s.trim().parse::<f64>() {
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(format!("arrival rate {s:?} must be a finite number > 0"));
-        }
-        return Ok(ArrivalSpec::Poisson { rate });
-    }
-    ArrivalSpec::parse(s).map_err(|e| e.to_string())
-}
-
 /// Runs the sweep: every `(level, algo)` pair once, `opts.workers` runs
 /// in flight at a time, each on its own warm engine. `progress` receives
 /// one line per finished run.
@@ -152,18 +141,14 @@ pub fn run_online_sweep(
     if opts.arrivals.is_empty() {
         return Err("online sweep needs at least one arrival level".into());
     }
-    let specs: Vec<ArrivalSpec> = opts
-        .arrivals
-        .iter()
-        .map(|s| parse_arrival(s))
-        .collect::<Result<_, _>>()?;
     let corpus: Vec<Dag> = paper_corpus(PAPER_CORPUS_SEED)
         .into_iter()
         .map(|g| g.dag)
         .collect();
 
     // The run matrix, in deterministic order: level-major, HCPA first.
-    let tasks: Vec<(usize, ArrivalSpec, OnlineAlgo)> = specs
+    let tasks: Vec<(usize, ArrivalSpec, OnlineAlgo)> = opts
+        .arrivals
         .iter()
         .enumerate()
         .flat_map(|(i, &spec)| ALGOS.iter().map(move |&a| (i, spec, a)))
@@ -239,9 +224,9 @@ pub fn run_online_sweep(
         return Err(e);
     }
     let mut results = results.into_inner().unwrap();
-    let mut levels = Vec::with_capacity(specs.len());
+    let mut levels = Vec::with_capacity(opts.arrivals.len());
     let mut wall = Vec::with_capacity(n_tasks);
-    for (i, spec) in specs.iter().enumerate() {
+    for (i, spec) in opts.arrivals.iter().enumerate() {
         let (hcpa, hw) = results[2 * i].take().expect("every task completed");
         let (mcpa, mw) = results[2 * i + 1].take().expect("every task completed");
         wall.push(hw);
@@ -351,7 +336,7 @@ mod tests {
 
     fn tiny_opts() -> OnlineOpts {
         OnlineOpts {
-            arrivals: vec!["0.05".into(), "mmpp@1:0.05:10:40".into()],
+            arrivals: ArrivalSpec::parse_list("0.05,mmpp@1:0.05:10:40").unwrap(),
             horizon_events: 10_000,
             seed: 5,
             admission_cap: 16,
@@ -390,9 +375,10 @@ mod tests {
     #[test]
     fn bad_arrival_entries_are_rejected() {
         for bad in ["-1", "0", "nan", "uniform@2"] {
-            let mut opts = tiny_opts();
-            opts.arrivals = vec![bad.into()];
-            assert!(run_online_sweep(&opts, |_| {}).is_err(), "{bad:?}");
+            assert!(ArrivalSpec::parse_list(bad).is_err(), "{bad:?}");
         }
+        let mut opts = tiny_opts();
+        opts.arrivals.clear();
+        assert!(run_online_sweep(&opts, |_| {}).is_err());
     }
 }

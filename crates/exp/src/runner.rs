@@ -16,6 +16,7 @@ use std::sync::{Arc, OnceLock};
 use serde::{Deserialize, Serialize};
 
 use mps_core::dag::gen::{paper_corpus, GeneratedDag, PAPER_CORPUS_SEED};
+use mps_core::faults::clause::{clauses, PlanParseError};
 use mps_core::faults::io::IoEnv;
 use mps_core::faults::{DisturbReport, DisturbancePlan, FaultPlan, RecoveryPolicy};
 use mps_core::journal::RunControl;
@@ -284,27 +285,27 @@ pub struct PoisonRule {
 
 /// Parses a `--poison` spec: comma-separated `needle=panic` / `needle=hang`
 /// clauses (e.g. `s0/analytic/HCPA=panic,s1=hang`).
-pub fn parse_poison_spec(spec: &str) -> Result<Vec<PoisonRule>, String> {
-    let mut rules = Vec::new();
-    for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
-        let (needle, action) = clause
-            .rsplit_once('=')
-            .ok_or_else(|| format!("poison clause {clause:?} is not needle=action"))?;
-        let needle = needle.trim();
-        if needle.is_empty() {
-            return Err(format!("poison clause {clause:?} has an empty needle"));
-        }
-        let action = match action.trim() {
-            "panic" => PoisonAction::Panic,
-            "hang" => PoisonAction::Hang,
-            other => return Err(format!("unknown poison action {other:?} (panic|hang)")),
-        };
-        rules.push(PoisonRule {
-            needle: needle.to_string(),
-            action,
-        });
-    }
-    Ok(rules)
+pub fn parse_poison_spec(spec: &str) -> Result<Vec<PoisonRule>, PlanParseError> {
+    clauses(spec, ',')
+        .map(|c| {
+            let (needle, action) =
+                c.0.rsplit_once('=')
+                    .ok_or_else(|| c.err("expected `needle=action`"))?;
+            let needle = needle.trim();
+            if needle.is_empty() {
+                return Err(c.err("empty needle"));
+            }
+            let action = match action.trim() {
+                "panic" => PoisonAction::Panic,
+                "hang" => PoisonAction::Hang,
+                other => return Err(c.err(&format!("unknown action `{other}` (panic|hang)"))),
+            };
+            Ok(PoisonRule {
+                needle: needle.to_string(),
+                action,
+            })
+        })
+        .collect()
 }
 
 /// The harness: testbed + the three instantiated models.

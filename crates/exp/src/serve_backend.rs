@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use mps_core::dag::gen::GeneratedDag;
 use mps_core::faults::{DisturbancePlan, RecoveryPolicy, DISTURB_HORIZON};
 use mps_core::journal::{self, fnv64, RunControl};
-use mps_core::online::{OnlineAlgo, OnlineConfig, OnlineEngine};
+use mps_core::online::{ArrivalSpec, OnlineAlgo, OnlineConfig, OnlineEngine};
 use mps_core::sched::Scheduler;
 use mps_core::serve::{Backend, ServeError, WorkRequest, WorkSummary};
 
@@ -187,10 +187,9 @@ impl ServeBackend {
                 admission,
                 algo,
             } => {
-                let spec =
-                    crate::online::parse_arrival(arrival).map_err(|e| ServeError::Backend {
-                        reason: format!("bad arrival spec: {e}"),
-                    })?;
+                let spec = ArrivalSpec::parse(arrival).map_err(|e| ServeError::Backend {
+                    reason: format!("bad arrival spec: {e}"),
+                })?;
                 let algo = OnlineAlgo::parse(algo).map_err(backend_err)?;
                 // A streaming run is one admitted request, so its horizon
                 // is capped: a million-event run takes around a second,

@@ -1,8 +1,8 @@
 //! The `repro` command-line contract: every invocation below breaks
 //! exactly one rule, so it must exit 2 with a pinned first stderr line
 //! and before the harness profiles the testbed (no `# building harness`
-//! line). Covers each flag-scope rule, each cross-flag rule and each value
-//! or range error.
+//! line). Covers each flag-scope rule, each cross-flag rule, each value
+//! or range error and each plan grammar.
 
 use std::process::Command;
 
@@ -183,6 +183,12 @@ const VALUE_ERRORS: &[(&str, &str)] = &[
     ("--max-width 0", "--max-width needs an integer >= 1"),
     ("--batch 0", "--batch needs an integer >= 1"),
     ("--trace-out", "--trace-out needs a path"),
+    // Plans are parsed with the flags, before any banner.
+    ("--faults bogus table1", "bad --faults plan: clause `bogus`: unknown clause"),
+    ("--disturb crash@x:1 fig8", "bad --disturb plan: clause `crash@x:1`: time `x` is not a non-negative number"),
+    ("--poison x=boom fig8", "bad --poison spec: clause `x=boom`: unknown action `boom` (panic|hang)"),
+    ("online --arrival-rate bogus", "bad --arrival-rate entry: clause `bogus`: expected `poisson@R`, `mmpp@R0:R1:S0:S1` or a rate"),
+    ("online --arrival-rate ,", "--arrival-rate needs a comma-separated list"),
 ];
 
 #[test]

@@ -8,11 +8,12 @@
 //! the whole level × algorithm run matrix. This is the same string the
 //! CI smoke job diffs across two daemon-less runs.
 
+use mps_core::online::ArrivalSpec;
 use mps_exp::{run_online_sweep, OnlineOpts};
 
 fn opts() -> OnlineOpts {
     OnlineOpts {
-        arrivals: vec!["0.02".to_string(), "mmpp@0.3:0.02:10:40".to_string()],
+        arrivals: ArrivalSpec::parse_list("0.02,mmpp@0.3:0.02:10:40").unwrap(),
         horizon_events: 30_000,
         seed: 2011,
         admission_cap: 32,

@@ -24,8 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use mps_platform::HostId;
 
-use crate::clause::{self, Clause, ClausePlan};
-use crate::plan::PlanParseError;
+use crate::clause::{self, Clause, ClausePlan, PlanParseError};
 
 /// Default event horizon (seconds) used by [`DisturbancePlan::with_intensity`];
 /// matches the grid horizon `repro` uses for fault presets.

@@ -32,6 +32,8 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
+use crate::clause::{self, PlanParseError};
+
 /// A writable file handle as the durability layers see it: sequential
 /// writes plus the three positioning/durability calls resume needs.
 pub trait IoFile: Write + Send {
@@ -167,14 +169,10 @@ impl IoFaultPlan {
     /// grammar: `enospc@P`, `eio@P`, `shortwrite@P`, `fsync@P`,
     /// `rename@P`, `latency@MS`, or a preset `light`/`moderate`/`heavy`
     /// ([`IoFaultPlan::with_intensity`] 0.25 / 0.5 / 1.0).
-    pub fn parse(spec: &str) -> Result<Self, String> {
+    pub fn parse(spec: &str) -> Result<Self, PlanParseError> {
         let mut plan = IoFaultPlan::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if let Some(intensity) = crate::clause::preset(part) {
+        for c in clause::clauses(spec, ',') {
+            if let Some(intensity) = clause::preset(c.0) {
                 let preset = IoFaultPlan::with_intensity(intensity);
                 plan.enospc = plan.enospc.max(preset.enospc);
                 plan.eio = plan.eio.max(preset.eio);
@@ -183,27 +181,19 @@ impl IoFaultPlan {
                 plan.torn_rename = plan.torn_rename.max(preset.torn_rename);
                 continue;
             }
-            let (knob, value) = part
-                .split_once('@')
-                .ok_or_else(|| format!("io sub-clause `{part}` is not `knob@value`"))?;
-            if knob == "latency" {
-                plan.latency_ms = value
-                    .parse()
-                    .map_err(|_| format!("latency `{value}` is not a millisecond count"))?;
-                continue;
-            }
-            let prob = value
-                .parse::<f64>()
-                .ok()
-                .filter(|p: &f64| p.is_finite() && (0.0..=1.0).contains(p))
-                .ok_or_else(|| format!("probability `{value}` is not in [0, 1]"))?;
+            let (knob, value) = c.split(c.0, '@', "knob@value")?;
             match knob {
-                "enospc" => plan.enospc = prob,
-                "eio" => plan.eio = prob,
-                "shortwrite" => plan.short_write = prob,
-                "fsync" => plan.fsync_fail = prob,
-                "rename" => plan.torn_rename = prob,
-                other => return Err(format!("unknown io knob `{other}`")),
+                "latency" => {
+                    plan.latency_ms = value.parse().map_err(|_| {
+                        c.err(&format!("latency `{value}` is not a millisecond count"))
+                    })?;
+                }
+                "enospc" => plan.enospc = c.prob(value)?,
+                "eio" => plan.eio = c.prob(value)?,
+                "shortwrite" => plan.short_write = c.prob(value)?,
+                "fsync" => plan.fsync_fail = c.prob(value)?,
+                "rename" => plan.torn_rename = c.prob(value)?,
+                other => return Err(c.err(&format!("unknown io knob `{other}`"))),
             }
         }
         Ok(plan)

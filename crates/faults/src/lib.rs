@@ -40,12 +40,13 @@
 
 #![warn(missing_docs)]
 
-mod clause;
+pub mod clause;
 pub mod disturb;
 pub mod io;
 pub mod model;
 pub mod plan;
 
+pub use clause::PlanParseError;
 pub use disturb::{
     DisturbReport, Disturbance, DisturbancePlan, DisturbancePlanBuilder, RecoveryPolicy,
     DISTURB_HORIZON,
@@ -55,4 +56,4 @@ pub use io::{
     WireFaultPlan,
 };
 pub use model::{FaultModel, NoFaults, ScriptedFaults, TaskDisposition};
-pub use plan::{FaultEvent, FaultPlan, FaultPlanBuilder, PlanParseError};
+pub use plan::{FaultEvent, FaultPlan, FaultPlanBuilder};

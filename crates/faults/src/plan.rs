@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use mps_dag::TaskId;
 use mps_platform::HostId;
 
-use crate::clause::{self, Clause, ClausePlan};
+use crate::clause::{self, Clause, ClausePlan, PlanParseError};
 
 /// One scripted hazard.
 ///
@@ -189,11 +189,8 @@ impl ClausePlan for FaultPlan {
 
     fn add_clause(&mut self, c: Clause<'_>) -> Result<(), PlanParseError> {
         if let Some(v) = c.0.strip_prefix("fail=") {
-            let prob = c.num(v, "probability")?;
-            if prob > 1.0 {
-                return Err(c.err("probability exceeds 1"));
-            }
-            self.events.push(FaultEvent::TaskFailure { prob });
+            self.events
+                .push(FaultEvent::TaskFailure { prob: c.prob(v)? });
         } else if let Some(rest) = c.0.strip_prefix("crash@") {
             let (h, times) = c.split(rest, ':', "H:T+D")?;
             let (t, d) = c.split(times, '+', "T+D")?;
@@ -221,7 +218,7 @@ impl ClausePlan for FaultPlan {
                 factor: c.num(f, "factor")?,
             });
         } else if let Some(rest) = c.0.strip_prefix("io:") {
-            self.io = crate::io::IoFaultPlan::parse(rest).map_err(|reason| c.err(&reason))?;
+            self.io = crate::io::IoFaultPlan::parse(rest)?;
         } else if let Some(rest) = c.0.strip_prefix("straggle@") {
             let (t, f) = c.split(rest, '*', "T*F")?;
             self.events.push(FaultEvent::Straggler {
@@ -298,23 +295,6 @@ impl FaultPlanBuilder {
         self.plan
     }
 }
-
-/// Error from [`FaultPlan::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanParseError {
-    /// The offending clause.
-    pub clause: String,
-    /// What was wrong with it.
-    pub reason: String,
-}
-
-impl std::fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "bad fault clause `{}`: {}", self.clause, self.reason)
-    }
-}
-
-impl std::error::Error for PlanParseError {}
 
 #[cfg(test)]
 mod tests {

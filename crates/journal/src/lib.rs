@@ -51,9 +51,9 @@ pub use format::{
     decode_line, encode_line, fnv64, fnv64_step, JournalHeader, FNV64_OFFSET, FORMAT_V1, HEADER_KEY,
 };
 pub use store::{
-    manifest_path, open_resume, open_resume_in, read_manifest, read_manifest_in, recover,
-    recover_in, write_manifest, write_manifest_in, JournalWriter, Manifest, RecoveredJournal,
-    MANIFEST_FORMAT_V1,
+    manifest_path, open_resume, open_resume_in, publish_line_in, read_if_present_in, read_manifest,
+    read_manifest_in, recover, recover_in, write_manifest, write_manifest_in, JournalWriter,
+    Manifest, RecoveredJournal, MANIFEST_FORMAT_V1,
 };
 
 // The I/O environment seam every store operation goes through; re-exported

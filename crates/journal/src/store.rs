@@ -277,12 +277,7 @@ pub fn manifest_path(journal: &Path) -> PathBuf {
     journal.with_file_name(name)
 }
 
-/// Atomically replaces the journal's manifest: write to a tmp file in the
-/// same directory, `fdatasync`, `rename(2)` over the final path, then
-/// fsync the directory so the rename itself is durable. Every step's
-/// failure — including the directory sync — is a typed error: a manifest
-/// whose rename never reached stable storage is not durable, and
-/// pretending otherwise is how "recovered" campaigns lose their tail.
+/// Atomically replaces the journal's manifest (see [`publish_line_in`]).
 pub fn write_manifest(journal: &Path, manifest: &Manifest) -> Result<(), JournalError> {
     write_manifest_in(&RealIo, journal, manifest)
 }
@@ -293,36 +288,11 @@ pub fn write_manifest_in(
     journal: &Path,
     manifest: &Manifest,
 ) -> Result<(), JournalError> {
-    let final_path = manifest_path(journal);
-    let tmp_path = final_path.with_file_name(format!(
-        "{}.tmp",
-        final_path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "manifest".to_string())
-    ));
     let json = serde_json::to_string_pretty(manifest).map_err(|e| JournalError::Serde {
         what: "manifest",
         err: e.to_string(),
     })?;
-    {
-        let mut tmp = env
-            .create(&tmp_path)
-            .map_err(|e| JournalError::io("create", &tmp_path, e))?;
-        tmp.write_all(json.as_bytes())
-            .map_err(|e| JournalError::io("write", &tmp_path, e))?;
-        tmp.write_all(b"\n")
-            .map_err(|e| JournalError::io("write", &tmp_path, e))?;
-        tmp.sync_data()
-            .map_err(|e| JournalError::io("sync", &tmp_path, e))?;
-    }
-    env.rename(&tmp_path, &final_path)
-        .map_err(|e| JournalError::io("rename", &final_path, e))?;
-    if let Some(parent) = final_path.parent() {
-        env.sync_dir(parent)
-            .map_err(|e| JournalError::io("sync-dir", parent, e))?;
-    }
-    Ok(())
+    publish_line_in(env, &manifest_path(journal), json.as_bytes())
 }
 
 /// Reads the journal's manifest; `Ok(None)` when no manifest exists yet.
@@ -332,11 +302,8 @@ pub fn read_manifest(journal: &Path) -> Result<Option<Manifest>, JournalError> {
 
 /// [`read_manifest`] against an explicit I/O environment.
 pub fn read_manifest_in(env: &dyn IoEnv, journal: &Path) -> Result<Option<Manifest>, JournalError> {
-    let path = manifest_path(journal);
-    let bytes = match env.read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(JournalError::io("read", &path, e)),
+    let Some(bytes) = read_if_present_in(env, &manifest_path(journal))? else {
+        return Ok(None);
     };
     let text = std::str::from_utf8(&bytes).map_err(|e| JournalError::Serde {
         what: "manifest",
@@ -348,6 +315,45 @@ pub fn read_manifest_in(env: &dyn IoEnv, journal: &Path) -> Result<Option<Manife
             what: "manifest",
             err: e.to_string(),
         })
+}
+
+/// Atomically publishes `line` plus a newline as the whole of `path`:
+/// write a tmp file in the same directory, `fdatasync`, `rename(2)` over
+/// `path`, then fsync the directory so the rename itself is durable.
+/// Every step's failure — including the directory sync — is a typed
+/// error: a file whose rename never reached stable storage is not
+/// durable, and pretending otherwise is how "recovered" campaigns lose
+/// their tail.
+pub fn publish_line_in(env: &dyn IoEnv, path: &Path, line: &[u8]) -> Result<(), JournalError> {
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp_path = path.with_file_name(format!("{name}.tmp"));
+    {
+        let mut tmp = env
+            .create(&tmp_path)
+            .map_err(|e| JournalError::io("create", &tmp_path, e))?;
+        tmp.write_all(line)
+            .map_err(|e| JournalError::io("write", &tmp_path, e))?;
+        tmp.write_all(b"\n")
+            .map_err(|e| JournalError::io("write", &tmp_path, e))?;
+        tmp.sync_data()
+            .map_err(|e| JournalError::io("sync", &tmp_path, e))?;
+    }
+    env.rename(&tmp_path, path)
+        .map_err(|e| JournalError::io("rename", path, e))?;
+    if let Some(parent) = path.parent() {
+        env.sync_dir(parent)
+            .map_err(|e| JournalError::io("sync-dir", parent, e))?;
+    }
+    Ok(())
+}
+
+/// Reads the whole of `path`; `Ok(None)` when it does not exist.
+pub fn read_if_present_in(env: &dyn IoEnv, path: &Path) -> Result<Option<Vec<u8>>, JournalError> {
+    match env.read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(JournalError::io("read", path, e)),
+    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Two variants, both deterministic per seed and both described by a
 //! compact grammar string that round-trips through `parse`/`Display`
-//! (the same discipline as `FaultPlan`/`DisturbancePlan`, so arrival
-//! specs travel through CLIs and wire protocols as plain text):
+//! (the same lexer and errors as `FaultPlan`/`DisturbancePlan`, so
+//! arrival specs travel through CLIs and wire protocols as plain text):
 //!
 //! * `poisson@RATE` — homogeneous Poisson arrivals at `RATE` jobs per
 //!   simulated second (exponential inter-arrival times).
@@ -13,30 +13,11 @@
 //!   mean sojourn `S1`). With `R0 ≫ R1` this produces the bursty
 //!   traffic that stresses admission control far harder than a Poisson
 //!   stream of the same mean rate.
+//! * `RATE` — a bare number is short for `poisson@RATE`.
 
 use std::fmt;
-use std::str::FromStr;
 
-/// Error from [`ArrivalSpec::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrivalParseError {
-    /// What was wrong with the spec.
-    pub reason: String,
-}
-
-impl fmt::Display for ArrivalParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad arrival spec: {}", self.reason)
-    }
-}
-
-impl std::error::Error for ArrivalParseError {}
-
-fn err(reason: impl Into<String>) -> ArrivalParseError {
-    ArrivalParseError {
-        reason: reason.into(),
-    }
-}
+use mps_faults::clause::{self, Clause, PlanParseError};
 
 /// A parsed arrival-process description.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,44 +41,44 @@ pub enum ArrivalSpec {
 }
 
 impl ArrivalSpec {
-    /// Parses the grammar described in the module docs.
-    pub fn parse(s: &str) -> Result<Self, ArrivalParseError> {
-        let s = s.trim();
-        let (kind, args) = s.split_once('@').ok_or_else(|| {
-            err(format!(
-                "{s:?}: want KIND@ARGS (poisson@R or mmpp@R0:R1:S0:S1)"
-            ))
-        })?;
-        let num = |x: &str, what: &str| -> Result<f64, ArrivalParseError> {
-            let v: f64 = x
-                .trim()
-                .parse()
-                .map_err(|_| err(format!("{what} {x:?} is not a number")))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(err(format!("{what} {x:?} must be finite and ≥ 0")));
-            }
-            Ok(v)
+    /// Parses one spec in the grammar of the module docs; a bare number
+    /// `R` means `poisson@R`.
+    pub fn parse(s: &str) -> Result<Self, PlanParseError> {
+        Self::from_clause(Clause(s.trim()))
+    }
+
+    /// Parses a `,`-separated list of specs (`repro --arrival-rate`).
+    pub fn parse_list(s: &str) -> Result<Vec<Self>, PlanParseError> {
+        clause::clauses(s, ',').map(Self::from_clause).collect()
+    }
+
+    fn from_clause(c: Clause<'_>) -> Result<Self, PlanParseError> {
+        let num = |x: &str, what: &str| c.num(x.trim(), what);
+        let (kind, args) = match c.0.split_once('@') {
+            Some((kind, args)) => (kind.trim(), args),
+            None if c.0.parse::<f64>().is_ok() => ("poisson", c.0),
+            None => return Err(c.err("expected `poisson@R`, `mmpp@R0:R1:S0:S1` or a rate")),
         };
-        match kind.trim() {
+        match kind {
             "poisson" => {
                 let rate = num(args, "rate")?;
-                if rate <= 0.0 {
-                    return Err(err("poisson rate must be > 0"));
+                if rate == 0.0 {
+                    return Err(c.err("poisson rate must be > 0"));
                 }
                 Ok(ArrivalSpec::Poisson { rate })
             }
             "mmpp" => {
                 let parts: Vec<&str> = args.split(':').collect();
                 let [r0, r1, s0, s1] = parts[..] else {
-                    return Err(err(format!("mmpp wants R0:R1:S0:S1, got {args:?}")));
+                    return Err(c.err("expected `mmpp@R0:R1:S0:S1`"));
                 };
                 let (rate0, rate1) = (num(r0, "rate0")?, num(r1, "rate1")?);
                 let (sojourn0, sojourn1) = (num(s0, "sojourn0")?, num(s1, "sojourn1")?);
                 if rate0 == 0.0 && rate1 == 0.0 {
-                    return Err(err("mmpp rates must not both be zero"));
+                    return Err(c.err("mmpp rates must not both be zero"));
                 }
-                if sojourn0 <= 0.0 || sojourn1 <= 0.0 {
-                    return Err(err("mmpp sojourns must be > 0"));
+                if sojourn0 == 0.0 || sojourn1 == 0.0 {
+                    return Err(c.err("mmpp sojourns must be > 0"));
                 }
                 Ok(ArrivalSpec::Mmpp {
                     rate0,
@@ -106,7 +87,7 @@ impl ArrivalSpec {
                     sojourn1,
                 })
             }
-            other => Err(err(format!("unknown arrival kind {other:?}"))),
+            other => Err(c.err(&format!("unknown arrival kind `{other}`"))),
         }
     }
 
@@ -135,13 +116,6 @@ impl fmt::Display for ArrivalSpec {
                 sojourn1,
             } => write!(f, "mmpp@{rate0}:{rate1}:{sojourn0}:{sojourn1}"),
         }
-    }
-}
-
-impl FromStr for ArrivalSpec {
-    type Err = ArrivalParseError;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        ArrivalSpec::parse(s)
     }
 }
 
@@ -279,9 +253,27 @@ mod tests {
             "mmpp@0:0:1:1",
             "mmpp@1:1:0:1",
             "uniform@3",
+            "0",
+            "-1",
+            "nan",
         ] {
             assert!(ArrivalSpec::parse(s).is_err(), "{s:?} should not parse");
         }
+        let e = ArrivalSpec::parse("uniform@3").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "clause `uniform@3`: unknown arrival kind `uniform`"
+        );
+    }
+
+    #[test]
+    fn a_bare_rate_is_poisson_and_lists_skip_empty_entries() {
+        let poisson = |rate| ArrivalSpec::Poisson { rate };
+        assert_eq!(ArrivalSpec::parse(" 0.05 ").unwrap(), poisson(0.05));
+        let list = ArrivalSpec::parse_list("0.02, poisson@0.5,,mmpp@8:0.5:10:40").unwrap();
+        assert_eq!(&list[..2], &[poisson(0.02), poisson(0.5)]);
+        assert_eq!(list[2].to_string(), "mmpp@8:0.5:10:40");
+        assert!(ArrivalSpec::parse_list("0.02,bogus").is_err());
     }
 
     #[test]

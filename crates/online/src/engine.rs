@@ -49,10 +49,9 @@ use mps_des::{ActivitySpec, Completion, Engine, ResourceId};
 use mps_model::AnalyticModel;
 use mps_platform::{Cluster, ClusterSpec};
 use mps_sched::{AllocKey, AllocationEngine, Cpa, Hcpa, Mcpa, Scheduler};
-use mps_stats::QuantileSketch;
+use mps_stats::{QuantileSketch, ShedPolicy};
 use serde::{Deserialize, Serialize};
 
-use crate::admission::{Admission, AdmissionController};
 use crate::arrival::{ArrivalProcess, ArrivalSpec};
 use crate::OnlineError;
 
@@ -378,7 +377,7 @@ impl<'c> OnlineEngine<'c> {
         let sample_every = cfg.batch.max(1) as u64;
 
         let mut arrivals = ArrivalProcess::new(cfg.arrival, cfg.seed);
-        let mut admission = AdmissionController::new(cfg.admission_cap);
+        let mut admission = ShedPolicy::default();
         let mut latency = QuantileSketch::new();
         let mut digest = FNV_OFFSET;
         digest = fnv(digest, cfg.seed);
@@ -450,7 +449,7 @@ impl<'c> OnlineEngine<'c> {
                         free_hosts += job.hosts.len();
                         busy_committed += job.busy_host_seconds;
                         let sojourn_ms = (now - job.admit_time) * 1000.0;
-                        admission.finish(sojourn_ms);
+                        admission.observe(sojourn_ms);
                         latency.observe(sojourn_ms);
                         completed += 1;
                         self.free_jobs.push(slot);
@@ -465,17 +464,16 @@ impl<'c> OnlineEngine<'c> {
                     // arrival stream is invariant to shed decisions.
                     let dag = arrivals.next_dag(self.corpus.len()) as u32;
                     arrived += 1;
-                    match admission.offer(self.backlog.len(), self.act2job.len()) {
-                        Admission::Admitted => {
-                            self.backlog.push_back(Pending {
-                                dag,
-                                admit_time: now,
-                            });
-                        }
-                        Admission::Shed { retry_after_ms } => {
-                            last_hint = retry_after_ms;
-                            digest = fnv(digest, retry_after_ms);
-                        }
+                    let ahead = self.backlog.len() + self.act2job.len();
+                    if ahead < cfg.admission_cap {
+                        admission.admit();
+                        self.backlog.push_back(Pending {
+                            dag,
+                            admit_time: now,
+                        });
+                    } else {
+                        last_hint = admission.shed(ahead);
+                        digest = fnv(digest, last_hint);
                     }
                     arrival_timer = Some(
                         self.des
@@ -583,7 +581,7 @@ impl<'c> OnlineEngine<'c> {
                 events,
                 arrivals: arrived,
                 admitted: admission.admitted(),
-                shed: admission.shed(),
+                shed: admission.shed_count(),
                 last_retry_hint_ms: last_hint,
                 completed,
                 sim_seconds,

@@ -4,8 +4,8 @@
 //! each algorithm once, compare makespans. This crate turns the same
 //! machinery into a *service-shaped* workload: a seeded arrival process
 //! ([`ArrivalSpec`]: Poisson or bursty two-state MMPP) draws DAG jobs
-//! from the shared corpus; an [`AdmissionController`] with a bounded
-//! backlog sheds overload with EMA-derived retry hints; admitted jobs
+//! from the shared corpus; a bounded backlog sheds overload with the
+//! EMA-derived retry hints of [`mps_stats::ShedPolicy`]; admitted jobs
 //! claim exclusive host subsets of the live cluster through memoized
 //! moldable CPA/HCPA/MCPA plans and execute on the incremental DES —
 //! sustained over million-event horizons at engine speed with bounded
@@ -18,12 +18,10 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod arrival;
 pub mod engine;
 
-pub use admission::{Admission, AdmissionController};
-pub use arrival::{ArrivalParseError, ArrivalProcess, ArrivalSpec, SplitMix};
+pub use arrival::{ArrivalProcess, ArrivalSpec, SplitMix};
 pub use engine::{
     OnlineAlgo, OnlineConfig, OnlineEngine, OnlineHighWater, OnlineOutcome, OnlineRun,
 };

@@ -1,8 +1,8 @@
 //! Bounded admission queue: the daemon's backpressure seam.
 //!
 //! Every request passes [`AdmissionQueue::try_admit`] before any work
-//! happens. A full queue sheds the request with a retry hint derived from
-//! the queue's service-time EMA — the client gets a typed `Overloaded`
+//! happens. A full queue sheds the request with the retry hint of the
+//! shared [`ShedPolicy`] over the queue's service times — the client gets a typed `Overloaded`
 //! response on an open connection instead of a hung or dropped one.
 //! Executors pull admitted jobs with [`AdmissionQueue::next`]; a drain
 //! stops admissions immediately, lets admitted work finish, and
@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use mps_stats::QuantileSketch;
+use mps_stats::{QuantileSketch, ShedPolicy};
 
 /// Counters a [`ClientFrame::Health`](crate::proto::ClientFrame) reply is
 /// built from.
@@ -58,8 +58,7 @@ struct Inner<T> {
     queue: VecDeque<T>,
     inflight: u64,
     served: u64,
-    shed: u64,
-    ema_ms: f64,
+    policy: ShedPolicy,
     latency: QuantileSketch,
     draining: bool,
 }
@@ -71,12 +70,6 @@ pub struct AdmissionQueue<T> {
     ready: Condvar,
 }
 
-/// EMA smoothing factor for service times (~last 8 jobs dominate).
-const EMA_ALPHA: f64 = 0.25;
-/// Bounds on the retry hint handed to shed clients.
-const MIN_RETRY_MS: u64 = 50;
-const MAX_RETRY_MS: u64 = 60_000;
-
 impl<T> AdmissionQueue<T> {
     /// A queue admitting at most `capacity` waiting jobs (≥ 1).
     pub fn new(capacity: usize) -> Self {
@@ -86,8 +79,7 @@ impl<T> AdmissionQueue<T> {
                 queue: VecDeque::new(),
                 inflight: 0,
                 served: 0,
-                shed: 0,
-                ema_ms: 0.0,
+                policy: ShedPolicy::default(),
                 latency: QuantileSketch::new(),
                 draining: false,
             }),
@@ -102,17 +94,12 @@ impl<T> AdmissionQueue<T> {
             return Admission::Draining;
         }
         if g.queue.len() >= self.capacity {
-            g.shed += 1;
-            // Estimated wait for a slot: every queued + running job ahead
-            // of us, at the observed per-job service time. A cold EMA
-            // (no job finished yet) falls back to a token backoff.
-            let per_job = if g.ema_ms > 0.0 { g.ema_ms } else { 100.0 };
-            let ahead = (g.queue.len() as u64 + g.inflight + 1) as f64;
-            let hint = (per_job * ahead) as u64;
-            return Admission::Shed {
-                retry_after_ms: hint.clamp(MIN_RETRY_MS, MAX_RETRY_MS),
-            };
+            // Every queued and running job is ahead of this one.
+            let ahead = g.queue.len() + g.inflight as usize;
+            let retry_after_ms = g.policy.shed(ahead);
+            return Admission::Shed { retry_after_ms };
         }
+        g.policy.admit();
         g.queue.push_back(job);
         drop(g);
         self.ready.notify_one();
@@ -144,11 +131,7 @@ impl<T> AdmissionQueue<T> {
         g.inflight = g.inflight.saturating_sub(1);
         g.served += 1;
         let x = service.as_secs_f64() * 1e3;
-        g.ema_ms = if g.served == 1 {
-            x
-        } else {
-            EMA_ALPHA * x + (1.0 - EMA_ALPHA) * g.ema_ms
-        };
+        g.policy.observe(x);
         g.latency.observe(x);
         drop(g);
         // Wake drain waiters polling `drained`.
@@ -187,8 +170,8 @@ impl<T> AdmissionQueue<T> {
             capacity: self.capacity as u64,
             inflight: g.inflight,
             served: g.served,
-            shed: g.shed,
-            ema_service_ms: g.ema_ms,
+            shed: g.policy.shed_count(),
+            ema_service_ms: g.policy.ema_ms(),
             p50_service_ms: g.latency.p50(),
             p99_service_ms: g.latency.p99(),
             draining: g.draining,
@@ -199,6 +182,7 @@ impl<T> AdmissionQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mps_stats::admission::{RETRY_MAX_MS, RETRY_MIN_MS};
 
     #[test]
     fn admits_up_to_capacity_then_sheds_with_a_hint() {
@@ -207,8 +191,8 @@ mod tests {
         assert_eq!(q.try_admit(2), Admission::Admitted);
         match q.try_admit(3) {
             Admission::Shed { retry_after_ms } => {
-                assert!(retry_after_ms >= MIN_RETRY_MS);
-                assert!(retry_after_ms <= MAX_RETRY_MS);
+                assert!(retry_after_ms as f64 >= RETRY_MIN_MS);
+                assert!(retry_after_ms as f64 <= RETRY_MAX_MS);
             }
             other => panic!("expected shed, got {other:?}"),
         }
@@ -255,11 +239,27 @@ mod tests {
                 assert_eq!(q.next(), Some(job));
             }
         }
-        // 19 jobs ahead at 0.05 ms each: the floor, not 19 × 100 ms.
+        // 19 jobs ahead at 0.05 ms each: the floor, not 19 × 50 ms.
         assert_eq!(
             q.try_admit(99),
             Admission::Shed {
-                retry_after_ms: MIN_RETRY_MS
+                retry_after_ms: RETRY_MIN_MS as u64
+            }
+        );
+    }
+
+    #[test]
+    fn a_cold_queue_hints_50_ms_per_job() {
+        let q = AdmissionQueue::new(2);
+        q.try_admit(1);
+        q.try_admit(2);
+        assert_eq!(q.next(), Some(1));
+        q.try_admit(3);
+        // Three jobs ahead (one running, two queued); none has finished.
+        assert_eq!(
+            q.try_admit(4),
+            Admission::Shed {
+                retry_after_ms: 200
             }
         );
     }

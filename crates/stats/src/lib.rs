@@ -3,16 +3,19 @@
 //! Descriptive statistics (quantiles, Tukey box plots for Figure 8),
 //! simulation-error metrics (relative makespans, sign-agreement counts for
 //! Figures 1/5/7), streaming quantile sketches for unbounded event
-//! streams, and plain-text renderers for all the paper's figure styles.
+//! streams, the shed policy behind both admission front doors, and
+//! plain-text renderers for all the paper's figure styles.
 
 #![warn(missing_docs)]
 
+pub mod admission;
 pub mod ascii;
 pub mod descriptive;
 pub mod error;
 pub mod rank;
 pub mod streaming;
 
+pub use admission::ShedPolicy;
 pub use ascii::{boxplots, paired_bars, profile, surface};
 pub use descriptive::{boxplot, median, quantile, summary, BoxPlot, Summary};
 pub use error::{
