@@ -152,8 +152,7 @@ pub mod prelude {
     pub use mps_regress::{fit_affine, AffineModel, Basis, PiecewiseModel};
     pub use mps_sched::{Cpa, Hcpa, Mcpa, Schedule, Scheduler};
     pub use mps_sim::{
-        execute_with_policy, ExecError, ExecPolicy, ExecutionResult, FaultyExecution, SimOutcome,
-        Simulator,
+        ExecError, ExecPolicy, ExecutionResult, FaultyExecution, SimOutcome, Simulator,
     };
     pub use mps_stats::{boxplot, count_agreement, relative_makespan, summary};
     pub use mps_supervise::{CrashReport, Supervisor, SupervisorConfig};

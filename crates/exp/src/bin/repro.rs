@@ -5,15 +5,18 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use mps_core::faults::{DisturbancePlan, FaultPlan, PlanParseError, RecoveryPolicy};
+use mps_core::faults::{
+    DisturbancePlan, FaultPlan, PlanParseError, RecoveryPolicy, DISTURB_HORIZON,
+};
 use mps_core::journal::{install_signal_handlers, CancelToken, RunControl};
-use mps_core::online::ArrivalSpec;
+use mps_core::online::{ArrivalSpec, OnlineAlgo};
 use mps_core::platform::ClusterSpec;
+use mps_core::serve::WorkRequest;
 use mps_core::sim::ExecPolicy;
 use mps_exp::supervised::{serve_cells, SuperviseOpts, WorkerCommand};
 use mps_exp::{
-    ablation, figures, parse_poison_spec, CellResult, DisturbConfig, GridStatus, Harness,
-    PoisonRule, ServeBackend,
+    ablation, figures, parse_cell_names, parse_poison_spec, CellResult, DisturbConfig, GridStatus,
+    Harness, PoisonRule, ServeBackend,
 };
 
 use Kind::{Int, Mode, Policy, Switch, Tag, Text};
@@ -24,11 +27,6 @@ use Scope::{Any, Not, OnlineRequest, Only};
 /// the journal is whole (every cell has a durable record), yet some
 /// records are crash reports rather than measurements.
 const EXIT_QUARANTINED: i32 = 3;
-
-/// Event horizon (seconds) used when parsing `--faults` and `--disturb`
-/// clauses with preset intensities; generous enough to cover every grid
-/// makespan.
-const FAULT_HORIZON: f64 = 120.0;
 
 /// Every target, with its `--help` description; the paper's figures and
 /// tables are listed without one.
@@ -360,6 +358,8 @@ struct Cli {
     simulate: Option<String>,
     subset_grid: Option<usize>,
     online: Option<String>,
+    /// The client's requests, built by [`Cli::parse_requests`].
+    work: Vec<WorkRequest>,
     deadline_ms: Option<u64>,
     health: bool,
     drain: bool,
@@ -460,6 +460,7 @@ impl Cli {
             rule(broken, msg)?;
         }
         c.parse_plans()?;
+        c.parse_requests()?;
         Ok(c)
     }
 
@@ -470,11 +471,11 @@ impl Cli {
         let bad = |what: &'static str| move |e: PlanParseError| format!("bad {what}: {e}");
         if let Some(desc) = &self.faults {
             let plan =
-                FaultPlan::parse(desc, hosts, FAULT_HORIZON).map_err(bad("--faults plan"))?;
+                FaultPlan::parse(desc, hosts, DISTURB_HORIZON).map_err(bad("--faults plan"))?;
             self.fault_plan = Some(plan);
         }
         if let Some(desc) = &self.disturb {
-            let plan = DisturbancePlan::parse(desc, hosts, FAULT_HORIZON)
+            let plan = DisturbancePlan::parse(desc, hosts, DISTURB_HORIZON)
                 .map_err(bad("--disturb plan"))?;
             self.disturb_plan = Some(plan);
         }
@@ -488,6 +489,62 @@ impl Cli {
                 "--arrival-rate needs a comma-separated list",
             )?;
             self.arrivals = Some(arrivals);
+        }
+        Ok(())
+    }
+
+    /// Builds the client's requests from `--schedule`, `--simulate`,
+    /// `--subset-grid` and `--online`, in that order, so a bad spec is a
+    /// usage error before any connection is made. The request carries each
+    /// spec's text unchanged.
+    fn parse_requests(&mut self) -> Result<(), String> {
+        let cell = |flag: &str, spec: &str| {
+            let bad = |why: String| format!("bad {flag} spec {spec:?}: {why}");
+            let [dag, variant, algo] = spec.split(':').collect::<Vec<_>>()[..] else {
+                return Err(bad("want DAG:VARIANT:ALGO".into()));
+            };
+            let dag = dag
+                .parse()
+                .map_err(|_| bad(format!("bad DAG index {dag:?}")))?;
+            parse_cell_names(variant, algo).map_err(bad)?;
+            Ok((dag, variant.to_string(), algo.to_string()))
+        };
+        if let Some(spec) = &self.schedule {
+            let (dag, variant, algo) = cell("--schedule", spec)?;
+            self.work.push(WorkRequest::Schedule { dag, variant, algo });
+        }
+        if let Some(spec) = &self.simulate {
+            let (dag, variant, algo) = cell("--simulate", spec)?;
+            self.work.push(WorkRequest::Simulate {
+                dag,
+                variant,
+                algo,
+                repeats: self.repeats,
+                disturb: self.disturb.clone(),
+            });
+        }
+        if let Some(take) = self.subset_grid {
+            self.work.push(WorkRequest::SubsetGrid {
+                take,
+                repeats: self.repeats,
+                disturb: self.disturb.clone(),
+            });
+        }
+        if let Some(spec) = &self.online {
+            let bad = |why: String| format!("bad --online spec {spec:?}: {why}");
+            let (algo, arrival) = spec
+                .split_once(':')
+                .ok_or_else(|| bad("want ALGO:ARRIVAL, e.g. HCPA:0.05".into()))?;
+            OnlineAlgo::parse(algo).map_err(|e| bad(e.to_string()))?;
+            ArrivalSpec::parse(arrival).map_err(|e| bad(e.to_string()))?;
+            let d = mps_exp::OnlineOpts::default();
+            self.work.push(WorkRequest::Online {
+                arrival: arrival.to_string(),
+                horizon_events: self.horizon_events.unwrap_or(d.horizon_events),
+                seed: self.seed,
+                admission: self.admission.unwrap_or(d.admission_cap) as u64,
+                algo: algo.to_string(),
+            });
         }
         Ok(())
     }
@@ -1118,25 +1175,13 @@ fn run_serve(harness: Harness, cli: &Cli) -> i32 {
     }
 }
 
-/// Parses a `DAG:VARIANT:ALGO` request spec.
-fn parse_cell_spec(spec: &str) -> (usize, String, String) {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let [dag, variant, algo] = parts[..] else {
-        die(&format!("bad spec {spec:?} (want DAG:VARIANT:ALGO)"));
-    };
-    let dag = dag
-        .parse()
-        .unwrap_or_else(|_| die(&format!("bad DAG index in {spec:?}")));
-    (dag, variant.to_string(), algo.to_string())
-}
-
 /// The `client` target: submit work to a running daemon, stream cells
 /// to stdout as `<key>\t<payload>` lines. Exit codes: 0 done, 2
 /// connect/protocol error, 4 request failed, 5 overloaded, 6 draining.
 #[cfg(unix)]
 fn run_client(cli: &Cli) -> i32 {
     use mps_core::serve::client::connect_unix;
-    use mps_core::serve::{RequestOutcome, WorkRequest};
+    use mps_core::serve::RequestOutcome;
 
     let socket = cli.socket.as_deref().expect("checked by Cli::parse");
     let (mut client, _cap) =
@@ -1167,43 +1212,7 @@ fn run_client(cli: &Cli) -> i32 {
         }
     }
 
-    let repeats = cli.repeats;
-    let mut work_items: Vec<WorkRequest> = Vec::new();
-    if let Some(spec) = &cli.schedule {
-        let (dag, variant, algo) = parse_cell_spec(spec);
-        work_items.push(WorkRequest::Schedule { dag, variant, algo });
-    }
-    if let Some(spec) = &cli.simulate {
-        let (dag, variant, algo) = parse_cell_spec(spec);
-        work_items.push(WorkRequest::Simulate {
-            dag,
-            variant,
-            algo,
-            repeats,
-            disturb: cli.disturb.clone(),
-        });
-    }
-    if let Some(take) = cli.subset_grid {
-        work_items.push(WorkRequest::SubsetGrid {
-            take,
-            repeats,
-            disturb: cli.disturb.clone(),
-        });
-    }
-    if let Some(spec) = &cli.online {
-        let (algo, arrival) = spec
-            .split_once(':')
-            .unwrap_or_else(|| die("bad --online spec (want ALGO:ARRIVAL, e.g. HCPA:0.05)"));
-        let d = mps_exp::OnlineOpts::default();
-        work_items.push(WorkRequest::Online {
-            arrival: arrival.to_string(),
-            horizon_events: cli.horizon_events.unwrap_or(d.horizon_events),
-            seed: cli.seed,
-            admission: cli.admission.unwrap_or(d.admission_cap) as u64,
-            algo: algo.to_string(),
-        });
-    }
-    for work in &work_items {
+    for work in &cli.work {
         id += 1;
         let outcome = client.request(id, work, cli.deadline_ms, &mut |key, payload| {
             println!("{key}\t{payload}");
@@ -1392,6 +1401,8 @@ mod tests {
                         "--faults" | "--disturb" => "light",
                         "--poison" => "x=panic",
                         "--arrival-rate" => "0.1",
+                        "--schedule" | "--simulate" => "0:analytic:HCPA",
+                        "--online" => "HCPA:0.05",
                         _ => "x",
                     }
                     .to_string(),

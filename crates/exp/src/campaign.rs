@@ -20,7 +20,7 @@
 use std::path::{Path, PathBuf};
 
 use mps_core::faults::io::IoEnv;
-use mps_core::faults::FaultPlan;
+use mps_core::faults::{FaultPlan, DISTURB_HORIZON};
 use mps_core::journal::RunControl;
 
 use crate::journaled::GridStatus;
@@ -35,10 +35,6 @@ pub const DEFAULT_POINTS: usize = 309;
 /// [`FaultPlan::random`]; 1.0 is already "several crashes and slowdowns").
 const MAX_INTENSITY: f64 = 1.0;
 
-/// Event horizon (seconds) for generated fault plans; matches the CLI's
-/// `--faults` horizon so presets and sweep points live on the same scale.
-const CAMPAIGN_HORIZON: f64 = 120.0;
-
 /// The fault plan of sweep point `point` of `points`: intensity ramps
 /// linearly from 0 (pristine grid) to `MAX_INTENSITY`, and the plan
 /// seed folds the point index into `base_seed` so equal-intensity points
@@ -52,7 +48,7 @@ pub fn point_fault_plan(base_seed: u64, point: usize, points: usize, hosts: usiz
         MAX_INTENSITY * point as f64 / (points - 1) as f64
     };
     let seed = base_seed ^ (point as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    FaultPlan::random(seed, intensity, hosts, CAMPAIGN_HORIZON)
+    FaultPlan::random(seed, intensity, hosts, DISTURB_HORIZON)
 }
 
 /// Journal path of sweep point `point` inside `dir`.

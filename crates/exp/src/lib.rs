@@ -34,5 +34,5 @@ pub use runner::{
     CellOutcome, CellResult, DisturbConfig, GridHealth, Harness, PoisonAction, PoisonRule,
     SimVariant, ERROR_PCT_SENTINEL,
 };
-pub use serve_backend::ServeBackend;
+pub use serve_backend::{parse_cell_names, ServeBackend};
 pub use supervised::{SuperviseOpts, WorkerCommand};

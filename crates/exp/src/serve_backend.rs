@@ -46,6 +46,25 @@ fn tally_disturb(summary: &mut WorkSummary, cell: &CellResult) {
     }
 }
 
+/// Parses the variant and algorithm names of a one-cell request (the
+/// `VARIANT:ALGO` of `repro client --schedule/--simulate DAG:VARIANT:ALGO`);
+/// `Err` is the reason.
+pub fn parse_cell_names(
+    variant: &str,
+    algo: &str,
+) -> Result<(SimVariant, &'static dyn Scheduler), String> {
+    let variant = SimVariant::ALL
+        .into_iter()
+        .find(|v| v.name() == variant)
+        .ok_or_else(|| format!("unknown variant {variant:?} (analytic|profile|empirical)"))?;
+    let algo = match algo {
+        "HCPA" => algo_of(0),
+        "MCPA" => algo_of(1),
+        other => return Err(format!("unknown algorithm {other:?} (HCPA|MCPA)")),
+    };
+    Ok((variant, algo))
+}
+
 /// A [`Harness`]-backed executor for daemon work requests.
 pub struct ServeBackend {
     harness: Harness,
@@ -111,21 +130,8 @@ impl ServeBackend {
                 self.corpus.len()
             ),
         })?;
-        let variant = SimVariant::ALL
-            .into_iter()
-            .find(|v| v.name() == variant)
-            .ok_or_else(|| ServeError::Backend {
-                reason: format!("unknown variant {variant:?} (analytic|profile|empirical)"),
-            })?;
-        let algo: &dyn Scheduler = match algo {
-            "HCPA" => algo_of(0),
-            "MCPA" => algo_of(1),
-            other => {
-                return Err(ServeError::Backend {
-                    reason: format!("unknown algorithm {other:?} (HCPA|MCPA)"),
-                })
-            }
-        };
+        let (variant, algo) =
+            parse_cell_names(variant, algo).map_err(|reason| ServeError::Backend { reason })?;
         Ok(Resolved { g, variant, algo })
     }
 

@@ -189,6 +189,14 @@ const VALUE_ERRORS: &[(&str, &str)] = &[
     ("--poison x=boom fig8", "bad --poison spec: clause `x=boom`: unknown action `boom` (panic|hang)"),
     ("online --arrival-rate bogus", "bad --arrival-rate entry: clause `bogus`: expected `poisson@R`, `mmpp@R0:R1:S0:S1` or a rate"),
     ("online --arrival-rate ,", "--arrival-rate needs a comma-separated list"),
+    // Client request specs are parsed with the flags, before connecting.
+    ("client --socket s --schedule 0:analytic", "bad --schedule spec \"0:analytic\": want DAG:VARIANT:ALGO"),
+    ("client --socket s --simulate x:analytic:HCPA", "bad --simulate spec \"x:analytic:HCPA\": bad DAG index \"x\""),
+    ("client --socket s --schedule 0:bogus:HCPA", "bad --schedule spec \"0:bogus:HCPA\": unknown variant \"bogus\" (analytic|profile|empirical)"),
+    ("client --socket s --simulate 0:analytic:XYZ", "bad --simulate spec \"0:analytic:XYZ\": unknown algorithm \"XYZ\" (HCPA|MCPA)"),
+    ("client --socket s --online HCPA", "bad --online spec \"HCPA\": want ALGO:ARRIVAL, e.g. HCPA:0.05"),
+    ("client --socket s --online XYZ:0.05", "bad --online spec \"XYZ:0.05\": online config error: unknown algorithm \"XYZ\" (want CPA, HCPA, or MCPA)"),
+    ("client --socket s --online HCPA:bogus", "bad --online spec \"HCPA:bogus\": clause `bogus`: expected `poisson@R`, `mmpp@R0:R1:S0:S1` or a rate"),
 ];
 
 #[test]

@@ -11,11 +11,11 @@
 //! round-trips every f64 bit — equals the reference rendering, and poison
 //! cells are quarantined without disturbing their neighbours.
 
-use mps_core::faults::{DisturbancePlan, FaultPlan, RecoveryPolicy};
+use mps_core::faults::{DisturbancePlan, FaultPlan, RecoveryPolicy, DISTURB_HORIZON};
 use mps_core::platform::HostId;
 use mps_core::sched::{Hcpa, Mcpa, Scheduler};
 use mps_core::sim::ExecPolicy;
-use mps_exp::{parse_poison_spec, CellResult, DisturbConfig, Harness, SimVariant};
+use mps_exp::{parse_poison_spec, CellOutcome, CellResult, DisturbConfig, Harness, SimVariant};
 use mps_oracle::reference_cell;
 
 const TAKE: usize = 10;
@@ -83,6 +83,39 @@ fn batched_grid_matches_reference_under_a_fault_plan() {
             batched, reference,
             "faulty batched grid diverged from reference at workers={workers}"
         );
+    }
+}
+
+#[test]
+fn disturbed_grid_matches_reference_after_crash_repair() {
+    // The grid reuses one executor slab across cells, so every run after
+    // a crash repair (a rescue re-plan or a RetryElsewhere patch) starts
+    // from buffers that repair rewrote; the reference starts each cell
+    // from a fresh slab.
+    let hosts = Harness::new(2011).nominal_cluster().node_count();
+    let plan = DisturbancePlan::parse("seed=2011;moderate", hosts, DISTURB_HORIZON).unwrap();
+    for recovery in [RecoveryPolicy::Rescue, RecoveryPolicy::RetryElsewhere] {
+        let h = Harness::new(2011).with_disturbance(DisturbConfig::new(plan.clone(), recovery));
+        let cells = reference_cells(&h, TAKE, REPEATS);
+        let repairs: u64 = cells
+            .iter()
+            .map(|c| match &c.outcome {
+                CellOutcome::Disturbed { report, .. } => report.rescues + report.retried_tasks,
+                _ => 0,
+            })
+            .sum();
+        assert!(
+            repairs > 0,
+            "{recovery:?}: the plan must strand and repair work"
+        );
+        let reference = render(&cells);
+        for workers in [1, 4] {
+            let batched = render(&h.run_subset_with_workers(TAKE, REPEATS, workers));
+            assert_eq!(
+                batched, reference,
+                "{recovery:?} grid diverged from the reference at workers={workers}"
+            );
+        }
     }
 }
 

@@ -26,8 +26,11 @@ use mps_platform::HostId;
 
 use crate::clause::{self, Clause, ClausePlan, PlanParseError};
 
-/// Default event horizon (seconds) used by [`DisturbancePlan::with_intensity`];
-/// matches the grid horizon `repro` uses for fault presets.
+/// The event horizon (seconds) of every generated plan, fault or
+/// disturbance: `repro` parses `--faults` and `--disturb` presets against
+/// it, the daemon parses request plans against it, and fault campaigns and
+/// [`DisturbancePlan::with_intensity`] draw their events within it. It is
+/// generous enough to cover every grid makespan.
 pub const DISTURB_HORIZON: f64 = 120.0;
 
 /// One timed platform disturbance.

@@ -22,7 +22,7 @@ use mps_faults::{
     DisturbReport, Disturbance, DisturbancePlan, FaultModel, RecoveryPolicy, TaskDisposition,
 };
 use mps_kernels::Kernel;
-use mps_l07::{L07Error, L07Sim, PTaskId, PTaskSpec};
+use mps_l07::{L07Error, L07Sim, PTaskCompletion, PTaskId, PTaskSpec};
 use mps_platform::{Cluster, HostId};
 use mps_sched::Schedule;
 
@@ -71,7 +71,7 @@ pub trait ExecutionModel {
     }
 }
 
-/// Resilience policy for [`execute_with_policy`].
+/// Resilience policy of an execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecPolicy {
     /// Retries allowed per task after its first attempt; exceeding the
@@ -255,17 +255,17 @@ enum Meaning {
     },
 }
 
-/// Reusable executor state: the L07 simulator plus every per-run buffer,
-/// kept warm across executions.
+/// Reusable executor state: the L07 simulator, one job's run state and the
+/// memoized redistribution plans, kept warm across executions.
 ///
 /// Building a fresh [`L07Sim`] (cluster clone + ~100 DES resources) and
 /// re-allocating the run's bookkeeping per execution dominates short runs.
 /// A slab amortizes all of it: the simulator is [`L07Sim::reset`] between
-/// runs (bit-identical to a fresh build), every buffer is cleared in place
-/// and keeps its capacity, one task spec is refilled for every submission,
-/// and redistribution plans — a pure function of `(n, p_src, p_dst)` for
-/// the vanilla block distributions the executor uses — are memoized. Only
-/// crash repair allocates.
+/// runs (bit-identical to a fresh build), the job's buffers are cleared in
+/// place and keep their capacity, one task spec is refilled for every
+/// submission, and redistribution plans — a pure function of
+/// `(n, p_src, p_dst)` for the vanilla block distributions the executor
+/// uses — are memoized. Only crash repair allocates.
 ///
 /// Results are byte-identical to a fresh slab for any sequence of
 /// executions; a slab is plain reusable scratch, not a semantic cache.
@@ -273,6 +273,186 @@ enum Meaning {
 pub struct ExecSlab {
     /// Rebuilt only when the cluster changes between runs.
     sim: Option<L07Sim>,
+    job: JobExec,
+    flows: RedistFlows,
+}
+
+impl ExecSlab {
+    /// An empty slab; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The disturbance counters of the last execution on this slab,
+    /// complete even when it failed typed.
+    pub fn report(&self) -> DisturbReport {
+        self.job.report
+    }
+}
+
+/// Configuration of one disturbed execution.
+pub struct DisturbSetup<'a> {
+    /// The scripted platform disturbances.
+    pub plan: &'a DisturbancePlan,
+    /// Reaction to crashes that strand unfinished tasks.
+    pub recovery: RecoveryPolicy,
+    /// Simulated seconds charged to every re-planned task before it may
+    /// relaunch — the re-plan's cost, accounted as virtual time.
+    pub rescue_overhead: f64,
+    /// Under [`RecoveryPolicy::Rescue`], produces a replacement schedule
+    /// over the surviving hosts (in *original* host-id space, placed only
+    /// on the given survivors). `None` / a `None` return fails the
+    /// execution typed.
+    #[allow(clippy::type_complexity)]
+    pub replan: Option<&'a mut dyn FnMut(&[HostId]) -> Option<Schedule>>,
+}
+
+impl DisturbSetup<'_> {
+    /// A healthy platform: an empty plan, so recovery never runs.
+    pub fn undisturbed() -> Self {
+        static UNDISTURBED: DisturbancePlan = DisturbancePlan {
+            seed: 0,
+            events: Vec::new(),
+        };
+        DisturbSetup {
+            plan: &UNDISTURBED,
+            recovery: RecoveryPolicy::FailFast,
+            rescue_overhead: 0.0,
+            replan: None,
+        }
+    }
+}
+
+/// Executes `schedule` for `dag` on `cluster` under `model` and `policy`,
+/// on a fresh slab and a healthy platform, after validating the schedule.
+///
+/// When `model` exposes a [`FaultModel`], every task-launch attempt is
+/// first submitted to it: a failed attempt charges the startup overhead
+/// plus an exponential-backoff wait (both as *simulated* time, while the
+/// task's hosts stay claimed) and is retried up to
+/// [`ExecPolicy::max_retries`] times before the execution fails with
+/// [`ExecError::TaskFailed`]. Redistribution flows are scaled by the fault
+/// model's link-degradation factors.
+pub fn execute(
+    dag: &Dag,
+    cluster: &Cluster,
+    schedule: &Schedule,
+    model: &mut dyn ExecutionModel,
+    policy: &ExecPolicy,
+) -> Result<ExecutionResult, ExecError> {
+    validate(dag, cluster, schedule)?;
+    let setup = DisturbSetup::undisturbed();
+    execute_prevalidated(
+        &mut ExecSlab::new(),
+        dag,
+        cluster,
+        schedule,
+        model,
+        policy,
+        setup,
+    )
+}
+
+/// `schedule.validate(dag, cluster)` as an [`ExecError`].
+pub(crate) fn validate(dag: &Dag, cluster: &Cluster, schedule: &Schedule) -> Result<(), ExecError> {
+    schedule
+        .validate(dag, cluster)
+        .map_err(|e| ExecError::InvalidSchedule(e.to_string()))
+}
+
+/// [`execute`] on a warm `slab`, without the validation pass, while the
+/// platform is disturbed per `setup.plan`. Every execution runs through
+/// here; an undisturbed one is [`DisturbSetup::undisturbed`].
+///
+/// The caller promises `schedule.validate(dag, cluster)` holds — e.g. the
+/// schedule came straight from a scheduler, or one validation covers many
+/// executions of the same schedule (the harness runs each schedule once in
+/// the simulator and three times on the testbed).
+///
+/// Mechanics:
+///
+/// * every plan boundary (crash instant, window start/end) becomes an
+///   engine timer, so the simulator observably stops exactly there;
+/// * `Slow` / `Degrade` windows rescale the affected CPU/link capacities
+///   through [`Engine::set_capacity`](mps_des::Engine::set_capacity) —
+///   in-flight analytic work and transfers stretch mid-run; fixed-duration
+///   tasks sample the compound factor of their hosts at launch;
+/// * a `Crash` retires the host's resources, cancels every in-flight
+///   activity touching it, and triggers the recovery ladder:
+///   [`FailFast`](RecoveryPolicy::FailFast) surfaces
+///   [`ExecError::HostFailed`]; [`RetryElsewhere`](RecoveryPolicy::RetryElsewhere)
+///   patches the stranded tasks' placements onto the lowest-index
+///   surviving hosts; [`Rescue`](RecoveryPolicy::Rescue) asks
+///   `setup.replan` for a fresh schedule of the surviving platform and
+///   adopts its placements and order for every unfinished, not-currently-
+///   running task. Repaired tasks pay `setup.rescue_overhead` as extra
+///   (virtual) launch latency, redistributions from finished
+///   predecessors are re-issued toward the new placements, and tasks
+///   still running (or backing off) keep the heads of their hosts' queues.
+///
+/// [`ExecSlab::report`] then holds the fired-event and recovery counters,
+/// even when the execution failed, so callers can assert "failed typed
+/// *because* a disturbance fired".
+pub fn execute_prevalidated(
+    slab: &mut ExecSlab,
+    dag: &Dag,
+    cluster: &Cluster,
+    schedule: &Schedule,
+    model: &mut dyn ExecutionModel,
+    policy: &ExecPolicy,
+    mut setup: DisturbSetup<'_>,
+) -> Result<ExecutionResult, ExecError> {
+    let ExecSlab { sim, job, flows } = slab;
+    job.report = DisturbReport::default();
+    let n_tasks = dag.len();
+    if n_tasks == 0 {
+        return Ok(ExecutionResult {
+            makespan: 0.0,
+            task_spans: Vec::new(),
+            task_retries: Vec::new(),
+        });
+    }
+    let sim = match sim {
+        Some(s) if s.cluster() == cluster => {
+            s.reset();
+            s
+        }
+        slot => slot.insert(L07Sim::new(cluster.clone())),
+    };
+    sim.set_watchdog(policy.watchdog);
+    job.start(sim, dag, schedule, setup.plan)?;
+    while job.done < n_tasks {
+        job.apply_boundaries(sim, model, flows, dag, &mut setup)?;
+        job.try_start(sim, model, policy, dag, setup.plan)?;
+        if !sim.next_completions_into(&mut job.completions)? {
+            return Err(ExecError::Stalled {
+                unstarted: n_tasks - job.done,
+            });
+        }
+        for i in 0..job.completions.len() {
+            let c = job.completions[i];
+            job.on_completion(sim, model, flows, dag, c)?;
+        }
+    }
+    Ok(job.finish())
+}
+
+/// One expanded plan boundary: the instant an event starts or stops
+/// affecting the platform.
+#[derive(Debug, Clone, Copy)]
+struct Boundary {
+    time: f64,
+    event: usize,
+    opening: bool,
+}
+
+/// One job's execution state: where its tasks are placed and in which
+/// order they dispatch, how far each host's queue has advanced, what every
+/// in-flight activity means, and the spans, retries and disturbance
+/// counters it reports. Its methods drive the job on a borrowed
+/// [`L07Sim`]; [`JobExec::start`] clears every buffer in place.
+#[derive(Debug, Default)]
+struct JobExec {
     /// Each task's current host set; crash repair rewrites entries.
     placements: Vec<Vec<HostId>>,
     /// Dispatch order; a rescue re-plan replaces it.
@@ -291,19 +471,21 @@ pub struct ExecSlab {
     /// Engine handle of each activity, for cancellation.
     live_ids: Vec<PTaskId>,
     crashed: Vec<bool>,
-    completions: Vec<mps_l07::PTaskCompletion>,
-    /// The disturbance plan's instants, in application order.
+    /// The disturbance plan's instants, in application order, and the
+    /// first one not yet applied.
     boundaries: Vec<Boundary>,
+    next_boundary: usize,
+    /// Per-task `(start, finish)` and failed attempts; they move into the
+    /// result.
+    spans: Vec<(f64, f64)>,
+    attempts: Vec<u32>,
+    /// Tasks finished so far.
+    done: usize,
+    report: DisturbReport,
+    /// The latest step's completions.
+    completions: Vec<PTaskCompletion>,
     /// Refilled before every [`L07Sim::submit`].
     spec: PTaskSpec,
-    flows: RedistFlows,
-}
-
-impl ExecSlab {
-    /// An empty slab; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Clears every inner vector (keeping capacity) and sets the outer length.
@@ -337,459 +519,128 @@ fn fill_analytic(spec: &mut PTaskSpec, kernel: Kernel, hosts: &[HostId], flops: 
     spec.extra_latency = startup;
 }
 
-/// Executes `schedule` for `dag` on `cluster` under `model` with the
-/// default [`ExecPolicy`].
-pub fn execute(
-    dag: &Dag,
-    cluster: &Cluster,
-    schedule: &Schedule,
-    model: &mut dyn ExecutionModel,
-) -> Result<ExecutionResult, ExecError> {
-    execute_with_policy(dag, cluster, schedule, model, &ExecPolicy::default())
-}
-
-/// Executes `schedule` for `dag` on `cluster` under `model` and `policy`.
-///
-/// When `model` exposes a [`FaultModel`], every task-launch attempt is
-/// first submitted to it: a failed attempt charges the startup overhead
-/// plus an exponential-backoff wait (both as *simulated* time, while the
-/// task's hosts stay claimed) and is retried up to
-/// [`ExecPolicy::max_retries`] times before the execution fails with
-/// [`ExecError::TaskFailed`]. Redistribution flows are scaled by the fault
-/// model's link-degradation factors.
-pub fn execute_with_policy(
-    dag: &Dag,
-    cluster: &Cluster,
-    schedule: &Schedule,
-    model: &mut dyn ExecutionModel,
-    policy: &ExecPolicy,
-) -> Result<ExecutionResult, ExecError> {
-    let mut slab = ExecSlab::new();
-    execute_with_slab(&mut slab, dag, cluster, schedule, model, policy)
-}
-
-/// [`execute_with_policy`] reusing `slab`'s simulator and buffers.
-pub fn execute_with_slab(
-    slab: &mut ExecSlab,
-    dag: &Dag,
-    cluster: &Cluster,
-    schedule: &Schedule,
-    model: &mut dyn ExecutionModel,
-    policy: &ExecPolicy,
-) -> Result<ExecutionResult, ExecError> {
-    schedule
-        .validate(dag, cluster)
-        .map_err(|e| ExecError::InvalidSchedule(e.to_string()))?;
-    execute_with_slab_prevalidated(slab, dag, cluster, schedule, model, policy)
-}
-
-/// [`execute_with_slab`] minus the schedule validation pass.
-///
-/// The caller promises `schedule.validate(dag, cluster)` holds — e.g. the
-/// schedule came straight from a scheduler, or one validation covers many
-/// executions of the same schedule (the harness runs each schedule once in
-/// the simulator and three times on the testbed).
-///
-/// This is [`execute_disturbed_with_slab_prevalidated`] under an empty
-/// disturbance plan.
-pub fn execute_with_slab_prevalidated(
-    slab: &mut ExecSlab,
-    dag: &Dag,
-    cluster: &Cluster,
-    schedule: &Schedule,
-    model: &mut dyn ExecutionModel,
-    policy: &ExecPolicy,
-) -> Result<ExecutionResult, ExecError> {
-    static UNDISTURBED: DisturbancePlan = DisturbancePlan {
-        seed: 0,
-        events: Vec::new(),
-    };
-    let setup = DisturbSetup {
-        plan: &UNDISTURBED,
-        recovery: RecoveryPolicy::FailFast,
-        rescue_overhead: 0.0,
-        replan: None,
-    };
-    let mut report = DisturbReport::default();
-    execute_disturbed_with_slab_prevalidated(
-        slab,
-        dag,
-        cluster,
-        schedule,
-        model,
-        policy,
-        setup,
-        &mut report,
-    )
-}
-
-// ---- timed platform disturbances + reactive repair ---------------------
-
-/// Configuration of one disturbed execution.
-pub struct DisturbSetup<'a> {
-    /// The scripted platform disturbances.
-    pub plan: &'a DisturbancePlan,
-    /// Reaction to crashes that strand unfinished tasks.
-    pub recovery: RecoveryPolicy,
-    /// Simulated seconds charged to every re-planned task before it may
-    /// relaunch — the re-plan's cost, accounted as virtual time.
-    pub rescue_overhead: f64,
-    /// Under [`RecoveryPolicy::Rescue`], produces a replacement schedule
-    /// over the surviving hosts (in *original* host-id space, placed only
-    /// on the given survivors). `None` / a `None` return fails the
-    /// execution typed.
-    #[allow(clippy::type_complexity)]
-    pub replan: Option<&'a mut dyn FnMut(&[HostId]) -> Option<Schedule>>,
-}
-
-/// One expanded plan boundary: the instant an event starts or stops
-/// affecting the platform.
-#[derive(Debug, Clone, Copy)]
-struct Boundary {
-    time: f64,
-    event: usize,
-    opening: bool,
-}
-
 fn touches_crashed(hosts: &[HostId], crashed: &[bool]) -> bool {
     hosts.iter().any(|h| crashed[h.index()])
 }
 
-/// Submits the redistribution for DAG edge `src → succ` using the tasks'
-/// *current* placements. Crashed source hosts are substituted by the
-/// source's first surviving host (the durable-replication assumption: a
-/// finished task's output can be re-served from any surviving rank); when
-/// no source host survives at all, the data re-materializes at the
-/// destination instantly and only the protocol overhead is charged.
-/// Degraded links carry more effective bytes, and the overhead stretches
-/// with the worst link factor at the current instant.
-#[allow(clippy::too_many_arguments)]
-fn issue_redist(
-    sim: &mut L07Sim,
-    model: &mut dyn ExecutionModel,
-    spec: &mut PTaskSpec,
-    flows: &mut RedistFlows,
-    dag: &Dag,
-    placements: &[Vec<HostId>],
-    crashed: &[bool],
-    src: TaskId,
-    succ: TaskId,
-    in_flight: &mut Vec<Option<Meaning>>,
-    live_ids: &mut Vec<PTaskId>,
-) -> Result<(), ExecError> {
-    let src_hosts = &placements[src.index()];
-    let dst_hosts = &placements[succ.index()];
-    let mut overhead = model.redist_overhead(src_hosts.len(), dst_hosts.len());
-    let now = sim.now();
-    spec.clear();
-    if let Some(replacement) = src_hosts.iter().find(|h| !crashed[h.index()]).copied() {
-        let map_src = |h: HostId| if crashed[h.index()] { replacement } else { h };
-        let n = dag.task(src).kernel.n();
-        flows.build(
-            n,
-            src_hosts,
-            map_src,
-            dst_hosts,
-            crashed.len(),
-            &mut spec.flows,
-        );
-        if let Some(fm) = model.fault_model() {
-            let mut worst = 1.0_f64;
-            for (s, d, b) in &mut spec.flows {
-                let factor = fm.link_factor(*s, *d, now).max(1.0);
-                *b *= factor;
-                worst = worst.max(factor);
-            }
-            overhead *= worst;
+impl JobExec {
+    /// Resets the job in place for `schedule` on `sim`'s cluster and pins
+    /// an engine timer at every boundary of `plan`, so steps land exactly
+    /// on disturbance instants.
+    fn start(
+        &mut self,
+        sim: &mut L07Sim,
+        dag: &Dag,
+        schedule: &Schedule,
+        plan: &DisturbancePlan,
+    ) -> Result<(), ExecError> {
+        let n_tasks = dag.len();
+        let n_hosts = sim.cluster().node_count();
+        reset_nested(&mut self.placements, n_tasks);
+        self.order.clear();
+        for st in &schedule.tasks {
+            self.placements[st.task.index()].extend_from_slice(&st.hosts);
+            self.order.push(st.task);
         }
-    }
-    spec.extra_latency = overhead;
-    let id = sim.submit(spec)?;
-    insert_live(in_flight, live_ids, id, Meaning::Redist { src, succ });
-    Ok(())
-}
-
-fn insert_live(
-    in_flight: &mut Vec<Option<Meaning>>,
-    live_ids: &mut Vec<PTaskId>,
-    id: PTaskId,
-    m: Meaning,
-) {
-    let idx = id.index();
-    debug_assert_eq!(idx, in_flight.len(), "activity ids must be dense");
-    if idx >= in_flight.len() {
-        in_flight.resize(idx + 1, None);
-        live_ids.resize(idx + 1, id);
-    }
-    in_flight[idx] = Some(m);
-    live_ids[idx] = id;
-}
-
-/// The launch pass: starts every waiting task that heads the queue of
-/// each of its hosts and has all its inputs. Placements and dispatch order
-/// live in mutable side tables (repair rewrites them); fixed-duration
-/// tasks sample the plan's compound slowdown of their hosts at launch (the
-/// same launch-sampled semantics `FaultPlan` node slowdowns use), and a
-/// re-planned task waits out its `gate` (the rescue overhead, as virtual
-/// time) before its attempt starts. Every attempt — successful or not —
-/// pays the startup overhead.
-#[allow(clippy::too_many_arguments)]
-fn try_start(
-    sim: &mut L07Sim,
-    spec: &mut PTaskSpec,
-    model: &mut dyn ExecutionModel,
-    policy: &ExecPolicy,
-    dag: &Dag,
-    plan: &DisturbancePlan,
-    order: &[TaskId],
-    placements: &[Vec<HostId>],
-    queue: &[Vec<TaskId>],
-    queue_head: &[usize],
-    pending: &[usize],
-    state: &mut [TaskState],
-    spans: &mut [(f64, f64)],
-    attempts: &mut [u32],
-    launched: &mut [bool],
-    gate: &[f64],
-    in_flight: &mut Vec<Option<Meaning>>,
-    live_ids: &mut Vec<PTaskId>,
-) -> Result<(), ExecError> {
-    let now = sim.now();
-    for &t in order {
-        if state[t.index()] != TaskState::Waiting {
-            continue;
-        }
-        if pending[t.index()] > 0 {
-            continue;
-        }
-        let hosts = &placements[t.index()];
-        let at_head = hosts
-            .iter()
-            .all(|h| queue[h.index()].get(queue_head[h.index()]) == Some(&t));
-        if !at_head {
-            continue;
-        }
-        let kernel = dag.task(t).kernel;
-        let p = hosts.len();
-        let startup = model.startup_overhead(t, p) + (gate[t.index()] - now).max(0.0);
-        if !launched[t.index()] {
-            launched[t.index()] = true;
-            spans[t.index()].0 = now;
-        }
-        let disposition = match model.fault_model() {
-            Some(fm) => fm.task_disposition(t, hosts, attempts[t.index()], now),
-            None => TaskDisposition::Run { slowdown: 1.0 },
-        };
-        let slowdown = match disposition {
-            TaskDisposition::Fail { retry_after } => {
-                let attempt = attempts[t.index()];
-                if attempt >= policy.max_retries {
-                    return Err(ExecError::TaskFailed {
-                        task: t,
-                        attempts: attempt + 1,
-                    });
-                }
-                attempts[t.index()] = attempt + 1;
-                // The failed attempt is charged as simulated time: its
-                // startup overhead plus the backoff wait (or the time
-                // until a crashed host recovers, whichever is longer).
-                // The task's hosts stay claimed throughout.
-                let backoff =
-                    (policy.backoff_base * 2.0_f64.powi(attempt as i32)).min(policy.backoff_cap);
-                fill_delay(spec, startup + backoff.max(retry_after));
-                let id = sim.submit(spec)?;
-                insert_live(in_flight, live_ids, id, Meaning::Backoff(t));
-                state[t.index()] = TaskState::Backoff;
-                continue;
-            }
-            TaskDisposition::Run { slowdown } => slowdown.max(1.0),
-        };
-        match model.task_execution(t, kernel, hosts) {
-            TaskExecution::Analytic => {
-                // Host slowdowns reach analytic tasks through the engine's
-                // scaled capacities — no launch-time factor here.
-                let flops = kernel.flops_per_proc(p) * slowdown;
-                fill_analytic(spec, kernel, hosts, flops, startup);
-            }
-            TaskExecution::Fixed(duration) => {
-                let disturb_factor = hosts
-                    .iter()
-                    .map(|h| plan.slow_factor(h.index(), now))
-                    .fold(1.0, f64::max);
-                fill_delay(
-                    spec,
-                    startup + duration.max(0.0) * slowdown * disturb_factor,
-                );
+        reset_nested(&mut self.queue, n_hosts);
+        for &t in &self.order {
+            for h in &self.placements[t.index()] {
+                self.queue[h.index()].push(t);
             }
         }
-        let id = sim.submit(spec)?;
-        insert_live(in_flight, live_ids, id, Meaning::TaskRun(t));
-        state[t.index()] = TaskState::Running;
-    }
-    Ok(())
-}
+        self.queue_head.clear();
+        self.queue_head.resize(n_hosts, 0);
+        self.pending.clear();
+        self.pending
+            .extend(dag.task_ids().map(|t| dag.predecessors(t).len()));
+        self.state.clear();
+        self.state.resize(n_tasks, TaskState::Waiting);
+        self.launched.clear();
+        self.launched.resize(n_tasks, false);
+        self.gate.clear();
+        self.gate.resize(n_tasks, 0.0);
+        self.in_flight.clear();
+        self.live_ids.clear();
+        self.crashed.clear();
+        self.crashed.resize(n_hosts, false);
+        self.spans = vec![(0.0, 0.0); n_tasks];
+        self.attempts = vec![0; n_tasks];
+        self.done = 0;
 
-/// Executes `schedule` while the platform is disturbed per `setup.plan`,
-/// reacting to crashes with `setup.recovery`. The caller promises
-/// `schedule.validate(dag, cluster)` holds. Every execution runs through
-/// here; an undisturbed one is simply an empty plan.
-///
-/// Mechanics:
-///
-/// * every plan boundary (crash instant, window start/end) becomes an
-///   engine timer, so the simulator observably stops exactly there;
-/// * `Slow` / `Degrade` windows rescale the affected CPU/link capacities
-///   through [`Engine::set_capacity`](mps_des::Engine::set_capacity) —
-///   in-flight analytic work and transfers stretch mid-run; fixed-duration
-///   tasks sample the compound factor of their hosts at launch;
-/// * a `Crash` retires the host's resources, cancels every in-flight
-///   activity touching it, and triggers the recovery ladder:
-///   [`FailFast`](RecoveryPolicy::FailFast) surfaces
-///   [`ExecError::HostFailed`]; [`RetryElsewhere`](RecoveryPolicy::RetryElsewhere)
-///   patches the stranded tasks' placements onto the lowest-index
-///   surviving hosts; [`Rescue`](RecoveryPolicy::Rescue) asks
-///   `setup.replan` for a fresh schedule of the surviving platform and
-///   adopts its placements and order for every unfinished, not-currently-
-///   running task. Repaired tasks pay `setup.rescue_overhead` as extra
-///   (virtual) launch latency, redistributions from finished
-///   predecessors are re-issued toward the new placements, and tasks
-///   still running (or backing off) keep the heads of their hosts' queues.
-///
-/// `report` accrues fired-event and recovery counters even when the
-/// execution fails, so callers can assert "failed typed *because* a
-/// disturbance fired".
-#[allow(clippy::too_many_arguments)]
-pub fn execute_disturbed_with_slab_prevalidated(
-    slab: &mut ExecSlab,
-    dag: &Dag,
-    cluster: &Cluster,
-    schedule: &Schedule,
-    model: &mut dyn ExecutionModel,
-    policy: &ExecPolicy,
-    mut setup: DisturbSetup<'_>,
-    report: &mut DisturbReport,
-) -> Result<ExecutionResult, ExecError> {
-    let n_tasks = dag.len();
-    if n_tasks == 0 {
-        return Ok(ExecutionResult {
-            makespan: 0.0,
-            task_spans: Vec::new(),
-            task_retries: Vec::new(),
-        });
-    }
-    let plan = setup.plan;
-
-    let ExecSlab {
-        sim: sim_slot,
-        placements,
-        order,
-        queue,
-        queue_head,
-        pending,
-        state,
-        launched,
-        gate,
-        in_flight,
-        live_ids,
-        crashed,
-        completions,
-        boundaries,
-        spec,
-        flows,
-    } = slab;
-
-    let rebuild = match sim_slot {
-        Some(s) => s.cluster() != cluster,
-        None => true,
-    };
-    if rebuild {
-        *sim_slot = Some(L07Sim::new(cluster.clone()));
-    } else {
-        sim_slot.as_mut().expect("checked above").reset();
-    }
-    let sim = sim_slot.as_mut().expect("just ensured");
-    sim.set_watchdog(policy.watchdog);
-
-    let n_hosts = cluster.node_count();
-    reset_nested(placements, n_tasks);
-    order.clear();
-    for st in &schedule.tasks {
-        placements[st.task.index()].extend_from_slice(&st.hosts);
-        order.push(st.task);
-    }
-    reset_nested(queue, n_hosts);
-    for &t in order.iter() {
-        for h in &placements[t.index()] {
-            queue[h.index()].push(t);
-        }
-    }
-    queue_head.clear();
-    queue_head.resize(n_hosts, 0);
-    pending.clear();
-    pending.extend(dag.task_ids().map(|t| dag.predecessors(t).len()));
-    state.clear();
-    state.resize(n_tasks, TaskState::Waiting);
-    launched.clear();
-    launched.resize(n_tasks, false);
-    gate.clear();
-    gate.resize(n_tasks, 0.0);
-    in_flight.clear();
-    live_ids.clear();
-    crashed.clear();
-    crashed.resize(n_hosts, false);
-    let mut spans = vec![(0.0_f64, 0.0_f64); n_tasks];
-    let mut attempts = vec![0u32; n_tasks];
-    let mut done_count = 0usize;
-
-    // Expand the plan into time-ordered boundaries and pin an engine
-    // timer at each, so steps land exactly on disturbance instants.
-    boundaries.clear();
-    for (i, e) in plan.events.iter().enumerate() {
-        match *e {
-            Disturbance::Crash { at, .. } => boundaries.push(Boundary {
-                time: at,
-                event: i,
-                opening: true,
-            }),
-            Disturbance::Slow { from, to, .. } | Disturbance::Degrade { from, to, .. } => {
-                boundaries.push(Boundary {
-                    time: from,
+        self.boundaries.clear();
+        for (i, e) in plan.events.iter().enumerate() {
+            match *e {
+                Disturbance::Crash { at, .. } => self.boundaries.push(Boundary {
+                    time: at,
                     event: i,
                     opening: true,
-                });
-                boundaries.push(Boundary {
-                    time: to,
-                    event: i,
-                    opening: false,
-                });
+                }),
+                Disturbance::Slow { from, to, .. } | Disturbance::Degrade { from, to, .. } => {
+                    for (time, opening) in [(from, true), (to, false)] {
+                        self.boundaries.push(Boundary {
+                            time,
+                            event: i,
+                            opening,
+                        });
+                    }
+                }
             }
         }
-    }
-    // Keys are unique per boundary, so the in-place unstable sort yields
-    // the one total order.
-    boundaries.sort_unstable_by(|a, b| {
-        a.time
-            .total_cmp(&b.time)
-            .then(a.opening.cmp(&b.opening))
-            .then(a.event.cmp(&b.event))
-    });
-    for b in boundaries.iter() {
-        if b.time > 0.0 {
-            sim.schedule_timer(b.time)?;
+        // Keys are unique per boundary, so the in-place unstable sort yields
+        // the one total order.
+        self.boundaries.sort_unstable_by(|a, b| {
+            a.time
+                .total_cmp(&b.time)
+                .then(a.opening.cmp(&b.opening))
+                .then(a.event.cmp(&b.event))
+        });
+        for b in &self.boundaries {
+            if b.time > 0.0 {
+                sim.schedule_timer(b.time)?;
+            }
         }
+        self.next_boundary = 0;
+        Ok(())
     }
-    let mut next_boundary = 0usize;
 
-    loop {
-        // Apply every boundary due at (or before) the current instant.
+    /// Submits the refilled spec and records what the activity means.
+    fn submit(&mut self, sim: &mut L07Sim, m: Meaning) -> Result<(), ExecError> {
+        let id = sim.submit(&self.spec)?;
+        let idx = id.index();
+        debug_assert_eq!(idx, self.in_flight.len(), "activity ids must be dense");
+        if idx >= self.in_flight.len() {
+            self.in_flight.resize(idx + 1, None);
+            self.live_ids.resize(idx + 1, id);
+        }
+        self.in_flight[idx] = Some(m);
+        self.live_ids[idx] = id;
+        Ok(())
+    }
+
+    /// Applies every plan boundary due at (or before) the current instant:
+    /// window edges rescale host and link capacities, and a crash goes
+    /// through [`JobExec::repair_crash`].
+    fn apply_boundaries(
+        &mut self,
+        sim: &mut L07Sim,
+        model: &mut dyn ExecutionModel,
+        flows: &mut RedistFlows,
+        dag: &Dag,
+        setup: &mut DisturbSetup<'_>,
+    ) -> Result<(), ExecError> {
+        let plan = setup.plan;
         let now = sim.now();
-        while next_boundary < boundaries.len() && boundaries[next_boundary].time <= now + 1e-9 {
-            let b = boundaries[next_boundary];
-            next_boundary += 1;
+        let n_hosts = self.crashed.len();
+        while let Some(&b) = self
+            .boundaries
+            .get(self.next_boundary)
+            .filter(|b| b.time <= now + 1e-9)
+        {
+            self.next_boundary += 1;
             match plan.events[b.event] {
                 Disturbance::Slow { host, .. } => {
                     if b.opening {
-                        report.slows += 1;
+                        self.report.slows += 1;
                     }
                     if host < n_hosts {
                         sim.set_host_factor(HostId(host), plan.slow_factor(host, now).max(1.0))?;
@@ -797,295 +648,432 @@ pub fn execute_disturbed_with_slab_prevalidated(
                 }
                 Disturbance::Degrade { link, .. } => {
                     if b.opening {
-                        report.degrades += 1;
+                        self.report.degrades += 1;
                     }
                     if link < n_hosts {
                         sim.set_link_factor(HostId(link), plan.link_factor(link, now).max(1.0))?;
                     }
                 }
                 Disturbance::Crash { host, .. } => {
-                    if host >= n_hosts || crashed[host] {
-                        continue;
-                    }
-                    crashed[host] = true;
-                    report.crashes += 1;
-                    sim.crash_host(HostId(host))?;
-
-                    // Who is stranded: unfinished tasks placed on a dead
-                    // host, plus in-flight redistributions whose endpoints
-                    // touch one.
-                    let affected: Vec<TaskId> = order
-                        .iter()
-                        .copied()
-                        .filter(|t| {
-                            state[t.index()] != TaskState::Done
-                                && touches_crashed(&placements[t.index()], crashed)
-                        })
-                        .collect();
-                    let mut cancelled_redists: Vec<(TaskId, TaskId)> = Vec::new();
-                    for idx in 0..in_flight.len() {
-                        let cancel = match in_flight[idx] {
-                            Some(Meaning::TaskRun(t)) | Some(Meaning::Backoff(t)) => {
-                                touches_crashed(&placements[t.index()], crashed).then(|| {
-                                    state[t.index()] = TaskState::Waiting;
-                                    attempts[t.index()] += 1;
-                                })
-                            }
-                            Some(Meaning::Redist { src, succ }) => {
-                                (touches_crashed(&placements[src.index()], crashed)
-                                    || touches_crashed(&placements[succ.index()], crashed))
-                                .then(|| {
-                                    cancelled_redists.push((src, succ));
-                                })
-                            }
-                            None => None,
-                        };
-                        if cancel.is_some() {
-                            sim.cancel(live_ids[idx]);
-                            in_flight[idx] = None;
-                        }
-                    }
-                    if affected.is_empty() && cancelled_redists.is_empty() {
-                        continue;
-                    }
-
-                    let survivors: Vec<HostId> =
-                        (0..n_hosts).filter(|&h| !crashed[h]).map(HostId).collect();
-                    let failed = || ExecError::HostFailed {
-                        host: HostId(host),
-                        stranded: affected.len(),
-                    };
-                    if survivors.is_empty() || setup.recovery == RecoveryPolicy::FailFast {
-                        return Err(failed());
-                    }
-
-                    // Repair placements (and, under Rescue, the order).
-                    let mut changed = vec![false; n_tasks];
-                    match setup.recovery {
-                        RecoveryPolicy::FailFast => unreachable!("handled above"),
-                        RecoveryPolicy::RetryElsewhere => {
-                            for &t in &affected {
-                                let old = &placements[t.index()];
-                                let mut keep: Vec<HostId> = old
-                                    .iter()
-                                    .copied()
-                                    .filter(|h| !crashed[h.index()])
-                                    .collect();
-                                for &s in &survivors {
-                                    if keep.len() == old.len() {
-                                        break;
-                                    }
-                                    if !keep.contains(&s) {
-                                        keep.push(s);
-                                    }
-                                }
-                                if keep.len() < old.len() {
-                                    return Err(failed());
-                                }
-                                placements[t.index()] = keep;
-                                changed[t.index()] = true;
-                                report.retried_tasks += 1;
-                            }
-                        }
-                        RecoveryPolicy::Rescue => {
-                            let Some(replan) = setup.replan.as_mut() else {
-                                return Err(failed());
-                            };
-                            let Some(rescue) = replan(&survivors) else {
-                                return Err(failed());
-                            };
-                            // Running/backoff tasks on surviving hosts keep
-                            // their placement and precede everything else;
-                            // every waiting task adopts the rescue
-                            // schedule's placement and order.
-                            let mut new_order: Vec<TaskId> = order
-                                .iter()
-                                .copied()
-                                .filter(|t| {
-                                    matches!(
-                                        state[t.index()],
-                                        TaskState::Running | TaskState::Backoff
-                                    )
-                                })
-                                .collect();
-                            let mut adopted = 0u64;
-                            for st in &rescue.tasks {
-                                let t = st.task;
-                                if state[t.index()] != TaskState::Waiting {
-                                    continue;
-                                }
-                                if st.hosts.is_empty() || touches_crashed(&st.hosts, crashed) {
-                                    return Err(failed());
-                                }
-                                if placements[t.index()] != st.hosts {
-                                    changed[t.index()] = true;
-                                }
-                                placements[t.index()].clone_from(&st.hosts);
-                                new_order.push(t);
-                                adopted += 1;
-                            }
-                            // Defensive: a waiting task the rescue schedule
-                            // somehow omitted keeps its old placement (it
-                            // must still be off the dead hosts).
-                            for &t in order.iter() {
-                                if state[t.index()] == TaskState::Waiting && !new_order.contains(&t)
-                                {
-                                    if touches_crashed(&placements[t.index()], crashed) {
-                                        return Err(failed());
-                                    }
-                                    new_order.push(t);
-                                }
-                            }
-                            *order = new_order;
-                            report.rescues += 1;
-                            report.rescued_tasks += adopted;
-                        }
-                    }
-
-                    // Re-planned tasks wait out the re-plan cost.
-                    for t in 0..n_tasks {
-                        if changed[t]
-                            || (setup.recovery == RecoveryPolicy::Rescue
-                                && state[t] == TaskState::Waiting)
-                        {
-                            gate[t] = gate[t].max(now + setup.rescue_overhead);
-                        }
-                    }
-
-                    // Rebuild the host queues over the unfinished tasks.
-                    // Running and backoff tasks hold their hosts, so they
-                    // go first and keep their hosts' heads; waiting tasks
-                    // follow in the (possibly new) dispatch order.
-                    for q in queue.iter_mut() {
-                        q.clear();
-                    }
-                    queue_head.fill(0);
-                    for holding in [true, false] {
-                        for &t in order.iter() {
-                            let s = state[t.index()];
-                            if s != TaskState::Done
-                                && matches!(s, TaskState::Running | TaskState::Backoff) == holding
-                            {
-                                for h in &placements[t.index()] {
-                                    queue[h.index()].push(t);
-                                }
-                            }
-                        }
-                    }
-
-                    // Data plane repair: a task whose placement changed
-                    // needs every predecessor's output again at its new
-                    // hosts; cancelled transfers to unchanged placements
-                    // are simply re-issued.
-                    for t in dag.task_ids() {
-                        if state[t.index()] == TaskState::Done || !changed[t.index()] {
-                            continue;
-                        }
-                        // A transfer still in flight into `t` targets its old
-                        // placement and would double-count against the reset
-                        // `pending` once the repair re-issues it below.
-                        for idx in 0..in_flight.len() {
-                            if let Some(Meaning::Redist { succ, .. }) = in_flight[idx] {
-                                if succ == t {
-                                    sim.cancel(live_ids[idx]);
-                                    in_flight[idx] = None;
-                                }
-                            }
-                        }
-                        pending[t.index()] = dag.predecessors(t).len();
-                        for &pred in dag.predecessors(t) {
-                            if state[pred.index()] == TaskState::Done {
-                                issue_redist(
-                                    sim, model, spec, flows, dag, placements, crashed, pred, t,
-                                    in_flight, live_ids,
-                                )?;
-                            }
-                        }
-                    }
-                    for &(src, succ) in &cancelled_redists {
-                        if !changed[succ.index()] && state[succ.index()] != TaskState::Done {
-                            issue_redist(
-                                sim, model, spec, flows, dag, placements, crashed, src, succ,
-                                in_flight, live_ids,
-                            )?;
-                        }
+                    if host < n_hosts && !self.crashed[host] {
+                        self.repair_crash(sim, model, flows, dag, setup, host)?;
                     }
                 }
             }
         }
-
-        try_start(
-            sim,
-            spec,
-            model,
-            policy,
-            dag,
-            plan,
-            order,
-            placements,
-            queue,
-            queue_head,
-            pending,
-            state,
-            &mut spans,
-            &mut attempts,
-            launched,
-            gate,
-            in_flight,
-            live_ids,
-        )?;
-
-        if !sim.next_completions_into(completions)? {
-            return Err(ExecError::Stalled {
-                unstarted: state.iter().filter(|&&s| s != TaskState::Done).count(),
-            });
-        }
-        for &c in completions.iter() {
-            match in_flight.get_mut(c.task.index()).and_then(Option::take) {
-                Some(Meaning::TaskRun(t)) => {
-                    state[t.index()] = TaskState::Done;
-                    spans[t.index()].1 = c.time;
-                    done_count += 1;
-                    // Release host queues.
-                    for h in &placements[t.index()] {
-                        debug_assert_eq!(
-                            queue[h.index()][queue_head[h.index()]],
-                            t,
-                            "queue discipline violated"
-                        );
-                        queue_head[h.index()] += 1;
-                    }
-                    // Start redistributions to every successor.
-                    for &succ in dag.successors(t) {
-                        issue_redist(
-                            sim, model, spec, flows, dag, placements, crashed, t, succ, in_flight,
-                            live_ids,
-                        )?;
-                    }
-                }
-                Some(Meaning::Backoff(t)) => {
-                    // Backoff elapsed: the task becomes eligible again and
-                    // re-attempts on the next launch pass (its hosts were
-                    // never released).
-                    state[t.index()] = TaskState::Waiting;
-                }
-                Some(Meaning::Redist { succ, .. }) => {
-                    pending[succ.index()] -= 1;
-                }
-                None => unreachable!("unknown completion"),
-            }
-        }
-        if done_count == n_tasks {
-            break;
-        }
+        Ok(())
     }
 
-    let makespan = spans.iter().map(|&(_, f)| f).fold(0.0_f64, f64::max);
-    Ok(ExecutionResult {
-        makespan,
-        task_spans: spans,
-        task_retries: attempts,
-    })
+    /// Retires the crashed `host`, cancels the activities it strands, and
+    /// repairs the schedule under `setup.recovery` (see
+    /// [`execute_prevalidated`]).
+    fn repair_crash(
+        &mut self,
+        sim: &mut L07Sim,
+        model: &mut dyn ExecutionModel,
+        flows: &mut RedistFlows,
+        dag: &Dag,
+        setup: &mut DisturbSetup<'_>,
+        host: usize,
+    ) -> Result<(), ExecError> {
+        self.crashed[host] = true;
+        self.report.crashes += 1;
+        sim.crash_host(HostId(host))?;
+
+        // Who is stranded: unfinished tasks placed on a dead host, plus
+        // in-flight redistributions whose endpoints touch one.
+        let affected: Vec<TaskId> = self
+            .order
+            .iter()
+            .copied()
+            .filter(|t| {
+                self.state[t.index()] != TaskState::Done
+                    && touches_crashed(&self.placements[t.index()], &self.crashed)
+            })
+            .collect();
+        let mut cancelled_redists: Vec<(TaskId, TaskId)> = Vec::new();
+        for idx in 0..self.in_flight.len() {
+            let touches = |t: TaskId| touches_crashed(&self.placements[t.index()], &self.crashed);
+            let stranded = match self.in_flight[idx] {
+                Some(Meaning::TaskRun(t) | Meaning::Backoff(t)) => {
+                    let hit = touches(t);
+                    if hit {
+                        self.state[t.index()] = TaskState::Waiting;
+                        self.attempts[t.index()] += 1;
+                    }
+                    hit
+                }
+                Some(Meaning::Redist { src, succ }) => {
+                    let hit = touches(src) || touches(succ);
+                    if hit {
+                        cancelled_redists.push((src, succ));
+                    }
+                    hit
+                }
+                None => false,
+            };
+            if stranded {
+                sim.cancel(self.live_ids[idx]);
+                self.in_flight[idx] = None;
+            }
+        }
+        if affected.is_empty() && cancelled_redists.is_empty() {
+            return Ok(());
+        }
+
+        let survivors: Vec<HostId> = (0..self.crashed.len())
+            .filter(|&h| !self.crashed[h])
+            .map(HostId)
+            .collect();
+        let changed = if survivors.is_empty() {
+            None
+        } else {
+            self.replace_stranded(setup, &affected, &survivors)
+        };
+        let Some(changed) = changed else {
+            return Err(ExecError::HostFailed {
+                host: HostId(host),
+                stranded: affected.len(),
+            });
+        };
+
+        // Re-planned tasks wait out the re-plan cost.
+        let now = sim.now();
+        let rescue = setup.recovery == RecoveryPolicy::Rescue;
+        for (t, &moved) in changed.iter().enumerate() {
+            if moved || (rescue && self.state[t] == TaskState::Waiting) {
+                self.gate[t] = self.gate[t].max(now + setup.rescue_overhead);
+            }
+        }
+
+        // Rebuild the host queues over the unfinished tasks. Running and
+        // backoff tasks hold their hosts, so they go first and keep their
+        // hosts' heads; waiting tasks follow in the (possibly new) order.
+        for q in &mut self.queue {
+            q.clear();
+        }
+        self.queue_head.fill(0);
+        for holding in [true, false] {
+            for &t in &self.order {
+                let s = self.state[t.index()];
+                if s != TaskState::Done
+                    && matches!(s, TaskState::Running | TaskState::Backoff) == holding
+                {
+                    for h in &self.placements[t.index()] {
+                        self.queue[h.index()].push(t);
+                    }
+                }
+            }
+        }
+
+        // Data plane repair: a task whose placement changed needs every
+        // predecessor's output again at its new hosts; cancelled transfers
+        // to unchanged placements are simply re-issued.
+        for t in dag.task_ids() {
+            if self.state[t.index()] == TaskState::Done || !changed[t.index()] {
+                continue;
+            }
+            // A transfer still in flight into `t` targets its old placement
+            // and would double-count against the reset `pending` once the
+            // repair re-issues it below.
+            for idx in 0..self.in_flight.len() {
+                if let Some(Meaning::Redist { succ, .. }) = self.in_flight[idx] {
+                    if succ == t {
+                        sim.cancel(self.live_ids[idx]);
+                        self.in_flight[idx] = None;
+                    }
+                }
+            }
+            self.pending[t.index()] = dag.predecessors(t).len();
+            for &pred in dag.predecessors(t) {
+                if self.state[pred.index()] == TaskState::Done {
+                    self.issue_redist(sim, model, flows, dag, pred, t)?;
+                }
+            }
+        }
+        for &(src, succ) in &cancelled_redists {
+            if !changed[succ.index()] && self.state[succ.index()] != TaskState::Done {
+                self.issue_redist(sim, model, flows, dag, src, succ)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Moves the stranded tasks off the dead hosts under `setup.recovery`
+    /// (and, under Rescue, replaces the dispatch order). Returns which
+    /// tasks changed placement, or `None` when the policy cannot repair
+    /// the schedule.
+    fn replace_stranded(
+        &mut self,
+        setup: &mut DisturbSetup<'_>,
+        affected: &[TaskId],
+        survivors: &[HostId],
+    ) -> Option<Vec<bool>> {
+        let mut changed = vec![false; self.state.len()];
+        match setup.recovery {
+            RecoveryPolicy::FailFast => return None,
+            RecoveryPolicy::RetryElsewhere => {
+                for &t in affected {
+                    let old = &self.placements[t.index()];
+                    let mut keep: Vec<HostId> = old
+                        .iter()
+                        .copied()
+                        .filter(|h| !self.crashed[h.index()])
+                        .collect();
+                    for &s in survivors {
+                        if keep.len() == old.len() {
+                            break;
+                        }
+                        if !keep.contains(&s) {
+                            keep.push(s);
+                        }
+                    }
+                    if keep.len() < old.len() {
+                        return None;
+                    }
+                    self.placements[t.index()] = keep;
+                    changed[t.index()] = true;
+                    self.report.retried_tasks += 1;
+                }
+            }
+            RecoveryPolicy::Rescue => {
+                let replan = setup.replan.as_mut()?;
+                let rescue = replan(survivors)?;
+                // Running/backoff tasks on surviving hosts keep their
+                // placement and precede everything else; every waiting task
+                // adopts the rescue schedule's placement and order.
+                let mut new_order: Vec<TaskId> = self
+                    .order
+                    .iter()
+                    .copied()
+                    .filter(|t| {
+                        matches!(
+                            self.state[t.index()],
+                            TaskState::Running | TaskState::Backoff
+                        )
+                    })
+                    .collect();
+                let mut adopted = 0u64;
+                for st in &rescue.tasks {
+                    let t = st.task;
+                    if self.state[t.index()] != TaskState::Waiting {
+                        continue;
+                    }
+                    if st.hosts.is_empty() || touches_crashed(&st.hosts, &self.crashed) {
+                        return None;
+                    }
+                    if self.placements[t.index()] != st.hosts {
+                        changed[t.index()] = true;
+                    }
+                    self.placements[t.index()].clone_from(&st.hosts);
+                    new_order.push(t);
+                    adopted += 1;
+                }
+                // Defensive: a waiting task the rescue schedule somehow
+                // omitted keeps its old placement (it must still be off the
+                // dead hosts).
+                for &t in &self.order {
+                    if self.state[t.index()] == TaskState::Waiting && !new_order.contains(&t) {
+                        if touches_crashed(&self.placements[t.index()], &self.crashed) {
+                            return None;
+                        }
+                        new_order.push(t);
+                    }
+                }
+                self.order = new_order;
+                self.report.rescues += 1;
+                self.report.rescued_tasks += adopted;
+            }
+        }
+        Some(changed)
+    }
+
+    /// The launch pass: starts every waiting task that heads the queue of
+    /// each of its hosts and has all its inputs. Fixed-duration tasks
+    /// sample the plan's compound slowdown of their hosts at launch (the
+    /// same launch-sampled semantics `FaultPlan` node slowdowns use), and a
+    /// re-planned task waits out its `gate` (the rescue overhead, as
+    /// virtual time) before its attempt starts. Every attempt — successful
+    /// or not — pays the startup overhead.
+    fn try_start(
+        &mut self,
+        sim: &mut L07Sim,
+        model: &mut dyn ExecutionModel,
+        policy: &ExecPolicy,
+        dag: &Dag,
+        plan: &DisturbancePlan,
+    ) -> Result<(), ExecError> {
+        let now = sim.now();
+        for i in 0..self.order.len() {
+            let t = self.order[i];
+            let ti = t.index();
+            if self.state[ti] != TaskState::Waiting || self.pending[ti] > 0 {
+                continue;
+            }
+            let hosts = &self.placements[ti];
+            let at_head = hosts
+                .iter()
+                .all(|h| self.queue[h.index()].get(self.queue_head[h.index()]) == Some(&t));
+            if !at_head {
+                continue;
+            }
+            let kernel = dag.task(t).kernel;
+            let p = hosts.len();
+            let startup = model.startup_overhead(t, p) + (self.gate[ti] - now).max(0.0);
+            if !self.launched[ti] {
+                self.launched[ti] = true;
+                self.spans[ti].0 = now;
+            }
+            let disposition = match model.fault_model() {
+                Some(fm) => fm.task_disposition(t, hosts, self.attempts[ti], now),
+                None => TaskDisposition::Run { slowdown: 1.0 },
+            };
+            let slowdown = match disposition {
+                TaskDisposition::Fail { retry_after } => {
+                    let attempt = self.attempts[ti];
+                    if attempt >= policy.max_retries {
+                        return Err(ExecError::TaskFailed {
+                            task: t,
+                            attempts: attempt + 1,
+                        });
+                    }
+                    self.attempts[ti] = attempt + 1;
+                    // The failed attempt is charged as simulated time: its
+                    // startup overhead plus the backoff wait (or the time
+                    // until a crashed host recovers, whichever is longer).
+                    // The task's hosts stay claimed throughout.
+                    let backoff = (policy.backoff_base * 2.0_f64.powi(attempt as i32))
+                        .min(policy.backoff_cap);
+                    fill_delay(&mut self.spec, startup + backoff.max(retry_after));
+                    self.submit(sim, Meaning::Backoff(t))?;
+                    self.state[ti] = TaskState::Backoff;
+                    continue;
+                }
+                TaskDisposition::Run { slowdown } => slowdown.max(1.0),
+            };
+            match model.task_execution(t, kernel, hosts) {
+                TaskExecution::Analytic => {
+                    // Host slowdowns reach analytic tasks through the
+                    // engine's scaled capacities — no launch-time factor.
+                    let flops = kernel.flops_per_proc(p) * slowdown;
+                    fill_analytic(&mut self.spec, kernel, hosts, flops, startup);
+                }
+                TaskExecution::Fixed(duration) => {
+                    let disturb_factor = hosts
+                        .iter()
+                        .map(|h| plan.slow_factor(h.index(), now))
+                        .fold(1.0, f64::max);
+                    fill_delay(
+                        &mut self.spec,
+                        startup + duration.max(0.0) * slowdown * disturb_factor,
+                    );
+                }
+            }
+            self.submit(sim, Meaning::TaskRun(t))?;
+            self.state[ti] = TaskState::Running;
+        }
+        Ok(())
+    }
+
+    /// Submits the redistribution for DAG edge `src → succ` using the
+    /// tasks' *current* placements. Crashed source hosts are substituted by
+    /// the source's first surviving host (the durable-replication
+    /// assumption: a finished task's output can be re-served from any
+    /// surviving rank); when no source host survives at all, the data
+    /// re-materializes at the destination instantly and only the protocol
+    /// overhead is charged. Degraded links carry more effective bytes, and
+    /// the overhead stretches with the worst link factor at the current
+    /// instant.
+    fn issue_redist(
+        &mut self,
+        sim: &mut L07Sim,
+        model: &mut dyn ExecutionModel,
+        flows: &mut RedistFlows,
+        dag: &Dag,
+        src: TaskId,
+        succ: TaskId,
+    ) -> Result<(), ExecError> {
+        let src_hosts = &self.placements[src.index()];
+        let dst_hosts = &self.placements[succ.index()];
+        let crashed = &self.crashed;
+        let mut overhead = model.redist_overhead(src_hosts.len(), dst_hosts.len());
+        let now = sim.now();
+        self.spec.clear();
+        if let Some(replacement) = src_hosts.iter().find(|h| !crashed[h.index()]).copied() {
+            let map_src = |h: HostId| if crashed[h.index()] { replacement } else { h };
+            let n = dag.task(src).kernel.n();
+            flows.build(
+                n,
+                src_hosts,
+                map_src,
+                dst_hosts,
+                crashed.len(),
+                &mut self.spec.flows,
+            );
+            if let Some(fm) = model.fault_model() {
+                let mut worst = 1.0_f64;
+                for (s, d, b) in &mut self.spec.flows {
+                    let factor = fm.link_factor(*s, *d, now).max(1.0);
+                    *b *= factor;
+                    worst = worst.max(factor);
+                }
+                overhead *= worst;
+            }
+        }
+        self.spec.extra_latency = overhead;
+        self.submit(sim, Meaning::Redist { src, succ })
+    }
+
+    /// Books one completion: a finished task releases its hosts' queues
+    /// and starts the redistributions to its successors, an elapsed
+    /// backoff makes its task eligible again (its hosts were never
+    /// released), and a finished redistribution ticks its successor's
+    /// pending count.
+    fn on_completion(
+        &mut self,
+        sim: &mut L07Sim,
+        model: &mut dyn ExecutionModel,
+        flows: &mut RedistFlows,
+        dag: &Dag,
+        c: PTaskCompletion,
+    ) -> Result<(), ExecError> {
+        match self
+            .in_flight
+            .get_mut(c.task.index())
+            .and_then(Option::take)
+        {
+            Some(Meaning::TaskRun(t)) => {
+                self.state[t.index()] = TaskState::Done;
+                self.spans[t.index()].1 = c.time;
+                self.done += 1;
+                for h in &self.placements[t.index()] {
+                    debug_assert_eq!(
+                        self.queue[h.index()][self.queue_head[h.index()]],
+                        t,
+                        "queue discipline violated"
+                    );
+                    self.queue_head[h.index()] += 1;
+                }
+                for &succ in dag.successors(t) {
+                    self.issue_redist(sim, model, flows, dag, t, succ)?;
+                }
+            }
+            Some(Meaning::Backoff(t)) => self.state[t.index()] = TaskState::Waiting,
+            Some(Meaning::Redist { succ, .. }) => self.pending[succ.index()] -= 1,
+            None => unreachable!("unknown completion"),
+        }
+        Ok(())
+    }
+
+    /// The finished job's result; spans and retries move out of the job.
+    fn finish(&mut self) -> ExecutionResult {
+        let makespan = self.spans.iter().map(|&(_, f)| f).fold(0.0_f64, f64::max);
+        ExecutionResult {
+            makespan,
+            task_spans: std::mem::take(&mut self.spans),
+            task_retries: std::mem::take(&mut self.attempts),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1155,13 +1143,23 @@ mod tests {
         Hcpa.schedule(dag, cluster, &AnalyticModel::paper_jvm())
     }
 
+    /// [`execute`] under the default policy.
+    fn exec(
+        dag: &Dag,
+        cluster: &Cluster,
+        schedule: &Schedule,
+        model: &mut dyn ExecutionModel,
+    ) -> Result<ExecutionResult, ExecError> {
+        execute(dag, cluster, schedule, model, &ExecPolicy::default())
+    }
+
     #[test]
     fn model_is_consulted_once_per_task_and_edge() {
         let dag = diamond();
         let cluster = Cluster::bayreuth();
         let schedule = schedule_for(&dag, &cluster);
         let mut model = Counting::new(1.0, 0.5, 0.1);
-        let r = execute(&dag, &cluster, &schedule, &mut model).unwrap();
+        let r = exec(&dag, &cluster, &schedule, &mut model).unwrap();
         assert_eq!(model.task_calls, 4);
         assert_eq!(model.startup_calls, 4);
         assert_eq!(model.redist_calls, 4, "one per DAG edge");
@@ -1190,7 +1188,7 @@ mod tests {
             est_makespan: 30.0,
         };
         let mut model = Counting::new(2.0, 0.5, 0.25);
-        let r = execute(&dag, &cluster, &schedule, &mut model).unwrap();
+        let r = exec(&dag, &cluster, &schedule, &mut model).unwrap();
         let expected = 3.0 * (2.0 + 0.5) + 2.0 * 0.25;
         assert!(
             (r.makespan - expected).abs() < 1e-9,
@@ -1219,7 +1217,7 @@ mod tests {
             est_makespan: 4.0,
         };
         let mut model = Counting::new(0.0, 0.0, 0.0);
-        let r = execute(&dag, &cluster, &schedule, &mut model).unwrap();
+        let r = exec(&dag, &cluster, &schedule, &mut model).unwrap();
         assert!(r.makespan < 1e-9, "makespan {}", r.makespan);
         for &(s, f) in &r.task_spans {
             assert!(f >= s);
@@ -1233,7 +1231,7 @@ mod tests {
         let schedule = schedule_for(&dag, &cluster);
         for (d, su, re) in [(1.0, 0.0, 0.0), (0.5, 2.0, 0.0), (3.0, 0.1, 1.5)] {
             let mut model = Counting::new(d, su, re);
-            let r = execute(&dag, &cluster, &schedule, &mut model).unwrap();
+            let r = exec(&dag, &cluster, &schedule, &mut model).unwrap();
             for t in dag.task_ids() {
                 for &pred in dag.predecessors(t) {
                     assert!(
@@ -1271,7 +1269,7 @@ mod tests {
                 0.0
             }
         }
-        let r = execute(&dag, &cluster, &schedule, &mut NanModel).unwrap();
+        let r = exec(&dag, &cluster, &schedule, &mut NanModel).unwrap();
         assert!(r.makespan.is_finite());
     }
 
@@ -1312,9 +1310,9 @@ mod tests {
         let cluster = Cluster::bayreuth();
         let schedule = chain_schedule(&[0]);
         let mut healthy = Counting::new(2.0, 0.5, 0.25);
-        let baseline = execute(&dag, &cluster, &schedule, &mut healthy).unwrap();
+        let baseline = exec(&dag, &cluster, &schedule, &mut healthy).unwrap();
         let mut model = faulty(FaultPlan::none());
-        let r = execute(&dag, &cluster, &schedule, &mut model).unwrap();
+        let r = exec(&dag, &cluster, &schedule, &mut model).unwrap();
         assert_eq!(baseline, r);
         assert_eq!(r.total_retries(), 0);
     }
@@ -1325,7 +1323,7 @@ mod tests {
         let cluster = Cluster::bayreuth();
         let schedule = chain_schedule(&[0]);
         let mut healthy = Counting::new(2.0, 0.5, 0.25);
-        let baseline = execute(&dag, &cluster, &schedule, &mut healthy).unwrap();
+        let baseline = exec(&dag, &cluster, &schedule, &mut healthy).unwrap();
         // Host 0 is down from the start for 4 s: task 0's first attempt
         // fails and retries after the node recovers.
         let plan = FaultPlan::builder(1)
@@ -1336,7 +1334,7 @@ mod tests {
             max_retries: 5,
             ..ExecPolicy::default()
         };
-        let r = execute_with_policy(&dag, &cluster, &schedule, &mut model, &policy).unwrap();
+        let r = execute(&dag, &cluster, &schedule, &mut model, &policy).unwrap();
         assert!(r.task_retries[0] >= 1, "retries: {:?}", r.task_retries);
         assert!(
             r.makespan >= baseline.makespan + 4.0 - 1e-9,
@@ -1359,7 +1357,7 @@ mod tests {
             max_retries: 2,
             ..ExecPolicy::default()
         };
-        let err = execute_with_policy(&dag, &cluster, &schedule, &mut model, &policy).unwrap_err();
+        let err = execute(&dag, &cluster, &schedule, &mut model, &policy).unwrap_err();
         assert_eq!(
             err,
             ExecError::TaskFailed {
@@ -1414,12 +1412,12 @@ mod tests {
         let cluster = Cluster::bayreuth();
         let schedule = chain_schedule(&[0]);
         let mut healthy = Counting::new(2.0, 0.5, 0.25);
-        let baseline = execute(&dag, &cluster, &schedule, &mut healthy).unwrap();
+        let baseline = exec(&dag, &cluster, &schedule, &mut healthy).unwrap();
         let mut model = Wrapper {
             inner: Counting::new(2.0, 0.5, 0.25),
             faults: FailTwice,
         };
-        let r = execute(&dag, &cluster, &schedule, &mut model).unwrap();
+        let r = exec(&dag, &cluster, &schedule, &mut model).unwrap();
         assert_eq!(r.task_retries, vec![2, 0, 0]);
         let expected = baseline.makespan + 2.0 * 0.5 + (0.5 + 1.0);
         assert!(
@@ -1435,9 +1433,9 @@ mod tests {
         let cluster = Cluster::bayreuth();
         let schedule = chain_schedule(&[0]);
         let mut healthy = Counting::new(2.0, 0.5, 0.25);
-        let baseline = execute(&dag, &cluster, &schedule, &mut healthy).unwrap();
+        let baseline = exec(&dag, &cluster, &schedule, &mut healthy).unwrap();
         let mut model = faulty(FaultPlan::builder(1).straggler(TaskId(1), 3.0).build());
-        let r = execute(&dag, &cluster, &schedule, &mut model).unwrap();
+        let r = exec(&dag, &cluster, &schedule, &mut model).unwrap();
         // Task 1's 2 s execution becomes 6 s.
         assert!((r.makespan - (baseline.makespan + 4.0)).abs() < 1e-9);
         let mut model = faulty(
@@ -1445,7 +1443,7 @@ mod tests {
                 .node_slowdown(HostId(0), 0.0, 2.0)
                 .build(),
         );
-        let r = execute(&dag, &cluster, &schedule, &mut model).unwrap();
+        let r = exec(&dag, &cluster, &schedule, &mut model).unwrap();
         // Every task doubles: 3 × 2 s extra.
         assert!((r.makespan - (baseline.makespan + 6.0)).abs() < 1e-9);
     }
@@ -1467,12 +1465,12 @@ mod tests {
             est_makespan: 30.0,
         };
         let mut healthy = Counting::new(2.0, 0.5, 0.25);
-        let baseline = execute(&dag, &cluster, &schedule, &mut healthy).unwrap();
+        let baseline = exec(&dag, &cluster, &schedule, &mut healthy).unwrap();
         let plan = FaultPlan::builder(1)
             .link_degrade(HostId(1), 0.0, 1.0e9, 4.0)
             .build();
         let mut model = faulty(plan);
-        let r = execute(&dag, &cluster, &schedule, &mut model).unwrap();
+        let r = exec(&dag, &cluster, &schedule, &mut model).unwrap();
         assert!(
             r.makespan > baseline.makespan + 1e-6,
             "degraded {} vs healthy {}",
@@ -1491,7 +1489,7 @@ mod tests {
             ..ExecPolicy::default()
         };
         let mut model = Counting::new(2.0, 0.5, 0.25);
-        let err = execute_with_policy(&dag, &cluster, &schedule, &mut model, &policy).unwrap_err();
+        let err = execute(&dag, &cluster, &schedule, &mut model, &policy).unwrap_err();
         assert!(matches!(err, ExecError::Timeout { .. }), "{err:?}");
         // A generous horizon lets the same execution finish.
         let policy = ExecPolicy {
@@ -1499,7 +1497,7 @@ mod tests {
             ..ExecPolicy::default()
         };
         let mut model = Counting::new(2.0, 0.5, 0.25);
-        assert!(execute_with_policy(&dag, &cluster, &schedule, &mut model, &policy).is_ok());
+        assert!(execute(&dag, &cluster, &schedule, &mut model, &policy).is_ok());
     }
 
     // ---- timed disturbances & reactive repair ---------------------------
@@ -1516,7 +1514,6 @@ mod tests {
         replan: Option<&'a mut dyn FnMut(&[HostId]) -> Option<Schedule>>,
     ) -> (Result<ExecutionResult, ExecError>, DisturbReport) {
         let mut slab = ExecSlab::new();
-        let mut report = DisturbReport::default();
         let setup = DisturbSetup {
             plan,
             recovery,
@@ -1524,17 +1521,9 @@ mod tests {
             replan,
         };
         schedule.validate(dag, cluster).unwrap();
-        let r = execute_disturbed_with_slab_prevalidated(
-            &mut slab,
-            dag,
-            cluster,
-            schedule,
-            model,
-            &ExecPolicy::default(),
-            setup,
-            &mut report,
-        );
-        (r, report)
+        let policy = ExecPolicy::default();
+        let r = execute_prevalidated(&mut slab, dag, cluster, schedule, model, &policy, setup);
+        (r, slab.report())
     }
 
     #[test]
@@ -1543,7 +1532,7 @@ mod tests {
         let cluster = Cluster::bayreuth();
         let schedule = schedule_for(&dag, &cluster);
         let mut healthy = Counting::new(2.0, 0.5, 0.25);
-        let baseline = execute(&dag, &cluster, &schedule, &mut healthy).unwrap();
+        let baseline = exec(&dag, &cluster, &schedule, &mut healthy).unwrap();
         let plan = DisturbancePlan::none();
         let mut model = Counting::new(2.0, 0.5, 0.25);
         let (r, report) = run_disturbed(
@@ -1630,7 +1619,7 @@ mod tests {
         let cluster = Cluster::bayreuth();
         let schedule = chain_schedule(&[0]);
         let mut healthy = Counting::new(2.0, 0.5, 0.25);
-        let baseline = execute(&dag, &cluster, &schedule, &mut healthy).unwrap();
+        let baseline = exec(&dag, &cluster, &schedule, &mut healthy).unwrap();
         let plan = DisturbancePlan::builder(1).crash(HostId(0), 3.0).build();
         let mut model = Counting::new(2.0, 0.5, 0.25);
         let (r, report) = run_disturbed(
@@ -1743,7 +1732,7 @@ mod tests {
         let cluster = Cluster::bayreuth();
         let schedule = chain_schedule(&[0]);
         let mut healthy = Counting::new(2.0, 0.5, 0.25);
-        let baseline = execute(&dag, &cluster, &schedule, &mut healthy).unwrap();
+        let baseline = exec(&dag, &cluster, &schedule, &mut healthy).unwrap();
         // Host 7 never appears in the schedule.
         let plan = DisturbancePlan::builder(1).crash(HostId(7), 1.0).build();
         let mut model = Counting::new(2.0, 0.5, 0.25);
@@ -1779,7 +1768,7 @@ mod tests {
             est_makespan: 30.0,
         };
         let mut healthy = Counting::new(2.0, 0.5, 0.25);
-        let baseline = execute(&dag, &cluster, &schedule, &mut healthy).unwrap();
+        let baseline = exec(&dag, &cluster, &schedule, &mut healthy).unwrap();
         let plan = DisturbancePlan::builder(1)
             .degrade(HostId(1), 0.0, 100.0, 50.0)
             .build();
@@ -1835,18 +1824,19 @@ mod proptests {
             };
             let dag = generate(&params, seed);
             let cluster = Cluster::bayreuth();
+            let policy = ExecPolicy::default();
             for algo in [&Hcpa as &dyn Scheduler, &Mcpa] {
                 let (schedule, result) = if use_empirical {
                     let model = EmpiricalModel::table_ii();
                     let schedule = algo.schedule(&dag, &cluster, &model);
                     let mut exec = crate::simulator::ModelExecution::new(model);
-                    let result = execute(&dag, &cluster, &schedule, &mut exec).unwrap();
+                    let result = execute(&dag, &cluster, &schedule, &mut exec, &policy).unwrap();
                     (schedule, result)
                 } else {
                     let model = AnalyticModel::paper_jvm();
                     let schedule = algo.schedule(&dag, &cluster, &model);
                     let mut exec = crate::simulator::ModelExecution::new(model);
-                    let result = execute(&dag, &cluster, &schedule, &mut exec).unwrap();
+                    let result = execute(&dag, &cluster, &schedule, &mut exec, &policy).unwrap();
                     (schedule, result)
                 };
                 prop_assert!(result.makespan.is_finite() && result.makespan >= 0.0);
@@ -1906,7 +1896,7 @@ mod proptests {
 #[cfg(test)]
 mod repro_review {
     use super::*;
-    use mps_faults::{DisturbReport, DisturbancePlan, RecoveryPolicy};
+    use mps_faults::{DisturbancePlan, RecoveryPolicy};
     use mps_kernels::Kernel;
     use mps_sched::{Schedule, ScheduledTask};
 
@@ -1955,10 +1945,9 @@ mod repro_review {
             })
         };
         let mut slab = ExecSlab::new();
-        let mut report = DisturbReport::default();
         let mut model = PerTask;
         schedule.validate(&dag, &cluster).unwrap();
-        let r = execute_disturbed_with_slab_prevalidated(
+        let r = execute_prevalidated(
             &mut slab,
             &dag,
             &cluster,
@@ -1971,9 +1960,8 @@ mod repro_review {
                 rescue_overhead: 0.0,
                 replan: Some(&mut replan),
             },
-            &mut report,
         );
-        eprintln!("result: {r:?} report: {report:?}");
+        eprintln!("result: {r:?} report: {:?}", slab.report());
         r.unwrap();
     }
 
@@ -2002,8 +1990,7 @@ mod repro_review {
         // later in dispatch order, is already running.
         let plan = DisturbancePlan::builder(1).crash(HostId(0), 1.0).build();
         let mut slab = ExecSlab::new();
-        let mut report = DisturbReport::default();
-        let r = execute_disturbed_with_slab_prevalidated(
+        let r = execute_prevalidated(
             &mut slab,
             &dag,
             &cluster,
@@ -2016,10 +2003,9 @@ mod repro_review {
                 rescue_overhead: 0.0,
                 replan: None,
             },
-            &mut report,
         )
         .unwrap();
-        assert_eq!(report.retried_tasks, 1);
+        assert_eq!(slab.report().retried_tasks, 1);
         let (s, t) = (r.task_spans[1], r.task_spans[2]);
         assert!(s.0 >= t.1 - 1e-9, "S {s:?} overlaps T {t:?} on host 1");
     }

@@ -24,8 +24,7 @@ pub mod gantt;
 pub mod simulator;
 
 pub use executor::{
-    execute, execute_disturbed_with_slab_prevalidated, execute_with_policy, execute_with_slab,
-    execute_with_slab_prevalidated, DisturbSetup, ExecError, ExecPolicy, ExecSlab, ExecutionModel,
+    execute, execute_prevalidated, DisturbSetup, ExecError, ExecPolicy, ExecSlab, ExecutionModel,
     ExecutionResult, FaultyExecution, TaskExecution,
 };
 pub use gantt::render_gantt;

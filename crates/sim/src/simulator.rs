@@ -14,8 +14,8 @@ use mps_platform::{Cluster, HostId};
 use mps_sched::{AllocKey, AllocationEngine, Schedule, Scheduler};
 
 use crate::executor::{
-    execute, execute_with_slab, ExecError, ExecPolicy, ExecSlab, ExecutionModel, ExecutionResult,
-    TaskExecution,
+    execute, execute_prevalidated, validate, DisturbSetup, ExecError, ExecPolicy, ExecSlab,
+    ExecutionModel, ExecutionResult, TaskExecution,
 };
 
 /// Adapter: a deterministic [`PerfModel`] as an [`ExecutionModel`].
@@ -89,7 +89,13 @@ impl<M: PerfModel + Clone> Simulator<M> {
     /// Simulates an existing schedule.
     pub fn simulate(&self, dag: &Dag, schedule: &Schedule) -> Result<ExecutionResult, ExecError> {
         let mut exec_model = ModelExecution::new(&self.model);
-        execute(dag, &self.cluster, schedule, &mut exec_model)
+        execute(
+            dag,
+            &self.cluster,
+            schedule,
+            &mut exec_model,
+            &ExecPolicy::default(),
+        )
     }
 
     /// [`Simulator::simulate`] reusing a caller-owned [`ExecSlab`]:
@@ -101,14 +107,16 @@ impl<M: PerfModel + Clone> Simulator<M> {
         dag: &Dag,
         schedule: &Schedule,
     ) -> Result<ExecutionResult, ExecError> {
+        validate(dag, &self.cluster, schedule)?;
         let mut exec_model = ModelExecution::new(&self.model);
-        execute_with_slab(
+        execute_prevalidated(
             slab,
             dag,
             &self.cluster,
             schedule,
             &mut exec_model,
             &ExecPolicy::default(),
+            DisturbSetup::undisturbed(),
         )
     }
 
@@ -119,43 +127,16 @@ impl<M: PerfModel + Clone> Simulator<M> {
         dag: &Dag,
         algorithm: &dyn Scheduler,
     ) -> Result<SimOutcome, ExecError> {
-        let mut engine = AllocationEngine::new();
-        self.schedule_and_simulate_with_engine(dag, algorithm, &mut engine)
-    }
-
-    /// [`Simulator::schedule_and_simulate`] reusing a caller-owned
-    /// [`AllocationEngine`] — bit-identical results (the engine resets per
-    /// call), but a warm engine skips the per-request buffer allocations.
-    pub fn schedule_and_simulate_with_engine(
-        &self,
-        dag: &Dag,
-        algorithm: &dyn Scheduler,
-        engine: &mut AllocationEngine,
-    ) -> Result<SimOutcome, ExecError> {
-        let schedule = algorithm.schedule_with_engine(dag, &self.cluster, &self.model, engine);
+        let schedule = algorithm.schedule(dag, &self.cluster, &self.model);
         let result = self.simulate(dag, &schedule)?;
         Ok(SimOutcome { schedule, result })
     }
 
     /// The fully warmed pipeline: schedule with a caller-owned
     /// [`AllocationEngine`] and simulate in a caller-owned [`ExecSlab`].
-    /// Bit-identical to [`Simulator::schedule_and_simulate`].
-    pub fn schedule_and_simulate_with_slabs(
-        &self,
-        dag: &Dag,
-        algorithm: &dyn Scheduler,
-        engine: &mut AllocationEngine,
-        slab: &mut ExecSlab,
-    ) -> Result<SimOutcome, ExecError> {
-        let schedule = algorithm.schedule_with_engine(dag, &self.cluster, &self.model, engine);
-        let result = self.simulate_with_slab(slab, dag, &schedule)?;
-        Ok(SimOutcome { schedule, result })
-    }
-
-    /// [`Simulator::schedule_and_simulate_with_slabs`] with an
-    /// [`AllocKey`]: consecutive calls sharing the key (same DAG, same
-    /// model) carry the engine's τ-table across algorithms — bit-identical
-    /// outcomes, fewer model evaluations. See
+    /// Bit-identical to [`Simulator::schedule_and_simulate`]; consecutive
+    /// calls sharing the [`AllocKey`] (same DAG, same model) carry the
+    /// engine's τ-table across algorithms — fewer model evaluations. See
     /// [`mps_sched::AllocationEngine::allocate_keyed`] for the key
     /// contract.
     pub fn schedule_and_simulate_keyed(

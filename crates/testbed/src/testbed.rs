@@ -17,8 +17,7 @@ use mps_kernels::Kernel;
 use mps_platform::{Cluster, ClusterSpec, HostId};
 use mps_sched::Schedule;
 use mps_sim::{
-    execute, execute_disturbed_with_slab_prevalidated, execute_with_policy,
-    execute_with_slab_prevalidated, DisturbSetup, ExecError, ExecPolicy, ExecSlab, ExecutionModel,
+    execute, execute_prevalidated, DisturbSetup, ExecError, ExecPolicy, ExecSlab, ExecutionModel,
     ExecutionResult, FaultyExecution, TaskExecution,
 };
 
@@ -98,8 +97,10 @@ impl Testbed {
         schedule: &Schedule,
         run_seed: u64,
     ) -> Result<ExecutionResult, ExecError> {
-        let mut model = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
-        execute(dag, &self.cluster, schedule, &mut model)
+        let policy = ExecPolicy::default();
+        self.run(run_seed, None, |m| {
+            execute(dag, &self.cluster, schedule, m, &policy)
+        })
     }
 
     /// [`Testbed::execute`] reusing a caller-owned [`ExecSlab`], skipping
@@ -116,15 +117,11 @@ impl Testbed {
         schedule: &Schedule,
         run_seed: u64,
     ) -> Result<ExecutionResult, ExecError> {
-        let mut model = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
-        execute_with_slab_prevalidated(
-            slab,
-            dag,
-            &self.cluster,
-            schedule,
-            &mut model,
-            &ExecPolicy::default(),
-        )
+        let policy = ExecPolicy::default();
+        self.run(run_seed, None, |m| {
+            let setup = DisturbSetup::undisturbed();
+            execute_prevalidated(slab, dag, &self.cluster, schedule, m, &policy, setup)
+        })
     }
 
     /// [`Testbed::execute`] under an injected [`FaultPlan`]: the run plays
@@ -140,9 +137,9 @@ impl Testbed {
         plan: &FaultPlan,
         policy: &ExecPolicy,
     ) -> Result<ExecutionResult, ExecError> {
-        let inner = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
-        let mut model = FaultyExecution::new(inner, ScriptedFaults::new(plan.clone()));
-        execute_with_policy(dag, &self.cluster, schedule, &mut model, policy)
+        self.run(run_seed, Some(plan), |m| {
+            execute(dag, &self.cluster, schedule, m, policy)
+        })
     }
 
     /// [`Testbed::execute`] under timed platform disturbances: hosts
@@ -168,25 +165,29 @@ impl Testbed {
         setup: DisturbSetup<'_>,
         report: &mut DisturbReport,
     ) -> Result<ExecutionResult, ExecError> {
-        let mut inner = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
-        let mut faulty;
-        let model: &mut dyn ExecutionModel = match faults {
-            Some(plan) => {
-                faulty = FaultyExecution::new(inner, ScriptedFaults::new(plan.clone()));
-                &mut faulty
-            }
-            None => &mut inner,
-        };
-        execute_disturbed_with_slab_prevalidated(
-            slab,
-            dag,
-            &self.cluster,
-            schedule,
-            model,
-            policy,
-            setup,
-            report,
-        )
+        let run = self.run(run_seed, faults, |m| {
+            execute_prevalidated(slab, dag, &self.cluster, schedule, m, policy, setup)
+        });
+        report.absorb(&slab.report());
+        run
+    }
+
+    /// Runs `exec` on this run's ground-truth model (fresh noise from
+    /// `run_seed`), wrapped in the fault environment of `faults` if given.
+    fn run<R>(
+        &self,
+        run_seed: u64,
+        faults: Option<&FaultPlan>,
+        exec: impl FnOnce(&mut dyn ExecutionModel) -> R,
+    ) -> R {
+        let mut model = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
+        match faults {
+            Some(plan) => exec(&mut FaultyExecution::new(
+                model,
+                ScriptedFaults::new(plan.clone()),
+            )),
+            None => exec(&mut model),
+        }
     }
 
     /// One timed run of a single kernel at allocation `p` (the §VI
