@@ -55,13 +55,6 @@ impl Demand {
         }
     }
 
-    /// Builder-style rate bound.
-    #[must_use]
-    pub fn with_bound(mut self, bound: f64) -> Self {
-        self.bound = bound;
-        self
-    }
-
     /// True when the demand touches no resource with a positive weight.
     pub fn is_empty(&self) -> bool {
         self.weights.iter().all(|&(_, w)| w <= 0.0)
@@ -652,14 +645,20 @@ mod tests {
 
     #[test]
     fn bound_caps_the_rate() {
-        let d = Demand::single(0, 1.0).with_bound(5.0);
+        let d = Demand {
+            bound: 5.0,
+            ..Demand::single(0, 1.0)
+        };
         let r = rates(&[100.0], &[d]);
         assert_eq!(r, vec![5.0]);
     }
 
     #[test]
     fn bound_releases_capacity_to_others() {
-        let a = Demand::single(0, 1.0).with_bound(10.0);
+        let a = Demand {
+            bound: 10.0,
+            ..Demand::single(0, 1.0)
+        };
         let b = Demand::single(0, 1.0);
         let r = rates(&[100.0], &[a, b]);
         assert!((r[0] - 10.0).abs() < 1e-9);
@@ -718,7 +717,10 @@ mod tests {
 
     #[test]
     fn nan_bound_is_an_error() {
-        let d = Demand::single(0, 1.0).with_bound(f64::NAN);
+        let d = Demand {
+            bound: f64::NAN,
+            ..Demand::single(0, 1.0)
+        };
         let err = max_min_fair_rates(&[1.0], &[d]).unwrap_err();
         assert!(matches!(err, SolverError::InvalidNumber { .. }));
     }

@@ -765,8 +765,13 @@ fn build_harness(cli: &Cli) -> Harness {
     let mut harness = Harness::new(cli.seed);
     if let Some(plan) = &cli.fault_plan {
         if !cli.cell_worker {
+            let io = if plan.io.is_empty() {
+                ""
+            } else {
+                ", I/O faults under every durable write"
+            };
             eprintln!(
-                "# injecting fault plan (seed {}, {} event(s), max {} retries/task)",
+                "# injecting fault plan (seed {}, {} event(s){io}, max {} retries/task)",
                 plan.seed,
                 plan.events.len(),
                 cli.max_retries

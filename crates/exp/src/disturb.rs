@@ -7,7 +7,7 @@
 //! intensity point:
 //!
 //! * **makespan degradation** — mean measured makespan relative to the
-//!   undisturbed (intensity-0) point;
+//!   undisturbed baseline grid;
 //! * **rescue success rate** — among cells where a host actually crashed,
 //!   the fraction the recovery ladder still carried to a measurement;
 //! * **verdict stability** — how often the HCPA-vs-MCPA winner on the
@@ -15,17 +15,19 @@
 //!   point is that simulators must predict the *verdict*; this experiment
 //!   asks how long the verdict itself survives a degrading platform.
 //!
-//! The intensity-0 point runs the exact pre-disturbance code path (an
-//! empty plan is dropped by [`Harness::with_disturbance`]), so the sweep
-//! doubles as a live determinism guard: its first row must match a plain
-//! grid byte for byte.
+//! The point loop, the baseline and the stability rule are the shared
+//! verdict-stability sweep's (`crate::sweep`); this module generates the
+//! plans and folds each point into a [`DisturbPoint`]. An intensity-0
+//! plan is empty and dropped by [`Harness::with_disturbance`], so that
+//! point is the baseline grid itself.
 
 use serde::{Deserialize, Serialize};
 
 use mps_core::faults::{DisturbancePlan, RecoveryPolicy};
 
 use crate::chaos::fold;
-use crate::runner::{grid_health, CellResult, DisturbConfig, Harness, SimVariant};
+use crate::runner::{grid_health, CellOutcome, CellResult, DisturbConfig, Harness};
+use crate::sweep::{self, Hazard, Point, SweepGrid};
 
 /// Options for one disturbance sweep.
 #[derive(Debug, Clone)]
@@ -75,14 +77,14 @@ pub struct DisturbPoint {
     pub rescued_tasks: u64,
     /// Mean measured makespan over measured cells (seconds).
     pub mean_real_makespan: f64,
-    /// Mean makespan relative to the intensity-0 point, in percent
-    /// (`+12.0` = 12 % slower than the undisturbed platform).
+    /// Mean makespan relative to the undisturbed baseline grid, in
+    /// percent (`+12.0` = 12 % slower than the undisturbed platform).
     pub degradation_pct: f64,
     /// Among cells where a crash fired, the percentage that still
     /// measured (100 when no crash fired anywhere).
     pub rescue_success_pct: f64,
     /// Percentage of (DAG, variant) pairs whose HCPA-vs-MCPA testbed
-    /// winner agrees with the intensity-0 verdict.
+    /// winner (or tie) agrees with the undisturbed verdict.
     pub verdict_agreement_pct: f64,
 }
 
@@ -101,115 +103,29 @@ pub struct DisturbSweepReport {
     pub points: Vec<DisturbPoint>,
 }
 
-/// The testbed HCPA-vs-MCPA winner per (DAG, variant): `true` when HCPA's
-/// measured makespan is the smaller one. Pairs missing a measurement on
-/// either side are skipped.
-fn verdicts(cells: &[CellResult]) -> Vec<((String, SimVariant), bool)> {
-    let mut out = Vec::new();
-    for h in cells
-        .iter()
-        .filter(|c| c.algo == "HCPA" && c.succeeded() && c.real_makespan > 0.0)
-    {
-        if let Some(m) = cells.iter().find(|c| {
-            c.dag == h.dag
-                && c.variant == h.variant
-                && c.algo == "MCPA"
-                && c.succeeded()
-                && c.real_makespan > 0.0
-        }) {
-            out.push((
-                (h.dag.clone(), h.variant),
-                h.real_makespan <= m.real_makespan,
-            ));
-        }
-    }
-    out
-}
-
-/// Runs the sweep. `progress` is called once per finished point with a
-/// human-readable line.
+/// Runs the sweep; the caller's hazards are restored afterwards.
+/// `progress` is called once per finished point with a human-readable
+/// line.
 pub fn run_disturb_sweep(
     harness: &mut Harness,
     seed: u64,
     opts: &DisturbSweepOpts,
     mut progress: impl FnMut(&str),
 ) -> DisturbSweepReport {
+    let disturbance = |plan| Hazard::Disturb(DisturbConfig::new(plan, opts.recovery));
+    let plans = |_: &[CellResult]| {
+        let at = |(k, &i)| disturbance(DisturbancePlan::with_intensity(fold(seed, k as u64), i));
+        opts.intensities.iter().enumerate().map(at).collect()
+    };
+    let grid = SweepGrid {
+        take: opts.subset,
+        repeats: opts.repeats,
+        workers: opts.workers,
+    };
     let mut points = Vec::new();
-    let mut baseline_makespan = 0.0_f64;
-    let mut baseline_verdicts: Vec<((String, SimVariant), bool)> = Vec::new();
-    for (k, &intensity) in opts.intensities.iter().enumerate() {
-        let plan = DisturbancePlan::with_intensity(fold(seed, k as u64), intensity);
-        harness.disturb = if plan.is_empty() {
-            None
-        } else {
-            Some(DisturbConfig::new(plan, opts.recovery))
-        };
-        let cells = harness.run_subset_with_workers(opts.subset, opts.repeats, opts.workers);
-        let health = grid_health(&cells);
-        let measured: Vec<&CellResult> = cells
-            .iter()
-            .filter(|c| c.succeeded() && c.real_makespan > 0.0)
-            .collect();
-        let mean_real_makespan = if measured.is_empty() {
-            0.0
-        } else {
-            measured.iter().map(|c| c.real_makespan).sum::<f64>() / measured.len() as f64
-        };
-        if k == 0 {
-            baseline_makespan = mean_real_makespan;
-            baseline_verdicts = verdicts(&cells);
-        }
-        let degradation_pct = if baseline_makespan > 0.0 {
-            100.0 * (mean_real_makespan / baseline_makespan - 1.0)
-        } else {
-            0.0
-        };
-        // Rescue success: cells where a crash fired and a measurement
-        // still came out, over all cells a crash touched (survivors +
-        // cells lost entirely).
-        let crash_survivors = cells
-            .iter()
-            .filter(|c| {
-                matches!(&c.outcome, crate::runner::CellOutcome::Disturbed { report, .. }
-                    if report.crashes > 0)
-            })
-            .count();
-        let crash_cells = crash_survivors + health.failed;
-        let rescue_success_pct = if crash_cells > 0 {
-            100.0 * crash_survivors as f64 / crash_cells as f64
-        } else {
-            100.0
-        };
-        let now_verdicts = verdicts(&cells);
-        let mut agree = 0usize;
-        let mut total = 0usize;
-        for (key, hcpa_wins) in &baseline_verdicts {
-            if let Some((_, now)) = now_verdicts.iter().find(|(k2, _)| k2 == key) {
-                total += 1;
-                if now == hcpa_wins {
-                    agree += 1;
-                }
-            }
-        }
-        let verdict_agreement_pct = if total > 0 {
-            100.0 * agree as f64 / total as f64
-        } else {
-            0.0
-        };
-        let point = DisturbPoint {
-            intensity,
-            cells: cells.len(),
-            measured: measured.len(),
-            disturbed: health.disturbed,
-            failed: health.failed,
-            crashes: health.crashes,
-            rescues: health.rescues,
-            rescued_tasks: health.rescued_tasks,
-            mean_real_makespan,
-            degradation_pct,
-            rescue_success_pct,
-            verdict_agreement_pct,
-        };
+    let baseline = disturbance(DisturbancePlan::none());
+    sweep::run(harness, &grid, baseline, plans, |k, p| {
+        let point = DisturbPoint::of(opts.intensities[k], &p);
         progress(&format!(
             "intensity {:.2}: {}/{} measured, {} crash(es), {} rescue(s), degradation {:+.1} %",
             point.intensity,
@@ -220,14 +136,78 @@ pub fn run_disturb_sweep(
             point.degradation_pct
         ));
         points.push(point);
-    }
-    harness.disturb = None;
+    });
     DisturbSweepReport {
         seed,
         recovery: opts.recovery,
         subset: opts.subset,
         repeats: opts.repeats,
         points,
+    }
+}
+
+/// Mean measured makespan over the cells that measured (0 when none did),
+/// and how many did.
+fn measured_mean(cells: &[CellResult]) -> (f64, usize) {
+    let measured: Vec<f64> = cells
+        .iter()
+        .filter(|c| c.succeeded() && c.real_makespan > 0.0)
+        .map(|c| c.real_makespan)
+        .collect();
+    let mean = if measured.is_empty() {
+        0.0
+    } else {
+        measured.iter().sum::<f64>() / measured.len() as f64
+    };
+    (mean, measured.len())
+}
+
+impl DisturbPoint {
+    /// The report row of one swept point.
+    fn of(intensity: f64, p: &Point<'_>) -> Self {
+        let health = grid_health(p.cells);
+        let (mean_real_makespan, measured) = measured_mean(p.cells);
+        let (baseline_makespan, _) = measured_mean(p.baseline);
+        let degradation_pct = if baseline_makespan > 0.0 {
+            100.0 * (mean_real_makespan / baseline_makespan - 1.0)
+        } else {
+            0.0
+        };
+        // Rescue success: cells where a crash fired and a measurement
+        // still came out, over all cells a crash touched (survivors +
+        // cells lost entirely).
+        let crash_survivors = p
+            .cells
+            .iter()
+            .filter(|c| {
+                matches!(&c.outcome, CellOutcome::Disturbed { report, .. } if report.crashes > 0)
+            })
+            .count();
+        let crash_cells = crash_survivors + health.failed;
+        let rescue_success_pct = if crash_cells > 0 {
+            100.0 * crash_survivors as f64 / crash_cells as f64
+        } else {
+            100.0
+        };
+        let verdict_agreement_pct = if p.compared > 0 {
+            100.0 * p.stable as f64 / p.compared as f64
+        } else {
+            0.0
+        };
+        DisturbPoint {
+            intensity,
+            cells: p.cells.len(),
+            measured,
+            disturbed: health.disturbed,
+            failed: health.failed,
+            crashes: health.crashes,
+            rescues: health.rescues,
+            rescued_tasks: health.rescued_tasks,
+            mean_real_makespan,
+            degradation_pct,
+            rescue_success_pct,
+            verdict_agreement_pct,
+        }
     }
 }
 

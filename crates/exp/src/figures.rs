@@ -407,7 +407,11 @@ fn curve_str(c: &mps_core::model::TaskCurve) -> String {
 /// intensity (several plan seeds per intensity) and reports, per
 /// intensity: how many cells survive, the simulation-error distribution of
 /// the survivors, and whether the HCPA-vs-MCPA verdict each surviving DAG
-/// yields still matches the fault-free baseline.
+/// yields still matches the fault-free baseline. It runs on the point loop
+/// and stability rule it shares with [`run_disturb_sweep`], and leaves the
+/// caller's hazards as it found them.
+///
+/// [`run_disturb_sweep`]: crate::run_disturb_sweep
 ///
 /// [`FaultPlan`]: mps_core::faults::FaultPlan
 pub fn fault_sweep(
@@ -417,9 +421,8 @@ pub fn fault_sweep(
     take: usize,
     repeats: u64,
 ) -> String {
-    use crate::runner::grid_health;
+    use crate::sweep::{self, Hazard, SweepGrid};
     use mps_core::faults::FaultPlan;
-    use std::collections::HashMap;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -430,75 +433,68 @@ pub fn fault_sweep(
         take,
         repeats
     );
-
-    // Fault-free baseline: per (variant, dag), which algorithm wins on the
-    // testbed (sign of the relative makespan).
-    harness.fault_plan = None;
-    let baseline = harness.run_subset(take, repeats);
-    let mut reference: HashMap<(SimVariant, String), f64> = HashMap::new();
-    for variant in SimVariant::ALL {
-        for n in [2000usize, 3000] {
-            for (dag, _, rel_real) in paired_relative_makespans(&baseline, variant, n) {
-                reference.insert((variant, dag), rel_real);
-            }
-        }
-    }
-    let surviving: Vec<f64> = baseline
-        .iter()
-        .filter(|c| c.succeeded())
-        .map(|c| c.real_makespan)
-        .collect();
-    let horizon = stats::median(&surviving).unwrap_or(60.0).max(1.0);
     let hosts = harness.testbed.cluster().node_count();
-
-    for &intensity in intensities {
-        let mut survived = 0usize;
-        let mut total = 0usize;
-        let mut degraded = 0usize;
-        let mut failed = 0usize;
-        let mut retries = 0u32;
-        let mut stable = 0usize;
-        let mut verdicts = 0usize;
-        let mut errs: Vec<f64> = Vec::new();
-        for &plan_seed in plan_seeds {
-            let plan = FaultPlan::random(plan_seed, intensity, hosts, horizon);
-            harness.fault_plan = if plan.is_empty() { None } else { Some(plan) };
-            let cells = harness.run_subset(take, repeats);
-            let health = grid_health(&cells);
-            total += cells.len();
-            survived += cells.len() - health.failed;
-            degraded += health.degraded;
-            failed += health.failed;
-            retries += health.retries;
-            errs.extend(cells.iter().filter_map(CellResult::error_pct_checked));
-            for variant in SimVariant::ALL {
-                for n in [2000usize, 3000] {
-                    for (dag, _, rel_real) in paired_relative_makespans(&cells, variant, n) {
-                        if let Some(&base) = reference.get(&(variant, dag.clone())) {
-                            verdicts += 1;
-                            if (base >= 0.0) == (rel_real >= 0.0) {
-                                stable += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let stability = if verdicts == 0 {
+    // Plans scale with the fault-free baseline's median makespan.
+    let plans = |baseline: &[CellResult]| {
+        let surviving: Vec<f64> = baseline
+            .iter()
+            .filter(|c| c.succeeded())
+            .map(|c| c.real_makespan)
+            .collect();
+        let horizon = stats::median(&surviving).unwrap_or(60.0).max(1.0);
+        intensities
+            .iter()
+            .flat_map(|&i| plan_seeds.iter().map(move |&s| (i, s)))
+            .map(|(i, s)| Hazard::Faults(FaultPlan::random(s, i, hosts, horizon)))
+            .collect()
+    };
+    // One row per intensity, summed over its plan seeds.
+    #[derive(Default)]
+    struct Row {
+        survived: usize,
+        total: usize,
+        degraded: usize,
+        failed: usize,
+        retries: u32,
+        stable: usize,
+        verdicts: usize,
+        errs: Vec<f64>,
+    }
+    let mut rows: Vec<Row> = intensities.iter().map(|_| Row::default()).collect();
+    let grid = SweepGrid {
+        take,
+        repeats,
+        workers: Harness::default_workers(),
+    };
+    let baseline = Hazard::Faults(FaultPlan::none());
+    sweep::run(harness, &grid, baseline, plans, |k, p| {
+        let row = &mut rows[k / plan_seeds.len()];
+        let health = grid_health(p.cells);
+        row.total += p.cells.len();
+        row.survived += p.cells.len() - health.failed;
+        row.degraded += health.degraded;
+        row.failed += health.failed;
+        row.retries += health.retries;
+        row.stable += p.stable;
+        row.verdicts += p.compared;
+        row.errs
+            .extend(p.cells.iter().filter_map(CellResult::error_pct_checked));
+    });
+    for (intensity, r) in intensities.iter().zip(&rows) {
+        let stability = if r.verdicts == 0 {
             0.0
         } else {
-            100.0 * stable as f64 / verdicts as f64
+            100.0 * r.stable as f64 / r.verdicts as f64
         };
-        let med_err = stats::median(&errs).unwrap_or(f64::NAN);
+        let med_err = stats::median(&r.errs).unwrap_or(f64::NAN);
         let _ = writeln!(
             out,
-            "intensity {intensity:>4.2}: cells {survived}/{total} survived \
-             ({degraded} degraded, {failed} failed, {retries} retries), \
-             median sim error {med_err:6.1} %, verdict stability {stable}/{verdicts} \
-             ({stability:.0} %)"
+            "intensity {intensity:>4.2}: cells {}/{} survived ({} degraded, {} failed, {} \
+             retries), median sim error {med_err:6.1} %, verdict stability {}/{} \
+             ({stability:.0} %)",
+            r.survived, r.total, r.degraded, r.failed, r.retries, r.stable, r.verdicts
         );
     }
-    harness.fault_plan = None;
     let _ = writeln!(
         out,
         "\nreading: verdicts from surviving cells stay aligned with the\n\

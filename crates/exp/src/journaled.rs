@@ -348,10 +348,39 @@ mod tests {
     /// a real-disk resume finishes the grid byte-identically.
     #[test]
     fn a_journal_failing_mid_grid_stops_the_workers_and_resumes() {
-        use mps_core::faults::io::{ChaosIo, IoFaultPlan, RealIo, SwitchIo};
-        use std::sync::Arc;
+        use mps_core::faults::io::{ChaosIo, IoEnv, IoFaultPlan, IoFile, RealIo};
+        use std::sync::{Arc, Mutex};
 
-        let disk = Arc::new(SwitchIo::default());
+        /// A disk whose physics the test swaps between runs: every call
+        /// goes to the env it currently holds.
+        struct SwitchIo(Mutex<Arc<dyn IoEnv>>);
+        impl SwitchIo {
+            fn set(&self, env: Arc<dyn IoEnv>) {
+                *self.0.lock().unwrap() = env;
+            }
+            fn current(&self) -> Arc<dyn IoEnv> {
+                Arc::clone(&self.0.lock().unwrap())
+            }
+        }
+        impl IoEnv for SwitchIo {
+            fn create(&self, path: &Path) -> std::io::Result<Box<dyn IoFile>> {
+                self.current().create(path)
+            }
+            fn open_write(&self, path: &Path) -> std::io::Result<Box<dyn IoFile>> {
+                self.current().open_write(path)
+            }
+            fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+                self.current().read(path)
+            }
+            fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+                self.current().rename(from, to)
+            }
+            fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+                self.current().sync_dir(dir)
+            }
+        }
+
+        let disk = Arc::new(SwitchIo(Mutex::new(Arc::new(RealIo))));
         let h = Harness::new(7).with_io_env(disk.clone());
         let plain = h.run_subset(2, 1);
         let plan = IoFaultPlan {
@@ -376,6 +405,22 @@ mod tests {
             assert_eq!(resumed.cells, plain, "seed {seed}: resume must be bitwise");
         }
         assert!(mid_grid > 0, "no seed failed the journal mid-grid");
+    }
+
+    /// The `io:` clause of a fault plan reaches the durability path: a
+    /// journaled subset whose every write fails with ENOSPC fails typed
+    /// instead of completing.
+    #[test]
+    fn an_io_clause_in_the_fault_plan_fails_the_journal_typed() {
+        let plan = mps_core::faults::FaultPlan::parse("io:enospc@1", 32, 120.0).unwrap();
+        let h = Harness::new(7).with_fault_plan(plan);
+        let path = scratch("io-clause");
+        let run = h.run_subset_journaled(1, &path, 1, 1, false, &RunControl::unlimited());
+        assert!(
+            matches!(run, Err(JournalError::Io { .. })),
+            "expected a typed I/O error, got {:?}",
+            run.map(|r| r.status)
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@ pub mod online;
 pub mod runner;
 pub mod serve_backend;
 pub mod supervised;
+mod sweep;
 
 pub use campaign::{CampaignManifest, CampaignOpts, CampaignReport, PointSummary};
 pub use chaos::{ChaosOpts, ChaosReport};

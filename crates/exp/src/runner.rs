@@ -332,9 +332,9 @@ pub struct Harness {
     /// The I/O environment every durability path (journals, manifests)
     /// goes through — [`RealIo`](mps_core::faults::io::RealIo) in
     /// production, a seeded [`ChaosIo`](mps_core::faults::io::ChaosIo)
-    /// or [`SwitchIo`](mps_core::faults::io::SwitchIo) under chaos
-    /// testing. Not part of the config digest: the env changes the
-    /// disk's physics, never the computed results.
+    /// under chaos testing or a fault plan's `io:` clause. Not part of
+    /// the config digest: the env changes the disk's physics, never the
+    /// computed results.
     io_env: Arc<dyn IoEnv>,
     /// The nominal (paper-spec) cluster every simulator schedules
     /// against — built once instead of per cell.
@@ -407,18 +407,39 @@ impl Harness {
         &self.nominal
     }
 
-    /// Injects a fault plan into every subsequent testbed execution.
+    /// Injects a fault plan into every subsequent testbed execution. An
+    /// empty plan is dropped entirely. A plan with an `io:` clause also
+    /// routes every durability path through a [`ChaosIo`] seeded with the
+    /// plan's seed.
+    ///
+    /// [`ChaosIo`]: mps_core::faults::io::ChaosIo
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = if plan.is_empty() { None } else { Some(plan) };
+        self.set_fault_plan(plan);
         self
+    }
+
+    /// [`Harness::with_fault_plan`] in place.
+    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
+        if !plan.io.is_empty() {
+            self.io_env = Arc::new(mps_core::faults::io::ChaosIo::new(
+                plan.seed,
+                plan.io.clone(),
+            ));
+        }
+        self.fault_plan = if plan.is_empty() { None } else { Some(plan) };
     }
 
     /// Injects timed platform disturbances into every subsequent testbed
     /// execution. An empty plan is dropped entirely, so a zero-intensity
     /// config leaves the config digest and every cell unchanged.
     pub fn with_disturbance(mut self, cfg: DisturbConfig) -> Self {
-        self.disturb = if cfg.plan.is_empty() { None } else { Some(cfg) };
+        self.set_disturbance(cfg);
         self
+    }
+
+    /// [`Harness::with_disturbance`] in place.
+    pub(crate) fn set_disturbance(&mut self, cfg: DisturbConfig) {
+        self.disturb = if cfg.plan.is_empty() { None } else { Some(cfg) };
     }
 
     /// Sets the retry/backoff/watchdog policy for testbed executions.

@@ -14,20 +14,19 @@
 //!   renames, and latency from a seeded [`IoFaultPlan`] — every decision
 //!   derives from `splitmix64(seed ^ op-counter)`, so a plan replays
 //!   bit-identically;
-//! * [`SwitchIo`] is a mutable slot holding an env, so a long-lived
-//!   harness can alternate between chaos and real I/O across episodes;
 //! * [`ChaosStream`] and [`WireFaultPlan`] do the same for a byte stream:
 //!   injected corruption, stalls, and half-closed connections for the
 //!   wire protocols.
 //!
 //! The plans ride the [`FaultPlan`](crate::FaultPlan) grammar: the clause
 //! `io:enospc@0.01,shortwrite@0.05` parses into
-//! [`FaultPlan::io`](crate::FaultPlan).
+//! [`FaultPlan::io`](crate::FaultPlan), which a harness installs as a
+//! [`ChaosIo`] seeded with the plan's seed.
 
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -432,57 +431,6 @@ impl IoEnv for ChaosIo {
     }
 }
 
-/// A mutable env slot: delegates every call to the env it currently
-/// holds. Long-lived owners (a harness, a daemon backend) hold a
-/// `SwitchIo` once; a chaos driver flips it between [`ChaosIo`] episodes
-/// and [`RealIo`] verification phases without rebuilding the owner.
-pub struct SwitchIo {
-    inner: Mutex<Arc<dyn IoEnv>>,
-}
-
-impl SwitchIo {
-    /// A slot initially holding `env`.
-    pub fn new(env: Arc<dyn IoEnv>) -> Self {
-        SwitchIo {
-            inner: Mutex::new(env),
-        }
-    }
-
-    /// Replaces the env. Files opened through the previous env keep
-    /// their old physics; subsequent operations use the new one.
-    pub fn set(&self, env: Arc<dyn IoEnv>) {
-        *self.inner.lock().unwrap() = env;
-    }
-
-    fn current(&self) -> Arc<dyn IoEnv> {
-        Arc::clone(&self.inner.lock().unwrap())
-    }
-}
-
-impl Default for SwitchIo {
-    fn default() -> Self {
-        SwitchIo::new(Arc::new(RealIo))
-    }
-}
-
-impl IoEnv for SwitchIo {
-    fn create(&self, path: &Path) -> std::io::Result<Box<dyn IoFile>> {
-        self.current().create(path)
-    }
-    fn open_write(&self, path: &Path) -> std::io::Result<Box<dyn IoFile>> {
-        self.current().open_write(path)
-    }
-    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-        self.current().read(path)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-        self.current().rename(from, to)
-    }
-    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
-        self.current().sync_dir(dir)
-    }
-}
-
 /// Per-class injection probabilities for a byte stream (the wire).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct WireFaultPlan {
@@ -791,24 +739,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn switch_io_redirects_subsequent_operations() {
-        let dir = scratch("switch");
-        let sw = SwitchIo::default();
-        let path = dir.join("f");
-        let mut f = sw.create(&path).unwrap();
-        f.write_all(b"real").unwrap();
-        drop(f);
-        let all_fail = IoFaultPlan {
-            eio: 1.0,
-            ..IoFaultPlan::default()
-        };
-        sw.set(Arc::new(ChaosIo::new(1, all_fail)));
-        assert!(sw.read(&path).is_err(), "chaos now in charge");
-        sw.set(Arc::new(RealIo));
-        assert_eq!(sw.read(&path).unwrap(), b"real");
     }
 
     #[test]

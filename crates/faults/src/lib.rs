@@ -52,7 +52,7 @@ pub use disturb::{
     DISTURB_HORIZON,
 };
 pub use io::{
-    ChaosIo, ChaosStream, InjectedIo, InjectedWire, IoEnv, IoFaultPlan, IoFile, RealIo, SwitchIo,
+    ChaosIo, ChaosStream, InjectedIo, InjectedWire, IoEnv, IoFaultPlan, IoFile, RealIo,
     WireFaultPlan,
 };
 pub use model::{FaultModel, NoFaults, ScriptedFaults, TaskDisposition};

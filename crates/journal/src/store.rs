@@ -57,13 +57,8 @@ impl JournalWriter {
         Self::create_overwrite_in(env, path, header)
     }
 
-    /// Creates (or truncates) a journal at `path` and writes its header.
-    pub fn create_overwrite(path: &Path, header: &JournalHeader) -> Result<Self, JournalError> {
-        Self::create_overwrite_in(&RealIo, path, header)
-    }
-
-    /// [`JournalWriter::create_overwrite`] against an explicit I/O
-    /// environment.
+    /// Creates (or truncates) a journal at `path` through `env` and
+    /// writes its header.
     pub fn create_overwrite_in(
         env: &dyn IoEnv,
         path: &Path,
@@ -213,7 +208,7 @@ pub fn recover_in(env: &dyn IoEnv, path: &Path) -> Result<RecoveredJournal, Jour
 ///
 /// When the header itself was torn, the returned recovery has
 /// `header: None` and the caller should recreate the journal with
-/// [`JournalWriter::create_overwrite`].
+/// [`JournalWriter::create_overwrite_in`].
 pub fn open_resume(path: &Path) -> Result<(RecoveredJournal, JournalWriter), JournalError> {
     open_resume_in(&RealIo, path)
 }

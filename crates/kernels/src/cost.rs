@@ -17,8 +17,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::dist::BlockDist1D;
-
 /// Bytes per double-precision element.
 pub const ELEMENT_BYTES: f64 = 8.0;
 
@@ -121,24 +119,6 @@ impl Kernel {
         }
     }
 
-    /// Ideal (analytic) execution time at allocation `p` on processors of
-    /// the given flop rate, ignoring communication: `total/(p·rate)`.
-    pub fn ideal_time(&self, p: usize, flops_per_sec: f64) -> f64 {
-        self.flops_per_proc(p) / flops_per_sec
-    }
-
-    /// Per-processor flop vector that accounts for the **vanilla** 1-D
-    /// block imbalance (used by the testbed's ground truth, not by the
-    /// analytic simulator).
-    pub fn imbalanced_flops(&self, p: usize) -> Vec<f64> {
-        let n = self.n();
-        let dist = BlockDist1D::vanilla(n, p);
-        let total = self.total_flops();
-        (0..p)
-            .map(|r| total * dist.block_len(r) as f64 / n as f64)
-            .collect()
-    }
-
     /// Bytes of one full `n × n` matrix.
     pub fn matrix_bytes(&self) -> f64 {
         let n = self.n() as f64;
@@ -222,8 +202,8 @@ mod tests {
     fn ideal_time_at_paper_rate() {
         // 2 · 2000³ / 250 MFlop/s = 64 s serial.
         let k = Kernel::MatMul { n: 2000 };
-        assert!((k.ideal_time(1, 250.0e6) - 64.0).abs() < 1e-9);
-        assert!((k.ideal_time(32, 250.0e6) - 2.0).abs() < 1e-9);
+        assert!((k.flops_per_proc(1) / 250.0e6 - 64.0).abs() < 1e-9);
+        assert!((k.flops_per_proc(32) / 250.0e6 - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -232,27 +212,6 @@ mod tests {
         let mm = Kernel::MatMul { n: 2000 };
         let ma = Kernel::MatAdd { n: 2000 };
         assert!(mm.ccr(8) < ma.ccr(8));
-    }
-
-    #[test]
-    fn imbalanced_flops_sum_to_total() {
-        for &(n, p) in &[(2000usize, 7usize), (3000, 16), (3000, 13)] {
-            for k in [Kernel::MatMul { n }, Kernel::MatAdd { n }] {
-                let v = k.imbalanced_flops(p);
-                let sum: f64 = v.iter().sum();
-                assert!(
-                    (sum - k.total_flops()).abs() < k.total_flops() * 1e-12,
-                    "{k} p={p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn imbalanced_flops_reflect_vanilla_remainder() {
-        let k = Kernel::MatMul { n: 3000 };
-        let v = k.imbalanced_flops(16);
-        assert!(v[15] > v[0], "last rank carries the remainder");
     }
 
     #[test]

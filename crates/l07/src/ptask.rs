@@ -85,27 +85,6 @@ impl PTaskSpec {
         self
     }
 
-    /// Adds a cross-allocation communication matrix (redistribution):
-    /// `comm[i][j]` bytes from `src_hosts[i]` to `dst_hosts[j]`.
-    #[must_use]
-    pub fn with_redist_matrix(
-        mut self,
-        src_hosts: &[HostId],
-        dst_hosts: &[HostId],
-        comm: &[Vec<f64>],
-    ) -> Self {
-        assert_eq!(src_hosts.len(), comm.len(), "redist matrix row count");
-        for (i, row) in comm.iter().enumerate() {
-            assert_eq!(dst_hosts.len(), row.len(), "redist matrix column count");
-            for (j, &bytes) in row.iter().enumerate() {
-                if bytes > 0.0 {
-                    self.flows.push((src_hosts[i], dst_hosts[j], bytes));
-                }
-            }
-        }
-        self
-    }
-
     /// Builder: extra fixed latency.
     #[must_use]
     pub fn with_extra_latency(mut self, latency: f64) -> Self {
@@ -162,16 +141,6 @@ mod tests {
         let comm = vec![vec![0.0, 8.0], vec![0.0, 0.0]];
         let t = PTaskSpec::new().with_comm_matrix(&hosts, &comm);
         assert_eq!(t.flows, vec![(HostId(0), HostId(1), 8.0)]);
-    }
-
-    #[test]
-    fn redist_matrix_maps_rank_pairs() {
-        let src = [HostId(0), HostId(1)];
-        let dst = [HostId(2)];
-        let comm = vec![vec![4.0], vec![6.0]];
-        let t = PTaskSpec::new().with_redist_matrix(&src, &dst, &comm);
-        assert_eq!(t.total_bytes(), 10.0);
-        assert_eq!(t.flows.len(), 2);
     }
 
     #[test]

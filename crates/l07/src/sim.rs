@@ -166,11 +166,6 @@ impl L07Sim {
         self.engine.now()
     }
 
-    /// Number of unfinished tasks.
-    pub fn live_tasks(&self) -> usize {
-        self.engine.live_activities()
-    }
-
     /// True when no task is pending.
     pub fn is_idle(&self) -> bool {
         self.engine.is_idle()
@@ -318,11 +313,6 @@ impl L07Sim {
         self.engine.retire_resource(self.up[i]);
         self.engine.retire_resource(self.down[i]);
         Ok(())
-    }
-
-    /// True once [`L07Sim::crash_host`] removed the host.
-    pub fn host_is_crashed(&self, h: HostId) -> bool {
-        self.engine.is_retired(self.cpu[h.index()])
     }
 
     /// Scales a host's CPU to `base_speed / factor` (`factor == 1.0`
@@ -672,7 +662,7 @@ mod tests {
         let mut out = Vec::new();
         s.next_completions_into(&mut out).unwrap();
         s.crash_host(HostId(0)).unwrap();
-        assert!(s.host_is_crashed(HostId(0)));
+        assert!(s.engine.is_retired(s.cpu[0]));
         // The survivor on host 1 still completes; afterwards the victim
         // stalls typed.
         let mut err = None;
@@ -695,7 +685,7 @@ mod tests {
         assert!(s.is_idle());
         // And reset() revives the platform for the next run.
         s.reset();
-        assert!(!s.host_is_crashed(HostId(0)));
+        assert!(!s.engine.is_retired(s.cpu[0]));
         let t = s
             .run_single(PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
             .unwrap();
@@ -766,7 +756,7 @@ mod tests {
         assert!(s.is_idle());
         s.submit(&PTaskSpec::compute_uniform(&hosts(&[0]), 1.0))
             .unwrap();
-        assert_eq!(s.live_tasks(), 1);
+        assert_eq!(s.engine.live_activities(), 1);
         s.run_to_idle().unwrap();
         assert!(s.is_idle());
     }

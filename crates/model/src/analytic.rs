@@ -7,7 +7,6 @@
 //! identifies as the root causes of the analytic simulator's uselessness.
 
 use mps_kernels::Kernel;
-use mps_platform::Cluster;
 
 use crate::traits::PerfModel;
 
@@ -23,21 +22,6 @@ impl AnalyticModel {
     pub fn paper_jvm() -> Self {
         AnalyticModel {
             flops_per_sec: 250.0e6,
-        }
-    }
-
-    /// The paper's Cray XT4 (Franklin) measured rate for PDGEMM:
-    /// 4165.3 MFLOPS.
-    pub fn cray_pdgemm() -> Self {
-        AnalyticModel {
-            flops_per_sec: 4165.3e6,
-        }
-    }
-
-    /// A model matching a platform's nominal host speed.
-    pub fn for_cluster(cluster: &Cluster) -> Self {
-        AnalyticModel {
-            flops_per_sec: cluster.host_speed(mps_platform::HostId(0)),
         }
     }
 }
@@ -95,7 +79,10 @@ mod tests {
 
     #[test]
     fn cray_model_rate() {
-        let m = AnalyticModel::cray_pdgemm();
+        // The paper's Cray XT4 (Franklin) PDGEMM rate: 4165.3 MFLOPS.
+        let m = AnalyticModel {
+            flops_per_sec: 4165.3e6,
+        };
         // 2·4096³ / 4165.3e6 ≈ 33 s serial.
         let t = m.task_time(Kernel::MatMul { n: 4096 }, 1);
         assert!((t - 2.0 * 4096.0_f64.powi(3) / 4165.3e6).abs() < 1e-9);
@@ -103,8 +90,9 @@ mod tests {
 
     #[test]
     fn for_cluster_matches_platform_speed() {
-        let c = Cluster::bayreuth();
-        let m = AnalyticModel::for_cluster(&c);
-        assert!((m.flops_per_sec - 250.0e6).abs() < 1.0);
+        // The paper's JVM rate is the Bayreuth cluster's nominal speed.
+        let c = mps_platform::Cluster::bayreuth();
+        let speed = c.host_speed(mps_platform::HostId(0));
+        assert!((AnalyticModel::paper_jvm().flops_per_sec - speed).abs() < 1.0);
     }
 }

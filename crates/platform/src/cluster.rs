@@ -223,20 +223,6 @@ impl Cluster {
         }
     }
 
-    /// True when every node has the same speed.
-    pub fn is_homogeneous(&self) -> bool {
-        match &self.spec.speed_factors {
-            None => true,
-            Some(f) => f.windows(2).all(|w| w[0] == w[1]),
-        }
-    }
-
-    /// The fastest node's speed — HCPA's reference speed on heterogeneous
-    /// platforms.
-    pub fn reference_speed(&self) -> f64 {
-        self.hosts().map(|h| self.host_speed(h)).fold(0.0, f64::max)
-    }
-
     /// Properties of one link.
     pub fn link_props(&self, link: LinkId) -> LinkProps {
         match link {
@@ -484,15 +470,12 @@ mod hetero_tests {
         assert!((c.host_speed(HostId(0)) - 250.0e6).abs() < 1.0);
         assert!((c.host_speed(HostId(1)) - 500.0e6).abs() < 1.0);
         assert!((c.host_speed(HostId(2)) - 125.0e6).abs() < 1.0);
-        assert!(!c.is_homogeneous());
-        assert!((c.reference_speed() - 500.0e6).abs() < 1.0);
     }
 
     #[test]
     fn homogeneous_by_default() {
         let c = Cluster::bayreuth();
-        assert!(c.is_homogeneous());
-        assert!((c.reference_speed() - 250.0e6).abs() < 1.0);
+        assert!(c.hosts().all(|h| (c.host_speed(h) - 250.0e6).abs() < 1.0));
     }
 
     #[test]
@@ -500,7 +483,7 @@ mod hetero_tests {
         let mut spec = ClusterSpec::bayreuth();
         spec.nodes = 2;
         let c = spec.with_speed_factors(vec![2.0, 2.0]).build().unwrap();
-        assert!(c.is_homogeneous());
+        assert_eq!(c.host_speed(HostId(0)), c.host_speed(HostId(1)));
     }
 
     #[test]

@@ -8,37 +8,14 @@
 /// One megaflop per second, in flops/s.
 pub const MFLOPS: f64 = 1.0e6;
 
-/// One gigaflop per second, in flops/s.
-pub const GFLOPS: f64 = 1.0e9;
-
 /// One megabyte, in bytes.
 pub const MB: f64 = 1.0e6;
 
 /// One gigabit per second, in **bytes**/s.
 pub const GBPS: f64 = 1.0e9 / 8.0;
 
-/// One megabit per second, in **bytes**/s.
-pub const MBPS: f64 = 1.0e6 / 8.0;
-
 /// One microsecond, in seconds.
 pub const MICROSECOND: f64 = 1.0e-6;
-
-/// One millisecond, in seconds.
-pub const MILLISECOND: f64 = 1.0e-3;
-
-/// Size in bytes of one double-precision matrix element.
-pub const DOUBLE_BYTES: f64 = 8.0;
-
-/// Converts a flop count and a flop rate into seconds.
-pub fn compute_seconds(flops: f64, rate: f64) -> f64 {
-    flops / rate
-}
-
-/// Converts a byte count, bandwidth, and latency into transfer seconds for a
-/// single uncontended flow.
-pub fn transfer_seconds(bytes: f64, bandwidth: f64, latency: f64) -> f64 {
-    latency + bytes / bandwidth
-}
 
 #[cfg(test)]
 mod tests {
@@ -52,19 +29,14 @@ mod tests {
     #[test]
     fn compute_seconds_matches_paper_example() {
         // 2 * 2000^3 flops at 250 MFlop/s = 64 s.
-        let t = compute_seconds(2.0 * 2000.0_f64.powi(3), 250.0 * MFLOPS);
+        let t = 2.0 * 2000.0_f64.powi(3) / (250.0 * MFLOPS);
         assert!((t - 64.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transfer_seconds_includes_latency() {
-        let t = transfer_seconds(125.0e6, GBPS, 100.0 * MICROSECOND);
-        assert!((t - 1.0001).abs() < 1e-9);
     }
 
     #[test]
     fn matrix_sizes_match_paper() {
         // n=2000 doubles: 2000^2 * 8 bytes = 32 MB (paper: "30MB").
+        const DOUBLE_BYTES: f64 = 8.0;
         let n2000 = 2000.0_f64 * 2000.0 * DOUBLE_BYTES;
         assert!((n2000 / MB - 32.0).abs() < 1e-9);
         // n=3000: 72 MB (paper: "68MB" — they quote MiB; both are the same

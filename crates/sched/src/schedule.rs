@@ -164,16 +164,6 @@ impl Schedule {
         }
         out
     }
-
-    /// Largest host index used (for reporting).
-    pub fn hosts_used(&self) -> usize {
-        self.tasks
-            .iter()
-            .flat_map(|st| st.hosts.iter())
-            .map(|h| h.index() + 1)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -295,6 +285,5 @@ mod tests {
         let s = ok_schedule();
         assert_eq!(s.placement(TaskId(1)).unwrap().p(), 1);
         assert_eq!(s.allocations(&dag), vec![2, 1]);
-        assert_eq!(s.hosts_used(), 2);
     }
 }

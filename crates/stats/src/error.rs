@@ -27,6 +27,29 @@ pub fn relative_makespan(a: f64, b: f64) -> f64 {
     (a - b) / b
 }
 
+/// Which algorithm a relative makespan `(m_A − m_B) / m_B` favours.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Winner {
+    /// A is faster (negative relative makespan).
+    A,
+    /// B is faster (positive relative makespan).
+    B,
+    /// Neither: within `tie_eps` of zero, or NaN.
+    Tie,
+}
+
+/// The sign test behind every HCPA-vs-MCPA verdict: classifies one
+/// relative makespan, counting `|rel| <= tie_eps` (and NaN) as a tie.
+pub fn winner(rel: f64, tie_eps: f64) -> Winner {
+    if rel.abs() <= tie_eps || rel.is_nan() {
+        Winner::Tie
+    } else if rel < 0.0 {
+        Winner::A
+    } else {
+        Winner::B
+    }
+}
+
 /// Outcome of comparing a simulated verdict with the experimental one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -38,24 +61,12 @@ pub enum Verdict {
     Tie,
 }
 
-/// Compares the signs of two relative-makespan values.
+/// Compares the [`winner`]s of two relative-makespan values.
 pub fn verdict(simulated: f64, experimental: f64, tie_eps: f64) -> Verdict {
-    let s = if simulated.abs() <= tie_eps {
-        0
-    } else {
-        simulated.signum() as i32
-    };
-    let e = if experimental.abs() <= tie_eps {
-        0
-    } else {
-        experimental.signum() as i32
-    };
-    if s == 0 || e == 0 {
-        Verdict::Tie
-    } else if s == e {
-        Verdict::Agree
-    } else {
-        Verdict::Disagree
+    match (winner(simulated, tie_eps), winner(experimental, tie_eps)) {
+        (Winner::Tie, _) | (_, Winner::Tie) => Verdict::Tie,
+        (s, e) if s == e => Verdict::Agree,
+        _ => Verdict::Disagree,
     }
 }
 
@@ -125,6 +136,10 @@ mod tests {
         assert_eq!(verdict(0.1, -0.3, 0.0), Verdict::Disagree);
         assert_eq!(verdict(0.0, -0.3, 0.0), Verdict::Tie);
         assert_eq!(verdict(0.005, -0.3, 0.01), Verdict::Tie);
+        assert_eq!(verdict(f64::NAN, -0.3, 0.0), Verdict::Tie);
+        assert_eq!(winner(-0.0, 0.0), Winner::Tie);
+        assert_eq!(winner(f64::NEG_INFINITY, 0.0), Winner::A);
+        assert_eq!(winner(1e-300, 0.0), Winner::B);
     }
 
     #[test]

@@ -19,8 +19,8 @@ pub use admission::ShedPolicy;
 pub use ascii::{boxplots, paired_bars, profile, surface};
 pub use descriptive::{boxplot, median, quantile, summary, BoxPlot, Summary};
 pub use error::{
-    abs_relative_error_pct, count_agreement, relative_error, relative_makespan, verdict,
-    AgreementCounts, Verdict,
+    abs_relative_error_pct, count_agreement, relative_error, relative_makespan, verdict, winner,
+    AgreementCounts, Verdict, Winner,
 };
 pub use rank::{kendall_tau, pearson, spearman};
 pub use streaming::{P2Quantile, QuantileSketch};

@@ -88,11 +88,6 @@ impl CrashReport {
         self.attempts.last().map(|a| a.outcome.kind())
     }
 
-    /// Total wall-clock time burned across all attempts, in milliseconds.
-    pub fn total_wall_ms(&self) -> u64 {
-        self.attempts.iter().map(|a| a.wall_ms).sum()
-    }
-
     /// One-line human summary (`2 attempt(s), last: crashed (exit 101)`).
     pub fn summary(&self) -> String {
         let last = match self.attempts.last() {
@@ -148,7 +143,6 @@ mod tests {
         let back: CrashReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
         assert_eq!(report.attempt_count(), 3);
-        assert_eq!(report.total_wall_ms(), 2017);
         assert_eq!(report.final_kind(), Some(FailureKind::Crashed));
     }
 
