@@ -41,8 +41,6 @@ const TARGETS: &[(&str, &str)] = &[
     ("serve", "run the mps-serve scheduling daemon (mps-proto/v1)"),
     ("client", "submit work to a running daemon"),
     ("campaign", "fault-sweep campaign: many grid points, one journal each"),
-    ("chaos", "seeded I/O + wire fault-injection soak over every durability path (journal, \
-        campaign, daemon), with invariant checks"),
     ("online", "streaming workload: a seeded arrival process (Poisson or bursty MMPP) feeds \
         DAG jobs from the corpus through admission control into moldable HCPA/MCPA \
         allocation on the incremental DES; reports throughput, utilization, P2-sketched \
@@ -122,11 +120,6 @@ mod row {
             "resume = re-invoke with the same arguments; complete points are no-ops, the first \
              incomplete point resumes mid-grid. --subset, --repeats, --workers, \
              --max-wall-secs, --throttle-ms apply."), ..GRID };
-    pub const CHAOS: Flag = Flag { scope: Only(&["chaos"]),
-        section: ("chaos flags (target: chaos):",
-            "--seed seeds the whole soak; a fixed seed reproduces the exact fault sequence. \
-             Exit 0 = every injected fault was absorbed or surfaced typed AND every fault class \
-             actually fired; exit 2 otherwise."), ..GRID };
     pub const ONLINE: Flag = Flag { scope: Only(&["online"]),
         section: ("online flags (target: online):",
             "--seed seeds the arrival stream; --workers parallelizes across the level x \
@@ -144,9 +137,9 @@ const U64: u64 = u64::MAX;
 const U32: u64 = u32::MAX as u64;
 const USIZE: u64 = usize::MAX as u64;
 /// Targets that build their own workloads, so grid knobs would be inert.
-const NOT_GRID: &[&str] = &["online", "chaos"];
+const NOT_GRID: &[&str] = &["online"];
 /// Targets that own their fault plans and journals as well.
-const NOT_JOURNALED: &[&str] = &["online", "chaos", "campaign"];
+const NOT_JOURNALED: &[&str] = &["online", "campaign"];
 
 /// Every flag. A flag is declared here and nowhere else: parsing, scope
 /// checks and `--help` all read this table.
@@ -157,7 +150,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--repeats", arg: "R", kind: Int(1, U64), needs: "an integer >= 1",
         set: |c, v| c.repeats = v.int, help: "testbed runs per cell (default 3)", ..row::GRID },
     Flag { name: "--json", arg: "DIR", kind: Text, needs: "a directory",
-        scope: Not(&["chaos", "campaign"]), set: |c, v| c.json = Some(v.text),
+        scope: Not(&["campaign"]), set: |c, v| c.json = Some(v.text),
         help: "also write grid.json / grid.csv (disturb.json, online.json for those targets)",
         ..row::GRID },
     Flag { name: "--faults", arg: "PLAN", kind: Text, needs: "a plan description",
@@ -180,7 +173,7 @@ const FLAGS: &[Flag] = &[
         scope: Not(NOT_GRID), set: |c, v| c.subset = Some(v.int as usize),
         help: "only the first N corpus DAGs", ..row::GRID },
     Flag { name: "--workers", arg: "N", kind: Int(0, USIZE), needs: "an integer",
-        scope: Not(&["chaos"]), set: |c, v| c.workers = Some(v.int as usize),
+        set: |c, v| c.workers = Some(v.int as usize),
         help: "worker threads / processes", ..row::GRID },
     Flag { name: "--journal", arg: "PATH", kind: Text, needs: "a path", scope: Not(NOT_JOURNALED),
         set: |c, v| c.journal = Some(v.text), help: "crash-safe write-ahead journal for the grid",
@@ -225,15 +218,6 @@ const FLAGS: &[Flag] = &[
         set: |c, v| c.points = Some(v.int as usize),
         help: "sweep points, fault intensity 0..1 (default 309: 309 x 324 cells crosses 100k \
                on the full grid)", ..row::CAMPAIGN },
-
-    Flag { name: "--episodes", arg: "N", kind: Int(1, USIZE), needs: "an integer >= 1",
-        set: |c, v| c.episodes = Some(v.int as usize),
-        help: "seeded episodes per soak (default 50); each cycles journal/campaign/daemon under \
-               escalating fault intensity, then targeted single-class episodes", ..row::CHAOS },
-    Flag { name: "--chaos-dir", arg: "DIR", kind: Text, needs: "a directory",
-        set: |c, v| c.chaos_dir = Some(v.text),
-        help: "scratch directory for episode journals (default: per-pid, under the temp dir)",
-        ..row::CHAOS },
 
     Flag { name: "--arrival-rate", arg: "LIST", kind: Text, needs: "a comma-separated list",
         set: |c, v| c.arrival_rate = Some(v.text),
@@ -341,8 +325,6 @@ struct Cli {
     poison: Option<String>,
     campaign_dir: Option<String>,
     points: Option<usize>,
-    episodes: Option<usize>,
-    chaos_dir: Option<String>,
     arrival_rate: Option<String>,
     horizon_events: Option<u64>,
     admission: Option<usize>,
@@ -552,13 +534,12 @@ impl Cli {
     /// The rules that tie flags and targets to each other, in the order
     /// they are checked; a broken rule is a usage error.
     #[rustfmt::skip]
-    fn cross_rules(&self) -> [(bool, &'static str); 12] {
+    fn cross_rules(&self) -> [(bool, &'static str); 11] {
         let c = self;
         let alone = |t| c.is(t) && c.targets.len() > 1;
         let (serve, client) = (c.is("serve"), c.is("client"));
         [
             (alone("online"), "online cannot be combined with other targets"),
-            (alone("chaos"), "chaos cannot be combined with other targets"),
             (alone("campaign"), "campaign cannot be combined with other targets"),
             (serve && client, "serve and client are mutually exclusive targets"),
             (alone("serve") || alone("client"), "serve/client cannot be combined with other targets"),
@@ -627,16 +608,13 @@ impl Scope {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = Cli::parse(&args).unwrap_or_else(|e| die(&e));
+    let cli = Cli::parse(&args).unwrap_or_else(|e| usage_error(&e));
     if cli.help {
         print!("{}", help_text());
         return;
     }
     if cli.is("online") {
         std::process::exit(run_online(&cli));
-    }
-    if cli.is("chaos") {
-        std::process::exit(run_chaos(&cli));
     }
     if cli.is("client") {
         std::process::exit(run_client(&cli));
@@ -671,8 +649,7 @@ fn main() {
         (Vec::new(), GridStatus::Complete)
     };
     if let Some(dir) = &cli.json {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| die(&format!("cannot create --json dir {dir}: {e}")));
+        create_json_dir(dir);
         write_file(
             &format!("{dir}/grid.json"),
             serde_json::to_string_pretty(&cells),
@@ -737,9 +714,14 @@ fn render(
         "table2" => figures::table2(harness),
         "grid" => figures::grid_summary(cells, status, cli.journal.as_deref()),
         "gantt" => figures::gantt(harness),
-        "faultsweep" => {
-            figures::fault_sweep(harness, &[0.0, 0.25, 0.5, 1.0], &[11, 12, 13], 10, repeats)
-        }
+        "faultsweep" => figures::fault_sweep(
+            harness,
+            &[0.0, 0.25, 0.5, 1.0],
+            &[11, 12, 13],
+            cli.subset.unwrap_or(10),
+            repeats,
+            cli.workers.unwrap_or_else(Harness::default_workers),
+        ),
         "disturb" => run_disturb(harness, cli),
         "ablations" => [
             ablation::root_cause_ablation(seed, 12, repeats),
@@ -798,6 +780,12 @@ fn build_harness(cli: &Cli) -> Harness {
         harness = harness.with_disturbance(disturb);
     }
     harness
+}
+
+/// Creates the `--json` directory, or dies.
+fn create_json_dir(dir: &str) {
+    std::fs::create_dir_all(dir)
+        .unwrap_or_else(|e| die(&format!("cannot create --json dir {dir}: {e}")));
 }
 
 /// Writes `contents` to `path` and says so, or dies on either error.
@@ -1031,34 +1019,6 @@ fn run_campaign(harness: &mut Harness, cli: &Cli) -> i32 {
     }
 }
 
-fn run_chaos(cli: &Cli) -> i32 {
-    let dir = cli
-        .chaos_dir
-        .as_ref()
-        .map(PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("mps-chaos-{}", std::process::id())));
-    let opts = &mps_exp::ChaosOpts {
-        episodes: cli.episodes.unwrap_or(50),
-        seed: cli.seed,
-        dir,
-    };
-    eprintln!(
-        "# chaos soak: {} episode(s), seed {}, scratch {}",
-        opts.episodes,
-        opts.seed,
-        opts.dir.display()
-    );
-    let t = std::time::Instant::now();
-    let report = mps_exp::chaos::run_chaos(opts, |line| eprintln!("# {line}"))
-        .unwrap_or_else(|e| die(&format!("chaos: {e}")));
-    print!("{}", report.render(opts.seed, t.elapsed().as_secs_f64()));
-    if report.passed() {
-        0
-    } else {
-        2
-    }
-}
-
 /// The `online` target: a streaming-workload sweep across load levels.
 /// `--trace-out` writes the deterministic event/SLO trace (byte-identical
 /// across repeats, batch sizes, and worker counts); `--json` additionally
@@ -1082,34 +1042,18 @@ fn run_online(cli: &Cli) -> i32 {
         opts.workers
     );
     let t = std::time::Instant::now();
-    let report = match mps_exp::run_online_sweep(opts, |line| eprintln!("# {line}")) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("repro: online: {e}");
-            return 2;
-        }
-    };
+    let report = mps_exp::run_online_sweep(opts, |line| eprintln!("# {line}"))
+        .unwrap_or_else(|e| usage_error(&format!("online: {e}")));
     eprintln!("# sweep finished in {:.1} s", t.elapsed().as_secs_f64());
-    let write = || -> Result<(), String> {
-        if let Some(path) = &cli.trace_out {
-            std::fs::write(path, report.trace())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("# wrote {path}");
-        }
-        if let Some(dir) = &cli.json {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create --json dir {dir}: {e}"))?;
-            let path = format!("{dir}/online.json");
-            let payload = serde_json::to_string_pretty(&report)
-                .map_err(|e| format!("cannot encode {path}: {e}"))?;
-            std::fs::write(&path, payload).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("# wrote {path}");
-        }
-        Ok(())
-    };
-    if let Err(e) = write() {
-        eprintln!("repro: online: {e}");
-        return 2;
+    if let Some(path) = &cli.trace_out {
+        write_file(path, Ok(report.trace()));
+    }
+    if let Some(dir) = &cli.json {
+        create_json_dir(dir);
+        write_file(
+            &format!("{dir}/online.json"),
+            serde_json::to_string_pretty(&report),
+        );
     }
     println!("{}", report.render());
     0
@@ -1328,7 +1272,8 @@ targets:
     out.push_str(
         "
 exit codes:
-  0 success / clean drain      2 usage or runtime error
+  0 success / clean drain      1 runtime error (journal, disk, campaign)
+  2 usage error (serve, client: also a socket or protocol error)
   3 completed with quarantined cells
   4 client request failed      5 overloaded (retry hinted)
   6 server draining            130 interrupted
@@ -1337,10 +1282,18 @@ exit codes:
     out
 }
 
-fn die(msg: &str) -> ! {
+/// A bad command line: the reason and the usage line, exit 2.
+fn usage_error(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     eprintln!("usage: repro [FLAGS] [TARGET]...  (`repro --help` lists them)");
     std::process::exit(2);
+}
+
+/// A well-formed run that failed (a journal, a disk, a campaign): the
+/// reason alone, exit 1.
+fn die(msg: &str) -> ! {
+    eprintln!("repro: {msg}");
+    std::process::exit(1);
 }
 
 #[cfg(test)]
@@ -1436,10 +1389,10 @@ mod tests {
         assert!(parse("--help --bogus").unwrap().help);
         let policy = parse("disturb").unwrap().recovery_policy();
         assert_eq!(policy, RecoveryPolicy::Rescue);
-        // Chaos rejects --disturb, so --recovery with chaos always breaks
-        // two rules; the scope rule is the one reported.
-        let e = parse("chaos --recovery rescue").unwrap_err();
-        assert_eq!(e, "--recovery cannot be used with the chaos target");
+        // Online rejects --disturb, so --recovery with online always
+        // breaks two rules; the scope rule is the one reported.
+        let e = parse("online --recovery rescue").unwrap_err();
+        assert_eq!(e, "--recovery cannot be used with the online target");
     }
 
     #[test]

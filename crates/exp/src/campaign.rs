@@ -10,7 +10,9 @@
 //! resumes mid-grid, and untouched points run fresh. Killing the driver
 //! at any instant (including SIGKILL) therefore loses at most the cells
 //! in flight, and the finished campaign is byte-identical to an
-//! uninterrupted one (`crates/exp/tests/campaign_resume.rs`).
+//! uninterrupted one (`crates/exp/tests/campaign_resume.rs`). The
+//! campaign itself is a plan generator and a fold on the sweep's one
+//! point loop, which owns the journals and the stop checks.
 //!
 //! The default shape — 309 points × 324 cells — crosses 100 000 cells
 //! while exercising every fault intensity from pristine to harsh; the
@@ -18,14 +20,15 @@
 //! in well under a minute on one core.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use mps_core::faults::io::IoEnv;
+use mps_core::faults::io::{IoEnv, RealIo};
 use mps_core::faults::{FaultPlan, DISTURB_HORIZON};
-use mps_core::journal::RunControl;
+use mps_core::journal::{publish_line_in, read_if_present_in, JournalError, RunControl};
 
 use crate::journaled::GridStatus;
-use crate::runner::Harness;
-use mps_core::journal::{publish_line_in, read_if_present_in, JournalError};
+use crate::runner::{CellResult, Harness};
+use crate::sweep::{self, fold_seed, Hazard, SweepGrid};
 
 /// Default number of sweep points: the smallest count that pushes the
 /// full 54-DAG grid (324 cells/point) past 100 000 cells.
@@ -37,9 +40,9 @@ const MAX_INTENSITY: f64 = 1.0;
 
 /// The fault plan of sweep point `point` of `points`: intensity ramps
 /// linearly from 0 (pristine grid) to `MAX_INTENSITY`, and the plan
-/// seed folds the point index into `base_seed` so equal-intensity points
-/// still draw distinct event schedules. Deterministic — resuming a
-/// campaign rebuilds bit-identical plans, which the per-journal config
+/// seed is the point's [`fold_seed`] of `base_seed`, so equal-intensity
+/// points still draw distinct event schedules. Deterministic — resuming
+/// a campaign rebuilds bit-identical plans, which the per-journal config
 /// digest then verifies.
 pub fn point_fault_plan(base_seed: u64, point: usize, points: usize, hosts: usize) -> FaultPlan {
     let intensity = if points <= 1 {
@@ -47,7 +50,7 @@ pub fn point_fault_plan(base_seed: u64, point: usize, points: usize, hosts: usiz
     } else {
         MAX_INTENSITY * point as f64 / (points - 1) as f64
     };
-    let seed = base_seed ^ (point as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let seed = fold_seed(base_seed, point as u64);
     FaultPlan::random(seed, intensity, hosts, DISTURB_HORIZON)
 }
 
@@ -92,31 +95,12 @@ pub struct CampaignManifest {
     pub status: String,
 }
 
-/// Atomically publishes `campaign.json` in `dir` through `env`
-/// ([`publish_line_in`]).
-pub fn write_campaign_manifest_in(
-    env: &dyn IoEnv,
-    dir: &Path,
-    m: &CampaignManifest,
-) -> Result<(), JournalError> {
-    let json = serde_json::to_string(m).map_err(|e| manifest_err(e.to_string()))?;
-    publish_line_in(env, &dir.join("campaign.json"), json.as_bytes())
-}
-
 /// Reads `campaign.json` from `dir`. `Ok(None)` if absent; a manifest
 /// that exists but does not parse (or carries the wrong schema tag) is a
 /// typed [`JournalError::Serde`] — never a panic, and never grounds for
 /// resetting campaign progress (resume state lives in the journals).
 pub fn read_campaign_manifest(dir: &Path) -> Result<Option<CampaignManifest>, JournalError> {
-    read_campaign_manifest_in(&mps_core::faults::io::RealIo, dir)
-}
-
-/// [`read_campaign_manifest`] against an explicit environment.
-pub fn read_campaign_manifest_in(
-    env: &dyn IoEnv,
-    dir: &Path,
-) -> Result<Option<CampaignManifest>, JournalError> {
-    let Some(bytes) = read_if_present_in(env, &dir.join("campaign.json"))? else {
+    let Some(bytes) = read_if_present_in(&RealIo, &dir.join("campaign.json"))? else {
         return Ok(None);
     };
     let text = String::from_utf8(bytes).map_err(|e| manifest_err(e.to_string()))?;
@@ -189,11 +173,12 @@ pub struct CampaignReport {
 impl Harness {
     /// Runs (or resumes) a fault-sweep campaign: `opts.points` grid
     /// points, each under [`point_fault_plan`], journaled at
-    /// [`point_journal`]. The harness's own fault plan is replaced per
-    /// point and restored afterwards. `ctrl` is honoured between cells
-    /// (inside each point, by the journaled grid) and between points, so
-    /// SIGINT/deadline produce a clean checkpoint that re-invocation
-    /// continues.
+    /// [`point_journal`]. The campaign is a plan generator and a fold on
+    /// the one sweep loop, which replaces the harness's fault plan per
+    /// point and restores it on every exit. `ctrl` is honoured between
+    /// cells (inside each point, by the journaled grid) and between
+    /// points, so SIGINT/deadline produce a clean checkpoint that
+    /// re-invocation continues.
     pub fn run_campaign(
         &mut self,
         opts: &CampaignOpts,
@@ -206,9 +191,9 @@ impl Harness {
             err: e.to_string(),
         })?;
         let hosts = self.nominal_cluster().node_count();
-        let base_seed = self.testbed.base_seed;
-        let saved_plan = self.fault_plan.take();
-
+        let seed = self.testbed.base_seed;
+        let env = Arc::clone(self.io_env());
+        let plan = |k| Hazard::Verbatim(point_fault_plan(seed, k, opts.points, hosts));
         let mut report = CampaignReport {
             points_done: 0,
             points_total: opts.points,
@@ -219,71 +204,60 @@ impl Harness {
             status: GridStatus::Complete,
             points: Vec::new(),
         };
-        for point in 0..opts.points {
-            if let Some(reason) = ctrl.should_stop() {
-                report.status = match reason {
-                    mps_core::journal::StopReason::Cancelled => GridStatus::Interrupted,
-                    mps_core::journal::StopReason::DeadlineExpired => GridStatus::DeadlineExpired,
+        if opts.points > 0 {
+            let grid = SweepGrid {
+                take: opts.subset,
+                repeats: opts.repeats,
+                workers: opts.workers,
+                journals: Some(&opts.dir),
+                ctrl,
+            };
+            let plans = |_: &[CellResult]| (1..opts.points).map(plan).collect();
+            report.status = sweep::run(self, &grid, plan(0), plans, |point, p| {
+                let g = p.grid;
+                let summary = PointSummary {
+                    point,
+                    resumed: g.resumed,
+                    computed: g.computed,
+                    quarantined: g.quarantined,
                 };
-                break;
-            }
-            let path = point_journal(&opts.dir, point);
-            let resume = path.exists();
-            self.fault_plan = Some(point_fault_plan(base_seed, point, opts.points, hosts));
-            let grid =
-                self.run_journaled(opts.subset, &path, opts.repeats, opts.workers, resume, ctrl);
-            let grid = match grid {
-                Ok(g) => g,
-                Err(e) => {
-                    self.fault_plan = saved_plan;
-                    return Err(e);
+                report.cells += g.resumed + g.computed;
+                report.resumed += g.resumed;
+                report.computed += g.computed;
+                report.quarantined += g.quarantined;
+                progress(&summary, g.status);
+                report.points.push(summary);
+                if g.status != GridStatus::Complete {
+                    return Ok(());
                 }
-            };
-            let summary = PointSummary {
-                point,
-                resumed: grid.resumed,
-                computed: grid.computed,
-                quarantined: grid.quarantined,
-            };
-            report.cells += grid.resumed + grid.computed;
-            report.resumed += grid.resumed;
-            report.computed += grid.computed;
-            report.quarantined += grid.quarantined;
-            progress(&summary, grid.status);
-            report.points.push(summary);
-            if grid.status != GridStatus::Complete {
-                report.status = grid.status;
-                break;
-            }
-            report.points_done += 1;
-            self.write_campaign_manifest(opts, &report)?;
+                report.points_done += 1;
+                report.publish(&*env, seed, opts)
+            })?;
         }
-        self.fault_plan = saved_plan;
-        self.write_campaign_manifest(opts, &report)?;
+        report.publish(&*env, seed, opts)?;
         Ok(report)
     }
+}
 
-    /// Rewrites `campaign.json` (atomic rename via the harness's I/O
-    /// environment) so an observer — or a resumed invocation's operator —
-    /// can see campaign progress without scanning journals.
-    fn write_campaign_manifest(
-        &self,
-        opts: &CampaignOpts,
-        report: &CampaignReport,
-    ) -> Result<(), JournalError> {
+impl CampaignReport {
+    /// Rewrites `campaign.json` through `env` ([`publish_line_in`]: tmp
+    /// file, rename, directory sync) so an observer — or a resumed
+    /// invocation's operator — can see progress without scanning journals.
+    fn publish(&self, env: &dyn IoEnv, seed: u64, opts: &CampaignOpts) -> Result<(), JournalError> {
         let m = CampaignManifest {
             schema: CAMPAIGN_MANIFEST_V1.to_string(),
-            seed: self.testbed.base_seed,
-            points_total: report.points_total as u64,
-            points_done: report.points_done as u64,
+            seed,
+            points_total: self.points_total as u64,
+            points_done: self.points_done as u64,
             repeats: opts.repeats,
             subset: opts.subset.map(|s| s as u64),
-            cells: report.cells as u64,
-            resumed: report.resumed as u64,
-            computed: report.computed as u64,
-            quarantined: report.quarantined as u64,
-            status: report.status.label().to_string(),
+            cells: self.cells as u64,
+            resumed: self.resumed as u64,
+            computed: self.computed as u64,
+            quarantined: self.quarantined as u64,
+            status: self.status.label().to_string(),
         };
-        write_campaign_manifest_in(&**self.io_env(), &opts.dir, &m)
+        let json = serde_json::to_string(&m).map_err(|e| manifest_err(e.to_string()))?;
+        publish_line_in(env, &opts.dir.join("campaign.json"), json.as_bytes())
     }
 }

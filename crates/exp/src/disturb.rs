@@ -25,9 +25,8 @@ use serde::{Deserialize, Serialize};
 
 use mps_core::faults::{DisturbancePlan, RecoveryPolicy};
 
-use crate::chaos::fold;
 use crate::runner::{grid_health, CellOutcome, CellResult, DisturbConfig, Harness};
-use crate::sweep::{self, Hazard, Point, SweepGrid};
+use crate::sweep::{self, fold_seed, Hazard, Point};
 
 /// Options for one disturbance sweep.
 #[derive(Debug, Clone)]
@@ -113,19 +112,16 @@ pub fn run_disturb_sweep(
     mut progress: impl FnMut(&str),
 ) -> DisturbSweepReport {
     let disturbance = |plan| Hazard::Disturb(DisturbConfig::new(plan, opts.recovery));
+    // Intensity `j` is sweep point `j + 1`, and draws that point's seed.
     let plans = |_: &[CellResult]| {
-        let at = |(k, &i)| disturbance(DisturbancePlan::with_intensity(fold(seed, k as u64), i));
-        opts.intensities.iter().enumerate().map(at).collect()
+        let at = |(k, &i)| disturbance(DisturbancePlan::with_intensity(fold_seed(seed, k), i));
+        (1..).zip(&opts.intensities).map(at).collect()
     };
-    let grid = SweepGrid {
-        take: opts.subset,
-        repeats: opts.repeats,
-        workers: opts.workers,
-    };
+    let (take, repeats, workers) = (opts.subset, opts.repeats, opts.workers);
     let mut points = Vec::new();
     let baseline = disturbance(DisturbancePlan::none());
-    sweep::run(harness, &grid, baseline, plans, |k, p| {
-        let point = DisturbPoint::of(opts.intensities[k], &p);
+    sweep::run_in_memory(harness, take, repeats, workers, baseline, plans, |j, p| {
+        let point = DisturbPoint::of(opts.intensities[j], &p);
         progress(&format!(
             "intensity {:.2}: {}/{} measured, {} crash(es), {} rescue(s), degradation {:+.1} %",
             point.intensity,
@@ -165,8 +161,9 @@ fn measured_mean(cells: &[CellResult]) -> (f64, usize) {
 impl DisturbPoint {
     /// The report row of one swept point.
     fn of(intensity: f64, p: &Point<'_>) -> Self {
-        let health = grid_health(p.cells);
-        let (mean_real_makespan, measured) = measured_mean(p.cells);
+        let cells = &p.grid.cells;
+        let health = grid_health(cells);
+        let (mean_real_makespan, measured) = measured_mean(cells);
         let (baseline_makespan, _) = measured_mean(p.baseline);
         let degradation_pct = if baseline_makespan > 0.0 {
             100.0 * (mean_real_makespan / baseline_makespan - 1.0)
@@ -176,8 +173,7 @@ impl DisturbPoint {
         // Rescue success: cells where a crash fired and a measurement
         // still came out, over all cells a crash touched (survivors +
         // cells lost entirely).
-        let crash_survivors = p
-            .cells
+        let crash_survivors = cells
             .iter()
             .filter(|c| {
                 matches!(&c.outcome, CellOutcome::Disturbed { report, .. } if report.crashes > 0)
@@ -189,14 +185,15 @@ impl DisturbPoint {
         } else {
             100.0
         };
-        let verdict_agreement_pct = if p.compared > 0 {
-            100.0 * p.stable as f64 / p.compared as f64
+        let (stable, compared) = p.stability();
+        let verdict_agreement_pct = if compared > 0 {
+            100.0 * stable as f64 / compared as f64
         } else {
             0.0
         };
         DisturbPoint {
             intensity,
-            cells: p.cells.len(),
+            cells: cells.len(),
             measured,
             disturbed: health.disturbed,
             failed: health.failed,

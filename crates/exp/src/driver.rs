@@ -29,8 +29,8 @@ use std::sync::mpsc;
 use mps_core::dag::gen::GeneratedDag;
 use mps_core::faults::io::IoEnv;
 use mps_core::journal::{
-    self as journal, JournalError, JournalHeader, JournalWriter, Manifest, RunControl, StopReason,
-    FORMAT_V1, MANIFEST_FORMAT_V1,
+    self as journal, JournalError, JournalHeader, JournalWriter, Manifest, RunControl, FORMAT_V1,
+    MANIFEST_FORMAT_V1,
 };
 use mps_core::sched::{Hcpa, Mcpa, Scheduler};
 use mps_core::MpsError;
@@ -194,10 +194,9 @@ impl Harness {
         let status = if total_done as u64 == expected {
             GridStatus::Complete
         } else {
-            match grid.ctrl.should_stop() {
-                Some(StopReason::DeadlineExpired) => GridStatus::DeadlineExpired,
-                _ => GridStatus::Interrupted,
-            }
+            grid.ctrl
+                .should_stop()
+                .map_or(GridStatus::Interrupted, GridStatus::from)
         };
         let mut cells: Vec<CellResult> =
             cells.into_iter().map(|(_, c)| c).chain(new_cells).collect();

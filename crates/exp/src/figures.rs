@@ -403,16 +403,16 @@ fn curve_str(c: &mps_core::model::TaskCurve) -> String {
 /// Fault sweep — Fig. 8-style verdict stability under increasing fault
 /// intensity.
 ///
-/// Reruns a grid subset under randomly generated [`FaultPlan`]s of growing
-/// intensity (several plan seeds per intensity) and reports, per
-/// intensity: how many cells survive, the simulation-error distribution of
-/// the survivors, and whether the HCPA-vs-MCPA verdict each surviving DAG
-/// yields still matches the fault-free baseline. It runs on the point loop
-/// and stability rule it shares with [`run_disturb_sweep`], and leaves the
-/// caller's hazards as it found them.
+/// Reruns the first `take` corpus DAGs on `workers` threads under random
+/// [`FaultPlan`]s of growing intensity (several plan seeds per intensity)
+/// and reports, per intensity: how many cells survive, the
+/// simulation-error distribution of the survivors, and whether the
+/// HCPA-vs-MCPA verdict each surviving DAG yields still matches the
+/// fault-free baseline. It runs on the point loop and stability rule it
+/// shares with [`run_disturb_sweep`], and leaves the caller's hazards as
+/// it found them.
 ///
 /// [`run_disturb_sweep`]: crate::run_disturb_sweep
-///
 /// [`FaultPlan`]: mps_core::faults::FaultPlan
 pub fn fault_sweep(
     harness: &mut Harness,
@@ -420,8 +420,9 @@ pub fn fault_sweep(
     plan_seeds: &[u64],
     take: usize,
     repeats: u64,
+    workers: usize,
 ) -> String {
-    use crate::sweep::{self, Hazard, SweepGrid};
+    use crate::sweep::{self, Hazard};
     use mps_core::faults::FaultPlan;
 
     let mut out = String::new();
@@ -461,24 +462,21 @@ pub fn fault_sweep(
         errs: Vec<f64>,
     }
     let mut rows: Vec<Row> = intensities.iter().map(|_| Row::default()).collect();
-    let grid = SweepGrid {
-        take,
-        repeats,
-        workers: Harness::default_workers(),
-    };
     let baseline = Hazard::Faults(FaultPlan::none());
-    sweep::run(harness, &grid, baseline, plans, |k, p| {
-        let row = &mut rows[k / plan_seeds.len()];
-        let health = grid_health(p.cells);
-        row.total += p.cells.len();
-        row.survived += p.cells.len() - health.failed;
+    sweep::run_in_memory(harness, take, repeats, workers, baseline, plans, |j, p| {
+        let row = &mut rows[j / plan_seeds.len()];
+        let cells = &p.grid.cells;
+        let health = grid_health(cells);
+        row.total += cells.len();
+        row.survived += cells.len() - health.failed;
         row.degraded += health.degraded;
         row.failed += health.failed;
         row.retries += health.retries;
-        row.stable += p.stable;
-        row.verdicts += p.compared;
+        let (stable, compared) = p.stability();
+        row.stable += stable;
+        row.verdicts += compared;
         row.errs
-            .extend(p.cells.iter().filter_map(CellResult::error_pct_checked));
+            .extend(cells.iter().filter_map(CellResult::error_pct_checked));
     });
     for (intensity, r) in intensities.iter().zip(&rows) {
         let stability = if r.verdicts == 0 {

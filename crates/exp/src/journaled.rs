@@ -13,7 +13,7 @@
 
 use std::path::{Path, PathBuf};
 
-use mps_core::journal::{JournalError, RunControl};
+use mps_core::journal::{JournalError, RunControl, StopReason};
 use mps_core::MpsError;
 
 use crate::driver::{Grid, JournalTarget, Runner};
@@ -39,6 +39,15 @@ impl GridStatus {
             GridStatus::Complete => "complete",
             GridStatus::Interrupted => "interrupted",
             GridStatus::DeadlineExpired => "deadline",
+        }
+    }
+}
+
+impl From<StopReason> for GridStatus {
+    fn from(reason: StopReason) -> Self {
+        match reason {
+            StopReason::Cancelled => GridStatus::Interrupted,
+            StopReason::DeadlineExpired => GridStatus::DeadlineExpired,
         }
     }
 }
@@ -86,7 +95,7 @@ impl Harness {
         resume: bool,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, JournalError> {
-        self.run_journaled(None, path, repeats, workers, resume, ctrl)
+        self.run_in_process(None, repeats, workers, Some((path, resume)), ctrl)
     }
 
     /// [`Harness::run_grid_journaled`] over the first `take` corpus DAGs
@@ -100,29 +109,31 @@ impl Harness {
         resume: bool,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, JournalError> {
-        self.run_journaled(Some(take), path, repeats, workers, resume, ctrl)
+        self.run_in_process(Some(take), repeats, workers, Some((path, resume)), ctrl)
     }
 
-    /// The journaled grid over the first `take` corpus DAGs (`None`: all).
-    pub(crate) fn run_journaled(
+    /// The grid over the first `take` corpus DAGs (`None`: all) on
+    /// `workers` threads, appending to the journal `Some((path, resume))`
+    /// when there is one. Only the journal can fail.
+    pub(crate) fn run_in_process(
         &self,
         take: Option<usize>,
-        path: &Path,
         repeats: u64,
         workers: usize,
-        resume: bool,
+        journal: Option<(&Path, bool)>,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, JournalError> {
+        let journal = journal.map(|(path, resume)| JournalTarget {
+            path,
+            resume,
+            request: None,
+        });
         let grid = Grid {
             take,
             repeats,
             disturb: self.disturb.as_ref(),
             runner: Runner::Threads(workers),
-            journal: Some(JournalTarget {
-                path,
-                resume,
-                request: None,
-            }),
+            journal,
             ctrl,
         };
         self.drive(grid, None).map_err(|e| match e {

@@ -9,12 +9,15 @@
 //! cargo run -p mps-exp --bin repro -- table2
 //! cargo run -p mps-exp --bin repro -- --json out/  # also dump JSON
 //! ```
+//!
+//! `faultsweep`, `disturb` and `campaign` run on one sweep point loop.
+//! The chaos soak over the durability paths is a test target:
+//! `cargo test -p mps-exp --test chaos_soak`.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
 pub mod campaign;
-pub mod chaos;
 pub mod disturb;
 mod driver;
 pub mod figures;
@@ -26,7 +29,6 @@ pub mod supervised;
 mod sweep;
 
 pub use campaign::{CampaignManifest, CampaignOpts, CampaignReport, PointSummary};
-pub use chaos::{ChaosOpts, ChaosReport};
 pub use disturb::{run_disturb_sweep, DisturbPoint, DisturbSweepOpts, DisturbSweepReport};
 pub use journaled::{GridStatus, JournaledGrid};
 pub use online::{run_online_sweep, OnlineLevel, OnlineOpts, OnlineSweepReport, OnlineWall};
@@ -37,3 +39,4 @@ pub use runner::{
 };
 pub use serve_backend::{parse_cell_names, ServeBackend};
 pub use supervised::{SuperviseOpts, WorkerCommand};
+pub use sweep::fold_seed;

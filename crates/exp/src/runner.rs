@@ -29,8 +29,6 @@ use mps_core::testbed::{
     build_profile_model, fit_empirical_model, paper_kernels, ProfilingConfig, Testbed,
 };
 
-use crate::driver::{Grid, Runner};
-
 /// The three simulator versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SimVariant {
@@ -781,15 +779,7 @@ impl Harness {
     /// The grid with no journal and no client: the driver's cells, in
     /// canonical (dag, variant, algo) order for any worker count.
     fn run_in_memory(&self, take: Option<usize>, repeats: u64, workers: usize) -> Vec<CellResult> {
-        let grid = Grid {
-            take,
-            repeats,
-            disturb: self.disturb.as_ref(),
-            runner: Runner::Threads(workers),
-            journal: None,
-            ctrl: &RunControl::unlimited(),
-        };
-        self.drive(grid, None)
+        self.run_in_process(take, repeats, workers, None, &RunControl::unlimited())
             .expect("a grid with no journal and no child processes cannot fail")
             .cells
     }

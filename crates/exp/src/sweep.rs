@@ -1,29 +1,44 @@
-//! The verdict-stability sweep behind `repro faultsweep` and
-//! `repro disturb`: one point loop and one stability rule.
+//! The one point loop behind `repro faultsweep`, `repro disturb` and
+//! `repro campaign`.
 //!
-//! A sweep runs its baseline grid (the caller's harness with the swept
-//! hazard cleared), then per point installs the point's plan with the
-//! builders' empty-plan rule, runs the subset grid and hands the cells to
-//! the report's fold; at the end the caller's hazards are put back. Each
-//! (variant, DAG) pair is classed HCPA, MCPA or tie by the paper figures'
-//! sign test ([`stats::winner`], no tie band), and a pair is stable only
-//! when baseline and point give it the same class.
+//! Point 0 is the baseline, the caller's harness with the swept hazard
+//! cleared; the later points' plans derive from its cells. Per point the
+//! loop checks the run control, installs the point's hazard, runs the
+//! grid through the cell driver (journaled when the sweep has a journal
+//! directory) and hands it to the caller's fold. It stops at the first
+//! point that does not complete and, on every exit, puts the caller's
+//! hazards back. Each (variant, DAG) pair is classed HCPA, MCPA or tie
+//! by the paper figures' sign test ([`stats::winner`], no tie band), and
+//! a pair is stable only when baseline and point class it alike.
 
 use std::collections::HashMap;
+use std::path::Path;
 
 use mps_core::dag::gen::MATRIX_SIZES;
 use mps_core::faults::FaultPlan;
+use mps_core::journal::{JournalError, RunControl};
 use mps_core::stats::{self, Winner};
 
+use crate::campaign::point_journal;
+use crate::journaled::{GridStatus, JournaledGrid};
 use crate::runner::{paired_relative_makespans, CellResult, DisturbConfig, Harness, SimVariant};
+
+/// The seed of sweep point `k` under base seed `seed` (point 0 keeps it):
+/// a golden-ratio multiply decorrelates the points without a shared
+/// stream. Campaign, disturbance-sweep and chaos-soak seeds come from it.
+pub fn fold_seed(seed: u64, k: u64) -> u64 {
+    seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
 
 /// The hazard one sweep point installs.
 pub(crate) enum Hazard {
     /// A fault plan, installed as [`Harness::with_fault_plan`] would.
     Faults(FaultPlan),
-    /// A disturbance config, installed as [`Harness::with_disturbance`]
-    /// would.
+    /// A disturbance config, installed as [`Harness::with_disturbance`] would.
     Disturb(DisturbConfig),
+    /// A campaign point's fault plan, installed verbatim: an empty plan
+    /// stays `Some`, as every campaign journal's config digest records it.
+    Verbatim(FaultPlan),
 }
 
 impl Hazard {
@@ -31,73 +46,130 @@ impl Hazard {
         match self {
             Hazard::Faults(plan) => harness.set_fault_plan(plan),
             Hazard::Disturb(cfg) => harness.set_disturbance(cfg),
+            Hazard::Verbatim(plan) => harness.fault_plan = Some(plan),
         }
     }
 }
 
 /// The subset grid every point of a sweep runs.
-pub(crate) struct SweepGrid {
-    /// Corpus DAGs per point.
-    pub take: usize,
+pub(crate) struct SweepGrid<'a> {
+    /// The first `take` corpus DAGs per point; `None` is the whole corpus.
+    pub take: Option<usize>,
     /// Testbed runs per cell.
     pub repeats: u64,
     /// Worker threads per grid.
     pub workers: usize,
+    /// `Some(dir)`: point `k` journals at `point_journal(dir, k)`.
+    pub journals: Option<&'a Path>,
+    /// Checked before each point and between the cells of a point.
+    pub ctrl: &'a RunControl,
 }
 
-/// One finished point, as the sweep hands it to the report's fold.
+/// One finished point, as the sweep hands it to the caller's fold.
 pub(crate) struct Point<'a> {
-    /// The point's cells, in canonical grid order.
-    pub cells: &'a [CellResult],
+    /// The point's grid: cells in canonical order, status, provenance.
+    pub grid: &'a JournaledGrid,
     /// The baseline grid's cells.
     pub baseline: &'a [CellResult],
-    /// Pairs measured at both the baseline and this point.
-    pub compared: usize,
-    /// Of those, the pairs whose winner class did not change.
-    pub stable: usize,
 }
 
-/// Runs the baseline grid under `baseline`, then one grid per hazard
-/// that `plans` derives from the baseline's cells, each handed to
-/// `fold(k, point)`. A point whose config digest equals the baseline's
-/// reuses the baseline's cells (the grid is deterministic). Generated
-/// plans carry no `io:` clause, so restoring the caller's fault plan and
-/// disturbance config restores every hazard.
+impl Point<'_> {
+    /// `(stable, compared)`: of the pairs measured at both the baseline
+    /// and this point, those whose winner class did not change.
+    pub fn stability(&self) -> (usize, usize) {
+        stability(&classes(self.baseline), &classes(&self.grid.cells))
+    }
+}
+
+/// Runs point 0 under `baseline`, then one point per hazard that `plans`
+/// derives from its cells, handing point `k` to `fold(k, point)`. Without
+/// journals, a point with the baseline's config digest reuses its grid.
+/// Returns `Complete`, or the status of the stop or point that ended the
+/// sweep. Plans carry no `io:` clause, so restoring the caller's fault
+/// plan and disturbance config restores every hazard.
 pub(crate) fn run(
     harness: &mut Harness,
-    grid: &SweepGrid,
+    shape: &SweepGrid<'_>,
+    baseline: Hazard,
+    plans: impl FnOnce(&[CellResult]) -> Vec<Hazard>,
+    mut fold: impl FnMut(usize, Point<'_>) -> Result<(), JournalError>,
+) -> Result<GridStatus, JournalError> {
+    let caller = (harness.fault_plan.clone(), harness.disturb.clone());
+    let run_point = |harness: &Harness, k| {
+        let path = shape.journals.map(|dir| point_journal(dir, k));
+        let journal = path.as_deref().map(|path| (path, path.exists()));
+        harness.run_in_process(
+            shape.take,
+            shape.repeats,
+            shape.workers,
+            journal,
+            shape.ctrl,
+        )
+    };
+    let sweep = || {
+        if let Some(stop) = shape.ctrl.should_stop() {
+            return Ok(stop.into());
+        }
+        baseline.install(harness);
+        let base_digest = harness.config_digest();
+        let base = run_point(harness, 0)?;
+        let (grid, baseline) = (&base, &base.cells[..]);
+        fold(0, Point { grid, baseline })?;
+        if base.status != GridStatus::Complete {
+            return Ok(base.status);
+        }
+        for (k, hazard) in (1..).zip(plans(baseline)) {
+            debug_assert!(!matches!(&hazard, Hazard::Faults(p) if !p.io.is_empty()));
+            if let Some(stop) = shape.ctrl.should_stop() {
+                return Ok(stop.into());
+            }
+            hazard.install(harness);
+            let fresh;
+            let grid = if shape.journals.is_none() && harness.config_digest() == base_digest {
+                &base
+            } else {
+                fresh = run_point(harness, k)?;
+                &fresh
+            };
+            fold(k, Point { grid, baseline })?;
+            if grid.status != GridStatus::Complete {
+                return Ok(grid.status);
+            }
+        }
+        Ok(GridStatus::Complete)
+    };
+    let swept = sweep();
+    (harness.fault_plan, harness.disturb) = caller;
+    swept
+}
+
+/// [`run`] without journals or stops, which cannot fail (`faultsweep`,
+/// `disturb`): `fold(j, point)` sees the point of plan `j`, the baseline
+/// only as `point.baseline`.
+pub(crate) fn run_in_memory(
+    harness: &mut Harness,
+    take: usize,
+    repeats: u64,
+    workers: usize,
     baseline: Hazard,
     plans: impl FnOnce(&[CellResult]) -> Vec<Hazard>,
     mut fold: impl FnMut(usize, Point<'_>),
 ) {
-    let caller = (harness.fault_plan.clone(), harness.disturb.clone());
-    let run_grid = |h: &Harness| h.run_subset_with_workers(grid.take, grid.repeats, grid.workers);
-    baseline.install(harness);
-    let base_digest = harness.config_digest();
-    let base_cells = run_grid(harness);
-    let base = classes(&base_cells);
-    for (k, hazard) in plans(&base_cells).into_iter().enumerate() {
-        debug_assert!(!matches!(&hazard, Hazard::Faults(p) if !p.io.is_empty()));
-        hazard.install(harness);
-        let fresh;
-        let cells = if harness.config_digest() == base_digest {
-            &base_cells[..]
-        } else {
-            fresh = run_grid(harness);
-            &fresh[..]
-        };
-        let (stable, compared) = stability(&base, &classes(cells));
-        fold(
-            k,
-            Point {
-                cells,
-                baseline: &base_cells,
-                compared,
-                stable,
-            },
-        );
-    }
-    (harness.fault_plan, harness.disturb) = caller;
+    let grid = SweepGrid {
+        take: Some(take),
+        repeats,
+        workers,
+        journals: None,
+        ctrl: &RunControl::unlimited(),
+    };
+    let plan_points = |k: usize, p: Point<'_>| {
+        if k > 0 {
+            fold(k - 1, p);
+        }
+        Ok(())
+    };
+    run(harness, &grid, baseline, plans, plan_points)
+        .expect("a sweep without journals cannot fail");
 }
 
 /// The testbed winner class of each (variant, DAG) pair.
@@ -180,9 +252,10 @@ mod tests {
         assert_eq!(stability(&pair(19.0, 20.0), &now), (0, 0));
     }
 
-    /// Every sweep hands the harness back with the caller's hazards: a
-    /// fault-sweep used to leave no fault plan behind and a disturbance
-    /// sweep no disturbance config.
+    /// Every sweep hands the harness back with the caller's hazards, on
+    /// every exit: a fault-sweep used to leave no fault plan behind, a
+    /// disturbance sweep no disturbance config, and a campaign whose
+    /// `campaign.json` could not be written its point's fault plan.
     #[test]
     fn sweeps_restore_the_callers_hazards() {
         let hosts = 32;
@@ -197,7 +270,7 @@ mod tests {
         let before = (h.fault_plan.clone(), h.disturb.clone(), h.config_digest());
         let after = |h: &Harness| (h.fault_plan.clone(), h.disturb.clone(), h.config_digest());
 
-        crate::figures::fault_sweep(&mut h, &[0.0, 1.0], &[11], 1, 1);
+        crate::figures::fault_sweep(&mut h, &[0.0, 1.0], &[11], 1, 1, 1);
         assert_eq!(after(&h), before, "faultsweep");
 
         let opts = crate::DisturbSweepOpts {
@@ -209,5 +282,34 @@ mod tests {
         };
         crate::run_disturb_sweep(&mut h, 7, &opts, |_| {});
         assert_eq!(after(&h), before, "disturb");
+
+        // A directory where `campaign.json` goes fails the first publish.
+        let dir = std::env::temp_dir().join(format!("mps-sweep-restore-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("campaign.json")).unwrap();
+        let opts = crate::CampaignOpts {
+            dir: dir.clone(),
+            points: 2,
+            repeats: 1,
+            workers: 1,
+            subset: Some(1),
+        };
+        let failed = h.run_campaign(&opts, &RunControl::unlimited(), |_, _| {});
+        assert!(
+            matches!(failed, Err(JournalError::Io { op: "rename", .. })),
+            "{failed:?}"
+        );
+        assert_eq!(after(&h), before, "campaign");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Campaign point `p` keeps the plan seed it has always drawn,
+    /// `base ^ p·G`, so existing point journals still resume (the
+    /// disturbance sweep's seeds are pinned by `sweep_golden.txt`).
+    #[test]
+    fn campaign_points_keep_their_plan_seeds() {
+        let seed = |p| crate::campaign::point_fault_plan(7, p, 9, 32).seed;
+        assert_eq!(seed(0), 7);
+        assert_eq!(seed(5), 7 ^ 5u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     }
 }

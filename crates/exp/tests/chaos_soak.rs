@@ -1,6 +1,7 @@
-//! The chaos soak driver behind `repro chaos`: N seeded episodes of
-//! {journal grid, campaign, serve session} under escalating injected
-//! fault intensity, with an invariant checker per episode.
+//! The chaos soak: seeded episodes of {journal grid, campaign, serve
+//! session} under escalating injected fault intensity, then one
+//! targeted episode per fault class, with an invariant checker per
+//! episode. Tier-1 runs it: `cargo test -p mps-exp --test chaos_soak`.
 //!
 //! Invariants (violations are collected, the driver never panics):
 //!
@@ -33,7 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mps_core::faults::io::{
-    ChaosIo, ChaosStream, InjectedIo, InjectedWire, IoFaultPlan, RealIo, WireFaultPlan,
+    ChaosIo, ChaosStream, InjectedIo, InjectedWire, IoFaultPlan, WireFaultPlan,
 };
 use mps_core::faults::{DisturbReport, DisturbancePlan, RecoveryPolicy};
 use mps_core::journal::{self as journal, RunControl};
@@ -41,106 +42,46 @@ use mps_core::platform::HostId;
 use mps_core::serve::{
     recv_msg, send_msg, ClientFrame, Server, ServerConfig, ServerFrame, WorkRequest, PROTO_VERSION,
 };
+use mps_exp::campaign::{point_journal, read_campaign_manifest, CampaignOpts};
+use mps_exp::{fold_seed, CellOutcome, DisturbConfig, GridStatus, Harness, ServeBackend};
 
-use crate::campaign::{read_campaign_manifest, CampaignOpts};
-use crate::journaled::GridStatus;
-use crate::runner::{CellOutcome, DisturbConfig, Harness};
-use crate::serve_backend::ServeBackend;
-
-/// Folds an episode or sweep-point index into the base seed with a
-/// golden-ratio multiply, decorrelating them without a shared stream.
-pub(crate) fn fold(seed: u64, i: u64) -> u64 {
-    seed ^ (i.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+/// The seed of episode `i`: sweep point `i + 1` of the soak's seed.
+fn fold(seed: u64, i: u64) -> u64 {
+    fold_seed(seed, i + 1)
 }
 
 /// Chaos soak shape.
-#[derive(Debug, Clone)]
-pub struct ChaosOpts {
+struct ChaosOpts {
     /// Episodes in the escalating-intensity ramp (targeted coverage
     /// episodes run in addition).
-    pub episodes: usize,
+    episodes: usize,
     /// Base seed; every episode's faults derive from it.
-    pub seed: u64,
+    seed: u64,
     /// Scratch directory (created if missing, reused per episode).
-    pub dir: PathBuf,
+    dir: PathBuf,
 }
 
 /// What a chaos soak did and whether the invariants held.
-#[derive(Debug)]
-pub struct ChaosReport {
+struct ChaosReport {
     /// Episodes executed (ramp + targeted).
-    pub episodes: usize,
+    episodes: usize,
     /// Episodes whose primary run failed typed (and then resumed clean).
-    pub failed_typed: usize,
+    failed_typed: usize,
     /// Per-class I/O injections across all episodes.
-    pub io: InjectedIo,
+    io: InjectedIo,
     /// Per-class wire injections across all episodes.
-    pub wire: InjectedWire,
+    wire: InjectedWire,
     /// Per-class platform disturbances fired (and rescues performed)
     /// across all disturbance episodes.
-    pub disturb: DisturbReport,
+    disturb: DisturbReport,
     /// Invariant violations; empty means the soak passed.
-    pub violations: Vec<String>,
+    violations: Vec<String>,
 }
 
 impl ChaosReport {
     /// True when every invariant held in every episode.
-    pub fn passed(&self) -> bool {
+    fn passed(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// The soak summary `repro chaos` prints: per-class fault counts and
-    /// the verdict, for a soak seeded with `seed` that took `secs`.
-    pub fn render(&self, seed: u64, secs: f64) -> String {
-        use std::fmt::Write as _;
-        let (io, wire, d) = (&self.io, &self.wire, &self.disturb);
-        let mut out = format!(
-            "chaos soak (seed {seed}): {} episode(s), {} typed failure(s) in {secs:.1} s\n",
-            self.episodes, self.failed_typed
-        );
-        let _ = writeln!(
-            out,
-            "  io faults injected  : {} (enospc {}, eio {}, short-write {}, fsync {}, torn-rename {})",
-            io.total(),
-            io.enospc,
-            io.eio,
-            io.short_write,
-            io.fsync_fail,
-            io.torn_rename
-        );
-        let _ = writeln!(
-            out,
-            "  wire faults injected: {} (corrupt {}, stall {}, close {})",
-            wire.total(),
-            wire.corrupt,
-            wire.stall,
-            wire.close
-        );
-        let _ = writeln!(
-            out,
-            "  disturbances fired  : {} (crash {}, slow {}, degrade {}; {} rescue(s), {} task(s) rescued)",
-            d.fired(),
-            d.crashes,
-            d.slows,
-            d.degrades,
-            d.rescues,
-            d.rescued_tasks
-        );
-        if self.passed() {
-            out.push_str(
-                "  verdict: PASS — every fault absorbed or typed, every class exercised\n",
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "  verdict: FAIL — {} invariant violation(s):",
-                self.violations.len()
-            );
-            for v in &self.violations {
-                let _ = writeln!(out, "    - {v}");
-            }
-        }
-        out
     }
 }
 
@@ -171,7 +112,7 @@ fn campaign_baseline(dir: &Path) -> Vec<Vec<(String, String)>> {
         .expect("pristine baseline campaign runs");
     (0..2)
         .map(|p| {
-            journal::recover(&crate::campaign::point_journal(&bdir, p))
+            journal::recover(&point_journal(&bdir, p))
                 .expect("baseline point journal recovers")
                 .records
         })
@@ -180,7 +121,6 @@ fn campaign_baseline(dir: &Path) -> Vec<Vec<(String, String)>> {
 
 /// One journal-grid episode: run under chaos, then prove the real-disk
 /// resume reconstructs the baseline byte-for-byte.
-#[allow(clippy::too_many_arguments)]
 fn episode_journal(
     tag: &str,
     dir: &Path,
@@ -298,7 +238,7 @@ fn episode_campaign(
                 return;
             }
             for (point, want) in baseline.iter().enumerate() {
-                let path = crate::campaign::point_journal(&cdir, point);
+                let path = point_journal(&cdir, point);
                 match journal::recover(&path) {
                     Ok(rec) => {
                         if &rec.records != want {
@@ -479,9 +419,8 @@ fn episode_disturb(tag: &str, plan: DisturbancePlan, report: &mut ChaosReport) {
 /// Runs the chaos soak: `opts.episodes` ramp episodes cycling through
 /// {journal, campaign, serve} with intensity escalating from gentle to
 /// hostile, then one targeted episode per fault class so coverage is
-/// guaranteed rather than probabilistic. `progress` receives one line
-/// per episode.
-pub fn run_chaos(opts: &ChaosOpts, mut progress: impl FnMut(&str)) -> std::io::Result<ChaosReport> {
+/// guaranteed rather than probabilistic.
+fn run_chaos(opts: &ChaosOpts) -> std::io::Result<ChaosReport> {
     std::fs::create_dir_all(&opts.dir)?;
     let mut report = ChaosReport {
         episodes: 0,
@@ -493,7 +432,6 @@ pub fn run_chaos(opts: &ChaosOpts, mut progress: impl FnMut(&str)) -> std::io::R
     };
     let baseline = baseline_json();
     let camp_baseline = campaign_baseline(&opts.dir);
-    let _ = RealIo; // the resume side of every episode
 
     for i in 0..opts.episodes {
         let seed = fold(opts.seed, i as u64);
@@ -526,13 +464,6 @@ pub fn run_chaos(opts: &ChaosOpts, mut progress: impl FnMut(&str)) -> std::io::R
             ),
         }
         report.episodes += 1;
-        progress(&format!(
-            "{tag}: io={} wire={} typed-failures={} violations={}",
-            report.io.total(),
-            report.wire.total(),
-            report.failed_typed,
-            report.violations.len()
-        ));
     }
 
     // Targeted episodes: one per fault class, high probability, so every
@@ -644,13 +575,6 @@ pub fn run_chaos(opts: &ChaosOpts, mut progress: impl FnMut(&str)) -> std::io::R
     for (tag, plan) in disturb_targets {
         episode_disturb(tag, plan, &mut report);
         report.episodes += 1;
-        progress(&format!(
-            "{tag}: disturb={} rescues={} typed-failures={} violations={}",
-            report.disturb.fired(),
-            report.disturb.rescues,
-            report.failed_typed,
-            report.violations.len()
-        ));
     }
 
     // Coverage proof: a class that never fired anywhere is a violation —
@@ -697,68 +621,54 @@ pub fn run_chaos(opts: &ChaosOpts, mut progress: impl FnMut(&str)) -> std::io::R
     Ok(report)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The soak the CI gate has always run: 12 ramp episodes at seed 42, in
+/// a scratch directory of its own.
+fn soak(tag: &str) -> ChaosReport {
+    let dir = std::env::temp_dir().join(format!("mps-chaos-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = ChaosOpts {
+        episodes: 12,
+        seed: 42,
+        dir: dir.clone(),
+    };
+    let report = run_chaos(&opts).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    report
+}
 
-    /// A short soak passes every invariant and covers every class — the
-    /// same gate `repro chaos` runs in CI, shrunk.
-    #[test]
-    fn a_short_soak_passes_and_covers_every_class() {
-        let dir = std::env::temp_dir().join(format!("mps-chaos-smoke-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let report = run_chaos(
-            &ChaosOpts {
-                episodes: 6,
-                seed: 42,
-                dir,
-            },
-            |_| {},
-        )
-        .unwrap();
-        assert!(report.passed(), "violations: {:#?}", report.violations);
-        assert!(report.io.total() >= 5, "io coverage: {:?}", report.io);
-        assert!(report.wire.total() >= 3, "wire coverage: {:?}", report.wire);
-        assert!(
-            report.disturb.crashes >= 1
-                && report.disturb.slows >= 1
-                && report.disturb.degrades >= 1
-                && report.disturb.rescues >= 1,
-            "disturbance coverage: {:?}",
-            report.disturb
-        );
-        assert!(
-            report.failed_typed >= 1,
-            "nothing ever failed — soak too tame"
-        );
-    }
+/// The soak passes every invariant and covers every class: a class that
+/// never fired is a violation, so a pass proves each one fired.
+#[test]
+fn a_short_soak_passes_and_covers_every_class() {
+    let report = soak("smoke");
+    assert!(report.passed(), "violations: {:#?}", report.violations);
+    assert!(report.io.total() >= 5, "io coverage: {:?}", report.io);
+    assert!(report.wire.total() >= 3, "wire coverage: {:?}", report.wire);
+    assert!(
+        report.disturb.crashes >= 1
+            && report.disturb.slows >= 1
+            && report.disturb.degrades >= 1
+            && report.disturb.rescues >= 1,
+        "disturbance coverage: {:?}",
+        report.disturb
+    );
+    assert!(
+        report.failed_typed >= 1,
+        "nothing ever failed — soak too tame"
+    );
+}
 
-    /// Same seed, same episodes → same injected-fault counts: the soak
-    /// is replayable evidence, not a flaky stress test.
-    #[test]
-    fn the_soak_is_deterministic_in_its_io_faults() {
-        let run = |tag: &str| {
-            let dir =
-                std::env::temp_dir().join(format!("mps-chaos-det-{}-{tag}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            run_chaos(
-                &ChaosOpts {
-                    episodes: 4,
-                    seed: 7,
-                    dir,
-                },
-                |_| {},
-            )
-            .unwrap()
-        };
-        let a = run("a");
-        let b = run("b");
-        assert_eq!(a.io, b.io, "I/O fault counts must replay exactly");
-        assert_eq!(
-            a.disturb, b.disturb,
-            "disturbance counts must replay exactly"
-        );
-        assert_eq!(a.passed(), b.passed());
-        assert_eq!(a.episodes, b.episodes);
-    }
+/// Same seed, same episodes → same per-class fault counts: the soak is
+/// replayable evidence, not a flaky stress test.
+#[test]
+fn the_soak_is_deterministic_in_its_io_faults() {
+    let (a, b) = (soak("det-a"), soak("det-b"));
+    assert_eq!(a.io, b.io, "I/O fault counts must replay exactly");
+    assert_eq!(a.wire, b.wire, "wire fault counts must replay exactly");
+    assert_eq!(
+        a.disturb, b.disturb,
+        "disturbance counts must replay exactly"
+    );
+    assert_eq!(a.passed(), b.passed());
+    assert_eq!(a.episodes, b.episodes);
 }

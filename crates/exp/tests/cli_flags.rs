@@ -1,8 +1,9 @@
-//! The `repro` command-line contract: every invocation below breaks
-//! exactly one rule, so it must exit 2 with a pinned first stderr line
-//! and before the harness profiles the testbed (no `# building harness`
-//! line). Covers each flag-scope rule, each cross-flag rule, each value
-//! or range error and each plan grammar.
+//! The `repro` command-line contract: every invocation in the rule tables
+//! breaks exactly one rule, so it must exit 2 with a pinned first stderr
+//! line and before the harness profiles the testbed (no `# building
+//! harness` line). Covers each flag-scope rule, each cross-flag rule,
+//! each value or range error and each plan grammar. A well-formed run
+//! that fails at run time exits 1 instead, without the usage line.
 
 use std::process::Command;
 
@@ -67,19 +68,6 @@ const SCOPE_RULES: &[(&str, &str)] = &[
     ("--trace-out t.txt fig8", "--trace-out requires the online target"),
     ("--horizon-events 10 fig8", "--horizon-events requires the online target or a client --online request"),
     ("--admission 4 fig8", "--admission requires the online target or a client --online request"),
-    // Chaos episodes build their own harnesses, plans and journals.
-    ("chaos --faults light", "--faults cannot be used with the chaos target"),
-    ("chaos --disturb light", "--disturb cannot be used with the chaos target"),
-    ("chaos --journal j.jl", "--journal cannot be used with the chaos target"),
-    ("chaos --resume", "--resume cannot be used with the chaos target"),
-    ("chaos --json out", "--json cannot be used with the chaos target"),
-    ("chaos --subset 2", "--subset cannot be used with the chaos target"),
-    ("chaos --workers 2", "--workers cannot be used with the chaos target"),
-    ("chaos --isolation process", "--isolation process cannot be used with the chaos target"),
-    ("chaos --max-wall-secs 5", "--max-wall-secs cannot be used with the chaos target"),
-    ("chaos --throttle-ms 5", "--throttle-ms cannot be used with the chaos target"),
-    ("--episodes 3 fig8", "--episodes requires the chaos target"),
-    ("--chaos-dir d fig8", "--chaos-dir requires the chaos target"),
     // Campaign points own their plans and journals.
     ("campaign --campaign-dir d --faults light", "--faults cannot be used with the campaign target"),
     ("campaign --campaign-dir d --journal j.jl", "--journal cannot be used with the campaign target"),
@@ -117,8 +105,6 @@ const CROSS_FLAG_RULES: &[(&str, &str)] = &[
     ("--spawn-timeout-secs 5 fig8", "--spawn-timeout-secs requires --isolation process"),
     ("--journal j.jl --cell-timeout-secs 5 grid", "--cell-timeout-secs requires --isolation process"),
     ("--recovery rescue fig8", "--recovery requires --disturb or the disturb target"),
-    // `chaos --recovery M` is missing here: chaos rejects --disturb, so it
-    // always breaks two rules (the unit tests in repro.rs pin it).
     ("disturb --disturb light", "--disturb cannot be used with the disturb target (it sweeps its own seeded plans)"),
     ("serve", "serve needs --socket PATH (or --stdio)"),
     ("serve --socket s --isolation process", "serve --isolation process requires --state DIR (the supervisor owns journals)"),
@@ -128,7 +114,6 @@ const CROSS_FLAG_RULES: &[(&str, &str)] = &[
     ("client --socket s --admission 4", "--admission requires the online target or a client --online request"),
     ("campaign", "campaign needs --campaign-dir DIR"),
     ("online fig8", "online cannot be combined with other targets"),
-    ("chaos fig8", "chaos cannot be combined with other targets"),
     ("campaign fig8 --campaign-dir d", "campaign cannot be combined with other targets"),
     ("serve fig8 --socket s", "serve/client cannot be combined with other targets"),
     ("client fig8 --socket s", "serve/client cannot be combined with other targets"),
@@ -175,8 +160,6 @@ const VALUE_ERRORS: &[(&str, &str)] = &[
     ("--deadline-ms x", "--deadline-ms needs an integer"),
     ("--campaign-dir", "--campaign-dir needs a directory"),
     ("--points 0", "--points needs an integer >= 1"),
-    ("--episodes 0", "--episodes needs an integer >= 1"),
-    ("--chaos-dir", "--chaos-dir needs a directory"),
     ("--arrival-rate", "--arrival-rate needs a comma-separated list"),
     ("--horizon-events 0", "--horizon-events needs an integer >= 1"),
     ("--admission x", "--admission needs an integer (0 sheds everything)"),
@@ -234,6 +217,8 @@ fn unknown_flags_and_targets_are_rejected_before_any_work() {
             "unknown flag `--jsno`",
         ),
         ("--seed 7 fig9", "unknown target `fig9`"),
+        // The chaos soak is a test target, not a product one.
+        ("chaos", "unknown target `chaos`"),
     ]);
 }
 
@@ -246,4 +231,52 @@ fn help_goes_to_stdout_and_exits_zero() {
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("usage: repro"), "{stdout}");
+}
+
+/// Runs `repro` with `args` (space-separated) in a scratch directory of
+/// its own.
+fn run_in_scratch(tag: &str, args: &str) -> std::process::Output {
+    let dir = std::env::temp_dir().join(format!("mps-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(REPRO)
+        .args(args.split_whitespace())
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+/// A journal that cannot be written is a runtime failure, not a bad
+/// command line: exit 1 and one `repro: journal: …` line, no usage line.
+#[test]
+fn runtime_failures_exit_1_without_the_usage_line() {
+    let out = run_in_scratch(
+        "runtime",
+        "--seed 7 --repeats 1 --subset 1 --faults io:enospc@1,eio@1 --journal j.jl grid",
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("repro:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(errors[0].starts_with("repro: journal: "), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+}
+
+/// `--subset` and `--workers` reach the faultsweep target.
+#[test]
+fn faultsweep_honours_subset_and_workers() {
+    let out = run_in_scratch(
+        "faultsweep",
+        "--seed 7 --repeats 1 --subset 1 --workers 1 faultsweep",
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("over 1 DAGs"), "{stdout}");
 }

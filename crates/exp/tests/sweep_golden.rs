@@ -1,9 +1,10 @@
 //! Golden for the two verdict-stability sweeps.
 //!
 //! `sweep_golden.txt` pins, byte for byte, the `faultsweep` report over
-//! fault intensities `[0, 0.5, 1]` with plan seed 11 on a 2-DAG subset,
-//! followed by the `serde_json` of the `disturb` sweep at seed 42 on the
-//! same subset (default intensities, Rescue recovery, 2 workers). Both
+//! fault intensities `[0, 0.5, 1]` with plan seed 11 on a 2-DAG subset
+//! and 2 workers, followed by the `serde_json` of the `disturb` sweep at
+//! seed 42 on the same subset (default intensities, Rescue recovery, 2
+//! workers). Both
 //! reports carry verdict-stability figures, so the file also pins how each
 //! sweep counts an HCPA-vs-MCPA pair as stable. On a mismatch the test
 //! prints the full transcript it computed.
@@ -15,7 +16,7 @@ const GOLDEN: &str = include_str!("sweep_golden.txt");
 
 fn transcript() -> String {
     let mut h = Harness::new(42);
-    let faults = figures::fault_sweep(&mut h, &[0.0, 0.5, 1.0], &[11], 2, 1);
+    let faults = figures::fault_sweep(&mut h, &[0.0, 0.5, 1.0], &[11], 2, 1, 2);
     let opts = DisturbSweepOpts {
         subset: 2,
         repeats: 1,
