@@ -904,13 +904,9 @@ fn run_journaled(
     let report = if cli.isolation == "process" {
         let worker = worker_command(cli, jpath);
         let opts = supervise_opts(cli, Some(workers));
-        match cli.subset {
-            Some(take) => {
-                harness.run_subset_supervised(take, path, repeats, resume, &worker, &opts, &ctrl)
-            }
-            None => harness.run_grid_supervised(path, repeats, resume, &worker, &opts, &ctrl),
-        }
-        .unwrap_or_else(|e| die(&format!("supervised campaign: {e}")))
+        harness
+            .run_supervised(cli.subset, path, repeats, resume, &worker, &opts, &ctrl)
+            .unwrap_or_else(|e| die(&format!("supervised campaign: {e}")))
     } else {
         match cli.subset {
             Some(take) => harness.run_subset_journaled(take, path, repeats, workers, resume, &ctrl),
@@ -996,17 +992,18 @@ fn run_campaign(harness: &mut Harness, cli: &Cli) -> i32 {
             );
         })
         .unwrap_or_else(|e| die(&format!("campaign: {e}")));
+    let m = &report.manifest;
     println!(
         "campaign {}: {}/{} point(s) done, {} cell(s) durable ({} resumed, {} computed, {} quarantined) in {:.1} s — {}",
         opts.dir.display(),
-        report.points_done,
-        report.points_total,
-        report.cells,
-        report.resumed,
-        report.computed,
-        report.quarantined,
+        m.points_done,
+        m.points_total,
+        m.cells,
+        m.resumed,
+        m.computed,
+        m.quarantined,
         t.elapsed().as_secs_f64(),
-        report.status.label(),
+        m.status,
     );
     match report.status {
         GridStatus::Interrupted => 130,
@@ -1014,7 +1011,7 @@ fn run_campaign(harness: &mut Harness, cli: &Cli) -> i32 {
             eprintln!("# checkpoint saved — continue by re-running the same campaign invocation");
             0
         }
-        GridStatus::Complete if report.quarantined > 0 => EXIT_QUARANTINED,
+        GridStatus::Complete if m.quarantined > 0 => EXIT_QUARANTINED,
         GridStatus::Complete => 0,
     }
 }
@@ -1061,7 +1058,7 @@ fn run_online(cli: &Cli) -> i32 {
 
 /// The `serve` target: run the scheduling daemon until it drains.
 /// Exit codes: 0 clean drain, 3 drained with quarantined cells,
-/// 130 aborted drain (second signal), 2 startup error.
+/// 130 aborted drain (second signal), 1 bind or transport error.
 fn run_serve(harness: Harness, cli: &Cli) -> i32 {
     let ctrl = run_control(cli);
     let mut backend = ServeBackend::new(harness);
@@ -1104,10 +1101,7 @@ fn run_serve(harness: Harness, cli: &Cli) -> i32 {
             die("serve over a socket requires a Unix platform (use --stdio)")
         }
     };
-    let x = result.unwrap_or_else(|e| {
-        eprintln!("repro: serve: {e}");
-        std::process::exit(2)
-    });
+    let x = result.unwrap_or_else(|e| die(&format!("serve: {e}")));
     let ending = if x.interrupted {
         "drain aborted"
     } else {
@@ -1125,7 +1119,7 @@ fn run_serve(harness: Harness, cli: &Cli) -> i32 {
 }
 
 /// The `client` target: submit work to a running daemon, stream cells
-/// to stdout as `<key>\t<payload>` lines. Exit codes: 0 done, 2
+/// to stdout as `<key>\t<payload>` lines. Exit codes: 0 done, 1
 /// connect/protocol error, 4 request failed, 5 overloaded, 6 draining.
 #[cfg(unix)]
 fn run_client(cli: &Cli) -> i32 {
@@ -1134,31 +1128,19 @@ fn run_client(cli: &Cli) -> i32 {
 
     let socket = cli.socket.as_deref().expect("checked by Cli::parse");
     let (mut client, _cap) =
-        match connect_unix(Path::new(socket), "repro-client", Duration::from_secs(10)) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("repro: client: {e}");
-                return 2;
-            }
-        };
+        connect_unix(Path::new(socket), "repro-client", Duration::from_secs(10))
+            .unwrap_or_else(|e| die(&format!("client: {e}")));
     let mut id = 0u64;
     let mut code = 0i32;
 
     if cli.health {
         id += 1;
-        match client.health(id) {
-            Ok(stats) => match serde_json::to_string_pretty(&stats) {
-                Ok(j) => println!("{j}"),
-                Err(e) => {
-                    eprintln!("repro: client: encode stats: {e}");
-                    code = 2;
-                }
-            },
-            Err(e) => {
-                eprintln!("repro: client: health: {e}");
-                return 2;
-            }
-        }
+        let stats = client
+            .health(id)
+            .unwrap_or_else(|e| die(&format!("client: health: {e}")));
+        let json = serde_json::to_string_pretty(&stats)
+            .unwrap_or_else(|e| die(&format!("client: encode stats: {e}")));
+        println!("{json}");
     }
 
     for work in &cli.work {
@@ -1189,17 +1171,13 @@ fn run_client(cli: &Cli) -> i32 {
                 eprintln!("repro: client: server is draining");
                 code = code.max(6);
             }
-            Err(e) => {
-                eprintln!("repro: client: {e}");
-                return 2;
-            }
+            Err(e) => die(&format!("client: {e}")),
         }
     }
     if cli.drain {
         id += 1;
         if let Err(e) = client.drain(id) {
-            eprintln!("repro: client: drain: {e}");
-            return 2;
+            die(&format!("client: drain: {e}"));
         }
         eprintln!("# drain acknowledged");
     }
@@ -1272,8 +1250,8 @@ targets:
     out.push_str(
         "
 exit codes:
-  0 success / clean drain      1 runtime error (journal, disk, campaign)
-  2 usage error (serve, client: also a socket or protocol error)
+  0 success / clean drain      1 runtime error (journal, disk, socket)
+  2 usage error
   3 completed with quarantined cells
   4 client request failed      5 overloaded (retry hinted)
   6 server draining            130 interrupted
@@ -1289,8 +1267,8 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// A well-formed run that failed (a journal, a disk, a campaign): the
-/// reason alone, exit 1.
+/// A well-formed run that failed (a journal, a disk, a campaign, a
+/// socket or protocol error): the reason alone, exit 1.
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(1);

@@ -62,6 +62,10 @@ pub fn point_journal(dir: &Path, point: usize) -> PathBuf {
 /// Schema tag of `campaign.json`.
 pub const CAMPAIGN_MANIFEST_V1: &str = "mps-campaign/v1";
 
+/// `campaign.json` status while the writing invocation still has points
+/// to run, so a campaign killed between points never reads as complete.
+const RUNNING: &str = "running";
+
 /// The `campaign.json` summary: progress an observer (or a resumed
 /// invocation's operator) can read without scanning journals.
 ///
@@ -91,7 +95,8 @@ pub struct CampaignManifest {
     pub computed: u64,
     /// Crash-family cells across the campaign.
     pub quarantined: u64,
-    /// Status label of the writing invocation ([`GridStatus::label`]).
+    /// Status of the writing invocation: `running` while it still has
+    /// points to run, then how it ended ([`GridStatus::label`]).
     pub status: String,
 }
 
@@ -151,18 +156,8 @@ pub struct PointSummary {
 /// Outcome of a campaign invocation.
 #[derive(Debug)]
 pub struct CampaignReport {
-    /// Points whose journals are complete.
-    pub points_done: usize,
-    /// Total sweep points requested.
-    pub points_total: usize,
-    /// Durable cells across all touched points (resumed + computed).
-    pub cells: usize,
-    /// Cells loaded from journals instead of recomputed.
-    pub resumed: usize,
-    /// Cells computed by this invocation.
-    pub computed: usize,
-    /// Crash-family cells across the campaign.
-    pub quarantined: usize,
+    /// The campaign's tallies, as last published to `campaign.json`.
+    pub manifest: CampaignManifest,
     /// How the invocation ended ([`GridStatus::Complete`] iff every
     /// point's journal is complete).
     pub status: GridStatus,
@@ -195,12 +190,19 @@ impl Harness {
         let env = Arc::clone(self.io_env());
         let plan = |k| Hazard::Verbatim(point_fault_plan(seed, k, opts.points, hosts));
         let mut report = CampaignReport {
-            points_done: 0,
-            points_total: opts.points,
-            cells: 0,
-            resumed: 0,
-            computed: 0,
-            quarantined: 0,
+            manifest: CampaignManifest {
+                schema: CAMPAIGN_MANIFEST_V1.to_string(),
+                seed,
+                points_total: opts.points as u64,
+                points_done: 0,
+                repeats: opts.repeats,
+                subset: opts.subset.map(|s| s as u64),
+                cells: 0,
+                resumed: 0,
+                computed: 0,
+                quarantined: 0,
+                status: RUNNING.to_string(),
+            },
             status: GridStatus::Complete,
             points: Vec::new(),
         };
@@ -221,43 +223,34 @@ impl Harness {
                     computed: g.computed,
                     quarantined: g.quarantined,
                 };
-                report.cells += g.resumed + g.computed;
-                report.resumed += g.resumed;
-                report.computed += g.computed;
-                report.quarantined += g.quarantined;
+                let m = &mut report.manifest;
+                m.cells += (g.resumed + g.computed) as u64;
+                m.resumed += g.resumed as u64;
+                m.computed += g.computed as u64;
+                m.quarantined += g.quarantined as u64;
                 progress(&summary, g.status);
                 report.points.push(summary);
                 if g.status != GridStatus::Complete {
                     return Ok(());
                 }
-                report.points_done += 1;
-                report.publish(&*env, seed, opts)
+                m.points_done += 1;
+                m.publish(&*env, &opts.dir, RUNNING)
             })?;
         }
-        report.publish(&*env, seed, opts)?;
+        let status = report.status.label();
+        report.manifest.publish(&*env, &opts.dir, status)?;
         Ok(report)
     }
 }
 
-impl CampaignReport {
-    /// Rewrites `campaign.json` through `env` ([`publish_line_in`]: tmp
-    /// file, rename, directory sync) so an observer — or a resumed
-    /// invocation's operator — can see progress without scanning journals.
-    fn publish(&self, env: &dyn IoEnv, seed: u64, opts: &CampaignOpts) -> Result<(), JournalError> {
-        let m = CampaignManifest {
-            schema: CAMPAIGN_MANIFEST_V1.to_string(),
-            seed,
-            points_total: self.points_total as u64,
-            points_done: self.points_done as u64,
-            repeats: opts.repeats,
-            subset: opts.subset.map(|s| s as u64),
-            cells: self.cells as u64,
-            resumed: self.resumed as u64,
-            computed: self.computed as u64,
-            quarantined: self.quarantined as u64,
-            status: self.status.label().to_string(),
-        };
-        let json = serde_json::to_string(&m).map_err(|e| manifest_err(e.to_string()))?;
-        publish_line_in(env, &opts.dir.join("campaign.json"), json.as_bytes())
+impl CampaignManifest {
+    /// Rewrites `dir/campaign.json` under `status` through `env`
+    /// ([`publish_line_in`]: tmp file, rename, directory sync) so an
+    /// observer — or a resumed invocation's operator — can see progress
+    /// without scanning journals.
+    fn publish(&mut self, env: &dyn IoEnv, dir: &Path, status: &str) -> Result<(), JournalError> {
+        self.status = status.to_string();
+        let json = serde_json::to_string(self).map_err(|e| manifest_err(e.to_string()))?;
+        publish_line_in(env, &dir.join("campaign.json"), json.as_bytes())
     }
 }

@@ -258,31 +258,16 @@ fn is_busy(machine: &Supervisor, w: usize) -> bool {
 
 impl Harness {
     /// [`Harness::run_grid_journaled`](crate::journaled) with process
-    /// isolation: cells run in supervised child workers, poison cells are
+    /// isolation, over the first `take` corpus DAGs (`None`: all of
+    /// them): cells run in supervised child workers, poison cells are
     /// quarantined into the journal, and the merged grid comes back with
-    /// the same contract (canonical order, resume provenance).
-    pub fn run_grid_supervised(
-        &self,
-        path: &Path,
-        repeats: u64,
-        resume: bool,
-        worker: &WorkerCommand,
-        opts: &SuperviseOpts,
-        ctrl: &RunControl,
-    ) -> Result<JournaledGrid, MpsError> {
-        self.drive(
-            supervised_grid(None, path, repeats, resume, worker, opts, ctrl),
-            None,
-        )
-    }
-
-    /// [`Harness::run_grid_supervised`] over the first `take` corpus DAGs.
-    /// Campaign names match the in-process runner's, so a journal started
-    /// under one isolation mode resumes under the other.
+    /// the same contract (canonical order, resume provenance). Campaign
+    /// names match the in-process runner's, so a journal started under
+    /// one isolation mode resumes under the other.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_subset_supervised(
+    pub fn run_supervised(
         &self,
-        take: usize,
+        take: Option<usize>,
         path: &Path,
         repeats: u64,
         resume: bool,
@@ -290,34 +275,19 @@ impl Harness {
         opts: &SuperviseOpts,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, MpsError> {
-        self.drive(
-            supervised_grid(Some(take), path, repeats, resume, worker, opts, ctrl),
-            None,
-        )
-    }
-}
-
-/// The supervised journaled grid over `take` DAGs.
-fn supervised_grid<'a>(
-    take: Option<usize>,
-    path: &'a Path,
-    repeats: u64,
-    resume: bool,
-    worker: &'a WorkerCommand,
-    opts: &'a SuperviseOpts,
-    ctrl: &'a RunControl,
-) -> Grid<'a> {
-    Grid {
-        take,
-        repeats,
-        disturb: None,
-        runner: Runner::Processes(worker, opts),
-        journal: Some(JournalTarget {
-            path,
-            resume,
-            request: None,
-        }),
-        ctrl,
+        let grid = Grid {
+            take,
+            repeats,
+            disturb: None,
+            runner: Runner::Processes(worker, opts),
+            journal: Some(JournalTarget {
+                path,
+                resume,
+                request: None,
+            }),
+            ctrl,
+        };
+        self.drive(grid, None)
     }
 }
 

@@ -39,8 +39,8 @@ fn every_byte_flip_reads_typed_and_never_resets_progress() {
     let report = h
         .run_campaign(&opts(&dir), &RunControl::unlimited(), |_, _| {})
         .unwrap();
-    assert_eq!(report.points_done, 2);
-    let cells = report.cells;
+    assert_eq!(report.manifest.points_done, 2);
+    let cells = report.manifest.cells;
     assert!(cells > 0);
 
     let path = dir.join("campaign.json");
@@ -88,14 +88,14 @@ fn every_byte_flip_reads_typed_and_never_resets_progress() {
             .run_campaign(&opts(&dir), &RunControl::unlimited(), |_, _| {})
             .unwrap();
         assert_eq!(
-            resumed.computed, 0,
+            resumed.manifest.computed, 0,
             "{tag}: corruption must not reset progress"
         );
         assert_eq!(
-            resumed.resumed, cells,
+            resumed.manifest.resumed, cells,
             "{tag}: every cell resumes from journals"
         );
-        assert_eq!(resumed.points_done, 2, "{tag}");
+        assert_eq!(resumed.manifest.points_done, 2, "{tag}");
         // The resume rewrites a pristine manifest. `resumed`/`computed`
         // record the writing invocation's provenance, so normalize them
         // before comparing against the fresh-run baseline.

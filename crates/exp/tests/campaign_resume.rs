@@ -1,14 +1,15 @@
 //! Campaign crash-recovery: a fault-sweep campaign SIGKILLed mid-flight
 //! must resume by re-invocation to a cell set byte-identical to an
-//! uninterrupted campaign, and resuming a complete campaign must be a
-//! pure no-op (every cell loaded, none recomputed).
+//! uninterrupted campaign, resuming a complete campaign must be a pure
+//! no-op (every cell loaded, none recomputed), and the `campaign.json`
+//! a killed campaign leaves behind must not claim completion.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use mps_core::journal::RunControl;
-use mps_exp::campaign::{point_fault_plan, point_journal};
+use mps_exp::campaign::{point_fault_plan, point_journal, read_campaign_manifest};
 use mps_exp::{CampaignOpts, Harness};
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
@@ -149,18 +150,59 @@ fn resuming_a_complete_campaign_is_a_noop() {
     let first = h
         .run_campaign(&opts, &RunControl::unlimited(), |_, _| {})
         .expect("first campaign run");
-    assert_eq!(first.points_done, POINTS);
-    assert_eq!(first.computed, POINTS * SUBSET * 6);
-    assert_eq!(first.resumed, 0);
+    let cells = (POINTS * SUBSET * 6) as u64;
+    assert_eq!(first.manifest.points_done, POINTS as u64);
+    assert_eq!(first.manifest.computed, cells);
+    assert_eq!(first.manifest.resumed, 0);
 
     let again = h
         .run_campaign(&opts, &RunControl::unlimited(), |_, _| {})
         .expect("second campaign run");
-    assert_eq!(again.points_done, POINTS);
-    assert_eq!(again.computed, 0, "complete points must not recompute");
-    assert_eq!(again.resumed, POINTS * SUBSET * 6);
+    assert_eq!(again.manifest.points_done, POINTS as u64);
+    assert_eq!(
+        again.manifest.computed, 0,
+        "complete points must not recompute"
+    );
+    assert_eq!(again.manifest.resumed, cells);
     // The harness's own fault plan is restored after the sweep.
     assert!(h.fault_plan.is_none());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn campaign_json_says_running_until_the_campaign_ends() {
+    let dir = scratch_dir("in-flight");
+    let opts = CampaignOpts {
+        dir: dir.clone(),
+        points: POINTS,
+        repeats: REPEATS,
+        workers: 1,
+        subset: Some(SUBSET),
+    };
+    // Point 1's progress callback runs after point 0 was published and
+    // before point 1 is: the manifest a kill here would leave behind.
+    let mut in_flight = None;
+    let report = Harness::new(SEED)
+        .run_campaign(&opts, &RunControl::unlimited(), |p, _| {
+            if p.point == 1 {
+                in_flight = read_campaign_manifest(&dir).expect("readable manifest");
+            }
+        })
+        .expect("campaign run");
+    let in_flight = in_flight.expect("point 0 published campaign.json");
+    assert_eq!(in_flight.status, "running");
+    assert_eq!(in_flight.points_done, 1);
+    assert_eq!(in_flight.points_total, POINTS as u64);
+
+    // The final publish says how the invocation ended, and the report
+    // holds exactly what was published.
+    assert_eq!(report.manifest.status, "complete");
+    assert_eq!(
+        read_campaign_manifest(&dir).unwrap(),
+        Some(report.manifest),
+        "the report is the published manifest"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

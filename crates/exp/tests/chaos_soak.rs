@@ -231,7 +231,7 @@ fn episode_campaign(
     let mut real = Harness::new(7);
     match real.run_campaign(&opts, &RunControl::unlimited(), |_, _| {}) {
         Ok(rep) => {
-            if rep.points_done != 2 || rep.status != GridStatus::Complete {
+            if rep.manifest.points_done != 2 || rep.status != GridStatus::Complete {
                 report
                     .violations
                     .push(format!("{tag}: resume left the campaign incomplete"));

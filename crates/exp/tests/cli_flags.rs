@@ -248,20 +248,40 @@ fn run_in_scratch(tag: &str, args: &str) -> std::process::Output {
     out
 }
 
-/// A journal that cannot be written is a runtime failure, not a bad
-/// command line: exit 1 and one `repro: journal: …` line, no usage line.
+/// Well-formed runs that fail at run time (tag, arguments, the `repro:`
+/// prefix of their one error line): a journal that cannot be written, a
+/// daemon socket that cannot be bound, a daemon that is not there.
+#[rustfmt::skip]
+const RUNTIME_FAILURES: &[(&str, &str, &str)] = &[
+    ("journal", "--seed 7 --repeats 1 --subset 1 --faults io:enospc@1,eio@1 --journal j.jl grid", "journal: "),
+    ("bind", "--seed 7 --repeats 1 serve --socket no-such-dir/s.sock", "serve: "),
+    ("connect", "client --socket no-such.sock --health", "client: "),
+];
+
+/// A runtime failure is not a bad command line: exit 1 and one
+/// `repro: …` line, no usage line.
 #[test]
 fn runtime_failures_exit_1_without_the_usage_line() {
-    let out = run_in_scratch(
-        "runtime",
-        "--seed 7 --repeats 1 --subset 1 --faults io:enospc@1,eio@1 --journal j.jl grid",
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("repro:")).collect();
-    assert_eq!(errors.len(), 1, "{stderr}");
-    assert!(errors[0].starts_with("repro: journal: "), "{stderr}");
-    assert!(!stderr.contains("usage:"), "{stderr}");
+    // The client retries its connect for ten seconds, so the cases run
+    // side by side.
+    let outs: Vec<_> = std::thread::scope(|s| {
+        let runs: Vec<_> = RUNTIME_FAILURES
+            .iter()
+            .map(|&(tag, args, _)| s.spawn(move || run_in_scratch(tag, args)))
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for (&(_, args, prefix), out) in RUNTIME_FAILURES.iter().zip(outs) {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`{args}`: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("repro:")).collect();
+        assert_eq!(errors.len(), 1, "`{args}`: {stderr}");
+        assert!(
+            errors[0].starts_with(&format!("repro: {prefix}")),
+            "`{args}`: {stderr}"
+        );
+        assert!(!stderr.contains("usage:"), "`{args}`: {stderr}");
+    }
 }
 
 /// `--subset` and `--workers` reach the faultsweep target.
