@@ -154,14 +154,20 @@ const FLAGS: &[Flag] = &[
         help: "also write grid.json / grid.csv (disturb.json, online.json for those targets)",
         ..row::GRID },
     Flag { name: "--faults", arg: "PLAN", kind: Text, needs: "a plan description",
-        scope: Not(NOT_JOURNALED), set: |c, v| c.faults = Some(v.text),
+        scope: Not(NOT_JOURNALED),
+        set: |c, v| c.fault_plan = c.plan("--faults plan", FaultPlan::parse(&v.text, hosts(),
+            DISTURB_HORIZON)),
         help: "inject a fault plan: `seed=7; crash@0:0+30; slow@1:0*1.5; fail=0.02` or a \
                preset light|moderate|heavy", ..row::GRID },
     Flag { name: "--max-retries", arg: "N", kind: Int(0, U32), needs: "an integer",
         set: |c, v| c.max_retries = v.int as u32, help: "per-task retry budget under faults",
         ..row::GRID },
     Flag { name: "--disturb", arg: "PLAN", kind: Text, needs: "a plan description",
-        scope: Not(NOT_GRID), set: |c, v| c.disturb = Some(v.text),
+        scope: Not(NOT_GRID), set: |c, v| {
+            let plan = DisturbancePlan::parse(&v.text, hosts(), DISTURB_HORIZON);
+            c.disturb_plan = c.plan("--disturb plan", plan);
+            c.disturb = Some(v.text);
+        },
         help: "inject timed platform damage into every testbed run: `crash@T:HOST`, \
                `slow@T1-T2:HOST:F`, `degrade@T1-T2:HOST:F` clauses (`;`-separated, optional \
                `seed=S`), or a preset light|moderate|heavy (intensity .25/.5/1)", ..row::GRID },
@@ -199,15 +205,10 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--max-cell-attempts", arg: "N", kind: Int(1, U32), needs: "an integer >= 1",
         set: |c, v| c.max_cell_attempts = Some(v.int as u32),
         help: "strikes before quarantine, >= 1 (default 2)", ..row::SUPERVISION },
-    Flag { name: "--spawn-timeout-secs", arg: "S", kind: Int(1, 600),
-        needs: "an integer in 1..=600", set: |c, v| c.spawn_timeout_secs = Some(v.int),
-        help: "worker spawn->handshake budget, 1..=600 (default 30)", ..row::SUPERVISION },
-    Flag { name: "--stderr-tail-bytes", arg: "N", kind: Int(0, 1024 * 1024),
-        needs: "an integer in 0..=1048576", set: |c, v| c.stderr_tail_bytes = Some(v.int as usize),
-        help: "worker stderr kept per crash report, 0..=1048576 (default 8192)",
-        ..row::SUPERVISION },
     Flag { name: "--poison", arg: "SPEC", kind: Text, needs: "a spec (needle=panic|hang,...)",
-        requires: Nothing, set: |c, v| c.poison = Some(v.text),
+        requires: Nothing,
+        set: |c, v| c.poison_rules = c.plan("--poison spec", parse_poison_spec(&v.text))
+            .unwrap_or_default(),
         help: "poison matching cells (needle=panic|hang,...)", ..row::SUPERVISION },
 
     Flag { name: "--campaign-dir", arg: "DIR", kind: Text, needs: "a directory",
@@ -247,8 +248,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--socket", arg: "PATH", kind: Text, needs: "a path",
         set: |c, v| c.socket = Some(v.text),
         help: "Unix socket the daemon listens on, or the client connects to", ..row::SERVE },
-    Flag { name: "--stdio", set: |c, _| c.stdio = true,
-        help: "serve one connection over stdin/stdout instead", ..row::SERVE },
     Flag { name: "--state", arg: "DIR", kind: Text, needs: "a directory",
         set: |c, v| c.state = Some(v.text),
         help: "journal every grid request under DIR: resubmissions replay byte-identically, a \
@@ -302,13 +301,16 @@ struct Cli {
     seed: u64,
     repeats: u64,
     json: Option<String>,
-    faults: Option<String>,
     max_retries: u32,
+    /// The `--disturb` plan as given, which client requests carry.
     disturb: Option<String>,
-    /// The plan flags, parsed by [`Cli::parse_plans`].
+    /// The plan flags, parsed as they are read.
     fault_plan: Option<FaultPlan>,
     disturb_plan: Option<DisturbancePlan>,
     poison_rules: Vec<PoisonRule>,
+    /// The first plan flag that did not parse, reported by
+    /// [`Cli::parse_plans`].
+    bad_plan: Option<String>,
     arrivals: Option<Vec<ArrivalSpec>>,
     recovery: Option<RecoveryPolicy>,
     subset: Option<usize>,
@@ -320,9 +322,6 @@ struct Cli {
     isolation: String,
     cell_timeout_secs: Option<u64>,
     max_cell_attempts: Option<u32>,
-    spawn_timeout_secs: Option<u64>,
-    stderr_tail_bytes: Option<usize>,
-    poison: Option<String>,
     campaign_dir: Option<String>,
     points: Option<usize>,
     arrival_rate: Option<String>,
@@ -332,7 +331,6 @@ struct Cli {
     batch: Option<usize>,
     trace_out: Option<String>,
     socket: Option<String>,
-    stdio: bool,
     state: Option<String>,
     queue_cap: Option<usize>,
     serve_workers: Option<usize>,
@@ -446,26 +444,25 @@ impl Cli {
         Ok(c)
     }
 
-    /// Parses the plan flags, so a bad plan is a usage error like any
-    /// other bad value. Plans name hosts of the paper cluster.
+    /// `parsed`'s value. A parse error is kept for [`Cli::parse_plans`],
+    /// which reports it after the flag rules.
+    fn plan<T>(&mut self, what: &str, parsed: Result<T, PlanParseError>) -> Option<T> {
+        if let Err(e) = &parsed {
+            self.bad_plan
+                .get_or_insert_with(|| format!("bad {what}: {e}"));
+        }
+        parsed.ok()
+    }
+
+    /// Reports a bad plan flag and parses `--arrival-rate`, so a bad plan
+    /// is a usage error like any other bad value.
     fn parse_plans(&mut self) -> Result<(), String> {
-        let hosts = ClusterSpec::bayreuth().nodes;
-        let bad = |what: &'static str| move |e: PlanParseError| format!("bad {what}: {e}");
-        if let Some(desc) = &self.faults {
-            let plan =
-                FaultPlan::parse(desc, hosts, DISTURB_HORIZON).map_err(bad("--faults plan"))?;
-            self.fault_plan = Some(plan);
-        }
-        if let Some(desc) = &self.disturb {
-            let plan = DisturbancePlan::parse(desc, hosts, DISTURB_HORIZON)
-                .map_err(bad("--disturb plan"))?;
-            self.disturb_plan = Some(plan);
-        }
-        if let Some(spec) = &self.poison {
-            self.poison_rules = parse_poison_spec(spec).map_err(bad("--poison spec"))?;
+        if let Some(bad) = self.bad_plan.take() {
+            return Err(bad);
         }
         if let Some(list) = &self.arrival_rate {
-            let arrivals = ArrivalSpec::parse_list(list).map_err(bad("--arrival-rate entry"))?;
+            let arrivals = ArrivalSpec::parse_list(list)
+                .map_err(|e| format!("bad --arrival-rate entry: {e}"))?;
             rule(
                 arrivals.is_empty(),
                 "--arrival-rate needs a comma-separated list",
@@ -548,7 +545,7 @@ impl Cli {
             (c.recovery.is_some() && c.disturb.is_none() && !c.is("disturb"),
                 "--recovery requires --disturb or the disturb target"),
             (c.is("campaign") && c.campaign_dir.is_none(), "campaign needs --campaign-dir DIR"),
-            (serve && c.socket.is_none() && !c.stdio, "serve needs --socket PATH (or --stdio)"),
+            (serve && c.socket.is_none(), "serve needs --socket PATH"),
             (serve && c.isolation == "process" && c.state.is_none(),
                 "serve --isolation process requires --state DIR (the supervisor owns journals)"),
             (serve && c.resume,
@@ -565,6 +562,11 @@ impl Cli {
     fn recovery_policy(&self) -> RecoveryPolicy {
         self.recovery.unwrap_or(RecoveryPolicy::Rescue)
     }
+}
+
+/// Hosts of the paper cluster, which plans name.
+fn hosts() -> usize {
+    ClusterSpec::bayreuth().nodes
 }
 
 /// `Err(msg)` when the rule is `broken`.
@@ -619,24 +621,23 @@ fn main() {
     if cli.is("client") {
         std::process::exit(run_client(&cli));
     }
-    if !cli.cell_worker {
-        eprintln!(
-            "# building harness (seed {}): profiling the emulated testbed…",
-            cli.seed
-        );
-    }
-    let mut harness = build_harness(&cli);
     if cli.cell_worker {
         // Supervised worker mode: serve cells over stdin/stdout until the
-        // supervisor closes the pipe. No catch_unwind — a poisoned cell
-        // kills this process and that death is the crash report.
-        std::process::exit(serve_cells(&harness, cli.repeats));
+        // supervisor closes the pipe; each request carries its hazards. No
+        // catch_unwind — a poisoned cell kills this process and that
+        // death is the crash report.
+        std::process::exit(serve_cells(&Harness::new(cli.seed)));
     }
+    eprintln!(
+        "# building harness (seed {}): profiling the emulated testbed…",
+        cli.seed
+    );
+    let harness = build_harness(&cli);
     if cli.is("serve") {
         std::process::exit(run_serve(harness, &cli));
     }
     if cli.is("campaign") {
-        std::process::exit(run_campaign(&mut harness, &cli));
+        std::process::exit(run_campaign(&harness, &cli));
     }
     let grid_figures = ["all", "fig1", "fig5", "fig7", "fig8", "grid"];
     let needs_grid = cli
@@ -674,7 +675,7 @@ fn main() {
     }
 
     for t in &cli.targets {
-        println!("{}", render(t, &cells, grid_status, &mut harness, &cli));
+        println!("{}", render(t, &cells, grid_status, &harness, &cli));
         println!("{}", "=".repeat(78));
     }
 
@@ -697,7 +698,7 @@ fn render(
     target: &str,
     cells: &[CellResult],
     status: GridStatus,
-    harness: &mut Harness,
+    harness: &Harness,
     cli: &Cli,
 ) -> String {
     let (seed, repeats) = (cli.seed, cli.repeats);
@@ -746,19 +747,17 @@ fn render(
 fn build_harness(cli: &Cli) -> Harness {
     let mut harness = Harness::new(cli.seed);
     if let Some(plan) = &cli.fault_plan {
-        if !cli.cell_worker {
-            let io = if plan.io.is_empty() {
-                ""
-            } else {
-                ", I/O faults under every durable write"
-            };
-            eprintln!(
-                "# injecting fault plan (seed {}, {} event(s){io}, max {} retries/task)",
-                plan.seed,
-                plan.events.len(),
-                cli.max_retries
-            );
-        }
+        let io = if plan.io.is_empty() {
+            ""
+        } else {
+            ", I/O faults under every durable write"
+        };
+        eprintln!(
+            "# injecting fault plan (seed {}, {} event(s){io}, max {} retries/task)",
+            plan.seed,
+            plan.events.len(),
+            cli.max_retries
+        );
         harness = harness.with_fault_plan(plan.clone());
     }
     harness = harness
@@ -768,14 +767,12 @@ fn build_harness(cli: &Cli) -> Harness {
         })
         .with_poison(cli.poison_rules.clone());
     if let Some(plan) = &cli.disturb_plan {
-        if !cli.cell_worker {
-            eprintln!(
-                "# injecting disturbance plan (seed {}, {} event(s), recovery {})",
-                plan.seed,
-                plan.events.len(),
-                cli.recovery_policy()
-            );
-        }
+        eprintln!(
+            "# injecting disturbance plan (seed {}, {} event(s), recovery {})",
+            plan.seed,
+            plan.events.len(),
+            cli.recovery_policy()
+        );
         let disturb = DisturbConfig::new(plan.clone(), cli.recovery_policy());
         harness = harness.with_disturbance(disturb);
     }
@@ -810,32 +807,23 @@ fn run_control(cli: &Cli) -> RunControl {
 }
 
 /// A supervised cell worker: this binary, re-executed in hidden
-/// `--cell-worker` mode with the flags that shape a cell. `tag` is an
-/// inert marker that attributes the worker in `ps`/procfs output.
+/// `--cell-worker` mode with the harness seed; every cell request
+/// carries its own hazards. `tag` is an inert marker that attributes the
+/// worker in `ps`/procfs output.
 fn worker_command(cli: &Cli, tag: &str) -> WorkerCommand {
     let program =
         std::env::current_exe().unwrap_or_else(|e| die(&format!("cannot locate own binary: {e}")));
-    let mut args = vec![
-        "--cell-worker".to_string(),
-        "--seed".to_string(),
-        cli.seed.to_string(),
-        "--repeats".to_string(),
-        cli.repeats.to_string(),
-        "--max-retries".to_string(),
-        cli.max_retries.to_string(),
+    let args = [
+        "--cell-worker",
+        "--seed",
+        &cli.seed.to_string(),
+        "--worker-tag",
+        tag,
     ];
-    if let Some(desc) = &cli.faults {
-        args.extend(["--faults".to_string(), desc.clone()]);
+    WorkerCommand {
+        program,
+        args: args.map(String::from).to_vec(),
     }
-    if let Some(spec) = &cli.poison {
-        args.extend(["--poison".to_string(), spec.clone()]);
-    }
-    if let Some(desc) = &cli.disturb {
-        args.extend(["--disturb".to_string(), desc.clone()]);
-        args.extend(["--recovery".to_string(), cli.recovery_policy().to_string()]);
-    }
-    args.extend(["--worker-tag".to_string(), tag.to_string()]);
-    WorkerCommand { program, args }
 }
 
 /// Supervision settings: the flags over [`SuperviseOpts::default`];
@@ -847,10 +835,6 @@ fn supervise_opts(cli: &Cli, workers: Option<usize>) -> SuperviseOpts {
         cell_timeout: cli
             .cell_timeout_secs
             .map_or(d.cell_timeout, Duration::from_secs),
-        spawn_timeout: cli
-            .spawn_timeout_secs
-            .map_or(d.spawn_timeout, Duration::from_secs),
-        stderr_tail_bytes: cli.stderr_tail_bytes.unwrap_or(d.stderr_tail_bytes),
         config: mps_core::supervise::SupervisorConfig {
             max_cell_attempts: cli.max_cell_attempts.unwrap_or(d.config.max_cell_attempts),
             ..d.config
@@ -884,7 +868,7 @@ fn run_grid(harness: &Harness, cli: &Cli) -> (Vec<CellResult>, GridStatus) {
     };
     eprint!(
         "{}",
-        mps_exp::health_notes(&cells, cli.faults.is_some(), cli.disturb.is_some())
+        mps_exp::health_notes(&cells, cli.fault_plan.is_some(), cli.disturb.is_some())
     );
     (cells, status)
 }
@@ -933,7 +917,7 @@ fn run_journaled(
 }
 
 /// The `disturb` target: sweep disturbance intensity 0..1.
-fn run_disturb(harness: &mut Harness, cli: &Cli) -> String {
+fn run_disturb(harness: &Harness, cli: &Cli) -> String {
     let d = mps_exp::DisturbSweepOpts::default();
     let opts = mps_exp::DisturbSweepOpts {
         subset: cli.subset.unwrap_or(d.subset),
@@ -964,7 +948,7 @@ fn run_disturb(harness: &mut Harness, cli: &Cli) -> String {
 /// 0 for a complete campaign *or* a clean wall-clock checkpoint, 130 for
 /// an interrupt, [`EXIT_QUARANTINED`] when complete with crash-family
 /// cells in some journal.
-fn run_campaign(harness: &mut Harness, cli: &Cli) -> i32 {
+fn run_campaign(harness: &Harness, cli: &Cli) -> i32 {
     let opts = mps_exp::CampaignOpts {
         dir: PathBuf::from(cli.campaign_dir.as_deref().expect("checked by Cli::parse")),
         points: cli.points.unwrap_or(mps_exp::campaign::DEFAULT_POINTS),
@@ -1080,27 +1064,18 @@ fn run_serve(harness: Harness, cli: &Cli) -> i32 {
     };
     let queue = cfg.queue_capacity;
     let server = mps_core::serve::Server::new(std::sync::Arc::new(backend), cfg);
-    let result = if cli.stdio {
+    #[cfg(unix)]
+    let result = {
+        let path = cli.socket.as_deref().expect("checked by Cli::parse");
         eprintln!(
-            "# serving mps-proto/v1 on stdio ({} isolation)",
+            "# serving mps-proto/v1 on {path} ({} isolation, queue {queue})",
             cli.isolation
         );
-        server.run_stdio()
-    } else {
-        #[cfg(unix)]
-        {
-            let path = cli.socket.as_deref().expect("checked by Cli::parse");
-            eprintln!(
-                "# serving mps-proto/v1 on {path} ({} isolation, queue {queue})",
-                cli.isolation
-            );
-            server.run_unix(Path::new(path))
-        }
-        #[cfg(not(unix))]
-        {
-            die("serve over a socket requires a Unix platform (use --stdio)")
-        }
+        server.run_unix(Path::new(path))
     };
+    #[cfg(not(unix))]
+    let result: Result<mps_core::serve::ServerExit, mps_core::serve::ServeError> =
+        die("serve requires a Unix platform");
     let x = result.unwrap_or_else(|e| die(&format!("serve: {e}")));
     let ending = if x.interrupted {
         "drain aborted"
@@ -1373,6 +1348,9 @@ mod tests {
         assert_eq!(e, "--recovery cannot be used with the online target");
     }
 
+    /// A worker's argv carries only the seed and the tag, whatever
+    /// hazards the supervisor runs under: the hazards travel in each cell
+    /// request.
     #[test]
     fn worker_argv_round_trips_through_the_parser() {
         let c = parse(
@@ -1380,10 +1358,10 @@ mod tests {
              --recovery retry --journal j --isolation process grid",
         )
         .unwrap();
-        let w = Cli::parse(&worker_command(&c, "j").args).unwrap();
+        let args = worker_command(&c, "j").args;
+        assert_eq!(args, ["--cell-worker", "--seed", "7", "--worker-tag", "j"]);
+        let w = Cli::parse(&args).unwrap();
         assert!(w.cell_worker);
-        assert_eq!((w.seed, w.repeats, w.max_retries), (7, 2, c.max_retries));
-        assert_eq!((w.faults, w.poison), (c.faults, c.poison));
-        assert_eq!((w.disturb, w.recovery), (c.disturb, c.recovery));
+        assert_eq!(w.seed, 7);
     }
 }

@@ -27,8 +27,8 @@ use mps_core::faults::{FaultPlan, DISTURB_HORIZON};
 use mps_core::journal::{publish_line_in, read_if_present_in, JournalError, RunControl};
 
 use crate::journaled::GridStatus;
-use crate::runner::{CellResult, Harness};
-use crate::sweep::{self, fold_seed, Hazard, SweepGrid};
+use crate::runner::{CellResult, Harness, Hazards};
+use crate::sweep::{self, fold_seed, SweepGrid};
 
 /// Default number of sweep points: the smallest count that pushes the
 /// full 54-DAG grid (324 cells/point) past 100 000 cells.
@@ -169,13 +169,14 @@ impl Harness {
     /// Runs (or resumes) a fault-sweep campaign: `opts.points` grid
     /// points, each under [`point_fault_plan`], journaled at
     /// [`point_journal`]. The campaign is a plan generator and a fold on
-    /// the one sweep loop, which replaces the harness's fault plan per
-    /// point and restores it on every exit. `ctrl` is honoured between
-    /// cells (inside each point, by the journaled grid) and between
-    /// points, so SIGINT/deadline produce a clean checkpoint that
-    /// re-invocation continues.
+    /// the one sweep loop: point `k` runs under the harness's hazards
+    /// with its fault plan replaced by point `k`'s, kept even when empty
+    /// (as every campaign journal's config digest records it). `ctrl` is
+    /// honoured between cells (inside each point, by the journaled grid)
+    /// and between points, so SIGINT/deadline produce a clean checkpoint
+    /// that re-invocation continues.
     pub fn run_campaign(
-        &mut self,
+        &self,
         opts: &CampaignOpts,
         ctrl: &RunControl,
         mut progress: impl FnMut(&PointSummary, GridStatus),
@@ -188,7 +189,11 @@ impl Harness {
         let hosts = self.nominal_cluster().node_count();
         let seed = self.testbed.base_seed;
         let env = Arc::clone(self.io_env());
-        let plan = |k| Hazard::Verbatim(point_fault_plan(seed, k, opts.points, hosts));
+        let caller = self.hazards();
+        let plan = |k| Hazards {
+            fault_plan: Some(point_fault_plan(seed, k, opts.points, hosts)),
+            ..caller.clone()
+        };
         let mut report = CampaignReport {
             manifest: CampaignManifest {
                 schema: CAMPAIGN_MANIFEST_V1.to_string(),

@@ -18,15 +18,15 @@
 //! The point loop, the baseline and the stability rule are the shared
 //! verdict-stability sweep's (`crate::sweep`); this module generates the
 //! plans and folds each point into a [`DisturbPoint`]. An intensity-0
-//! plan is empty and dropped by [`Harness::with_disturbance`], so that
-//! point is the baseline grid itself.
+//! plan is empty and dropped from the point's hazards, so that point is
+//! the baseline grid itself.
 
 use serde::{Deserialize, Serialize};
 
 use mps_core::faults::{DisturbancePlan, RecoveryPolicy};
 
-use crate::runner::{grid_health, CellOutcome, CellResult, DisturbConfig, Harness};
-use crate::sweep::{self, fold_seed, Hazard, Point};
+use crate::runner::{grid_health, CellOutcome, CellResult, DisturbConfig, Harness, Hazards};
+use crate::sweep::{self, fold_seed, Point};
 
 /// Options for one disturbance sweep.
 #[derive(Debug, Clone)]
@@ -102,16 +102,20 @@ pub struct DisturbSweepReport {
     pub points: Vec<DisturbPoint>,
 }
 
-/// Runs the sweep; the caller's hazards are restored afterwards.
+/// Runs the sweep; every point keeps the harness's other hazards.
 /// `progress` is called once per finished point with a human-readable
 /// line.
 pub fn run_disturb_sweep(
-    harness: &mut Harness,
+    harness: &Harness,
     seed: u64,
     opts: &DisturbSweepOpts,
     mut progress: impl FnMut(&str),
 ) -> DisturbSweepReport {
-    let disturbance = |plan| Hazard::Disturb(DisturbConfig::new(plan, opts.recovery));
+    let caller = harness.hazards();
+    let disturbance = |plan: DisturbancePlan| Hazards {
+        disturb: (!plan.is_empty()).then(|| DisturbConfig::new(plan, opts.recovery)),
+        ..caller.clone()
+    };
     // Intensity `j` is sweep point `j + 1`, and draws that point's seed.
     let plans = |_: &[CellResult]| {
         let at = |(k, &i)| disturbance(DisturbancePlan::with_intensity(fold_seed(seed, k), i));
@@ -270,10 +274,9 @@ mod tests {
             recovery: RecoveryPolicy::Rescue,
             workers: 2,
         };
-        let mut h = Harness::new(7);
-        let a = run_disturb_sweep(&mut h, 7, &opts, |_| {});
+        let h = Harness::new(7);
+        let a = run_disturb_sweep(&h, 7, &opts, |_| {});
         assert_eq!(a.points.len(), 2);
-        assert!(h.disturb.is_none(), "sweep must restore the harness");
         // Point 0 is the undisturbed baseline.
         let p0 = &a.points[0];
         assert_eq!(p0.intensity, 0.0);
@@ -288,8 +291,7 @@ mod tests {
             "heavy disturbance fired nothing: {p1:?}"
         );
         // Deterministic in (harness seed, sweep seed).
-        let mut h2 = Harness::new(7);
-        let b = run_disturb_sweep(&mut h2, 7, &opts, |_| {});
+        let b = run_disturb_sweep(&Harness::new(7), 7, &opts, |_| {});
         assert_eq!(a, b);
         // And renders without panicking.
         assert!(a.render().contains("intensity"));

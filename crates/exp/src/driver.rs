@@ -17,7 +17,10 @@
 //! The driver owns the steps every mode shares: the journal header,
 //! recovery of an existing journal (replaying its records verbatim to the
 //! client), the per-cell stop and pace checks, the final sync, and the
-//! manifest. Cell computation is deterministic and the merged grid is
+//! manifest. A grid carries one [`Hazards`] value, built by its caller
+//! from the harness, a sweep point or a daemon request: every cell runs
+//! under it, on either runner, and the header's `config_digest` is its
+//! digest. Cell computation is deterministic and the merged grid is
 //! canonically sorted, so the result is the same for any runner, worker
 //! count or resume history.
 
@@ -37,7 +40,7 @@ use mps_core::MpsError;
 
 use crate::journaled::{GridStatus, JournaledGrid};
 use crate::runner::{
-    cell_key, sort_cells_canonical, CellResult, DisturbConfig, Harness, SimVariant, CELLS_PER_DAG,
+    cell_key, sort_cells_canonical, CellResult, Harness, Hazards, SimVariant, CELLS_PER_DAG,
 };
 use crate::supervised::{SuperviseOpts, WorkerCommand};
 
@@ -79,8 +82,8 @@ pub(crate) struct Grid<'a> {
     /// The first `take` corpus DAGs; `None` is the whole corpus.
     pub(crate) take: Option<usize>,
     pub(crate) repeats: u64,
-    /// Disturbances for in-process cells (worker processes bring their own).
-    pub(crate) disturb: Option<&'a DisturbConfig>,
+    /// What every cell runs under, whichever runner computes it.
+    pub(crate) hazards: Hazards,
     pub(crate) runner: Runner<'a>,
     pub(crate) journal: Option<JournalTarget<'a>>,
     pub(crate) ctrl: &'a RunControl,
@@ -126,7 +129,7 @@ impl Harness {
                     seed: self.testbed.base_seed,
                     repeats: grid.repeats,
                     cells_expected: expected,
-                    config_digest: self.config_digest(),
+                    config_digest: grid.hazards.digest(),
                     isolation: isolation.to_string(),
                     request: request.unwrap_or_default().to_string(),
                 };
@@ -168,20 +171,7 @@ impl Harness {
                 new_cells.push(cell);
                 Ok(())
             };
-            match grid.runner {
-                Runner::Threads(workers) => {
-                    self.run_threads(corpus, &pending, &grid, workers, &mut sink)
-                }
-                Runner::Processes(cmd, opts) => crate::supervised::run_processes(
-                    corpus,
-                    &pending,
-                    grid.repeats,
-                    cmd,
-                    opts,
-                    grid.ctrl,
-                    &mut sink,
-                ),
-            }
+            self.run_cells(corpus, &pending, &grid, &mut sink)
         };
         // Whatever the runner reported, what reached the journal is made
         // durable before the error (if any) is.
@@ -232,16 +222,22 @@ impl Harness {
         })
     }
 
-    /// The thread runner: workers pull whole DAGs from one cursor and
-    /// hand cells to `sink` on the calling thread.
-    fn run_threads(
+    /// Computes `pending` with `grid`'s runner, handing each cell to
+    /// `sink` on the calling thread. The thread runner's workers pull
+    /// whole DAGs from one cursor.
+    pub(crate) fn run_cells(
         &self,
         corpus: &[GeneratedDag],
         pending: &[CellSpec],
         grid: &Grid<'_>,
-        workers: usize,
         sink: &mut Sink<'_>,
     ) -> Result<(), MpsError> {
+        let workers = match grid.runner {
+            Runner::Threads(workers) => workers,
+            Runner::Processes(cmd, opts) => {
+                return crate::supervised::run_processes(corpus, pending, grid, cmd, opts, sink)
+            }
+        };
         let runs: Vec<&[CellSpec]> = pending.chunk_by(|a, b| a.dag == b.dag).collect();
         let next = AtomicUsize::new(0);
         let ctrl = grid.ctrl;
@@ -260,7 +256,7 @@ impl Harness {
                         spec.variant,
                         algo_of(spec.algo),
                         grid.repeats,
-                        grid.disturb,
+                        &grid.hazards,
                     );
                     if !out(cell) {
                         return;

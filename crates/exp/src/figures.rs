@@ -14,7 +14,9 @@ use mps_core::stats;
 use mps_core::testbed::{CrayPdgemmEnv, Testbed};
 
 use crate::journaled::GridStatus;
-use crate::runner::{grid_health, paired_relative_makespans, CellResult, Harness, SimVariant};
+use crate::runner::{
+    grid_health, paired_relative_makespans, CellResult, Harness, Hazards, SimVariant,
+};
 
 /// Table I: the DAG-generator parameter grid.
 pub fn table1() -> String {
@@ -409,20 +411,19 @@ fn curve_str(c: &mps_core::model::TaskCurve) -> String {
 /// simulation-error distribution of the survivors, and whether the
 /// HCPA-vs-MCPA verdict each surviving DAG yields still matches the
 /// fault-free baseline. It runs on the point loop and stability rule it
-/// shares with [`run_disturb_sweep`], and leaves the caller's hazards as
-/// it found them.
+/// shares with [`run_disturb_sweep`]; every point keeps the harness's
+/// other hazards.
 ///
 /// [`run_disturb_sweep`]: crate::run_disturb_sweep
 /// [`FaultPlan`]: mps_core::faults::FaultPlan
 pub fn fault_sweep(
-    harness: &mut Harness,
+    harness: &Harness,
     intensities: &[f64],
     plan_seeds: &[u64],
     take: usize,
     repeats: u64,
     workers: usize,
 ) -> String {
-    use crate::sweep::{self, Hazard};
     use mps_core::faults::FaultPlan;
 
     let mut out = String::new();
@@ -435,6 +436,11 @@ pub fn fault_sweep(
         repeats
     );
     let hosts = harness.testbed.cluster().node_count();
+    let caller = harness.hazards();
+    let point = |plan: FaultPlan| Hazards {
+        fault_plan: (!plan.is_empty()).then_some(plan),
+        ..caller.clone()
+    };
     // Plans scale with the fault-free baseline's median makespan.
     let plans = |baseline: &[CellResult]| {
         let surviving: Vec<f64> = baseline
@@ -446,7 +452,7 @@ pub fn fault_sweep(
         intensities
             .iter()
             .flat_map(|&i| plan_seeds.iter().map(move |&s| (i, s)))
-            .map(|(i, s)| Hazard::Faults(FaultPlan::random(s, i, hosts, horizon)))
+            .map(|(i, s)| point(FaultPlan::random(s, i, hosts, horizon)))
             .collect()
     };
     // One row per intensity, summed over its plan seeds.
@@ -462,8 +468,8 @@ pub fn fault_sweep(
         errs: Vec<f64>,
     }
     let mut rows: Vec<Row> = intensities.iter().map(|_| Row::default()).collect();
-    let baseline = Hazard::Faults(FaultPlan::none());
-    sweep::run_in_memory(harness, take, repeats, workers, baseline, plans, |j, p| {
+    let baseline = point(FaultPlan::none());
+    crate::sweep::run_in_memory(harness, take, repeats, workers, baseline, plans, |j, p| {
         let row = &mut rows[j / plan_seeds.len()];
         let cells = &p.grid.cells;
         let health = grid_health(cells);

@@ -17,7 +17,7 @@ use mps_core::journal::{JournalError, RunControl, StopReason};
 use mps_core::MpsError;
 
 use crate::driver::{Grid, JournalTarget, Runner};
-use crate::runner::{CellResult, Harness};
+use crate::runner::{CellResult, Harness, Hazards};
 
 /// How a journaled campaign run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +95,8 @@ impl Harness {
         resume: bool,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, JournalError> {
-        self.run_in_process(None, repeats, workers, Some((path, resume)), ctrl)
+        let journal = Some((path, resume));
+        self.run_in_process(self.hazards(), None, repeats, workers, journal, ctrl)
     }
 
     /// [`Harness::run_grid_journaled`] over the first `take` corpus DAGs
@@ -109,14 +110,16 @@ impl Harness {
         resume: bool,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, JournalError> {
-        self.run_in_process(Some(take), repeats, workers, Some((path, resume)), ctrl)
+        let journal = Some((path, resume));
+        self.run_in_process(self.hazards(), Some(take), repeats, workers, journal, ctrl)
     }
 
-    /// The grid over the first `take` corpus DAGs (`None`: all) on
-    /// `workers` threads, appending to the journal `Some((path, resume))`
-    /// when there is one. Only the journal can fail.
+    /// The grid over the first `take` corpus DAGs (`None`: all) under
+    /// `hazards` on `workers` threads, appending to the journal
+    /// `Some((path, resume))` when there is one. Only the journal can fail.
     pub(crate) fn run_in_process(
         &self,
+        hazards: Hazards,
         take: Option<usize>,
         repeats: u64,
         workers: usize,
@@ -131,7 +134,7 @@ impl Harness {
         let grid = Grid {
             take,
             repeats,
-            disturb: self.disturb.as_ref(),
+            hazards,
             runner: Runner::Threads(workers),
             journal,
             ctrl,

@@ -34,7 +34,7 @@ pub use journaled::{GridStatus, JournaledGrid};
 pub use online::{run_online_sweep, OnlineLevel, OnlineOpts, OnlineSweepReport, OnlineWall};
 pub use runner::{
     cell_key, grid_csv, grid_health, health_notes, paired_relative_makespans, parse_poison_spec,
-    CellOutcome, CellResult, DisturbConfig, GridHealth, Harness, PoisonAction, PoisonRule,
+    CellOutcome, CellResult, DisturbConfig, GridHealth, Harness, Hazards, PoisonAction, PoisonRule,
     SimVariant, ERROR_PCT_SENTINEL,
 };
 pub use serve_backend::{parse_cell_names, ServeBackend};

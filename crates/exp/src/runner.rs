@@ -60,7 +60,7 @@ impl SimVariant {
 
 /// Timed platform disturbances applied to every testbed execution of a
 /// grid, plus the reaction to crashes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DisturbConfig {
     /// The scripted disturbance plan (crashes, slow and degrade windows).
     pub plan: DisturbancePlan,
@@ -264,7 +264,7 @@ pub fn cell_key(dag: &str, n: usize, variant: SimVariant, algo: &str, repeats: u
 /// What a poison rule does to a matching cell. Test instrumentation for
 /// the supervision layer: real workloads crash or hang on their own; CI
 /// and the keystone tests need to do it on demand, deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PoisonAction {
     /// Panic inside cell computation (a deterministic crasher).
     Panic,
@@ -273,7 +273,7 @@ pub enum PoisonAction {
 }
 
 /// Makes every cell whose [`cell_key`] contains `needle` misbehave.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoisonRule {
     /// Substring matched against the cell key.
     pub needle: String,
@@ -304,6 +304,60 @@ pub fn parse_poison_spec(spec: &str) -> Result<Vec<PoisonRule>, PlanParseError> 
             })
         })
         .collect()
+}
+
+/// Everything that can go wrong in a grid's cells. Built once per grid —
+/// from the harness, a sweep point or a daemon request — and lent to
+/// every cell, in this process or, inside each cell request, in a worker.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Hazards {
+    /// Fault plan injected into every testbed execution.
+    pub fault_plan: Option<FaultPlan>,
+    /// Timed platform disturbances and the reaction to crashes.
+    pub disturb: Option<DisturbConfig>,
+    /// Retry/backoff/watchdog policy. Only `max_retries` crosses to a
+    /// worker, which runs the rest at its default (a watchdog holds an
+    /// `Instant`).
+    pub policy: ExecPolicy,
+    /// Cells whose key matches misbehave on purpose.
+    pub poison: Vec<PoisonRule>,
+}
+
+impl Hazards {
+    /// Digest of the hazards, recorded as a journal header's
+    /// `config_digest`. `Debug` formatting is deterministic, so equal
+    /// hazards digest equally and a resume under a different fault plan
+    /// is rejected instead of silently mixing result sets.
+    pub fn digest(&self) -> String {
+        let mut desc = format!("{:?}|{:?}", self.fault_plan, self.policy);
+        // Appended only when present, so journals from before poison rules
+        // existed keep their digests.
+        if !self.poison.is_empty() {
+            desc.push_str(&format!("|{:?}", self.poison));
+        }
+        // Same append-when-present rule for the disturbance config.
+        if let Some(d) = &self.disturb {
+            desc.push_str(&format!("|{d:?}"));
+        }
+        format!("{:016x}", mps_core::journal::fnv64(desc.as_bytes()))
+    }
+}
+
+/// The wire form, `[fault_plan, disturb, max_retries, poison]`: the
+/// policy travels as its `max_retries` alone.
+impl Serialize for Hazards {
+    fn serialize(&self, w: &mut serde::Writer) {
+        let max_retries = self.policy.max_retries;
+        (&self.fault_plan, &self.disturb, max_retries, &self.poison).serialize(w)
+    }
+}
+
+impl Deserialize for Hazards {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut h = Hazards::default();
+        (h.fault_plan, h.disturb, h.policy.max_retries, h.poison) = Deserialize::deserialize(r)?;
+        Ok(h)
+    }
 }
 
 /// The harness: testbed + the three instantiated models.
@@ -412,32 +466,22 @@ impl Harness {
     ///
     /// [`ChaosIo`]: mps_core::faults::io::ChaosIo
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.set_fault_plan(plan);
-        self
-    }
-
-    /// [`Harness::with_fault_plan`] in place.
-    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
         if !plan.io.is_empty() {
             self.io_env = Arc::new(mps_core::faults::io::ChaosIo::new(
                 plan.seed,
                 plan.io.clone(),
             ));
         }
-        self.fault_plan = if plan.is_empty() { None } else { Some(plan) };
+        self.fault_plan = (!plan.is_empty()).then_some(plan);
+        self
     }
 
     /// Injects timed platform disturbances into every subsequent testbed
     /// execution. An empty plan is dropped entirely, so a zero-intensity
     /// config leaves the config digest and every cell unchanged.
     pub fn with_disturbance(mut self, cfg: DisturbConfig) -> Self {
-        self.set_disturbance(cfg);
+        self.disturb = (!cfg.plan.is_empty()).then_some(cfg);
         self
-    }
-
-    /// [`Harness::with_disturbance`] in place.
-    pub(crate) fn set_disturbance(&mut self, cfg: DisturbConfig) {
-        self.disturb = if cfg.plan.is_empty() { None } else { Some(cfg) };
     }
 
     /// Sets the retry/backoff/watchdog policy for testbed executions.
@@ -450,6 +494,16 @@ impl Harness {
     pub fn with_poison(mut self, rules: Vec<PoisonRule>) -> Self {
         self.poison = rules;
         self
+    }
+
+    /// The harness's own hazards, which the public grid entry points use.
+    pub fn hazards(&self) -> Hazards {
+        Hazards {
+            fault_plan: self.fault_plan.clone(),
+            disturb: self.disturb.clone(),
+            policy: self.policy,
+            poison: self.poison.clone(),
+        }
     }
 
     /// Routes every durability path (journal appends, manifest writes,
@@ -516,10 +570,10 @@ impl Harness {
         algo: &dyn Scheduler,
         schedule: &Schedule,
         repeats: u64,
-        disturb: Option<&DisturbConfig>,
+        hazards: &Hazards,
     ) {
         let undisturbed = DisturbConfig::new(DisturbancePlan::none(), RecoveryPolicy::FailFast);
-        let cfg = disturb.unwrap_or(&undisturbed);
+        let cfg = hazards.disturb.as_ref().unwrap_or(&undisturbed);
         let mut failed_runs = 0usize;
         let mut retries = 0u32;
         let mut report = DisturbReport::default();
@@ -545,8 +599,8 @@ impl Harness {
                 &g.dag,
                 schedule,
                 run_seed,
-                self.fault_plan.as_ref(),
-                &self.policy,
+                hazards.fault_plan.as_ref(),
+                &hazards.policy,
                 DisturbSetup {
                     plan: &cfg.plan,
                     recovery: cfg.recovery,
@@ -606,17 +660,16 @@ impl Harness {
     /// batched hot path, bit-identical to the cold per-cell reference path
     /// (`mps_oracle::reference_cell`) for any slab history (every reused
     /// component resets per run).
-    /// `disturb` is the cell's disturbance config: the harness-level one
-    /// for grids, a request's own for the daemon; `None` runs undisturbed.
-    /// A panicking cell unwinds out of here, which the process-isolated
-    /// worker relies on to record the crash.
+    /// `hazards` are the grid's, borrowed for every cell. A panicking cell
+    /// unwinds out of here, which the process-isolated worker relies on
+    /// to record the crash.
     pub(crate) fn run_cell(
         &self,
         g: &GeneratedDag,
         variant: SimVariant,
         algo: &dyn Scheduler,
         repeats: u64,
-        disturb: Option<&DisturbConfig>,
+        hazards: &Hazards,
     ) -> CellResult {
         let key = cell_key(
             &g.name(),
@@ -625,7 +678,7 @@ impl Harness {
             algo.name(),
             repeats,
         );
-        for rule in &self.poison {
+        for rule in &hazards.poison {
             if key.contains(&rule.needle) {
                 match rule.action {
                     PoisonAction::Panic => panic!("poison cell {key}: forced panic"),
@@ -683,7 +736,7 @@ impl Harness {
                 algo,
                 &schedule,
                 repeats,
-                disturb,
+                hazards,
             );
         });
         cell
@@ -701,11 +754,11 @@ impl Harness {
         variant: SimVariant,
         algo: &dyn Scheduler,
         repeats: u64,
-        disturb: Option<&DisturbConfig>,
+        hazards: &Hazards,
     ) -> CellResult {
         let start = std::time::Instant::now();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_cell(g, variant, algo, repeats, disturb)
+            self.run_cell(g, variant, algo, repeats, hazards)
         })) {
             Ok(cell) => cell,
             Err(payload) => CellResult {
@@ -729,23 +782,10 @@ impl Harness {
             .unwrap_or(4)
     }
 
-    /// Digest over the harness configuration that changes cell results
-    /// but has no explicit journal-header field (fault plan and exec
-    /// policy). `Debug` formatting is deterministic, so equal configs
-    /// digest equally and a resume under a different fault plan is
-    /// rejected instead of silently mixing result sets.
+    /// The [`Hazards::digest`] of the harness's own hazards, which the
+    /// public grid entry points record in their journal headers.
     pub fn config_digest(&self) -> String {
-        let mut desc = format!("{:?}|{:?}", self.fault_plan, self.policy);
-        // Appended only when present, so journals from before poison rules
-        // existed keep their digests.
-        if !self.poison.is_empty() {
-            desc.push_str(&format!("|{:?}", self.poison));
-        }
-        // Same append-when-present rule for the disturbance config.
-        if let Some(d) = &self.disturb {
-            desc.push_str(&format!("|{d:?}"));
-        }
-        format!("{:016x}", mps_core::journal::fnv64(desc.as_bytes()))
+        self.hazards().digest()
     }
 
     /// Runs the full grid (54 DAGs × 3 variants × {HCPA, MCPA}),
@@ -779,7 +819,8 @@ impl Harness {
     /// The grid with no journal and no client: the driver's cells, in
     /// canonical (dag, variant, algo) order for any worker count.
     fn run_in_memory(&self, take: Option<usize>, repeats: u64, workers: usize) -> Vec<CellResult> {
-        self.run_in_process(take, repeats, workers, None, &RunControl::unlimited())
+        let ctrl = RunControl::unlimited();
+        self.run_in_process(self.hazards(), take, repeats, workers, None, &ctrl)
             .expect("a grid with no journal and no child processes cannot fail")
             .cells
     }

@@ -12,9 +12,12 @@
 //!   restarted daemon finishes interrupted journals at startup
 //!   ([`ServeBackend::recover`]) because the journal header carries the
 //!   verbatim request.
-//! * **Process-isolated** (state dir + worker command): cells run in
-//!   supervised child processes — a poison request is quarantined cell
-//!   by cell instead of taking the daemon down.
+//! * **Process-isolated** (state dir + worker command): grid and
+//!   `Simulate` cells run in supervised child processes — a poison
+//!   request is quarantined cell by cell instead of taking the daemon
+//!   down, and a hanging cell is killed at its timeout instead of
+//!   wedging an executor.
+
 //!
 //! Cell payloads are exactly the bytes the journal stores, so a client
 //! cannot tell a replayed cell from a freshly computed one.
@@ -25,12 +28,11 @@ use mps_core::dag::gen::GeneratedDag;
 use mps_core::faults::{DisturbancePlan, RecoveryPolicy, DISTURB_HORIZON};
 use mps_core::journal::{self, fnv64, RunControl};
 use mps_core::online::{ArrivalSpec, OnlineAlgo, OnlineConfig, OnlineEngine};
-use mps_core::sched::Scheduler;
 use mps_core::serve::{Backend, ServeError, WorkRequest, WorkSummary};
 
-use crate::driver::{algo_of, Grid, JournalTarget, Runner};
+use crate::driver::{algo_of, CellSpec, Grid, JournalTarget, Runner};
 use crate::journaled::JournaledGrid;
-use crate::runner::{CellOutcome, CellResult, DisturbConfig, Harness, SimVariant};
+use crate::runner::{CellOutcome, CellResult, DisturbConfig, Harness, Hazards, SimVariant};
 use crate::supervised::{SuperviseOpts, WorkerCommand};
 
 /// Hard cap on the event horizon a client can request from the daemon
@@ -47,19 +49,17 @@ fn tally_disturb(summary: &mut WorkSummary, cell: &CellResult) {
 }
 
 /// Parses the variant and algorithm names of a one-cell request (the
-/// `VARIANT:ALGO` of `repro client --schedule/--simulate DAG:VARIANT:ALGO`);
-/// `Err` is the reason.
-pub fn parse_cell_names(
-    variant: &str,
-    algo: &str,
-) -> Result<(SimVariant, &'static dyn Scheduler), String> {
+/// `VARIANT:ALGO` of `repro client --schedule/--simulate DAG:VARIANT:ALGO`)
+/// into the variant and the algorithm index (0 = HCPA, 1 = MCPA); `Err`
+/// is the reason.
+pub fn parse_cell_names(variant: &str, algo: &str) -> Result<(SimVariant, usize), String> {
     let variant = SimVariant::ALL
         .into_iter()
         .find(|v| v.name() == variant)
         .ok_or_else(|| format!("unknown variant {variant:?} (analytic|profile|empirical)"))?;
     let algo = match algo {
-        "HCPA" => algo_of(0),
-        "MCPA" => algo_of(1),
+        "HCPA" => 0,
+        "MCPA" => 1,
         other => return Err(format!("unknown algorithm {other:?} (HCPA|MCPA)")),
     };
     Ok((variant, algo))
@@ -100,45 +100,90 @@ impl ServeBackend {
     }
 
     /// The journal path for a `SubsetGrid` request: content-addressed by
-    /// request JSON + harness config digest, so an identical resubmission
-    /// resumes its own journal and a different config never collides.
-    fn journal_path(&self, dir: &std::path::Path, work_json: &str) -> PathBuf {
-        let id = fnv64(format!("{}|{}", work_json, self.harness.config_digest()).as_bytes());
+    /// request JSON + the digest of its hazards, so an identical
+    /// resubmission resumes its own journal and a different config never
+    /// collides.
+    fn journal_path(dir: &std::path::Path, work_json: &str, hazards: &Hazards) -> PathBuf {
+        let id = fnv64(format!("{}|{}", work_json, hazards.digest()).as_bytes());
         dir.join(format!("req-{id:016x}.jl"))
     }
 
-    /// Parses a work request's optional disturbance-plan field against
-    /// the harness's cluster. Requests carry the plan as the CLI grammar
-    /// string; crashes get the rescue reaction (the daemon's contract is
-    /// "serve a measurement if the surviving platform permits one"). An
-    /// empty plan is `None`, keeping the byte-identical undisturbed path.
-    fn parse_disturb(&self, desc: Option<&String>) -> Result<Option<DisturbConfig>, ServeError> {
-        let Some(desc) = desc else { return Ok(None) };
-        let hosts = self.harness.nominal_cluster().node_count();
-        let plan = DisturbancePlan::parse(desc, hosts, DISTURB_HORIZON).map_err(|e| {
-            ServeError::Backend {
-                reason: format!("bad disturbance plan: {e}"),
+    /// The hazards a request runs under: the harness's own, with the
+    /// request's disturbance plan in place of the harness's when it
+    /// carries a non-empty one. Requests carry the plan as the CLI
+    /// grammar string, parsed against the harness's cluster; crashes get
+    /// the rescue reaction (the daemon's contract is "serve a measurement
+    /// if the surviving platform permits one").
+    fn hazards(&self, desc: Option<&String>) -> Result<Hazards, ServeError> {
+        let mut hazards = self.harness.hazards();
+        if let Some(desc) = desc {
+            let hosts = self.harness.nominal_cluster().node_count();
+            let plan = DisturbancePlan::parse(desc, hosts, DISTURB_HORIZON).map_err(|e| {
+                ServeError::Backend {
+                    reason: format!("bad disturbance plan: {e}"),
+                }
+            })?;
+            if !plan.is_empty() {
+                hazards.disturb = Some(DisturbConfig::new(plan, RecoveryPolicy::Rescue));
             }
-        })?;
-        Ok((!plan.is_empty()).then(|| DisturbConfig::new(plan, RecoveryPolicy::Rescue)))
+        }
+        Ok(hazards)
     }
 
-    fn resolve(&self, dag: usize, variant: &str, algo: &str) -> Result<Resolved<'_>, ServeError> {
-        let g = self.corpus.get(dag).ok_or_else(|| ServeError::Backend {
-            reason: format!(
-                "dag index {dag} out of range (corpus has {})",
-                self.corpus.len()
-            ),
-        })?;
+    fn resolve(&self, dag: usize, variant: &str, algo: &str) -> Result<CellSpec, ServeError> {
+        if dag >= self.corpus.len() {
+            return Err(ServeError::Backend {
+                reason: format!(
+                    "dag index {dag} out of range (corpus has {})",
+                    self.corpus.len()
+                ),
+            });
+        }
         let (variant, algo) =
             parse_cell_names(variant, algo).map_err(|reason| ServeError::Backend { reason })?;
-        Ok(Resolved { g, variant, algo })
+        Ok(CellSpec { dag, variant, algo })
+    }
+
+    /// Computes one cell with the grid runner: in a supervised worker
+    /// when the backend has one, else on this executor thread.
+    fn run_one_cell(
+        &self,
+        spec: CellSpec,
+        repeats: u64,
+        hazards: Hazards,
+        ctrl: &RunControl,
+    ) -> Result<CellResult, ServeError> {
+        let runner = match &self.worker {
+            Some((cmd, opts)) => Runner::Processes(cmd, opts),
+            None => Runner::Threads(1),
+        };
+        let grid = Grid {
+            take: None,
+            repeats,
+            hazards,
+            runner,
+            journal: None,
+            ctrl,
+        };
+        let mut cell = None;
+        let mut sink = |c| {
+            cell = Some(c);
+            Ok(())
+        };
+        let ran = self
+            .harness
+            .run_cells(&self.corpus, &[spec], &grid, &mut sink);
+        ran.map_err(backend_err)?;
+        cell.ok_or_else(|| ServeError::Backend {
+            reason: "stopped before the cell finished".to_string(),
+        })
     }
 
     /// One-cell requests: compute, stream, summarize.
     fn run_single(
         &self,
         work: &WorkRequest,
+        ctrl: &RunControl,
         emit: &mut dyn FnMut(&str, &str) -> bool,
     ) -> Result<WorkSummary, ServeError> {
         let mut summary = WorkSummary {
@@ -147,17 +192,18 @@ impl ServeBackend {
         };
         match work {
             WorkRequest::Schedule { dag, variant, algo } => {
-                let r = self.resolve(*dag, variant, algo)?;
+                let spec = self.resolve(*dag, variant, algo)?;
+                let (g, algo) = (&self.corpus[spec.dag], algo_of(spec.algo));
                 let schedule = self
                     .harness
-                    .schedule_only(r.g, r.variant, r.algo)
+                    .schedule_only(g, spec.variant, algo)
                     .map_err(|reason| ServeError::Backend { reason })?;
                 let key = format!(
                     "schedule/{}/n{}/{}/{}",
-                    r.g.name(),
-                    r.g.params.matrix_size,
-                    r.variant.name(),
-                    r.algo.name()
+                    g.name(),
+                    g.params.matrix_size,
+                    spec.variant.name(),
+                    algo.name()
                 );
                 let payload = encode(&schedule)?;
                 emit(&key, &payload);
@@ -169,15 +215,9 @@ impl ServeBackend {
                 repeats,
                 disturb,
             } => {
-                let r = self.resolve(*dag, variant, algo)?;
-                let cfg = self.parse_disturb(disturb.as_ref())?;
-                let cell = self.harness.run_cell_caught(
-                    r.g,
-                    r.variant,
-                    r.algo,
-                    *repeats,
-                    cfg.as_ref().or(self.harness.disturb.as_ref()),
-                );
+                let spec = self.resolve(*dag, variant, algo)?;
+                let hazards = self.hazards(disturb.as_ref())?;
+                let cell = self.run_one_cell(spec, *repeats, hazards, ctrl)?;
                 let key = cell.key(*repeats);
                 if cell.outcome.crash_report().is_some() {
                     summary.quarantined = 1;
@@ -229,12 +269,6 @@ impl ServeBackend {
     }
 }
 
-struct Resolved<'a> {
-    g: &'a GeneratedDag,
-    variant: SimVariant,
-    algo: &'a dyn Scheduler,
-}
-
 fn encode<T: serde::Serialize>(value: &T) -> Result<String, ServeError> {
     serde_json::to_string(value).map_err(|e| ServeError::Backend {
         reason: format!("encode payload: {e}"),
@@ -272,32 +306,22 @@ impl Backend for ServeBackend {
         match work {
             WorkRequest::Schedule { .. }
             | WorkRequest::Simulate { .. }
-            | WorkRequest::Online { .. } => self.run_single(work, emit),
+            | WorkRequest::Online { .. } => self.run_single(work, ctrl, emit),
             WorkRequest::SubsetGrid {
                 take,
                 repeats,
                 disturb,
             } => {
                 let work_json = encode(work)?;
-                let cfg = self.parse_disturb(disturb.as_ref())?;
+                let hazards = self.hazards(disturb.as_ref())?;
                 let path = match &self.state_dir {
                     Some(dir) => {
                         std::fs::create_dir_all(dir).map_err(backend_err)?;
-                        Some(self.journal_path(dir, &work_json))
+                        Some(Self::journal_path(dir, &work_json, &hazards))
                     }
                     None => None,
                 };
                 let runner = match (&self.worker, &path) {
-                    (Some(_), Some(_)) if cfg.is_some() => {
-                        // Worker processes get their plan via startup
-                        // flags; a per-request plan cannot reach them.
-                        return Err(ServeError::Backend {
-                            reason: "per-request disturbance plans require in-process cell \
-                                     execution (this daemon runs --isolation process; pass \
-                                     --disturb at daemon startup instead)"
-                                .to_string(),
-                        });
-                    }
                     (Some((cmd, opts)), Some(_)) => Runner::Processes(cmd, opts),
                     // A request runs on its executor thread, whose slab
                     // stays warm across requests.
@@ -306,7 +330,7 @@ impl Backend for ServeBackend {
                 let grid = Grid {
                     take: Some(*take),
                     repeats: *repeats,
-                    disturb: cfg.as_ref().or(self.harness.disturb.as_ref()),
+                    hazards,
                     runner,
                     // A resubmitted request resumes its own journal,
                     // replaying the journaled prefix byte for byte.

@@ -9,9 +9,11 @@
 //! owns the journal and the decisions, workers own the blast radius.
 //!
 //! * Workers are the `repro` binary re-executed in a hidden
-//!   `--cell-worker` mode, configured by CLI flags to build the *same*
-//!   harness, speaking length-prefixed JSON frames over stdin/stdout
-//!   ([`mps_core::supervise::proto`]).
+//!   `--cell-worker` mode whose argv carries only the harness seed and a
+//!   tag, speaking length-prefixed JSON frames over stdin/stdout
+//!   ([`mps_core::supervise::proto`]). Each cell request carries the
+//!   grid's [`Hazards`], so a worker runs a cell exactly as this process
+//!   would.
 //! * Every dispatched cell gets a wall-clock deadline; a worker that
 //!   blows it is SIGKILLed and the attempt is recorded as a timeout.
 //! * A dead worker is respawned with exponential backoff under a
@@ -40,13 +42,13 @@ use mps_core::MpsError;
 
 use crate::driver::{algo_of, CellSpec, Grid, JournalTarget, Runner, Sink};
 use crate::journaled::JournaledGrid;
-use crate::runner::{blank_cell, CellOutcome, CellResult, Harness, SimVariant};
+use crate::runner::{blank_cell, CellOutcome, CellResult, Harness, Hazards, SimVariant};
 
 /// Supervisor → worker: run this cell. Indices refer to the deterministic
 /// paper corpus and the fixed `{HCPA, MCPA}` algorithm order, which both
-/// sides reconstruct independently — the request stays tiny and the
-/// worker cannot be handed a DAG the supervisor didn't mean.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// sides reconstruct independently — the worker cannot be handed a DAG
+/// the supervisor didn't mean.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellRequest {
     /// Index into the paper corpus.
     pub dag: usize,
@@ -54,11 +56,10 @@ pub struct CellRequest {
     pub variant: SimVariant,
     /// Algorithm index (0 = HCPA, 1 = MCPA).
     pub algo: usize,
-    /// Testbed repeats for this cell. `None` (absent on the wire, as
-    /// written by pre-service supervisors) falls back to the worker's
-    /// `--repeats` flag; the serve backend dispatches per-request values.
-    #[serde(default)]
-    pub repeats: Option<u64>,
+    /// Testbed repeats for this cell.
+    pub repeats: u64,
+    /// The grid's hazards.
+    pub hazards: Hazards,
 }
 
 /// Worker → supervisor: the completed cell, keyed for the journal.
@@ -71,7 +72,7 @@ pub struct CellResponse {
 }
 
 /// How to launch a worker process (the `repro` binary in `--cell-worker`
-/// mode with the flags that reproduce the supervisor's harness).
+/// mode with the supervisor's harness seed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerCommand {
     /// Worker executable (normally `std::env::current_exe()`).
@@ -88,10 +89,6 @@ pub struct SuperviseOpts {
     /// Wall-clock budget per cell attempt; a worker exceeding it is
     /// SIGKILLed and the attempt counts as a timeout.
     pub cell_timeout: Duration,
-    /// Budget for the spawn → [`WorkerHello`] handshake.
-    pub spawn_timeout: Duration,
-    /// Bytes of worker stderr retained for crash reports.
-    pub stderr_tail_bytes: usize,
     /// Restart/backoff/quarantine policy.
     pub config: SupervisorConfig,
 }
@@ -101,12 +98,13 @@ impl Default for SuperviseOpts {
         SuperviseOpts {
             workers: 2,
             cell_timeout: Duration::from_secs(120),
-            spawn_timeout: Duration::from_secs(30),
-            stderr_tail_bytes: 8 * 1024,
             config: SupervisorConfig::default(),
         }
     }
 }
+
+/// Budget for the spawn → [`WorkerHello`] handshake.
+const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Runs the worker side of the protocol over this process's stdin/stdout
 /// until the supervisor closes the pipe. Returns the process exit code:
@@ -116,7 +114,7 @@ impl Default for SuperviseOpts {
 /// process, and that death — with its exit status and stderr tail — *is*
 /// the crash report. Process isolation means never pretending a poisoned
 /// address space is still trustworthy.
-pub fn serve_cells(harness: &Harness, repeats: u64) -> i32 {
+pub fn serve_cells(harness: &Harness) -> i32 {
     let corpus = harness.corpus();
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -136,10 +134,8 @@ pub fn serve_cells(harness: &Harness, repeats: u64) -> i32 {
                     return 1;
                 };
                 let algo = algo_of(req.algo);
-                let repeats = req.repeats.unwrap_or(repeats);
-                let cell =
-                    harness.run_cell(g, req.variant, algo, repeats, harness.disturb.as_ref());
-                let key = cell.key(repeats);
+                let cell = harness.run_cell(g, req.variant, algo, req.repeats, &req.hazards);
+                let key = cell.key(req.repeats);
                 if write_frame(&mut output, &CellResponse { key, cell }).is_err() {
                     return 1;
                 }
@@ -201,7 +197,8 @@ impl Slot {
 struct Run<'a> {
     corpus: &'a [GeneratedDag],
     pending: &'a [CellSpec],
-    repeats: u64,
+    /// The next cell request: dispatch fills in the cell.
+    request: CellRequest,
     opts: &'a SuperviseOpts,
     reports: Vec<CrashReport>,
     /// Takes each cell (measurement or quarantine record) as it lands.
@@ -263,7 +260,8 @@ impl Harness {
     /// quarantined into the journal, and the merged grid comes back with
     /// the same contract (canonical order, resume provenance). Campaign
     /// names match the in-process runner's, so a journal started under
-    /// one isolation mode resumes under the other.
+    /// one isolation mode resumes under the other. The workers run every
+    /// cell under the harness's own hazards.
     #[allow(clippy::too_many_arguments)]
     pub fn run_supervised(
         &self,
@@ -278,7 +276,7 @@ impl Harness {
         let grid = Grid {
             take,
             repeats,
-            disturb: None,
+            hazards: self.hazards(),
             runner: Runner::Processes(worker, opts),
             journal: Some(JournalTarget {
                 path,
@@ -296,10 +294,9 @@ impl Harness {
 pub(crate) fn run_processes(
     corpus: &[GeneratedDag],
     pending: &[CellSpec],
-    repeats: u64,
+    grid: &Grid<'_>,
     worker: &WorkerCommand,
     opts: &SuperviseOpts,
-    ctrl: &RunControl,
     sink: &mut Sink<'_>,
 ) -> Result<(), MpsError> {
     let n_workers = opts.workers.max(1).min(pending.len().max(1));
@@ -308,15 +305,20 @@ pub(crate) fn run_processes(
     let mut run = Run {
         corpus,
         pending,
-        repeats,
+        request: CellRequest {
+            dag: 0,
+            variant: SimVariant::Analytic,
+            algo: 0,
+            repeats: grid.repeats,
+            hazards: grid.hazards.clone(),
+        },
         opts,
         reports: vec![CrashReport::default(); pending.len()],
         sink,
     };
-    let mut spec = WorkerSpec::new(worker.program.clone(), worker.args.clone());
-    spec.stderr_tail_bytes = opts.stderr_tail_bytes;
+    let spec = WorkerSpec::new(worker.program.clone(), worker.args.clone());
 
-    let outcome = supervise_loop(&mut run, &mut machine, &mut slots, &spec, ctrl);
+    let outcome = supervise_loop(&mut run, &mut machine, &mut slots, &spec, grid.ctrl);
     // Whatever happened, close every worker down (cleanly where
     // possible) and reap it.
     for slot in &mut slots {
@@ -362,18 +364,14 @@ fn supervise_loop(
                 Action::Dispatch { worker, cell } => {
                     progressed = true;
                     let cs = &run.pending[cell];
-                    let req = CellRequest {
-                        dag: cs.dag,
-                        variant: cs.variant,
-                        algo: cs.algo,
-                        repeats: Some(run.repeats),
-                    };
+                    let req = &mut run.request;
+                    (req.dag, req.variant, req.algo) = (cs.dag, cs.variant, cs.algo);
                     let now = Instant::now();
                     let sent = slots[worker]
                         .proc
                         .as_mut()
                         .expect("dispatch target must be live")
-                        .send(&req);
+                        .send(&*req);
                     match sent {
                         Ok(()) => {
                             slots[worker].cell_started = Some(now);
@@ -411,7 +409,7 @@ fn supervise_loop(
                     match WorkerProcess::spawn(spec) {
                         Ok(p) => {
                             slot.proc = Some(p);
-                            slot.ready_deadline = Some(Instant::now() + run.opts.spawn_timeout);
+                            slot.ready_deadline = Some(Instant::now() + SPAWN_TIMEOUT);
                         }
                         Err(_) => machine.worker_died(w),
                     }
@@ -517,7 +515,7 @@ fn on_frame(
             slots[w].clear_cell();
             debug_assert_eq!(
                 resp.key,
-                run.blank_of(cell_idx).key(run.repeats),
+                run.blank_of(cell_idx).key(run.request.repeats),
                 "worker answered a different cell than dispatched"
             );
             (run.sink)(resp.cell)

@@ -1,54 +1,33 @@
 //! The one point loop behind `repro faultsweep`, `repro disturb` and
 //! `repro campaign`.
 //!
-//! Point 0 is the baseline, the caller's harness with the swept hazard
-//! cleared; the later points' plans derive from its cells. Per point the
-//! loop checks the run control, installs the point's hazard, runs the
-//! grid through the cell driver (journaled when the sweep has a journal
-//! directory) and hands it to the caller's fold. It stops at the first
-//! point that does not complete and, on every exit, puts the caller's
-//! hazards back. Each (variant, DAG) pair is classed HCPA, MCPA or tie
-//! by the paper figures' sign test ([`stats::winner`], no tie band), and
-//! a pair is stable only when baseline and point class it alike.
+//! Point 0 is the baseline, the caller's hazards with the swept one
+//! cleared; the later points' plans derive from its cells. Each point is
+//! a [`Hazards`] value: per point the loop checks the run control, runs
+//! the grid under the point's hazards through the cell driver (journaled
+//! when the sweep has a journal directory) and hands it to the caller's
+//! fold. It stops at the first point that does not complete. The harness
+//! is only read, so it leaves every sweep as it came in. Each (variant,
+//! DAG) pair is classed HCPA, MCPA or tie by the paper figures' sign test
+//! ([`stats::winner`], no tie band), and a pair is stable only when
+//! baseline and point class it alike.
 
 use std::collections::HashMap;
 use std::path::Path;
 
 use mps_core::dag::gen::MATRIX_SIZES;
-use mps_core::faults::FaultPlan;
 use mps_core::journal::{JournalError, RunControl};
 use mps_core::stats::{self, Winner};
 
 use crate::campaign::point_journal;
 use crate::journaled::{GridStatus, JournaledGrid};
-use crate::runner::{paired_relative_makespans, CellResult, DisturbConfig, Harness, SimVariant};
+use crate::runner::{paired_relative_makespans, CellResult, Harness, Hazards, SimVariant};
 
 /// The seed of sweep point `k` under base seed `seed` (point 0 keeps it):
 /// a golden-ratio multiply decorrelates the points without a shared
 /// stream. Campaign, disturbance-sweep and chaos-soak seeds come from it.
 pub fn fold_seed(seed: u64, k: u64) -> u64 {
     seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// The hazard one sweep point installs.
-pub(crate) enum Hazard {
-    /// A fault plan, installed as [`Harness::with_fault_plan`] would.
-    Faults(FaultPlan),
-    /// A disturbance config, installed as [`Harness::with_disturbance`] would.
-    Disturb(DisturbConfig),
-    /// A campaign point's fault plan, installed verbatim: an empty plan
-    /// stays `Some`, as every campaign journal's config digest records it.
-    Verbatim(FaultPlan),
-}
-
-impl Hazard {
-    fn install(self, harness: &mut Harness) {
-        match self {
-            Hazard::Faults(plan) => harness.set_fault_plan(plan),
-            Hazard::Disturb(cfg) => harness.set_disturbance(cfg),
-            Hazard::Verbatim(plan) => harness.fault_plan = Some(plan),
-        }
-    }
 }
 
 /// The subset grid every point of a sweep runs.
@@ -81,78 +60,63 @@ impl Point<'_> {
     }
 }
 
-/// Runs point 0 under `baseline`, then one point per hazard that `plans`
-/// derives from its cells, handing point `k` to `fold(k, point)`. Without
-/// journals, a point with the baseline's config digest reuses its grid.
+/// Runs point 0 under `baseline`, then one point per hazards value that
+/// `plans` derives from its cells, handing point `k` to `fold(k, point)`.
+/// Without journals, a point with the baseline's digest reuses its grid.
 /// Returns `Complete`, or the status of the stop or point that ended the
-/// sweep. Plans carry no `io:` clause, so restoring the caller's fault
-/// plan and disturbance config restores every hazard.
+/// sweep.
 pub(crate) fn run(
-    harness: &mut Harness,
+    harness: &Harness,
     shape: &SweepGrid<'_>,
-    baseline: Hazard,
-    plans: impl FnOnce(&[CellResult]) -> Vec<Hazard>,
+    baseline: Hazards,
+    plans: impl FnOnce(&[CellResult]) -> Vec<Hazards>,
     mut fold: impl FnMut(usize, Point<'_>) -> Result<(), JournalError>,
 ) -> Result<GridStatus, JournalError> {
-    let caller = (harness.fault_plan.clone(), harness.disturb.clone());
-    let run_point = |harness: &Harness, k| {
+    let run_point = |hazards, k| {
         let path = shape.journals.map(|dir| point_journal(dir, k));
         let journal = path.as_deref().map(|path| (path, path.exists()));
-        harness.run_in_process(
-            shape.take,
-            shape.repeats,
-            shape.workers,
-            journal,
-            shape.ctrl,
-        )
+        let (take, repeats, workers) = (shape.take, shape.repeats, shape.workers);
+        harness.run_in_process(hazards, take, repeats, workers, journal, shape.ctrl)
     };
-    let sweep = || {
+    if let Some(stop) = shape.ctrl.should_stop() {
+        return Ok(stop.into());
+    }
+    let base_digest = baseline.digest();
+    let base = run_point(baseline, 0)?;
+    let (grid, baseline) = (&base, &base.cells[..]);
+    fold(0, Point { grid, baseline })?;
+    if base.status != GridStatus::Complete {
+        return Ok(base.status);
+    }
+    for (k, hazards) in (1..).zip(plans(baseline)) {
         if let Some(stop) = shape.ctrl.should_stop() {
             return Ok(stop.into());
         }
-        baseline.install(harness);
-        let base_digest = harness.config_digest();
-        let base = run_point(harness, 0)?;
-        let (grid, baseline) = (&base, &base.cells[..]);
-        fold(0, Point { grid, baseline })?;
-        if base.status != GridStatus::Complete {
-            return Ok(base.status);
+        let fresh;
+        let grid = if shape.journals.is_none() && hazards.digest() == base_digest {
+            &base
+        } else {
+            fresh = run_point(hazards, k)?;
+            &fresh
+        };
+        fold(k, Point { grid, baseline })?;
+        if grid.status != GridStatus::Complete {
+            return Ok(grid.status);
         }
-        for (k, hazard) in (1..).zip(plans(baseline)) {
-            debug_assert!(!matches!(&hazard, Hazard::Faults(p) if !p.io.is_empty()));
-            if let Some(stop) = shape.ctrl.should_stop() {
-                return Ok(stop.into());
-            }
-            hazard.install(harness);
-            let fresh;
-            let grid = if shape.journals.is_none() && harness.config_digest() == base_digest {
-                &base
-            } else {
-                fresh = run_point(harness, k)?;
-                &fresh
-            };
-            fold(k, Point { grid, baseline })?;
-            if grid.status != GridStatus::Complete {
-                return Ok(grid.status);
-            }
-        }
-        Ok(GridStatus::Complete)
-    };
-    let swept = sweep();
-    (harness.fault_plan, harness.disturb) = caller;
-    swept
+    }
+    Ok(GridStatus::Complete)
 }
 
 /// [`run`] without journals or stops, which cannot fail (`faultsweep`,
 /// `disturb`): `fold(j, point)` sees the point of plan `j`, the baseline
 /// only as `point.baseline`.
 pub(crate) fn run_in_memory(
-    harness: &mut Harness,
+    harness: &Harness,
     take: usize,
     repeats: u64,
     workers: usize,
-    baseline: Hazard,
-    plans: impl FnOnce(&[CellResult]) -> Vec<Hazard>,
+    baseline: Hazards,
+    plans: impl FnOnce(&[CellResult]) -> Vec<Hazards>,
     mut fold: impl FnMut(usize, Point<'_>),
 ) {
     let grid = SweepGrid {
@@ -202,7 +166,6 @@ fn stability(base: &Classes, now: &Classes) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::runner::CellOutcome;
-    use mps_core::faults::{DisturbancePlan, RecoveryPolicy};
 
     /// A measured cell of DAG `dag` (n = 2000) with testbed makespan
     /// `real`.
@@ -252,41 +215,25 @@ mod tests {
         assert_eq!(stability(&pair(19.0, 20.0), &now), (0, 0));
     }
 
-    /// Every sweep hands the harness back with the caller's hazards, on
-    /// every exit: a fault-sweep used to leave no fault plan behind, a
-    /// disturbance sweep no disturbance config, and a campaign whose
-    /// `campaign.json` could not be written its point's fault plan.
+    /// A sweep point replaces only the swept hazard: each campaign point
+    /// journals the digest of the caller's disturbance config and policy
+    /// under the point's own fault plan, kept even when empty (point 0).
     #[test]
-    fn sweeps_restore_the_callers_hazards() {
+    fn sweep_points_keep_the_callers_other_hazards() {
+        use crate::campaign::point_fault_plan;
+        use crate::runner::DisturbConfig;
+        use mps_core::faults::{DisturbancePlan, FaultPlan, RecoveryPolicy};
+
         let hosts = 32;
-        let faults = FaultPlan::parse("seed=3;fail=0.01", hosts, 60.0).unwrap();
         let disturb = DisturbConfig::new(
             DisturbancePlan::parse("crash@4:3", hosts, 60.0).unwrap(),
             RecoveryPolicy::Rescue,
         );
-        let mut h = Harness::new(7)
-            .with_fault_plan(faults)
+        let h = Harness::new(7)
+            .with_fault_plan(FaultPlan::parse("seed=3;fail=0.01", hosts, 60.0).unwrap())
             .with_disturbance(disturb);
-        let before = (h.fault_plan.clone(), h.disturb.clone(), h.config_digest());
-        let after = |h: &Harness| (h.fault_plan.clone(), h.disturb.clone(), h.config_digest());
-
-        crate::figures::fault_sweep(&mut h, &[0.0, 1.0], &[11], 1, 1, 1);
-        assert_eq!(after(&h), before, "faultsweep");
-
-        let opts = crate::DisturbSweepOpts {
-            intensities: vec![0.0, 1.0],
-            subset: 1,
-            repeats: 1,
-            recovery: RecoveryPolicy::Rescue,
-            workers: 1,
-        };
-        crate::run_disturb_sweep(&mut h, 7, &opts, |_| {});
-        assert_eq!(after(&h), before, "disturb");
-
-        // A directory where `campaign.json` goes fails the first publish.
-        let dir = std::env::temp_dir().join(format!("mps-sweep-restore-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("mps-sweep-points-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(dir.join("campaign.json")).unwrap();
         let opts = crate::CampaignOpts {
             dir: dir.clone(),
             points: 2,
@@ -294,12 +241,22 @@ mod tests {
             workers: 1,
             subset: Some(1),
         };
-        let failed = h.run_campaign(&opts, &RunControl::unlimited(), |_, _| {});
-        assert!(
-            matches!(failed, Err(JournalError::Io { op: "rename", .. })),
-            "{failed:?}"
-        );
-        assert_eq!(after(&h), before, "campaign");
+        let report = h
+            .run_campaign(&opts, &RunControl::unlimited(), |_, _| {})
+            .unwrap();
+        assert_eq!(report.status, GridStatus::Complete);
+        for k in 0..2 {
+            let rec = mps_core::journal::recover(&point_journal(&dir, k)).unwrap();
+            let want = Hazards {
+                fault_plan: Some(point_fault_plan(7, k, 2, hosts)),
+                ..h.hazards()
+            };
+            assert_eq!(
+                rec.header.unwrap().config_digest,
+                want.digest(),
+                "point {k}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

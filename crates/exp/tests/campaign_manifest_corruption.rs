@@ -35,7 +35,7 @@ fn opts(dir: &std::path::Path) -> CampaignOpts {
 #[test]
 fn every_byte_flip_reads_typed_and_never_resets_progress() {
     let dir = scratch("flip");
-    let mut h = Harness::new(7);
+    let h = Harness::new(7);
     let report = h
         .run_campaign(&opts(&dir), &RunControl::unlimited(), |_, _| {})
         .unwrap();
@@ -116,7 +116,7 @@ fn every_byte_flip_reads_typed_and_never_resets_progress() {
 #[test]
 fn a_wrong_schema_tag_is_a_typed_serde_error() {
     let dir = scratch("schema");
-    let mut h = Harness::new(7);
+    let h = Harness::new(7);
     h.run_campaign(&opts(&dir), &RunControl::unlimited(), |_, _| {})
         .unwrap();
     let path = dir.join("campaign.json");

@@ -146,7 +146,7 @@ fn resuming_a_complete_campaign_is_a_noop() {
         workers: 1,
         subset: Some(SUBSET),
     };
-    let mut h = Harness::new(SEED);
+    let h = Harness::new(SEED);
     let first = h
         .run_campaign(&opts, &RunControl::unlimited(), |_, _| {})
         .expect("first campaign run");

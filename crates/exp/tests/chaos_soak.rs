@@ -107,7 +107,7 @@ fn campaign_baseline(dir: &Path) -> Vec<Vec<(String, String)>> {
         workers: 1,
         subset: Some(1),
     };
-    let mut h = Harness::new(7);
+    let h = Harness::new(7);
     h.run_campaign(&opts, &RunControl::unlimited(), |_, _| {})
         .expect("pristine baseline campaign runs");
     (0..2)
@@ -199,7 +199,7 @@ fn episode_campaign(
         subset: Some(1),
     };
     let chaos = ChaosIo::new(seed, plan);
-    let mut h = Harness::new(7).with_io_env(Arc::new(chaos.clone()));
+    let h = Harness::new(7).with_io_env(Arc::new(chaos.clone()));
     match h.run_campaign(&opts, &RunControl::unlimited(), |_, _| {}) {
         Ok(_) => {}
         Err(err) => {
@@ -228,7 +228,7 @@ fn episode_campaign(
     }
     // Invariant 2: real-disk resume completes both points, byte-identical
     // per point journal.
-    let mut real = Harness::new(7);
+    let real = Harness::new(7);
     match real.run_campaign(&opts, &RunControl::unlimited(), |_, _| {}) {
         Ok(rep) => {
             if rep.manifest.points_done != 2 || rep.status != GridStatus::Complete {

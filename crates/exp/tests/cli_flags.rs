@@ -81,7 +81,6 @@ const SCOPE_RULES: &[(&str, &str)] = &[
     ("--state d fig8", "--state requires the serve or client target"),
     ("--queue-cap 4 fig8", "--queue-cap requires the serve or client target"),
     ("--serve-workers 2 fig8", "--serve-workers requires the serve or client target"),
-    ("--stdio fig8", "--stdio requires the serve or client target"),
     ("--schedule 0:analytic:HCPA fig8", "--schedule requires the serve or client target"),
     ("--simulate 0:analytic:HCPA fig8", "--simulate requires the serve or client target"),
     ("--subset-grid 1 fig8", "--subset-grid requires the serve or client target"),
@@ -101,12 +100,10 @@ const CROSS_FLAG_RULES: &[(&str, &str)] = &[
     ("--isolation process fig8", "--isolation process requires --journal PATH"),
     ("--cell-timeout-secs 5 fig8", "--cell-timeout-secs requires --isolation process"),
     ("--max-cell-attempts 2 fig8", "--max-cell-attempts requires --isolation process"),
-    ("--stderr-tail-bytes 64 fig8", "--stderr-tail-bytes requires --isolation process"),
-    ("--spawn-timeout-secs 5 fig8", "--spawn-timeout-secs requires --isolation process"),
     ("--journal j.jl --cell-timeout-secs 5 grid", "--cell-timeout-secs requires --isolation process"),
     ("--recovery rescue fig8", "--recovery requires --disturb or the disturb target"),
     ("disturb --disturb light", "--disturb cannot be used with the disturb target (it sweeps its own seeded plans)"),
-    ("serve", "serve needs --socket PATH (or --stdio)"),
+    ("serve", "serve needs --socket PATH"),
     ("serve --socket s --isolation process", "serve --isolation process requires --state DIR (the supervisor owns journals)"),
     ("serve --socket s --resume", "--resume is implicit for serve (journals under --state resume themselves)"),
     ("client", "client needs --socket PATH"),
@@ -144,9 +141,6 @@ const VALUE_ERRORS: &[(&str, &str)] = &[
     ("--max-cell-attempts 0", "--max-cell-attempts needs an integer >= 1"),
     ("--max-cell-attempts 4294967296", "--max-cell-attempts needs an integer >= 1"),
     ("--poison", "--poison needs a spec (needle=panic|hang,...)"),
-    ("--stderr-tail-bytes 1048577", "--stderr-tail-bytes needs an integer in 0..=1048576"),
-    ("--spawn-timeout-secs 0", "--spawn-timeout-secs needs an integer in 1..=600"),
-    ("--spawn-timeout-secs 601", "--spawn-timeout-secs needs an integer in 1..=600"),
     ("--socket", "--socket needs a path"),
     ("--state", "--state needs a directory"),
     ("--queue-cap 0", "--queue-cap needs an integer in 1..=4096"),
@@ -219,6 +213,17 @@ fn unknown_flags_and_targets_are_rejected_before_any_work() {
         ("--seed 7 fig9", "unknown target `fig9`"),
         // The chaos soak is a test target, not a product one.
         ("chaos", "unknown target `chaos`"),
+        // The daemon's one transport is its socket; the worker's spawn
+        // budget and stderr tail are constants.
+        ("serve --socket s --stdio", "unknown flag `--stdio`"),
+        (
+            "--isolation process --journal j.jl --spawn-timeout-secs 5 grid",
+            "unknown flag `--spawn-timeout-secs`",
+        ),
+        (
+            "--isolation process --journal j.jl --stderr-tail-bytes 64 grid",
+            "unknown flag `--stderr-tail-bytes`",
+        ),
     ]);
 }
 

@@ -4,11 +4,21 @@
 //! healthy cell's journal record byte-identical to a clean in-process
 //! run, and resume to a no-op. Also verifies that SIGINT during a
 //! process-isolated run reaps every child worker before exiting 130 — no
-//! orphans left holding the grid.
+//! orphans left holding the grid — and that hazards travel with the
+//! work: a worker runs a cell under the grid's or the daemon request's
+//! fault and disturbance plans exactly as the supervisor's process would.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+use mps_core::journal::RunControl;
+use mps_core::serve::{Backend, ServeError, WorkRequest, WorkSummary};
+use mps_core::supervise::SupervisorConfig;
+use mps_exp::{
+    parse_poison_spec, CellOutcome, CellResult, Harness, ServeBackend, SuperviseOpts, WorkerCommand,
+};
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
@@ -263,4 +273,155 @@ fn sigint_reaps_every_child_worker_before_exiting_130() {
         "{manifest}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `config_digest` field of a journal's header line.
+fn header_digest(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).expect("read journal");
+    let header = text.lines().next().expect("journal has a header");
+    let start = header
+        .find("\"config_digest\":\"")
+        .expect("header has a digest")
+        + 17;
+    header[start..start + 16].to_string()
+}
+
+/// A fault plan and a disturbance plan reach the worker processes: the
+/// process-isolated journaled grid writes the in-process journaled grid's
+/// records, byte for byte, under the same config digest.
+#[test]
+fn hazards_reach_the_workers_and_records_match_the_inproc_run_bytewise() {
+    let dir = scratch_dir("hazards");
+    let hazards = ["--disturb", "seed=42;moderate", "--faults", "light"];
+    let run = |journal: &Path, isolation: &[&str]| {
+        let journal = journal.to_str().unwrap();
+        let out = run_repro(&[&hazards[..], isolation, &["--journal", journal, "grid"]].concat());
+        assert!(out.status.success(), "{isolation:?}: {out:?}");
+    };
+    let (inproc, process) = (dir.join("inproc.jsonl"), dir.join("process.jsonl"));
+    run(&inproc, &[]);
+    run(&process, &["--isolation", "process", "--workers", "2"]);
+
+    let mut want = records_by_key(&inproc);
+    let mut got = records_by_key(&process);
+    assert_eq!(want.len(), 12);
+    assert!(
+        want.iter().any(|(_, line)| line.contains("Disturbed")),
+        "the disturbance plan must fire"
+    );
+    want.sort();
+    got.sort();
+    assert_eq!(got, want, "worker cells differ from in-process cells");
+    assert_eq!(header_digest(&process), header_digest(&inproc));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon backend whose cells run in `repro` cell workers, one at a
+/// time, each attempt bounded by `cell_timeout`, quarantined on the
+/// first strike.
+fn isolated_backend(harness: Harness, tag: &str, cell_timeout: Duration) -> ServeBackend {
+    let worker = WorkerCommand {
+        program: REPRO.into(),
+        args: ["--cell-worker", "--seed", "7", "--worker-tag", tag]
+            .map(String::from)
+            .to_vec(),
+    };
+    let opts = SuperviseOpts {
+        workers: 1,
+        cell_timeout,
+        config: SupervisorConfig {
+            max_cell_attempts: 1,
+            ..SupervisorConfig::default()
+        },
+    };
+    ServeBackend::new(harness)
+        .with_state_dir(scratch_dir(tag))
+        .with_worker(worker, opts)
+}
+
+/// Runs `work` and collects its streamed `(key, payload)` cells.
+fn served(
+    backend: &ServeBackend,
+    work: &WorkRequest,
+) -> Result<(WorkSummary, Vec<(String, String)>), ServeError> {
+    let mut cells = Vec::new();
+    let summary = backend.execute(work, &RunControl::unlimited(), &mut |k, p| {
+        cells.push((k.to_string(), p.to_string()));
+        true
+    })?;
+    Ok((summary, cells))
+}
+
+/// A `Simulate` request on a process-isolated daemon runs in a worker:
+/// a hanging cell comes back as a quarantined `TimedOut` cell at its
+/// timeout instead of wedging the executor, and the next request is
+/// served.
+#[test]
+fn a_hanging_simulate_request_times_out_in_a_worker_and_the_next_is_served() {
+    let poison = parse_poison_spec("analytic/HCPA=hang").unwrap();
+    let harness = Harness::new(7).with_poison(poison);
+    let timeout = Duration::from_secs(2);
+    let backend = Arc::new(isolated_backend(harness, "simulate-hang", timeout));
+    let simulate = |algo: &str| WorkRequest::Simulate {
+        dag: 0,
+        variant: "analytic".to_string(),
+        algo: algo.to_string(),
+        repeats: 1,
+        disturb: None,
+    };
+    let (tx, rx) = mpsc::channel();
+    let requests = [simulate("HCPA"), simulate("MCPA")];
+    let client = Arc::clone(&backend);
+    // Run on a thread of its own: a cell that hangs in this process never
+    // returns, and the bounded waits below fail the test instead.
+    std::thread::spawn(move || {
+        for work in &requests {
+            let start = Instant::now();
+            let _ = tx.send((served(&client, work), start.elapsed()));
+        }
+    });
+    // A worker spawn (profiling the testbed) plus the cell timeout.
+    let bound = Duration::from_secs(120);
+    let (hung, took) = rx
+        .recv_timeout(bound)
+        .expect("the hanging cell wedged the executor");
+    let (summary, cells) = hung.expect("the hanging request fails typed, not in-band");
+    assert_eq!((summary.cells, summary.quarantined), (1, 1));
+    let cell: CellResult = serde_json::from_str(&cells[0].1).unwrap();
+    assert!(
+        matches!(cell.outcome, CellOutcome::TimedOut { .. }),
+        "{:?}",
+        cell.outcome
+    );
+    assert!(
+        took >= timeout,
+        "quarantined after {took:?}, before the timeout"
+    );
+
+    let (next, _) = rx
+        .recv_timeout(bound)
+        .expect("the next request was not served");
+    let (summary, cells) = next.expect("the next request is served");
+    assert_eq!((summary.cells, summary.quarantined), (1, 0));
+    let cell: CellResult = serde_json::from_str(&cells[0].1).unwrap();
+    assert!(cell.succeeded() && cell.real_makespan > 0.0, "{cell:?}");
+}
+
+/// A grid request's own disturbance plan reaches the workers of a
+/// process-isolated daemon: it streams the in-process daemon's payloads.
+#[test]
+fn a_per_request_disturbance_plan_reaches_the_daemon_workers() {
+    let work = WorkRequest::SubsetGrid {
+        take: 1,
+        repeats: 1,
+        disturb: Some("seed=42;moderate".to_string()),
+    };
+    let (_, mut want) = served(&ServeBackend::new(Harness::new(7)), &work).unwrap();
+    let backend = isolated_backend(Harness::new(7), "subset-disturb", Duration::from_secs(120));
+    let (summary, mut got) = served(&backend, &work).expect("the isolated daemon serves it");
+    assert_eq!((summary.cells, summary.quarantined), (6, 0));
+    assert!(summary.disturbed > 0, "the request's plan must fire");
+    want.sort();
+    got.sort();
+    assert_eq!(got, want);
 }

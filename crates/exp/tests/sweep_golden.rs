@@ -15,8 +15,8 @@ use mps_exp::{figures, run_disturb_sweep, DisturbSweepOpts, Harness};
 const GOLDEN: &str = include_str!("sweep_golden.txt");
 
 fn transcript() -> String {
-    let mut h = Harness::new(42);
-    let faults = figures::fault_sweep(&mut h, &[0.0, 0.5, 1.0], &[11], 2, 1, 2);
+    let h = Harness::new(42);
+    let faults = figures::fault_sweep(&h, &[0.0, 0.5, 1.0], &[11], 2, 1, 2);
     let opts = DisturbSweepOpts {
         subset: 2,
         repeats: 1,
@@ -24,7 +24,7 @@ fn transcript() -> String {
         workers: 2,
         ..DisturbSweepOpts::default()
     };
-    let disturb = run_disturb_sweep(&mut h, 42, &opts, |_| {});
+    let disturb = run_disturb_sweep(&h, 42, &opts, |_| {});
     let json = serde_json::to_string(&disturb).expect("the report serializes");
     format!("{faults}{json}\n")
 }

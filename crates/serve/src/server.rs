@@ -19,11 +19,11 @@
 //!
 //! The server is transport + lifecycle only; work happens behind
 //! [`Backend`]. Executors run detached threads coordinated through the
-//! queue's counters, so `run_unix`/`run_stdio` return exactly when the
-//! drain completes.
+//! queue's counters, so `run_unix` returns exactly when the drain
+//! completes.
 
 use std::io::{BufReader, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -119,8 +119,7 @@ struct Job {
     reply: Reply,
 }
 
-/// The daemon. Construct with [`Server::new`], then [`Server::run_unix`]
-/// or [`Server::run_stdio`].
+/// The daemon. Construct with [`Server::new`], then [`Server::run_unix`].
 pub struct Server {
     backend: Arc<dyn Backend>,
     cfg: ServerConfig,
@@ -512,31 +511,6 @@ impl Server {
             let _ = c.shutdown(std::net::Shutdown::Both);
         }
         let _ = std::fs::remove_file(socket);
-        Ok(self.exit(interrupted))
-    }
-
-    /// Serves a single connection over stdin/stdout (test harnesses, no
-    /// socket management). Drains on stdin EOF, a `Drain` frame, or the
-    /// configured control.
-    pub fn run_stdio(self: &Arc<Self>) -> Result<ServerExit, ServeError> {
-        self.recover_startup()?;
-        self.spawn_executors();
-        let reply: Reply = Arc::new(Mutex::new(Box::new(std::io::stdout())));
-        let eof = Arc::new(AtomicBool::new(false));
-        {
-            let me = Arc::clone(self);
-            let eof = Arc::clone(&eof);
-            std::thread::spawn(move || {
-                let stdin = std::io::stdin();
-                let mut reader = stdin.lock();
-                let _ = me.serve_connection(&mut reader, &reply);
-                eof.store(true, Ordering::SeqCst);
-            });
-        }
-        while !self.should_drain() && !eof.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let interrupted = self.drain_and_wait();
         Ok(self.exit(interrupted))
     }
 }

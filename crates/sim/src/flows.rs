@@ -1,6 +1,6 @@
 //! Redistribution flows built in reused buffers.
 //!
-//! Both executor loops turn a finished task's output into point-to-point
+//! The executor loop turns a finished task's output into point-to-point
 //! flows toward each successor. [`RedistFlows`] does it without
 //! allocating once warm: redistribution plans are memoized per
 //! `(n, p_src, p_dst)`, and host pairs are aggregated through a dense

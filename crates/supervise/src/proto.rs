@@ -22,7 +22,7 @@ pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 /// fail the run with [`SuperviseError::VersionMismatch`] instead of
 /// retrying — version skew (a supervisor driving a worker binary from a
 /// different build) is deterministic and will not heal on respawn.
-pub const WORKER_PROTO_VERSION: &str = "mps-worker/v1";
+pub const WORKER_PROTO_VERSION: &str = "mps-worker/v2";
 
 /// Worker → supervisor: the first frame after startup, before any work.
 ///
@@ -256,16 +256,20 @@ mod tests {
             legacy.check_version(),
             Err(SuperviseError::VersionMismatch { theirs, .. }) if theirs.is_empty()
         ));
-        let future = WorkerHello {
-            ready: true,
-            proto: "mps-worker/v2".to_string(),
-        };
-        match future.check_version().unwrap_err() {
-            SuperviseError::VersionMismatch { ours, theirs } => {
-                assert_eq!(ours, WORKER_PROTO_VERSION);
-                assert_eq!(theirs, "mps-worker/v2");
+        // Any other version is skew: a v1 worker expects its hazards on
+        // argv, not in each cell request.
+        for proto in ["mps-worker/v1", "mps-worker/v3"] {
+            let other = WorkerHello {
+                ready: true,
+                proto: proto.to_string(),
+            };
+            match other.check_version().unwrap_err() {
+                SuperviseError::VersionMismatch { ours, theirs } => {
+                    assert_eq!(ours, WORKER_PROTO_VERSION);
+                    assert_eq!(theirs, proto);
+                }
+                other => panic!("unexpected error {other:?}"),
             }
-            other => panic!("unexpected error {other:?}"),
         }
     }
 
