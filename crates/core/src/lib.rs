@@ -155,7 +155,7 @@ pub mod prelude {
         ExecError, ExecPolicy, ExecutionResult, FaultyExecution, SimOutcome, Simulator,
     };
     pub use mps_stats::{boxplot, count_agreement, relative_makespan, summary};
-    pub use mps_supervise::{CrashReport, Supervisor, SupervisorConfig};
+    pub use mps_supervise::{CrashReport, SupervisorConfig};
     pub use mps_testbed::{
         build_profile_model, fit_empirical_model, CrayPdgemmEnv, GroundTruth, ProfilingConfig,
         Testbed,

@@ -3,16 +3,19 @@
 //!
 //! * **Source.** The corpus slice minus the cells whose keys the journal
 //!   already holds, in dispatch order (corpus order × [`SimVariant::ALL`]
-//!   × {HCPA, MCPA}), handed out in per-DAG runs so a DAG's HCPA and MCPA
-//!   cells share one worker's warm τ-table.
-//! * **Runner.** [`Runner::Threads`]: scoped threads pulling runs from one
-//!   cursor; with one worker the cells run on the calling thread and no
-//!   thread is spawned, so its slab stays warm across grids.
-//!   [`Runner::Processes`]: the supervised child-process pool
-//!   ([`crate::supervised`]).
-//! * **Sink.** Runs only on the calling thread: it collects each finished
-//!   cell, appends it to the journal when there is one, and emits
-//!   `(key, payload)` to a daemon client when there is one.
+//!   × {HCPA, MCPA}), handed out in per-DAG runs from one cursor so a
+//!   DAG's HCPA and MCPA cells share one worker's warm τ-table.
+//! * **Runner.** Threads pulling runs from the cursor; with one worker
+//!   the cells run on the calling thread and no thread is spawned, so its
+//!   slab stays warm across grids. Each thread checks the stop before a
+//!   cell and paces after it. The runners differ only in the call that
+//!   produces a cell: [`Runner::Threads`] calls `run_cell_caught`,
+//!   [`Runner::Processes`] the thread's own supervised child worker
+//!   ([`crate::supervised::Child`]).
+//! * **Sink.** Runs only on the calling thread, in dispatch order at any
+//!   worker count: it collects each finished cell, appends it to the
+//!   journal when there is one, and emits `(key, payload)` to a daemon
+//!   client when there is one.
 //!
 //! The driver owns the steps every mode shares: the journal header,
 //! recovery of an existing journal (replaying its records verbatim to the
@@ -20,11 +23,12 @@
 //! manifest. A grid carries one [`Hazards`] value, built by its caller
 //! from the harness, a sweep point or a daemon request: every cell runs
 //! under it, on either runner, and the header's `config_digest` is its
-//! digest. Cell computation is deterministic and the merged grid is
-//! canonically sorted, so the result is the same for any runner, worker
-//! count or resume history.
+//! digest. Cell computation is deterministic and cells reach the sink in
+//! dispatch order, so a journal's bytes and the merged grid are the same
+//! for any runner, worker count or resume history.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -36,13 +40,14 @@ use mps_core::journal::{
     MANIFEST_FORMAT_V1,
 };
 use mps_core::sched::{Hcpa, Mcpa, Scheduler};
+use mps_core::supervise::CrashReport;
 use mps_core::MpsError;
 
 use crate::journaled::{GridStatus, JournaledGrid};
 use crate::runner::{
     cell_key, sort_cells_canonical, CellResult, Harness, Hazards, SimVariant, CELLS_PER_DAG,
 };
-use crate::supervised::{SuperviseOpts, WorkerCommand};
+use crate::supervised::{Child, Pool, Step, SuperviseOpts, WorkerCommand};
 
 /// One pending cell: corpus index, simulator version, algorithm index.
 pub(crate) struct CellSpec {
@@ -63,7 +68,7 @@ pub(crate) fn algo_of(i: usize) -> &'static dyn Scheduler {
 pub(crate) enum Runner<'a> {
     /// This many threads of this process (at most one per pending DAG).
     Threads(usize),
-    /// Supervised child processes.
+    /// As many threads, each with its own supervised child process.
     Processes(&'a WorkerCommand, &'a SuperviseOpts),
 }
 
@@ -223,8 +228,8 @@ impl Harness {
     }
 
     /// Computes `pending` with `grid`'s runner, handing each cell to
-    /// `sink` on the calling thread. The thread runner's workers pull
-    /// whole DAGs from one cursor.
+    /// `sink` on the calling thread in dispatch order. This is the one
+    /// cell loop for both runners.
     pub(crate) fn run_cells(
         &self,
         corpus: &[GeneratedDag],
@@ -232,38 +237,28 @@ impl Harness {
         grid: &Grid<'_>,
         sink: &mut Sink<'_>,
     ) -> Result<(), MpsError> {
-        let workers = match grid.runner {
-            Runner::Threads(workers) => workers,
-            Runner::Processes(cmd, opts) => {
-                return crate::supervised::run_processes(corpus, pending, grid, cmd, opts, sink)
-            }
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for run in pending.chunk_by(|a, b| a.dag == b.dag) {
+            let start = runs.last().map_or(0, |r| r.end);
+            runs.push(start..start + run.len());
+        }
+        let (workers, pool) = match grid.runner {
+            Runner::Threads(workers) => (workers, None),
+            Runner::Processes(cmd, opts) => (opts.workers, Some((cmd, opts))),
         };
-        let runs: Vec<&[CellSpec]> = pending.chunk_by(|a, b| a.dag == b.dag).collect();
-        let next = AtomicUsize::new(0);
-        let ctrl = grid.ctrl;
-        // Runs cells until the source is dry, the run is stopped, or `out`
-        // refuses a cell (the sink failed).
-        let work = |out: &mut dyn FnMut(CellResult) -> bool| {
-            while let Some(run) = runs.get(next.fetch_add(1, Ordering::Relaxed)) {
-                for spec in *run {
-                    if ctrl.should_stop().is_some() {
-                        return;
-                    }
-                    // `run_cell_caught`: a panicking cell becomes a
-                    // Crashed record, not a dead grid.
-                    let cell = self.run_cell_caught(
-                        &corpus[spec.dag],
-                        spec.variant,
-                        algo_of(spec.algo),
-                        grid.repeats,
-                        &grid.hazards,
-                    );
-                    if !out(cell) {
-                        return;
-                    }
-                    ctrl.pace();
-                }
-            }
+        let workers = workers.clamp(1, runs.len().max(1));
+        let src = Source {
+            corpus,
+            pending,
+            runs,
+            next: AtomicUsize::new(0),
+            pool: pool.map(|(cmd, opts)| Pool::new(cmd, opts, grid.ctrl, workers)),
+        };
+        // One runner thread, from its first cell to leaving the run.
+        let run = |out: &mut dyn FnMut(usize, CellResult) -> bool| {
+            let mut child = src.pool.as_ref().map(|pool| Child::new(pool, grid));
+            let ended = self.work(&src, grid, child.as_mut(), out);
+            src.leave(ended)
         };
 
         let mut sunk = Ok(());
@@ -274,38 +269,135 @@ impl Harness {
                 false
             }
         };
-        let workers = workers.clamp(1, runs.len().max(1));
         if workers == 1 {
-            work(&mut to_sink);
-            return sunk;
+            // One thread computes the cells in dispatch order.
+            let ran = run(&mut |_, cell| to_sink(cell));
+            return sunk.and(ran);
         }
         let (tx, rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            let work = &work;
+        let ran = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let tx = tx.clone();
-                    scope.spawn(move || work(&mut |cell| tx.send(cell).is_ok()))
+                    let (tx, run) = (tx.clone(), &run);
+                    scope.spawn(move || run(&mut |i, cell| tx.send((i, cell)).is_ok()))
                 })
                 .collect();
             drop(tx);
-            // A failed sink drops the receiver, so every worker stops at
-            // its next send.
-            for cell in rx {
-                if !to_sink(cell) {
-                    break;
+            // Cells reach the sink in dispatch order: one that lands early
+            // waits for those dispatched before it. A stop or a runner
+            // error leaves gaps, and the cells that did land still go.
+            let mut landed = BTreeMap::new();
+            let mut due = 0;
+            'recv: for msg in rx.iter().map(Some).chain([None]) {
+                let last = msg.is_none();
+                landed.extend(msg);
+                while let Some(cell) = landed.first_entry().filter(|e| last || *e.key() == due) {
+                    due += 1;
+                    if !to_sink(cell.remove()) {
+                        if let Some(pool) = &src.pool {
+                            pool.stop();
+                        }
+                        break 'recv;
+                    }
                 }
             }
+            // A failed sink stops the workers: at their next send, now the
+            // receiver is gone, or at their next stop check.
+            drop(rx);
             // Join each thread explicitly: the scope's own wait returns
             // before a worker has dropped its thread-local slab, so the
             // next grid's workers could start while the old ones still
             // free theirs, and the allocator would then hand them fresh
             // arenas (≈ 2 MiB more peak memory) instead of reusing one.
-            for h in handles {
-                h.join().expect("grid worker panicked");
-            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("grid worker panicked"))
+                .fold(Ok(()), Result::and)
         });
-        sunk
+        sunk.and(ran)
+    }
+
+    /// One runner thread's loop: takes work from `src`, checks the stop
+    /// before each cell and paces after it, and hands each cell to `out`
+    /// with its index in `pending`. Computes a cell with
+    /// `run_cell_caught`, or in `child` when the thread has one. Returns
+    /// the work a retired worker slot hands back, if any.
+    fn work(
+        &self,
+        src: &Source<'_>,
+        grid: &Grid<'_>,
+        mut child: Option<&mut Child<'_>>,
+        out: &mut dyn FnMut(usize, CellResult) -> bool,
+    ) -> Result<Option<Work>, MpsError> {
+        let ctrl = grid.ctrl;
+        while let Some(Work(run, mut report)) = src.next() {
+            for i in run.clone() {
+                if ctrl.should_stop().is_some() {
+                    return Ok(None);
+                }
+                let spec = &src.pending[i];
+                let g = &src.corpus[spec.dag];
+                let cell = match child.as_deref_mut() {
+                    // A panicking cell becomes a Crashed record, not a
+                    // dead grid.
+                    None => self.run_cell_caught(
+                        g,
+                        spec.variant,
+                        algo_of(spec.algo),
+                        grid.repeats,
+                        &grid.hazards,
+                    ),
+                    Some(child) => match child.run(g, spec, std::mem::take(&mut report))? {
+                        Step::Cell(cell) => cell,
+                        Step::Stopped => return Ok(None),
+                        Step::Retired(report) => return Ok(Some(Work(i..run.end, report))),
+                    },
+                };
+                if !out(i, cell) {
+                    return Ok(None);
+                }
+                ctrl.pace();
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// A stretch of `pending` one runner thread computes in order, with its
+/// first cell's failed attempts so far: none unless a retired worker slot
+/// handed the stretch back.
+pub(crate) struct Work(pub(crate) Range<usize>, CrashReport);
+
+/// The one source of work: per-DAG runs of `pending` from one cursor and,
+/// under process isolation, the work retired worker slots hand back.
+struct Source<'a> {
+    corpus: &'a [GeneratedDag],
+    pending: &'a [CellSpec],
+    runs: Vec<Range<usize>>,
+    next: AtomicUsize,
+    pool: Option<Pool<'a>>,
+}
+
+impl Source<'_> {
+    fn next(&self) -> Option<Work> {
+        let fresh = || {
+            let run = self.runs.get(self.next.fetch_add(1, Ordering::Relaxed))?;
+            Some(Work(run.clone(), CrashReport::default()))
+        };
+        match &self.pool {
+            Some(pool) => pool.next(fresh),
+            None => fresh(),
+        }
+    }
+
+    /// A runner thread leaves the run as its loop `ended`.
+    fn leave(&self, ended: Result<Option<Work>, MpsError>) -> Result<(), MpsError> {
+        let Some(pool) = &self.pool else {
+            return ended.map(drop);
+        };
+        let rest = self.runs.get(self.next.load(Ordering::Relaxed)..);
+        let untaken = rest.map_or(0, |rest| rest.iter().map(Range::len).sum());
+        pool.leave(ended, untaken)
     }
 }
 

@@ -161,7 +161,9 @@ mod tests {
 
     /// Every sink of the driver — none, a fresh journal, a resumed
     /// journal, a daemon client with and without a state dir — yields the
-    /// same cells, byte for byte, at any worker count.
+    /// same cells, byte for byte, at any worker count. Cells reach the
+    /// journal in dispatch order, so its bytes do not depend on the worker
+    /// count either.
     #[test]
     fn journaled_grid_equals_in_memory_grid_and_resumes_to_noop() {
         use crate::ServeBackend;
@@ -171,6 +173,7 @@ mod tests {
         let plain = h.run_subset(2, 1);
         let json = |cells: &Vec<CellResult>| serde_json::to_string(cells).unwrap();
         let want = json(&plain);
+        let mut journals = Vec::new();
         for workers in [1, 3] {
             let in_memory = h.run_subset_with_workers(2, 1, workers);
             assert_eq!(
@@ -192,6 +195,7 @@ mod tests {
                 want,
                 "journaled grid, {workers} worker(s)"
             );
+            journals.push(std::fs::read(&path).unwrap());
 
             // Resuming a complete journal recomputes nothing.
             let again = h
@@ -221,6 +225,10 @@ mod tests {
                 "cut journal, {workers} worker(s)"
             );
         }
+        assert!(
+            journals[0] == journals[1],
+            "the journal's bytes depend on the worker count"
+        );
 
         // The daemon emits exactly the in-memory grid's payloads, fresh
         // or replayed from its state dir.

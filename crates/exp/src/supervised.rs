@@ -1,53 +1,49 @@
 //! Process-isolated grid campaigns: `repro --isolation process`.
 //!
-//! The journaled in-process runner ([`crate::journaled`]) shares one
-//! address space between every cell, so one poison cell — a panic the
-//! `catch_unwind` net cannot contain (abort, stack overflow), an infinite
-//! loop, a memory blow-up — takes the whole campaign down, and a
-//! *deterministic* crasher re-kills every `--resume`. This module runs
-//! cells in child worker processes instead: the supervisor (this process)
-//! owns the journal and the decisions, workers own the blast radius.
+//! In process, one poison cell — an abort or stack overflow the
+//! `catch_unwind` net cannot contain, an infinite loop, a memory blow-up —
+//! takes the whole campaign down, and a *deterministic* crasher re-kills
+//! every `--resume`. Under process isolation each runner thread of the one
+//! cell loop (`driver.rs`) computes its cells in its own child worker
+//! (`Child`) instead: this process owns the journal and the decisions,
+//! the workers own the blast radius.
 //!
 //! * Workers are the `repro` binary re-executed in a hidden
 //!   `--cell-worker` mode whose argv carries only the harness seed and a
 //!   tag, speaking length-prefixed JSON frames over stdin/stdout
 //!   ([`mps_core::supervise::proto`]). Each cell request carries the
 //!   grid's [`Hazards`], so a worker runs a cell exactly as this process
-//!   would.
-//! * Every dispatched cell gets a wall-clock deadline; a worker that
-//!   blows it is SIGKILLed and the attempt is recorded as a timeout.
-//! * A dead worker is respawned with exponential backoff under a
-//!   restart-intensity cap ([`mps_core::supervise::Supervisor`]); a cell
-//!   that kills its worker `max_cell_attempts` times is **quarantined**:
-//!   the journal gets a [`CellOutcome::Quarantined`] record carrying the
-//!   full [`CrashReport`] (exit status / signal, stderr tail, wall time
-//!   per attempt), and `--resume` skips it like any other durable cell.
-//! * Successful cells journal exactly the bytes an in-process run would
-//!   have written, so healthy results are indistinguishable across
-//!   isolation modes and a campaign can switch modes between resumes.
+//!   would, and journals exactly the bytes an in-process run would write.
+//! * A cell attempt that blows its wall-clock deadline is SIGKILLed and
+//!   recorded as a timeout. A dead worker is respawned under the run's
+//!   [`Policy`]; a cell that kills its worker `max_cell_attempts` times is
+//!   **quarantined**: its journal record is a [`CellOutcome::Quarantined`]
+//!   carrying the full [`CrashReport`], and `--resume` skips it like any
+//!   other durable cell.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
 use mps_core::dag::gen::GeneratedDag;
 use mps_core::journal::RunControl;
+use mps_core::supervise::proto::decode_frame;
 use mps_core::supervise::{
-    read_frame, write_frame, Action, Attempt, AttemptOutcome, CrashReport, Disposition,
-    SuperviseError, Supervisor, SupervisorConfig, WorkerDeath, WorkerHello, WorkerProcess,
-    WorkerRecv, WorkerSpec,
+    read_frame, write_frame, Attempt, AttemptOutcome, CrashReport, Policy, Spawn, SuperviseError,
+    SupervisorConfig, WorkerHello, WorkerProcess, WorkerRecv, WorkerSpec,
 };
 use mps_core::MpsError;
 
-use crate::driver::{algo_of, CellSpec, Grid, JournalTarget, Runner, Sink};
+use crate::driver::{algo_of, CellSpec, Grid, JournalTarget, Runner, Work};
 use crate::journaled::JournaledGrid;
 use crate::runner::{blank_cell, CellOutcome, CellResult, Harness, Hazards, SimVariant};
 
-/// Supervisor → worker: run this cell. Indices refer to the deterministic
+/// Parent → worker: run this cell. Indices refer to the deterministic
 /// paper corpus and the fixed `{HCPA, MCPA}` algorithm order, which both
 /// sides reconstruct independently — the worker cannot be handed a DAG
-/// the supervisor didn't mean.
+/// the parent didn't mean.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellRequest {
     /// Index into the paper corpus.
@@ -62,7 +58,7 @@ pub struct CellRequest {
     pub hazards: Hazards,
 }
 
-/// Worker → supervisor: the completed cell, keyed for the journal.
+/// Worker → parent: the completed cell, keyed for the journal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellResponse {
     /// The cell's journal key.
@@ -149,110 +145,6 @@ pub fn serve_cells(harness: &Harness) -> i32 {
     }
 }
 
-/// Driver-side state of one worker slot.
-struct Slot {
-    proc: Option<WorkerProcess>,
-    /// Earliest instant the issued spawn may execute (backoff).
-    spawn_due: Option<Instant>,
-    /// Deadline for the [`WorkerHello`] handshake.
-    ready_deadline: Option<Instant>,
-    /// Deadline and start instant of the dispatched cell.
-    cell_deadline: Option<Instant>,
-    cell_started: Option<Instant>,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            proc: None,
-            spawn_due: None,
-            ready_deadline: None,
-            cell_deadline: None,
-            cell_started: None,
-        }
-    }
-
-    /// Wall time the in-flight cell has consumed, in milliseconds.
-    fn cell_wall_ms(&self) -> u64 {
-        self.cell_started
-            .map(|t| t.elapsed().as_millis() as u64)
-            .unwrap_or(0)
-    }
-
-    fn clear_cell(&mut self) {
-        self.cell_deadline = None;
-        self.cell_started = None;
-    }
-
-    /// SIGKILLs and reaps the slot's worker, if it has one.
-    fn kill(&mut self) -> Option<WorkerDeath> {
-        self.ready_deadline = None;
-        self.clear_cell();
-        self.proc.take().map(WorkerProcess::kill_and_reap)
-    }
-}
-
-/// Everything the event loop threads through its helpers: the immutable
-/// run description plus the crash reports and the driver's sink.
-struct Run<'a> {
-    corpus: &'a [GeneratedDag],
-    pending: &'a [CellSpec],
-    /// The next cell request: dispatch fills in the cell.
-    request: CellRequest,
-    opts: &'a SuperviseOpts,
-    reports: Vec<CrashReport>,
-    /// Takes each cell (measurement or quarantine record) as it lands.
-    sink: &'a mut Sink<'a>,
-}
-
-impl Run<'_> {
-    /// Pending cell `cell_idx` with no measurement yet.
-    fn blank_of(&self, cell_idx: usize) -> CellResult {
-        let cs = &self.pending[cell_idx];
-        blank_cell(&self.corpus[cs.dag], cs.variant, algo_of(cs.algo))
-    }
-
-    /// Records a failed attempt against worker `w`'s cell; when the
-    /// machine quarantines the cell, sinks its poison record.
-    fn note_failure(
-        &mut self,
-        machine: &mut Supervisor,
-        w: usize,
-        attempt: Attempt,
-    ) -> Result<(), MpsError> {
-        let (cell_idx, disposition) = machine.cell_failed(w);
-        self.reports[cell_idx].attempts.push(attempt);
-        if disposition == Disposition::Quarantined {
-            let report = std::mem::take(&mut self.reports[cell_idx]);
-            let cell = CellResult {
-                outcome: CellOutcome::from_report(report),
-                ..self.blank_of(cell_idx)
-            };
-            (self.sink)(cell)?;
-        }
-        Ok(())
-    }
-}
-
-fn attempt_from_death(death: Option<WorkerDeath>, wall_ms: u64) -> Attempt {
-    let (exit_code, signal, stderr_tail) = match death {
-        Some(d) => (d.exit_code, d.signal, d.stderr_tail),
-        None => (None, None, String::new()),
-    };
-    Attempt {
-        outcome: AttemptOutcome::Crashed {
-            exit_code,
-            signal,
-            stderr_tail,
-        },
-        wall_ms,
-    }
-}
-
-fn is_busy(machine: &Supervisor, w: usize) -> bool {
-    machine.busy_workers().iter().any(|&(bw, _)| bw == w)
-}
-
 impl Harness {
     /// [`Harness::run_grid_journaled`](crate::journaled) with process
     /// isolation, over the first `take` corpus DAGs (`None`: all of
@@ -289,241 +181,282 @@ impl Harness {
     }
 }
 
-/// The process runner: computes `pending` in supervised child workers,
-/// handing each cell to `sink` as it lands. No child outlives the call.
-pub(crate) fn run_processes(
-    corpus: &[GeneratedDag],
-    pending: &[CellSpec],
-    grid: &Grid<'_>,
-    worker: &WorkerCommand,
-    opts: &SuperviseOpts,
-    sink: &mut Sink<'_>,
-) -> Result<(), MpsError> {
-    let n_workers = opts.workers.max(1).min(pending.len().max(1));
-    let mut machine = Supervisor::new(opts.config, n_workers, pending.len());
-    let mut slots: Vec<Slot> = (0..n_workers).map(|_| Slot::new()).collect();
-    let mut run = Run {
-        corpus,
-        pending,
-        request: CellRequest {
-            dag: 0,
-            variant: SimVariant::Analytic,
-            algo: 0,
-            repeats: grid.repeats,
-            hazards: grid.hazards.clone(),
-        },
-        opts,
-        reports: vec![CrashReport::default(); pending.len()],
-        sink,
-    };
-    let spec = WorkerSpec::new(worker.program.clone(), worker.args.clone());
+/// The longest a wait on a worker blocks before it checks for a stop.
+const STOP_SLICE: Duration = Duration::from_millis(50);
 
-    let outcome = supervise_loop(&mut run, &mut machine, &mut slots, &spec, grid.ctrl);
-    // Whatever happened, close every worker down (cleanly where
-    // possible) and reap it.
-    for slot in &mut slots {
-        if let Some(p) = slot.proc.take() {
-            p.shutdown(Duration::from_secs(2));
-        }
-    }
-    outcome
+/// What the runner threads of a process-isolated run share: the worker
+/// command, the supervision [`Policy`] and the work retired worker slots
+/// hand back, behind one lock.
+pub(crate) struct Pool<'a> {
+    spec: WorkerSpec,
+    opts: &'a SuperviseOpts,
+    ctrl: &'a RunControl,
+    state: Mutex<Shared>,
+    /// Wakes threads waiting for handed-back work or out a backoff.
+    wake: Condvar,
 }
 
-/// The supervision event loop. Single-threaded: executes the state
-/// machine's decisions, polls workers without blocking, enforces
-/// handshake and per-cell deadlines, and journals completions and
-/// quarantines inline.
-fn supervise_loop(
-    run: &mut Run<'_>,
-    machine: &mut Supervisor,
-    slots: &mut [Slot],
-    spec: &WorkerSpec,
-    ctrl: &RunControl,
-) -> Result<(), MpsError> {
-    loop {
-        // Cancellation (SIGINT, deadline): drain the machine, abort
-        // in-flight cells without charging them, and kill + reap every
-        // worker before leaving — no orphan survives a Ctrl-C.
-        if !machine.is_draining() && ctrl.should_stop().is_some() {
-            machine.drain();
-            for (w, _cell) in machine.busy_workers() {
-                machine.cell_aborted(w);
-            }
-            for slot in slots.iter_mut() {
-                slot.kill();
-            }
-        }
+struct Shared {
+    policy: Policy,
+    handed_back: Vec<Work>,
+    /// Threads out of work, waiting in [`Pool::next`].
+    idle: usize,
+}
 
-        // Execute machine decisions until it wants to wait or stop.
-        let mut progressed = false;
-        let finished = loop {
-            match machine.next_action() {
-                Action::Spawn { worker, delay } => {
-                    slots[worker].spawn_due = Some(Instant::now() + delay);
-                }
-                Action::Dispatch { worker, cell } => {
-                    progressed = true;
-                    let cs = &run.pending[cell];
-                    let req = &mut run.request;
-                    (req.dag, req.variant, req.algo) = (cs.dag, cs.variant, cs.algo);
-                    let now = Instant::now();
-                    let sent = slots[worker]
-                        .proc
-                        .as_mut()
-                        .expect("dispatch target must be live")
-                        .send(&*req);
-                    match sent {
-                        Ok(()) => {
-                            slots[worker].cell_started = Some(now);
-                            slots[worker].cell_deadline = Some(now + run.opts.cell_timeout);
-                        }
-                        Err(_) => {
-                            // Broken pipe: the worker died under us.
-                            let death = slots[worker].kill();
-                            run.note_failure(machine, worker, attempt_from_death(death, 0))?;
-                        }
-                    }
-                }
-                Action::Wait => break false,
-                Action::Finished => break true,
-                Action::Exhausted => {
-                    return Err(MpsError::Supervise(
-                        SuperviseError::RestartBudgetExhausted {
-                            restarts: machine.restarts_used(),
-                            unresolved: machine.unresolved(),
-                        },
-                    ));
-                }
+impl<'a> Pool<'a> {
+    pub(crate) fn new(
+        worker: &WorkerCommand,
+        opts: &'a SuperviseOpts,
+        ctrl: &'a RunControl,
+        slots: usize,
+    ) -> Self {
+        let state = Shared {
+            policy: Policy::new(opts.config, slots),
+            handed_back: Vec::new(),
+            idle: 0,
+        };
+        Pool {
+            spec: WorkerSpec::new(worker.program.clone(), worker.args.clone()),
+            opts,
+            ctrl,
+            state: Mutex::new(state),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Work for a thread: handed-back cells first, then `fresh` ones. With
+    /// neither, it waits until a retiring slot hands cells back or every
+    /// other live slot is idle too.
+    pub(crate) fn next(&self, fresh: impl Fn() -> Option<Work>) -> Option<Work> {
+        let mut s = self.lock();
+        loop {
+            let work = s.handed_back.pop().or_else(&fresh);
+            if work.is_some() || s.policy.stopped() || s.idle + 1 >= s.policy.live() {
+                return work;
+            }
+            s.idle += 1;
+            s = self.wake.wait(s).unwrap_or_else(PoisonError::into_inner);
+            s.idle -= 1;
+        }
+    }
+
+    /// A runner thread leaves the run as its loop `ended`. A retired slot
+    /// hands its work back to the live slots; with none left the restart
+    /// budget is exhausted, `untaken` cells besides. An error stops the run.
+    pub(crate) fn leave(
+        &self,
+        ended: Result<Option<Work>, MpsError>,
+        untaken: usize,
+    ) -> Result<(), MpsError> {
+        let mut s = self.lock();
+        let left = match ended {
+            Ok(Some(work)) => {
+                s.handed_back.push(work);
+                let unresolved = untaken + s.handed_back.iter().map(|w| w.0.len()).sum::<usize>();
+                let restarts = s.policy.restarts_used();
+                let exhausted = SuperviseError::RestartBudgetExhausted {
+                    restarts,
+                    unresolved,
+                };
+                let live = s.policy.retire();
+                live.then_some(()).ok_or(MpsError::Supervise(exhausted))
+            }
+            ended => {
+                s.policy.leave();
+                ended.map(drop)
             }
         };
-        if finished {
-            return Ok(());
+        if left.is_err() {
+            s.policy.stop();
         }
+        self.wake.notify_all();
+        left
+    }
 
-        // Execute due spawns (never while draining).
-        if !machine.is_draining() {
-            for (w, slot) in slots.iter_mut().enumerate() {
-                let due = matches!(slot.spawn_due, Some(t) if t <= Instant::now());
-                if due && slot.proc.is_none() {
-                    slot.spawn_due = None;
-                    match WorkerProcess::spawn(spec) {
-                        Ok(p) => {
-                            slot.proc = Some(p);
-                            slot.ready_deadline = Some(Instant::now() + SPAWN_TIMEOUT);
-                        }
-                        Err(_) => machine.worker_died(w),
-                    }
-                    progressed = true;
-                }
+    /// Stops the run: every thread leaves at its next check.
+    pub(crate) fn stop(&self) {
+        self.lock().policy.stop();
+        self.wake.notify_all();
+    }
+
+    /// Whether the run is stopping: a stop of its control stops the policy.
+    fn stopping(&self) -> bool {
+        if self.ctrl.should_stop().is_some() {
+            self.stop();
+        }
+        self.lock().policy.stopped()
+    }
+
+    /// Waits out a respawn backoff on the condvar in bounded slices;
+    /// `false` when the run stops first.
+    fn back_off(&self, delay: Duration) -> bool {
+        let until = Instant::now() + delay;
+        while !self.stopping() {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return true;
+            }
+            drop(self.wake.wait_timeout(self.lock(), left.min(STOP_SLICE)));
+        }
+        false
+    }
+
+    /// Waits for `proc`'s next frame until `deadline`, blocking on its
+    /// frame channel in bounded slices and checking for a stop between
+    /// them. `None` when the run stops; [`WorkerRecv::Timeout`] when the
+    /// deadline passes.
+    fn recv(&self, proc: &WorkerProcess, deadline: Instant) -> Option<WorkerRecv> {
+        while !self.stopping() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match proc.recv_timeout(left.min(STOP_SLICE)) {
+                WorkerRecv::Timeout if !left.is_zero() => {}
+                got => return Some(got),
             }
         }
-
-        // Poll every live worker: frames, deaths, deadlines.
-        for w in 0..slots.len() {
-            let Some(proc) = slots[w].proc.as_ref() else {
-                continue;
-            };
-            match proc.recv_timeout(Duration::ZERO) {
-                WorkerRecv::Frame(bytes) => {
-                    progressed = true;
-                    on_frame(run, machine, slots, w, &bytes)?;
-                }
-                WorkerRecv::Disconnected => {
-                    progressed = true;
-                    let busy = is_busy(machine, w);
-                    let wall = slots[w].cell_wall_ms();
-                    let death = slots[w].kill();
-                    if busy {
-                        run.note_failure(machine, w, attempt_from_death(death, wall))?;
-                    } else {
-                        machine.worker_died(w);
-                    }
-                }
-                WorkerRecv::Timeout => {
-                    let now = Instant::now();
-                    if matches!(slots[w].cell_deadline, Some(d) if now > d) {
-                        // The cell blew its wall-clock budget: SIGKILL.
-                        progressed = true;
-                        let wall = slots[w].cell_wall_ms();
-                        let timeout_ms = run.opts.cell_timeout.as_millis() as u64;
-                        slots[w].kill();
-                        run.note_failure(
-                            machine,
-                            w,
-                            Attempt {
-                                outcome: AttemptOutcome::TimedOut { timeout_ms },
-                                wall_ms: wall,
-                            },
-                        )?;
-                    } else if matches!(slots[w].ready_deadline, Some(d) if now > d) {
-                        // Never completed its handshake.
-                        progressed = true;
-                        slots[w].kill();
-                        machine.worker_died(w);
-                    }
-                }
-            }
-        }
-
-        if !progressed {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        None
     }
 }
 
-/// Handles one frame from worker `w`: the ready handshake or a completed
-/// cell. A malformed or unexpected frame kills the worker (and, when a
-/// cell was in flight, counts as a crash against it).
-fn on_frame(
-    run: &mut Run<'_>,
-    machine: &mut Supervisor,
-    slots: &mut [Slot],
-    w: usize,
-    bytes: &[u8],
-) -> Result<(), MpsError> {
-    use mps_core::supervise::proto::decode_frame;
+/// How [`Child::run`] left a cell.
+pub(crate) enum Step {
+    /// The measured cell, or its quarantine record.
+    Cell(CellResult),
+    /// The run is stopping; the cell was not charged.
+    Stopped,
+    /// The budget cannot cover a respawn: the slot retires with the
+    /// cell's failed attempts so far.
+    Retired(CrashReport),
+}
 
-    if slots[w].ready_deadline.is_some() {
-        match decode_frame::<WorkerHello>(bytes) {
-            Ok(hello) if hello.ready => {
-                if let Err(e) = hello.check_version() {
-                    // Version skew is a configuration error, not a flaky
-                    // worker: respawning the same binary can never fix
-                    // it, so fail the campaign with the typed error.
-                    slots[w].kill();
-                    return Err(MpsError::Supervise(e));
+/// A runner thread's own child worker: under `--isolation process`, what
+/// the thread calls instead of `run_cell_caught`. Dropping it kills and
+/// reaps the worker, so no child outlives its thread.
+pub(crate) struct Child<'a> {
+    pool: &'a Pool<'a>,
+    request: CellRequest,
+    proc: Option<WorkerProcess>,
+    /// Consecutive deaths of this slot's worker: the backoff exponent.
+    deaths: u32,
+}
+
+impl<'a> Child<'a> {
+    pub(crate) fn new(pool: &'a Pool<'a>, grid: &Grid<'_>) -> Self {
+        Child {
+            pool,
+            request: CellRequest {
+                dag: 0,
+                variant: SimVariant::Analytic,
+                algo: 0,
+                repeats: grid.repeats,
+                hazards: grid.hazards.clone(),
+            },
+            proc: None,
+            deaths: 0,
+        }
+    }
+
+    /// Runs one cell in this slot's worker, respawning the worker after
+    /// each death until the cell lands or is quarantined. `report` holds
+    /// the cell's failed attempts so far.
+    pub(crate) fn run(
+        &mut self,
+        g: &GeneratedDag,
+        spec: &CellSpec,
+        mut report: CrashReport,
+    ) -> Result<Step, MpsError> {
+        let req = &mut self.request;
+        (req.dag, req.variant, req.algo) = (spec.dag, spec.variant, spec.algo);
+        let blank = blank_cell(g, spec.variant, algo_of(spec.algo));
+        let key = blank.key(req.repeats);
+        let pool = self.pool;
+        loop {
+            if self.proc.is_none() {
+                if let Some(step) = self.up(&mut report)? {
+                    return Ok(step);
                 }
-                slots[w].ready_deadline = None;
-                machine.worker_up(w);
             }
-            _ => {
-                slots[w].kill();
-                machine.worker_died(w);
+            let proc = self.proc.as_mut().expect("the worker is up");
+            if pool.stopping() {
+                return Ok(Step::Stopped);
+            }
+            let started = Instant::now();
+            // A failed send is a broken pipe: the worker died under us.
+            let recv = match proc.send(&self.request) {
+                Ok(()) => pool.recv(proc, started + pool.opts.cell_timeout),
+                Err(_) => Some(WorkerRecv::Disconnected),
+            };
+            let outcome = match recv {
+                Some(WorkerRecv::Frame(bytes)) => match decode_frame::<CellResponse>(&bytes) {
+                    Ok(resp) if resp.key == key => {
+                        self.deaths = 0;
+                        return Ok(Step::Cell(resp.cell));
+                    }
+                    // A torn frame or another cell's answer.
+                    _ => None,
+                },
+                Some(WorkerRecv::Disconnected) => None,
+                Some(WorkerRecv::Timeout) => Some(AttemptOutcome::TimedOut {
+                    timeout_ms: pool.opts.cell_timeout.as_millis() as u64,
+                }),
+                None => {
+                    self.proc = None;
+                    return Ok(Step::Stopped);
+                }
+            };
+            let wall_ms = started.elapsed().as_millis() as u64;
+            let death = self.proc.take().expect("the worker is up").kill_and_reap();
+            self.deaths += 1;
+            let outcome = outcome.unwrap_or(AttemptOutcome::Crashed {
+                exit_code: death.exit_code,
+                signal: death.signal,
+                stderr_tail: death.stderr_tail,
+            });
+            report.attempts.push(Attempt { outcome, wall_ms });
+            if pool.lock().policy.quarantines(report.attempt_count()) {
+                let outcome = CellOutcome::from_report(report);
+                return Ok(Step::Cell(CellResult { outcome, ..blank }));
             }
         }
-        return Ok(());
     }
-    if !is_busy(machine, w) {
-        // A frame from an idle worker violates the protocol.
-        slots[w].kill();
-        machine.worker_died(w);
-        return Ok(());
-    }
-    match decode_frame::<CellResponse>(bytes) {
-        Ok(resp) => {
-            let cell_idx = machine.cell_succeeded(w);
-            slots[w].clear_cell();
-            debug_assert_eq!(
-                resp.key,
-                run.blank_of(cell_idx).key(run.request.repeats),
-                "worker answered a different cell than dispatched"
-            );
-            (run.sink)(resp.cell)
-        }
-        Err(_) => {
-            let wall = slots[w].cell_wall_ms();
-            let death = slots[w].kill();
-            run.note_failure(machine, w, attempt_from_death(death, wall))
+
+    /// Brings this slot's worker up: a respawn waits out its backoff, and
+    /// the worker must say hello within [`SPAWN_TIMEOUT`]. A worker that
+    /// dies before it is up charges no cell. `Some(step)` when the slot
+    /// stops or retires instead.
+    fn up(&mut self, report: &mut CrashReport) -> Result<Option<Step>, MpsError> {
+        let pool = self.pool;
+        loop {
+            let delay = match pool.lock().policy.spawn(self.deaths) {
+                Spawn::After(delay) => delay,
+                Spawn::Retire => return Ok(Some(Step::Retired(std::mem::take(report)))),
+                Spawn::Stop => return Ok(Some(Step::Stopped)),
+            };
+            if !pool.back_off(delay) {
+                return Ok(Some(Step::Stopped));
+            }
+            // A worker that is not kept is killed and reaped as it drops.
+            if let Ok(proc) = WorkerProcess::spawn(&pool.spec) {
+                match pool.recv(&proc, Instant::now() + SPAWN_TIMEOUT) {
+                    Some(WorkerRecv::Frame(bytes)) => match decode_frame::<WorkerHello>(&bytes) {
+                        Ok(hello) if hello.ready => {
+                            // Version skew is a configuration error, not a
+                            // flaky worker: respawning the same binary can
+                            // never fix it, so the run fails typed.
+                            hello.check_version()?;
+                            self.proc = Some(proc);
+                            return Ok(None);
+                        }
+                        _ => {}
+                    },
+                    None => return Ok(Some(Step::Stopped)),
+                    Some(_) => {}
+                }
+            }
+            self.deaths += 1;
         }
     }
 }

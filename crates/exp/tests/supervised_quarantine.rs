@@ -7,6 +7,10 @@
 //! orphans left holding the grid — and that hazards travel with the
 //! work: a worker runs a cell under the grid's or the daemon request's
 //! fault and disturbance plans exactly as the supervisor's process would.
+//! The process runner is the one cell loop: its journal takes cells in
+//! dispatch order, `--throttle-ms` paces it, a retired worker slot's cells
+//! are finished by the live one, and a worker that cannot come up
+//! exhausts the restart budget instead of crash-looping.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -15,9 +19,11 @@ use std::time::{Duration, Instant};
 
 use mps_core::journal::RunControl;
 use mps_core::serve::{Backend, ServeError, WorkRequest, WorkSummary};
-use mps_core::supervise::SupervisorConfig;
+use mps_core::supervise::{SuperviseError, SupervisorConfig};
+use mps_core::MpsError;
 use mps_exp::{
-    parse_poison_spec, CellOutcome, CellResult, Harness, ServeBackend, SuperviseOpts, WorkerCommand,
+    parse_poison_spec, CellOutcome, CellResult, GridStatus, Harness, ServeBackend, SuperviseOpts,
+    WorkerCommand,
 };
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
@@ -288,7 +294,9 @@ fn header_digest(path: &Path) -> String {
 
 /// A fault plan and a disturbance plan reach the worker processes: the
 /// process-isolated journaled grid writes the in-process journaled grid's
-/// records, byte for byte, under the same config digest.
+/// records, byte for byte and in the same order, under the same config
+/// digest. Cells reach the journal in dispatch order, whichever worker
+/// finishes first, so a second two-worker run writes the same bytes.
 #[test]
 fn hazards_reach_the_workers_and_records_match_the_inproc_run_bytewise() {
     let dir = scratch_dir("hazards");
@@ -298,21 +306,169 @@ fn hazards_reach_the_workers_and_records_match_the_inproc_run_bytewise() {
         let out = run_repro(&[&hazards[..], isolation, &["--journal", journal, "grid"]].concat());
         assert!(out.status.success(), "{isolation:?}: {out:?}");
     };
-    let (inproc, process) = (dir.join("inproc.jsonl"), dir.join("process.jsonl"));
+    let inproc = dir.join("inproc.jsonl");
+    let process = [dir.join("process-1.jsonl"), dir.join("process-2.jsonl")];
     run(&inproc, &[]);
-    run(&process, &["--isolation", "process", "--workers", "2"]);
+    for journal in &process {
+        run(journal, &["--isolation", "process", "--workers", "2"]);
+    }
 
-    let mut want = records_by_key(&inproc);
-    let mut got = records_by_key(&process);
+    let want = records_by_key(&inproc);
+    let got = records_by_key(&process[0]);
     assert_eq!(want.len(), 12);
     assert!(
         want.iter().any(|(_, line)| line.contains("Disturbed")),
         "the disturbance plan must fire"
     );
-    want.sort();
-    got.sort();
     assert_eq!(got, want, "worker cells differ from in-process cells");
-    assert_eq!(header_digest(&process), header_digest(&inproc));
+    assert_eq!(header_digest(&process[0]), header_digest(&inproc));
+    let bytes = |path: &Path| std::fs::read(path).expect("read journal");
+    assert!(
+        bytes(&process[0]) == bytes(&process[1]),
+        "two identical runs wrote different journals"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--throttle-ms` paces a process-isolated grid as it paces an
+/// in-process one: one pause after each of the DAG's six cells.
+#[test]
+fn the_throttle_paces_process_isolated_cells() {
+    const THROTTLE_MS: u64 = 500;
+    let dir = scratch_dir("throttle");
+    let journal = dir.join("grid.jsonl");
+    let start = Instant::now();
+    let args = format!(
+        "--seed 7 --repeats 1 --subset 1 --workers 1 --isolation process --throttle-ms {THROTTLE_MS}"
+    );
+    let out = Command::new(REPRO)
+        .args(args.split(' '))
+        .args(["--journal", journal.to_str().unwrap(), "grid"])
+        .output()
+        .expect("spawn repro");
+    let took = start.elapsed();
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        took >= Duration::from_millis(6 * THROTTLE_MS),
+        "six throttled cells took {took:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker slot whose respawn the restart budget cannot cover retires,
+/// and the live slot finishes its cells. The poisoned cell spends the one
+/// respawn and quarantines; its slot then retires after a 2 s backoff,
+/// by when the other slot has usually run out of work and waits for the
+/// handed-back cells instead of leaving.
+#[test]
+fn a_retired_slots_cells_are_finished_by_the_live_slot() {
+    let dir = scratch_dir("retire");
+    let worker = WorkerCommand {
+        program: REPRO.into(),
+        args: ["--cell-worker", "--seed", "7", "--worker-tag", "retire"]
+            .map(String::from)
+            .to_vec(),
+    };
+    let backoff = Duration::from_secs(2);
+    let opts = SuperviseOpts {
+        workers: 2,
+        cell_timeout: Duration::from_secs(120),
+        config: SupervisorConfig {
+            max_cell_attempts: 2,
+            restart_budget: 1,
+            backoff_base: backoff,
+            backoff_cap: backoff,
+        },
+    };
+    let poison = parse_poison_spec("s0/n2000/analytic/HCPA=panic").unwrap();
+    let harness = Harness::new(7).with_poison(poison);
+    let ctrl = RunControl::unlimited();
+    let grid = harness
+        .run_supervised(
+            Some(2),
+            &dir.join("grid.jsonl"),
+            1,
+            false,
+            &worker,
+            &opts,
+            &ctrl,
+        )
+        .expect("the live slot finishes the retired slot's cells");
+    assert_eq!(grid.status, GridStatus::Complete);
+    assert_eq!((grid.computed, grid.quarantined), (12, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// PIDs of this process's children whose command name is `comm`, zombies
+/// included (from /proc/\*/stat: `pid (comm) state ppid …`).
+#[cfg(unix)]
+fn children_named(comm: &str) -> Vec<u32> {
+    let me = std::process::id();
+    let mut pids = Vec::new();
+    for entry in std::fs::read_dir("/proc").into_iter().flatten().flatten() {
+        let Some(pid) = entry.file_name().to_str().and_then(|s| s.parse().ok()) else {
+            continue;
+        };
+        let Ok(stat) = std::fs::read_to_string(entry.path().join("stat")) else {
+            continue;
+        };
+        let Some((head, rest)) = stat.rsplit_once(") ") else {
+            continue;
+        };
+        let ppid = rest.split(' ').nth(1).and_then(|p| p.parse::<u32>().ok());
+        if head.split_once(" (").map(|(_, name)| name) == Some(comm) && ppid == Some(me) {
+            pids.push(pid);
+        }
+    }
+    pids
+}
+
+/// A worker that exits at once never says hello: every respawn is charged
+/// to the restart budget and no cell is, and once the budget is spent the
+/// run fails typed, promptly, with every child reaped.
+#[cfg(unix)]
+#[test]
+fn a_worker_that_exits_at_once_exhausts_the_restart_budget() {
+    let dir = scratch_dir("exhausted");
+    let worker = WorkerCommand {
+        program: "/bin/sh".into(),
+        args: vec!["-c".to_string(), "exit 3".to_string()],
+    };
+    let opts = SuperviseOpts {
+        workers: 1,
+        cell_timeout: Duration::from_secs(30),
+        config: SupervisorConfig {
+            restart_budget: 3,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(1),
+            ..SupervisorConfig::default()
+        },
+    };
+    let harness = Harness::new(7);
+    let ctrl = RunControl::unlimited();
+    let start = Instant::now();
+    let ran = harness.run_supervised(
+        Some(1),
+        &dir.join("grid.jsonl"),
+        1,
+        false,
+        &worker,
+        &opts,
+        &ctrl,
+    );
+    let took = start.elapsed();
+    assert!(
+        matches!(
+            ran,
+            Err(MpsError::Supervise(
+                SuperviseError::RestartBudgetExhausted { restarts: 3, .. }
+            ))
+        ),
+        "{ran:?}"
+    );
+    assert!(took < Duration::from_secs(30), "gave up after {took:?}");
+    let left = children_named("sh");
+    assert!(left.is_empty(), "children left behind: {left:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

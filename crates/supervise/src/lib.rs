@@ -8,12 +8,10 @@
 //! cell. This crate is the supervision layer that turns poison cells
 //! into typed, journaled records instead of lost runs:
 //!
-//! * **Supervisor state machine** ([`state`]) — pure, transport-free
-//!   decision core: which worker to (re)spawn (with exponential backoff
-//!   and a restart-intensity cap), which cell to dispatch where, when a
-//!   repeatedly failing cell is *quarantined*, and how draining forbids
-//!   new dispatches. Unit- and property-testable without spawning a
-//!   single process.
+//! * **Supervision policy** ([`policy`]) — the pure decisions a run's
+//!   worker slots share: respawn backoff under a restart budget,
+//!   quarantine of a repeatedly failing cell, retirement, and stop.
+//!   Property-testable without spawning a single process.
 //! * **Crash reports** ([`report`]) — the structured record a quarantined
 //!   cell leaves behind: per-attempt outcome (crash with exit status /
 //!   signal and a captured stderr tail, timeout, in-process panic) and
@@ -22,8 +20,8 @@
 //!   stdin/stdout, the transport between a supervisor and its child
 //!   worker processes.
 //! * **Worker processes** ([`pool`]) — spawn/feed/kill/reap one child
-//!   worker: frames are read on a dedicated thread so the supervisor can
-//!   poll with timeouts, stderr is captured into a bounded tail buffer
+//!   worker: frames are read on a dedicated thread so the parent can
+//!   wait with timeouts, stderr is captured into a bounded tail buffer
 //!   for crash reports, and every exit path reaps the child (no zombies,
 //!   no orphans).
 //!
@@ -32,17 +30,17 @@
 
 #![warn(missing_docs)]
 
+pub mod policy;
 pub mod pool;
 pub mod proto;
 pub mod report;
-pub mod state;
 
+pub use policy::{Policy, Spawn, SupervisorConfig};
 pub use pool::{WorkerDeath, WorkerProcess, WorkerRecv, WorkerSpec};
 pub use proto::{
     read_frame, read_frame_bytes, write_frame, WorkerHello, MAX_FRAME_BYTES, WORKER_PROTO_VERSION,
 };
 pub use report::{Attempt, AttemptOutcome, CrashReport, FailureKind};
-pub use state::{Action, CellFate, Disposition, Supervisor, SupervisorConfig};
 
 /// Everything that can go wrong in the supervision layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,22 +1,22 @@
-//! One supervised child worker process: spawn, feed frames, poll with
+//! One supervised child worker process: spawn, feed frames, wait with
 //! timeouts, kill, and always reap.
 //!
 //! The child's stdout is drained by a dedicated reader thread that pushes
-//! whole frames into a channel, so the supervisor can wait with a timeout
+//! whole frames into a channel, so the parent can wait with a timeout
 //! (`recv_timeout`) instead of blocking on a hung worker. Stderr is
 //! drained into a bounded tail buffer — on a crash, the last few KiB
 //! (panic message, abort diagnostics) go into the crash report. Every
 //! exit path waits on the child process: a [`WorkerProcess`] can be
-//! dropped, killed, or gracefully closed, but it never leaves a zombie
-//! behind, and [`WorkerProcess::kill_and_reap`] never returns before the
-//! child is gone.
+//! dropped or killed, but it never leaves a zombie behind, and
+//! [`WorkerProcess::kill_and_reap`] never returns before the child is
+//! gone.
 
 use std::io::Read;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::Serialize;
 
@@ -104,7 +104,6 @@ pub struct WorkerProcess {
     stderr_tail: Arc<Mutex<TailBuf>>,
     /// Disconnects when the stderr drain thread has read to EOF.
     stderr_drained: Receiver<()>,
-    pid: u32,
 }
 
 impl WorkerProcess {
@@ -117,7 +116,6 @@ impl WorkerProcess {
             .stderr(Stdio::piped())
             .spawn()
             .map_err(|e| SuperviseError::io("spawn", e))?;
-        let pid = child.id();
         let stdin = child.stdin.take().expect("stdin was piped");
         let mut stdout = child.stdout.take().expect("stdout was piped");
         let mut stderr = child.stderr.take().expect("stderr was piped");
@@ -159,13 +157,7 @@ impl WorkerProcess {
             frames,
             stderr_tail,
             stderr_drained,
-            pid,
         })
-    }
-
-    /// OS process id of the child.
-    pub fn pid(&self) -> u32 {
-        self.pid
     }
 
     /// Sends one frame to the worker's stdin. An error here almost always
@@ -182,13 +174,6 @@ impl WorkerProcess {
 
     /// Waits up to `timeout` for the worker's next frame.
     pub fn recv_timeout(&self, timeout: Duration) -> WorkerRecv {
-        if timeout.is_zero() {
-            return match self.frames.try_recv() {
-                Ok(f) => WorkerRecv::Frame(f),
-                Err(TryRecvError::Empty) => WorkerRecv::Timeout,
-                Err(TryRecvError::Disconnected) => WorkerRecv::Disconnected,
-            };
-        }
         match self.frames.recv_timeout(timeout) {
             Ok(f) => WorkerRecv::Frame(f),
             Err(RecvTimeoutError::Timeout) => WorkerRecv::Timeout,
@@ -196,38 +181,11 @@ impl WorkerProcess {
         }
     }
 
-    /// Closes the worker's stdin — the cooperative shutdown request (a
-    /// well-behaved worker exits 0 on EOF).
-    pub fn close_stdin(&mut self) {
-        self.stdin = None;
-    }
-
     /// SIGKILLs the worker (no-op if already dead), waits for it, and
     /// returns how it died. Never leaves a zombie.
     pub fn kill_and_reap(mut self) -> WorkerDeath {
         let _ = self.child.kill();
         self.reap()
-    }
-
-    /// Cooperative shutdown: close stdin, give the worker `grace` to exit
-    /// on its own, then SIGKILL. Returns how it died either way.
-    pub fn shutdown(mut self, grace: Duration) -> WorkerDeath {
-        self.close_stdin();
-        let deadline = Instant::now() + grace;
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(_)) => return self.reap(),
-                Ok(None) if Instant::now() >= deadline => {
-                    let _ = self.child.kill();
-                    return self.reap();
-                }
-                Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-                Err(_) => {
-                    let _ = self.child.kill();
-                    return self.reap();
-                }
-            }
-        }
     }
 
     fn reap(&mut self) -> WorkerDeath {
@@ -268,6 +226,7 @@ impl Drop for WorkerProcess {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn sh(script: &str) -> WorkerSpec {
         WorkerSpec::new(
@@ -294,10 +253,6 @@ mod tests {
             }
             other => panic!("expected a frame, got {other:?}"),
         }
-        // Cooperative shutdown: cat exits 0 on stdin EOF.
-        let death = w.shutdown(Duration::from_secs(10));
-        assert_eq!(death.exit_code, Some(0));
-        assert_eq!(death.signal, None);
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! Property tests for the supervisor decision core.
+//! Property tests for the supervision policy.
 //!
-//! The machine is pure (no processes, no clocks), so arbitrary event
-//! interleavings can be driven synthetically. The invariants under test
-//! are the ones the ISSUE's supervision contract promises:
+//! The policy is pure (no processes, no clocks), so arbitrary sequences
+//! of worker deaths and cell successes can be driven synthetically by a
+//! model of the runner threads that share it. The invariants under test:
 //!
-//! * the restart-intensity budget is never exceeded, whatever order
-//!   workers die in;
+//! * respawns never exceed the restart budget, whatever order workers die
+//!   in, and the run is exhausted only when no live slot is left to finish
+//!   the cells;
 //! * a cell is quarantined after *exactly* `max_cell_attempts` failures —
-//!   never fewer, never more — and is never dispatched again afterwards;
-//! * once draining, the machine never dispatches a cell or spawns a
-//!   worker again.
+//!   never fewer, never more — and never runs again afterwards;
+//! * after a stop, nothing is spawned or dispatched.
 
 use std::time::Duration;
 
-use mps_supervise::{Action, CellFate, Disposition, Supervisor, SupervisorConfig};
+use mps_supervise::{Policy, Spawn, SupervisorConfig};
 use proptest::prelude::*;
 
 fn cfg(attempts: u32, budget: u32) -> SupervisorConfig {
@@ -25,260 +25,275 @@ fn cfg(attempts: u32, budget: u32) -> SupervisorConfig {
     }
 }
 
-/// What the scripted driver does with the next decision that needs an
-/// answer (a spawn or a dispatched cell). Codes are consumed cyclically
-/// from the proptest-generated script.
+/// What the scripted world does with the next spawn or dispatch. Codes
+/// are consumed cyclically from the proptest-generated script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Reply {
     Succeed,
     Fail,
-    Abort,
     SpawnDies,
 }
 
 fn reply(code: u8) -> Reply {
-    match code % 4 {
+    match code % 3 {
         0 => Reply::Succeed,
         1 => Reply::Fail,
-        2 => Reply::Abort,
         _ => Reply::SpawnDies,
     }
 }
 
-/// Outcome of driving one machine to a terminal action with a script.
-#[derive(Debug)]
-struct Trace {
-    terminal: Action,
-    /// Failures charged per cell by the driver's own bookkeeping.
-    failures: Vec<u32>,
-    dispatches_after_drain: usize,
-    spawns_after_drain: usize,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    Succeeded,
+    Quarantined,
 }
 
-/// Drives `m` until Finished/Exhausted (or a step cap), answering every
-/// Spawn and Dispatch from the script. `drain_after` (when set) calls
-/// `drain()` after that many dispatches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum End {
+    /// Every slot left the run.
+    Finished,
+    /// A slot retired and none was left to finish its cells.
+    Exhausted,
+}
+
+/// One modelled runner thread and its worker slot.
+#[derive(Debug, Default, Clone)]
+struct Runner {
+    /// The cell it holds and that cell's strikes so far.
+    cell: Option<(usize, u32)>,
+    up: bool,
+    deaths: u32,
+    left: bool,
+}
+
+/// Outcome of driving one policy to the end of a run with a script.
+#[derive(Debug)]
+struct Trace {
+    policy: Policy,
+    end: End,
+    fates: Vec<Option<Fate>>,
+    /// Failures charged per cell by the model's own bookkeeping.
+    failures: Vec<u32>,
+    respawns: u32,
+    spawns_after_stop: usize,
+    dispatches_after_stop: usize,
+}
+
+/// Drives a policy over `slots` slots and `cells` cells, answering every spawn
+/// and dispatch from the script, round-robin over the slots, as the
+/// runner threads do: a slot takes handed-back cells first, leaves once
+/// nothing is left and no other slot holds a cell, retires when the
+/// policy says so, and leaves on a stop. `stop_after` stops the run after
+/// that many dispatches.
 fn drive(
-    m: &mut Supervisor,
+    cfg: SupervisorConfig,
+    slots: usize,
     cells: usize,
     script: &[u8],
-    drain_after: Option<usize>,
+    stop_after: Option<usize>,
 ) -> Result<Trace, TestCaseError> {
-    let mut failures = vec![0u32; cells];
+    let (budget, attempts, cap) = (cfg.restart_budget, cfg.max_cell_attempts, cfg.backoff_cap);
+    let mut p = Policy::new(cfg, slots);
+    let mut model = vec![Runner::default(); slots];
+    let mut fresh = 0..cells;
+    let mut handed_back: Vec<(usize, u32)> = Vec::new();
+    let mut t = Trace {
+        policy: p.clone(),
+        end: End::Finished,
+        fates: vec![None; cells],
+        failures: vec![0; cells],
+        respawns: 0,
+        spawns_after_stop: 0,
+        dispatches_after_stop: 0,
+    };
     let mut next_code = 0usize;
-    let take = |n: &mut usize| {
-        let c = reply(script[*n % script.len()]);
-        *n += 1;
-        c
+    let mut take = || {
+        let r = reply(script[next_code % script.len()]);
+        next_code += 1;
+        r
     };
     let mut dispatched = 0usize;
-    let mut dispatches_after_drain = 0usize;
-    let mut spawns_after_drain = 0usize;
-    let budget = m.config().restart_budget;
-    let attempts = m.config().max_cell_attempts;
-    // Aborts are free by design (not the cell's or worker's fault), so an
-    // adversarial script of endless aborts would cycle forever. Real
-    // drivers only abort during teardown — finitely — so the model gives
-    // the script a finite abort allowance and then maps aborts to
-    // failures.
-    let mut aborts_left = 32usize;
 
     for _ in 0..10_000 {
-        prop_assert!(
-            m.restarts_used() <= budget,
-            "restart budget exceeded: {} > {budget}",
-            m.restarts_used()
-        );
-        match m.next_action() {
-            Action::Spawn { worker, delay } => {
-                prop_assert!(
-                    delay <= m.config().backoff_cap,
-                    "backoff {delay:?} above cap"
-                );
-                if m.is_draining() {
-                    spawns_after_drain += 1;
-                }
-                // A spawn may itself fail (broken binary): the worker dies
-                // during its handshake without ever being up.
-                if take(&mut next_code) == Reply::SpawnDies {
-                    m.worker_died(worker);
-                } else {
-                    m.worker_up(worker);
-                }
+        prop_assert!(p.restarts_used() <= budget, "restart budget exceeded");
+        prop_assert_eq!(p.restarts_used(), t.respawns);
+        if model.iter().all(|s| s.left) {
+            t.policy = p;
+            return Ok(t);
+        }
+        for w in 0..slots {
+            if model[w].left {
+                continue;
             }
-            Action::Dispatch { worker, cell } => {
-                prop_assert!(cell < cells, "dispatch of unknown cell {cell}");
-                prop_assert!(
-                    m.fate(cell).is_none(),
-                    "cell {cell} dispatched after being resolved ({:?})",
-                    m.fate(cell)
-                );
-                if m.is_draining() {
-                    dispatches_after_drain += 1;
-                }
-                dispatched += 1;
-                let mut code = take(&mut next_code);
-                if matches!(code, Reply::Abort | Reply::SpawnDies) {
-                    if aborts_left == 0 {
-                        code = Reply::Fail;
-                    } else {
-                        aborts_left -= 1;
+            if p.stopped() {
+                prop_assert_eq!(p.spawn(model[w].deaths), Spawn::Stop);
+                model[w].left = true;
+                p.leave();
+                continue;
+            }
+            let Some((cell, strikes)) = model[w].cell else {
+                match handed_back.pop().or_else(|| fresh.next().map(|c| (c, 0))) {
+                    Some(work) => model[w].cell = Some(work),
+                    None if model.iter().all(|s| s.cell.is_none()) => {
+                        model[w].left = true;
+                        p.leave();
                     }
+                    // Another slot may still hand its cell back: wait.
+                    None => {}
                 }
-                match code {
-                    Reply::Succeed => {
-                        let done = m.cell_succeeded(worker);
-                        prop_assert_eq!(done, cell);
-                        prop_assert_eq!(m.fate(cell), Some(CellFate::Succeeded));
-                    }
-                    Reply::Fail => {
-                        failures[cell] += 1;
-                        let (done, disp) = m.cell_failed(worker);
-                        prop_assert_eq!(done, cell);
-                        match disp {
-                            Disposition::Quarantined => {
-                                prop_assert_eq!(
-                                    failures[cell],
-                                    attempts,
-                                    "quarantine after {} strikes, cap is {}",
-                                    failures[cell],
-                                    attempts
-                                );
-                                prop_assert_eq!(m.fate(cell), Some(CellFate::Quarantined));
-                            }
-                            Disposition::Retry { failures: n } => {
-                                prop_assert_eq!(n, failures[cell]);
-                                prop_assert!(
-                                    n < attempts,
-                                    "retry disposition at {n} strikes, cap is {attempts}"
-                                );
-                            }
+                continue;
+            };
+            if !model[w].up {
+                match p.spawn(model[w].deaths) {
+                    Spawn::After(delay) => {
+                        prop_assert!(delay <= cap, "backoff {delay:?} above cap");
+                        if model[w].deaths > 0 {
+                            prop_assert!(delay > Duration::ZERO, "a respawn backs off");
+                            t.respawns += 1;
+                        }
+                        if take() == Reply::SpawnDies {
+                            // Died during its handshake: charges no cell.
+                            model[w].deaths += 1;
+                        } else {
+                            model[w].up = true;
                         }
                     }
-                    // Abort and SpawnDies both model "the driver killed the
-                    // worker for reasons that are not the cell's fault".
-                    Reply::Abort | Reply::SpawnDies => {
-                        let done = m.cell_aborted(worker);
-                        prop_assert_eq!(done, cell);
-                        prop_assert_eq!(m.fate(cell), None);
+                    Spawn::Retire => {
+                        prop_assert_eq!(p.restarts_used(), budget, "retired with budget left");
+                        handed_back.push((cell, strikes));
+                        model[w].cell = None;
+                        model[w].left = true;
+                        if !p.retire() {
+                            prop_assert!(
+                                model.iter().all(|s| s.left),
+                                "exhausted while a live slot could finish the cells"
+                            );
+                            t.end = End::Exhausted;
+                            t.policy = p;
+                            return Ok(t);
+                        }
+                    }
+                    Spawn::Stop => prop_assert!(false, "Stop from a running policy"),
+                }
+                continue;
+            }
+            prop_assert!(!p.stopped(), "dispatch after a stop");
+            prop_assert!(t.fates[cell].is_none(), "cell {cell} ran after resolving");
+            dispatched += 1;
+            match take() {
+                Reply::Succeed => {
+                    t.fates[cell] = Some(Fate::Succeeded);
+                    model[w].cell = None;
+                    model[w].deaths = 0;
+                }
+                Reply::Fail | Reply::SpawnDies => {
+                    t.failures[cell] += 1;
+                    let strikes = strikes + 1;
+                    prop_assert_eq!(strikes, t.failures[cell]);
+                    model[w].up = false;
+                    model[w].deaths += 1;
+                    if p.quarantines(strikes as usize) {
+                        prop_assert_eq!(strikes, attempts, "quarantined off the cap");
+                        t.fates[cell] = Some(Fate::Quarantined);
+                        model[w].cell = None;
+                    } else {
+                        prop_assert!(strikes < attempts, "retried at the cap");
+                        model[w].cell = Some((cell, strikes));
                     }
                 }
-                if drain_after == Some(dispatched) {
-                    m.drain();
+            }
+            if stop_after == Some(dispatched) {
+                p.stop();
+                // Whatever is asked of a stopped policy is refused.
+                for s in &model {
+                    if p.spawn(s.deaths) != Spawn::Stop {
+                        t.spawns_after_stop += 1;
+                    }
+                    if !p.stopped() {
+                        t.dispatches_after_stop += 1;
+                    }
                 }
-            }
-            Action::Wait => {
-                // The scripted driver answers every decision synchronously,
-                // so nothing is ever left in flight when Wait is returned;
-                // a Wait here would spin forever.
-                prop_assert!(
-                    m.busy_workers().is_empty(),
-                    "Wait returned with busy workers in a synchronous driver"
-                );
-                prop_assert!(m.is_draining() || m.unresolved() == 0);
-                return Ok(Trace {
-                    terminal: Action::Wait,
-                    failures,
-                    dispatches_after_drain,
-                    spawns_after_drain,
-                });
-            }
-            terminal => {
-                return Ok(Trace {
-                    terminal,
-                    failures,
-                    dispatches_after_drain,
-                    spawns_after_drain,
-                })
             }
         }
     }
-    Err(TestCaseError::fail("driver did not terminate in 10k steps"))
+    Err(TestCaseError::fail("the run did not end in 10k rounds"))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Arbitrary interleavings of successes, failures, aborts, and
-    /// spawn-time deaths: the restart budget holds, quarantine fires at
-    /// exactly the attempt cap, resolved cells are never re-dispatched,
-    /// and the machine always reaches a coherent terminal state.
+    /// Arbitrary sequences of successes, failures and handshake deaths:
+    /// the restart budget holds, quarantine fires at exactly the attempt
+    /// cap, resolved cells never run again, and the run ends coherently —
+    /// every cell resolved, or the budget spent with cells left and no
+    /// slot to run them.
     #[test]
     fn supervision_invariants_hold_over_arbitrary_interleavings(
-        workers in 1usize..4,
+        slots in 1usize..4,
         cells in 0usize..8,
         attempts in 1u32..4,
         budget in 0u32..6,
-        script in prop::collection::vec(0u8..4, 1..48),
+        script in prop::collection::vec(0u8..3, 1..48),
     ) {
-        let mut m = Supervisor::new(cfg(attempts, budget), workers, cells);
-        let trace = drive(&mut m, cells, &script, None)?;
-        prop_assert!(m.restarts_used() <= budget);
-        match trace.terminal {
-            Action::Finished => {
-                prop_assert_eq!(m.unresolved(), 0);
+        let t = drive(cfg(attempts, budget), slots, cells, &script, None)?;
+        let p = &t.policy;
+        prop_assert!(p.restarts_used() <= budget);
+        match t.end {
+            End::Finished => {
                 for c in 0..cells {
-                    prop_assert!(m.fate(c).is_some(), "cell {c} unresolved at Finished");
-                    if m.fate(c) == Some(CellFate::Quarantined) {
-                        prop_assert_eq!(trace.failures[c], attempts);
+                    prop_assert!(t.fates[c].is_some(), "cell {c} unresolved at the end");
+                    if t.fates[c] == Some(Fate::Quarantined) {
+                        prop_assert_eq!(t.failures[c], attempts);
                     }
                 }
             }
-            Action::Exhausted => {
-                prop_assert_eq!(m.restarts_used(), budget, "exhaustion spends the budget");
-                prop_assert!(m.unresolved() > 0, "exhaustion leaves work undone");
+            End::Exhausted => {
+                prop_assert_eq!(p.restarts_used(), budget, "exhaustion spends the budget");
+                prop_assert!(t.fates.iter().any(Option::is_none), "exhaustion leaves work undone");
+                prop_assert_eq!(p.live(), 0);
             }
-            other => prop_assert!(false, "unexpected terminal {other:?}"),
         }
     }
 
-    /// A machine that only ever sees failures quarantines every cell it
-    /// manages to run — each after exactly the attempt cap — unless the
-    /// restart budget dies first.
+    /// A world where every cell fails quarantines every cell it manages
+    /// to run — each after exactly the attempt cap — unless the restart
+    /// budget runs out first.
     #[test]
     fn always_failing_cells_all_quarantine_at_the_cap(
-        workers in 1usize..4,
+        slots in 1usize..4,
         cells in 1usize..6,
         attempts in 1u32..4,
         budget in 0u32..12,
     ) {
-        let mut m = Supervisor::new(cfg(attempts, budget), workers, cells);
-        // Script code 1 = Fail for every dispatch, every spawn comes up.
-        let trace = drive(&mut m, cells, &[1], None)?;
+        // Script code 1 = Fail for every dispatch; every spawn comes up.
+        let t = drive(cfg(attempts, budget), slots, cells, &[1], None)?;
         for c in 0..cells {
-            match m.fate(c) {
-                Some(CellFate::Quarantined) => prop_assert_eq!(trace.failures[c], attempts),
-                Some(CellFate::Succeeded) => prop_assert!(false, "nothing can succeed here"),
-                None => prop_assert_eq!(
-                    trace.terminal,
-                    Action::Exhausted,
-                    "unresolved cell {} without exhaustion",
-                    c
-                ),
+            match t.fates[c] {
+                Some(Fate::Quarantined) => prop_assert_eq!(t.failures[c], attempts),
+                Some(Fate::Succeeded) => prop_assert!(false, "nothing can succeed here"),
+                None => prop_assert_eq!(t.end, End::Exhausted, "cell {} unresolved", c),
             }
         }
-        prop_assert!(m.quarantined() <= cells);
     }
 
-    /// Draining at an arbitrary point: not a single dispatch or spawn is
-    /// issued afterwards, and the machine still terminates.
+    /// A stop at an arbitrary point: not a single spawn or dispatch is
+    /// allowed afterwards, and every slot leaves the run.
     #[test]
     fn draining_never_dispatches_or_spawns_again(
-        workers in 1usize..4,
+        slots in 1usize..4,
         cells in 1usize..8,
         attempts in 1u32..4,
         budget in 0u32..6,
-        script in prop::collection::vec(0u8..4, 1..48),
-        drain_after in 0usize..10,
+        script in prop::collection::vec(0u8..3, 1..48),
+        stop_after in 0usize..10,
     ) {
-        let mut m = Supervisor::new(cfg(attempts, budget), workers, cells);
-        let trace = drive(&mut m, cells, &script, Some(drain_after))?;
-        prop_assert_eq!(trace.dispatches_after_drain, 0);
-        prop_assert_eq!(trace.spawns_after_drain, 0);
-        if m.is_draining() {
-            // Post-drain terminal is always Finished (possibly with
-            // unresolved cells): exhaustion is a pre-drain concept.
-            prop_assert_eq!(trace.terminal, Action::Finished);
+        let t = drive(cfg(attempts, budget), slots, cells, &script, Some(stop_after))?;
+        let p = &t.policy;
+        prop_assert_eq!(t.spawns_after_stop, 0);
+        prop_assert_eq!(t.dispatches_after_stop, 0);
+        if p.stopped() {
+            prop_assert_eq!(t.end, End::Finished, "a stopped run is never exhausted");
+            prop_assert_eq!(p.live(), 0);
         }
     }
 }
