@@ -35,7 +35,10 @@
 //!   solver entirely;
 //! * the sharing problem is solved in a reusable [`SolverWorkspace`],
 //!   which returns after the first bottleneck round when that round
-//!   freezes every staged activity;
+//!   freezes every staged activity. Two kinds of closure skip it with the
+//!   same bits: a lone activity takes its cached solo rate, and activities
+//!   that all share one bottleneck take its capacity over their summed
+//!   weights (see [`Engine::shared_bottleneck_solves`]);
 //! * upcoming completions sit in **min-heaps of predicted event times**,
 //!   invalidated lazily: every rate change bumps a per-slot stamp, and
 //!   entries whose stamp no longer matches are discarded when they surface.
@@ -156,6 +159,67 @@ struct Slot {
     /// ascending by resource (then the staged solver runs instead).
     solo_rate: f64,
     state: ActState,
+}
+
+// A slab entry stays at 64 bytes; per-slot data that only some workloads
+// read goes beside the slab, like `Summary`.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Option<Slot>>() == 64);
+
+/// A slot's summary for the shared-bottleneck shortcut in
+/// [`Engine::refresh`]: `res` is its solo bottleneck (picked like
+/// `Slot::solo_rate`'s), `w` its weight there, and `m` its largest
+/// weight/capacity ratio over its other resources (infinite when the
+/// shortcut must decline for this activity). [`Engine::summarize`]
+/// computes it the first time the slot joins a closure of two or more
+/// activities. It is valid while `inc` is the slot's incarnation and `w`
+/// is not NaN: [`Engine::set_capacity`] sets `w` to NaN wherever it
+/// resets `solo_rate`. Summaries sit beside the slab, so a [`Slot`] stays
+/// at 64 bytes and a slot that never shares pays nothing.
+#[derive(Debug, Clone, Copy)]
+struct Summary {
+    inc: u32,
+    res: u32,
+    w: f64,
+    m: f64,
+}
+
+impl Summary {
+    const STALE: Summary = Summary {
+        inc: 0,
+        res: 0,
+        w: f64::NAN,
+        m: f64::INFINITY,
+    };
+}
+
+/// Relative margin by which the shared bottleneck must beat every other
+/// resource of a closure before [`Engine::refresh`] trusts the summed rate
+/// without a staged solve: far above the rounding error of the sums and
+/// products involved (about `n·2⁻⁵³` for `n` activities), far below any
+/// gap that matters on a real platform.
+const SHARED_MARGIN: f64 = 1e-9;
+
+/// Weights and capacities the shared-bottleneck shortcut accepts. Products
+/// of two such values, and of sums of them, stay in the normal `f64`
+/// range, so the solver's cross-multiplied comparisons keep their relative
+/// precision; a value outside it makes the shortcut decline.
+fn in_scale(x: f64) -> bool {
+    (1e-150..=1e150).contains(&x)
+}
+
+/// The solver's bottleneck comparison (`SolverWorkspace::scan_bottleneck`),
+/// replayed: is the ratio `rem / tw` strictly below `bn_rem / bn_tw`?
+/// Cross-multiplied, with the divided form when a product overflows.
+#[inline]
+fn ratio_below(rem: f64, tw: f64, bn_rem: f64, bn_tw: f64) -> bool {
+    let lhs = rem * bn_tw;
+    let rhs = bn_rem * tw;
+    if lhs.is_finite() && rhs.is_finite() {
+        lhs < rhs
+    } else {
+        rem / tw < bn_rem / bn_tw
+    }
 }
 
 /// Predicted work-phase completion. Valid only while the slot's rate stamp
@@ -425,6 +489,7 @@ pub struct Engine {
     n_live: usize,
     slot_inc: Vec<u32>,
     slot_stamp: Vec<u32>,
+    summaries: Vec<Summary>,
     next_activity: u64,
     next_timer: u64,
     // Positive `(resource, weight)` entries of every live activity; slot
@@ -456,6 +521,7 @@ pub struct Engine {
     refreshes: u64,
     resources_visited: u64,
     single_round_solves: u64,
+    shared_bottleneck_solves: u64,
     // Reused scratch.
     closure_slots: Vec<u32>,
     act_mark: Vec<u64>,
@@ -511,6 +577,13 @@ impl Engine {
     /// round, without building the solver's reverse index.
     pub fn single_round_solves(&self) -> u64 {
         self.single_round_solves
+    }
+
+    /// Number of multi-activity closures whose members all share one
+    /// bottleneck resource, and which therefore took the summed rate
+    /// instead of a staged solve.
+    pub fn shared_bottleneck_solves(&self) -> u64 {
+        self.shared_bottleneck_solves
     }
 
     /// Current simulated time in seconds.
@@ -580,14 +653,15 @@ impl Engine {
         }
         self.capacities[r.0] = capacity;
         self.mark_dirty(r.0);
-        // Invalidate cached solo rates: `Slot::solo_rate` was derived from
-        // the capacities at attach time, and the singleton fast path in
-        // `refresh` would otherwise replay the stale value.
+        // Invalidate cached solo rates and shared-bottleneck summaries:
+        // both were derived from the old capacities, and the fast paths in
+        // `refresh` would otherwise replay stale values.
         for k in 0..self.res_acts[r.0].len() {
             let (s, ic) = self.res_acts[r.0][k];
             if self.slot_inc[s as usize] == ic {
                 if let Some(slot) = self.slots[s as usize].as_mut() {
                     slot.solo_rate = f64::NAN;
+                    self.summaries[s as usize].w = f64::NAN;
                 }
             }
         }
@@ -656,6 +730,7 @@ impl Engine {
         self.n_live = 0;
         self.slot_inc.clear();
         self.slot_stamp.clear();
+        self.summaries.clear();
         self.next_activity = 0;
         self.next_timer = 0;
         self.arena.clear();
@@ -685,6 +760,7 @@ impl Engine {
         self.refreshes = 0;
         self.resources_visited = 0;
         self.single_round_solves = 0;
+        self.shared_bottleneck_solves = 0;
     }
 
     /// Number of live (unfinished) activities.
@@ -770,6 +846,7 @@ impl Engine {
                 self.slots.push(None);
                 self.slot_inc.push(0);
                 self.slot_stamp.push(0);
+                self.summaries.push(Summary::STALE);
                 self.act_mark.push(0);
                 (self.slots.len() - 1) as u32
             }
@@ -1039,18 +1116,7 @@ impl Engine {
             }
             prev_r = i64::from(r);
             let crem = self.capacities[ru].max(0.0);
-            let smaller = if bn_tw == 0.0 {
-                true
-            } else {
-                let lhs = crem * bn_tw;
-                let rhs = bn_rem * w;
-                if lhs.is_finite() && rhs.is_finite() {
-                    lhs < rhs
-                } else {
-                    crem / w < bn_rem / bn_tw
-                }
-            };
-            if smaller {
+            if bn_tw == 0.0 || ratio_below(crem, w, bn_rem, bn_tw) {
                 bn_rem = crem;
                 bn_tw = w;
             }
@@ -1127,8 +1193,11 @@ impl Engine {
 
     /// Incremental re-solve: collect the resource-connectivity closure of
     /// the newly working activities and the dirty resources, re-solve just
-    /// those activities in the shared workspace, and re-predict finish
-    /// times for the ones whose rate actually changed.
+    /// those activities, and re-predict finish times for the ones whose
+    /// rate actually changed. A closure of one activity takes its cached
+    /// solo rate and one whose members share a bottleneck takes the summed
+    /// rate (`shared_rate`); any other closure is staged into the shared
+    /// workspace and solved there.
     ///
     /// Exact because max-min fair allocations decompose over resource
     /// connectivity components: rates outside the closure cannot change.
@@ -1184,11 +1253,12 @@ impl Engine {
         }
 
         if !closure.is_empty() {
-            // Singleton closure whose activity has a precomputed solo rate:
-            // the re-solve's outcome is already known (capacity mutations
-            // reset the cache and the activity shares no resource), so
-            // skip staging and solving entirely.
-            let solo = if closure.len() == 1 {
+            // The rate every member gets, when it is known without a
+            // staged solve: a singleton's cached solo rate (capacity
+            // mutations reset the cache, and the activity shares no
+            // resource), or the summed rate of a closure whose members all
+            // share one bottleneck (`shared_rate`). NaN: solve staged.
+            let mut known = if closure.len() == 1 {
                 self.slots[closure[0] as usize]
                     .as_ref()
                     .expect("slot")
@@ -1196,24 +1266,23 @@ impl Engine {
             } else {
                 f64::NAN
             };
-            let use_solo = !solo.is_nan();
-            if !use_solo {
-                // Stage in ascending activity-id order so FP-sensitive solver
+            if known.is_nan() {
+                // Ascending activity-id order, so FP-sensitive solver
                 // internals (accumulation and tie-breaking order) match a
                 // from-scratch solve over the same component.
                 closure
                     .sort_unstable_by_key(|&s| self.slots[s as usize].as_ref().expect("slot").id);
-                self.ws.clear_stage();
-                for &s in &closure {
-                    let a = self.slots[s as usize].as_ref().expect("slot");
-                    let off = a.w_off as usize;
-                    for &(r, w) in &self.arena[off..off + a.w_len as usize] {
-                        self.ws.push_weight(r as usize, w);
-                    }
-                    self.ws.push_activity(a.rate_bound);
+                if closure.len() >= 2 {
+                    known = self.shared_rate(&closure);
                 }
-                if self.ws.solve_staged(&self.capacities) {
-                    self.single_round_solves += 1;
+                if known.is_nan() {
+                    if self.solve_closure(&closure) {
+                        self.single_round_solves += 1;
+                    }
+                } else {
+                    self.shared_bottleneck_solves += 1;
+                    #[cfg(debug_assertions)]
+                    self.assert_staged_agrees(&closure, known);
                 }
             }
             self.solves += 1;
@@ -1221,7 +1290,11 @@ impl Engine {
             let now = self.now;
             for (j, &s) in closure.iter().enumerate() {
                 let su = s as usize;
-                let new_rate = if use_solo { solo } else { self.ws.rates()[j] };
+                let new_rate = if known.is_nan() {
+                    self.ws.rates()[j]
+                } else {
+                    known
+                };
                 let a = self.slots[su].as_mut().expect("slot");
                 if let ActState::Working {
                     ref mut rem,
@@ -1267,6 +1340,128 @@ impl Engine {
         }
 
         self.closure_slots = closure;
+    }
+
+    /// Stages `closure` (sorted by id) in the workspace and solves it;
+    /// returns whether the solve ended after its first round.
+    fn solve_closure(&mut self, closure: &[u32]) -> bool {
+        self.ws.clear_stage();
+        for &s in closure {
+            let a = self.slots[s as usize].as_ref().expect("slot");
+            let off = a.w_off as usize;
+            for &(r, w) in &self.arena[off..off + a.w_len as usize] {
+                self.ws.push_weight(r as usize, w);
+            }
+            self.ws.push_activity(a.rate_bound);
+        }
+        self.ws.solve_staged(&self.capacities)
+    }
+
+    /// Debug builds re-solve every shortcut closure staged and require
+    /// the same bits for every member.
+    #[cfg(debug_assertions)]
+    fn assert_staged_agrees(&mut self, closure: &[u32], rate: f64) {
+        self.solve_closure(closure);
+        for (j, &staged) in self.ws.rates().iter().enumerate() {
+            assert_eq!(
+                staged.to_bits(),
+                rate.to_bits(),
+                "closure member {j}: staged {staged} vs shared-bottleneck {rate}"
+            );
+        }
+    }
+
+    /// The rate every member of `closure` (sorted by id, two or more
+    /// activities) gets when they all share one bottleneck resource `R`,
+    /// or NaN when the staged solve must run.
+    ///
+    /// The shortcut takes `cap_R / Σ w_a` when every member's summary
+    /// names the same `R`, no member's bound undercuts that rate, and
+    /// `Σ m_a`, widened by [`SHARED_MARGIN`], stays below `Σ w_a / cap_R`.
+    /// Any other resource `r` of the closure then carries a load of at
+    /// most `cap_r · Σ m_a`, so its ratio `cap_r / load_r` exceeds
+    /// `cap_R / Σ w_a` by more than the margin, and the solver's
+    /// cross-multiplied scan (products of in-scale values, each off by at
+    /// most half an ulp) picks `R` over it whichever comes first. `R`
+    /// carries every member and no bound undercuts it, so the staged solve
+    /// would stop after that first round at `cap_R / Σ w_a`, with `Σ w_a`
+    /// summed from zero in id order: the same operands in the same order,
+    /// so the same bits.
+    fn shared_rate(&mut self, closure: &[u32]) -> f64 {
+        let mut res = u32::MAX;
+        let mut w_sum = 0.0_f64;
+        let mut m_sum = 0.0_f64;
+        let mut bound = f64::INFINITY;
+        for &s in closure {
+            let su = s as usize;
+            let sum = self.summaries[su];
+            if sum.inc != self.slot_inc[su] || sum.w.is_nan() {
+                self.summarize(su);
+            }
+            let sum = self.summaries[su];
+            if res != u32::MAX && sum.res != res {
+                return f64::NAN;
+            }
+            res = sum.res;
+            w_sum += sum.w;
+            m_sum += sum.m;
+            bound = bound.min(self.slots[su].as_ref().expect("slot").rate_bound);
+        }
+        // `summarize` left `m` infinite unless `cap_R` and every `w_a` are
+        // in scale, so a passing check implies `cap_R > 0` and a finite,
+        // positive rate.
+        let cap = self.capacities[res as usize];
+        let rate = cap / w_sum;
+        if m_sum * (1.0 + SHARED_MARGIN) < w_sum / cap && rate <= bound {
+            rate
+        } else {
+            f64::NAN
+        }
+    }
+
+    /// Fills slot `s`'s shared-bottleneck summary (see [`Summary`]).
+    /// The bottleneck is picked exactly as [`Engine::attach_working`] picks
+    /// the solo one: cross-multiplied comparison, lowest index on ties.
+    /// `m` is infinite, and the shortcut declines, when the weights are
+    /// not strictly ascending by resource, when a capacity is zero (a
+    /// retired resource included) or when any value is out of scale.
+    fn summarize(&mut self, s: usize) {
+        let a = self.slots[s].as_ref().expect("live slot");
+        let weights = &self.arena[a.w_off as usize..(a.w_off + a.w_len) as usize];
+        let mut bn = 0;
+        let (mut bn_rem, mut bn_tw) = (0.0_f64, 0.0_f64);
+        let mut sorted_strict = true;
+        for (k, &(r, w)) in weights.iter().enumerate() {
+            if k > 0 && r <= weights[k - 1].0 {
+                sorted_strict = false;
+            }
+            let crem = self.capacities[r as usize].max(0.0);
+            if bn_tw == 0.0 || ratio_below(crem, w, bn_rem, bn_tw) {
+                (bn, bn_rem, bn_tw) = (k, crem, w);
+            }
+        }
+        let (res, w) = weights[bn];
+        let mut m = if sorted_strict && in_scale(w) && in_scale(bn_rem) {
+            0.0_f64
+        } else {
+            f64::INFINITY
+        };
+        for (k, &(r, wk)) in weights.iter().enumerate() {
+            let cap = self.capacities[r as usize];
+            if k != bn {
+                m = m.max(if in_scale(wk) && (in_scale(cap) || cap == f64::INFINITY) {
+                    wk / cap
+                } else {
+                    f64::INFINITY
+                });
+            }
+        }
+        self.summaries[s] = Summary {
+            inc: self.slot_inc[s],
+            res,
+            w,
+            m,
+        };
     }
 
     /// Earliest pending event time across all three heaps, discarding stale

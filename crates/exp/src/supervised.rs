@@ -340,6 +340,7 @@ pub(crate) struct Child<'a> {
     request: CellRequest,
     proc: Option<WorkerProcess>,
     /// Consecutive deaths of this slot's worker: the backoff exponent.
+    /// A quarantine restarts it at 1.
     deaths: u32,
 }
 
@@ -417,6 +418,9 @@ impl<'a> Child<'a> {
             });
             report.attempts.push(Attempt { outcome, wall_ms });
             if pool.lock().policy.quarantines(report.attempt_count()) {
+                // The poison cell's deaths are its own: the next cell's
+                // respawn is still charged, but backs off from the base.
+                self.deaths = 1;
                 let outcome = CellOutcome::from_report(report);
                 return Ok(Step::Cell(CellResult { outcome, ..blank }));
             }

@@ -9,8 +9,9 @@
 //! fault and disturbance plans exactly as the supervisor's process would.
 //! The process runner is the one cell loop: its journal takes cells in
 //! dispatch order, `--throttle-ms` paces it, a retired worker slot's cells
-//! are finished by the live one, and a worker that cannot come up
-//! exhausts the restart budget instead of crash-looping.
+//! are finished by the live one, a quarantine does not lengthen the next
+//! cell's respawn backoff, and a worker that cannot come up exhausts the
+//! restart budget instead of crash-looping.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -396,6 +397,56 @@ fn a_retired_slots_cells_are_finished_by_the_live_slot() {
         .expect("the live slot finishes the retired slot's cells");
     assert_eq!(grid.status, GridStatus::Complete);
     assert_eq!((grid.computed, grid.quarantined), (12, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A quarantined cell's deaths are its own: the slot's next respawn is
+/// still charged to the restart budget, but it backs off from the base
+/// again. One worker runs the first DAG, whose two analytic cells panic,
+/// so its four respawns wait 1 + 1 + 2 + 1 = 5 s at a 1 s base; a death
+/// count carried across cells would wait 1 + 2 + 4 + 8 = 15 s.
+#[test]
+fn a_quarantined_cells_deaths_do_not_lengthen_the_next_backoff() {
+    let dir = scratch_dir("backoff");
+    let worker = WorkerCommand {
+        program: REPRO.into(),
+        args: ["--cell-worker", "--seed", "7", "--worker-tag", "backoff"]
+            .map(String::from)
+            .to_vec(),
+    };
+    let opts = SuperviseOpts {
+        workers: 1,
+        cell_timeout: Duration::from_secs(120),
+        config: SupervisorConfig {
+            max_cell_attempts: 2,
+            restart_budget: 16,
+            backoff_base: Duration::from_secs(1),
+            backoff_cap: Duration::from_secs(60),
+        },
+    };
+    let poison =
+        parse_poison_spec("s0/n2000/analytic/HCPA=panic,s0/n2000/analytic/MCPA=panic").unwrap();
+    let harness = Harness::new(7).with_poison(poison);
+    let ctrl = RunControl::unlimited();
+    let start = Instant::now();
+    let grid = harness
+        .run_supervised(
+            Some(1),
+            &dir.join("grid.jsonl"),
+            1,
+            false,
+            &worker,
+            &opts,
+            &ctrl,
+        )
+        .expect("both poison cells quarantine");
+    let took = start.elapsed();
+    assert_eq!(grid.status, GridStatus::Complete);
+    assert_eq!((grid.computed, grid.quarantined), (6, 2));
+    assert!(
+        (Duration::from_secs(5)..Duration::from_secs(11)).contains(&took),
+        "four respawns took {took:?}: 5 s of backoff expected"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -51,7 +51,8 @@ pub enum Spawn {
 ///
 /// * Initial spawns are free; each respawn is charged to one restart
 ///   budget per run, after a backoff of `base·2^(n−1)`, capped, where `n`
-///   counts that slot's consecutive deaths.
+///   counts that slot's consecutive deaths (a quarantine restarts it at
+///   1, so a poison cell's deaths do not lengthen the next cell's wait).
 /// * A cell is quarantined at exactly `max_cell_attempts` strikes.
 /// * A slot whose respawn the budget cannot cover retires, and the live
 ///   slots finish its cells: the budget is exhausted only when none is
