@@ -16,7 +16,6 @@
 //! | [`sim`] | the three simulator versions + schedule executor |
 //! | [`faults`] | seeded fault-injection plans and the fault model hook |
 //! | [`journal`] | write-ahead result journal for crash-safe, resumable campaigns |
-//! | [`supervise`] | worker supervision: process isolation, timeouts, quarantine |
 //! | [`serve`] | scheduling-as-a-service daemon: wire protocol, admission control, drain |
 //! | [`online`] | streaming arrival-process workloads: admission, moldable allocation, million-event horizons |
 //! | [`testbed`] | the emulated execution environment (ground truth) |
@@ -55,7 +54,6 @@ pub use mps_sched as sched;
 pub use mps_serve as serve;
 pub use mps_sim as sim;
 pub use mps_stats as stats;
-pub use mps_supervise as supervise;
 pub use mps_testbed as testbed;
 
 /// One error type covering every layer of the stack, for applications
@@ -74,8 +72,6 @@ pub enum MpsError {
     FaultPlan(mps_faults::PlanParseError),
     /// Campaign journal failure (I/O, corruption, header mismatch).
     Journal(mps_journal::JournalError),
-    /// Worker supervision failure (spawn, wire protocol, restart budget).
-    Supervise(mps_supervise::SuperviseError),
 }
 
 impl std::fmt::Display for MpsError {
@@ -87,7 +83,6 @@ impl std::fmt::Display for MpsError {
             MpsError::Exec(e) => write!(f, "exec: {e}"),
             MpsError::FaultPlan(e) => write!(f, "fault plan: {e}"),
             MpsError::Journal(e) => write!(f, "journal: {e}"),
-            MpsError::Supervise(e) => write!(f, "supervise: {e}"),
         }
     }
 }
@@ -130,12 +125,6 @@ impl From<mps_journal::JournalError> for MpsError {
     }
 }
 
-impl From<mps_supervise::SuperviseError> for MpsError {
-    fn from(e: mps_supervise::SuperviseError) -> Self {
-        MpsError::Supervise(e)
-    }
-}
-
 /// The most commonly used items, flattened.
 pub mod prelude {
     pub use mps_dag::gen::{paper_corpus, DagGenParams, GeneratedDag, PAPER_CORPUS_SEED};
@@ -155,7 +144,6 @@ pub mod prelude {
         ExecError, ExecPolicy, ExecutionResult, FaultyExecution, SimOutcome, Simulator,
     };
     pub use mps_stats::{boxplot, count_agreement, relative_makespan, summary};
-    pub use mps_supervise::{CrashReport, SupervisorConfig};
     pub use mps_testbed::{
         build_profile_model, fit_empirical_model, CrayPdgemmEnv, GroundTruth, ProfilingConfig,
         Testbed,
@@ -203,12 +191,6 @@ mod facade_tests {
         let parse_err = FaultPlan::parse("bogus-clause", 4, 100.0).unwrap_err();
         let e: crate::MpsError = parse_err.into();
         assert!(e.to_string().contains("fault plan"));
-        let e: crate::MpsError = mps_supervise::SuperviseError::RestartBudgetExhausted {
-            restarts: 4,
-            unresolved: 2,
-        }
-        .into();
-        assert!(e.to_string().contains("supervise"));
         // Round-trip through the std error trait.
         let boxed: Box<dyn std::error::Error> = Box::new(e);
         assert!(!boxed.to_string().is_empty());

@@ -1,5 +1,5 @@
-//! The one cell driver behind every grid: in-memory, journaled, daemon
-//! and supervised grids are the same source → runner → sink loop.
+//! The one cell driver behind every grid: in-memory, journaled and daemon
+//! grids are the same source → runner → sink loop.
 //!
 //! * **Source.** The corpus slice minus the cells whose keys the journal
 //!   already holds, in dispatch order (corpus order × [`SimVariant::ALL`]
@@ -8,10 +8,9 @@
 //! * **Runner.** Threads pulling runs from the cursor; with one worker
 //!   the cells run on the calling thread and no thread is spawned, so its
 //!   slab stays warm across grids. Each thread checks the stop before a
-//!   cell and paces after it. The runners differ only in the call that
-//!   produces a cell: [`Runner::Threads`] calls `run_cell_caught`,
-//!   [`Runner::Processes`] the thread's own supervised child worker
-//!   ([`crate::supervised::Child`]).
+//!   cell and paces after it, and computes the cell with
+//!   `run_cell_caught`, which bounds it: a panic becomes a `Crashed`
+//!   record, a cell past its wall deadline a `TimedOut` one.
 //! * **Sink.** Runs only on the calling thread, in dispatch order at any
 //!   worker count: it collects each finished cell, appends it to the
 //!   journal when there is one, and emits `(key, payload)` to a daemon
@@ -22,10 +21,10 @@
 //! client), the per-cell stop and pace checks, the final sync, and the
 //! manifest. A grid carries one [`Hazards`] value, built by its caller
 //! from the harness, a sweep point or a daemon request: every cell runs
-//! under it, on either runner, and the header's `config_digest` is its
-//! digest. Cell computation is deterministic and cells reach the sink in
-//! dispatch order, so a journal's bytes and the merged grid are the same
-//! for any runner, worker count or resume history.
+//! under it, and the header's `config_digest` is its digest. Cell
+//! computation is deterministic and cells reach the sink in dispatch
+//! order, so a journal's bytes and the merged grid are the same for any
+//! worker count or resume history.
 
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
@@ -40,14 +39,11 @@ use mps_core::journal::{
     MANIFEST_FORMAT_V1,
 };
 use mps_core::sched::{Hcpa, Mcpa, Scheduler};
-use mps_core::supervise::CrashReport;
-use mps_core::MpsError;
 
 use crate::journaled::{GridStatus, JournaledGrid};
 use crate::runner::{
     cell_key, sort_cells_canonical, CellResult, Harness, Hazards, SimVariant, CELLS_PER_DAG,
 };
-use crate::supervised::{Child, Pool, Step, SuperviseOpts, WorkerCommand};
 
 /// One pending cell: corpus index, simulator version, algorithm index.
 pub(crate) struct CellSpec {
@@ -62,14 +58,6 @@ pub(crate) fn algo_of(i: usize) -> &'static dyn Scheduler {
         0 => &Hcpa,
         _ => &Mcpa,
     }
-}
-
-/// How a grid's cells are computed.
-pub(crate) enum Runner<'a> {
-    /// This many threads of this process (at most one per pending DAG).
-    Threads(usize),
-    /// As many threads, each with its own supervised child process.
-    Processes(&'a WorkerCommand, &'a SuperviseOpts),
 }
 
 /// The write-ahead journal a grid appends to.
@@ -87,28 +75,29 @@ pub(crate) struct Grid<'a> {
     /// The first `take` corpus DAGs; `None` is the whole corpus.
     pub(crate) take: Option<usize>,
     pub(crate) repeats: u64,
-    /// What every cell runs under, whichever runner computes it.
+    /// What every cell runs under.
     pub(crate) hazards: Hazards,
-    pub(crate) runner: Runner<'a>,
+    /// Runner threads (at most one per pending DAG).
+    pub(crate) workers: usize,
     pub(crate) journal: Option<JournalTarget<'a>>,
     pub(crate) ctrl: &'a RunControl,
 }
 
 /// Receives finished cells on the calling thread.
-pub(crate) type Sink<'a> = dyn FnMut(CellResult) -> Result<(), MpsError> + 'a;
+pub(crate) type Sink<'a> = dyn FnMut(CellResult) -> Result<(), JournalError> + 'a;
 
 /// A daemon client's `(key, payload)` observer.
 type Emit<'a> = dyn FnMut(&str, &str) -> bool + 'a;
 
 impl Harness {
-    /// Runs `grid`: recovers its journal, computes the missing cells with
-    /// its runner, sinks each one, and returns the merged grid. `emit`
+    /// Runs `grid`: recovers its journal, computes the missing cells on
+    /// its runner threads, sinks each one, and returns the merged grid. `emit`
     /// observes every cell as `(key, payload)`, resumed ones included.
     pub(crate) fn drive(
         &self,
         grid: Grid<'_>,
         mut emit: Option<&mut Emit<'_>>,
-    ) -> Result<JournaledGrid, MpsError> {
+    ) -> Result<JournaledGrid, JournalError> {
         let corpus = self.corpus();
         let corpus = &corpus[..grid.take.map_or(corpus.len(), |t| t.min(corpus.len()))];
         let n = corpus.len();
@@ -123,11 +112,7 @@ impl Harness {
 
         let (cells, mut writer, dropped_bytes) = match &grid.journal {
             Some(target) => {
-                let isolation = match (&grid.runner, request) {
-                    (Runner::Processes(..), _) => "process",
-                    (Runner::Threads(_), Some(_)) => "serve",
-                    (Runner::Threads(_), None) => "inproc",
-                };
+                let isolation = if request.is_some() { "serve" } else { "inproc" };
                 let header = JournalHeader {
                     format: FORMAT_V1.to_string(),
                     campaign: campaign.clone(),
@@ -157,15 +142,14 @@ impl Harness {
 
         let mut new_cells = Vec::new();
         let ran = {
-            let mut sink = |cell: CellResult| -> Result<(), MpsError> {
+            let mut sink = |cell: CellResult| -> Result<(), JournalError> {
                 if writer.is_some() || emit.is_some() {
                     let key = cell.key(grid.repeats);
-                    let payload = serde_json::to_string(&cell).map_err(|e| {
-                        MpsError::Journal(JournalError::Serde {
+                    let payload =
+                        serde_json::to_string(&cell).map_err(|e| JournalError::Serde {
                             what: "cell result",
                             err: e.to_string(),
-                        })
-                    })?;
+                        })?;
                     if let Some(w) = writer.as_mut() {
                         w.append_record(&key, &payload)?;
                     }
@@ -178,7 +162,7 @@ impl Harness {
             };
             self.run_cells(corpus, &pending, &grid, &mut sink)
         };
-        // Whatever the runner reported, what reached the journal is made
+        // Whatever the sink reported, what reached the journal is made
         // durable before the error (if any) is.
         let synced = writer.as_mut().map_or(Ok(()), JournalWriter::sync);
         ran?;
@@ -227,39 +211,30 @@ impl Harness {
         })
     }
 
-    /// Computes `pending` with `grid`'s runner, handing each cell to
+    /// Computes `pending` on `grid`'s runner threads, handing each cell to
     /// `sink` on the calling thread in dispatch order. This is the one
-    /// cell loop for both runners.
+    /// cell loop.
     pub(crate) fn run_cells(
         &self,
         corpus: &[GeneratedDag],
         pending: &[CellSpec],
         grid: &Grid<'_>,
         sink: &mut Sink<'_>,
-    ) -> Result<(), MpsError> {
+    ) -> Result<(), JournalError> {
         let mut runs: Vec<Range<usize>> = Vec::new();
         for run in pending.chunk_by(|a, b| a.dag == b.dag) {
             let start = runs.last().map_or(0, |r| r.end);
             runs.push(start..start + run.len());
         }
-        let (workers, pool) = match grid.runner {
-            Runner::Threads(workers) => (workers, None),
-            Runner::Processes(cmd, opts) => (opts.workers, Some((cmd, opts))),
-        };
-        let workers = workers.clamp(1, runs.len().max(1));
+        let workers = grid.workers.clamp(1, runs.len().max(1));
         let src = Source {
             corpus,
             pending,
             runs,
             next: AtomicUsize::new(0),
-            pool: pool.map(|(cmd, opts)| Pool::new(cmd, opts, grid.ctrl, workers)),
         };
         // One runner thread, from its first cell to leaving the run.
-        let run = |out: &mut dyn FnMut(usize, CellResult) -> bool| {
-            let mut child = src.pool.as_ref().map(|pool| Child::new(pool, grid));
-            let ended = self.work(&src, grid, child.as_mut(), out);
-            src.leave(ended)
-        };
+        let run = |out: &mut dyn FnMut(usize, CellResult) -> bool| self.work(&src, grid, out);
 
         let mut sunk = Ok(());
         let mut to_sink = |cell: CellResult| match sink(cell) {
@@ -271,11 +246,11 @@ impl Harness {
         };
         if workers == 1 {
             // One thread computes the cells in dispatch order.
-            let ran = run(&mut |_, cell| to_sink(cell));
-            return sunk.and(ran);
+            run(&mut |_, cell| to_sink(cell));
+            return sunk;
         }
         let (tx, rx) = mpsc::channel();
-        let ran = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let (tx, run) = (tx.clone(), &run);
@@ -284,8 +259,8 @@ impl Harness {
                 .collect();
             drop(tx);
             // Cells reach the sink in dispatch order: one that lands early
-            // waits for those dispatched before it. A stop or a runner
-            // error leaves gaps, and the cells that did land still go.
+            // waits for those dispatched before it. A stop leaves gaps, and
+            // the cells that did land still go.
             let mut landed = BTreeMap::new();
             let mut due = 0;
             'recv: for msg in rx.iter().map(Some).chain([None]) {
@@ -294,9 +269,6 @@ impl Harness {
                 while let Some(cell) = landed.first_entry().filter(|e| last || *e.key() == due) {
                     due += 1;
                     if !to_sink(cell.remove()) {
-                        if let Some(pool) = &src.pool {
-                            pool.stop();
-                        }
                         break 'recv;
                     }
                 }
@@ -309,95 +281,59 @@ impl Harness {
             // next grid's workers could start while the old ones still
             // free theirs, and the allocator would then hand them fresh
             // arenas (≈ 2 MiB more peak memory) instead of reusing one.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("grid worker panicked"))
-                .fold(Ok(()), Result::and)
+            for h in handles {
+                h.join().expect("grid worker panicked");
+            }
         });
-        sunk.and(ran)
+        sunk
     }
 
-    /// One runner thread's loop: takes work from `src`, checks the stop
-    /// before each cell and paces after it, and hands each cell to `out`
-    /// with its index in `pending`. Computes a cell with
-    /// `run_cell_caught`, or in `child` when the thread has one. Returns
-    /// the work a retired worker slot hands back, if any.
+    /// One runner thread's loop: takes per-DAG runs from `src`, checks the
+    /// stop before each cell and paces after it, and hands each cell to
+    /// `out` with its index in `pending`.
     fn work(
         &self,
         src: &Source<'_>,
         grid: &Grid<'_>,
-        mut child: Option<&mut Child<'_>>,
         out: &mut dyn FnMut(usize, CellResult) -> bool,
-    ) -> Result<Option<Work>, MpsError> {
+    ) {
         let ctrl = grid.ctrl;
-        while let Some(Work(run, mut report)) = src.next() {
-            for i in run.clone() {
+        while let Some(run) = src.next() {
+            for i in run {
                 if ctrl.should_stop().is_some() {
-                    return Ok(None);
+                    return;
                 }
                 let spec = &src.pending[i];
-                let g = &src.corpus[spec.dag];
-                let cell = match child.as_deref_mut() {
-                    // A panicking cell becomes a Crashed record, not a
-                    // dead grid.
-                    None => self.run_cell_caught(
-                        g,
-                        spec.variant,
-                        algo_of(spec.algo),
-                        grid.repeats,
-                        &grid.hazards,
-                    ),
-                    Some(child) => match child.run(g, spec, std::mem::take(&mut report))? {
-                        Step::Cell(cell) => cell,
-                        Step::Stopped => return Ok(None),
-                        Step::Retired(report) => return Ok(Some(Work(i..run.end, report))),
-                    },
-                };
+                // A panicking cell becomes a Crashed record, not a dead
+                // grid; a cell past its wall deadline a TimedOut one.
+                let cell = self.run_cell_caught(
+                    &src.corpus[spec.dag],
+                    spec.variant,
+                    algo_of(spec.algo),
+                    grid.repeats,
+                    &grid.hazards,
+                );
                 if !out(i, cell) {
-                    return Ok(None);
+                    return;
                 }
                 ctrl.pace();
             }
         }
-        Ok(None)
     }
 }
 
-/// A stretch of `pending` one runner thread computes in order, with its
-/// first cell's failed attempts so far: none unless a retired worker slot
-/// handed the stretch back.
-pub(crate) struct Work(pub(crate) Range<usize>, CrashReport);
-
-/// The one source of work: per-DAG runs of `pending` from one cursor and,
-/// under process isolation, the work retired worker slots hand back.
+/// The one source of work: per-DAG runs of `pending` from one cursor.
 struct Source<'a> {
     corpus: &'a [GeneratedDag],
     pending: &'a [CellSpec],
     runs: Vec<Range<usize>>,
     next: AtomicUsize,
-    pool: Option<Pool<'a>>,
 }
 
 impl Source<'_> {
-    fn next(&self) -> Option<Work> {
-        let fresh = || {
-            let run = self.runs.get(self.next.fetch_add(1, Ordering::Relaxed))?;
-            Some(Work(run.clone(), CrashReport::default()))
-        };
-        match &self.pool {
-            Some(pool) => pool.next(fresh),
-            None => fresh(),
-        }
-    }
-
-    /// A runner thread leaves the run as its loop `ended`.
-    fn leave(&self, ended: Result<Option<Work>, MpsError>) -> Result<(), MpsError> {
-        let Some(pool) = &self.pool else {
-            return ended.map(drop);
-        };
-        let rest = self.runs.get(self.next.load(Ordering::Relaxed)..);
-        let untaken = rest.map_or(0, |rest| rest.iter().map(Range::len).sum());
-        pool.leave(ended, untaken)
+    fn next(&self) -> Option<Range<usize>> {
+        let run = self.runs.get(self.next.fetch_add(1, Ordering::Relaxed))?;
+        Some(run.clone())
     }
 }
 

@@ -14,9 +14,8 @@
 use std::path::{Path, PathBuf};
 
 use mps_core::journal::{JournalError, RunControl, StopReason};
-use mps_core::MpsError;
 
-use crate::driver::{Grid, JournalTarget, Runner};
+use crate::driver::{Grid, JournalTarget};
 use crate::runner::{CellResult, Harness, Hazards};
 
 /// How a journaled campaign run ended.
@@ -67,8 +66,8 @@ pub struct JournaledGrid {
     /// Cells still missing (0 iff `status == Complete`).
     pub pending: usize,
     /// Cells (resumed + computed) that crashed, timed out, or were
-    /// quarantined as poison — present in the journal as crash reports,
-    /// not measurements.
+    /// quarantined — present in the journal as crash reports, not
+    /// measurements.
     pub quarantined: usize,
     /// Torn-tail bytes discarded during recovery (0 on a clean journal).
     pub salvage_dropped_bytes: u64,
@@ -135,14 +134,11 @@ impl Harness {
             take,
             repeats,
             hazards,
-            runner: Runner::Threads(workers),
+            workers,
             journal,
             ctrl,
         };
-        self.drive(grid, None).map_err(|e| match e {
-            MpsError::Journal(e) => e,
-            other => unreachable!("an in-process grid fails only in its journal: {other}"),
-        })
+        self.drive(grid, None)
     }
 }
 

@@ -23,20 +23,22 @@ mod driver;
 pub mod figures;
 pub mod journaled;
 pub mod online;
+pub mod report;
 pub mod runner;
 pub mod serve_backend;
-pub mod supervised;
 mod sweep;
 
 pub use campaign::{CampaignManifest, CampaignOpts, CampaignReport, PointSummary};
 pub use disturb::{run_disturb_sweep, DisturbPoint, DisturbSweepOpts, DisturbSweepReport};
 pub use journaled::{GridStatus, JournaledGrid};
 pub use online::{run_online_sweep, OnlineLevel, OnlineOpts, OnlineSweepReport, OnlineWall};
+pub use report::{Attempt, AttemptOutcome, CrashReport, FailureKind};
 pub use runner::{
-    cell_key, grid_csv, grid_health, health_notes, paired_relative_makespans, parse_poison_spec,
-    CellOutcome, CellResult, DisturbConfig, GridHealth, Harness, Hazards, PoisonAction, PoisonRule,
-    SimVariant, ERROR_PCT_SENTINEL,
+    cell_key, grid_csv, grid_health, health_notes, paired_relative_makespans, CellOutcome,
+    CellResult, DisturbConfig, GridHealth, Harness, Hazards, SimVariant, CELL_WALL_LIMIT,
+    ERROR_PCT_SENTINEL,
 };
+#[doc(hidden)]
+pub use runner::{PoisonAction, PoisonRule};
 pub use serve_backend::{parse_cell_names, ServeBackend};
-pub use supervised::{SuperviseOpts, WorkerCommand};
 pub use sweep::fold_seed;

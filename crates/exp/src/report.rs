@@ -1,21 +1,25 @@
-//! Structured crash reports: what a poison cell leaves behind in the
-//! journal instead of a measurement.
+//! Structured crash reports: what a cell that panicked or ran past its
+//! wall-clock limit leaves behind in the journal instead of a
+//! measurement. The serde form is part of the journal format: records
+//! written while cells could also run in child worker processes (the
+//! `Crashed` attempt, the `Quarantined` outcome) still decode.
 
 use serde::{Deserialize, Serialize};
 
 /// Coarse classification of a failed attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FailureKind {
-    /// The worker died (panic, abort, or signal) while running the cell.
+    /// The cell panicked, or its worker process died.
     Crashed,
-    /// The cell exceeded its wall-clock timeout and the worker was killed.
+    /// The cell ran past its wall-clock limit.
     TimedOut,
 }
 
 /// How one attempt at a cell ended.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AttemptOutcome {
-    /// The worker process died mid-cell.
+    /// A child worker process died mid-cell. Only journals written while
+    /// cells could run in child processes hold this attempt.
     Crashed {
         /// Exit code, when the worker exited (e.g. 101 for a Rust panic).
         exit_code: Option<i32>,
@@ -25,14 +29,13 @@ pub enum AttemptOutcome {
         /// diagnostics); bounded, never the full stream.
         stderr_tail: String,
     },
-    /// The cell ran past the per-cell wall-clock timeout; the supervisor
-    /// SIGKILLed the worker.
+    /// The cell ran past its wall-clock limit and its testbed run was
+    /// stopped.
     TimedOut {
-        /// The timeout that was exceeded, in milliseconds.
+        /// The limit that was exceeded, in milliseconds.
         timeout_ms: u64,
     },
-    /// In-process execution: the cell panicked and `catch_unwind` caught
-    /// it (no process died — the pool survives).
+    /// The cell panicked and `catch_unwind` caught it; the grid goes on.
     Panicked {
         /// The panic payload, when it was a string.
         message: String,
@@ -62,7 +65,7 @@ pub struct Attempt {
 
 /// The structured record of every failed attempt at one cell — journaled
 /// alongside the typed outcome so `--resume` can skip the cell *and* a
-/// human can see why it was quarantined.
+/// human can see why it failed.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CrashReport {
     /// Failed attempts, in order.
@@ -82,8 +85,8 @@ impl CrashReport {
         self.attempts.len()
     }
 
-    /// Classification of the final attempt (the one that triggered
-    /// quarantine), or `None` for an empty report.
+    /// Classification of the final attempt, or `None` for an empty
+    /// report.
     pub fn final_kind(&self) -> Option<FailureKind> {
         self.attempts.last().map(|a| a.outcome.kind())
     }

@@ -12,22 +12,23 @@
 //! followed.
 
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
 use mps_core::dag::gen::{paper_corpus, GeneratedDag, PAPER_CORPUS_SEED};
-use mps_core::faults::clause::{clauses, PlanParseError};
 use mps_core::faults::io::IoEnv;
 use mps_core::faults::{DisturbReport, DisturbancePlan, FaultPlan, RecoveryPolicy};
 use mps_core::journal::RunControl;
 use mps_core::model::{EmpiricalModel, PerfModel, ProfileModel};
 use mps_core::platform::{Cluster, ClusterSpec, HostId};
 use mps_core::sched::{AllocKey, AllocationEngine, Schedule, Scheduler};
-use mps_core::sim::{DisturbSetup, ExecPolicy, ExecSlab, Simulator};
-use mps_core::supervise::{AttemptOutcome, CrashReport};
+use mps_core::sim::{DisturbSetup, ExecError, ExecPolicy, ExecSlab, Simulator};
 use mps_core::testbed::{
     build_profile_model, fit_empirical_model, paper_kernels, ProfilingConfig, Testbed,
 };
+
+use crate::report::{AttemptOutcome, CrashReport, FailureKind};
 
 /// The three simulator versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -121,21 +122,20 @@ pub enum CellOutcome {
         /// Display form of the first error encountered.
         error: String,
     },
-    /// The cell crashed its worker (process isolation) or panicked and
-    /// was caught in-process, and the attempt cap was 1 — recorded on the
-    /// first strike with no retry.
+    /// The cell panicked and `run_cell_caught` recorded the panic.
     Crashed {
         /// What happened, attempt by attempt.
         report: CrashReport,
     },
-    /// The cell exceeded its wall-clock timeout (attempt cap 1).
+    /// The cell ran past its wall-clock limit ([`CELL_WALL_LIMIT`], or
+    /// the grid's own earlier deadline) and its testbed run was stopped.
     TimedOut {
         /// What happened, attempt by attempt.
         report: CrashReport,
     },
-    /// The cell failed repeatedly (crashes and/or timeouts) and was
-    /// quarantined by the supervisor: `--resume` skips it instead of
-    /// re-crashing the campaign on the same poison cell forever.
+    /// The cell failed more than once (crashes and/or timeouts) in child
+    /// worker processes. Only journals written while cells could run in
+    /// child processes hold it; `--resume` skips it like any other record.
     Quarantined {
         /// Every failed attempt, in order.
         report: CrashReport,
@@ -156,7 +156,7 @@ impl CellOutcome {
         }
     }
 
-    /// The crash report attached to a poison outcome, if any.
+    /// The crash report of a crashed, timed-out or quarantined cell.
     pub fn crash_report(&self) -> Option<&CrashReport> {
         match self {
             CellOutcome::Crashed { report }
@@ -166,11 +166,10 @@ impl CellOutcome {
         }
     }
 
-    /// Typed poison outcome from a crash report: [`CellOutcome::Quarantined`]
+    /// Typed outcome from a crash report: [`CellOutcome::Quarantined`]
     /// once more than one attempt was burned, otherwise the single
     /// attempt's own kind.
     pub fn from_report(report: CrashReport) -> CellOutcome {
-        use mps_core::supervise::FailureKind;
         if report.attempt_count() > 1 {
             CellOutcome::Quarantined { report }
         } else {
@@ -261,19 +260,18 @@ pub fn cell_key(dag: &str, n: usize, variant: SimVariant, algo: &str, repeats: u
     format!("{dag}/n{n}/{}/{algo}/r{repeats}", variant.name())
 }
 
-/// What a poison rule does to a matching cell. Test instrumentation for
-/// the supervision layer: real workloads crash or hang on their own; CI
-/// and the keystone tests need to do it on demand, deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// What a poison rule does to a matching cell: test instrumentation that
+/// makes a cell misbehave on demand, deterministically.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoisonAction {
     /// Panic inside cell computation (a deterministic crasher).
     Panic,
-    /// Spin forever (a deterministic hang, only killable from outside).
-    Hang,
 }
 
 /// Makes every cell whose [`cell_key`] contains `needle` misbehave.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoisonRule {
     /// Substring matched against the cell key.
     pub needle: String,
@@ -281,45 +279,28 @@ pub struct PoisonRule {
     pub action: PoisonAction,
 }
 
-/// Parses a `--poison` spec: comma-separated `needle=panic` / `needle=hang`
-/// clauses (e.g. `s0/analytic/HCPA=panic,s1=hang`).
-pub fn parse_poison_spec(spec: &str) -> Result<Vec<PoisonRule>, PlanParseError> {
-    clauses(spec, ',')
-        .map(|c| {
-            let (needle, action) =
-                c.0.rsplit_once('=')
-                    .ok_or_else(|| c.err("expected `needle=action`"))?;
-            let needle = needle.trim();
-            if needle.is_empty() {
-                return Err(c.err("empty needle"));
-            }
-            let action = match action.trim() {
-                "panic" => PoisonAction::Panic,
-                "hang" => PoisonAction::Hang,
-                other => return Err(c.err(&format!("unknown action `{other}` (panic|hang)"))),
-            };
-            Ok(PoisonRule {
-                needle: needle.to_string(),
-                action,
-            })
-        })
-        .collect()
-}
+/// The wall-clock limit of one cell, counted from the cell's start. A
+/// healthy cell takes milliseconds (the whole 324-cell grid runs in well
+/// under a second), so the limit only ends cells that cannot end on their
+/// own, such as a fault plan whose retries never succeed. Every testbed
+/// run of the cell gets the limit as its DES watchdog's wall deadline
+/// (the grid's own wall deadline wins when it is earlier), and a run the
+/// deadline stops ends the cell as [`CellOutcome::TimedOut`].
+pub const CELL_WALL_LIMIT: Duration = Duration::from_secs(120);
 
 /// Everything that can go wrong in a grid's cells. Built once per grid —
 /// from the harness, a sweep point or a daemon request — and lent to
-/// every cell, in this process or, inside each cell request, in a worker.
+/// every cell.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Hazards {
     /// Fault plan injected into every testbed execution.
     pub fault_plan: Option<FaultPlan>,
     /// Timed platform disturbances and the reaction to crashes.
     pub disturb: Option<DisturbConfig>,
-    /// Retry/backoff/watchdog policy. Only `max_retries` crosses to a
-    /// worker, which runs the rest at its default (a watchdog holds an
-    /// `Instant`).
+    /// Retry/backoff/watchdog policy.
     pub policy: ExecPolicy,
     /// Cells whose key matches misbehave on purpose.
+    #[doc(hidden)]
     pub poison: Vec<PoisonRule>,
 }
 
@@ -343,23 +324,6 @@ impl Hazards {
     }
 }
 
-/// The wire form, `[fault_plan, disturb, max_retries, poison]`: the
-/// policy travels as its `max_retries` alone.
-impl Serialize for Hazards {
-    fn serialize(&self, w: &mut serde::Writer) {
-        let max_retries = self.policy.max_retries;
-        (&self.fault_plan, &self.disturb, max_retries, &self.poison).serialize(w)
-    }
-}
-
-impl Deserialize for Hazards {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let mut h = Hazards::default();
-        (h.fault_plan, h.disturb, h.policy.max_retries, h.poison) = Deserialize::deserialize(r)?;
-        Ok(h)
-    }
-}
-
 /// The harness: testbed + the three instantiated models.
 pub struct Harness {
     /// The emulated execution environment.
@@ -379,7 +343,8 @@ pub struct Harness {
     /// Retry/backoff/watchdog policy for testbed executions.
     pub policy: ExecPolicy,
     /// Poison rules: cells whose key matches misbehave on purpose (test
-    /// instrumentation for the supervision layer).
+    /// instrumentation).
+    #[doc(hidden)]
     pub poison: Vec<PoisonRule>,
     /// The I/O environment every durability path (journals, manifests)
     /// goes through — [`RealIo`](mps_core::faults::io::RealIo) in
@@ -490,7 +455,8 @@ impl Harness {
         self
     }
 
-    /// Installs poison rules (see [`PoisonRule`]).
+    /// Installs poison rules (see [`PoisonRule`]): test instrumentation.
+    #[doc(hidden)]
     pub fn with_poison(mut self, rules: Vec<PoisonRule>) -> Self {
         self.poison = rules;
         self
@@ -528,8 +494,8 @@ impl Harness {
     }
 
     /// Runs `f` with this thread's warm [`WorkerSlab`]. One slab per OS
-    /// thread: grid workers, daemon executors, and the journaled /
-    /// supervised drivers all reuse their thread's slab across cells.
+    /// thread: grid workers and daemon executors reuse their thread's
+    /// slab across cells and grids.
     fn with_worker_slab<R>(f: impl FnOnce(&mut WorkerSlab) -> R) -> R {
         thread_local! {
             static SLAB: std::cell::RefCell<WorkerSlab> =
@@ -560,6 +526,8 @@ impl Harness {
     /// own model and algorithm (using the caller's warm allocation engine),
     /// then maps host `j` back to survivor `j` — the rescue schedule is in
     /// original host-id space, placed only on survivors.
+    /// Every run's watchdog carries the cell's wall deadline, counted
+    /// from `start` (see [`CELL_WALL_LIMIT`]).
     #[allow(clippy::too_many_arguments)]
     fn run_repeats(
         &self,
@@ -571,9 +539,18 @@ impl Harness {
         schedule: &Schedule,
         repeats: u64,
         hazards: &Hazards,
+        start: Instant,
     ) {
         let undisturbed = DisturbConfig::new(DisturbancePlan::none(), RecoveryPolicy::FailFast);
         let cfg = hazards.disturb.as_ref().unwrap_or(&undisturbed);
+        let mut watchdog = hazards.policy.watchdog.unwrap_or_default();
+        let limit = start + CELL_WALL_LIMIT;
+        let deadline = watchdog.wall_deadline.map_or(limit, |d| d.min(limit));
+        watchdog.wall_deadline = Some(deadline);
+        let policy = ExecPolicy {
+            watchdog: Some(watchdog),
+            ..hazards.policy
+        };
         let mut failed_runs = 0usize;
         let mut retries = 0u32;
         let mut report = DisturbReport::default();
@@ -600,7 +577,7 @@ impl Harness {
                 schedule,
                 run_seed,
                 hazards.fault_plan.as_ref(),
-                &hazards.policy,
+                &policy,
                 DisturbSetup {
                     plan: &cfg.plan,
                     recovery: cfg.recovery,
@@ -613,6 +590,20 @@ impl Harness {
                 Ok(res) => {
                     retries += res.total_retries();
                     cell.real_runs.push(res.makespan);
+                }
+                Err(ExecError::Timeout { .. }) if Instant::now() >= deadline => {
+                    let timeout = deadline.saturating_duration_since(start);
+                    let report = CrashReport::single(
+                        AttemptOutcome::TimedOut {
+                            timeout_ms: timeout.as_millis() as u64,
+                        },
+                        start.elapsed().as_millis() as u64,
+                    );
+                    *cell = CellResult {
+                        outcome: CellOutcome::from_report(report),
+                        ..blank_cell(g, variant, algo)
+                    };
+                    return;
                 }
                 Err(e) => {
                     failed_runs += 1;
@@ -660,16 +651,17 @@ impl Harness {
     /// batched hot path, bit-identical to the cold per-cell reference path
     /// (`mps_oracle::reference_cell`) for any slab history (every reused
     /// component resets per run).
-    /// `hazards` are the grid's, borrowed for every cell. A panicking cell
-    /// unwinds out of here, which the process-isolated worker relies on
-    /// to record the crash.
-    pub(crate) fn run_cell(
+    /// `hazards` are the grid's, borrowed for every cell; `start` is the
+    /// cell's start, which its wall deadline counts from. A panicking cell
+    /// unwinds out of here.
+    fn run_cell(
         &self,
         g: &GeneratedDag,
         variant: SimVariant,
         algo: &dyn Scheduler,
         repeats: u64,
         hazards: &Hazards,
+        start: Instant,
     ) -> CellResult {
         let key = cell_key(
             &g.name(),
@@ -682,9 +674,6 @@ impl Harness {
             if key.contains(&rule.needle) {
                 match rule.action {
                     PoisonAction::Panic => panic!("poison cell {key}: forced panic"),
-                    PoisonAction::Hang => loop {
-                        std::thread::sleep(std::time::Duration::from_millis(25));
-                    },
                 }
             }
         }
@@ -737,6 +726,7 @@ impl Harness {
                 &schedule,
                 repeats,
                 hazards,
+                start,
             );
         });
         cell
@@ -744,10 +734,9 @@ impl Harness {
 
     /// [`Harness::run_cell`] under a `catch_unwind` safety net: a
     /// panicking cell becomes a [`CellOutcome::Crashed`] record instead of
-    /// tearing down the whole in-process worker pool. This is the in-proc
-    /// counterpart of process isolation — it cannot contain hangs or
-    /// aborts (use `--isolation process` for those), but it turns the
-    /// most common poison, a deterministic panic, into a journaled cell.
+    /// tearing down the whole worker pool. With the cell's wall deadline
+    /// (see [`CELL_WALL_LIMIT`]) it bounds every cell: the cell ends, as a
+    /// measurement or as a typed record, whatever it runs into.
     pub(crate) fn run_cell_caught(
         &self,
         g: &GeneratedDag,
@@ -756,20 +745,18 @@ impl Harness {
         repeats: u64,
         hazards: &Hazards,
     ) -> CellResult {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_cell(g, variant, algo, repeats, hazards)
+            self.run_cell(g, variant, algo, repeats, hazards, start)
         })) {
             Ok(cell) => cell,
             Err(payload) => CellResult {
-                outcome: CellOutcome::Crashed {
-                    report: CrashReport::single(
-                        AttemptOutcome::Panicked {
-                            message: panic_message(payload.as_ref()),
-                        },
-                        start.elapsed().as_millis() as u64,
-                    ),
-                },
+                outcome: CellOutcome::from_report(CrashReport::single(
+                    AttemptOutcome::Panicked {
+                        message: panic_message(payload.as_ref()),
+                    },
+                    start.elapsed().as_millis() as u64,
+                )),
                 ..blank_cell(g, variant, algo)
             },
         }
@@ -821,7 +808,7 @@ impl Harness {
     fn run_in_memory(&self, take: Option<usize>, repeats: u64, workers: usize) -> Vec<CellResult> {
         let ctrl = RunControl::unlimited();
         self.run_in_process(self.hazards(), take, repeats, workers, None, &ctrl)
-            .expect("a grid with no journal and no child processes cannot fail")
+            .expect("a grid with no journal cannot fail")
             .cells
     }
 
@@ -942,7 +929,7 @@ pub struct GridHealth {
     pub crashes: u64,
     /// Cells with no surviving measurement.
     pub failed: usize,
-    /// Cells that crashed, timed out, or were quarantined as poison.
+    /// Cells that crashed, timed out, or were quarantined.
     pub quarantined: usize,
     /// Total task retries across the grid.
     pub retries: u32,
@@ -1231,20 +1218,6 @@ mod tests {
         assert_eq!(cells, back);
     }
 
-    #[test]
-    fn parse_poison_spec_accepts_and_rejects() {
-        let rules = parse_poison_spec("s0/analytic/HCPA=panic, s1=hang").unwrap();
-        assert_eq!(rules.len(), 2);
-        assert_eq!(rules[0].needle, "s0/analytic/HCPA");
-        assert_eq!(rules[0].action, PoisonAction::Panic);
-        assert_eq!(rules[1].needle, "s1");
-        assert_eq!(rules[1].action, PoisonAction::Hang);
-        assert!(parse_poison_spec("").unwrap().is_empty());
-        assert!(parse_poison_spec("no-equals").is_err());
-        assert!(parse_poison_spec("=panic").is_err());
-        assert!(parse_poison_spec("x=explode").is_err());
-    }
-
     /// Regression: the in-process `catch_unwind` net. A cell that panics
     /// must come back as a typed [`CellOutcome::Crashed`] carrying the
     /// panic message — not tear down the worker pool — and the other
@@ -1284,7 +1257,7 @@ mod tests {
 
     #[test]
     fn outcome_from_report_types_by_attempt_count_and_kind() {
-        use mps_core::supervise::{Attempt, AttemptOutcome, CrashReport};
+        use crate::report::Attempt;
         let crash = AttemptOutcome::Crashed {
             exit_code: Some(101),
             signal: None,

@@ -1,7 +1,7 @@
 //! The production [`Backend`] behind `repro serve`: executes
 //! `mps-proto/v1` work requests against a [`Harness`].
 //!
-//! Three durability tiers, picked by configuration:
+//! Two durability tiers, picked by configuration:
 //!
 //! * **Ephemeral** (no state dir): cells are computed and streamed,
 //!   nothing touches disk. A killed daemon loses in-flight work.
@@ -12,12 +12,13 @@
 //!   restarted daemon finishes interrupted journals at startup
 //!   ([`ServeBackend::recover`]) because the journal header carries the
 //!   verbatim request.
-//! * **Process-isolated** (state dir + worker command): grid and
-//!   `Simulate` cells run in supervised child processes — a poison
-//!   request is quarantined cell by cell instead of taking the daemon
-//!   down, and a hanging cell is killed at its timeout instead of
-//!   wedging an executor.
-
+//!
+//! In both tiers a cell runs on its executor thread under the grid
+//! runner's bounds: a panicking cell streams as a `Crashed` cell and a
+//! cell past its wall deadline
+//! ([`CELL_WALL_LIMIT`](crate::runner::CELL_WALL_LIMIT)) as a `TimedOut`
+//! one, so no request can wedge an executor; an `Online` request's horizon
+//! is capped instead.
 //!
 //! Cell payloads are exactly the bytes the journal stores, so a client
 //! cannot tell a replayed cell from a freshly computed one.
@@ -30,10 +31,9 @@ use mps_core::journal::{self, fnv64, RunControl};
 use mps_core::online::{ArrivalSpec, OnlineAlgo, OnlineConfig, OnlineEngine};
 use mps_core::serve::{Backend, ServeError, WorkRequest, WorkSummary};
 
-use crate::driver::{algo_of, CellSpec, Grid, JournalTarget, Runner};
+use crate::driver::{algo_of, CellSpec, Grid, JournalTarget};
 use crate::journaled::JournaledGrid;
 use crate::runner::{CellOutcome, CellResult, DisturbConfig, Harness, Hazards, SimVariant};
-use crate::supervised::{SuperviseOpts, WorkerCommand};
 
 /// Hard cap on the event horizon a client can request from the daemon
 /// (~20 s of single-core work): streaming runs share the executor pool
@@ -70,7 +70,6 @@ pub struct ServeBackend {
     harness: Harness,
     corpus: std::sync::Arc<Vec<GeneratedDag>>,
     state_dir: Option<PathBuf>,
-    worker: Option<(WorkerCommand, SuperviseOpts)>,
 }
 
 impl ServeBackend {
@@ -81,7 +80,6 @@ impl ServeBackend {
             harness,
             corpus,
             state_dir: None,
-            worker: None,
         }
     }
 
@@ -89,13 +87,6 @@ impl ServeBackend {
     /// missing), enabling resume-on-resubmit and startup recovery.
     pub fn with_state_dir(mut self, dir: PathBuf) -> Self {
         self.state_dir = Some(dir);
-        self
-    }
-
-    /// Runs grid cells in supervised worker processes (requires a state
-    /// dir for the journal the supervisor owns).
-    pub fn with_worker(mut self, cmd: WorkerCommand, opts: SuperviseOpts) -> Self {
-        self.worker = Some((cmd, opts));
         self
     }
 
@@ -144,8 +135,7 @@ impl ServeBackend {
         Ok(CellSpec { dag, variant, algo })
     }
 
-    /// Computes one cell with the grid runner: in a supervised worker
-    /// when the backend has one, else on this executor thread.
+    /// Computes one cell with the grid runner on this executor thread.
     fn run_one_cell(
         &self,
         spec: CellSpec,
@@ -153,15 +143,11 @@ impl ServeBackend {
         hazards: Hazards,
         ctrl: &RunControl,
     ) -> Result<CellResult, ServeError> {
-        let runner = match &self.worker {
-            Some((cmd, opts)) => Runner::Processes(cmd, opts),
-            None => Runner::Threads(1),
-        };
         let grid = Grid {
             take: None,
             repeats,
             hazards,
-            runner,
+            workers: 1,
             journal: None,
             ctrl,
         };
@@ -321,17 +307,13 @@ impl Backend for ServeBackend {
                     }
                     None => None,
                 };
-                let runner = match (&self.worker, &path) {
-                    (Some((cmd, opts)), Some(_)) => Runner::Processes(cmd, opts),
-                    // A request runs on its executor thread, whose slab
-                    // stays warm across requests.
-                    _ => Runner::Threads(1),
-                };
                 let grid = Grid {
                     take: Some(*take),
                     repeats: *repeats,
                     hazards,
-                    runner,
+                    // A request runs on its executor thread, whose slab
+                    // stays warm across requests.
+                    workers: 1,
                     // A resubmitted request resumes its own journal,
                     // replaying the journaled prefix byte for byte.
                     journal: path.as_deref().map(|path| JournalTarget {

@@ -59,7 +59,6 @@ const SCOPE_RULES: &[(&str, &str)] = &[
     ("online --journal j.jl", "--journal cannot be used with the online target"),
     ("online --resume", "--resume cannot be used with the online target"),
     ("online --subset 2", "--subset cannot be used with the online target"),
-    ("online --isolation process", "--isolation process cannot be used with the online target"),
     ("online --max-wall-secs 5", "--max-wall-secs cannot be used with the online target"),
     ("online --throttle-ms 5", "--throttle-ms cannot be used with the online target"),
     ("--arrival-rate 0.1 fig8", "--arrival-rate requires the online target"),
@@ -73,7 +72,6 @@ const SCOPE_RULES: &[(&str, &str)] = &[
     ("campaign --campaign-dir d --journal j.jl", "--journal cannot be used with the campaign target"),
     ("campaign --campaign-dir d --resume", "--resume cannot be used with the campaign target"),
     ("campaign --campaign-dir d --json out", "--json cannot be used with the campaign target"),
-    ("campaign --campaign-dir d --isolation process", "--isolation process cannot be used with the campaign target"),
     ("--campaign-dir d fig8", "--campaign-dir requires the campaign target"),
     ("--points 3 fig8", "--points requires the campaign target"),
     // Daemon flags.
@@ -97,14 +95,9 @@ const CROSS_FLAG_RULES: &[(&str, &str)] = &[
     ("--resume fig8", "--resume requires --journal PATH"),
     ("--max-wall-secs 5 fig8", "--max-wall-secs requires --journal PATH"),
     ("--throttle-ms 5 fig8", "--throttle-ms requires --journal PATH"),
-    ("--isolation process fig8", "--isolation process requires --journal PATH"),
-    ("--cell-timeout-secs 5 fig8", "--cell-timeout-secs requires --isolation process"),
-    ("--max-cell-attempts 2 fig8", "--max-cell-attempts requires --isolation process"),
-    ("--journal j.jl --cell-timeout-secs 5 grid", "--cell-timeout-secs requires --isolation process"),
     ("--recovery rescue fig8", "--recovery requires --disturb or the disturb target"),
     ("disturb --disturb light", "--disturb cannot be used with the disturb target (it sweeps its own seeded plans)"),
     ("serve", "serve needs --socket PATH"),
-    ("serve --socket s --isolation process", "serve --isolation process requires --state DIR (the supervisor owns journals)"),
     ("serve --socket s --resume", "--resume is implicit for serve (journals under --state resume themselves)"),
     ("client", "client needs --socket PATH"),
     ("client --socket s --horizon-events 10", "--horizon-events requires the online target or a client --online request"),
@@ -135,12 +128,6 @@ const VALUE_ERRORS: &[(&str, &str)] = &[
     ("--subset x", "--subset needs an integer"),
     ("--workers x", "--workers needs an integer"),
     ("--throttle-ms x", "--throttle-ms needs an integer"),
-    ("--isolation", "--isolation needs a mode (inproc|process)"),
-    ("--isolation thread", "--isolation \"thread\" is not inproc|process"),
-    ("--cell-timeout-secs 0", "--cell-timeout-secs needs an integer >= 1"),
-    ("--max-cell-attempts 0", "--max-cell-attempts needs an integer >= 1"),
-    ("--max-cell-attempts 4294967296", "--max-cell-attempts needs an integer >= 1"),
-    ("--poison", "--poison needs a spec (needle=panic|hang,...)"),
     ("--socket", "--socket needs a path"),
     ("--state", "--state needs a directory"),
     ("--queue-cap 0", "--queue-cap needs an integer in 1..=4096"),
@@ -163,7 +150,6 @@ const VALUE_ERRORS: &[(&str, &str)] = &[
     // Plans are parsed with the flags, before any banner.
     ("--faults bogus table1", "bad --faults plan: clause `bogus`: unknown clause"),
     ("--disturb crash@x:1 fig8", "bad --disturb plan: clause `crash@x:1`: time `x` is not a non-negative number"),
-    ("--poison x=boom fig8", "bad --poison spec: clause `x=boom`: unknown action `boom` (panic|hang)"),
     ("online --arrival-rate bogus", "bad --arrival-rate entry: clause `bogus`: expected `poisson@R`, `mmpp@R0:R1:S0:S1` or a rate"),
     ("online --arrival-rate ,", "--arrival-rate needs a comma-separated list"),
     // Client request specs are parsed with the flags, before connecting.
@@ -213,15 +199,36 @@ fn unknown_flags_and_targets_are_rejected_before_any_work() {
         ("--seed 7 fig9", "unknown target `fig9`"),
         // The chaos soak is a test target, not a product one.
         ("chaos", "unknown target `chaos`"),
-        // The daemon's one transport is its socket; the worker's spawn
-        // budget and stderr tail are constants.
+        // The daemon's one transport is its socket.
         ("serve --socket s --stdio", "unknown flag `--stdio`"),
+        // Every cell runs in process, bounded by its wall deadline and
+        // its panic net: the process-isolation flags and the cell-worker
+        // mode are gone, and a test makes a cell panic through the
+        // library, not the command line.
         (
-            "--isolation process --journal j.jl --spawn-timeout-secs 5 grid",
+            "--isolation process --journal j.jl grid",
+            "unknown flag `--isolation`",
+        ),
+        (
+            "--journal j.jl --cell-timeout-secs 5 grid",
+            "unknown flag `--cell-timeout-secs`",
+        ),
+        (
+            "--journal j.jl --max-cell-attempts 2 grid",
+            "unknown flag `--max-cell-attempts`",
+        ),
+        ("--poison x=panic grid", "unknown flag `--poison`"),
+        ("--cell-worker --seed 7", "unknown flag `--cell-worker`"),
+        (
+            "--seed 7 --worker-tag t grid",
+            "unknown flag `--worker-tag`",
+        ),
+        (
+            "--journal j.jl --spawn-timeout-secs 5 grid",
             "unknown flag `--spawn-timeout-secs`",
         ),
         (
-            "--isolation process --journal j.jl --stderr-tail-bytes 64 grid",
+            "--journal j.jl --stderr-tail-bytes 64 grid",
             "unknown flag `--stderr-tail-bytes`",
         ),
     ]);
@@ -264,19 +271,20 @@ const RUNTIME_FAILURES: &[(&str, &str, &str)] = &[
 ];
 
 /// A runtime failure is not a bad command line: exit 1 and one
-/// `repro: …` line, no usage line.
+/// `repro: …` line, no usage line. The client connects once, so a missing
+/// socket fails at once instead of after a retry window.
 #[test]
 fn runtime_failures_exit_1_without_the_usage_line() {
-    // The client retries its connect for ten seconds, so the cases run
-    // side by side.
-    let outs: Vec<_> = std::thread::scope(|s| {
-        let runs: Vec<_> = RUNTIME_FAILURES
-            .iter()
-            .map(|&(tag, args, _)| s.spawn(move || run_in_scratch(tag, args)))
-            .collect();
-        runs.into_iter().map(|r| r.join().unwrap()).collect()
-    });
-    for (&(_, args, prefix), out) in RUNTIME_FAILURES.iter().zip(outs) {
+    for &(tag, args, prefix) in RUNTIME_FAILURES {
+        let start = std::time::Instant::now();
+        let out = run_in_scratch(tag, args);
+        if tag == "connect" {
+            let took = start.elapsed();
+            assert!(
+                took < std::time::Duration::from_secs(5),
+                "`{args}` took {took:?} to fail"
+            );
+        }
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "`{args}`: {stderr}");
         let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("repro:")).collect();

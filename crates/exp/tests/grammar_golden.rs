@@ -1,5 +1,5 @@
-//! Golden for the five text grammars: fault plans, disturbance plans, the
-//! `io:` chaos plan, arrival specs and poison specs.
+//! Golden for the four text grammars: fault plans, disturbance plans, the
+//! `io:` chaos plan and arrival specs.
 //!
 //! Every plan string the README, DESIGN, the tests and CI use is parsed
 //! here, and `grammar_golden.txt` pins the result, one line per input:
@@ -10,7 +10,6 @@
 
 use mps_core::faults::{DisturbancePlan, FaultPlan, IoFaultPlan};
 use mps_core::online::ArrivalSpec;
-use mps_exp::parse_poison_spec;
 
 const GOLDEN: &str = include_str!("grammar_golden.txt");
 
@@ -59,14 +58,6 @@ const ARRIVAL: &[&str] = &[
     "mmpp@0:0:1:1", "mmpp@1:1:0:1", "uniform@3", "uniform@2", "-1", "0", "nan", "bogus",
 ];
 
-#[rustfmt::skip]
-const POISON: &[&str] = &[
-    "", "a=panic", "analytic=hang", "profile/MCPA=panic", "needle=panic,needle=hang",
-    "s0/analytic/HCPA=panic, s1=hang",
-    "s0/n2000/analytic/HCPA=panic,s0/n2000/analytic/MCPA=hang",
-    "no-equals", "=panic", "x=explode", "x=boom",
-];
-
 fn line<T: std::fmt::Debug, E: std::fmt::Display>(
     grammar: &str,
     input: &str,
@@ -95,9 +86,6 @@ fn transcript() -> Vec<String> {
     }
     for s in ARRIVAL {
         out.push(line("arrival", s, ArrivalSpec::parse(s)));
-    }
-    for s in POISON {
-        out.push(line("poison", s, parse_poison_spec(s)));
     }
     out
 }

@@ -9,13 +9,20 @@
 //! These tests pin the batching contract: for any worker count, with or
 //! without a fault plan, the batched grid's `Debug` rendering — which
 //! round-trips every f64 bit — equals the reference rendering, and poison
-//! cells are quarantined without disturbing their neighbours.
+//! cells are quarantined without disturbing their neighbours. A daemon
+//! request that carries its own disturbance plan streams the cells of the
+//! grid run under that plan.
 
 use mps_core::faults::{DisturbancePlan, FaultPlan, RecoveryPolicy, DISTURB_HORIZON};
+use mps_core::journal::RunControl;
 use mps_core::platform::HostId;
 use mps_core::sched::{Hcpa, Mcpa, Scheduler};
+use mps_core::serve::{Backend, WorkRequest};
 use mps_core::sim::ExecPolicy;
-use mps_exp::{parse_poison_spec, CellOutcome, CellResult, DisturbConfig, Harness, SimVariant};
+use mps_exp::{
+    CellOutcome, CellResult, DisturbConfig, Harness, PoisonAction, PoisonRule, ServeBackend,
+    SimVariant,
+};
 use mps_oracle::reference_cell;
 
 const TAKE: usize = 10;
@@ -34,13 +41,18 @@ fn reference_cells(h: &Harness, take: usize, repeats: u64) -> Vec<CellResult> {
             }
         }
     }
+    sort_canonical(&mut cells);
+    cells
+}
+
+/// Sorts cells into the canonical (dag, variant, algo) order.
+fn sort_canonical(cells: &mut [CellResult]) {
     cells.sort_by(|a, b| {
         a.dag
             .cmp(&b.dag)
             .then_with(|| a.variant.name().cmp(b.variant.name()))
             .then_with(|| a.algo.cmp(&b.algo))
     });
-    cells
 }
 
 /// `Debug` output of f64 round-trips (shortest representation that parses
@@ -119,6 +131,39 @@ fn disturbed_grid_matches_reference_after_crash_repair() {
     }
 }
 
+/// A `SubsetGrid` request's own disturbance plan reaches the cells the
+/// daemon runs: it streams the cells of the grid run under that plan with
+/// the rescue reaction, and not the undisturbed ones.
+#[test]
+fn a_per_request_disturbance_plan_reaches_the_daemon_cells() {
+    const PLAN: &str = "seed=42;moderate";
+    let work = WorkRequest::SubsetGrid {
+        take: 1,
+        repeats: 1,
+        disturb: Some(PLAN.to_string()),
+    };
+    let mut served = Vec::new();
+    let summary = ServeBackend::new(Harness::new(7))
+        .execute(&work, &RunControl::unlimited(), &mut |_, payload| {
+            served.push(serde_json::from_str::<CellResult>(payload).expect("a cell payload"));
+            true
+        })
+        .expect("the daemon serves the request");
+    assert_eq!((summary.cells, summary.quarantined), (6, 0));
+    assert!(summary.disturbed > 0, "the request's plan must fire");
+    // The daemon streams in dispatch order; the grid returns canonical order.
+    sort_canonical(&mut served);
+
+    let hosts = Harness::new(7).nominal_cluster().node_count();
+    let plan = DisturbancePlan::parse(PLAN, hosts, DISTURB_HORIZON).unwrap();
+    let disturbed = Harness::new(7)
+        .with_disturbance(DisturbConfig::new(plan, RecoveryPolicy::Rescue))
+        .run_subset_with_workers(1, 1, 1);
+    assert_eq!(render(&served), render(&disturbed));
+    let plain = Harness::new(7).run_subset_with_workers(1, 1, 1);
+    assert_ne!(render(&served), render(&plain));
+}
+
 #[test]
 fn zero_intensity_disturbance_is_byte_identical_to_the_plain_grid() {
     // The determinism guard for the disturbance subsystem: an intensity-0
@@ -154,8 +199,10 @@ fn poison_cells_are_quarantined_without_disturbing_neighbours() {
     let clean = Harness::new(2011);
     let reference = reference_cells(&clean, TAKE, REPEATS);
     let needle = format!("{}/n{}/analytic/HCPA", reference[0].dag, reference[0].n);
-    let poisoned_h =
-        Harness::new(2011).with_poison(parse_poison_spec(&format!("{needle}=panic")).unwrap());
+    let poisoned_h = Harness::new(2011).with_poison(vec![PoisonRule {
+        needle: needle.clone(),
+        action: PoisonAction::Panic,
+    }]);
     for workers in [1, 2] {
         let cells = poisoned_h.run_subset_with_workers(TAKE, REPEATS, workers);
         assert_eq!(cells.len(), reference.len());

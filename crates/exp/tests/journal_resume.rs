@@ -273,3 +273,40 @@ fn sigint_drains_in_flight_cells_and_checkpoints() {
     assert_eq!(journal_lines(&journal), 19, "header + 18 cells");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A journal written under the retired `--isolation process` mode (its
+/// header says `"isolation":"process"`) resumes in process: every cell is
+/// a durable record, so nothing is recomputed and no byte changes.
+#[test]
+fn a_process_isolated_journal_resumes_in_process_unchanged() {
+    const FIXTURE: &[u8] = include_bytes!("process_isolation.jl");
+    let dir = scratch_dir("process-fixture");
+    let journal = dir.join("grid.jl");
+    std::fs::write(&journal, FIXTURE).expect("write fixture");
+    let out = Command::new(REPRO)
+        .args([
+            "--seed",
+            "7",
+            "--repeats",
+            "1",
+            "--subset",
+            "1",
+            "--journal",
+        ])
+        .arg(&journal)
+        .args(["--resume", "grid"])
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "resume failed: {stderr}");
+    assert!(
+        stderr.contains("6 cell(s) resumed, 0 computed"),
+        "expected a pure resume: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&journal).expect("read journal"),
+        FIXTURE,
+        "resuming rewrote the journal"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -115,3 +115,80 @@ proptest! {
         }
     }
 }
+
+/// Journal lines written when cells could also run in child worker
+/// processes, one per crash-family outcome: a panic caught in process, a
+/// cell its worker was killed for at a 1 s timeout, and a cell quarantined
+/// after its worker died twice. Each still decodes to its `CellResult`, so
+/// such journals resume.
+#[test]
+fn crash_records_from_process_isolation_still_decode() {
+    use mps_exp::{Attempt, AttemptOutcome, CrashReport};
+
+    const CRASHED: &str = r#"{"sum":"3405ffdd59d981bb","key":"w2-r0.5-n2000-s0/n2000/analytic/HCPA/r1","rec":{"dag":"w2-r0.5-n2000-s0","n":2000,"variant":"Analytic","algo":"HCPA","sim_makespan":0.0,"real_makespan":0.0,"real_runs":[],"outcome":{"Crashed":{"report":{"attempts":[{"outcome":{"Panicked":{"message":"poison cell w2-r0.5-n2000-s0/n2000/analytic/HCPA/r1: forced panic"}},"wall_ms":12}]}}}}}"#;
+    const TIMED_OUT: &str = r#"{"sum":"abd43cc3217ba68a","key":"w2-r0.5-n2000-s0/n2000/analytic/HCPA/r1","rec":{"dag":"w2-r0.5-n2000-s0","n":2000,"variant":"Analytic","algo":"HCPA","sim_makespan":0.0,"real_makespan":0.0,"real_runs":[],"outcome":{"TimedOut":{"report":{"attempts":[{"outcome":{"TimedOut":{"timeout_ms":1000}},"wall_ms":1000}]}}}}}"#;
+    const QUARANTINED: &str = r#"{"sum":"0d18e0e1c4bdd524","key":"w2-r0.5-n2000-s0/n2000/analytic/HCPA/r1","rec":{"dag":"w2-r0.5-n2000-s0","n":2000,"variant":"Analytic","algo":"HCPA","sim_makespan":0.0,"real_makespan":0.0,"real_runs":[],"outcome":{"Quarantined":{"report":{"attempts":[{"outcome":{"Crashed":{"exit_code":101,"signal":null,"stderr_tail":"\nthread 'main' (23484) panicked at crates/exp/src/runner.rs:684:44:\npoison cell w2-r0.5-n2000-s0/n2000/analytic/HCPA/r1: forced panic\nnote: run with `RUST_BACKTRACE=1` environment variable to display a backtrace\n"}},"wall_ms":0},{"outcome":{"Crashed":{"exit_code":101,"signal":null,"stderr_tail":"\nthread 'main' (23487) panicked at crates/exp/src/runner.rs:684:44:\npoison cell w2-r0.5-n2000-s0/n2000/analytic/HCPA/r1: forced panic\nnote: run with `RUST_BACKTRACE=1` environment variable to display a backtrace\n"}},"wall_ms":0}]}}}}}"#;
+
+    let lost = |outcome| CellResult {
+        dag: "w2-r0.5-n2000-s0".to_string(),
+        n: 2000,
+        variant: SimVariant::Analytic,
+        algo: "HCPA".to_string(),
+        sim_makespan: 0.0,
+        real_makespan: 0.0,
+        real_runs: Vec::new(),
+        outcome,
+    };
+    let key = "w2-r0.5-n2000-s0/n2000/analytic/HCPA/r1";
+    let panic = "poison cell w2-r0.5-n2000-s0/n2000/analytic/HCPA/r1: forced panic";
+    let died = |pid: u32, wall_ms| Attempt {
+        outcome: AttemptOutcome::Crashed {
+            exit_code: Some(101),
+            signal: None,
+            stderr_tail: format!(
+                "\nthread 'main' ({pid}) panicked at crates/exp/src/runner.rs:684:44:\n{panic}\n\
+                 note: run with `RUST_BACKTRACE=1` environment variable to display a backtrace\n"
+            ),
+        },
+        wall_ms,
+    };
+    let cases = [
+        (
+            CRASHED,
+            lost(CellOutcome::Crashed {
+                report: CrashReport::single(
+                    AttemptOutcome::Panicked {
+                        message: panic.to_string(),
+                    },
+                    12,
+                ),
+            }),
+        ),
+        (
+            TIMED_OUT,
+            lost(CellOutcome::TimedOut {
+                report: CrashReport::single(AttemptOutcome::TimedOut { timeout_ms: 1000 }, 1000),
+            }),
+        ),
+        (
+            QUARANTINED,
+            lost(CellOutcome::Quarantined {
+                report: CrashReport {
+                    attempts: vec![died(23484, 0), died(23487, 0)],
+                },
+            }),
+        ),
+    ];
+    for (line, want) in cases {
+        let (got_key, payload) = decode_line(line).expect("an intact journal line");
+        assert_eq!(got_key, key);
+        let got: CellResult = serde_json::from_str(&payload).expect("a CellResult");
+        assert_eq!(got, want);
+        assert!(!got.succeeded());
+        assert_eq!(
+            serde_json::to_string(&got).unwrap(),
+            payload,
+            "same bytes back"
+        );
+    }
+}

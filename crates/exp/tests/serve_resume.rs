@@ -34,7 +34,19 @@ fn spawn_serve(socket: &Path, state: &Path, extra: &[&str]) -> Child {
         .expect("spawn serve")
 }
 
+/// Waits until the daemon's socket file exists. The daemon binds and
+/// listens in one call, so from then on it accepts; the client connects
+/// once and fails at once if the file is missing.
+fn wait_for_socket(socket: &Path) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !socket.exists() {
+        assert!(Instant::now() < deadline, "daemon never bound {socket:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 fn client(socket: &Path, extra: &[&str]) -> std::process::Output {
+    wait_for_socket(socket);
     Command::new(REPRO)
         .args(["--repeats", "1", "client", "--socket"])
         .arg(socket)
@@ -86,6 +98,7 @@ fn daemon_sigkilled_mid_request_recovers_and_replays_byte_identically() {
     // journal shows the request is genuinely mid-flight.
     let state_b = dir.join("state-b");
     let mut victim = spawn_serve(&socket, &state_b, &["--throttle-ms", "150"]);
+    wait_for_socket(&socket);
     let mut inflight = Command::new(REPRO)
         .args(["--repeats", "1", "client", "--socket"])
         .arg(&socket)
@@ -108,6 +121,10 @@ fn daemon_sigkilled_mid_request_recovers_and_replays_byte_identically() {
     victim.kill().expect("SIGKILL daemon");
     let _ = victim.wait();
     let _ = inflight.wait();
+    // A killed daemon leaves its socket file behind; the revived one
+    // replaces it, but only after its startup recovery, so the stale file
+    // goes first and the next client waits for the new one.
+    std::fs::remove_file(&socket).expect("stale socket");
     let lines_after_kill = journal_lines(&journal);
     assert!(
         lines_after_kill < 7, // header + 6 cells ⇒ it really died early
@@ -228,6 +245,7 @@ fn an_online_request_streams_one_deterministic_cell_and_updates_latency_stats() 
     let mut daemon = spawn_serve(&socket, &state, &[]);
 
     let run = |seed: &str| {
+        wait_for_socket(&socket);
         Command::new(REPRO)
             .args(["--seed", seed, "client", "--socket"])
             .arg(&socket)
@@ -285,6 +303,7 @@ fn sigterm_mid_request_drains_gracefully_and_completes_the_journal() {
     let state = dir.join("state");
 
     let mut daemon = spawn_serve(&socket, &state, &["--throttle-ms", "100"]);
+    wait_for_socket(&socket);
     let inflight = Command::new(REPRO)
         .args(["--repeats", "1", "client", "--socket"])
         .arg(&socket)

@@ -125,11 +125,12 @@ pub struct JournalHeader {
     /// Digest of configuration not captured by the fields above
     /// (fault plan, exec policy, …).
     pub config_digest: String,
-    /// Isolation mode the campaign was started under (`inproc` or
-    /// `process`). Informational: an empty value (journals written before
-    /// this field existed) means `inproc`, and `check_matches` deliberately
-    /// ignores it so a campaign that crashed on a poison cell in-process
-    /// can be *resumed* under `--isolation process` to quarantine it.
+    /// Where the campaign's cells ran: `inproc` for a grid, `serve` for
+    /// a daemon request. Journals from when cells could also run in child
+    /// worker processes may say `process`, and an empty value (journals
+    /// written before this field existed) means `inproc`. Informational:
+    /// `check_matches` ignores it, so every one of those journals resumes
+    /// in process.
     #[serde(default)]
     pub isolation: String,
     /// For service journals (`mps-serve`): the verbatim JSON of the work

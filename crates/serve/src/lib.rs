@@ -47,8 +47,6 @@ pub use proto::{
 pub use queue::{Admission, AdmissionQueue, QueueStats};
 pub use server::{Backend, Server, ServerConfig, ServerExit};
 
-use mps_supervise::SuperviseError;
-
 /// Everything that can go wrong in the service layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
@@ -134,21 +132,6 @@ impl ServeError {
         ServeError::Io {
             op,
             err: err.to_string(),
-        }
-    }
-}
-
-impl From<SuperviseError> for ServeError {
-    fn from(e: SuperviseError) -> Self {
-        match e {
-            SuperviseError::Io { op, err } => ServeError::Io { op, err },
-            SuperviseError::Frame { reason } => ServeError::Frame { reason },
-            SuperviseError::VersionMismatch { ours, theirs } => {
-                ServeError::VersionMismatch { ours, theirs }
-            }
-            other => ServeError::Backend {
-                reason: other.to_string(),
-            },
         }
     }
 }

@@ -1,14 +1,17 @@
 //! `mps-proto/v1` — the client ↔ daemon wire protocol.
 //!
-//! Frames ride the same length-prefixed transport as the supervisor ↔
-//! worker protocol ([`mps_supervise::proto`]), but with two upgrades the
-//! service boundary demands:
+//! Each frame is a 4-byte little-endian length followed by that many
+//! bytes ([`write_framed`], [`read_frame_bytes`]). Length prefixing
+//! (rather than newline delimiting) makes torn writes unambiguous: a
+//! reader either gets a whole frame or a typed error, never half a
+//! message parsed as a smaller one. Frames are capped at
+//! [`MAX_FRAME_BYTES`] so a corrupted length prefix cannot make the reader
+//! allocate gigabytes. On top of that transport:
 //!
 //! 1. **Negotiated versioning.** Every connection opens with
 //!    [`ClientFrame::Hello`] carrying [`PROTO_VERSION`]; the server
 //!    answers [`ServerFrame::HelloAck`] or a typed
-//!    [`ServerFrame::VersionMismatch`]. Unlike the in-house worker
-//!    pipe (same binary on both ends), a socket outlives deploys — two
+//!    [`ServerFrame::VersionMismatch`]. A socket outlives deploys — two
 //!    builds *will* eventually talk across a restart.
 //! 2. **Checksummed envelope.** Each frame body is wrapped as
 //!    `{"sum":"<16-hex fnv64>","body":<message JSON as a JSON string>}`
@@ -25,7 +28,6 @@ use std::io::{Read, Write};
 use serde::{Deserialize, Serialize};
 
 use mps_journal::{fnv64_step, FNV64_OFFSET};
-use mps_supervise::proto::{read_frame_bytes, write_framed, LEN_PLACEHOLDER};
 
 use crate::ServeError;
 
@@ -34,9 +36,8 @@ use crate::ServeError;
 pub const PROTO_VERSION: &str = "mps-proto/v1";
 
 /// The work a client can ask the daemon to do. Indices refer to the
-/// deterministic paper corpus, exactly like the supervisor ↔ worker
-/// protocol: requests stay tiny and the daemon cannot be handed a DAG it
-/// doesn't know.
+/// deterministic paper corpus: requests stay tiny and the daemon cannot be
+/// handed a DAG it doesn't know.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WorkRequest {
     /// Compute one schedule (no testbed execution): corpus DAG `dag`
@@ -294,6 +295,58 @@ fn frame_err(reason: impl Into<String>) -> ServeError {
     }
 }
 
+/// Upper bound on a single frame's payload (16 MiB — a full grid cell
+/// result is a few KiB; anything near this bound is corruption).
+pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
+
+/// What a frame buffer handed to [`write_framed`] starts with: room for
+/// the 4-byte length prefix, as a `str` so the frame can be built as a
+/// `String`.
+pub const LEN_PLACEHOLDER: &str = "\0\0\0\0";
+
+/// Writes one frame and flushes. `frame` is [`LEN_PLACEHOLDER`] followed
+/// by the payload; the placeholder is overwritten with the payload's
+/// length and the whole buffer goes to one `write_all`, so a frame costs
+/// one write call.
+pub fn write_framed<W: Write + ?Sized>(w: &mut W, mut frame: Vec<u8>) -> Result<(), ServeError> {
+    debug_assert!(frame.starts_with(LEN_PLACEHOLDER.as_bytes()));
+    let len = frame.len() - LEN_PLACEHOLDER.len();
+    let n = u32::try_from(len)
+        .ok()
+        .filter(|&n| n <= MAX_FRAME_BYTES)
+        .ok_or_else(|| frame_err(format!("frame of {len} bytes exceeds the cap")))?;
+    frame[..LEN_PLACEHOLDER.len()].copy_from_slice(&n.to_le_bytes());
+    w.write_all(&frame)
+        .map_err(|e| ServeError::io("write", e))?;
+    w.flush().map_err(|e| ServeError::io("flush", e))
+}
+
+/// Reads one raw frame. `Ok(None)` on a clean EOF at a frame boundary;
+/// EOF mid-frame (a torn write / killed peer) is a typed error.
+pub fn read_frame_bytes<R: Read + ?Sized>(r: &mut R) -> Result<Option<Vec<u8>>, ServeError> {
+    let mut len = [0u8; 4];
+    let mut got = 0usize;
+    while got < len.len() {
+        match r.read(&mut len[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => return Err(frame_err("EOF inside a frame length prefix")),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(ServeError::io("read", e)),
+        }
+    }
+    let n = u32::from_le_bytes(len);
+    if n > MAX_FRAME_BYTES {
+        return Err(frame_err(format!(
+            "declared frame length {n} exceeds the cap"
+        )));
+    }
+    let mut buf = vec![0u8; n as usize];
+    r.read_exact(&mut buf)
+        .map_err(|e| frame_err(format!("EOF inside a {n}-byte frame body: {e}")))?;
+    Ok(Some(buf))
+}
+
 /// Serializes `msg`, wraps it in a checksummed envelope, and writes it as
 /// one length-prefixed frame with one write call. The body is serialized
 /// once into its own buffer, then escaped straight into the frame while
@@ -316,13 +369,13 @@ pub fn send_msg<W: Write + ?Sized, T: Serialize>(w: &mut W, msg: &T) -> Result<(
     let mut frame = frame.into_string().into_bytes();
     frame.extend_from_slice(SUFFIX.as_bytes());
     frame[sum_at..sum_at + 16].copy_from_slice(format!("{sum:016x}").as_bytes());
-    write_framed(w, frame).map_err(ServeError::from)
+    write_framed(w, frame)
 }
 
 /// Reads one frame and unwraps + verifies its envelope. `Ok(None)` on a
 /// clean EOF at a frame boundary.
 pub fn recv_msg<R: Read + ?Sized, T: Deserialize>(r: &mut R) -> Result<Option<T>, ServeError> {
-    let Some(bytes) = read_frame_bytes(&mut { r }).map_err(ServeError::from)? else {
+    let Some(bytes) = read_frame_bytes(r)? else {
         return Ok(None);
     };
     decode_envelope(&bytes).map(Some)
@@ -500,12 +553,75 @@ mod tests {
         assert!(decode_envelope::<serde::Value>(envelope(&at_cap).as_bytes()).is_ok());
     }
 
+    /// A length-prefixed frame carrying `payload` verbatim.
+    fn raw_frame(payload: &str) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_framed(&mut buf, format!("{LEN_PLACEHOLDER}{payload}").into_bytes()).unwrap();
+        buf
+    }
+
     #[test]
     fn a_plain_unenveloped_frame_is_rejected() {
-        // A peer speaking the raw worker protocol (no envelope) must get
-        // a typed frame error, not a misparse.
+        // A peer sending bare message JSON (no envelope) must get a typed
+        // frame error, not a misparse.
+        let body = serde_json::to_string(&ServerFrame::Accepted { id: 1 }).unwrap();
+        let buf = raw_frame(&body);
+        let mut r = &buf[..];
+        assert!(matches!(
+            recv_msg::<_, ServerFrame>(&mut r),
+            Err(ServeError::Frame { .. })
+        ));
+    }
+
+    #[test]
+    fn frames_round_trip_back_to_back() {
+        let a = ServerFrame::Accepted { id: 1 };
+        let b = ServerFrame::Failed {
+            id: 2,
+            error: "second \"quoted\"".to_string(),
+        };
         let mut buf = Vec::new();
-        mps_supervise::proto::write_frame(&mut buf, &ServerFrame::Accepted { id: 1 }).unwrap();
+        send_msg(&mut buf, &a).unwrap();
+        send_msg(&mut buf, &b).unwrap();
+        let mut r = &buf[..];
+        assert_eq!(recv_msg::<_, ServerFrame>(&mut r).unwrap(), Some(a));
+        assert_eq!(recv_msg::<_, ServerFrame>(&mut r).unwrap(), Some(b));
+        assert_eq!(
+            recv_msg::<_, ServerFrame>(&mut r).unwrap(),
+            None,
+            "clean EOF"
+        );
+    }
+
+    #[test]
+    fn eof_mid_frame_is_a_typed_error_not_a_short_message() {
+        let mut buf = Vec::new();
+        send_msg(&mut buf, &ServerFrame::Accepted { id: 7 }).unwrap();
+        // Every strict prefix (except the empty one) must error.
+        for cut in 1..buf.len() {
+            let mut r = &buf[..cut];
+            let res = read_frame_bytes(&mut r);
+            assert!(
+                matches!(res, Err(ServeError::Frame { .. })),
+                "prefix of {cut} bytes must be a torn frame, got {res:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_length_prefix_is_rejected_without_allocating() {
+        let mut buf = (MAX_FRAME_BYTES + 1).to_le_bytes().to_vec();
+        buf.extend_from_slice(b"garbage");
+        let mut r = &buf[..];
+        assert!(matches!(
+            read_frame_bytes(&mut r),
+            Err(ServeError::Frame { .. })
+        ));
+    }
+
+    #[test]
+    fn garbage_payload_is_a_frame_error() {
+        let buf = raw_frame("not json at all");
         let mut r = &buf[..];
         assert!(matches!(
             recv_msg::<_, ServerFrame>(&mut r),
